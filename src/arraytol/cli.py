@@ -17,7 +17,13 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .iams import interval_af_curve, power_bounds, power_db
-from .model import ArrayScenario, load_config, scenario_from_config, uniform_grid
+from .model import (
+    ArrayScenario,
+    check_number,
+    load_config,
+    scenario_from_config,
+    uniform_grid,
+)
 from .montecarlo import run_mc
 from .pia import feature_report, probability_map
 from .validate import format_results, run_validation
@@ -66,10 +72,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if flag_value is not None:
             return flag_value
         if key in cfg:
-            value = cfg[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"config field '{key}' must be a number")
-            return value
+            check_number(key, cfg[key])
+            return cfg[key]
         if required:
             raise ConfigError(f"config is missing required field '{key}'")
         return default
@@ -268,7 +272,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--probe", type=float, action="append", default=None,
                         help="probe direction u for histograms (repeatable)")
     common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1, help="worker pool size")
+    common.add_argument("--threads", type=int, default=1,
+                        help="Monte Carlo worker pool size (the geometry runs on one "
+                        "thread); outputs are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
     bounds_p = sub.add_parser("bounds", parents=[common],
                               help="write the power-pattern bounds CSV")

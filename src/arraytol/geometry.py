@@ -24,6 +24,10 @@ _WELD = 1e-12
 
 _TWO_PI = 2.0 * math.pi
 
+# A batched Minkowski sum processes directions in blocks of about this many
+# edges, which bounds its temporary arrays.
+_BLOCK_EDGES = 10_000
+
 
 def _cross(a: complex, b: complex) -> float:
     return a.real * b.imag - a.imag * b.real
@@ -165,51 +169,67 @@ def _cis(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _bottom_left(vs: np.ndarray) -> complex:
-    """Lowest vertex, leftmost among near-ties.
+def _bottom_left(vs: np.ndarray) -> np.ndarray:
+    """Lowest vertex along the last axis, leftmost among near-ties.
 
     The y tie tolerance makes the pick stable when a horizontal bottom edge
     leaves its two endpoints mathematically level but floating-point noise
     apart; Minkowski support points add only under a consistent tie rule.
     """
     ys = vs.imag
-    tol = _WELD * (1.0 + float(np.abs(vs).max()))
-    near = np.flatnonzero(ys <= ys.min() + tol)
-    return complex(vs[near[np.argmin(vs.real[near])]])
+    tol = _WELD * (1.0 + np.abs(vs).max(axis=-1, keepdims=True))
+    near = ys <= ys.min(axis=-1, keepdims=True) + tol
+    pick = np.argmin(np.where(near, vs.real, np.inf), axis=-1)
+    return np.take_along_axis(vs, pick[..., None], axis=-1)[..., 0]
 
 
-def _anchored_edges(poly: ConvexPolygon) -> tuple[complex, np.ndarray]:
-    """Bottom-left support vertex and CCW edge vectors (cyclic order)."""
-    vs = poly.vertices
-    if vs.size == 1:
-        return complex(vs[0]), np.empty(0, dtype=np.complex128)
-    return _bottom_left(vs), np.roll(vs, -1) - vs
+def rotated_minkowski_sums(polys, angles) -> list[ConvexPolygon]:
+    """Minkowski sums of rigidly rotated convex polygons, one per row of angles.
+
+    Row i sums polys[n] rotated about the origin by angles[i, n] radians.  The
+    row's edge vectors sorted by direction (angles folded into [0, 2*pi),
+    ties kept in operand order) trace the sum's shape, all rows of a block
+    in one argsort and one cumsum; each trace is pinned afterwards through
+    the bottom-left support point, which is the sum of the rotated
+    operands' bottom-left vertices.
+    """
+    polys = list(polys)
+    if not polys:
+        raise ValidationError("a Minkowski sum needs at least one polygon")
+    angles = np.asarray(angles, dtype=np.float64).reshape(-1, len(polys))
+    sizes = [len(p) for p in polys]
+    # pad with repeats of vertex 0, which leave every bottom-left pick unchanged
+    width = max(sizes)
+    verts = np.array(
+        [np.concatenate((p.vertices, np.repeat(p.vertices[:1], width - len(p)))) for p in polys]
+    )
+    edged = [n for n, m in enumerate(sizes) if m > 1]
+    rows = max(1, _BLOCK_EDGES // max(1, sum(sizes[n] for n in edged)))
+    sums = []
+    for start in range(0, angles.shape[0], rows):
+        rotated = verts * np.exp(1j * angles[start : start + rows, :, None])  # (rows, N, width)
+        anchor = _bottom_left(rotated).sum(axis=1)
+        if not edged:
+            sums.extend(convex_polygon([a]) for a in anchor)
+            continue
+        rings = [rotated[:, n, : sizes[n]] for n in edged]
+        edges = np.concatenate([np.roll(ring, -1, axis=1) - ring for ring in rings], axis=1)
+        heading = np.angle(edges)
+        heading = np.where(heading < 0.0, heading + _TWO_PI, heading)
+        heading = np.where(heading >= _TWO_PI, 0.0, heading)  # fold 2*pi onto 0
+        order = np.argsort(heading, axis=1, kind="stable")
+        steps = np.take_along_axis(edges, order, axis=1)
+        trace = np.zeros_like(steps)
+        np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
+        trace += (anchor - _bottom_left(trace))[:, None]
+        sums.extend(convex_polygon(row) for row in trace)
+    return sums
 
 
 def minkowski_sum_many(polys) -> ConvexPolygon:
-    """Minkowski sum of convex polygons via angular merge of edge vectors.
-
-    The summed edge vectors sorted by direction trace the result's shape;
-    its absolute position is pinned afterwards through the bottom-left
-    support point, which is the sum of the operands' bottom-left vertices.
-    """
-    anchor = 0.0 + 0.0j
-    edge_chunks = []
-    for p in polys:
-        start, edges = _anchored_edges(p)
-        anchor += start
-        if edges.size:
-            edge_chunks.append(edges)
-    if not edge_chunks:
-        return convex_polygon([anchor])
-    edges = np.concatenate(edge_chunks)
-    angles = np.angle(edges)
-    angles = np.where(angles < 0.0, angles + _TWO_PI, angles)
-    angles = np.where(angles >= _TWO_PI, 0.0, angles)  # fold 2*pi onto 0
-    order = np.argsort(angles, kind="stable")
-    trace = np.concatenate(([0.0], np.cumsum(edges[order])[:-1]))
-    verts = trace + (anchor - _bottom_left(trace))
-    return convex_polygon(verts)
+    """Minkowski sum of convex polygons via angular merge of edge vectors."""
+    polys = list(polys)
+    return rotated_minkowski_sums(polys, np.zeros(len(polys)))[0]
 
 
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
@@ -312,181 +332,49 @@ def circular_segment_area(r: float, a1: complex, a2: complex) -> float:
     return r * r * math.asin(half / r) - half * math.sqrt(max(r * r - half * half, 0.0))
 
 
-def circle_triangle_intersection_area(r: float, tri: Triangle) -> float:
-    """Exact area of disc(0, r) intersected with a CCW triangle.
+def disc_polygon_areas(radii, poly: ConvexPolygon) -> np.ndarray:
+    """Area of disc(0, r) intersected with a convex polygon, for every r in radii.
 
-    Dispatches on the relative position of the vertices and edges: fully
-    inside triangles reduce to the edge-length area formula, disjoint or
-    enclosing configurations to 0 or the full disc, and crossing
-    configurations to a boundary walk that sums the chain polygon and the
-    circular segments closing each arc.
+    Fans the polygon from the disc center: the result sums, over the CCW
+    edges (a, b), the signed area of disc(0, r) intersected with
+    triangle(0, a, b).  With d = b - a and t1 <= t2 the edge-circle roots
+    clipped to [0, 1], the chord piece between p1 = a + t1*d and
+    p2 = a + t2*d adds cross(p1, p2) / 2 and the arc pieces outside the disc
+    add r^2 * angle / 2 (angles a -> p1 and p2 -> b).  An edge that misses
+    the disc has t1 = t2 and adds only its arc.  A polygon with fewer than
+    three vertices has no area.
     """
-    if r < 0.0:
-        raise ValidationError("radius must be non-negative")
-    if r == 0.0:
-        return 0.0
-    vs = (tri.v1, tri.v2, tri.v3)
-    r2 = r * r
-    if all(v.real * v.real + v.imag * v.imag <= r2 for v in vs):
-        return triangle_area_heron(abs(vs[1] - vs[0]), abs(vs[2] - vs[1]), abs(vs[0] - vs[2]))
-    return _disc_convex_walk(r, vs)
+    radii = np.asarray(radii, dtype=np.float64)
+    vs = poly.vertices
+    if vs.size < 3:
+        return np.zeros(radii.shape)
+    d = np.roll(vs, -1) - vs
+    qa = d.real * d.real + d.imag * d.imag
+    qa = np.where(qa > 0.0, qa, 1.0)  # a zero-length edge puts both roots on a
+    qb = vs.real * d.real + vs.imag * d.imag
+    r2 = (radii * radii)[:, None]
+    qc = (vs.real * vs.real + vs.imag * vs.imag) - r2
+    sq = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+    p1 = vs + np.clip((-qb - sq) / qa, 0.0, 1.0) * d
+    p2 = vs + np.clip((-qb + sq) / qa, 0.0, 1.0) * d
+    chord = (p1.conj() * p2).imag
+    arcs = np.angle(vs.conj() * p1) + np.angle(p2.conj() * (vs + d))
+    return 0.5 * (chord + r2 * arcs).sum(axis=1)
+
+
+def circle_triangle_intersection_area(r: float, tri: Triangle) -> float:
+    """Exact area of disc(0, r) intersected with a CCW triangle."""
+    return disc_polygon_intersection_area(r, ConvexPolygon(np.array([tri.v1, tri.v2, tri.v3])))
 
 
 def disc_polygon_intersection_area(r: float, poly: ConvexPolygon) -> float:
-    """Exact area of disc(0, r) intersected with a convex polygon."""
+    """Exact area of disc(0, r) intersected with a convex polygon.
+
+    Exactly 0.0 when the polygon has no area or lies at distance r or more
+    from the origin (tangency included).
+    """
     if r < 0.0:
         raise ValidationError("radius must be non-negative")
-    vs = poly.vertices
-    if r == 0.0 or vs.size < 3:
+    if r == 0.0 or len(poly) < 3 or distance_bounds_to_origin(poly)[0] >= r:
         return 0.0
-    return _disc_convex_walk(r, tuple(complex(v) for v in vs))
-
-
-def _origin_inside(vs) -> bool:
-    n = len(vs)
-    for i in range(n):
-        a = vs[i]
-        b = vs[(i + 1) % n]
-        e = b - a
-        if e.imag * a.real - e.real * a.imag < -EPS_GEOM * max(1.0, abs(e)):
-            return False
-    return True
-
-
-def _point_inside(vs, z: complex) -> bool:
-    n = len(vs)
-    for i in range(n):
-        a = vs[i]
-        b = vs[(i + 1) % n]
-        e = b - a
-        if e.real * (z.imag - a.imag) - e.imag * (z.real - a.real) < -EPS_GEOM * max(1.0, abs(e)):
-            return False
-    return True
-
-
-def _disc_convex_walk(r: float, vs) -> float:
-    """Disc-polygon intersection via the boundary chain.
-
-    Walks the polygon boundary collecting inside vertices and edge-circle
-    crossing points in traversal order; the area is the shoelace of that
-    chain plus a circular segment for every stretch where the boundary
-    leaves the disc (arc swept CCW from departure to re-entry).
-    """
-    n = len(vs)
-    r2 = r * r
-    weld = _WELD * (r + 1.0)
-
-    inside = [v.real * v.real + v.imag * v.imag <= r2 for v in vs]
-    nodes: list[tuple[complex, int, float]] = []
-    for i in range(n):
-        a = vs[i]
-        b = vs[(i + 1) % n]
-        if inside[i]:
-            nodes.append((a, i, 0.0))
-        ina = inside[i]
-        inb = inside[(i + 1) % n]
-        if ina and inb:
-            continue
-        d = b - a
-        qa = d.real * d.real + d.imag * d.imag
-        if qa == 0.0:
-            continue
-        qb = 2.0 * (a.real * d.real + a.imag * d.imag)
-        qc = a.real * a.real + a.imag * a.imag - r2
-        disc = qb * qb - 4.0 * qa * qc
-        if ina != inb:
-            sq = math.sqrt(disc) if disc > 0.0 else 0.0
-            t = (-qb + sq) / (2.0 * qa) if ina else (-qb - sq) / (2.0 * qa)
-            t = min(1.0, max(0.0, t))
-            nodes.append((a + t * d, i, t))
-        else:
-            # both endpoints outside: the edge either misses the disc or
-            # cuts a chord strictly inside; tangency counts as a miss, and
-            # chords at floating-point noise scale are pruned (their area
-            # contribution is O(chord^3 / r), far below any tolerance)
-            if disc <= 0.0:
-                continue
-            sq = math.sqrt(disc)
-            t1 = (-qb - sq) / (2.0 * qa)
-            t2 = (-qb + sq) / (2.0 * qa)
-            if t1 <= 0.0 or t2 >= 1.0 or (t2 - t1) * math.sqrt(qa) <= 1e-6 * (r + 1.0):
-                continue
-            nodes.append((a + t1 * d, i, t1))
-            nodes.append((a + t2 * d, i, t2))
-
-    if not nodes:
-        return math.pi * r2 if _origin_inside(vs) else 0.0
-
-    # weld cyclically adjacent duplicates (vertex on the circle also found
-    # as an edge crossing, grazing contacts, ...)
-    cleaned: list[tuple[complex, int, float]] = []
-    for node in nodes:
-        if cleaned and abs(node[0] - cleaned[-1][0]) <= weld:
-            continue
-        cleaned.append(node)
-    while len(cleaned) > 1 and abs(cleaned[0][0] - cleaned[-1][0]) <= weld:
-        cleaned.pop()
-    if len(cleaned) == 1:
-        return math.pi * r2 if _origin_inside(vs) else 0.0
-
-    area = 0.0
-    m = len(cleaned)
-    for j in range(m):
-        p, ei, ti = cleaned[j]
-        q, ej, tj = cleaned[(j + 1) % m]
-        area += 0.5 * (p.real * q.imag - q.real * p.imag)
-        if ei == ej and tj >= ti:
-            mid = _edge_point(vs, ei, 0.5 * (ti + tj))
-        else:
-            mid = _path_length_midpoint(vs, ei, ti, ej, tj)
-        if mid.real * mid.real + mid.imag * mid.imag > r2:
-            # boundary leaves the disc: close the region with the CCW arc
-            ap = math.atan2(p.imag, p.real)
-            phi = (math.atan2(q.imag, q.real) - ap) % _TWO_PI
-            if phi > math.pi:
-                # a majority arc is only real if it runs inside the polygon;
-                # grazing contacts otherwise masquerade as near-full circles
-                arc_mid = r * _cis(ap + 0.5 * phi)
-                if not _point_inside(vs, arc_mid):
-                    continue
-            area += 0.5 * r2 * (phi - math.sin(phi))
-    return max(area, 0.0)
-
-
-def _edge_point(vs, i: int, t: float) -> complex:
-    a = vs[i]
-    b = vs[(i + 1) % len(vs)]
-    return a + t * (b - a)
-
-
-def _path_length_midpoint(vs, ei: int, ti: float, ej: int, tj: float) -> complex:
-    """Point halfway (by arc length) along the boundary from (ei, ti) to (ej, tj).
-
-    The sub-path between consecutive chain nodes is entirely inside or
-    entirely outside the disc up to weld-scale grazing, so its length
-    midpoint decides which; the midpoint is far from both endpoints, which
-    keeps welded near-circle contacts from flipping the answer.
-    """
-    n = len(vs)
-    pieces = []  # (edge index, t start, t end)
-    steps = (ej - ei) % n
-    if steps == 0:
-        steps = n  # full loop back onto the same edge
-    pieces.append((ei, ti, 1.0))
-    for s in range(1, steps):
-        pieces.append(((ei + s) % n, 0.0, 1.0))
-    pieces.append((ej, 0.0, tj))
-    lengths = []
-    for k, t0, t1 in pieces:
-        a = vs[k]
-        b = vs[(k + 1) % n]
-        lengths.append(abs(b - a) * (t1 - t0))
-    half = 0.5 * sum(lengths)
-    for (k, t0, t1), seg_len in zip(pieces, lengths):
-        if half <= seg_len or (k, t0, t1) == pieces[-1]:
-            if seg_len == 0.0:
-                return _edge_point(vs, k, t0)
-            frac = min(1.0, half / seg_len)
-            return _edge_point(vs, k, t0 + frac * (t1 - t0))
-        half -= seg_len
-    return _edge_point(vs, ej, tj)  # pragma: no cover
+    return max(float(disc_polygon_areas([r], poly)[0]), 0.0)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,12 +11,13 @@ from .errors import ValidationError
 from .geometry import (
     ConvexPolygon,
     distance_bounds_to_origin,
-    minkowski_sum_many,
     polygonize_interval_phasor,
+    rotated_minkowski_sums,
 )
 from .model import AngularGrid, ArrayScenario
 
 _TWO_PI = 2.0 * math.pi
+_ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,7 @@ def interval_af(scenario: ArrayScenario, u: float, arc_points: int = 8) -> Inter
     """
     if abs(u) > 1.0:
         raise ValidationError(f"direction u={u} must lie in [-1, 1]")
-    sectors = []
-    for n, el in enumerate(scenario.elements):
-        psi = _TWO_PI * scenario.spacing * n * u
-        sectors.append(
-            polygonize_interval_phasor(
-                el.amplitude_lo,
-                el.amplitude_hi,
-                el.phase_lo + psi,
-                el.phase_hi + psi,
-                arc_points,
-            )
-        )
-    region = minkowski_sum_many(sectors)
-    lo, hi = distance_bounds_to_origin(region)
-    return IntervalAF(u=u, region=region, modulus_lo=lo, modulus_hi=hi)
+    return interval_af_curve(scenario, AngularGrid(np.array([float(u)])), arc_points)[0]
 
 
 def interval_af_curve(
@@ -104,12 +90,30 @@ def interval_af_curve(
     arc_points: int = 8,
     threads: int = 1,
 ) -> list[IntervalAF]:
-    """interval_af at every grid sample; parallel across samples, ordered output."""
-    us = [float(u) for u in grid.samples]
-    if threads <= 1 or len(us) < 4:
-        return [interval_af(scenario, u, arc_points) for u in us]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda u: interval_af(scenario, u, arc_points), us))
+    """interval_af at every grid sample, in grid order.
+
+    Each element's sector is polygonized once; at direction u it is that
+    polygon rotated by the steering phase 2*pi*spacing*n*u, so one batched
+    Minkowski sum covers the whole grid.  threads is accepted for call
+    compatibility and does not change the computation.
+    """
+    sectors = [
+        polygonize_interval_phasor(
+            el.amplitude_lo, el.amplitude_hi, el.phase_lo, el.phase_hi, arc_points
+        )
+        for el in scenario.elements
+    ]
+    psi = _TWO_PI * scenario.spacing * np.outer(grid.samples, np.arange(scenario.n_elements))
+    # Summing N phasors in floating point moves the sum by up to about
+    # N * eps * (sum of their moduli), both here and wherever a realization
+    # is evaluated; widening the modulus bounds by twice that keeps rounded
+    # realizations inside them at nulls too.
+    slack = _ROUNDING * scenario.n_elements * sum(float(np.abs(s.vertices).max()) for s in sectors)
+    curve = []
+    for u, region in zip(grid.samples, rotated_minkowski_sums(sectors, psi)):
+        lo, hi = distance_bounds_to_origin(region)
+        curve.append(IntervalAF(float(u), region, max(lo - slack, 0.0), hi + slack))
+    return curve
 
 
 def power_db(power, peak_power: float):

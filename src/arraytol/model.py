@@ -147,8 +147,8 @@ def scenario_from_config(cfg: dict) -> ArrayScenario:
         raise ConfigError("config field 'elements' must be a non-empty list")
     xi = cfg.get("xi_percent", 0.0)
     gamma_deg = cfg.get("gamma_deg", 0.0)
-    _check_number("xi_percent", xi)
-    _check_number("gamma_deg", gamma_deg)
+    check_number("xi_percent", xi)
+    check_number("gamma_deg", gamma_deg)
     xi = xi / 100.0
     gamma = math.radians(gamma_deg)
     if not (0.0 <= xi < 1.0):
@@ -214,12 +214,17 @@ def _require(mapping: dict, key: str, types, ctx: str = "config"):
     value = mapping[key]
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"{ctx} field '{key}' has the wrong type")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{ctx} field '{key}' must be finite, got {value}")
     return value
 
 
-def _check_number(name: str, value) -> None:
+def check_number(name: str, value) -> None:
+    """Raise ConfigError unless a config value is a finite int or float."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"config field '{name}' must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"config field '{name}' must be finite, got {value}")
 
 
 def _endpoint_pair(entry: dict, lo_key: str, hi_key: str, n: int, default):
@@ -232,6 +237,6 @@ def _endpoint_pair(entry: dict, lo_key: str, hi_key: str, n: int, default):
     if not has_lo:
         return default if default is not None else (None, None)
     lo, hi = entry[lo_key], entry[hi_key]
-    _check_number(f"elements[{n}].{lo_key}", lo)
-    _check_number(f"elements[{n}].{hi_key}", hi)
+    check_number(f"elements[{n}].{lo_key}", lo)
+    check_number(f"elements[{n}].{hi_key}", hi)
     return float(lo), float(hi)

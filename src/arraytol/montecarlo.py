@@ -107,8 +107,7 @@ def run_mc(
     steering = np.exp(
         1j * _TWO_PI * scenario.spacing * np.outer(np.arange(scenario.n_elements), grid.samples)
     )
-    radii_sq = pmap.ring_radii**2  # (N_u, K+1)
-    inner_sq = radii_sq[:, 1:k_regions]  # boundaries between rings
+    inner_sq = pmap.ring_radii[:, 1:k_regions] ** 2  # boundaries between rings
 
     probe_idx = []
     for u in probe_directions:
@@ -130,10 +129,13 @@ def run_mc(
         power = np.abs(w @ steering) ** 2  # (chunk, N_u)
         lo = power.min(axis=0)
         hi = power.max(axis=0)
-        ring = (power[:, :, None] >= inner_sq[None, :, :]).sum(axis=2)  # 0..K-1
-        counts = np.zeros((k_regions, n_u), dtype=np.int64)
-        for k in range(k_regions):
-            counts[k] = (ring == k).sum(axis=0)
+        # at_least[h]: samples at or above boundary h; every sample is at
+        # or above boundary 0 and none is counted above boundary K
+        at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
+        at_least[0] = stop - start
+        for h in range(1, k_regions):
+            at_least[h] = (power >= inner_sq[:, h - 1]).sum(axis=0)
+        counts = at_least[:-1] - at_least[1:]
         hists = []
         for ip, edges in zip(probe_idx, probe_edges):
             with np.errstate(divide="ignore"):

@@ -17,13 +17,16 @@ from .errors import ValidationError
 from .geometry import (
     EPS_GEOM,
     ConvexPolygon,
-    circle_triangle_intersection_area,
+    disc_polygon_areas,
     distance_bounds_to_origin,
     polygon_area,
-    triangulate,
 )
 from .iams import IntervalAF, PowerBoundsCurve, interval_af_curve, power_bounds
 from .model import AngularGrid, ArrayScenario
+
+# Relative size, against the region's area, of a negative ring area that is
+# still taken for round-off and clipped to zero.
+_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,10 @@ def ring_partition(modulus_lo: float, modulus_hi: float, k_regions: int) -> Ring
 def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.ndarray:
     """Area fraction of the region captured by each annular ring.
 
-    Computed by fan-triangulating the region and summing exact
-    circle-triangle intersection areas against each ring boundary; ring
-    areas are the telescoped differences, so the result sums to one.  A
+    Computed from the exact disc-polygon intersection areas at every ring
+    boundary, fanned from the disc center; ring areas are the telescoped
+    differences, so the result sums to one.  Differences below zero by more
+    than round-off (1e-12 of the region's area) raise ValidationError.  A
     region with no area puts all probability in the first ring.
     """
     k = partition.k_regions
@@ -114,21 +118,20 @@ def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.
             f"partition radii [{radii[0]}, {radii[-1]}] do not bracket the "
             f"region's modulus bounds [{lo}, {hi}]"
         )
-    out = np.zeros(k)
-    triangles = triangulate(region)
-    if not triangles:
-        out[0] = 1.0
-        return out
-    covered = np.empty(k + 1)
-    for h, r in enumerate(radii):
-        covered[h] = sum(circle_triangle_intersection_area(float(r), t) for t in triangles)
+    covered = disc_polygon_areas(radii, region)
     total = covered[-1]
     if total <= EPS_GEOM * EPS_GEOM:
+        out = np.zeros(k)
         out[0] = 1.0
         return out
-    out = np.maximum(np.diff(covered), 0.0) / total
-    out /= out.sum()
-    return out
+    rings = np.diff(covered)
+    if rings.min() < -_ROUNDOFF * total:
+        raise ValidationError(
+            f"ring areas {rings.tolist()} of a region with area {total} are negative "
+            "beyond round-off"
+        )
+    out = np.maximum(rings, 0.0)
+    return out / out.sum()
 
 
 def probability_map(

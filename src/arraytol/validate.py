@@ -2,7 +2,7 @@
 
 These checks back the `validate` CLI command.  The area oracle integrates
 disc-polygon intersections by exact column slices in y and quadrature in x,
-a computation path fully independent of the boundary-walk geometry kernel.
+a computation path fully independent of the center-fanned geometry kernel.
 """
 
 from __future__ import annotations

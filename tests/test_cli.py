@@ -196,6 +196,32 @@ class TestConfigErrors:
         assert code == 2
         assert "elements[3]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("elements", 2, "amplitude"), math.inf),
+            (("elements", 0, "phase_deg"), -math.inf),
+            (("elements", 1, "amplitude_lo"), math.nan),
+            (("spacing_wavelengths",), math.inf),
+            (("xi_percent",), math.nan),
+            (("k_regions",), math.inf),
+        ],
+    )
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, path, value):
+        payload = json.loads(_write_config(tmp_path / "full.json").read_text())
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        if path[-1] == "amplitude_lo":
+            target["amplitude_hi"] = 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))  # writes the JSON extensions Infinity / NaN
+        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert path[-1] in err and "finite" in err
+
     def test_bad_probe_exits_two(self, config_path, capsys):
         code = main(["mc", "--config", str(config_path), "--probe", "1.5"])
         assert code == 2

@@ -359,12 +359,22 @@ class TestCircleTriangleIntersection:
         tri = _tri(-3 + 1j, 3 + 1j, 4j)
         assert circle_triangle_intersection_area(1.0, tri) == 0.0
 
-    def test_polygon_walk_matches_triangle_fan(self):
+    def test_polygon_area_matches_slab_oracle(self):
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            verts = random_convex_vertices(rng, 8)
-            p = convex_polygon(verts)
-            r = rng.uniform(0.2, 2.5)
-            fan = sum(circle_triangle_intersection_area(r, t) for t in triangulate(p))
-            whole = disc_polygon_intersection_area(r, p)
-            assert fan == pytest.approx(whole, abs=1e-10 * max(1.0, fan))
+        polys = [
+            convex_polygon(random_convex_vertices(rng, 8, scale=1.0, center=center))
+            for center in (0j, 0.3 - 0.2j, 2.5 + 1j, -1.5 - 2j) * 5
+        ]
+        polys.append(convex_polygon([-1 + 0j, 1 + 0j, 1 + 2j, -1 + 2j]))  # origin on an edge
+        where = {contains_point(p, 0j) for p in polys}
+        assert where == {True, False}
+        for p in polys:
+            far = float(np.abs(p.vertices).max())
+            for r in (0.25 * far, 0.5 * far, 0.8 * far, far, 1.5 * far):
+                whole = disc_polygon_intersection_area(r, p)
+                oracle = disc_convex_area_slab(r, p.vertices, 16385)
+                assert whole == pytest.approx(oracle, abs=1e-6 * max(1.0, oracle))
+            # beyond the farthest vertex the disc covers the whole polygon
+            assert disc_polygon_intersection_area(1.5 * far, p) == pytest.approx(
+                polygon_area(p), rel=1e-12
+            )

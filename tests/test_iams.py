@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from arraytol import (
+    AngularGrid,
+    ArrayScenario,
+    ExcitationInterval,
     contains_point,
+    distance_bounds_to_origin,
     interval_af,
     interval_af_curve,
+    minkowski_sum_many,
     nominal_af,
     nominal_af_curve,
+    polygonize_interval_phasor,
     power_bounds,
     power_db,
     scenario_from_tolerances,
@@ -22,6 +28,26 @@ from helpers import taylor_taper
 
 def _uniform_scenario(n, xi=0.0, gamma=0.0, spacing=0.5):
     return scenario_from_tolerances([(1.0, 0.0)] * n, xi, gamma, spacing)
+
+
+def _steered_asymmetric_scenario(n, seed):
+    """Taylor taper steered by 30 degrees per element, seeded asymmetric intervals."""
+    rng = np.random.default_rng(seed)
+    elements = []
+    for i, amp in enumerate(taylor_taper(n)):
+        amp = float(amp)
+        phase = math.radians(30.0 * i)
+        elements.append(
+            ExcitationInterval(
+                nominal_amplitude=amp,
+                nominal_phase=phase,
+                amplitude_lo=amp * (1.0 - rng.uniform(0.005, 0.02)),
+                amplitude_hi=amp * (1.0 + rng.uniform(0.005, 0.02)),
+                phase_lo=phase - math.radians(rng.uniform(1.0, 4.0)),
+                phase_hi=phase + math.radians(rng.uniform(1.0, 4.0)),
+            )
+        )
+    return ArrayScenario(elements=tuple(elements), spacing=0.5)
 
 
 class TestNominalAf:
@@ -92,6 +118,46 @@ class TestIntervalAf:
             u = float(rng.uniform(-1.0, 1.0))
             iv = interval_af(scen, u)
             assert contains_point(iv.region, nominal_af(scen, u))
+
+    @pytest.mark.parametrize("name", ["steered64", "taylor16"])
+    def test_batched_regions_match_per_direction_sums(self, name):
+        # the batched curve rotates one polygon per element; the reference
+        # polygonizes every sector at its steered phase and sums each
+        # direction on its own.  At u = -0.5 the Taylor sectors' chords are
+        # axis-aligned, where the bottom-left anchor rule decides the pick.
+        if name == "steered64":
+            scen = _steered_asymmetric_scenario(64, seed=3)
+        else:
+            scen = scenario_from_tolerances(
+                [(float(a), 0.0) for a in taylor_taper(16)], 0.01, math.radians(3.0), 0.5
+            )
+        rng = np.random.default_rng(4)
+        us = np.unique(np.concatenate(([-1.0, -0.5, 0.0, 0.5, 1.0], rng.uniform(-1, 1, 20))))
+        curve = interval_af_curve(scen, AngularGrid(us), arc_points=8)
+        rays = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
+        for u, iv in zip(us, curve):
+            sectors = []
+            for n, el in enumerate(scen.elements):
+                psi = 2.0 * math.pi * scen.spacing * n * u
+                sectors.append(polygonize_interval_phasor(
+                    el.amplitude_lo, el.amplitude_hi, el.phase_lo + psi, el.phase_hi + psi, 8
+                ))
+            ref_region = minkowski_sum_many(sectors)
+            got = iv.region.vertices
+            assert got.size == len(ref_region)
+            # the start vertex may differ by one where an edge angle sits on
+            # the 0 / 2*pi fold, so align the rings before comparing
+            ref = ref_region.vertices
+            ref = np.roll(ref, -int(np.argmin(np.abs(ref - got[0]))))
+            assert np.abs(got - ref).max() <= 1e-12
+            ref_lo, ref_hi = distance_bounds_to_origin(ref_region)
+            assert iv.modulus_lo <= ref_lo and iv.modulus_hi >= ref_hi
+            # independent of either sum's anchor rule: the support function
+            # of a Minkowski sum is the sum of the operands' support functions
+            along = rays.conj()[:, None]
+            support = sum(np.max((along * s.vertices).real, axis=1) for s in sectors)
+            got_support = np.max((along * got).real, axis=1)
+            assert np.abs(got_support - support).max() <= 1e-12 * max(1.0, np.abs(got).max())
 
     def test_modulus_bounds_match_region(self):
         scen = _uniform_scenario(3, xi=0.05, gamma=math.radians(5.0))

@@ -4,8 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraytol import (
+    ArrayScenario,
+    ExcitationInterval,
+    interval_af_curve,
     nominal_af_curve,
     power_bounds,
     probability_map,
@@ -158,3 +163,46 @@ class TestRunMc:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(Exception):
             run_mc(_scenario(), uniform_grid(11), 3, 0, seed=0)
+
+
+@st.composite
+def _random_scenarios(draw):
+    """2..16 elements, 0.25..2 wavelength spacing, steered, asymmetric intervals."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    spacing = draw(st.floats(min_value=0.25, max_value=2.0))
+    steer = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    fraction = st.floats(min_value=0.0, max_value=0.3)
+    elements = []
+    for i in range(n):
+        amp = draw(st.floats(min_value=0.1, max_value=1.0))
+        phase = steer * i
+        elements.append(
+            ExcitationInterval(
+                nominal_amplitude=amp,
+                nominal_phase=phase,
+                amplitude_lo=amp * (1.0 - draw(fraction)),
+                amplitude_hi=amp * (1.0 + draw(fraction)),
+                phase_lo=phase - draw(fraction),
+                phase_hi=phase + draw(fraction),
+            )
+        )
+    return ArrayScenario(elements=tuple(elements), spacing=spacing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    scen=_random_scenarios(),
+    n_u=st.integers(min_value=2, max_value=15),
+    k=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_scenarios_stay_inside_bounds(scen, n_u, k, seed):
+    grid = uniform_grid(n_u)
+    intervals = interval_af_curve(scen, grid, arc_points=4)
+    bounds = power_bounds(scen, grid, arc_points=4, intervals=intervals)
+    pmap = probability_map(scen, grid, k, arc_points=4, intervals=intervals)
+    assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
+    report = run_mc(scen, grid, k, 300, seed=seed, pmap=pmap)
+    slack = 1e-9 * np.maximum(bounds.p_hi, 1e-300)
+    assert np.all(report.per_u_min >= bounds.p_lo - slack)
+    assert np.all(report.per_u_max <= bounds.p_hi + slack)

@@ -18,6 +18,7 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
+from arraytol import pia
 from arraytol.pia import mainlobe_indices
 
 from helpers import disc_convex_area_slab, random_convex_vertices
@@ -82,6 +83,25 @@ class TestRegionProbabilities:
         p = convex_polygon([1 + 0j, 2 + 0j])
         probs = region_probabilities(p, ring_partition(1.0, 2.0, 3))
         assert list(probs) == [1.0, 0.0, 0.0]
+
+    def test_negative_ring_area_raises(self, monkeypatch):
+        p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
+        part = ring_partition(1.0, math.sqrt(5.0), 3)
+        monkeypatch.setattr(
+            pia, "disc_polygon_areas", lambda radii, poly: np.array([0.0, 0.6, 0.4, 1.0])
+        )
+        with pytest.raises(ValidationError, match="round-off"):
+            region_probabilities(p, part)
+
+    def test_round_off_ring_area_clipped(self, monkeypatch):
+        p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
+        part = ring_partition(1.0, math.sqrt(5.0), 3)
+        monkeypatch.setattr(
+            pia, "disc_polygon_areas", lambda radii, poly: np.array([0.0, 0.5, 0.5 - 1e-14, 1.0])
+        )
+        probs = region_probabilities(p, part)
+        assert probs[1] == 0.0
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_oracle_equivalence_fuzz(self):
         rng = np.random.default_rng(17)
