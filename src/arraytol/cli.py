@@ -19,12 +19,13 @@ from .errors import ConfigError, ValidationError
 from .iams import interval_af_curve, power_bounds, power_db
 from .model import (
     ArrayScenario,
+    check_integer,
     check_number,
     load_config,
     scenario_from_config,
     uniform_grid,
 )
-from .montecarlo import run_mc
+from .montecarlo import SEED_LIMIT, run_mc
 from .pia import feature_report, probability_map
 from .validate import format_results, run_validation
 
@@ -78,20 +79,23 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config is missing required field '{key}'")
         return default
 
-    k_regions = int(resolved(args.k, "k_regions", required=True))
-    n_u = int(resolved(args.nu, "n_u", required=True))
-    arc_points = int(resolved(args.arc_points, "arc_points", required=True))
-    mc_samples = int(resolved(args.mc_samples, "mc_samples", default=100_000))
-    seed = int(resolved(args.seed, "seed", default=0))
-    for name, value, minimum in (
-        ("k_regions", k_regions, 1),
-        ("n_u", n_u, 2),
-        ("arc_points", arc_points, 2),
-        ("mc_samples", mc_samples, 1),
-        ("threads", args.threads, 1),
+    k_regions = resolved(args.k, "k_regions", required=True)
+    n_u = resolved(args.nu, "n_u", required=True)
+    arc_points = resolved(args.arc_points, "arc_points", required=True)
+    mc_samples = resolved(args.mc_samples, "mc_samples", default=100_000)
+    seed = resolved(args.seed, "seed", default=0)
+    for name, value, minimum, limit in (
+        ("k_regions", k_regions, 1, None),
+        ("n_u", n_u, 2, None),
+        ("arc_points", arc_points, 2, None),
+        ("mc_samples", mc_samples, 1, None),
+        ("seed", seed, 0, SEED_LIMIT),
+        ("threads", args.threads, 1, None),
     ):
-        if value < minimum:
-            raise ConfigError(f"'{name}' must be at least {minimum}, got {value}")
+        try:
+            check_integer(name, value, minimum, limit)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
     probes = tuple(args.probe or ())
     for u in probes:
         if not (-1.0 <= u <= 1.0):
@@ -273,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="probe direction u for histograms (repeatable)")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
-                        help="Monte Carlo worker pool size (the geometry runs on one "
-                        "thread); outputs are identical for any value")
+                        help="accepted for compatibility and ignored: every stage "
+                        "runs as one array program on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
     bounds_p = sub.add_parser("bounds", parents=[common],
                               help="write the power-pattern bounds CSV")

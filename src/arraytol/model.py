@@ -227,6 +227,16 @@ def check_number(name: str, value) -> None:
         raise ConfigError(f"config field '{name}' must be finite, got {value}")
 
 
+def check_integer(name: str, value, minimum: int, limit: int | None = None) -> None:
+    """Raise ValidationError unless value is an int in [minimum, limit)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"'{name}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"'{name}' must be an integer of at least {minimum}, got {value}")
+    if limit is not None and value >= limit:
+        raise ValidationError(f"'{name}' must be an integer below {limit}, got {value}")
+
+
 def _endpoint_pair(entry: dict, lo_key: str, hi_key: str, n: int, default):
     has_lo = lo_key in entry
     has_hi = hi_key in entry

@@ -2,24 +2,24 @@
 
 Every sample draws its excitations from a counter-based random stream keyed
 by (seed, sample index), so results are bitwise identical for a fixed seed
-no matter how work is chunked or how many threads run.
+no matter how work is chunked.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ValidationError
-from .model import AngularGrid, ArrayScenario
+from .model import AngularGrid, ArrayScenario, check_integer
 from .pia import ProbabilityMap, probability_map
 
 _TWO_PI = 2.0 * math.pi
 _HIST_BINS = 200
+SEED_LIMIT = 1 << 128  # seeds are Philox keys: two 64-bit words
 
 
 @dataclass(frozen=True)
@@ -44,36 +44,91 @@ class McReport:
 
 
 def sample_stream(seed: int, index: int) -> Generator:
-    """Deterministic per-sample random stream keyed by (seed, sample index)."""
+    """Deterministic per-sample random stream keyed by (seed, sample index).
+
+    This is the per-sample reference; run_mc draws the same numbers for a
+    whole chunk of indices at once through philox_uniforms.
+    """
     return Generator(Philox(key=seed, counter=index << 64))
 
 
 def sample_realization(scenario: ArrayScenario, stream: Generator) -> np.ndarray:
     """One crisp excitation draw: uniform in each amplitude/phase interval."""
+    return _excitations(scenario, stream.uniform(size=2 * scenario.n_elements))
+
+
+def _excitations(scenario: ArrayScenario, vals: np.ndarray) -> np.ndarray:
+    """Map uniforms in [0, 1) of shape (..., 2N) onto the tolerance box.
+
+    The first N uniforms of a sample set the amplitudes, the last N the
+    phases, each as lo + (hi - lo) * u.
+    """
     n = scenario.n_elements
-    vals = stream.uniform(size=2 * n)
     alo = np.array([e.amplitude_lo for e in scenario.elements])
     ahi = np.array([e.amplitude_hi for e in scenario.elements])
     plo = np.array([e.phase_lo for e in scenario.elements])
     phi = np.array([e.phase_hi for e in scenario.elements])
-    amps = alo + (ahi - alo) * vals[:n]
-    phases = plo + (phi - plo) * vals[n:]
+    amps = alo + (ahi - alo) * vals[..., :n]
+    phases = plo + (phi - plo) * vals[..., n:]
     return amps * np.exp(1j * phases)
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
+
+
+def _mulhilo(m: int, x):
+    """High and low 64-bit words of the 128-bit product m * x.
+
+    numpy has no uint128, so the high word is assembled from 32-bit halves;
+    no partial sum exceeds 64 bits.  x is a Python int or a uint64 array.
+    """
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    ll = m_lo * x_lo
+    t = m_hi * x_lo + (ll >> 32)
+    u = m_lo * x_hi + (t & _MASK32)
+    return m_hi * x_hi + (t >> 32) + (u >> 32), (m * x) & _MASK64
+
+
+def philox_uniforms(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
+    """(len(indices), n_draws) uniforms, row i equal bit for bit to
+    ``sample_stream(seed, indices[i]).uniform(size=n_draws)``.
+
+    Philox4x64-10 (Salmon et al., SC'11) is a pure function of key and
+    counter.  numpy's ``Philox(key=seed, counter=i << 64)`` increments its
+    counter before each block, so block b of sample i (draws 4b to 4b + 3)
+    is the counter (b + 1, i, 0, 0) under the key (seed mod 2^64,
+    seed >> 64); its four output words become doubles as
+    (x >> 11) * 2^-53, like ``Generator.uniform``.  The loop runs over the
+    few blocks and each step works on all samples at once, so temporaries
+    stay at len(indices) words; counter words shared by every sample stay
+    Python ints until a round mixes them with the index word.
+    """
+    seed = int(seed)
+    idx = np.asarray(indices, dtype=np.uint64)
+    out = np.empty((idx.size, n_draws))
+    for col in range(0, n_draws, 4):
+        x0, x1, x2, x3 = col // 4 + 1, idx, 0, 0
+        k0, k1 = seed & _MASK64, seed >> 64
+        for r in range(10):
+            if r:
+                k0 = (k0 + _PHILOX_W[0]) & _MASK64
+                k1 = (k1 + _PHILOX_W[1]) & _MASK64
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        for j, x in enumerate((x0, x1, x2, x3)[: n_draws - col]):
+            out[:, col + j] = (x >> 11) * 2.0**-53
+    return out
 
 
 def _excitation_block(scenario: ArrayScenario, seed: int, start: int, stop: int) -> np.ndarray:
     """Stack of realizations for sample indices [start, stop)."""
-    n = scenario.n_elements
-    alo = np.array([e.amplitude_lo for e in scenario.elements])
-    wa = np.array([e.amplitude_hi for e in scenario.elements]) - alo
-    plo = np.array([e.phase_lo for e in scenario.elements])
-    wp = np.array([e.phase_hi for e in scenario.elements]) - plo
-    vals = np.empty((stop - start, 2 * n))
-    for i in range(start, stop):
-        vals[i - start] = sample_stream(seed, i).uniform(size=2 * n)
-    amps = alo + wa * vals[:, :n]
-    phases = plo + wp * vals[:, n:]
-    return amps * np.exp(1j * phases)
+    vals = philox_uniforms(seed, np.arange(start, stop), 2 * scenario.n_elements)
+    return _excitations(scenario, vals)
 
 
 def run_mc(
@@ -94,10 +149,11 @@ def run_mc(
     ProbabilityMap (computed here when not supplied).  Probe histograms use
     200 uniform dB bins spanning [lower bound - 1 dB, upper bound + 1 dB];
     when the lower bound is -inf the span falls back to 100 dB below the
-    upper edge, and samples below it are left uncounted.
+    upper edge, and samples below it are left uncounted.  ``threads`` is
+    accepted and ignored: the draws are one array program per chunk.
     """
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
+    check_integer("n_samples", n_samples, 1)
+    check_integer("seed", seed, 0, SEED_LIMIT)
     if pmap is None:
         pmap = probability_map(scenario, grid, k_regions, arc_points, threads)
     if pmap.k_regions != k_regions:
@@ -121,44 +177,27 @@ def run_mc(
         lo_edge = lo_db - 1.0 if math.isfinite(lo_db) else hi_edge - 100.0
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
-    spans = [(s, min(s + chunk, n_samples)) for s in range(0, n_samples, chunk)]
-
-    def accumulate(span):
-        start, stop = span
-        w = _excitation_block(scenario, seed, start, stop)
-        power = np.abs(w @ steering) ** 2  # (chunk, N_u)
-        lo = power.min(axis=0)
-        hi = power.max(axis=0)
+    per_u_min = np.full(n_u, np.inf)
+    per_u_max = np.full(n_u, -np.inf)
+    counts = np.zeros((k_regions, n_u), dtype=np.int64)
+    hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
+        power = np.abs(_excitation_block(scenario, seed, start, stop) @ steering) ** 2
+        np.minimum(per_u_min, power.min(axis=0), out=per_u_min)
+        np.maximum(per_u_max, power.max(axis=0), out=per_u_max)
         # at_least[h]: samples at or above boundary h; every sample is at
         # or above boundary 0 and none is counted above boundary K
         at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
         at_least[0] = stop - start
         for h in range(1, k_regions):
             at_least[h] = (power >= inner_sq[:, h - 1]).sum(axis=0)
-        counts = at_least[:-1] - at_least[1:]
-        hists = []
-        for ip, edges in zip(probe_idx, probe_edges):
+        counts += at_least[:-1] - at_least[1:]
+        for acc, ip, edges in zip(hist_counts, probe_idx, probe_edges):
             with np.errstate(divide="ignore"):
                 db = 10.0 * np.log10(power[:, ip] / pmap.peak_power)
-            hists.append(np.histogram(db, bins=edges)[0])
-        return lo, hi, counts, hists
-
-    if threads <= 1 or len(spans) < 2:
-        results = [accumulate(s) for s in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(accumulate, spans))
-
-    per_u_min = np.full(n_u, np.inf)
-    per_u_max = np.full(n_u, -np.inf)
-    counts = np.zeros((k_regions, n_u), dtype=np.int64)
-    hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
-    for lo, hi, c, hists in results:
-        np.minimum(per_u_min, lo, out=per_u_min)
-        np.maximum(per_u_max, hi, out=per_u_max)
-        counts += c
-        for acc, h in zip(hist_counts, hists):
-            acc += h
+            acc += np.histogram(db, bins=edges)[0]
+        del power  # (chunk, N_u): free it before the next chunk is drawn
 
     histograms = tuple(
         ProbeHistogram(u=float(grid.samples[ip]), bin_edges_db=edges, counts=c)

@@ -176,6 +176,20 @@ class TestValidateCommand:
         assert code == 0
         assert "warning" in capsys.readouterr().out
 
+    def test_two_element_array_gives_a_verdict_per_check(self, tmp_path, capsys):
+        # two elements at half a wavelength: the mainlobe reaches both grid
+        # edges, so the feature checks are not applicable but the rest run
+        cfg = _write_config(
+            tmp_path / "cfg.json", elements=[{"amplitude": 1.0, "phase_deg": 0.0}] * 2
+        )
+        code = main(["validate", "--config", str(cfg), "--nu", "41", "--mc-samples", "500"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("not applicable (no bracketed mainlobe)") == 2
+        assert "PASS  mean-probability-sum" in out and "PASS  mc-inclusion" in out
+        assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "no local minima bracketing the peak" in capsys.readouterr().err
+
 
 class TestConfigErrors:
     def test_missing_field_exits_two(self, tmp_path, capsys):
@@ -205,6 +219,13 @@ class TestConfigErrors:
             (("spacing_wavelengths",), math.inf),
             (("xi_percent",), math.nan),
             (("k_regions",), math.inf),
+            (("seed",), -5),
+            (("seed",), 2**130),
+            (("seed",), 1.5),
+            (("k_regions",), 3.7),
+            (("n_u",), 40.5),
+            (("arc_points",), 6.0),
+            (("mc_samples",), 1e3),
         ],
     )
     def test_non_finite_number_exits_two(self, tmp_path, capsys, path, value):
@@ -220,7 +241,13 @@ class TestConfigErrors:
         code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert path[-1] in err and "finite" in err
+        assert path[-1] in err
+        assert ("integer" if math.isfinite(value) else "finite") in err
+
+    def test_negative_seed_flag_exits_two(self, config_path, capsys):
+        code = main(["mc", "--config", str(config_path), "--seed", "-5"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_probe_exits_two(self, config_path, capsys):
         code = main(["mc", "--config", str(config_path), "--probe", "1.5"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from arraytol import (
     ArrayScenario,
@@ -20,6 +21,8 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
+from arraytol.errors import ValidationError
+from arraytol.montecarlo import _excitation_block, philox_uniforms
 
 
 def _scenario(xi=0.02, gamma=math.radians(4.0)):
@@ -63,6 +66,33 @@ class TestSampleRealization:
         c = sample_realization(scen, sample_stream(5, 0))
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+
+class TestPhiloxUniforms:
+    @pytest.mark.parametrize("n_draws", [1, 6, 7, 32, 33])
+    def test_matches_numpy_philox(self, n_draws):
+        rng = np.random.default_rng(2024)
+        seeds = [0, 12345, 2**64 - 1, 2**64 + 7, 2**70 + 3, 2**128 - 1]
+        seeds += [int(s) for s in rng.integers(0, 2**63, size=3)]
+        seeds += [int(s) << 64 | 99 for s in rng.integers(1, 2**62, size=3)]
+        for seed in seeds:
+            start = int(rng.integers(1, 2**40))
+            indices = np.array(
+                [*range(start, start + 5), 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1],
+                dtype=np.uint64,
+            )
+            got = philox_uniforms(seed, indices, n_draws)
+            for row, i in zip(got, indices):
+                ref = Generator(Philox(key=seed, counter=int(i) << 64)).uniform(size=n_draws)
+                assert np.array_equal(row.view(np.uint64), ref.view(np.uint64)), (seed, i)
+
+    def test_run_mc_block_matches_per_sample_reference(self):
+        scen = scenario_from_tolerances([(0.6, 0.3), (1.0, -0.2), (0.8, 1.1)], 0.05, 0.2, 0.5)
+        seed = 2**65 + 17
+        block = _excitation_block(scen, seed, 4093, 4100)
+        for row, i in zip(block, range(4093, 4100)):
+            ref = sample_realization(scen, sample_stream(seed, i))
+            assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
 
 
 class TestRunMc:
@@ -163,6 +193,15 @@ class TestRunMc:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(Exception):
             run_mc(_scenario(), uniform_grid(11), 3, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(seed=-5), dict(seed=2**128), dict(seed=1.5), dict(n_samples=2.5)],
+    )
+    def test_rejects_bad_seed_or_count(self, kwargs):
+        args = dict(seed=0, n_samples=10) | kwargs
+        with pytest.raises(ValidationError):
+            run_mc(_scenario(), uniform_grid(11), 3, **args)
 
 
 @st.composite
