@@ -11,12 +11,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .iams import interval_af_curve, power_bounds, power_db
+from .iams import power_bounds, power_db
 from .model import (
     ArrayScenario,
     check_integer,
@@ -42,7 +42,6 @@ class RunConfig:
     mc_samples: int = 100_000
     seed: int = 0
     out_dir: str = "."
-    threads: int = 1
     dump_polygons: bool = False
 
 
@@ -109,7 +108,6 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         mc_samples=mc_samples,
         seed=seed,
         out_dir=args.out,
-        threads=args.threads,
         dump_polygons=getattr(args, "dump_polygons", False),
     )
 
@@ -121,8 +119,7 @@ def _out_path(run: RunConfig, name: str) -> str:
 
 def cmd_bounds(run: RunConfig) -> int:
     grid = uniform_grid(run.n_u)
-    intervals = interval_af_curve(run.scenario, grid, run.arc_points, run.threads)
-    curve = power_bounds(run.scenario, grid, run.arc_points, run.threads, intervals=intervals)
+    curve = power_bounds(run.scenario, grid, run.arc_points)
     with open(_out_path(run, "bounds.csv"), "w", encoding="utf-8") as fh:
         fh.write("u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices\n")
         for i, u in enumerate(grid.samples):
@@ -134,7 +131,7 @@ def cmd_bounds(run: RunConfig) -> int:
     if run.dump_polygons:
         with open(_out_path(run, "polygons.csv"), "w", encoding="utf-8") as fh:
             fh.write("u,vertex,re,im\n")
-            for iv in intervals:
+            for iv in curve.intervals:
                 for j, v in enumerate(iv.region.vertices):
                     fh.write(f"{_fmt(iv.u)},{j},{_fmt(v.real)},{_fmt(v.imag)}\n")
     return 0
@@ -142,7 +139,7 @@ def cmd_bounds(run: RunConfig) -> int:
 
 def cmd_pia(run: RunConfig) -> int:
     grid = uniform_grid(run.n_u)
-    pmap = probability_map(run.scenario, grid, run.k_regions, run.arc_points, run.threads)
+    pmap = probability_map(power_bounds(run.scenario, grid, run.arc_points), run.k_regions)
     with open(_out_path(run, "pia.csv"), "w", encoding="utf-8") as fh:
         fh.write("u,k,p_lo_db(k),p_hi_db(k),p_k\n")
         for i, u in enumerate(grid.samples):
@@ -155,8 +152,8 @@ def cmd_pia(run: RunConfig) -> int:
 
 
 def cmd_features(run: RunConfig) -> int:
-    grid = uniform_grid(run.n_u)
-    report = feature_report(run.scenario, grid, run.k_regions, run.arc_points, run.threads)
+    bounds = power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
+    report = feature_report(bounds, probability_map(bounds, run.k_regions))
     payload = {
         "k_regions": report.k_regions,
         "u_max": report.u_max,
@@ -189,21 +186,10 @@ def cmd_features(run: RunConfig) -> int:
 
 def cmd_mc(run: RunConfig) -> int:
     grid = uniform_grid(run.n_u)
-    intervals = interval_af_curve(run.scenario, grid, run.arc_points, run.threads)
-    curve = power_bounds(run.scenario, grid, run.arc_points, run.threads, intervals=intervals)
-    pmap = probability_map(
-        run.scenario, grid, run.k_regions, run.arc_points, run.threads, intervals=intervals
-    )
+    curve = power_bounds(run.scenario, grid, run.arc_points)
+    pmap = probability_map(curve, run.k_regions)
     report = run_mc(
-        run.scenario,
-        grid,
-        run.k_regions,
-        run.mc_samples,
-        seed=run.seed,
-        arc_points=run.arc_points,
-        threads=run.threads,
-        probe_directions=run.probe_directions,
-        pmap=pmap,
+        run.scenario, pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions
     )
     mc_min_db = power_db(report.per_u_min, pmap.peak_power)
     mc_max_db = power_db(report.per_u_max, pmap.peak_power)
@@ -235,15 +221,8 @@ def cmd_mc(run: RunConfig) -> int:
 
 
 def cmd_validate(run: RunConfig) -> int:
-    grid = uniform_grid(run.n_u)
     results = run_validation(
-        run.scenario,
-        grid,
-        run.k_regions,
-        run.arc_points,
-        run.mc_samples,
-        run.seed,
-        run.threads,
+        run.scenario, uniform_grid(run.n_u), run.k_regions, run.arc_points, run.mc_samples, run.seed
     )
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1

@@ -35,10 +35,12 @@ class PowerBoundsCurve:
     """Per-direction inclusive bounds of the radiated power pattern.
 
     Linear power bounds plus dB values normalized so the nominal pattern
-    peaks at 0 dB; a zero lower bound maps to -inf dB.
+    peaks at 0 dB; a zero lower bound maps to -inf dB.  intervals holds the
+    per-direction regions the bounds were taken from, in grid order.
     """
 
     grid: AngularGrid
+    intervals: tuple[IntervalAF, ...] = field(repr=False)
     p_lo: np.ndarray = field(repr=False)
     p_hi: np.ndarray = field(repr=False)
     p_lo_db: np.ndarray = field(repr=False)
@@ -85,35 +87,44 @@ def interval_af(scenario: ArrayScenario, u: float, arc_points: int = 8) -> Inter
 
 
 def interval_af_curve(
-    scenario: ArrayScenario,
-    grid: AngularGrid,
-    arc_points: int = 8,
-    threads: int = 1,
+    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
 ) -> list[IntervalAF]:
     """interval_af at every grid sample, in grid order.
 
     Each element's sector is polygonized once; at direction u it is that
     polygon rotated by the steering phase 2*pi*spacing*n*u, so one batched
-    Minkowski sum covers the whole grid.  threads is accepted for call
-    compatibility and does not change the computation.
+    Minkowski sum covers the whole grid.  The modulus bounds are widened by
+    the rounding_allowance of the sectors.
     """
-    sectors = [
-        polygonize_interval_phasor(
-            el.amplitude_lo, el.amplitude_hi, el.phase_lo, el.phase_hi, arc_points
-        )
-        for el in scenario.elements
-    ]
+    sectors = element_sectors(scenario, arc_points)
     psi = _TWO_PI * scenario.spacing * np.outer(grid.samples, np.arange(scenario.n_elements))
-    # Summing N phasors in floating point moves the sum by up to about
-    # N * eps * (sum of their moduli), both here and wherever a realization
-    # is evaluated; widening the modulus bounds by twice that keeps rounded
-    # realizations inside them at nulls too.
-    slack = _ROUNDING * scenario.n_elements * sum(float(np.abs(s.vertices).max()) for s in sectors)
+    slack = rounding_allowance(sectors)
     curve = []
     for u, region in zip(grid.samples, rotated_minkowski_sums(sectors, psi)):
         lo, hi = distance_bounds_to_origin(region)
         curve.append(IntervalAF(float(u), region, max(lo - slack, 0.0), hi + slack))
     return curve
+
+
+def element_sectors(scenario: ArrayScenario, arc_points: int = 8) -> list[ConvexPolygon]:
+    """Each element's excitation sector as a covering polygon, in element order."""
+    return [
+        polygonize_interval_phasor(
+            el.amplitude_lo, el.amplitude_hi, el.phase_lo, el.phase_hi, arc_points
+        )
+        for el in scenario.elements
+    ]
+
+
+def rounding_allowance(sectors: list[ConvexPolygon]) -> float:
+    """Modulus widening that keeps rounded phasor sums inside the bounds.
+
+    Summing N phasors in floating point moves the sum by up to about
+    N * eps * (sum of their moduli), both in the region sums and wherever a
+    realization is evaluated; the allowance is twice that, with each
+    sector's modulus taken as its farthest vertex.
+    """
+    return _ROUNDING * len(sectors) * sum(float(np.abs(s.vertices).max()) for s in sectors)
 
 
 def power_db(power, peak_power: float):
@@ -128,15 +139,10 @@ def power_db(power, peak_power: float):
 
 
 def power_bounds(
-    scenario: ArrayScenario,
-    grid: AngularGrid,
-    arc_points: int = 8,
-    threads: int = 1,
-    intervals: list[IntervalAF] | None = None,
+    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
 ) -> PowerBoundsCurve:
     """Inclusive power-pattern bounds over a grid, in linear power and dB."""
-    if intervals is None:
-        intervals = interval_af_curve(scenario, grid, arc_points, threads)
+    intervals = interval_af_curve(scenario, grid, arc_points)
     modulus_lo = np.array([iv.modulus_lo for iv in intervals])
     modulus_hi = np.array([iv.modulus_hi for iv in intervals])
     n_vertices = np.array([len(iv.region) for iv in intervals], dtype=np.int64)
@@ -148,6 +154,7 @@ def power_bounds(
         raise ValidationError("nominal pattern is identically zero on the grid")
     return PowerBoundsCurve(
         grid=grid,
+        intervals=tuple(intervals),
         p_lo=p_lo,
         p_hi=p_hi,
         p_lo_db=power_db(p_lo, peak_power),

@@ -14,8 +14,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ValidationError
-from .model import AngularGrid, ArrayScenario, check_integer
-from .pia import ProbabilityMap, probability_map
+from .model import ArrayScenario, check_integer
+from .pia import ProbabilityMap
 
 _TWO_PI = 2.0 * math.pi
 _HIST_BINS = 200
@@ -133,32 +133,23 @@ def _excitation_block(scenario: ArrayScenario, seed: int, start: int, stop: int)
 
 def run_mc(
     scenario: ArrayScenario,
-    grid: AngularGrid,
-    k_regions: int,
+    pmap: ProbabilityMap,
     n_samples: int,
     seed: int = 0,
-    arc_points: int = 8,
-    threads: int = 1,
     probe_directions=(),
-    pmap: ProbabilityMap | None = None,
     chunk: int = 2048,
 ) -> McReport:
-    """Sample n_samples crisp patterns and bin them into the paired ring partitions.
+    """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
 
-    Region assignment reuses the per-direction ring radii of the paired
-    ProbabilityMap (computed here when not supplied).  Probe histograms use
-    200 uniform dB bins spanning [lower bound - 1 dB, upper bound + 1 dB];
-    when the lower bound is -inf the span falls back to 100 dB below the
-    upper edge, and samples below it are left uncounted.  ``threads`` is
-    accepted and ignored: the draws are one array program per chunk.
+    Grid, ring count and per-direction ring radii are those of pmap.  Probe
+    histograms use 200 uniform dB bins spanning [lower bound - 1 dB, upper
+    bound + 1 dB]; when the lower bound is -inf the span falls back to
+    100 dB below the upper edge, and samples below it are left uncounted.
     """
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0, SEED_LIMIT)
-    if pmap is None:
-        pmap = probability_map(scenario, grid, k_regions, arc_points, threads)
-    if pmap.k_regions != k_regions:
-        raise ValidationError("paired probability map has a different ring count")
-
+    grid = pmap.grid
+    k_regions = pmap.k_regions
     n_u = len(grid)
     steering = np.exp(
         1j * _TWO_PI * scenario.spacing * np.outer(np.arange(scenario.n_elements), grid.samples)

@@ -21,8 +21,8 @@ from .geometry import (
     distance_bounds_to_origin,
     polygon_area,
 )
-from .iams import IntervalAF, PowerBoundsCurve, interval_af_curve, power_bounds
-from .model import AngularGrid, ArrayScenario
+from .iams import PowerBoundsCurve
+from .model import AngularGrid
 
 # Relative size, against the region's area, of a negative ring area that is
 # still taken for round-off and clipped to zero.
@@ -134,25 +134,20 @@ def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.
     return out / out.sum()
 
 
-def probability_map(
-    scenario: ArrayScenario,
-    grid: AngularGrid,
-    k_regions: int,
-    arc_points: int = 8,
-    threads: int = 1,
-    intervals: list[IntervalAF] | None = None,
-) -> ProbabilityMap:
-    """Ring partitions and occupancy probabilities at every grid sample."""
+def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
+    """Ring partitions and occupancy probabilities at every grid sample.
+
+    The rings split each direction's modulus bounds; grid, regions and peak
+    power are the ones bounds was computed from.
+    """
     if k_regions < 1:
         raise ValidationError(f"k_regions must be at least 1, got {k_regions}")
-    if intervals is None:
-        intervals = interval_af_curve(scenario, grid, arc_points, threads)
-    bounds = power_bounds(scenario, grid, arc_points, threads, intervals=intervals)
+    grid = bounds.grid
     n_u = len(grid)
     p = np.zeros((k_regions, n_u))
     ring_radii = np.zeros((n_u, k_regions + 1))
     degenerate = np.zeros(n_u, dtype=bool)
-    for i, iv in enumerate(intervals):
+    for i, iv in enumerate(bounds.intervals):
         part = ring_partition(iv.modulus_lo, iv.modulus_hi, k_regions)
         ring_radii[i] = part.radii
         p[:, i] = region_probabilities(iv.region, part)
@@ -200,31 +195,20 @@ def mainlobe_indices(nominal_power: np.ndarray) -> tuple[int, int, int]:
     return i_max, left, right
 
 
-def feature_report(
-    scenario: ArrayScenario,
-    grid: AngularGrid,
-    k_regions: int,
-    arc_points: int = 8,
-    threads: int = 1,
-    bounds: PowerBoundsCurve | None = None,
-    pmap: ProbabilityMap | None = None,
-) -> FeatureReport:
+def feature_report(bounds: PowerBoundsCurve, pmap: ProbabilityMap) -> FeatureReport:
     """Sidelobe-level and peak intervals per ring, with their probabilities.
 
     Peak intervals are the ring boundaries at the steering direction and
     tile the peak bound exactly.  Sidelobe intervals subtract the pattern
     peak bounds from the highest sidelobe of each ring-boundary curve,
     searched outside the mainlobe independently per curve, so the first
-    and last intervals coincide with the overall bound endpoints.
+    and last intervals coincide with the overall bound endpoints.  The
+    ring count is pmap's; bounds and pmap must share one grid.
     """
-    if bounds is None or pmap is None:
-        intervals = interval_af_curve(scenario, grid, arc_points, threads)
-        bounds = power_bounds(scenario, grid, arc_points, threads, intervals=intervals)
-        pmap = probability_map(
-            scenario, grid, k_regions, arc_points, threads, intervals=intervals
-        )
-    if pmap.k_regions != k_regions:
-        raise ValidationError("probability map has a different ring count than requested")
+    grid = bounds.grid
+    if not np.array_equal(pmap.grid.samples, grid.samples):
+        raise ValidationError("probability map and bounds are on different grids")
+    k_regions = pmap.k_regions
 
     nominal_power = pmap.peak_power * np.power(10.0, bounds.nominal_db / 10.0)
     i_max, left, right = mainlobe_indices(nominal_power)

@@ -11,7 +11,6 @@ import pytest
 
 from arraytol import (
     feature_report,
-    interval_af_curve,
     mean_probabilities,
     power_bounds,
     probability_map,
@@ -40,20 +39,16 @@ def grid501():
 def taylor16_analysis(taylor16_scenario, grid501):
     """Full pipeline on the 501-sample grid, with the K=5 path timed end to end."""
     t0 = time.perf_counter()
-    intervals = interval_af_curve(taylor16_scenario, grid501, arc_points=8)
-    pmap5 = probability_map(taylor16_scenario, grid501, 5, arc_points=8, intervals=intervals)
+    bounds = power_bounds(taylor16_scenario, grid501, arc_points=8)
+    pmap5 = probability_map(bounds, 5)
     means5 = mean_probabilities(pmap5)
     k5_seconds = time.perf_counter() - t0
 
-    bounds = power_bounds(taylor16_scenario, grid501, arc_points=8, intervals=intervals)
-    pmap10 = probability_map(taylor16_scenario, grid501, 10, arc_points=8, intervals=intervals)
-    report = feature_report(
-        taylor16_scenario, grid501, 5, arc_points=8, bounds=bounds, pmap=pmap5
-    )
+    pmap10 = probability_map(bounds, 10)
+    report = feature_report(bounds, pmap5)
     return SimpleNamespace(
         scenario=taylor16_scenario,
         grid=grid501,
-        intervals=intervals,
         bounds=bounds,
         pmap5=pmap5,
         pmap10=pmap10,

@@ -127,11 +127,9 @@ def test_criterion_5_mc_inclusion_and_mode(taylor16_analysis):
     analysis = taylor16_analysis
     report = run_mc(
         analysis.scenario,
-        analysis.grid,
-        5,
+        analysis.pmap5,
         100_000,
         seed=20,
-        pmap=analysis.pmap5,
         probe_directions=(float(analysis.grid.samples[U0_INDEX]),),
     )
     slack = 1e-9 * np.maximum(analysis.bounds.p_hi, 1e-300)
@@ -246,10 +244,10 @@ class TestCriterion7Properties:
         nominal_power = bounds.peak_power * np.power(10.0, bounds.nominal_db / 10.0)
         assert np.allclose(bounds.p_lo, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
         assert np.allclose(bounds.p_hi, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
-        pmap = probability_map(collapsed, grid, 5)
+        pmap = probability_map(bounds, 5)
         assert pmap.degenerate.all()
         assert np.all(pmap.p[0] == 1.0)
-        rep = feature_report(collapsed, grid, 5)
+        rep = feature_report(bounds, pmap)
         assert rep.degenerate
         assert np.all(np.abs(rep.gamma_intervals) < 1e-9)
         # the collapsed bound meets the taper's realized sidelobe level
@@ -267,8 +265,8 @@ class TestSmokeSweeps:
         )
         grid = uniform_grid(151)
         bounds = power_bounds(scen, grid)
-        pmap = probability_map(scen, grid, 5)
-        rep = feature_report(scen, grid, 5, bounds=bounds, pmap=pmap)
+        pmap = probability_map(bounds, 5)
+        rep = feature_report(bounds, pmap)
 
         assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
         assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-9)
@@ -297,8 +295,8 @@ class TestSmokeSweeps:
         )
         grid = uniform_grid(101)
         bounds = power_bounds(scen, grid, arc_points=6)
-        pmap = probability_map(scen, grid, 5, arc_points=6)
-        rep = feature_report(scen, grid, 5, arc_points=6, bounds=bounds, pmap=pmap)
+        pmap = probability_map(bounds, 5)
+        rep = feature_report(bounds, pmap)
 
         assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
         assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-9)

@@ -190,6 +190,67 @@ class TestValidateCommand:
         assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "no local minima bracketing the peak" in capsys.readouterr().err
 
+    def test_exact_nulls_pass_every_check(self, tmp_path, capsys):
+        # four equal zero-tolerance elements a quarter wavelength apart have
+        # exact nulls at u = -1 and u = 1, the only samples of a 2-point grid,
+        # where the bounds are nothing but the rounding allowance
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            elements=[{"amplitude": 1.0, "phase_deg": 0.0}] * 4,
+            spacing_wavelengths=0.25,
+            xi_percent=0.0,
+            gamma_deg=0.0,
+        )
+        code = main(["validate", "--config", str(cfg), "--nu", "2", "--mc-samples", "101"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
+        collapse = next(line for line in lines if "zero-tolerance-collapse" in line)
+        assert "max |p - nominal| = " in collapse
+
+
+class TestComputeOnce:
+    """Each command builds the regions of a scenario once and chains on them."""
+
+    @pytest.fixture()
+    def curve_calls(self, monkeypatch):
+        """Scenarios passed to interval_af_curve, through any module's binding of it."""
+        import sys
+
+        import arraytol.iams
+
+        calls = []
+        original = arraytol.iams.interval_af_curve
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("arraytol") and getattr(module, "interval_af_curve", None) is original:
+                monkeypatch.setattr(module, "interval_af_curve", counted)
+        return calls
+
+    def test_validation_builds_two_curves(self, curve_calls):
+        from arraytol import scenario_from_tolerances, uniform_grid
+        from arraytol.validate import run_validation
+
+        scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
+        run_validation(scen, uniform_grid(41), 5, 6, 500, 0)
+        # the scenario's own curve, then its zero-tolerance collapse
+        assert len(curve_calls) == 2
+        assert curve_calls[0] is scen and curve_calls[1] is not scen
+
+    @pytest.mark.parametrize(
+        "command, calls", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 2)]
+    )
+    def test_each_command_builds_one_curve_per_scenario(
+        self, curve_calls, config_path, tmp_path, command, calls
+    ):
+        args = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(args + ["--mc-samples", "500"]) == 0
+        assert len(curve_calls) == calls
+
 
 class TestConfigErrors:
     def test_missing_field_exits_two(self, tmp_path, capsys):

@@ -235,13 +235,6 @@ class TestPowerBounds:
         assert np.all(power >= curve.p_lo[None, :] - slack)
         assert np.all(power <= curve.p_hi[None, :] + slack)
 
-    def test_threaded_curve_matches_serial(self, small_scenario):
-        grid = uniform_grid(51)
-        serial = power_bounds(small_scenario, grid, threads=1)
-        threaded = power_bounds(small_scenario, grid, threads=4)
-        assert np.array_equal(serial.p_lo, threaded.p_lo)
-        assert np.array_equal(serial.p_hi, threaded.p_hi)
-
 
 class TestPowerDb:
     def test_zero_maps_to_neg_inf(self):

@@ -11,7 +11,6 @@ from numpy.random import Generator, Philox
 from arraytol import (
     ArrayScenario,
     ExcitationInterval,
-    interval_af_curve,
     nominal_af_curve,
     power_bounds,
     probability_map,
@@ -28,6 +27,10 @@ from arraytol.montecarlo import _excitation_block, philox_uniforms
 def _scenario(xi=0.02, gamma=math.radians(4.0)):
     amps = [0.5, 0.8, 1.0, 1.0, 0.8, 0.5]
     return scenario_from_tolerances([(a, 0.0) for a in amps], xi, gamma, 0.5)
+
+
+def _pmap(scenario, grid, k_regions):
+    return probability_map(power_bounds(scenario, grid), k_regions)
 
 
 class TestSampleRealization:
@@ -99,7 +102,7 @@ class TestRunMc:
     def test_single_zero_tolerance_sample_is_nominal(self):
         scen = _scenario(0.0, 0.0)
         grid = uniform_grid(41)
-        report = run_mc(scen, grid, 3, 1, seed=0)
+        report = run_mc(scen, _pmap(scen, grid, 3), 1, seed=0)
         nominal_power = np.abs(nominal_af_curve(scen, grid)) ** 2
         assert np.allclose(report.per_u_min, nominal_power, atol=1e-12)
         assert np.allclose(report.per_u_max, nominal_power, atol=1e-12)
@@ -107,30 +110,18 @@ class TestRunMc:
     def test_seeded_determinism(self):
         scen = _scenario()
         grid = uniform_grid(31)
-        a = run_mc(scen, grid, 4, 3000, seed=42, probe_directions=(0.3,))
-        b = run_mc(scen, grid, 4, 3000, seed=42, probe_directions=(0.3,))
+        a = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
+        b = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
         assert np.array_equal(a.per_u_min, b.per_u_min)
         assert np.array_equal(a.per_u_max, b.per_u_max)
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
         assert np.array_equal(a.histograms[0].counts, b.histograms[0].counts)
 
-    def test_thread_count_invariance(self):
-        scen = _scenario()
-        grid = uniform_grid(31)
-        kwargs = dict(seed=9, probe_directions=(0.0,), chunk=512)
-        serial = run_mc(scen, grid, 4, 5000, threads=1, **kwargs)
-        threaded = run_mc(scen, grid, 4, 5000, threads=4, **kwargs)
-        assert np.array_equal(serial.per_u_min, threaded.per_u_min)
-        assert np.array_equal(serial.per_u_max, threaded.per_u_max)
-        assert np.array_equal(serial.region_frequencies, threaded.region_frequencies)
-        assert np.array_equal(serial.mode_region, threaded.mode_region)
-        assert np.array_equal(serial.histograms[0].counts, threaded.histograms[0].counts)
-
     def test_chunk_size_invariance(self):
         scen = _scenario()
         grid = uniform_grid(21)
-        a = run_mc(scen, grid, 3, 2500, seed=1, chunk=100)
-        b = run_mc(scen, grid, 3, 2500, seed=1, chunk=1024)
+        a = run_mc(scen, _pmap(scen, grid, 3), 2500, seed=1, chunk=100)
+        b = run_mc(scen, _pmap(scen, grid, 3), 2500, seed=1, chunk=1024)
         assert np.array_equal(a.per_u_min, b.per_u_min)
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
 
@@ -138,7 +129,7 @@ class TestRunMc:
         scen = _scenario()
         grid = uniform_grid(51)
         curve = power_bounds(scen, grid)
-        report = run_mc(scen, grid, 5, 20_000, seed=5)
+        report = run_mc(scen, _pmap(scen, grid, 5), 20_000, seed=5)
         slack = 1e-9 * np.maximum(curve.p_hi, 1e-300)
         assert np.all(report.per_u_min >= curve.p_lo - slack)
         assert np.all(report.per_u_max <= curve.p_hi + slack)
@@ -146,7 +137,7 @@ class TestRunMc:
     def test_frequency_columns_sum_to_one(self):
         scen = _scenario()
         grid = uniform_grid(21)
-        report = run_mc(scen, grid, 4, 3000, seed=2)
+        report = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=2)
         sums = report.region_frequencies.sum(axis=0)
         assert np.abs(sums - 1.0).max() <= 1.0 / 3000
 
@@ -157,8 +148,8 @@ class TestRunMc:
         # the most probable ring or a neighbor
         scen = _scenario()
         grid = uniform_grid(41)
-        pmap = probability_map(scen, grid, 5)
-        report = run_mc(scen, grid, 5, 30_000, seed=8, pmap=pmap)
+        pmap = _pmap(scen, grid, 5)
+        report = run_mc(scen, pmap, 30_000, seed=8)
         power = np.abs(nominal_af_curve(scen, grid)) ** 2
         from arraytol.pia import mainlobe_indices
 
@@ -178,8 +169,8 @@ class TestRunMc:
     def test_histogram_bins_span_bounds(self):
         scen = _scenario()
         grid = uniform_grid(41)
-        pmap = probability_map(scen, grid, 5)
-        report = run_mc(scen, grid, 5, 2000, seed=3, probe_directions=(0.28,), pmap=pmap)
+        pmap = _pmap(scen, grid, 5)
+        report = run_mc(scen, pmap, 2000, seed=3, probe_directions=(0.28,))
         hist = report.histograms[0]
         idx = int(np.argmin(np.abs(grid.samples - 0.28)))
         assert hist.u == pytest.approx(float(grid.samples[idx]))
@@ -192,7 +183,7 @@ class TestRunMc:
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(Exception):
-            run_mc(_scenario(), uniform_grid(11), 3, 0, seed=0)
+            run_mc(_scenario(), _pmap(_scenario(), uniform_grid(11), 3), 0, seed=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -201,7 +192,7 @@ class TestRunMc:
     def test_rejects_bad_seed_or_count(self, kwargs):
         args = dict(seed=0, n_samples=10) | kwargs
         with pytest.raises(ValidationError):
-            run_mc(_scenario(), uniform_grid(11), 3, **args)
+            run_mc(_scenario(), _pmap(_scenario(), uniform_grid(11), 3), **args)
 
 
 @st.composite
@@ -237,11 +228,10 @@ def _random_scenarios(draw):
 )
 def test_random_scenarios_stay_inside_bounds(scen, n_u, k, seed):
     grid = uniform_grid(n_u)
-    intervals = interval_af_curve(scen, grid, arc_points=4)
-    bounds = power_bounds(scen, grid, arc_points=4, intervals=intervals)
-    pmap = probability_map(scen, grid, k, arc_points=4, intervals=intervals)
+    bounds = power_bounds(scen, grid, arc_points=4)
+    pmap = probability_map(bounds, k)
     assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
-    report = run_mc(scen, grid, k, 300, seed=seed, pmap=pmap)
+    report = run_mc(scen, pmap, 300, seed=seed)
     slack = 1e-9 * np.maximum(bounds.p_hi, 1e-300)
     assert np.all(report.per_u_min >= bounds.p_lo - slack)
     assert np.all(report.per_u_max <= bounds.p_hi + slack)

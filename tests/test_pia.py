@@ -12,6 +12,7 @@ from arraytol import (
     convex_polygon,
     feature_report,
     mean_probabilities,
+    power_bounds,
     probability_map,
     region_probabilities,
     ring_partition,
@@ -124,37 +125,46 @@ def _bounds(p):
     return distance_bounds_to_origin(p)
 
 
+def _pmap(scenario, grid, k_regions):
+    return probability_map(power_bounds(scenario, grid), k_regions)
+
+
+def _report(scenario, grid, k_regions):
+    bounds = power_bounds(scenario, grid)
+    return feature_report(bounds, probability_map(bounds, k_regions))
+
+
 class TestProbabilityMap:
     def test_zero_tolerance_degenerate_convention(self):
         scen = scenario_from_tolerances([(1.0, 0.0)] * 4, 0.0, 0.0, 0.5)
         grid = uniform_grid(21)
-        pmap = probability_map(scen, grid, 5)
+        pmap = _pmap(scen, grid, 5)
         assert pmap.degenerate.all()
         assert np.all(pmap.p[0] == 1.0)
         assert np.all(pmap.p[1:] == 0.0)
 
     def test_columns_sum_to_one(self, small_scenario):
-        pmap = probability_map(small_scenario, uniform_grid(51), 5)
+        pmap = _pmap(small_scenario, uniform_grid(51), 5)
         assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
         assert not pmap.degenerate.any()
 
     def test_refinement_aggregation(self, small_scenario):
         grid = uniform_grid(51)
-        p5 = probability_map(small_scenario, grid, 5)
-        p10 = probability_map(small_scenario, grid, 10)
+        p5 = _pmap(small_scenario, grid, 5)
+        p10 = _pmap(small_scenario, grid, 10)
         agg = p10.p[0::2] + p10.p[1::2]
         assert np.abs(agg - p5.p).max() <= 1e-9
         assert np.array_equal(p5.ring_radii, p10.ring_radii[:, 0::2])
 
     def test_region_power_db_matches_radii(self, small_scenario):
         grid = uniform_grid(31)
-        pmap = probability_map(small_scenario, grid, 4)
+        pmap = _pmap(small_scenario, grid, 4)
         i = 20
         expected = 20.0 * np.log10(pmap.ring_radii[i]) - 10.0 * math.log10(pmap.peak_power)
         assert pmap.region_power_db[i] == pytest.approx(expected, abs=1e-12)
 
     def test_partition_accessor(self, small_scenario):
-        pmap = probability_map(small_scenario, uniform_grid(31), 4)
+        pmap = _pmap(small_scenario, uniform_grid(31), 4)
         part = pmap.partition_at(7)
         assert np.array_equal(part.radii, pmap.ring_radii[7])
 
@@ -174,7 +184,7 @@ class TestMeanProbabilities:
         assert mean_probabilities(pmap) == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_sums_to_one(self, small_scenario):
-        pmap = probability_map(small_scenario, uniform_grid(51), 5)
+        pmap = _pmap(small_scenario, uniform_grid(51), 5)
         assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_halved_grid_weighting(self):
@@ -221,7 +231,7 @@ class TestMainlobe:
 class TestFeatureReport:
     def test_gamma_tiling_and_probs(self, small_scenario):
         grid = uniform_grid(101)
-        rep = feature_report(small_scenario, grid, 5)
+        rep = _report(small_scenario, grid, 5)
         for k in range(4):
             assert rep.gamma_intervals[k, 1] == rep.gamma_intervals[k + 1, 0]
         assert rep.gamma_intervals[0, 0] == rep.iams_gamma[0]
@@ -231,12 +241,12 @@ class TestFeatureReport:
         assert rep.u_max == pytest.approx(0.0)
 
     def test_sll_coverage_endpoints(self, small_scenario):
-        rep = feature_report(small_scenario, uniform_grid(101), 5)
+        rep = _report(small_scenario, uniform_grid(101), 5)
         assert rep.sll_intervals[0, 0] == rep.iams_sll[0]
         assert rep.sll_intervals[-1, 1] == rep.iams_sll[1]
 
     def test_sll_intervals_ordered(self, small_scenario):
-        rep = feature_report(small_scenario, uniform_grid(101), 5)
+        rep = _report(small_scenario, uniform_grid(101), 5)
         assert np.all(rep.sll_intervals[:, 0] <= rep.sll_intervals[:, 1])
         # lower endpoints increase with the ring index
         assert np.all(np.diff(rep.sll_intervals[:, 0]) > 0)
@@ -245,7 +255,7 @@ class TestFeatureReport:
         amps = [0.5, 0.8, 1.0, 1.0, 0.8, 0.5]
         scen = scenario_from_tolerances([(a, 0.0) for a in amps], 0.0, 0.0, 0.5)
         grid = uniform_grid(201)
-        rep = feature_report(scen, grid, 5)
+        rep = _report(scen, grid, 5)
         assert rep.degenerate
         assert rep.iams_gamma[0] == pytest.approx(0.0, abs=1e-12)
         assert rep.iams_gamma[1] == pytest.approx(0.0, abs=1e-12)
@@ -262,10 +272,7 @@ class TestFeatureReport:
         assert rep.iams_sll[0] == pytest.approx(float(db[side].max()), abs=1e-9)
 
     def test_mismatched_map_rejected(self, small_scenario):
-        grid = uniform_grid(51)
-        pmap = probability_map(small_scenario, grid, 4)
-        from arraytol import power_bounds
-
-        bounds = power_bounds(small_scenario, grid)
+        pmap = _pmap(small_scenario, uniform_grid(51), 4)
+        bounds = power_bounds(small_scenario, uniform_grid(101))
         with pytest.raises(ValidationError):
-            feature_report(small_scenario, grid, 5, bounds=bounds, pmap=pmap)
+            feature_report(bounds, pmap)
