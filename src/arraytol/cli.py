@@ -45,13 +45,6 @@ class RunConfig:
     dump_polygons: bool = False
 
 
-def _fmt(x) -> str:
-    v = float(x)
-    if math.isinf(v):
-        return "-inf" if v < 0 else "inf"
-    return repr(v)
-
-
 def _json_safe(obj):
     if isinstance(obj, float):
         if math.isinf(obj):
@@ -117,37 +110,54 @@ def _out_path(run: RunConfig, name: str) -> str:
     return os.path.join(run.out_dir, name)
 
 
+def _write_csv(run: RunConfig, name: str, header: str, blocks) -> None:
+    """Write a CSV file as its header and then one write per block of rows.
+
+    A block is a tuple of equally long columns.  A numpy column is written
+    as repr of its Python values: integers as digits, floats as round-trip
+    decimals or `inf`, `-inf`, `nan`.  Any other column holds ready-made
+    strings, such as one direction's u repeated on each of its rows.  Only
+    one block is held as text at a time; callers pass one direction's rows,
+    or one row per direction.
+    """
+    with open(_out_path(run, name), "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in block]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+
+
+def _ring_blocks(grid, *columns):
+    """Blocks of K rows per direction: u, k = 1..K, then each (K, N_u) column's slice."""
+    k_regions = len(columns[0])
+    ks = [str(k) for k in range(1, k_regions + 1)]
+    for i, u in enumerate(grid.samples.tolist()):
+        yield ([repr(u)] * k_regions, ks, *(c[:, i] for c in columns))
+
+
 def cmd_bounds(run: RunConfig) -> int:
     grid = uniform_grid(run.n_u)
     curve = power_bounds(run.scenario, grid, run.arc_points)
-    with open(_out_path(run, "bounds.csv"), "w", encoding="utf-8") as fh:
-        fh.write("u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices\n")
-        for i, u in enumerate(grid.samples):
-            fh.write(
-                f"{_fmt(u)},{_fmt(curve.p_lo_db[i])},{_fmt(curve.p_hi_db[i])},"
-                f"{_fmt(curve.nominal_db[i])},{_fmt(curve.modulus_lo[i])},"
-                f"{_fmt(curve.modulus_hi[i])},{int(curve.n_vertices[i])}\n"
-            )
+    columns = (grid.samples, curve.p_lo_db, curve.p_hi_db, curve.nominal_db,
+               curve.modulus_lo, curve.modulus_hi, curve.n_vertices)
+    header = "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices"
+    _write_csv(run, "bounds.csv", header, [columns])
     if run.dump_polygons:
-        with open(_out_path(run, "polygons.csv"), "w", encoding="utf-8") as fh:
-            fh.write("u,vertex,re,im\n")
-            for iv in curve.intervals:
-                for j, v in enumerate(iv.region.vertices):
-                    fh.write(f"{_fmt(iv.u)},{j},{_fmt(v.real)},{_fmt(v.imag)}\n")
+        vertex = [str(j) for j in range(int(curve.n_vertices.max()))]
+        blocks = (
+            ([repr(iv.u)] * n, vertex[:n], iv.region.vertices.real, iv.region.vertices.imag)
+            for iv, n in zip(curve.intervals, curve.n_vertices.tolist())
+        )
+        _write_csv(run, "polygons.csv", "u,vertex,re,im", blocks)
     return 0
 
 
 def cmd_pia(run: RunConfig) -> int:
     grid = uniform_grid(run.n_u)
     pmap = probability_map(power_bounds(run.scenario, grid, run.arc_points), run.k_regions)
-    with open(_out_path(run, "pia.csv"), "w", encoding="utf-8") as fh:
-        fh.write("u,k,p_lo_db(k),p_hi_db(k),p_k\n")
-        for i, u in enumerate(grid.samples):
-            for k in range(run.k_regions):
-                fh.write(
-                    f"{_fmt(u)},{k + 1},{_fmt(pmap.region_power_db[i, k])},"
-                    f"{_fmt(pmap.region_power_db[i, k + 1])},{_fmt(pmap.p[k, i])}\n"
-                )
+    ring_db = pmap.region_power_db.T
+    blocks = _ring_blocks(grid, ring_db[:-1], ring_db[1:], pmap.p)
+    _write_csv(run, "pia.csv", "u,k,p_lo_db(k),p_hi_db(k),p_k", blocks)
     return 0
 
 
@@ -193,30 +203,13 @@ def cmd_mc(run: RunConfig) -> int:
     )
     mc_min_db = power_db(report.per_u_min, pmap.peak_power)
     mc_max_db = power_db(report.per_u_max, pmap.peak_power)
-    with open(_out_path(run, "mc_envelope.csv"), "w", encoding="utf-8") as fh:
-        fh.write("u,mc_min_db,mc_max_db,p_lo_db,p_hi_db\n")
-        for i, u in enumerate(grid.samples):
-            fh.write(
-                f"{_fmt(u)},{_fmt(mc_min_db[i])},{_fmt(mc_max_db[i])},"
-                f"{_fmt(curve.p_lo_db[i])},{_fmt(curve.p_hi_db[i])}\n"
-            )
-    with open(_out_path(run, "mc_frequencies.csv"), "w", encoding="utf-8") as fh:
-        fh.write("u,k,mc_freq,pia_p\n")
-        for i, u in enumerate(grid.samples):
-            for k in range(run.k_regions):
-                fh.write(
-                    f"{_fmt(u)},{k + 1},{_fmt(report.region_frequencies[k, i])},"
-                    f"{_fmt(pmap.p[k, i])}\n"
-                )
+    columns = (grid.samples, mc_min_db, mc_max_db, curve.p_lo_db, curve.p_hi_db)
+    _write_csv(run, "mc_envelope.csv", "u,mc_min_db,mc_max_db,p_lo_db,p_hi_db", [columns])
+    blocks = _ring_blocks(grid, report.region_frequencies, pmap.p)
+    _write_csv(run, "mc_frequencies.csv", "u,k,mc_freq,pia_p", blocks)
     for hist in report.histograms:
-        idx = int(np.argmin(np.abs(grid.samples - hist.u)))
-        with open(_out_path(run, f"mc_hist_{idx:04d}.csv"), "w", encoding="utf-8") as fh:
-            fh.write("bin_lo_db,bin_hi_db,count\n")
-            for b in range(hist.counts.size):
-                fh.write(
-                    f"{_fmt(hist.bin_edges_db[b])},{_fmt(hist.bin_edges_db[b + 1])},"
-                    f"{int(hist.counts[b])}\n"
-                )
+        columns = (hist.bin_edges_db[:-1], hist.bin_edges_db[1:], hist.counts)
+        _write_csv(run, f"mc_hist_{hist.index:04d}.csv", "bin_lo_db,bin_hi_db,count", [columns])
     return 0
 
 

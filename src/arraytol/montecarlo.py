@@ -24,9 +24,14 @@ SEED_LIMIT = 1 << 128  # seeds are Philox keys: two 64-bit words
 
 @dataclass(frozen=True)
 class ProbeHistogram:
-    """Fixed-bin dB histogram of the sampled power at one probe direction."""
+    """Fixed-bin dB histogram of the sampled power at one probe direction.
+
+    u is the grid sample nearest the probed direction and index its
+    position in the grid.
+    """
 
     u: float
+    index: int
     bin_edges_db: np.ndarray = field(repr=False)
     counts: np.ndarray = field(repr=False)
 
@@ -141,7 +146,9 @@ def run_mc(
 ) -> McReport:
     """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
 
-    Grid, ring count and per-direction ring radii are those of pmap.  Probe
+    Grid, ring count and per-direction ring radii are those of pmap.  Each
+    probe direction is histogrammed at its nearest grid sample; probes that
+    share a sample give one histogram, in the order first probed.  Probe
     histograms use 200 uniform dB bins spanning [lower bound - 1 dB, upper
     bound + 1 dB]; when the lower bound is -inf the span falls back to
     100 dB below the upper edge, and samples below it are left uncounted.
@@ -160,7 +167,9 @@ def run_mc(
     for u in probe_directions:
         if not (-1.0 <= u <= 1.0):
             raise ValidationError(f"probe direction {u} must lie in [-1, 1]")
-        probe_idx.append(int(np.argmin(np.abs(grid.samples - u))))
+        ip = int(np.argmin(np.abs(grid.samples - u)))
+        if ip not in probe_idx:
+            probe_idx.append(ip)
     probe_edges = []
     for ip in probe_idx:
         hi_edge = pmap.region_power_db[ip, k_regions] + 1.0
@@ -191,7 +200,7 @@ def run_mc(
         del power  # (chunk, N_u): free it before the next chunk is drawn
 
     histograms = tuple(
-        ProbeHistogram(u=float(grid.samples[ip]), bin_edges_db=edges, counts=c)
+        ProbeHistogram(u=float(grid.samples[ip]), index=ip, bin_edges_db=edges, counts=c)
         for ip, edges, c in zip(probe_idx, probe_edges, hist_counts)
     )
     return McReport(

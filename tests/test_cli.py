@@ -6,6 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from arraytol import (
+    power_bounds,
+    power_db,
+    probability_map,
+    run_mc,
+    scenario_from_config,
+    uniform_grid,
+)
 from arraytol.cli import main
 
 
@@ -69,7 +77,19 @@ class TestBoundsCommand:
         ]) == 0
         lines = (out / "polygons.csv").read_text().splitlines()
         assert lines[0] == "u,vertex,re,im"
-        assert len(lines) > 11
+        rows = [line.split(",") for line in lines[1:]]
+        bounds = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
+        assert len(rows) == sum(int(b[6]) for b in bounds)
+        cfg = json.loads(config_path.read_text())
+        curve = power_bounds(scenario_from_config(cfg), uniform_grid(11), cfg["arc_points"])
+        start = 0
+        for b, iv in zip(bounds, curve.intervals, strict=True):
+            n = int(b[6])
+            block, start = rows[start : start + n], start + n
+            assert [r[1] for r in block] == [str(j) for j in range(n)]
+            assert {r[0] for r in block} == {b[0]}
+            for col, part in ((2, iv.region.vertices.real), (3, iv.region.vertices.imag)):
+                assert np.array([float(r[col]) for r in block]).tobytes() == part.tobytes()
 
 
 class TestPiaCommand:
@@ -133,7 +153,7 @@ class TestMcCommand:
         out = tmp_path / "out"
         assert main([
             "mc", "--config", str(config_path), "--out", str(out),
-            "--nu", "41", "--mc-samples", "3000", "--probe", "0.55",
+            "--nu", "41", "--mc-samples", "3000", "--probe", "0.55", "--probe", "0.56",
         ]) == 0
         env = (out / "mc_envelope.csv").read_text().splitlines()
         assert env[0] == "u,mc_min_db,mc_max_db,p_lo_db,p_hi_db"
@@ -158,6 +178,92 @@ class TestMcCommand:
         assert (out1 / "mc_frequencies.csv").read_bytes() == (
             out2 / "mc_frequencies.csv"
         ).read_bytes()
+
+
+class TestNumberFormat:
+    def test_csv_cells_are_python_reprs_of_the_library_arrays(self, config_path, tmp_path):
+        # each cell rendered on its own from the library's arrays: a float as
+        # repr(float(x)), so inf/-inf print as tokens, and a count as int(x)
+        out = tmp_path / "out"
+        common = ["--config", str(config_path), "--out", str(out)]
+        probes = (0.55, -1.0)
+        assert main(["bounds", "--dump-polygons", *common]) == 0
+        assert main(["pia", *common]) == 0
+        mc_args = ["--mc-samples", "500", "--probe", "0.55", "--probe", "-1.0"]
+        assert main(["mc", *mc_args, *common]) == 0
+
+        cfg = json.loads(config_path.read_text())
+        scen = scenario_from_config(cfg)
+        grid = uniform_grid(cfg["n_u"])
+        k_regions = cfg["k_regions"]
+        curve = power_bounds(scen, grid, cfg["arc_points"])
+        pmap = probability_map(curve, k_regions)
+        mc = run_mc(scen, pmap, 500, seed=cfg["seed"], probe_directions=probes)
+
+        def f(x):
+            return repr(float(x))
+
+        def csv(header, rows):
+            return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+        u = grid.samples
+        ring_db = pmap.region_power_db
+        mc_min_db = power_db(mc.per_u_min, pmap.peak_power)
+        mc_max_db = power_db(mc.per_u_max, pmap.peak_power)
+        expected = {
+            "bounds.csv": csv(
+                "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices",
+                (
+                    [f(u[i]), f(curve.p_lo_db[i]), f(curve.p_hi_db[i]), f(curve.nominal_db[i]),
+                     f(curve.modulus_lo[i]), f(curve.modulus_hi[i]), str(int(curve.n_vertices[i]))]
+                    for i in range(len(grid))
+                ),
+            ),
+            "polygons.csv": csv(
+                "u,vertex,re,im",
+                (
+                    [f(iv.u), str(j), f(v.real), f(v.imag)]
+                    for iv in curve.intervals
+                    for j, v in enumerate(iv.region.vertices)
+                ),
+            ),
+            "pia.csv": csv(
+                "u,k,p_lo_db(k),p_hi_db(k),p_k",
+                (
+                    [f(u[i]), str(k + 1), f(ring_db[i, k]), f(ring_db[i, k + 1]), f(pmap.p[k, i])]
+                    for i in range(len(grid))
+                    for k in range(k_regions)
+                ),
+            ),
+            "mc_envelope.csv": csv(
+                "u,mc_min_db,mc_max_db,p_lo_db,p_hi_db",
+                (
+                    [f(u[i]), f(mc_min_db[i]), f(mc_max_db[i]), f(curve.p_lo_db[i]),
+                     f(curve.p_hi_db[i])]
+                    for i in range(len(grid))
+                ),
+            ),
+            "mc_frequencies.csv": csv(
+                "u,k,mc_freq,pia_p",
+                (
+                    [f(u[i]), str(k + 1), f(mc.region_frequencies[k, i]), f(pmap.p[k, i])]
+                    for i in range(len(grid))
+                    for k in range(k_regions)
+                ),
+            ),
+        }
+        for probe, hist in zip(probes, mc.histograms, strict=True):
+            edges = hist.bin_edges_db
+            name = f"mc_hist_{int(np.argmin(np.abs(u - probe))):04d}.csv"
+            expected[name] = csv(
+                "bin_lo_db,bin_hi_db,count",
+                ([f(edges[b]), f(edges[b + 1]), str(int(hist.counts[b]))]
+                 for b in range(hist.counts.size)),
+            )
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name
+        assert "-inf" in expected["bounds.csv"] and "-inf" in expected["mc_envelope.csv"]
 
 
 class TestValidateCommand:

@@ -181,6 +181,17 @@ class TestRunMc:
         assert hist.bin_edges_db[0] == pytest.approx(lo_db - 1.0)
         assert hist.bin_edges_db[-1] == pytest.approx(hi_db + 1.0)
 
+    def test_probes_sharing_a_sample_give_one_histogram(self):
+        scen = _scenario()
+        grid = uniform_grid(41)  # samples 0.05 apart
+        pmap = _pmap(scen, grid, 5)
+        report = run_mc(scen, pmap, 500, seed=3, probe_directions=(0.28, -0.5, 0.3, 0.29, -0.51))
+        assert [h.index for h in report.histograms] == [26, 10]
+        for hist in report.histograms:
+            assert hist.u == float(grid.samples[hist.index])
+            single = run_mc(scen, pmap, 500, seed=3, probe_directions=(hist.u,))
+            assert np.array_equal(hist.counts, single.histograms[0].counts)
+
     def test_rejects_bad_sample_count(self):
         with pytest.raises(Exception):
             run_mc(_scenario(), _pmap(_scenario(), uniform_grid(11), 3), 0, seed=0)
