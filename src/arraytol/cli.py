@@ -143,10 +143,10 @@ def cmd_bounds(run: RunConfig) -> int:
     header = "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices"
     _write_csv(run, "bounds.csv", header, [columns])
     if run.dump_polygons:
-        vertex = [str(j) for j in range(int(curve.n_vertices.max()))]
+        vertex = [str(j) for j in range(curve.vertices.shape[1])]
         blocks = (
-            ([repr(iv.u)] * n, vertex[:n], iv.region.vertices.real, iv.region.vertices.imag)
-            for iv, n in zip(curve.intervals, curve.n_vertices.tolist())
+            ([repr(u)] * n, vertex[:n], vs[:n].real, vs[:n].imag)
+            for u, vs, n in zip(grid.samples.tolist(), curve.vertices, curve.n_vertices.tolist())
         )
         _write_csv(run, "polygons.csv", "u,vertex,re,im", blocks)
     return 0

@@ -4,6 +4,13 @@ Polygons are immutable sequences of complex vertices in counter-clockwise
 order.  Degenerate polygons (a single point or a segment) are allowed and
 flow through every operation.  All discs are centered at the origin, which
 is the only case the power-pattern analysis needs.
+
+A batch of regions is one padded array: row i of a (rows, M) complex array
+holds its region's n_vertices[i] vertices, then repeats of its vertex 0.
+The padding makes zero-length edges, so areas and the farthest vertex need
+no vertex counts; only tests on a vertex's two neighbours take them
+cyclically modulo the row's count.  The single-polygon functions are
+one-row calls of the batched ones.
 """
 
 from __future__ import annotations
@@ -73,58 +80,55 @@ def convex_polygon(points) -> ConvexPolygon:
     Welds coincident consecutive vertices, removes collinear ones, and
     rejects inputs that are not convex and counter-clockwise.
     """
-    arr = np.asarray(points, dtype=np.complex128).ravel().copy()
+    arr = np.asarray(points, dtype=np.complex128).ravel()
     if arr.size == 0:
         raise ValidationError("polygon needs at least one vertex")
-    if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
+    vertices, n_vertices = convex_rows(arr[None])
+    return ConvexPolygon(vertices[0, : n_vertices[0]])
+
+
+def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
+    """Normalize each row of points as convex_polygon normalizes one.
+
+    Returns the rows, as wide as points, in the padded-row format, and their
+    vertex counts.
+    """
+    vs = np.asarray(points, dtype=np.complex128)
+    if not np.all(np.isfinite(vs)):
         raise ValidationError("polygon vertices must be finite")
-
-    verts = _weld(arr)
-    if verts.size >= 3:
-        verts = _drop_collinear(verts)
-    if verts.size >= 3:
-        _check_convex_ccw(verts)
-    return ConvexPolygon(verts)
-
-
-def _weld(arr: np.ndarray) -> np.ndarray:
-    if arr.size == 1:
-        return arr
-    keep = np.abs(arr - np.roll(arr, 1)) > EPS_GEOM
-    if not keep.any():
-        return arr[:1]
-    return arr[keep]
-
-
-def _drop_collinear(verts: np.ndarray) -> np.ndarray:
-    changed = True
-    while changed and verts.size >= 3:
-        prev = np.roll(verts, 1)
-        nxt = np.roll(verts, -1)
-        e1 = verts - prev
-        e2 = nxt - verts
+    keep = np.abs(vs - np.roll(vs, 1, axis=1)) > EPS_GEOM
+    keep[~keep.any(axis=1), 0] = True
+    vs, n = _compact(vs, keep)
+    slot = np.arange(vs.shape[1])
+    while True:
+        e2 = np.roll(vs, -1, axis=1) - vs  # padding makes vertex 0 follow vertex n-1
+        e1 = np.roll(e2, 1, axis=1)
+        e1[:, 0] = e2[np.arange(len(vs)), n - 1]
         cross = e1.real * e2.imag - e1.imag * e2.real
-        tol = _WELD * np.abs(e1) * np.abs(e2) + 1e-300
-        flat = np.abs(cross) <= tol
-        if flat.all():
-            # fully collinear ring: keep the two extreme points
-            i = np.argmin(verts.real + verts.imag * 1e-9)
-            j = np.argmax(np.abs(verts - verts[i]))
-            return np.array([verts[i], verts[j]]) if j != i else verts[i : i + 1]
-        changed = flat.any()
-        verts = verts[~flat]
-    return verts
-
-
-def _check_convex_ccw(verts: np.ndarray) -> None:
-    prev = np.roll(verts, 1)
-    nxt = np.roll(verts, -1)
-    e1 = verts - prev
-    e2 = nxt - verts
-    cross = e1.real * e2.imag - e1.imag * e2.real
-    tol = EPS_GEOM * np.maximum(1.0, np.abs(e1) * np.abs(e2))
-    if np.any(cross < -tol):
+        live = (slot < n[:, None]) & (n >= 3)[:, None]
+        flat = live & (np.abs(cross) <= _WELD * np.abs(e1) * np.abs(e2) + 1e-300)
+        if not flat.any():
+            break
+        line = np.all(flat == live, axis=1) & (n >= 3)
+        flat[line] = False
+        vs, n = _compact(vs, (slot < n[:, None]) & ~flat)
+        if line.any():  # a fully collinear row keeps its two extreme points
+            ring = vs[line]
+            at = np.arange(len(ring))
+            i = np.argmin(ring.real + ring.imag * 1e-9, axis=1)
+            j = np.argmax(np.abs(ring - ring[at, i][:, None]), axis=1)
+            vs[line] = np.where(slot == 1, ring[at, j][:, None], ring[at, i][:, None])
+            n[line] = np.where(j != i, 2, 1)
+    if np.any(live & (cross < -EPS_GEOM * np.maximum(1.0, np.abs(e1) * np.abs(e2)))):
         raise ValidationError("vertices are not a counter-clockwise convex polygon")
+    return vs, n
+
+
+def _compact(vs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's kept vertices in order, padded with repeats of the new vertex 0."""
+    n = keep.sum(axis=1)
+    vs = np.take_along_axis(vs, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    return np.where(np.arange(vs.shape[1]) < n[:, None], vs, vs[:, :1]), n
 
 
 def polygonize_interval_phasor(
@@ -183,7 +187,13 @@ def _bottom_left(vs: np.ndarray) -> np.ndarray:
     return np.take_along_axis(vs, pick[..., None], axis=-1)[..., 0]
 
 
-def rotated_minkowski_sums(polys, angles) -> list[ConvexPolygon]:
+def row_blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Slices of consecutive rows holding about _BLOCK_EDGES elements each."""
+    step = max(1, _BLOCK_EDGES // max(1, row_size))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def rotated_minkowski_sums(polys, angles) -> tuple[np.ndarray, np.ndarray]:
     """Minkowski sums of rigidly rotated convex polygons, one per row of angles.
 
     Row i sums polys[n] rotated about the origin by angles[i, n] radians.  The
@@ -191,45 +201,51 @@ def rotated_minkowski_sums(polys, angles) -> list[ConvexPolygon]:
     ties kept in operand order) trace the sum's shape, all rows of a block
     in one argsort and one cumsum; each trace is pinned afterwards through
     the bottom-left support point, which is the sum of the rotated
-    operands' bottom-left vertices.
+    operands' bottom-left vertices, and normalized by convex_rows.  Returns
+    (vertices, n_vertices) in the padded-row format; vertices is a column
+    slice of one array as wide as the operands' vertex count.
     """
     polys = list(polys)
     if not polys:
         raise ValidationError("a Minkowski sum needs at least one polygon")
     angles = np.asarray(angles, dtype=np.float64).reshape(-1, len(polys))
-    sizes = [len(p) for p in polys]
-    # pad with repeats of vertex 0, which leave every bottom-left pick unchanged
-    width = max(sizes)
+    sizes = np.array([len(p) for p in polys])
+    # pad with repeats of vertex 0, which leave every bottom-left pick unchanged;
+    # a point keeps one zero-length edge, and the weld drops the vertex it repeats
+    width = int(sizes.max())
     verts = np.array(
         [np.concatenate((p.vertices, np.repeat(p.vertices[:1], width - len(p)))) for p in polys]
     )
-    edged = [n for n, m in enumerate(sizes) if m > 1]
-    rows = max(1, _BLOCK_EDGES // max(1, sum(sizes[n] for n in edged)))
-    sums = []
-    for start in range(0, angles.shape[0], rows):
-        rotated = verts * np.exp(1j * angles[start : start + rows, :, None])  # (rows, N, width)
-        anchor = _bottom_left(rotated).sum(axis=1)
-        if not edged:
-            sums.extend(convex_polygon([a]) for a in anchor)
-            continue
-        rings = [rotated[:, n, : sizes[n]] for n in edged]
-        edges = np.concatenate([np.roll(ring, -1, axis=1) - ring for ring in rings], axis=1)
-        heading = np.angle(edges)
-        heading = np.where(heading < 0.0, heading + _TWO_PI, heading)
-        heading = np.where(heading >= _TWO_PI, 0.0, heading)  # fold 2*pi onto 0
-        order = np.argsort(heading, axis=1, kind="stable")
-        steps = np.take_along_axis(edges, order, axis=1)
-        trace = np.zeros_like(steps)
-        np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
-        trace += (anchor - _bottom_left(trace))[:, None]
-        sums.extend(convex_polygon(row) for row in trace)
-    return sums
+    real = np.arange(width) < sizes[:, None]
+    n_edges = int(real.sum())
+    vertices = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
+    n_vertices = np.empty(angles.shape[0], dtype=np.int64)
+    for block in row_blocks(angles.shape[0], n_edges):
+        vertices[block], n_vertices[block] = convex_rows(_trace(verts, angles[block], real))
+    return vertices[:, : n_vertices.max(initial=1)], n_vertices
+
+
+def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """A block's edge traces (its own function, so its temporaries die before convex_rows)."""
+    rotated = verts * np.exp(1j * angles[:, :, None])  # (rows, N, width)
+    anchor = _bottom_left(rotated).sum(axis=1)
+    edges = (np.roll(rotated, -1, axis=2) - rotated)[:, real]
+    heading = np.angle(edges)
+    heading = np.where(heading < 0.0, heading + _TWO_PI, heading)
+    heading = np.where(heading >= _TWO_PI, 0.0, heading)  # fold 2*pi onto 0
+    order = np.argsort(heading, axis=1, kind="stable")
+    steps = np.take_along_axis(edges, order, axis=1)
+    trace = np.zeros_like(steps)
+    np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
+    trace += (anchor - _bottom_left(trace))[:, None]
+    return trace
 
 
 def minkowski_sum_many(polys) -> ConvexPolygon:
     """Minkowski sum of convex polygons via angular merge of edge vectors."""
     polys = list(polys)
-    return rotated_minkowski_sums(polys, np.zeros(len(polys)))[0]
+    vertices, n_vertices = rotated_minkowski_sums(polys, np.zeros(len(polys)))
+    return ConvexPolygon(vertices[0, : n_vertices[0]])
 
 
 def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
@@ -239,46 +255,37 @@ def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
 
 def contains_point(poly: ConvexPolygon, z: complex) -> bool:
     """Closed membership test with EPS_GEOM slack."""
-    vs = poly.vertices
-    if vs.size == 1:
-        return abs(vs[0] - z) <= EPS_GEOM
-    if vs.size == 2:
-        return _segment_distance(vs[0], vs[1], z) <= EPS_GEOM
-    nxt = np.roll(vs, -1)
-    e = nxt - vs
-    w = z - vs
-    cross = e.real * w.imag - e.imag * w.real
-    tol = EPS_GEOM * np.maximum(1.0, np.abs(e))
-    return bool(np.all(cross >= -tol))
+    return bool(modulus_bounds((poly.vertices - z)[None], [len(poly)])[0][0] <= EPS_GEOM)
 
 
-def _segment_distance(a: complex, b: complex, z: complex) -> float:
-    d = b - a
-    dd = d.real * d.real + d.imag * d.imag
-    if dd == 0.0:
-        return abs(z - a)
-    t = ((z.real - a.real) * d.real + (z.imag - a.imag) * d.imag) / dd
-    t = min(1.0, max(0.0, t))
-    return abs(z - (a + t * d))
+def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) distance from the origin to each padded region (as a filled set)."""
+    vertices = np.asarray(vertices, dtype=np.complex128)
+    n_vertices = np.asarray(n_vertices)
+    lo = np.empty(len(vertices))
+    hi = np.empty(len(vertices))
+    slot = np.arange(vertices.shape[1])
+    for block in row_blocks(len(vertices), vertices.shape[1]):
+        vs, n = vertices[block], n_vertices[block]
+        e = np.roll(vs, -1, axis=1) - vs
+        hi[block] = np.abs(vs).max(axis=1)
+        cross = e.imag * vs.real - e.real * vs.imag  # origin left of edge, EPS_GEOM slack
+        inside = (n >= 3) & np.all(cross >= -EPS_GEOM * np.maximum(1.0, np.abs(e)), axis=1)
+        dd = e.real**2 + e.imag**2
+        dd = np.where(dd == 0.0, 1.0, dd)
+        t = np.clip(-(vs.real * e.real + vs.imag * e.imag) / dd, 0.0, 1.0)
+        # padded slots are no edges, and a segment's two directed edges
+        # coincide, so it takes its first
+        edge = slot < np.where(n == 2, 1, n)[:, None]
+        near = np.where(edge, np.abs(vs + t * e), np.inf).min(axis=1)
+        lo[block] = np.where(inside, 0.0, near)
+    return lo, hi
 
 
 def distance_bounds_to_origin(poly: ConvexPolygon) -> tuple[float, float]:
     """(min, max) distance from the origin to the polygon (as a filled set)."""
-    vs = poly.vertices
-    d_max = float(np.abs(vs).max())
-    if vs.size == 1:
-        return d_max, d_max
-    if vs.size >= 3 and contains_point(poly, 0.0 + 0.0j):
-        return 0.0, d_max
-    nxt = np.roll(vs, -1)
-    e = nxt - vs
-    dd = (e.real**2 + e.imag**2)
-    dd = np.where(dd == 0.0, 1.0, dd)
-    t = np.clip(-(vs.real * e.real + vs.imag * e.imag) / dd, 0.0, 1.0)
-    closest = vs + t * e
-    if vs.size == 2:
-        closest = closest[:1]  # the two directed copies of a segment coincide
-    return float(np.abs(closest).min()), d_max
+    lo, hi = modulus_bounds(poly.vertices[None], [len(poly)])
+    return float(lo[0]), float(hi[0])
 
 
 def triangulate(poly: ConvexPolygon) -> list[Triangle]:
@@ -332,34 +339,34 @@ def circular_segment_area(r: float, a1: complex, a2: complex) -> float:
     return r * r * math.asin(half / r) - half * math.sqrt(max(r * r - half * half, 0.0))
 
 
-def disc_polygon_areas(radii, poly: ConvexPolygon) -> np.ndarray:
-    """Area of disc(0, r) intersected with a convex polygon, for every r in radii.
+def disc_polygon_areas(radii, vertices) -> np.ndarray:
+    """Area of disc(0, r) intersected with each region, for every r in its row of radii.
 
-    Fans the polygon from the disc center: the result sums, over the CCW
-    edges (a, b), the signed area of disc(0, r) intersected with
-    triangle(0, a, b).  With d = b - a and t1 <= t2 the edge-circle roots
-    clipped to [0, 1], the chord piece between p1 = a + t1*d and
+    radii is (rows, R) and vertices (rows, M) in the padded-row format; the
+    result is (rows, R).  Fans each region from the disc center: a row sums,
+    over the CCW edges (a, b), the signed area of disc(0, r) intersected
+    with triangle(0, a, b).  With d = b - a and t1 <= t2 the edge-circle
+    roots clipped to [0, 1], the chord piece between p1 = a + t1*d and
     p2 = a + t2*d adds cross(p1, p2) / 2 and the arc pieces outside the disc
     add r^2 * angle / 2 (angles a -> p1 and p2 -> b).  An edge that misses
-    the disc has t1 = t2 and adds only its arc.  A polygon with fewer than
-    three vertices has no area.
+    the disc has t1 = t2 and adds only its arc; a padded zero-length edge
+    adds nothing.  A region with fewer than three vertices has no area, but
+    its row sums to round-off, not to zero: callers set such rows aside.
     """
     radii = np.asarray(radii, dtype=np.float64)
-    vs = poly.vertices
-    if vs.size < 3:
-        return np.zeros(radii.shape)
-    d = np.roll(vs, -1) - vs
+    r2 = (radii * radii)[:, :, None]
+    vs = np.asarray(vertices, dtype=np.complex128)[:, None, :]
+    d = np.roll(vs, -1, axis=2) - vs
     qa = d.real * d.real + d.imag * d.imag
     qa = np.where(qa > 0.0, qa, 1.0)  # a zero-length edge puts both roots on a
     qb = vs.real * d.real + vs.imag * d.imag
-    r2 = (radii * radii)[:, None]
     qc = (vs.real * vs.real + vs.imag * vs.imag) - r2
     sq = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
     p1 = vs + np.clip((-qb - sq) / qa, 0.0, 1.0) * d
     p2 = vs + np.clip((-qb + sq) / qa, 0.0, 1.0) * d
     chord = (p1.conj() * p2).imag
     arcs = np.angle(vs.conj() * p1) + np.angle(p2.conj() * (vs + d))
-    return 0.5 * (chord + r2 * arcs).sum(axis=1)
+    return 0.5 * (chord + r2 * arcs).sum(axis=2)
 
 
 def circle_triangle_intersection_area(r: float, tri: Triangle) -> float:
@@ -377,4 +384,4 @@ def disc_polygon_intersection_area(r: float, poly: ConvexPolygon) -> float:
         raise ValidationError("radius must be non-negative")
     if r == 0.0 or len(poly) < 3 or distance_bounds_to_origin(poly)[0] >= r:
         return 0.0
-    return max(float(disc_polygon_areas([r], poly)[0]), 0.0)
+    return max(float(disc_polygon_areas([[r]], poly.vertices[None])[0, 0]), 0.0)

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (
     ConvexPolygon,
-    distance_bounds_to_origin,
+    modulus_bounds,
     polygonize_interval_phasor,
     rotated_minkowski_sums,
 )
@@ -35,12 +35,13 @@ class PowerBoundsCurve:
     """Per-direction inclusive bounds of the radiated power pattern.
 
     Linear power bounds plus dB values normalized so the nominal pattern
-    peaks at 0 dB; a zero lower bound maps to -inf dB.  intervals holds the
-    per-direction regions the bounds were taken from, in grid order.
+    peaks at 0 dB; a zero lower bound maps to -inf dB.  vertices and
+    n_vertices hold the regions the bounds were taken from, in grid order,
+    in the padded-row format of arraytol.geometry.
     """
 
     grid: AngularGrid
-    intervals: tuple[IntervalAF, ...] = field(repr=False)
+    vertices: np.ndarray = field(repr=False)
     p_lo: np.ndarray = field(repr=False)
     p_hi: np.ndarray = field(repr=False)
     p_lo_db: np.ndarray = field(repr=False)
@@ -54,7 +55,7 @@ class PowerBoundsCurve:
 
 def nominal_af(scenario: ArrayScenario, u: float) -> complex:
     """Crisp array factor: sum of nominal phasors with the steering progression."""
-    if abs(u) > 1.0:
+    if not abs(u) <= 1.0:
         raise ValidationError(f"direction u={u} must lie in [-1, 1]")
     total = 0.0 + 0.0j
     for n, el in enumerate(scenario.elements):
@@ -81,29 +82,30 @@ def interval_af(scenario: ArrayScenario, u: float, arc_points: int = 8) -> Inter
     steering phase; the region is the Minkowski sum of those sectors and
     always contains the nominal array factor.
     """
-    if abs(u) > 1.0:
+    if not abs(u) <= 1.0:
         raise ValidationError(f"direction u={u} must lie in [-1, 1]")
-    return interval_af_curve(scenario, AngularGrid(np.array([float(u)])), arc_points)[0]
+    vertices, n_vertices, lo, hi = interval_af_curve(scenario, AngularGrid([u]), arc_points)
+    region = ConvexPolygon(vertices[0, : n_vertices[0]])
+    return IntervalAF(float(u), region, float(lo[0]), float(hi[0]))
 
 
 def interval_af_curve(
     scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
-) -> list[IntervalAF]:
-    """interval_af at every grid sample, in grid order.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Regions of interval_af at every grid sample: (vertices, n_vertices, modulus_lo, modulus_hi).
 
     Each element's sector is polygonized once; at direction u it is that
     polygon rotated by the steering phase 2*pi*spacing*n*u, so one batched
-    Minkowski sum covers the whole grid.  The modulus bounds are widened by
-    the rounding_allowance of the sectors.
+    Minkowski sum covers the whole grid and returns its regions in the
+    padded-row format.  The modulus bounds are widened by the
+    rounding_allowance of the sectors.
     """
     sectors = element_sectors(scenario, arc_points)
     psi = _TWO_PI * scenario.spacing * np.outer(grid.samples, np.arange(scenario.n_elements))
+    vertices, n_vertices = rotated_minkowski_sums(sectors, psi)
+    lo, hi = modulus_bounds(vertices, n_vertices)
     slack = rounding_allowance(sectors)
-    curve = []
-    for u, region in zip(grid.samples, rotated_minkowski_sums(sectors, psi)):
-        lo, hi = distance_bounds_to_origin(region)
-        curve.append(IntervalAF(float(u), region, max(lo - slack, 0.0), hi + slack))
-    return curve
+    return vertices, n_vertices, np.maximum(lo - slack, 0.0), hi + slack
 
 
 def element_sectors(scenario: ArrayScenario, arc_points: int = 8) -> list[ConvexPolygon]:
@@ -142,10 +144,7 @@ def power_bounds(
     scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
 ) -> PowerBoundsCurve:
     """Inclusive power-pattern bounds over a grid, in linear power and dB."""
-    intervals = interval_af_curve(scenario, grid, arc_points)
-    modulus_lo = np.array([iv.modulus_lo for iv in intervals])
-    modulus_hi = np.array([iv.modulus_hi for iv in intervals])
-    n_vertices = np.array([len(iv.region) for iv in intervals], dtype=np.int64)
+    vertices, n_vertices, modulus_lo, modulus_hi = interval_af_curve(scenario, grid, arc_points)
     p_lo = modulus_lo**2
     p_hi = modulus_hi**2
     nominal_power = np.abs(nominal_af_curve(scenario, grid)) ** 2
@@ -154,7 +153,7 @@ def power_bounds(
         raise ValidationError("nominal pattern is identically zero on the grid")
     return PowerBoundsCurve(
         grid=grid,
-        intervals=tuple(intervals),
+        vertices=vertices,
         p_lo=p_lo,
         p_hi=p_hi,
         p_lo_db=power_db(p_lo, peak_power),

@@ -84,9 +84,9 @@ class AngularGrid:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("grid samples must be a 1-D array")
-        if np.any(np.diff(arr) <= 0.0):
+        if not np.all(np.diff(arr) > 0.0):
             raise ValidationError("grid samples must be strictly increasing")
-        if arr[0] < -1.0 or arr[-1] > 1.0:
+        if not (arr[0] >= -1.0 and arr[-1] <= 1.0):
             raise ValidationError("grid samples must lie in [-1, 1]")
         object.__setattr__(self, "samples", arr)
         arr.flags.writeable = False

@@ -19,7 +19,7 @@ from .geometry import (
     ConvexPolygon,
     disc_polygon_areas,
     distance_bounds_to_origin,
-    polygon_area,
+    row_blocks,
 )
 from .iams import PowerBoundsCurve
 from .model import AngularGrid
@@ -38,10 +38,6 @@ class RingPartition:
 
     def __post_init__(self):
         self.radii.flags.writeable = False
-
-    @property
-    def k_regions(self) -> int:
-        return self.radii.size - 1
 
 
 @dataclass(frozen=True)
@@ -62,10 +58,6 @@ class ProbabilityMap:
     region_power_db: np.ndarray = field(repr=False)
     degenerate: np.ndarray = field(repr=False)
     peak_power: float
-
-    def partition_at(self, i: int) -> RingPartition:
-        radii = self.ring_radii[i]
-        return RingPartition(radii=radii.copy(), width_per_ring=float(radii[1] - radii[0]))
 
 
 @dataclass(frozen=True)
@@ -93,12 +85,16 @@ def ring_partition(modulus_lo: float, modulus_hi: float, k_regions: int) -> Ring
         raise ValidationError(
             f"modulus bounds must satisfy 0 <= lo <= hi, got ({modulus_lo}, {modulus_hi})"
         )
-    width = (modulus_hi - modulus_lo) / k_regions
-    radii = modulus_lo + width * np.arange(k_regions + 1)
-    # pin the endpoints against accumulated rounding
-    radii[0] = modulus_lo
-    radii[-1] = modulus_hi
-    return RingPartition(radii=radii, width_per_ring=width)
+    radii = _ring_radii(modulus_lo, modulus_hi, k_regions)
+    return RingPartition(radii=radii, width_per_ring=(modulus_hi - modulus_lo) / k_regions)
+
+
+def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
+    """K+1 radii splitting [modulus_lo, modulus_hi] uniformly, along a new last axis."""
+    lo, hi = np.asarray(modulus_lo)[..., None], np.asarray(modulus_hi)[..., None]
+    radii = lo + (hi - lo) / k_regions * np.arange(k_regions + 1)
+    radii[..., :1], radii[..., -1:] = lo, hi  # pin the endpoints against rounding
+    return radii
 
 
 def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.ndarray:
@@ -110,7 +106,6 @@ def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.
     than round-off (1e-12 of the region's area) raise ValidationError.  A
     region with no area puts all probability in the first ring.
     """
-    k = partition.k_regions
     lo, hi = distance_bounds_to_origin(region)
     radii = partition.radii
     if radii[0] > lo + EPS_GEOM or radii[-1] < hi - EPS_GEOM:
@@ -118,20 +113,39 @@ def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.
             f"partition radii [{radii[0]}, {radii[-1]}] do not bracket the "
             f"region's modulus bounds [{lo}, {hi}]"
         )
-    covered = disc_polygon_areas(radii, region)
-    total = covered[-1]
-    if total <= EPS_GEOM * EPS_GEOM:
-        out = np.zeros(k)
-        out[0] = 1.0
-        return out
-    rings = np.diff(covered)
-    if rings.min() < -_ROUNDOFF * total:
-        raise ValidationError(
-            f"ring areas {rings.tolist()} of a region with area {total} are negative "
-            "beyond round-off"
-        )
-    out = np.maximum(rings, 0.0)
-    return out / out.sum()
+    p, _ = _ring_probabilities(radii[None], region.vertices[None], np.array([len(region)]))
+    return p[:, 0]
+
+
+def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
+    """(K, rows) ring probabilities of padded regions, and which regions have no area.
+
+    Row i's last radius encloses its region, so that disc's area is the
+    region's.  Regions reach the kernel unpadded, grouped by vertex count, so
+    their numbers do not depend on the width of the array they come in.
+    """
+    k_regions = radii.shape[1] - 1
+    p = np.zeros((k_regions, len(radii)))
+    p[0] = 1.0
+    area = np.zeros(len(radii))
+    for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
+        rows = np.flatnonzero(n_vertices == n)
+        for block in row_blocks(rows.size, (k_regions + 1) * n):
+            idx = rows[block]
+            covered = disc_polygon_areas(radii[idx], vertices[idx, :n])
+            total = area[idx] = covered[:, -1]
+            rings = np.diff(covered, axis=1)
+            live = total > EPS_GEOM * EPS_GEOM
+            bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValidationError(
+                    f"ring areas {rings[i].tolist()} of a region with area {total[i]} "
+                    "are negative beyond round-off"
+                )
+            out = np.maximum(rings[live], 0.0)
+            p[:, idx[live]] = (out / out.sum(axis=1, keepdims=True)).T
+    return p, area <= EPS_GEOM * EPS_GEOM
 
 
 def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
@@ -142,22 +156,12 @@ def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     """
     if k_regions < 1:
         raise ValidationError(f"k_regions must be at least 1, got {k_regions}")
-    grid = bounds.grid
-    n_u = len(grid)
-    p = np.zeros((k_regions, n_u))
-    ring_radii = np.zeros((n_u, k_regions + 1))
-    degenerate = np.zeros(n_u, dtype=bool)
-    for i, iv in enumerate(bounds.intervals):
-        part = ring_partition(iv.modulus_lo, iv.modulus_hi, k_regions)
-        ring_radii[i] = part.radii
-        p[:, i] = region_probabilities(iv.region, part)
-        degenerate[i] = (
-            len(iv.region) < 3 or polygon_area(iv.region) <= EPS_GEOM * EPS_GEOM
-        )
+    ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, k_regions)
+    p, degenerate = _ring_probabilities(ring_radii, bounds.vertices, bounds.n_vertices)
     with np.errstate(divide="ignore"):
         region_power_db = 20.0 * np.log10(ring_radii) - 10.0 * math.log10(bounds.peak_power)
     return ProbabilityMap(
-        grid=grid,
+        grid=bounds.grid,
         k_regions=k_regions,
         p=p,
         ring_radii=ring_radii,

@@ -12,17 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import ConvexPolygon
 from .iams import element_sectors, power_bounds, rounding_allowance
 from .model import AngularGrid, ArrayScenario, scenario_from_tolerances
 from .montecarlo import run_mc
-from .pia import (
-    feature_report,
-    mean_probabilities,
-    probability_map,
-    region_probabilities,
-    ring_partition,
-)
+from .pia import feature_report, mean_probabilities, probability_map
 
 REL_TOL = 1e-9
 
@@ -34,14 +27,14 @@ class CheckResult:
     detail: str
 
 
-def disc_polygon_area_quadrature(r: float, poly: ConvexPolygon, n_columns: int = 8193) -> float:
+def disc_polygon_area_quadrature(r: float, vertices, n_columns: int = 8193) -> float:
     """Disc-polygon intersection area by column slices (independent oracle).
 
-    For each x the polygon slice is an exact interval found from the edge
-    half-planes, intersected with the circle slice; Simpson quadrature
-    integrates the slice widths over x.
+    vertices is a convex CCW vertex ring.  For each x the polygon slice is
+    an exact interval found from the edge half-planes, intersected with the
+    circle slice; Simpson quadrature integrates the slice widths over x.
     """
-    vs = poly.vertices
+    vs = np.asarray(vertices, dtype=np.complex128)
     if r <= 0.0 or vs.size < 3:
         return 0.0
     x_lo = max(float(vs.real.min()), -r)
@@ -186,7 +179,7 @@ def run_validation(
 
     results.append(_symmetry_check(scenario, bounds))
     results.append(_zero_tolerance_check(scenario, grid, k_regions, arc_points))
-    results.append(_oracle_spot_check(pmap, bounds.intervals))
+    results.append(_oracle_spot_check(pmap, bounds))
     return results
 
 
@@ -240,21 +233,18 @@ def _zero_tolerance_check(scenario, grid, k_regions, arc_points) -> CheckResult:
     )
 
 
-def _oracle_spot_check(pmap, intervals) -> CheckResult:
-    n_u = len(intervals)
+def _oracle_spot_check(pmap, bounds) -> CheckResult:
+    n_u = len(bounds.grid)
     worst = 0.0
     for i in sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6}):
-        iv = intervals[i]
-        if len(iv.region) < 3:
+        if pmap.degenerate[i]:
             continue
-        part = ring_partition(iv.modulus_lo, iv.modulus_hi, pmap.k_regions)
-        probs = region_probabilities(iv.region, part)
-        total = disc_polygon_area_quadrature(float(part.radii[-1]), iv.region)
-        if total <= 0.0:
+        region = bounds.vertices[i, : bounds.n_vertices[i]]
+        covered = [disc_polygon_area_quadrature(r, region) for r in pmap.ring_radii[i].tolist()]
+        if covered[-1] <= 0.0:
             continue
-        covered = [disc_polygon_area_quadrature(float(r), iv.region) for r in part.radii]
-        oracle = np.diff(covered) / total
-        worst = max(worst, float(np.abs(probs - oracle).max()))
+        oracle = np.diff(covered) / covered[-1]
+        worst = max(worst, float(np.abs(pmap.p[:, i] - oracle).max()))
     return CheckResult(
         "area-oracle-spot-check",
         worst <= 1e-3,

@@ -83,12 +83,13 @@ class TestBoundsCommand:
         cfg = json.loads(config_path.read_text())
         curve = power_bounds(scenario_from_config(cfg), uniform_grid(11), cfg["arc_points"])
         start = 0
-        for b, iv in zip(bounds, curve.intervals, strict=True):
+        for b, region, n_i in zip(bounds, curve.vertices, curve.n_vertices, strict=True):
             n = int(b[6])
+            assert n == n_i
             block, start = rows[start : start + n], start + n
             assert [r[1] for r in block] == [str(j) for j in range(n)]
             assert {r[0] for r in block} == {b[0]}
-            for col, part in ((2, iv.region.vertices.real), (3, iv.region.vertices.imag)):
+            for col, part in ((2, region[:n].real), (3, region[:n].imag)):
                 assert np.array([float(r[col]) for r in block]).tobytes() == part.tobytes()
 
 
@@ -222,9 +223,9 @@ class TestNumberFormat:
             "polygons.csv": csv(
                 "u,vertex,re,im",
                 (
-                    [f(iv.u), str(j), f(v.real), f(v.imag)]
-                    for iv in curve.intervals
-                    for j, v in enumerate(iv.region.vertices)
+                    [f(u[i]), str(j), f(v.real), f(v.imag)]
+                    for i in range(len(grid))
+                    for j, v in enumerate(curve.vertices[i, : curve.n_vertices[i]])
                 ),
             ),
             "pia.csv": csv(
@@ -346,6 +347,21 @@ class TestComputeOnce:
         # the scenario's own curve, then its zero-tolerance collapse
         assert len(curve_calls) == 2
         assert curve_calls[0] is scen and curve_calls[1] is not scen
+
+    def test_pia_builds_no_polygon_per_direction(self, config_path, tmp_path, monkeypatch):
+        from arraytol.geometry import ConvexPolygon
+
+        built = []
+        post_init = ConvexPolygon.__post_init__
+
+        def counted(self):
+            built.append(len(self))
+            post_init(self)
+
+        monkeypatch.setattr(ConvexPolygon, "__post_init__", counted)
+        assert main(["pia", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+        # one per element sector; the regions of the 81 directions are array rows
+        assert len(built) == len(json.loads(config_path.read_text())["elements"])
 
     @pytest.mark.parametrize(
         "command, calls", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 2)]

@@ -9,6 +9,7 @@ from arraytol import (
     AngularGrid,
     ArrayScenario,
     ExcitationInterval,
+    ValidationError,
     contains_point,
     distance_bounds_to_origin,
     interval_af,
@@ -95,6 +96,14 @@ class TestIntervalAf:
             assert iv.region.vertices[0] == pytest.approx(nominal_af(scen, u), abs=1e-12)
             assert iv.modulus_lo == pytest.approx(iv.modulus_hi)
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -1.5])
+    def test_rejects_direction_outside_unit_interval(self, u):
+        scen = _uniform_scenario(2, xi=0.05, gamma=0.05)
+        with pytest.raises(ValidationError, match="direction"):
+            nominal_af(scen, u)
+        with pytest.raises(ValidationError, match="direction"):
+            interval_af(scen, u)
+
     def test_single_live_element_is_its_sector(self):
         # second element has a zero-width interval at zero amplitude, so the
         # region is exactly one polygonized sector
@@ -133,9 +142,11 @@ class TestIntervalAf:
             )
         rng = np.random.default_rng(4)
         us = np.unique(np.concatenate(([-1.0, -0.5, 0.0, 0.5, 1.0], rng.uniform(-1, 1, 20))))
-        curve = interval_af_curve(scen, AngularGrid(us), arc_points=8)
+        vertices, n_vertices, modulus_lo, modulus_hi = interval_af_curve(
+            scen, AngularGrid(us), arc_points=8
+        )
         rays = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
-        for u, iv in zip(us, curve):
+        for i, u in enumerate(us):
             sectors = []
             for n, el in enumerate(scen.elements):
                 psi = 2.0 * math.pi * scen.spacing * n * u
@@ -143,7 +154,7 @@ class TestIntervalAf:
                     el.amplitude_lo, el.amplitude_hi, el.phase_lo + psi, el.phase_hi + psi, 8
                 ))
             ref_region = minkowski_sum_many(sectors)
-            got = iv.region.vertices
+            got = vertices[i, : n_vertices[i]]
             assert got.size == len(ref_region)
             # the start vertex may differ by one where an edge angle sits on
             # the 0 / 2*pi fold, so align the rings before comparing
@@ -151,7 +162,7 @@ class TestIntervalAf:
             ref = np.roll(ref, -int(np.argmin(np.abs(ref - got[0]))))
             assert np.abs(got - ref).max() <= 1e-12
             ref_lo, ref_hi = distance_bounds_to_origin(ref_region)
-            assert iv.modulus_lo <= ref_lo and iv.modulus_hi >= ref_hi
+            assert modulus_lo[i] <= ref_lo and modulus_hi[i] >= ref_hi
             # independent of either sum's anchor rule: the support function
             # of a Minkowski sum is the sum of the operands' support functions
             along = rays.conj()[:, None]

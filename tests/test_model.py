@@ -127,6 +127,14 @@ class TestUniformGrid:
         with pytest.raises(ValidationError):
             AngularGrid(np.array([0.0, 1.1]))
 
+    @pytest.mark.parametrize(
+        "samples", [[-0.5, math.nan], [math.nan, 0.5], [math.nan], [0.0, math.inf], [-math.inf]]
+    )
+    def test_grid_rejects_non_finite_samples(self, samples):
+        # NaN fails every comparison, so an ordering test alone would let it in
+        with pytest.raises(ValidationError):
+            AngularGrid(np.array(samples))
+
 
 def _base_config():
     return {

@@ -11,6 +11,7 @@ from arraytol import (
     ValidationError,
     convex_polygon,
     feature_report,
+    interval_af,
     mean_probabilities,
     power_bounds,
     probability_map,
@@ -20,6 +21,7 @@ from arraytol import (
     uniform_grid,
 )
 from arraytol import pia
+from arraytol.geometry import _BLOCK_EDGES
 from arraytol.pia import mainlobe_indices
 
 from helpers import disc_convex_area_slab, random_convex_vertices
@@ -89,7 +91,7 @@ class TestRegionProbabilities:
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         part = ring_partition(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia, "disc_polygon_areas", lambda radii, poly: np.array([0.0, 0.6, 0.4, 1.0])
+            pia, "disc_polygon_areas", lambda radii, poly: np.array([[0.0, 0.6, 0.4, 1.0]])
         )
         with pytest.raises(ValidationError, match="round-off"):
             region_probabilities(p, part)
@@ -98,7 +100,7 @@ class TestRegionProbabilities:
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         part = ring_partition(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia, "disc_polygon_areas", lambda radii, poly: np.array([0.0, 0.5, 0.5 - 1e-14, 1.0])
+            pia, "disc_polygon_areas", lambda radii, poly: np.array([[0.0, 0.5, 0.5 - 1e-14, 1.0]])
         )
         probs = region_probabilities(p, part)
         assert probs[1] == 0.0
@@ -163,10 +165,33 @@ class TestProbabilityMap:
         expected = 20.0 * np.log10(pmap.ring_radii[i]) - 10.0 * math.log10(pmap.peak_power)
         assert pmap.region_power_db[i] == pytest.approx(expected, abs=1e-12)
 
-    def test_partition_accessor(self, small_scenario):
-        pmap = _pmap(small_scenario, uniform_grid(31), 4)
-        part = pmap.partition_at(7)
-        assert np.array_equal(part.radii, pmap.ring_radii[7])
+
+class TestPaddedRegions:
+    """Regions of different vertex counts share one padded array and its blocks."""
+
+    @pytest.mark.parametrize(
+        "xi, gamma, at_zero, most", [(0.05, 0.05, 12, 48), (0.05, 0.0, 2, 8)],
+        ids=["sectors", "amplitude-only"],
+    )
+    def test_rows_match_single_directions(self, xi, gamma, at_zero, most):
+        # at u = 0 the four sectors are aligned: their sum has the vertex
+        # count of one sector, or is a fully collinear segment when the
+        # sectors are segments; three blocks of rows put it between others
+        scen = scenario_from_tolerances([(1.0, 0.0)] * 4, xi, gamma, 0.5)
+        grid = uniform_grid(2 * (_BLOCK_EDGES // most) + 1)
+        bounds = power_bounds(scen, grid)
+        pmap = probability_map(bounds, 5)
+        assert bounds.vertices.shape[1] == bounds.n_vertices.max() == most
+        assert bounds.n_vertices[len(grid) // 2] == at_zero
+        for i, u in enumerate(grid.samples.tolist()):
+            iv = interval_af(scen, u)
+            n = bounds.n_vertices[i]
+            assert n == len(iv.region)
+            assert bounds.vertices[i, :n].tobytes() == iv.region.vertices.tobytes()
+            assert np.all(bounds.vertices[i, n:] == bounds.vertices[i, 0])
+            assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (iv.modulus_lo, iv.modulus_hi)
+            part = ring_partition(iv.modulus_lo, iv.modulus_hi, 5)
+            assert pmap.p[:, i].tobytes() == region_probabilities(iv.region, part).tobytes()
 
 
 class TestMeanProbabilities:
