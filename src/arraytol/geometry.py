@@ -7,10 +7,11 @@ is the only case the power-pattern analysis needs.
 
 A batch of regions is one padded array: row i of a (rows, M) complex array
 holds its region's n_vertices[i] vertices, then repeats of its vertex 0.
-The padding makes zero-length edges, so areas and the farthest vertex need
-no vertex counts; only tests on a vertex's two neighbours take them
-cyclically modulo the row's count.  The single-polygon functions are
-one-row calls of the batched ones.
+The padding makes zero-length edges, so the farthest vertex needs no
+vertex count.  Tests on a vertex's two neighbours take them cyclically
+modulo the row's count, and areas sum each row over its own vertices only.
+The batched functions size their own row blocks.  The single-polygon
+functions are one-row calls of the batched ones.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+from .model import check_integer
 
 # Absolute geometric tolerance in the natural units of the excitation
 # amplitudes (vertex coordinates are O(1)..O(10) in practice).
@@ -152,8 +154,7 @@ def polygonize_interval_phasor(
         raise ValidationError(f"phase interval [{phase_lo}, {phase_hi}] is reversed")
     if width >= math.pi:
         raise ValidationError(f"phase interval width {width} rad must be below pi")
-    if arc_points < 2:
-        raise ValidationError(f"arc_points must be at least 2, got {arc_points}")
+    check_integer("arc_points", arc_points, 2)
 
     if width <= 0.0:
         rot = complex(math.cos(phase_lo), math.sin(phase_lo))
@@ -173,21 +174,7 @@ def _cis(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _bottom_left(vs: np.ndarray) -> np.ndarray:
-    """Lowest vertex along the last axis, leftmost among near-ties.
-
-    The y tie tolerance makes the pick stable when a horizontal bottom edge
-    leaves its two endpoints mathematically level but floating-point noise
-    apart; Minkowski support points add only under a consistent tie rule.
-    """
-    ys = vs.imag
-    tol = _WELD * (1.0 + np.abs(vs).max(axis=-1, keepdims=True))
-    near = ys <= ys.min(axis=-1, keepdims=True) + tol
-    pick = np.argmin(np.where(near, vs.real, np.inf), axis=-1)
-    return np.take_along_axis(vs, pick[..., None], axis=-1)[..., 0]
-
-
-def row_blocks(n_rows: int, row_size: int) -> list[slice]:
+def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
     """Slices of consecutive rows holding about _BLOCK_EDGES elements each."""
     step = max(1, _BLOCK_EDGES // max(1, row_size))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
@@ -199,19 +186,21 @@ def rotated_minkowski_sums(polys, angles) -> tuple[np.ndarray, np.ndarray]:
     Row i sums polys[n] rotated about the origin by angles[i, n] radians.  The
     row's edge vectors sorted by direction (angles folded into [0, 2*pi),
     ties kept in operand order) trace the sum's shape, all rows of a block
-    in one argsort and one cumsum; each trace is pinned afterwards through
-    the bottom-left support point, which is the sum of the rotated
-    operands' bottom-left vertices, and normalized by convex_rows.  Returns
-    (vertices, n_vertices) in the padded-row format; vertices is a column
-    slice of one array as wide as the operands' vertex count.
+    in one argsort and one cumsum.  A trace starts where its first edge in
+    that order starts: at the sum, over the operands, of the vertex where
+    each operand's own first edge starts (its edge of least folded
+    direction, the lowest index among ties).  The traces are normalized by
+    convex_rows.  Returns (vertices, n_vertices) in the padded-row format;
+    vertices is a column slice of one array as wide as the operands' vertex
+    count.
     """
     polys = list(polys)
     if not polys:
         raise ValidationError("a Minkowski sum needs at least one polygon")
     angles = np.asarray(angles, dtype=np.float64).reshape(-1, len(polys))
     sizes = np.array([len(p) for p in polys])
-    # pad with repeats of vertex 0, which leave every bottom-left pick unchanged;
-    # a point keeps one zero-length edge, and the weld drops the vertex it repeats
+    # pad with repeats of vertex 0; a point keeps one zero-length edge, and the
+    # weld drops the vertex it repeats
     width = int(sizes.max())
     verts = np.array(
         [np.concatenate((p.vertices, np.repeat(p.vertices[:1], width - len(p)))) for p in polys]
@@ -220,7 +209,7 @@ def rotated_minkowski_sums(polys, angles) -> tuple[np.ndarray, np.ndarray]:
     n_edges = int(real.sum())
     vertices = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     n_vertices = np.empty(angles.shape[0], dtype=np.int64)
-    for block in row_blocks(angles.shape[0], n_edges):
+    for block in _row_blocks(angles.shape[0], n_edges):
         vertices[block], n_vertices[block] = convex_rows(_trace(verts, angles[block], real))
     return vertices[:, : n_vertices.max(initial=1)], n_vertices
 
@@ -228,16 +217,18 @@ def rotated_minkowski_sums(polys, angles) -> tuple[np.ndarray, np.ndarray]:
 def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> np.ndarray:
     """A block's edge traces (its own function, so its temporaries die before convex_rows)."""
     rotated = verts * np.exp(1j * angles[:, :, None])  # (rows, N, width)
-    anchor = _bottom_left(rotated).sum(axis=1)
-    edges = (np.roll(rotated, -1, axis=2) - rotated)[:, real]
+    edges = np.roll(rotated, -1, axis=2) - rotated
     heading = np.angle(edges)
-    heading = np.where(heading < 0.0, heading + _TWO_PI, heading)
-    heading = np.where(heading >= _TWO_PI, 0.0, heading)  # fold 2*pi onto 0
-    order = np.argsort(heading, axis=1, kind="stable")
-    steps = np.take_along_axis(edges, order, axis=1)
+    heading[heading < 0.0] += _TWO_PI
+    heading[heading >= _TWO_PI] = 0.0  # fold 2*pi onto 0
+    heading[:, ~real] = np.inf
+    first = np.argmin(heading, axis=2)  # each operand's first edge in the stable sort
+    anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
+    order = np.argsort(heading[:, real], axis=1, kind="stable")
+    steps = np.take_along_axis(edges[:, real], order, axis=1)
     trace = np.zeros_like(steps)
     np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
-    trace += (anchor - _bottom_left(trace))[:, None]
+    trace += anchor[:, None]
     return trace
 
 
@@ -265,7 +256,7 @@ def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
     lo = np.empty(len(vertices))
     hi = np.empty(len(vertices))
     slot = np.arange(vertices.shape[1])
-    for block in row_blocks(len(vertices), vertices.shape[1]):
+    for block in _row_blocks(len(vertices), vertices.shape[1]):
         vs, n = vertices[block], n_vertices[block]
         e = np.roll(vs, -1, axis=1) - vs
         hi[block] = np.abs(vs).max(axis=1)
@@ -339,34 +330,44 @@ def circular_segment_area(r: float, a1: complex, a2: complex) -> float:
     return r * r * math.asin(half / r) - half * math.sqrt(max(r * r - half * half, 0.0))
 
 
-def disc_polygon_areas(radii, vertices) -> np.ndarray:
+def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     """Area of disc(0, r) intersected with each region, for every r in its row of radii.
 
-    radii is (rows, R) and vertices (rows, M) in the padded-row format; the
-    result is (rows, R).  Fans each region from the disc center: a row sums,
-    over the CCW edges (a, b), the signed area of disc(0, r) intersected
-    with triangle(0, a, b).  With d = b - a and t1 <= t2 the edge-circle
-    roots clipped to [0, 1], the chord piece between p1 = a + t1*d and
-    p2 = a + t2*d adds cross(p1, p2) / 2 and the arc pieces outside the disc
-    add r^2 * angle / 2 (angles a -> p1 and p2 -> b).  An edge that misses
-    the disc has t1 = t2 and adds only its arc; a padded zero-length edge
-    adds nothing.  A region with fewer than three vertices has no area, but
-    its row sums to round-off, not to zero: callers set such rows aside.
+    radii is (rows, R), and vertices (rows, M) with n_vertices are regions in
+    the padded-row format; the result is (rows, R), exactly 0.0 on a region
+    with fewer than three vertices.  Fans each region from the disc center:
+    a row sums, over the CCW edges (a, b), the signed area of disc(0, r)
+    intersected with triangle(0, a, b).  With d = b - a and t1 <= t2 the
+    edge-circle roots clipped to [0, 1], the chord piece between
+    p1 = a + t1*d and p2 = a + t2*d adds cross(p1, p2) / 2 and the arc pieces
+    outside the disc add r^2 * angle / 2 (angles a -> p1 and p2 -> b).  An
+    edge that misses the disc has t1 = t2 and adds only its arc.  Regions are
+    summed in groups of equal vertex count, each cut to its own width, so
+    padding never enters a sum and a region's areas do not depend on the
+    array it comes in.
     """
     radii = np.asarray(radii, dtype=np.float64)
-    r2 = (radii * radii)[:, :, None]
-    vs = np.asarray(vertices, dtype=np.complex128)[:, None, :]
-    d = np.roll(vs, -1, axis=2) - vs
-    qa = d.real * d.real + d.imag * d.imag
-    qa = np.where(qa > 0.0, qa, 1.0)  # a zero-length edge puts both roots on a
-    qb = vs.real * d.real + vs.imag * d.imag
-    qc = (vs.real * vs.real + vs.imag * vs.imag) - r2
-    sq = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
-    p1 = vs + np.clip((-qb - sq) / qa, 0.0, 1.0) * d
-    p2 = vs + np.clip((-qb + sq) / qa, 0.0, 1.0) * d
-    chord = (p1.conj() * p2).imag
-    arcs = np.angle(vs.conj() * p1) + np.angle(p2.conj() * (vs + d))
-    return 0.5 * (chord + r2 * arcs).sum(axis=2)
+    vertices = np.asarray(vertices, dtype=np.complex128)
+    n_vertices = np.asarray(n_vertices)
+    areas = np.zeros(radii.shape)
+    for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
+        rows = np.flatnonzero(n_vertices == n)
+        for block in _row_blocks(rows.size, radii.shape[1] * n):
+            idx = rows[block]
+            r2 = (radii[idx] ** 2)[:, :, None]
+            vs = vertices[idx, None, :n]
+            d = np.roll(vs, -1, axis=2) - vs
+            qa = d.real * d.real + d.imag * d.imag
+            qa = np.where(qa > 0.0, qa, 1.0)  # a zero-length edge puts both roots on a
+            qb = vs.real * d.real + vs.imag * d.imag
+            qc = (vs.real * vs.real + vs.imag * vs.imag) - r2
+            sq = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
+            p1 = vs + np.clip((-qb - sq) / qa, 0.0, 1.0) * d
+            p2 = vs + np.clip((-qb + sq) / qa, 0.0, 1.0) * d
+            chord = (p1.conj() * p2).imag
+            arcs = np.angle(vs.conj() * p1) + np.angle(p2.conj() * (vs + d))
+            areas[idx] = 0.5 * (chord + r2 * arcs).sum(axis=2)
+    return areas
 
 
 def circle_triangle_intersection_area(r: float, tri: Triangle) -> float:
@@ -384,4 +385,4 @@ def disc_polygon_intersection_area(r: float, poly: ConvexPolygon) -> float:
         raise ValidationError("radius must be non-negative")
     if r == 0.0 or len(poly) < 3 or distance_bounds_to_origin(poly)[0] >= r:
         return 0.0
-    return max(float(disc_polygon_areas([[r]], poly.vertices[None])[0, 0]), 0.0)
+    return max(float(disc_polygon_areas([[r]], poly.vertices[None], [len(poly)])[0, 0]), 0.0)

@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (
-    EPS_GEOM,
-    ConvexPolygon,
-    disc_polygon_areas,
-    distance_bounds_to_origin,
-    row_blocks,
-)
+from .geometry import EPS_GEOM, ConvexPolygon, disc_polygon_areas, distance_bounds_to_origin
 from .iams import PowerBoundsCurve
-from .model import AngularGrid
+from .model import AngularGrid, check_integer
 
 # Relative size, against the region's area, of a negative ring area that is
 # still taken for round-off and clipped to zero.
@@ -79,8 +73,7 @@ class FeatureReport:
 
 def ring_partition(modulus_lo: float, modulus_hi: float, k_regions: int) -> RingPartition:
     """Uniform split of [modulus_lo, modulus_hi] into k_regions rings."""
-    if k_regions < 1:
-        raise ValidationError(f"k_regions must be at least 1, got {k_regions}")
+    check_integer("k_regions", k_regions, 1)
     if not (0.0 <= modulus_lo <= modulus_hi):
         raise ValidationError(
             f"modulus bounds must satisfy 0 <= lo <= hi, got ({modulus_lo}, {modulus_hi})"
@@ -121,31 +114,23 @@ def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.nda
     """(K, rows) ring probabilities of padded regions, and which regions have no area.
 
     Row i's last radius encloses its region, so that disc's area is the
-    region's.  Regions reach the kernel unpadded, grouped by vertex count, so
-    their numbers do not depend on the width of the array they come in.
+    region's.
     """
-    k_regions = radii.shape[1] - 1
-    p = np.zeros((k_regions, len(radii)))
-    p[0] = 1.0
-    area = np.zeros(len(radii))
-    for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
-        rows = np.flatnonzero(n_vertices == n)
-        for block in row_blocks(rows.size, (k_regions + 1) * n):
-            idx = rows[block]
-            covered = disc_polygon_areas(radii[idx], vertices[idx, :n])
-            total = area[idx] = covered[:, -1]
-            rings = np.diff(covered, axis=1)
-            live = total > EPS_GEOM * EPS_GEOM
-            bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise ValidationError(
-                    f"ring areas {rings[i].tolist()} of a region with area {total[i]} "
-                    "are negative beyond round-off"
-                )
-            out = np.maximum(rings[live], 0.0)
-            p[:, idx[live]] = (out / out.sum(axis=1, keepdims=True)).T
-    return p, area <= EPS_GEOM * EPS_GEOM
+    covered = disc_polygon_areas(radii, vertices, n_vertices)
+    total = covered[:, -1]
+    rings = np.diff(covered, axis=1)
+    live = total > EPS_GEOM * EPS_GEOM
+    bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(
+            f"ring areas {rings[i].tolist()} of a region with area {total[i]} "
+            "are negative beyond round-off"
+        )
+    rings = np.where(live[:, None], np.maximum(rings, 0.0), 0.0)
+    rings[~live, 0] = 1.0  # a region with no area puts all probability in the first ring
+    # C order, since numpy's sums along the grid round by memory layout
+    return np.ascontiguousarray((rings / rings.sum(axis=1, keepdims=True)).T), ~live
 
 
 def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
@@ -154,8 +139,7 @@ def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     The rings split each direction's modulus bounds; grid, regions and peak
     power are the ones bounds was computed from.
     """
-    if k_regions < 1:
-        raise ValidationError(f"k_regions must be at least 1, got {k_regions}")
+    check_integer("k_regions", k_regions, 1)
     ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, k_regions)
     p, degenerate = _ring_probabilities(ring_radii, bounds.vertices, bounds.n_vertices)
     with np.errstate(divide="ignore"):

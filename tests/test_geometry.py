@@ -21,6 +21,7 @@ from arraytol import (
     triangle_area_heron,
     triangulate,
 )
+from arraytol.geometry import disc_polygon_areas
 
 from helpers import (
     disc_convex_area_point_grid,
@@ -115,6 +116,9 @@ class TestPolygonizeIntervalPhasor:
             polygonize_interval_phasor(0.5, 1.0, 0.0, math.pi)
         with pytest.raises(ValidationError):
             polygonize_interval_phasor(0.5, 1.0, 0.0, 0.1, arc_points=1)
+        for arc_points in (2.5, True):
+            with pytest.raises(ValidationError, match="integer"):
+                polygonize_interval_phasor(0.5, 1.0, 0.0, 0.1, arc_points=arc_points)
 
     def test_boundary_width_just_below_pi_accepted(self):
         p = polygonize_interval_phasor(0.5, 1.0, 0.0, math.pi * (1 - 1e-9), arc_points=8)
@@ -155,12 +159,21 @@ class TestMinkowskiSum:
 
     def test_brute_force_fuzz(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = random_convex_vertices(rng, rng.integers(4, 9))
-            b = random_convex_vertices(rng, rng.integers(4, 9))
+        cases = [
+            (random_convex_vertices(rng, rng.integers(4, 9)),
+             random_convex_vertices(rng, rng.integers(4, 9)))
+            for _ in range(200)
+        ]
+        # a far square whose bottom edge tilts by about 1e-11: a translated sum
+        # has the right area, so only the vertex sums show where it lies
+        for dy in (1e-11, 5e-11, 1e-10):
+            square = [100 + (100 + dy) * 1j, 101 + 100j, 101 + 101j, 100 + 101j]
+            cases.append((np.array([0, 1, 1j]), np.array(square)))
+        for a, b in cases:
             s = minkowski_sum(convex_polygon(a), convex_polygon(b))
             brute = minkowski_sum_area_brute(a, b)
             assert polygon_area(s) == pytest.approx(brute, rel=1e-9)
+            assert points_in_convex(s.vertices, (a[:, None] + b[None, :]).ravel()).all()
 
     def test_many_operands_associative(self):
         rng = np.random.default_rng(11)
@@ -378,3 +391,23 @@ class TestCircleTriangleIntersection:
             assert disc_polygon_intersection_area(1.5 * far, p) == pytest.approx(
                 polygon_area(p), rel=1e-12
             )
+
+
+class TestDiscPolygonAreas:
+    def test_no_area_below_three_vertices(self):
+        # a point and a segment, each padded, beside a triangle
+        vertices = np.array([[2j, 2j, 2j], [0.5 + 0j, 0.5j, 0.5 + 0j], [0, 1, 1j]])
+        areas = disc_polygon_areas(np.full((3, 2), [0.6, 5.0]), vertices, [1, 2, 3])
+        assert np.all(areas[:2] == 0.0)
+        assert areas[2, 1] == pytest.approx(0.5)
+
+    def test_padding_leaves_the_bits_unchanged(self):
+        rng = np.random.default_rng(3)
+        polys = [random_convex_vertices(rng, 9, center=c) for c in (0j, 1 + 0.5j, -3j)]
+        n = np.array([len(p) for p in polys])
+        padded = np.array([np.concatenate((p, np.repeat(p[:1], 12 - len(p)))) for p in polys])
+        radii = np.linspace(0.1, 6.0, 3 * 6).reshape(3, 6)
+        areas = disc_polygon_areas(radii, padded, n)
+        for i, p in enumerate(polys):
+            alone = disc_polygon_areas(radii[i : i + 1], p[None], [len(p)])
+            assert np.array_equal(areas[i], alone[0])

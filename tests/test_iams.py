@@ -23,6 +23,7 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
+from arraytol.iams import element_sectors
 
 from helpers import taylor_taper
 
@@ -245,6 +246,20 @@ class TestPowerBounds:
         slack = 1e-9 * np.maximum(curve.p_hi, 1e-300)
         assert np.all(power >= curve.p_lo[None, :] - slack)
         assert np.all(power <= curve.p_hi[None, :] + slack)
+
+    def test_far_sector_sum_reaches_its_vertex_sums(self):
+        # the bottom chord of element 0's outer arc tilts about 3e-11 rad off
+        # horizontal; a sum placed by any rule other than its edge order can
+        # slide off its vertex sums, and Monte Carlo draws then leave p_hi
+        scen = scenario_from_tolerances(
+            [(100.0, -math.pi / 2 - 3e-11), (1.0, 0.0)], 0.01, math.radians(3.0), 0.5
+        )
+        grid = AngularGrid(np.array([-0.5, 0.0, 0.5]))
+        _, _, _, modulus_hi = interval_af_curve(scen, grid)
+        sectors = element_sectors(scen)
+        for u, hi in zip(grid.samples, modulus_hi):
+            a, b = (s.vertices * np.exp(1j * math.pi * n * u) for n, s in enumerate(sectors))
+            assert hi >= np.abs(a[:, None] + b[None, :]).max()
 
 
 class TestPowerDb:

@@ -47,6 +47,9 @@ class TestRingPartition:
             ring_partition(0.0, 1.0, 0)
         with pytest.raises(ValidationError):
             ring_partition(2.0, 1.0, 3)
+        for k in (2.5, True):
+            with pytest.raises(ValidationError, match="integer"):
+                ring_partition(0.0, 1.0, k)
 
     def test_halving_aligns_exactly(self):
         lo, hi = 0.137, 2.961
@@ -91,7 +94,9 @@ class TestRegionProbabilities:
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         part = ring_partition(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia, "disc_polygon_areas", lambda radii, poly: np.array([[0.0, 0.6, 0.4, 1.0]])
+            pia,
+            "disc_polygon_areas",
+            lambda radii, poly, n_vertices: np.array([[0.0, 0.6, 0.4, 1.0]]),
         )
         with pytest.raises(ValidationError, match="round-off"):
             region_probabilities(p, part)
@@ -100,7 +105,9 @@ class TestRegionProbabilities:
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         part = ring_partition(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia, "disc_polygon_areas", lambda radii, poly: np.array([[0.0, 0.5, 0.5 - 1e-14, 1.0]])
+            pia,
+            "disc_polygon_areas",
+            lambda radii, poly, n_vertices: np.array([[0.0, 0.5, 0.5 - 1e-14, 1.0]]),
         )
         probs = region_probabilities(p, part)
         assert probs[1] == 0.0
@@ -144,6 +151,12 @@ class TestProbabilityMap:
         assert pmap.degenerate.all()
         assert np.all(pmap.p[0] == 1.0)
         assert np.all(pmap.p[1:] == 0.0)
+
+    def test_rejects_non_integer_ring_count(self, small_scenario):
+        bounds = power_bounds(small_scenario, uniform_grid(11))
+        for k in (2.5, True):
+            with pytest.raises(ValidationError, match="integer"):
+                probability_map(bounds, k)
 
     def test_columns_sum_to_one(self, small_scenario):
         pmap = _pmap(small_scenario, uniform_grid(51), 5)
