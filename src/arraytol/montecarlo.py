@@ -2,7 +2,8 @@
 
 Every sample draws its excitations from a counter-based random stream keyed
 by (seed, sample index), so results are bitwise identical for a fixed seed
-no matter how work is chunked.
+no matter how work is chunked: chunks are sized by a byte budget, and no
+chunk holds a lone sample, whose one-row product BLAS rounds differently.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .pia import ProbabilityMap
 
 _TWO_PI = 2.0 * math.pi
 _HIST_BINS = 200
+_CHUNK_BYTES = 2 << 20  # one chunk's (chunk, N_u) complex128 product
 SEED_LIMIT = 1 << 128  # seeds are Philox keys: two 64-bit words
 
 
@@ -59,23 +61,22 @@ def sample_stream(seed: int, index: int) -> Generator:
 
 def sample_realization(scenario: ArrayScenario, stream: Generator) -> np.ndarray:
     """One crisp excitation draw: uniform in each amplitude/phase interval."""
-    return _excitations(scenario, stream.uniform(size=2 * scenario.n_elements))
+    return _excitations(_tolerance_box(scenario), stream.uniform(size=2 * scenario.n_elements))
 
 
-def _excitations(scenario: ArrayScenario, vals: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0, 1) of shape (..., 2N) onto the tolerance box.
+def _tolerance_box(scenario: ArrayScenario) -> tuple[np.ndarray, np.ndarray]:
+    """Lows and widths of the N amplitude intervals, then of the N phase intervals."""
+    els = scenario.elements
+    lo = np.array([e.amplitude_lo for e in els] + [e.phase_lo for e in els])
+    return lo, np.array([e.amplitude_hi for e in els] + [e.phase_hi for e in els]) - lo
 
-    The first N uniforms of a sample set the amplitudes, the last N the
-    phases, each as lo + (hi - lo) * u.
-    """
-    n = scenario.n_elements
-    alo = np.array([e.amplitude_lo for e in scenario.elements])
-    ahi = np.array([e.amplitude_hi for e in scenario.elements])
-    plo = np.array([e.phase_lo for e in scenario.elements])
-    phi = np.array([e.phase_hi for e in scenario.elements])
-    amps = alo + (ahi - alo) * vals[..., :n]
-    phases = plo + (phi - plo) * vals[..., n:]
-    return amps * np.exp(1j * phases)
+
+def _excitations(box: tuple[np.ndarray, np.ndarray], vals: np.ndarray) -> np.ndarray:
+    """Map uniforms u in [0, 1) of shape (..., 2N) onto the tolerance box as
+    lo + (hi - lo) * u: the first N set the amplitudes, the last N the phases."""
+    lo, width = box
+    x = lo + width * vals
+    return x[..., : lo.size // 2] * np.exp(1j * x[..., lo.size // 2 :])
 
 
 _MASK32 = (1 << 32) - 1
@@ -107,33 +108,26 @@ def philox_uniforms(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
     counter before each block, so block b of sample i (draws 4b to 4b + 3)
     is the counter (b + 1, i, 0, 0) under the key (seed mod 2^64,
     seed >> 64); its four output words become doubles as
-    (x >> 11) * 2^-53, like ``Generator.uniform``.  The loop runs over the
-    few blocks and each step works on all samples at once, so temporaries
-    stay at len(indices) words; counter words shared by every sample stay
-    Python ints until a round mixes them with the index word.
+    (x >> 11) * 2^-53, like ``Generator.uniform``.  All ceil(n_draws / 4)
+    blocks go through the 10 rounds in one pass, blocks on axis 0 and
+    samples on axis 1; words shared by all blocks or all samples stay
+    broadcast (Python ints if shared by both) until a round mixes them.
     """
     seed = int(seed)
     idx = np.asarray(indices, dtype=np.uint64)
-    out = np.empty((idx.size, n_draws))
-    for col in range(0, n_draws, 4):
-        x0, x1, x2, x3 = col // 4 + 1, idx, 0, 0
-        k0, k1 = seed & _MASK64, seed >> 64
-        for r in range(10):
-            if r:
-                k0 = (k0 + _PHILOX_W[0]) & _MASK64
-                k1 = (k1 + _PHILOX_W[1]) & _MASK64
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-        for j, x in enumerate((x0, x1, x2, x3)[: n_draws - col]):
-            out[:, col + j] = (x >> 11) * 2.0**-53
-    return out
-
-
-def _excitation_block(scenario: ArrayScenario, seed: int, start: int, stop: int) -> np.ndarray:
-    """Stack of realizations for sample indices [start, stop)."""
-    vals = philox_uniforms(seed, np.arange(start, stop), 2 * scenario.n_elements)
-    return _excitations(scenario, vals)
+    blocks = np.arange(1, (n_draws + 3) // 4 + 1, dtype=np.uint64)
+    x0, x1, x2, x3 = blocks[:, None], idx[None, :], 0, 0
+    k0, k1 = seed & _MASK64, seed >> 64
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    # (blocks, samples, 4) words -> (samples, 4 * blocks) in draw order
+    words = np.stack((x0, x1, x2, x3), axis=-1).transpose(1, 0, 2).reshape(idx.size, -1)
+    return (words[:, :n_draws] >> 11) * 2.0**-53
 
 
 def run_mc(
@@ -142,7 +136,6 @@ def run_mc(
     n_samples: int,
     seed: int = 0,
     probe_directions=(),
-    chunk: int = 2048,
 ) -> McReport:
     """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
 
@@ -152,12 +145,16 @@ def run_mc(
     histograms use 200 uniform dB bins spanning [lower bound - 1 dB, upper
     bound + 1 dB]; when the lower bound is -inf the span falls back to
     100 dB below the upper edge, and samples below it are left uncounted.
+    Chunks of _CHUNK_BYTES // (16 N_u) samples, at least 2, reuse buffers;
+    a lone last sample joins the chunk before it, as BLAS rounds a one-row
+    product (gemv) unlike the others (gemm).
     """
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0, SEED_LIMIT)
     grid = pmap.grid
     k_regions = pmap.k_regions
     n_u = len(grid)
+    box = _tolerance_box(scenario)
     steering = np.exp(
         1j * _TWO_PI * scenario.spacing * np.outer(np.arange(scenario.n_elements), grid.samples)
     )
@@ -177,28 +174,31 @@ def run_mc(
         lo_edge = lo_db - 1.0 if math.isfinite(lo_db) else hi_edge - 100.0
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
-    per_u_min = np.full(n_u, np.inf)
-    per_u_max = np.full(n_u, -np.inf)
-    counts = np.zeros((k_regions, n_u), dtype=np.int64)
+    step = max(2, _CHUNK_BYTES // (16 * n_u))
+    starts = range(0, max(n_samples - 1, 1), step)  # no start leaves one sample
+    rows = min(step + 1, n_samples)
+    product, power, ge = (np.empty((rows, n_u), dtype=t) for t in (complex, float, bool))
+    per_u_min, per_u_max = np.full(n_u, np.inf), np.full(n_u, -np.inf)
+    # at_least[h]: samples at or above ring boundary h (all at 0, none at K)
+    at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
+    at_least[0] = n_samples
     hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
-        power = np.abs(_excitation_block(scenario, seed, start, stop) @ steering) ** 2
-        np.minimum(per_u_min, power.min(axis=0), out=per_u_min)
-        np.maximum(per_u_max, power.max(axis=0), out=per_u_max)
-        # at_least[h]: samples at or above boundary h; every sample is at
-        # or above boundary 0 and none is counted above boundary K
-        at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
-        at_least[0] = stop - start
+    for start, stop in zip(starts, [*starts[1:], n_samples]):
+        vals = philox_uniforms(seed, np.arange(start, stop), 2 * scenario.n_elements)
+        z, p, mask = product[: stop - start], power[: stop - start], ge[: stop - start]
+        np.matmul(_excitations(box, vals), steering, out=z)
+        np.square(np.abs(z, out=p), out=p)
+        np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
+        np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
         for h in range(1, k_regions):
-            at_least[h] = (power >= inner_sq[:, h - 1]).sum(axis=0)
-        counts += at_least[:-1] - at_least[1:]
+            np.greater_equal(p, inner_sq[:, h - 1], out=mask)
+            at_least[h] += np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
         for acc, ip, edges in zip(hist_counts, probe_idx, probe_edges):
             with np.errstate(divide="ignore"):
-                db = 10.0 * np.log10(power[:, ip] / pmap.peak_power)
+                db = 10.0 * np.log10(p[:, ip] / pmap.peak_power)
             acc += np.histogram(db, bins=edges)[0]
-        del power  # (chunk, N_u): free it before the next chunk is drawn
 
+    counts = at_least[:-1] - at_least[1:]
     histograms = tuple(
         ProbeHistogram(u=float(grid.samples[ip]), index=ip, bin_edges_db=edges, counts=c)
         for ip, edges, c in zip(probe_idx, probe_edges, hist_counts)

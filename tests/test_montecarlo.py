@@ -20,8 +20,9 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
+from arraytol import montecarlo
 from arraytol.errors import ValidationError
-from arraytol.montecarlo import _excitation_block, philox_uniforms
+from arraytol.montecarlo import _excitations, _tolerance_box, philox_uniforms
 
 
 def _scenario(xi=0.02, gamma=math.radians(4.0)):
@@ -72,7 +73,7 @@ class TestSampleRealization:
 
 
 class TestPhiloxUniforms:
-    @pytest.mark.parametrize("n_draws", [1, 6, 7, 32, 33])
+    @pytest.mark.parametrize("n_draws", [1, 6, 7, 32, 33, 512])
     def test_matches_numpy_philox(self, n_draws):
         rng = np.random.default_rng(2024)
         seeds = [0, 12345, 2**64 - 1, 2**64 + 7, 2**70 + 3, 2**128 - 1]
@@ -92,7 +93,8 @@ class TestPhiloxUniforms:
     def test_run_mc_block_matches_per_sample_reference(self):
         scen = scenario_from_tolerances([(0.6, 0.3), (1.0, -0.2), (0.8, 1.1)], 0.05, 0.2, 0.5)
         seed = 2**65 + 17
-        block = _excitation_block(scen, seed, 4093, 4100)
+        vals = philox_uniforms(seed, np.arange(4093, 4100), 2 * scen.n_elements)
+        block = _excitations(_tolerance_box(scen), vals)
         for row, i in zip(block, range(4093, 4100)):
             ref = sample_realization(scen, sample_stream(seed, i))
             assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
@@ -117,13 +119,35 @@ class TestRunMc:
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
         assert np.array_equal(a.histograms[0].counts, b.histograms[0].counts)
 
-    def test_chunk_size_invariance(self):
+    def test_chunk_size_invariance(self, monkeypatch):
         scen = _scenario()
+        grid = uniform_grid(21)  # 336 bytes of product per sample
+        pmap = _pmap(scen, grid, 3)
+        reports = []
+        # one chunk; 2-sample chunks; 5-sample chunks, leaving one sample
+        # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
+        for budget in (1 << 30, 1, 5 * 336, 64 * 336):
+            monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+            reports.append(run_mc(scen, pmap, 501, seed=1, probe_directions=(0.3, -0.6)))
+        for other in reports[1:]:
+            assert np.array_equal(other.per_u_min, reports[0].per_u_min)
+            assert np.array_equal(other.per_u_max, reports[0].per_u_max)
+            assert np.array_equal(other.region_frequencies, reports[0].region_frequencies)
+            assert np.array_equal(other.mode_region, reports[0].mode_region)
+            for h, h0 in zip(other.histograms, reports[0].histograms):
+                assert np.array_equal(h.counts, h0.counts)
+
+    @pytest.mark.parametrize("n_samples, budget", [(2049, None), (9, 4 * 336), (3, 1)])
+    def test_lone_last_sample_rounds_like_the_rest(self, n_samples, budget, monkeypatch):
+        # with zero tolerances every sample is the nominal pattern, so the
+        # envelope has zero width only if every sample's product rounds the
+        # same; BLAS rounds a one-row product (gemv) unlike a gemm row
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+        scen = _scenario(0.0, 0.0)
         grid = uniform_grid(21)
-        a = run_mc(scen, _pmap(scen, grid, 3), 2500, seed=1, chunk=100)
-        b = run_mc(scen, _pmap(scen, grid, 3), 2500, seed=1, chunk=1024)
-        assert np.array_equal(a.per_u_min, b.per_u_min)
-        assert np.array_equal(a.region_frequencies, b.region_frequencies)
+        report = run_mc(scen, _pmap(scen, grid, 3), n_samples, seed=1)
+        assert np.array_equal(report.per_u_min, report.per_u_max)
 
     def test_envelope_inside_bounds(self):
         scen = _scenario()
