@@ -130,8 +130,7 @@ def scenario_from_tolerances(
 
 def uniform_grid(n_samples: int) -> AngularGrid:
     """Equally spaced grid spanning [-1, 1] inclusive."""
-    if n_samples < 2:
-        raise ValidationError(f"a grid needs at least 2 samples, got {n_samples}")
+    check_integer("n_samples", n_samples, 2)
     return AngularGrid(np.linspace(-1.0, 1.0, n_samples))
 
 

@@ -46,7 +46,7 @@ class McReport:
     per_u_min: np.ndarray = field(repr=False)  # linear power
     per_u_max: np.ndarray = field(repr=False)
     region_frequencies: np.ndarray = field(repr=False)  # (K, N_u)
-    mode_region: np.ndarray = field(repr=False)  # 1-based ring index per sample
+    mode_region: np.ndarray = field(repr=False)  # (N_u,) most frequent ring per direction, 1-based
     histograms: tuple[ProbeHistogram, ...] = ()
 
 

@@ -1,8 +1,10 @@
 """Self-check suite: structural invariants plus an independent area oracle.
 
-These checks back the `validate` CLI command.  The area oracle integrates
-disc-polygon intersections by exact column slices in y and quadrature in x,
-a computation path fully independent of the center-fanned geometry kernel.
+These checks back the `validate` CLI command.  The area oracle splits a
+region once into its lower and upper chains, takes the exact slice between
+them at each column x, clips it by the circle and integrates the widths by
+Simpson quadrature in x: a computation path fully independent of the
+center-fanned geometry kernel.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .montecarlo import run_mc
 from .pia import feature_report, mean_probabilities, probability_map
 
 REL_TOL = 1e-9
+N_COLUMNS = 8193  # odd, so composite Simpson has an even number of panels
 
 
 @dataclass(frozen=True)
@@ -27,46 +30,41 @@ class CheckResult:
     detail: str
 
 
-def disc_polygon_area_quadrature(r: float, vertices, n_columns: int = 8193) -> float:
-    """Disc-polygon intersection area by column slices (independent oracle).
+def disc_polygon_area_quadrature(radii, vertices) -> np.ndarray:
+    """Area of one convex region inside the disc of each radius (independent oracle).
 
-    vertices is a convex CCW vertex ring.  For each x the polygon slice is
-    an exact interval found from the edge half-planes, intersected with the
-    circle slice; Simpson quadrature integrates the slice widths over x.
+    vertices is a convex CCW vertex ring.  It is split once into a lower
+    chain, from the lowest of its leftmost vertices to the lowest of its
+    rightmost, and an upper chain, from the highest of its rightmost back to
+    the highest of its leftmost.  The region's slice at column x runs from
+    the lower chain to the upper one; for each radius the slices are clipped
+    by the circle and composite Simpson over N_COLUMNS columns integrates
+    their widths.  Breaking ties among the extreme vertices by height keeps
+    a vertical extreme edge out of both chains, so the end columns see the
+    whole slice.
     """
+    radii = np.asarray(radii, dtype=np.float64)
     vs = np.asarray(vertices, dtype=np.complex128)
-    if r <= 0.0 or vs.size < 3:
-        return 0.0
-    x_lo = max(float(vs.real.min()), -r)
-    x_hi = min(float(vs.real.max()), r)
-    if x_hi <= x_lo:
-        return 0.0
-    xs = np.linspace(x_lo, x_hi, n_columns)
-    lo = np.full(xs.size, -np.inf)
-    hi = np.full(xs.size, np.inf)
-    feasible = np.ones(xs.size, dtype=bool)
-    nxt = np.roll(vs, -1)
-    for a, b in zip(vs, nxt):
-        dx = b.real - a.real
-        dy = b.imag - a.imag
-        if abs(dx) < 1e-300:
-            # vertical edge: a pure x constraint
-            feasible &= -dy * (xs - a.real) >= -1e-12 * abs(dy)
-            continue
-        y_edge = a.imag + dy * (xs - a.real) / dx
-        if dx > 0.0:
-            lo = np.maximum(lo, y_edge)
-        else:
-            hi = np.minimum(hi, y_edge)
-    y_circ = np.sqrt(np.maximum(r * r - xs * xs, 0.0))
-    width = np.minimum(hi, y_circ) - np.maximum(lo, -y_circ)
-    width = np.where(feasible, np.maximum(width, 0.0), 0.0)
-    # composite Simpson
-    h = xs[1] - xs[0]
-    weights = np.ones(xs.size)
+    n = vs.size
+    # sorted by x, ties by y: first the lowest leftmost, last the highest rightmost
+    low_left, high_right = np.lexsort((vs.imag, vs.real))[[0, -1]]
+    # sorted by x, ties by -y: first the highest leftmost, last the lowest rightmost
+    high_left, low_right = np.lexsort((-vs.imag, vs.real))[[0, -1]]
+    lower = np.roll(vs, -low_left)[: (low_right - low_left) % n + 1]
+    upper = np.roll(vs, -high_right)[: (high_left - high_right) % n + 1][::-1]
+
+    x_lo = np.maximum(vs[low_left].real, -radii)
+    x_hi = np.minimum(vs[high_right].real, radii)
+    xs = np.linspace(x_lo, x_hi, N_COLUMNS, axis=-1)
+    y_circ = np.sqrt(np.maximum(radii[:, None] ** 2 - xs * xs, 0.0))
+    y_lo = np.maximum(np.interp(xs, lower.real, lower.imag), -y_circ)
+    y_hi = np.minimum(np.interp(xs, upper.real, upper.imag), y_circ)
+    width = np.maximum(y_hi - y_lo, 0.0)
+    weights = np.ones(N_COLUMNS)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(np.sum(weights * width) * h / 3.0)
+    h = np.maximum(x_hi - x_lo, 0.0) / (N_COLUMNS - 1)
+    return width @ weights * h / 3.0
 
 
 def run_validation(
@@ -94,12 +92,9 @@ def run_validation(
     pmap2 = probability_map(bounds, 2 * k_regions)
     agg = pmap2.p[0::2] + pmap2.p[1::2]
     ref_err = float(np.abs(agg - pmap.p).max())
-    mean_err = float(
-        np.abs(
-            (mean_probabilities(pmap2)[0::2] + mean_probabilities(pmap2)[1::2])
-            - mean_probabilities(pmap)
-        ).max()
-    )
+    means = mean_probabilities(pmap)
+    means2 = mean_probabilities(pmap2)
+    mean_err = float(np.abs(means2[0::2] + means2[1::2] - means).max())
     results.append(
         CheckResult(
             "refinement-aggregation",
@@ -142,7 +137,7 @@ def run_validation(
             )
         )
 
-    mean_sum = float(np.abs(mean_probabilities(pmap).sum() - 1.0))
+    mean_sum = float(np.abs(means.sum() - 1.0))
     results.append(
         CheckResult(
             "mean-probability-sum",
@@ -240,7 +235,7 @@ def _oracle_spot_check(pmap, bounds) -> CheckResult:
         if pmap.degenerate[i]:
             continue
         region = bounds.vertices[i, : bounds.n_vertices[i]]
-        covered = [disc_polygon_area_quadrature(r, region) for r in pmap.ring_radii[i].tolist()]
+        covered = disc_polygon_area_quadrature(pmap.ring_radii[i], region)
         if covered[-1] <= 0.0:
             continue
         oracle = np.diff(covered) / covered[-1]

@@ -115,9 +115,10 @@ class TestUniformGrid:
         assert np.allclose(np.diff(g.samples), 0.004, atol=1e-15)
         assert g.samples[0] == -1.0 and g.samples[-1] == 1.0
 
-    def test_too_few_samples(self):
+    @pytest.mark.parametrize("n_samples", [1, 2.5, 3.0])
+    def test_too_few_samples(self, n_samples):
         with pytest.raises(ValidationError):
-            uniform_grid(1)
+            uniform_grid(n_samples)
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
