@@ -1,9 +1,10 @@
 """Seeded Monte Carlo oracle for the interval bounds and ring probabilities.
 
-Every sample draws its excitations from a counter-based random stream keyed
-by (seed, sample index), so results are bitwise identical for a fixed seed
-no matter how work is chunked: chunks are sized by a byte budget, and no
-chunk holds a lone sample, whose one-row product BLAS rounds differently.
+A run draws every sample's excitations, in sample order, from one Philox
+stream keyed by the seed, so results are bitwise identical for a fixed
+seed no matter how work is chunked: chunks are sized by a byte budget,
+and no chunk holds a lone sample, whose one-row product BLAS rounds
+differently.
 """
 
 from __future__ import annotations
@@ -50,18 +51,20 @@ class McReport:
     histograms: tuple[ProbeHistogram, ...] = ()
 
 
-def sample_stream(seed: int, index: int) -> Generator:
-    """Deterministic per-sample random stream keyed by (seed, sample index).
+def sample_stream(seed: int) -> Generator:
+    """The random stream of a run: numpy's Philox4x64-10 keyed by the seed.
 
-    This is the per-sample reference; run_mc draws the same numbers for a
-    whole chunk of indices at once through philox_uniforms.
+    The seed is the 128-bit key.  Samples read the stream in order, 2N
+    uniforms each, so sample i of run_mc is the i-th sample_realization
+    call on a fresh sample_stream(seed).
     """
-    return Generator(Philox(key=seed, counter=index << 64))
+    return Generator(Philox(key=seed))
 
 
 def sample_realization(scenario: ArrayScenario, stream: Generator) -> np.ndarray:
-    """One crisp excitation draw: uniform in each amplitude/phase interval."""
-    return _excitations(_tolerance_box(scenario), stream.uniform(size=2 * scenario.n_elements))
+    """One crisp excitation draw, uniform in each amplitude/phase interval,
+    from the next 2N uniforms of stream."""
+    return _draw(_tolerance_box(scenario), stream, np.empty(2 * scenario.n_elements))
 
 
 def _tolerance_box(scenario: ArrayScenario) -> tuple[np.ndarray, np.ndarray]:
@@ -71,63 +74,14 @@ def _tolerance_box(scenario: ArrayScenario) -> tuple[np.ndarray, np.ndarray]:
     return lo, np.array([e.amplitude_hi for e in els] + [e.phase_hi for e in els]) - lo
 
 
-def _excitations(box: tuple[np.ndarray, np.ndarray], vals: np.ndarray) -> np.ndarray:
-    """Map uniforms u in [0, 1) of shape (..., 2N) onto the tolerance box as
+def _draw(box: tuple[np.ndarray, np.ndarray], stream: Generator, out: np.ndarray) -> np.ndarray:
+    """Fill out, of shape (..., 2N), with the next uniforms u in [0, 1) of
+    stream in C order and map them onto the tolerance box as
     lo + (hi - lo) * u: the first N set the amplitudes, the last N the phases."""
+    stream.random(out=out)
     lo, width = box
-    x = lo + width * vals
+    x = lo + width * out
     return x[..., : lo.size // 2] * np.exp(1j * x[..., lo.size // 2 :])
-
-
-_MASK32 = (1 << 32) - 1
-_MASK64 = (1 << 64) - 1
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
-
-
-def _mulhilo(m: int, x):
-    """High and low 64-bit words of the 128-bit product m * x.
-
-    numpy has no uint128, so the high word is assembled from 32-bit halves;
-    no partial sum exceeds 64 bits.  x is a Python int or a uint64 array.
-    """
-    m_lo, m_hi = m & _MASK32, m >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
-    ll = m_lo * x_lo
-    t = m_hi * x_lo + (ll >> 32)
-    u = m_lo * x_hi + (t & _MASK32)
-    return m_hi * x_hi + (t >> 32) + (u >> 32), (m * x) & _MASK64
-
-
-def philox_uniforms(seed: int, indices: np.ndarray, n_draws: int) -> np.ndarray:
-    """(len(indices), n_draws) uniforms, row i equal bit for bit to
-    ``sample_stream(seed, indices[i]).uniform(size=n_draws)``.
-
-    Philox4x64-10 (Salmon et al., SC'11) is a pure function of key and
-    counter.  numpy's ``Philox(key=seed, counter=i << 64)`` increments its
-    counter before each block, so block b of sample i (draws 4b to 4b + 3)
-    is the counter (b + 1, i, 0, 0) under the key (seed mod 2^64,
-    seed >> 64); its four output words become doubles as
-    (x >> 11) * 2^-53, like ``Generator.uniform``.  All ceil(n_draws / 4)
-    blocks go through the 10 rounds in one pass, blocks on axis 0 and
-    samples on axis 1; words shared by all blocks or all samples stay
-    broadcast (Python ints if shared by both) until a round mixes them.
-    """
-    seed = int(seed)
-    idx = np.asarray(indices, dtype=np.uint64)
-    blocks = np.arange(1, (n_draws + 3) // 4 + 1, dtype=np.uint64)
-    x0, x1, x2, x3 = blocks[:, None], idx[None, :], 0, 0
-    k0, k1 = seed & _MASK64, seed >> 64
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _MASK64
-            k1 = (k1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    # (blocks, samples, 4) words -> (samples, 4 * blocks) in draw order
-    words = np.stack((x0, x1, x2, x3), axis=-1).transpose(1, 0, 2).reshape(idx.size, -1)
-    return (words[:, :n_draws] >> 11) * 2.0**-53
 
 
 def run_mc(
@@ -145,9 +99,11 @@ def run_mc(
     histograms use 200 uniform dB bins spanning [lower bound - 1 dB, upper
     bound + 1 dB]; when the lower bound is -inf the span falls back to
     100 dB below the upper edge, and samples below it are left uncounted.
-    Chunks of _CHUNK_BYTES // (16 N_u) samples, at least 2, reuse buffers;
-    a lone last sample joins the chunk before it, as BLAS rounds a one-row
-    product (gemv) unlike the others (gemm).
+    Samples draw their excitations in order from one sample_stream(seed),
+    2N uniforms each, so sample i is the i-th sample_realization call on a
+    fresh stream.  Chunks of _CHUNK_BYTES // (16 N_u) samples, at least 2,
+    reuse buffers; a lone last sample joins the chunk before it, as BLAS
+    rounds a one-row product (gemv) unlike the others (gemm).
     """
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0, SEED_LIMIT)
@@ -178,15 +134,16 @@ def run_mc(
     starts = range(0, max(n_samples - 1, 1), step)  # no start leaves one sample
     rows = min(step + 1, n_samples)
     product, power, ge = (np.empty((rows, n_u), dtype=t) for t in (complex, float, bool))
+    uniforms = np.empty((rows, 2 * scenario.n_elements))
+    stream = sample_stream(seed)
     per_u_min, per_u_max = np.full(n_u, np.inf), np.full(n_u, -np.inf)
     # at_least[h]: samples at or above ring boundary h (all at 0, none at K)
     at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
     at_least[0] = n_samples
     hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
     for start, stop in zip(starts, [*starts[1:], n_samples]):
-        vals = philox_uniforms(seed, np.arange(start, stop), 2 * scenario.n_elements)
         z, p, mask = product[: stop - start], power[: stop - start], ge[: stop - start]
-        np.matmul(_excitations(box, vals), steering, out=z)
+        np.matmul(_draw(box, stream, uniforms[: stop - start]), steering, out=z)
         np.square(np.abs(z, out=p), out=p)
         np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
         np.maximum(per_u_max, p.max(axis=0), out=per_u_max)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox
 
 from arraytol import (
     ArrayScenario,
@@ -22,7 +21,6 @@ from arraytol import (
 )
 from arraytol import montecarlo
 from arraytol.errors import ValidationError
-from arraytol.montecarlo import _excitations, _tolerance_box, philox_uniforms
 
 
 def _scenario(xi=0.02, gamma=math.radians(4.0)):
@@ -37,14 +35,15 @@ def _pmap(scenario, grid, k_regions):
 class TestSampleRealization:
     def test_zero_tolerance_gives_nominals(self):
         scen = _scenario(0.0, 0.0)
-        w = sample_realization(scen, sample_stream(0, 0))
+        w = sample_realization(scen, sample_stream(0))
         expected = np.array([e.nominal for e in scen.elements])
         assert np.allclose(w, expected, atol=0.0)
 
     def test_membership_is_exact(self):
         scen = _scenario()
-        for i in range(200):
-            w = sample_realization(scen, sample_stream(3, i))
+        stream = sample_stream(3)
+        for _ in range(200):
+            w = sample_realization(scen, stream)
             amps = np.abs(w)
             phases = np.angle(w)
             for e, a, b in zip(scen.elements, amps, phases):
@@ -54,9 +53,8 @@ class TestSampleRealization:
     def test_uniform_mean_within_three_sigma(self):
         scen = _scenario()
         n = 20_000
-        draws = np.array([
-            np.abs(sample_realization(scen, sample_stream(11, i))[0]) for i in range(n)
-        ])
+        stream = sample_stream(11)
+        draws = np.array([np.abs(sample_realization(scen, stream)[0]) for _ in range(n)])
         e0 = scen.elements[0]
         mean = 0.5 * (e0.amplitude_lo + e0.amplitude_hi)
         width = e0.amplitude_hi - e0.amplitude_lo
@@ -65,39 +63,12 @@ class TestSampleRealization:
 
     def test_streams_differ_by_index_and_repeat(self):
         scen = _scenario()
-        a = sample_realization(scen, sample_stream(5, 0))
-        b = sample_realization(scen, sample_stream(5, 1))
-        c = sample_realization(scen, sample_stream(5, 0))
+        stream = sample_stream(5)
+        a = sample_realization(scen, stream)
+        b = sample_realization(scen, stream)
+        c = sample_realization(scen, sample_stream(5))
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
-
-
-class TestPhiloxUniforms:
-    @pytest.mark.parametrize("n_draws", [1, 6, 7, 32, 33, 512])
-    def test_matches_numpy_philox(self, n_draws):
-        rng = np.random.default_rng(2024)
-        seeds = [0, 12345, 2**64 - 1, 2**64 + 7, 2**70 + 3, 2**128 - 1]
-        seeds += [int(s) for s in rng.integers(0, 2**63, size=3)]
-        seeds += [int(s) << 64 | 99 for s in rng.integers(1, 2**62, size=3)]
-        for seed in seeds:
-            start = int(rng.integers(1, 2**40))
-            indices = np.array(
-                [*range(start, start + 5), 2**32, 2**32 + 1, 2**63 + 5, 2**64 - 1],
-                dtype=np.uint64,
-            )
-            got = philox_uniforms(seed, indices, n_draws)
-            for row, i in zip(got, indices):
-                ref = Generator(Philox(key=seed, counter=int(i) << 64)).uniform(size=n_draws)
-                assert np.array_equal(row.view(np.uint64), ref.view(np.uint64)), (seed, i)
-
-    def test_run_mc_block_matches_per_sample_reference(self):
-        scen = scenario_from_tolerances([(0.6, 0.3), (1.0, -0.2), (0.8, 1.1)], 0.05, 0.2, 0.5)
-        seed = 2**65 + 17
-        vals = philox_uniforms(seed, np.arange(4093, 4100), 2 * scen.n_elements)
-        block = _excitations(_tolerance_box(scen), vals)
-        for row, i in zip(block, range(4093, 4100)):
-            ref = sample_realization(scen, sample_stream(seed, i))
-            assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
 
 
 class TestRunMc:
@@ -114,6 +85,40 @@ class TestRunMc:
         grid = uniform_grid(31)
         a = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
         b = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
+        assert np.array_equal(a.per_u_min, b.per_u_min)
+        assert np.array_equal(a.per_u_max, b.per_u_max)
+        assert np.array_equal(a.region_frequencies, b.region_frequencies)
+        assert np.array_equal(a.histograms[0].counts, b.histograms[0].counts)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
+    def test_draws_the_rows_of_sample_realization(self, seed, monkeypatch):
+        # 2N = 6 uniforms per sample is not a multiple of Philox's 4-word
+        # blocks, so samples straddle blocks; one chunk gives one gemm
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
+        scen = scenario_from_tolerances([(0.6, 0.3), (1.0, -0.2), (0.8, 1.1)], 0.05, 0.2, 0.5)
+        grid = uniform_grid(21)
+        report = run_mc(scen, _pmap(scen, grid, 3), 37, seed=seed)
+        stream = sample_stream(seed)
+        stack = np.array([sample_realization(scen, stream) for _ in range(37)])
+        steering = np.exp(
+            2j * math.pi * scen.spacing * np.outer(np.arange(scen.n_elements), grid.samples)
+        )
+        power = np.abs(stack @ steering) ** 2
+        assert np.array_equal(report.per_u_min, power.min(axis=0))
+        assert np.array_equal(report.per_u_max, power.max(axis=0))
+
+    def test_seed_uses_both_key_words(self):
+        scen = _scenario()
+        pmap = _pmap(scen, uniform_grid(21), 3)
+        low = run_mc(scen, pmap, 50, seed=9)
+        high = run_mc(scen, pmap, 50, seed=9 + 2**64)
+        assert not np.array_equal(low.per_u_max, high.per_u_max)
+
+    def test_numpy_integer_seed_matches_int(self):
+        scen = _scenario()
+        pmap = _pmap(scen, uniform_grid(21), 3)
+        a = run_mc(scen, pmap, 50, seed=np.int64(12), probe_directions=(0.3,))
+        b = run_mc(scen, pmap, 50, seed=12, probe_directions=(0.3,))
         assert np.array_equal(a.per_u_min, b.per_u_min)
         assert np.array_equal(a.per_u_max, b.per_u_max)
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
