@@ -9,24 +9,16 @@ seeded Monte Carlo oracle.
 from .errors import ConfigError, ValidationError
 from .geometry import (
     ConvexPolygon,
-    Triangle,
-    circle_triangle_intersection_area,
-    circular_segment_area,
     contains_point,
     convex_polygon,
     disc_polygon_intersection_area,
     distance_bounds_to_origin,
-    minkowski_sum,
     minkowski_sum_many,
     polygon_area,
     polygonize_interval_phasor,
-    triangle_area_heron,
-    triangulate,
 )
 from .iams import (
-    IntervalAF,
     PowerBoundsCurve,
-    interval_af,
     interval_af_curve,
     nominal_af,
     nominal_af_curve,
@@ -63,26 +55,20 @@ __all__ = [
     "ConvexPolygon",
     "ExcitationInterval",
     "FeatureReport",
-    "IntervalAF",
     "McReport",
     "PowerBoundsCurve",
     "ProbabilityMap",
     "ProbeHistogram",
     "RingPartition",
-    "Triangle",
     "ValidationError",
-    "circle_triangle_intersection_area",
-    "circular_segment_area",
     "contains_point",
     "convex_polygon",
     "disc_polygon_intersection_area",
     "distance_bounds_to_origin",
     "feature_report",
-    "interval_af",
     "interval_af_curve",
     "load_config",
     "mean_probabilities",
-    "minkowski_sum",
     "minkowski_sum_many",
     "nominal_af",
     "nominal_af_curve",
@@ -98,7 +84,5 @@ __all__ = [
     "sample_stream",
     "scenario_from_config",
     "scenario_from_tolerances",
-    "triangle_area_heron",
-    "triangulate",
     "uniform_grid",
 ]

@@ -1,4 +1,5 @@
-"""Exact 2-D convex geometry in the complex plane.
+"""Exact 2-D convex geometry in the complex plane: sector polygons, batched
+Minkowski sums, origin-distance bounds and exact disc-region areas.
 
 Polygons are immutable sequences of complex vertices in counter-clockwise
 order.  Degenerate polygons (a single point or a segment) are allowed and
@@ -38,10 +39,6 @@ _TWO_PI = 2.0 * math.pi
 _BLOCK_EDGES = 10_000
 
 
-def _cross(a: complex, b: complex) -> float:
-    return a.real * b.imag - a.imag * b.real
-
-
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Convex CCW polygon; 1 vertex = point, 2 vertices = segment."""
@@ -56,24 +53,6 @@ class ConvexPolygon:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConvexPolygon(n={self.vertices.size})"
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """CCW triangle in the complex plane."""
-
-    v1: complex
-    v2: complex
-    v3: complex
-
-    def __post_init__(self):
-        for v in (self.v1, self.v2, self.v3):
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise ValidationError("triangle vertices must be finite")
-        turn = _cross(self.v2 - self.v1, self.v3 - self.v1)
-        scale = max(1.0, abs(self.v1), abs(self.v2), abs(self.v3))
-        if turn < -EPS_GEOM * scale * scale:
-            raise ValidationError("triangle vertices must be counter-clockwise")
 
 
 def convex_polygon(points) -> ConvexPolygon:
@@ -239,11 +218,6 @@ def minkowski_sum_many(polys) -> ConvexPolygon:
     return ConvexPolygon(vertices[0, : n_vertices[0]])
 
 
-def minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
-    """Minkowski sum of two convex polygons (degenerate operands allowed)."""
-    return minkowski_sum_many((p, q))
-
-
 def contains_point(poly: ConvexPolygon, z: complex) -> bool:
     """Closed membership test with EPS_GEOM slack."""
     return bool(modulus_bounds((poly.vertices - z)[None], [len(poly)])[0][0] <= EPS_GEOM)
@@ -279,15 +253,6 @@ def distance_bounds_to_origin(poly: ConvexPolygon) -> tuple[float, float]:
     return float(lo[0]), float(hi[0])
 
 
-def triangulate(poly: ConvexPolygon) -> list[Triangle]:
-    """Fan triangulation from vertex 0; empty for degenerate polygons."""
-    vs = poly.vertices
-    if vs.size < 3:
-        return []
-    v0 = complex(vs[0])
-    return [Triangle(v0, complex(vs[i]), complex(vs[i + 1])) for i in range(1, vs.size - 1)]
-
-
 def polygon_area(points) -> float:
     """Absolute shoelace area of a vertex ring; below 3 points the area is 0."""
     if isinstance(points, ConvexPolygon):
@@ -298,36 +263,6 @@ def polygon_area(points) -> float:
         return 0.0
     nxt = np.roll(arr, -1)
     return 0.5 * abs(float(np.sum(arr.real * nxt.imag - nxt.real * arr.imag)))
-
-
-def triangle_area_heron(e1: float, e2: float, e3: float) -> float:
-    """Triangle area from edge lengths via the semi-perimeter product."""
-    if min(e1, e2, e3) < 0.0:
-        raise ValidationError("edge lengths must be non-negative")
-    scale = max(e1, e2, e3, 1.0)
-    violation = max(e1 - e2 - e3, e2 - e1 - e3, e3 - e1 - e2)
-    if violation > EPS_GEOM * scale:
-        raise ValidationError(f"edge lengths ({e1}, {e2}, {e3}) violate the triangle inequality")
-    chi = 0.5 * (e1 + e2 + e3)
-    prod = chi * (chi - e1) * (chi - e2) * (chi - e3)
-    return math.sqrt(prod) if prod > 0.0 else 0.0
-
-
-def circular_segment_area(r: float, a1: complex, a2: complex) -> float:
-    """Area of the minor circular segment between chord a1-a2 and the arc.
-
-    Both points must sit on the circle of radius r about the origin.
-    """
-    if r <= 0.0:
-        raise ValidationError("radius must be positive")
-    tol = EPS_GEOM * max(1.0, r)
-    if abs(abs(a1) - r) > tol or abs(abs(a2) - r) > tol:
-        raise ValidationError("segment endpoints must lie on the circle")
-    c = abs(a1 - a2)
-    if c <= EPS_GEOM:
-        return 0.0
-    half = min(0.5 * c, r)
-    return r * r * math.asin(half / r) - half * math.sqrt(max(r * r - half * half, 0.0))
 
 
 def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
@@ -368,11 +303,6 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
             arcs = np.angle(vs.conj() * p1) + np.angle(p2.conj() * (vs + d))
             areas[idx] = 0.5 * (chord + r2 * arcs).sum(axis=2)
     return areas
-
-
-def circle_triangle_intersection_area(r: float, tri: Triangle) -> float:
-    """Exact area of disc(0, r) intersected with a CCW triangle."""
-    return disc_polygon_intersection_area(r, ConvexPolygon(np.array([tri.v1, tri.v2, tri.v3])))
 
 
 def disc_polygon_intersection_area(r: float, poly: ConvexPolygon) -> float:

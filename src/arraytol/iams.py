@@ -21,16 +21,6 @@ _ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
-class IntervalAF:
-    """Reachable set of the array factor at one direction, with modulus bounds."""
-
-    u: float
-    region: ConvexPolygon
-    modulus_lo: float
-    modulus_hi: float
-
-
-@dataclass(frozen=True)
 class PowerBoundsCurve:
     """Per-direction inclusive bounds of the radiated power pattern.
 
@@ -75,27 +65,14 @@ def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
     return (amps[:, None] * np.exp(1j * (phases[:, None] + steering))).sum(axis=0)
 
 
-def interval_af(scenario: ArrayScenario, u: float, arc_points: int = 8) -> IntervalAF:
-    """Convex region reachable by the array factor at direction u.
-
-    Each element contributes its phasor sector rotated rigidly by the
-    steering phase; the region is the Minkowski sum of those sectors and
-    always contains the nominal array factor.
-    """
-    if not abs(u) <= 1.0:
-        raise ValidationError(f"direction u={u} must lie in [-1, 1]")
-    vertices, n_vertices, lo, hi = interval_af_curve(scenario, AngularGrid([u]), arc_points)
-    region = ConvexPolygon(vertices[0, : n_vertices[0]])
-    return IntervalAF(float(u), region, float(lo[0]), float(hi[0]))
-
-
 def interval_af_curve(
     scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Regions of interval_af at every grid sample: (vertices, n_vertices, modulus_lo, modulus_hi).
+    """Array-factor regions at every grid sample: (vertices, n_vertices, modulus_lo, modulus_hi).
 
     Each element's sector is polygonized once; at direction u it is that
-    polygon rotated by the steering phase 2*pi*spacing*n*u, so one batched
+    polygon rotated by the steering phase 2*pi*spacing*n*u, and the region,
+    their Minkowski sum, contains the nominal array factor.  One batched
     Minkowski sum covers the whole grid and returns its regions in the
     padded-row format.  The modulus bounds are widened by the
     rounding_allowance of the sectors.
@@ -143,12 +120,18 @@ def power_db(power, peak_power: float):
 def power_bounds(
     scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
 ) -> PowerBoundsCurve:
-    """Inclusive power-pattern bounds over a grid, in linear power and dB."""
+    """Inclusive power-pattern bounds over a grid, in linear power and dB.
+
+    Bounds or a nominal peak that overflow double precision raise
+    ValidationError.
+    """
     vertices, n_vertices, modulus_lo, modulus_hi = interval_af_curve(scenario, grid, arc_points)
     p_lo = modulus_lo**2
     p_hi = modulus_hi**2
     nominal_power = np.abs(nominal_af_curve(scenario, grid)) ** 2
     peak_power = float(nominal_power.max())
+    if not (np.isfinite(p_lo).all() and np.isfinite(p_hi).all() and math.isfinite(peak_power)):
+        raise ValidationError("power bounds overflow double precision; scale the amplitudes down")
     if peak_power <= 0.0:
         raise ValidationError("nominal pattern is identically zero on the grid")
     return PowerBoundsCurve(

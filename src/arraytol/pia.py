@@ -96,8 +96,9 @@ def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.
     Computed from the exact disc-polygon intersection areas at every ring
     boundary, fanned from the disc center; ring areas are the telescoped
     differences, so the result sums to one.  Differences below zero by more
-    than round-off (1e-12 of the region's area) raise ValidationError.  A
-    region with no area puts all probability in the first ring.
+    than round-off (1e-12 of the region's area), and areas that overflow,
+    raise ValidationError.  A region with no area puts all probability in
+    the first ring.
     """
     lo, hi = distance_bounds_to_origin(region)
     radii = partition.radii
@@ -117,6 +118,8 @@ def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.nda
     region's.
     """
     covered = disc_polygon_areas(radii, vertices, n_vertices)
+    if not np.isfinite(covered).all():
+        raise ValidationError("ring areas overflow double precision; scale the amplitudes down")
     total = covered[:, -1]
     rings = np.diff(covered, axis=1)
     live = total > EPS_GEOM * EPS_GEOM

@@ -1,8 +1,10 @@
 """Independent oracles and input generators shared across the test suite.
 
 Every oracle here computes areas or memberships through a different
-algorithm than the package (column quadrature, point grids, scipy hulls),
-so agreement is evidence rather than tautology.
+algorithm than the package (column quadrature, point grids, scipy hulls,
+the closed-form circular segment), so agreement is evidence rather than
+tautology.  direction_region reads one direction's region from the
+package's batched curve.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
+
+from arraytol import AngularGrid, ConvexPolygon, ValidationError, interval_af_curve
+from arraytol.geometry import EPS_GEOM
 
 
 def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.ndarray:
@@ -38,6 +43,29 @@ def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.nda
     pos = (n - (n_elements + 1) / 2.0) / (n_elements / 2.0)
     g = 1.0 + 2.0 * sum(c * np.cos(math.pi * m * pos) for m, c in enumerate(coeffs, start=1))
     return g / g.max()
+
+
+def direction_region(scenario, u: float, arc_points: int = 8):
+    """(region, modulus_lo, modulus_hi) at one direction: row 0 of a one-sample curve."""
+    vertices, n_vertices, lo, hi = interval_af_curve(scenario, AngularGrid([u]), arc_points)
+    return ConvexPolygon(vertices[0, : n_vertices[0]]), float(lo[0]), float(hi[0])
+
+
+def circular_segment_area(r: float, a1: complex, a2: complex) -> float:
+    """Area of the minor circular segment between chord a1-a2 and the arc.
+
+    Both points must sit on the circle of radius r about the origin.
+    """
+    if r <= 0.0:
+        raise ValidationError("radius must be positive")
+    tol = EPS_GEOM * max(1.0, r)
+    if abs(abs(a1) - r) > tol or abs(abs(a2) - r) > tol:
+        raise ValidationError("segment endpoints must lie on the circle")
+    c = abs(a1 - a2)
+    if c <= EPS_GEOM:
+        return 0.0
+    half = min(0.5 * c, r)
+    return r * r * math.asin(half / r) - half * math.sqrt(max(r * r - half * half, 0.0))
 
 
 def disc_convex_area_slab(r: float, verts, n_columns: int = 4097) -> float:

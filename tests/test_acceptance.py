@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from arraytol import (
+    ConvexPolygon,
     ValidationError,
-    circle_triangle_intersection_area,
     convex_polygon,
+    disc_polygon_intersection_area,
     feature_report,
-    interval_af,
     mean_probabilities,
-    minkowski_sum,
+    minkowski_sum_many,
     nominal_af,
     polygon_area,
     power_bounds,
@@ -28,12 +28,11 @@ from arraytol import (
     ring_partition,
     run_mc,
     scenario_from_tolerances,
-    triangle_area_heron,
-    triangulate,
     uniform_grid,
 )
 
 from helpers import (
+    direction_region,
     disc_convex_area_slab,
     minkowski_sum_area_brute,
     random_convex_vertices,
@@ -77,9 +76,9 @@ def test_criterion_2_single_direction_regions(taylor16_scenario, grid501):
     u0 = float(grid501.samples[U0_INDEX])
     assert u0 == pytest.approx(-0.336, abs=1e-12)
     start = time.perf_counter()
-    iv = interval_af(taylor16_scenario, u0, arc_points=8)
-    part = ring_partition(iv.modulus_lo, iv.modulus_hi, 5)
-    probs = region_probabilities(iv.region, part)
+    region, modulus_lo, modulus_hi = direction_region(taylor16_scenario, u0, arc_points=8)
+    part = ring_partition(modulus_lo, modulus_hi, 5)
+    probs = region_probabilities(region, part)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
@@ -88,8 +87,8 @@ def test_criterion_2_single_direction_regions(taylor16_scenario, grid501):
     bounds_db = 20.0 * np.log10(part.radii) - 10.0 * math.log10(peak)
     assert bounds_db == pytest.approx(U0_BOUNDS_DB, abs=0.3)
 
-    part10 = ring_partition(iv.modulus_lo, iv.modulus_hi, 10)
-    probs10 = region_probabilities(iv.region, part10)
+    part10 = ring_partition(modulus_lo, modulus_hi, 10)
+    probs10 = region_probabilities(region, part10)
     assert 100.0 * probs10[0] == pytest.approx(U0_P1_K10, abs=1.5)
     second = 20.0 * math.log10(part10.radii[1]) - 10.0 * math.log10(peak)
     assert second == pytest.approx(U0_K10_SECOND_BOUND, abs=0.3)
@@ -156,7 +155,7 @@ class TestCriterion6GeometryOracles:
             for _ in range(count):
                 r = float(rng.uniform(0.1, 2.0))
                 verts = random_triangle_for_case(rng, case, r)
-                tri_area = circle_triangle_intersection_area(
+                tri_area = disc_polygon_intersection_area(
                     r, _triangle(verts[0], verts[1], verts[2])
                 )
                 oracle = disc_convex_area_slab(r, verts)
@@ -171,25 +170,14 @@ class TestCriterion6GeometryOracles:
                     rel = abs(tri_area - oracle) / oracle
                     worst_rel = max(worst_rel, rel)
                     assert rel < 1e-3
-        print(f"criterion 6a PASS: 10000 circle-triangle instances, worst rel err {worst_rel:.2e}")
-
-    def test_triangulation_partition_fuzz(self):
-        rng = np.random.default_rng(31415)
-        for _ in range(1000):
-            p = convex_polygon(random_convex_vertices(rng, int(rng.integers(4, 11))))
-            heron = sum(
-                triangle_area_heron(abs(t.v2 - t.v1), abs(t.v3 - t.v2), abs(t.v1 - t.v3))
-                for t in triangulate(p)
-            )
-            assert heron == pytest.approx(polygon_area(p), rel=1e-9)
-        print("criterion 6b PASS: 1000 triangulation partitions")
+        print(f"criterion 6a PASS: 10000 disc-triangle instances, worst rel err {worst_rel:.2e}")
 
     def test_minkowski_brute_force_fuzz(self):
         rng = np.random.default_rng(1618)
         for _ in range(1000):
             a = random_convex_vertices(rng, int(rng.integers(3, 9)))
             b = random_convex_vertices(rng, int(rng.integers(3, 9)))
-            s = minkowski_sum(convex_polygon(a), convex_polygon(b))
+            s = minkowski_sum_many((convex_polygon(a), convex_polygon(b)))
             assert polygon_area(s) == pytest.approx(
                 minkowski_sum_area_brute(a, b), rel=1e-9
             )
@@ -197,9 +185,7 @@ class TestCriterion6GeometryOracles:
 
 
 def _triangle(v1, v2, v3):
-    from arraytol import Triangle
-
-    return Triangle(complex(v1), complex(v2), complex(v3))
+    return ConvexPolygon(np.array([complex(v1), complex(v2), complex(v3)]))
 
 
 class TestCriterion7Properties:

@@ -149,6 +149,27 @@ class TestFeaturesCommand:
         assert "validation error" in capsys.readouterr().err
 
 
+class TestOverflow:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude, command, written", [
+        (1e80, "pia", "pia.csv"),  # ring areas overflow, the power bounds do not
+        (1e200, "bounds", "bounds.csv"),  # the power bounds overflow
+    ])
+    def test_overflowing_amplitudes_exit_one(self, tmp_path, capsys, amplitude, command, written):
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            elements=[{"amplitude": amplitude, "phase_deg": 0.0}] * 3,
+            xi_percent=1.0,
+            gamma_deg=3.0,
+            k_regions=3,
+            n_u=41,
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "overflow" in capsys.readouterr().err
+        assert not (out / written).exists()
+
+
 class TestMcCommand:
     def test_outputs_and_inclusion(self, config_path, tmp_path):
         out = tmp_path / "out"

@@ -6,24 +6,20 @@ import numpy as np
 import pytest
 
 from arraytol import (
-    Triangle,
+    ConvexPolygon,
     ValidationError,
-    circle_triangle_intersection_area,
-    circular_segment_area,
     contains_point,
     convex_polygon,
     disc_polygon_intersection_area,
     distance_bounds_to_origin,
-    minkowski_sum,
     minkowski_sum_many,
     polygon_area,
     polygonize_interval_phasor,
-    triangle_area_heron,
-    triangulate,
 )
 from arraytol.geometry import disc_polygon_areas
 
 from helpers import (
+    circular_segment_area,
     disc_convex_area_point_grid,
     disc_convex_area_slab,
     minkowski_sum_area_brute,
@@ -129,20 +125,20 @@ class TestMinkowskiSum:
     def test_point_translation(self):
         p = convex_polygon([1 + 0j])
         q = convex_polygon([1j])
-        s = minkowski_sum(p, q)
+        s = minkowski_sum_many((p, q))
         assert len(s) == 1
         assert s.vertices[0] == 1 + 1j
 
     def test_unit_squares(self):
         sq = convex_polygon([0j, 1 + 0j, 1 + 1j, 1j])
-        s = minkowski_sum(sq, sq)
+        s = minkowski_sum_many((sq, sq))
         assert polygon_area(s) == pytest.approx(4.0)
         assert len(s) == 4
 
     def test_square_plus_triangle_hexagon(self):
         sq = convex_polygon([0j, 1 + 0j, 1 + 1j, 1j])
         tri = convex_polygon([0j, 1 + 0j, 1j])
-        s = minkowski_sum(sq, tri)
+        s = minkowski_sum_many((sq, tri))
         assert polygon_area(s) == pytest.approx(3.5)
         assert len(s) == 5  # two collinear edge pairs merge
         brute = minkowski_sum_area_brute(sq.vertices, tri.vertices)
@@ -151,9 +147,9 @@ class TestMinkowskiSum:
     def test_segment_operands(self):
         seg_h = convex_polygon([0j, 2 + 0j])
         seg_v = convex_polygon([0j, 1j])
-        s = minkowski_sum(seg_h, seg_v)
+        s = minkowski_sum_many((seg_h, seg_v))
         assert polygon_area(s) == pytest.approx(2.0)
-        parallel = minkowski_sum(seg_h, convex_polygon([0j, 3 + 0j]))
+        parallel = minkowski_sum_many((seg_h, convex_polygon([0j, 3 + 0j])))
         assert len(parallel) == 2
         assert abs(parallel.vertices[1] - parallel.vertices[0]) == pytest.approx(5.0)
 
@@ -170,7 +166,7 @@ class TestMinkowskiSum:
             square = [100 + (100 + dy) * 1j, 101 + 100j, 101 + 101j, 100 + 101j]
             cases.append((np.array([0, 1, 1j]), np.array(square)))
         for a, b in cases:
-            s = minkowski_sum(convex_polygon(a), convex_polygon(b))
+            s = minkowski_sum_many((convex_polygon(a), convex_polygon(b)))
             brute = minkowski_sum_area_brute(a, b)
             assert polygon_area(s) == pytest.approx(brute, rel=1e-9)
             assert points_in_convex(s.vertices, (a[:, None] + b[None, :]).ravel()).all()
@@ -180,7 +176,7 @@ class TestMinkowskiSum:
         polys = [convex_polygon(random_convex_vertices(rng, 6)) for _ in range(4)]
         chained = polys[0]
         for p in polys[1:]:
-            chained = minkowski_sum(chained, p)
+            chained = minkowski_sum_many((chained, p))
         direct = minkowski_sum_many(polys)
         assert polygon_area(direct) == pytest.approx(polygon_area(chained), rel=1e-12)
 
@@ -213,64 +209,12 @@ class TestDistanceBounds:
         assert distance_bounds_to_origin(p) == (5.0, 5.0)
 
 
-class TestTriangulate:
-    def test_triangle_identity(self):
-        p = convex_polygon([0j, 2 + 0j, 2j])
-        tris = triangulate(p)
-        assert len(tris) == 1
-        assert polygon_area([tris[0].v1, tris[0].v2, tris[0].v3]) == pytest.approx(2.0)
-
-    def test_square_halves(self):
-        p = convex_polygon([0j, 1 + 0j, 1 + 1j, 1j])
-        tris = triangulate(p)
-        assert len(tris) == 2
-        areas = [polygon_area([t.v1, t.v2, t.v3]) for t in tris]
-        assert areas == pytest.approx([0.5, 0.5])
-
-    def test_hexagon_fan(self):
-        verts = [complex(math.cos(a), math.sin(a)) for a in np.linspace(0, 2 * math.pi, 7)[:-1]]
-        p = convex_polygon(verts)
-        tris = triangulate(p)
-        assert len(tris) == 4
-        total = sum(
-            triangle_area_heron(abs(t.v2 - t.v1), abs(t.v3 - t.v2), abs(t.v1 - t.v3))
-            for t in tris
-        )
-        assert total == pytest.approx(3.0 * math.sqrt(3.0) / 2.0)
-
-    def test_degenerate_returns_empty(self):
-        assert triangulate(convex_polygon([1 + 1j])) == []
-        assert triangulate(convex_polygon([0j, 1 + 0j])) == []
-
-    def test_partition_fuzz(self):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            verts = random_convex_vertices(rng, int(rng.integers(4, 10)))
-            p = convex_polygon(verts)
-            heron = sum(
-                triangle_area_heron(abs(t.v2 - t.v1), abs(t.v3 - t.v2), abs(t.v1 - t.v3))
-                for t in triangulate(p)
-            )
-            assert heron == pytest.approx(polygon_area(p), rel=1e-9)
-
-
 class TestAreas:
     def test_polygon_area_examples(self):
         assert polygon_area([0j, 1 + 0j, 1j]) == pytest.approx(0.5)
         assert polygon_area([0j, 1 + 0j, 1 + 1j, 1j]) == pytest.approx(1.0)
         assert polygon_area([0j, 4 + 0j, 4 + 3j, 3j]) == pytest.approx(12.0)
         assert polygon_area([0j, 1 + 0j]) == 0.0
-
-    def test_heron_examples(self):
-        assert triangle_area_heron(3.0, 4.0, 5.0) == pytest.approx(6.0)
-        assert triangle_area_heron(1.0, 1.0, math.sqrt(2.0)) == pytest.approx(0.5)
-        assert triangle_area_heron(2.0, 2.0, 2.0) == pytest.approx(math.sqrt(3.0))
-
-    def test_heron_inequality_violation(self):
-        with pytest.raises(ValidationError):
-            triangle_area_heron(1.0, 1.0, 3.0)
-        # inside tolerance the area degrades to zero instead of going NaN
-        assert triangle_area_heron(1.0, 1.0, 2.0 + 1e-12) == 0.0
 
 
 class TestCircularSegment:
@@ -299,28 +243,28 @@ class TestCircularSegment:
 
 
 def _tri(*pts):
-    return Triangle(*[complex(p) for p in pts])
+    return ConvexPolygon(np.array([complex(p) for p in pts]))
 
 
 class TestCircleTriangleIntersection:
     def test_triangle_inside_disc(self):
-        assert circle_triangle_intersection_area(10.0, _tri(0, 1, 1j)) == pytest.approx(0.5)
+        assert disc_polygon_intersection_area(10.0, _tri(0, 1, 1j)) == pytest.approx(0.5)
 
     def test_disc_inside_triangle(self):
-        area = circle_triangle_intersection_area(0.1, _tri(-5 - 5j, 5 - 5j, 5j))
+        area = disc_polygon_intersection_area(0.1, _tri(-5 - 5j, 5 - 5j, 5j))
         assert area == pytest.approx(math.pi * 0.01)
 
     def test_disjoint(self):
-        assert circle_triangle_intersection_area(1.0, _tri(10 + 10j, 11 + 10j, 10 + 11j)) == 0.0
+        assert disc_polygon_intersection_area(1.0, _tri(10 + 10j, 11 + 10j, 10 + 11j)) == 0.0
 
     def test_zero_radius(self):
-        assert circle_triangle_intersection_area(0.0, _tri(0, 1, 1j)) == 0.0
+        assert disc_polygon_intersection_area(0.0, _tri(0, 1, 1j)) == 0.0
         with pytest.raises(ValidationError):
-            circle_triangle_intersection_area(-1.0, _tri(0, 1, 1j))
+            disc_polygon_intersection_area(-1.0, _tri(0, 1, 1j))
 
     def test_quarter_disc_against_point_grid(self):
         tri = _tri(0, 2, 2j)
-        area = circle_triangle_intersection_area(1.0, tri)
+        area = disc_polygon_intersection_area(1.0, tri)
         assert area == pytest.approx(math.pi / 4.0, abs=1e-12)
         grid = disc_convex_area_point_grid(1.0, [0j, 2 + 0j, 2j], n=1000)
         assert area == pytest.approx(grid, rel=1e-3)
@@ -330,7 +274,7 @@ class TestCircleTriangleIntersection:
         # intersection is the cap below the chord (frozen via adaptive
         # quadrature: 0.6141848493043784, analytically pi/3 - sqrt(3)/4)
         tri = _tri(4 - 0.5j, -4 - 0.5j, -5j)
-        area = circle_triangle_intersection_area(1.0, tri)
+        area = disc_polygon_intersection_area(1.0, tri)
         x = math.sqrt(0.75)
         seg = circular_segment_area(1.0, complex(x, -0.5), complex(-x, -0.5))
         assert area == pytest.approx(seg, abs=1e-12)
@@ -341,21 +285,21 @@ class TestCircleTriangleIntersection:
         tri = _tri(-5 - 0.5j, 5 - 0.5j, 8j)
         x = math.sqrt(1.0 - 0.25)
         cap = circular_segment_area(1.0, complex(-x, -0.5), complex(x, -0.5))
-        area = circle_triangle_intersection_area(1.0, tri)
+        area = disc_polygon_intersection_area(1.0, tri)
         assert area == pytest.approx(math.pi - cap, abs=1e-12)
 
     def test_two_chords_complement_of_two_caps(self):
         # bottom chord plus two upper-edge chords with one vertex inside
         # (frozen via adaptive quadrature with breakpoints)
         tri = _tri(-5 - 0.5j, 5 - 0.5j, 0 + 0.8j)
-        area = circle_triangle_intersection_area(1.0, tri)
+        area = disc_polygon_intersection_area(1.0, tri)
         assert area == pytest.approx(2.2336535905994963, abs=1e-12)
 
     def test_sliver_strip(self):
         # thin strip crossing the disc: no vertices inside, two chords
         # (frozen via adaptive quadrature: 0.06144880816039789)
         tri = _tri(1.1 + 0.5j, -2 + 0.55j, -2 + 0.45j)
-        area = circle_triangle_intersection_area(1.0, tri)
+        area = disc_polygon_intersection_area(1.0, tri)
         assert area == pytest.approx(0.06144880816039789, abs=1e-12)
 
     def test_continuity_across_vertex_on_circle(self):
@@ -363,14 +307,14 @@ class TestCircleTriangleIntersection:
         areas = []
         for eps in (-1e-9, 0.0, 1e-9):
             tri = _tri(base[0], (1.0 + eps) + 0j, base[2])
-            areas.append(circle_triangle_intersection_area(1.0, tri))
+            areas.append(disc_polygon_intersection_area(1.0, tri))
         assert abs(areas[0] - areas[1]) < 1e-6
         assert abs(areas[2] - areas[1]) < 1e-6
 
     def test_tangent_edge_counts_as_non_crossing(self):
         # edge y = 1 exactly tangent to the unit disc from outside
         tri = _tri(-3 + 1j, 3 + 1j, 4j)
-        assert circle_triangle_intersection_area(1.0, tri) == 0.0
+        assert disc_polygon_intersection_area(1.0, tri) == 0.0
 
     def test_polygon_area_matches_slab_oracle(self):
         rng = np.random.default_rng(5)

@@ -12,7 +12,6 @@ from arraytol import (
     ValidationError,
     contains_point,
     distance_bounds_to_origin,
-    interval_af,
     interval_af_curve,
     minkowski_sum_many,
     nominal_af,
@@ -25,7 +24,7 @@ from arraytol import (
 )
 from arraytol.iams import element_sectors
 
-from helpers import taylor_taper
+from helpers import direction_region, taylor_taper
 
 
 def _uniform_scenario(n, xi=0.0, gamma=0.0, spacing=0.5):
@@ -92,18 +91,16 @@ class TestIntervalAf:
     def test_zero_tolerance_collapses_to_nominal(self):
         scen = _uniform_scenario(4)
         for u in (-0.7, 0.0, 0.31):
-            iv = interval_af(scen, u)
-            assert len(iv.region) == 1
-            assert iv.region.vertices[0] == pytest.approx(nominal_af(scen, u), abs=1e-12)
-            assert iv.modulus_lo == pytest.approx(iv.modulus_hi)
+            region, modulus_lo, modulus_hi = direction_region(scen, u)
+            assert len(region) == 1
+            assert region.vertices[0] == pytest.approx(nominal_af(scen, u), abs=1e-12)
+            assert modulus_lo == pytest.approx(modulus_hi)
 
     @pytest.mark.parametrize("u", [math.nan, math.inf, -1.5])
     def test_rejects_direction_outside_unit_interval(self, u):
         scen = _uniform_scenario(2, xi=0.05, gamma=0.05)
         with pytest.raises(ValidationError, match="direction"):
             nominal_af(scen, u)
-        with pytest.raises(ValidationError, match="direction"):
-            interval_af(scen, u)
 
     def test_single_live_element_is_its_sector(self):
         # second element has a zero-width interval at zero amplitude, so the
@@ -111,10 +108,10 @@ class TestIntervalAf:
         half = math.radians(10.0)
         scen = scenario_from_tolerances([(1.0, 0.0), (0.0, 0.0)], 0.1, half, 0.5)
         m = 8
-        iv = interval_af(scen, 0.0, arc_points=m)
+        _, modulus_lo, modulus_hi = direction_region(scen, 0.0, arc_points=m)
         step = 2.0 * half / m
-        assert iv.modulus_hi == pytest.approx(1.1 / math.cos(step / 2.0), rel=1e-12)
-        assert iv.modulus_lo == pytest.approx(0.9 * math.cos(half), rel=1e-12)
+        assert modulus_hi == pytest.approx(1.1 / math.cos(step / 2.0), rel=1e-12)
+        assert modulus_lo == pytest.approx(0.9 * math.cos(half), rel=1e-12)
 
     def test_region_contains_nominal_fuzz(self):
         rng = np.random.default_rng(31)
@@ -126,8 +123,8 @@ class TestIntervalAf:
                 nominals, float(rng.uniform(0.0, 0.1)), float(rng.uniform(0.0, 0.2)), 0.5
             )
             u = float(rng.uniform(-1.0, 1.0))
-            iv = interval_af(scen, u)
-            assert contains_point(iv.region, nominal_af(scen, u))
+            region, _, _ = direction_region(scen, u)
+            assert contains_point(region, nominal_af(scen, u))
 
     @pytest.mark.parametrize("name", ["steered64", "taylor16"])
     def test_batched_regions_match_per_direction_sums(self, name):
@@ -173,9 +170,9 @@ class TestIntervalAf:
 
     def test_modulus_bounds_match_region(self):
         scen = _uniform_scenario(3, xi=0.05, gamma=math.radians(5.0))
-        iv = interval_af(scen, 0.4)
-        assert 0.0 <= iv.modulus_lo <= iv.modulus_hi
-        assert iv.modulus_hi == pytest.approx(np.abs(iv.region.vertices).max())
+        region, modulus_lo, modulus_hi = direction_region(scen, 0.4)
+        assert 0.0 <= modulus_lo <= modulus_hi
+        assert modulus_hi == pytest.approx(np.abs(region.vertices).max())
 
 
 class TestPowerBounds:

@@ -11,7 +11,6 @@ from arraytol import (
     ValidationError,
     convex_polygon,
     feature_report,
-    interval_af,
     mean_probabilities,
     power_bounds,
     probability_map,
@@ -24,7 +23,7 @@ from arraytol import pia
 from arraytol.geometry import _BLOCK_EDGES
 from arraytol.pia import mainlobe_indices
 
-from helpers import disc_convex_area_slab, random_convex_vertices
+from helpers import direction_region, disc_convex_area_slab, random_convex_vertices
 
 
 class TestRingPartition:
@@ -197,14 +196,14 @@ class TestPaddedRegions:
         assert bounds.vertices.shape[1] == bounds.n_vertices.max() == most
         assert bounds.n_vertices[len(grid) // 2] == at_zero
         for i, u in enumerate(grid.samples.tolist()):
-            iv = interval_af(scen, u)
+            region, modulus_lo, modulus_hi = direction_region(scen, u)
             n = bounds.n_vertices[i]
-            assert n == len(iv.region)
-            assert bounds.vertices[i, :n].tobytes() == iv.region.vertices.tobytes()
+            assert n == len(region)
+            assert bounds.vertices[i, :n].tobytes() == region.vertices.tobytes()
             assert np.all(bounds.vertices[i, n:] == bounds.vertices[i, 0])
-            assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (iv.modulus_lo, iv.modulus_hi)
-            part = ring_partition(iv.modulus_lo, iv.modulus_hi, 5)
-            assert pmap.p[:, i].tobytes() == region_probabilities(iv.region, part).tobytes()
+            assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (modulus_lo, modulus_hi)
+            part = ring_partition(modulus_lo, modulus_hi, 5)
+            assert pmap.p[:, i].tobytes() == region_probabilities(region, part).tobytes()
 
 
 class TestMeanProbabilities:
