@@ -38,6 +38,10 @@ _TWO_PI = 2.0 * math.pi
 # edges, which bounds its temporary arrays.
 _BLOCK_EDGES = 10_000
 
+# Ring areas work on blocks of about this many (region, radius, edge)
+# triples, small enough that their temporaries do not raise peak memory.
+_BLOCK_TRIPLES = 20_000
+
 
 @dataclass(frozen=True)
 class ConvexPolygon:
@@ -153,9 +157,9 @@ def _cis(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _row_blocks(n_rows: int, row_size: int) -> list[slice]:
-    """Slices of consecutive rows holding about _BLOCK_EDGES elements each."""
-    step = max(1, _BLOCK_EDGES // max(1, row_size))
+def _row_blocks(n_rows: int, row_size: int, size: int = _BLOCK_EDGES) -> list[slice]:
+    """Slices of consecutive rows holding about size elements each."""
+    step = max(1, size // max(1, row_size))
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
@@ -233,9 +237,11 @@ def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
     for block in _row_blocks(len(vertices), vertices.shape[1]):
         vs, n = vertices[block], n_vertices[block]
         e = np.roll(vs, -1, axis=1) - vs
-        hi[block] = np.abs(vs).max(axis=1)
-        cross = e.imag * vs.real - e.real * vs.imag  # origin left of edge, EPS_GEOM slack
-        inside = (n >= 3) & np.all(cross >= -EPS_GEOM * np.maximum(1.0, np.abs(e)), axis=1)
+        hi[block] = far = np.abs(vs).max(axis=1)
+        # origin left of every edge, with a slack of EPS_GEOM relative to the
+        # largest cross product the edge can make, so it does not depend on scale
+        cross = e.imag * vs.real - e.real * vs.imag
+        inside = (n >= 3) & np.all(cross >= np.abs(e) * (-EPS_GEOM * far)[:, None], axis=1)
         dd = e.real**2 + e.imag**2
         dd = np.where(dd == 0.0, 1.0, dd)
         t = np.clip(-(vs.real * e.real + vs.imag * e.imag) / dd, 0.0, 1.0)
@@ -272,14 +278,23 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     the padded-row format; the result is (rows, R), exactly 0.0 on a region
     with fewer than three vertices.  Fans each region from the disc center:
     a row sums, over the CCW edges (a, b), the signed area of disc(0, r)
-    intersected with triangle(0, a, b).  With d = b - a and t1 <= t2 the
-    edge-circle roots clipped to [0, 1], the chord piece between
-    p1 = a + t1*d and p2 = a + t2*d adds cross(p1, p2) / 2 and the arc pieces
-    outside the disc add r^2 * angle / 2 (angles a -> p1 and p2 -> b).  An
-    edge that misses the disc has t1 = t2 and adds only its arc.  Regions are
-    summed in groups of equal vertex count, each cut to its own width, so
-    padding never enters a sum and a region's areas do not depend on the
-    array it comes in.
+    intersected with triangle(0, a, b).  Each edge is classed against each
+    radius by quantities taken once per edge:
+
+    - inside, when max(|a|^2, |b|^2) <= r^2: it adds cross(a, b) / 2;
+    - outside, when the squared distance from the origin to the edge is
+      >= r^2 (a tangent edge is outside): it adds r^2 * angle(a, b) / 2;
+    - crossing, otherwise.  With d = b - a and t1 <= t2 the edge-circle
+      roots clipped to [0, 1], the chord between p1 = a + t1*d and
+      p2 = a + t2*d adds cross(p1, p2) / 2 and the arcs outside the disc
+      add r^2 * angle / 2 (angles a -> p1 and p2 -> b).
+
+    Both closed forms are the crossing formula's limits at the class
+    boundaries, so a class decided wrongly in the last bit costs no more
+    than round-off.  Only the crossing triples are gathered for the roots.
+    Regions are summed in groups of equal vertex count, each cut to its own
+    width, so padding never enters a sum and a region's areas do not depend
+    on the array it comes in.
     """
     radii = np.asarray(radii, dtype=np.float64)
     vertices = np.asarray(vertices, dtype=np.complex128)
@@ -287,22 +302,35 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     areas = np.zeros(radii.shape)
     for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
         rows = np.flatnonzero(n_vertices == n)
-        for block in _row_blocks(rows.size, radii.shape[1] * n):
+        for block in _row_blocks(rows.size, radii.shape[1] * n, _BLOCK_TRIPLES):
             idx = rows[block]
-            r2 = (radii[idx] ** 2)[:, :, None]
-            vs = vertices[idx, None, :n]
-            d = np.roll(vs, -1, axis=2) - vs
-            qa = d.real * d.real + d.imag * d.imag
-            qa = np.where(qa > 0.0, qa, 1.0)  # a zero-length edge puts both roots on a
-            qb = vs.real * d.real + vs.imag * d.imag
-            qc = (vs.real * vs.real + vs.imag * vs.imag) - r2
-            sq = np.sqrt(np.maximum(qb * qb - qa * qc, 0.0))
-            p1 = vs + np.clip((-qb - sq) / qa, 0.0, 1.0) * d
-            p2 = vs + np.clip((-qb + sq) / qa, 0.0, 1.0) * d
-            chord = (p1.conj() * p2).imag
-            arcs = np.angle(vs.conj() * p1) + np.angle(p2.conj() * (vs + d))
-            areas[idx] = 0.5 * (chord + r2 * arcs).sum(axis=2)
+            areas[idx] = _fan_areas(radii[idx] ** 2, vertices[idx, :n])
     return areas
+
+
+def _fan_areas(r2: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """disc_polygon_areas of unpadded regions a, (rows, n), at squared radii r2, (rows, R)."""
+    b = np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+    d = b - a
+    ab = a.conj() * b
+    aa = a.real * a.real + a.imag * a.imag
+    dd = d.real * d.real + d.imag * d.imag
+    dd = np.where(dd > 0.0, dd, 1.0)  # a zero-length edge puts both roots on a
+    ad = a.real * d.real + a.imag * d.imag
+    foot = a + np.clip(-ad / dd, 0.0, 1.0) * d  # the edge's point nearest the origin
+    inside = np.maximum(aa, b.real * b.real + b.imag * b.imag)[:, None, :] <= r2[:, :, None]
+    outside = ~inside & ((foot.real**2 + foot.imag**2)[:, None, :] >= r2[:, :, None])
+    total = (inside * ab.imag[:, None, :]).sum(axis=2)
+    total += r2 * (outside * np.angle(ab)[:, None, :]).sum(axis=2)
+    i, k, e = np.nonzero(~(inside | outside))
+    ai, di, bi, q = a[i, e], d[i, e], b[i, e], r2[i, k]
+    qa, qb = dd[i, e], ad[i, e]
+    sq = np.sqrt(np.maximum(qb * qb - qa * (aa[i, e] - q), 0.0))
+    p1 = ai + np.clip((-qb - sq) / qa, 0.0, 1.0) * di
+    p2 = ai + np.clip((-qb + sq) / qa, 0.0, 1.0) * di
+    piece = (p1.conj() * p2).imag + q * (np.angle(ai.conj() * p1) + np.angle(p2.conj() * bi))
+    total += np.bincount(i * r2.shape[1] + k, piece, total.size).reshape(total.shape)
+    return 0.5 * total
 
 
 def disc_polygon_intersection_area(r: float, poly: ConvexPolygon) -> float:

@@ -114,7 +114,8 @@ def run_mc(
     steering = np.exp(
         1j * _TWO_PI * scenario.spacing * np.outer(np.arange(scenario.n_elements), grid.samples)
     )
-    inner_sq = pmap.ring_radii[:, 1:k_regions] ** 2  # boundaries between rings
+    # boundaries between rings, one contiguous row per boundary
+    inner_sq = np.ascontiguousarray(pmap.ring_radii[:, 1:k_regions].T ** 2)
 
     probe_idx = []
     for u in probe_directions:
@@ -148,7 +149,7 @@ def run_mc(
         np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
         np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
         for h in range(1, k_regions):
-            np.greater_equal(p, inner_sq[:, h - 1], out=mask)
+            np.greater_equal(p, inner_sq[h - 1], out=mask)
             at_least[h] += np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
         for acc, ip, edges in zip(hist_counts, probe_idx, probe_edges):
             with np.errstate(divide="ignore"):

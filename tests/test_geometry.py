@@ -17,6 +17,7 @@ from arraytol import (
     polygonize_interval_phasor,
 )
 from arraytol.geometry import disc_polygon_areas
+from arraytol.validate import disc_polygon_area_quadrature
 
 from helpers import (
     circular_segment_area,
@@ -355,3 +356,35 @@ class TestDiscPolygonAreas:
         for i, p in enumerate(polys):
             alone = disc_polygon_areas(radii[i : i + 1], p[None], [len(p)])
             assert np.array_equal(areas[i], alone[0])
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_radii_at_the_class_boundaries(self, case):
+        # an edge lies inside a disc from its farther end's modulus up and
+        # outside it from its distance to the origin down; radii on both, and
+        # one ulp either side, must keep the areas monotone and on quadrature
+        rng = np.random.default_rng(17 + case)
+        if case < 5:
+            center = (0j, 0.4 - 0.3j, 0.9 + 0.2j, 2.5 + 1j, -1.5 - 2j)[case]
+            p = random_convex_vertices(rng, 9, scale=1.0, center=center)
+        elif case == 5:  # the bottom edge crosses circles of radius 0.5..2.06 twice
+            p = np.array([-2 + 0.5j, 2 + 0.5j, 2 + 1.5j, -2 + 1.5j])
+        else:  # a repeated vertex makes a zero-length edge
+            p = np.array([0.3 - 1j, 1.2 + 0.1j, 1.2 + 0.1j, -0.4 + 0.8j])
+        d = np.roll(p, -1) - p
+        t = np.clip(-(p.conj() * d).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+        base = np.concatenate((np.abs(p), np.abs(p + t * d)))
+        radii = np.unique(np.concatenate((base, np.nextafter(base, 0.0), np.nextafter(base, 9.0))))
+        areas = disc_polygon_areas(radii[None], p[None], [len(p)])[0]
+        whole = polygon_area(p)
+        assert np.all(np.diff(areas) >= -1e-12 * whole)
+        assert areas[-1] == pytest.approx(whole, rel=1e-12)
+        oracle = disc_polygon_area_quadrature(radii, p[p != np.roll(p, 1)])  # no repeats
+        assert areas == pytest.approx(oracle, rel=1e-5, abs=1e-5 * whole)
+        # among rows of another width and vertex count, the bits stay the same
+        other = random_convex_vertices(rng, 12, center=0.5j)
+        width = max(len(p), len(other)) + 3
+        padded = np.array(
+            [np.concatenate((q, np.repeat(q[:1], width - len(q)))) for q in (other, p)]
+        )
+        both = disc_polygon_areas(np.stack((radii, radii)), padded, [len(other), len(p)])
+        assert np.array_equal(both[1], areas)

@@ -174,6 +174,21 @@ class TestIntervalAf:
         assert 0.0 <= modulus_lo <= modulus_hi
         assert modulus_hi == pytest.approx(np.abs(region.vertices).max())
 
+    def test_modulus_lo_does_not_depend_on_amplitude_scale(self):
+        # the origin-inside test must not read a small region's edge cross
+        # products as zero: scaled amplitudes scale the bounds, nothing else
+        grid = uniform_grid(41)
+        lows = {}
+        for scale in (1e-4, 1e-2, 1.0, 1e2):
+            scen = scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
+            _, _, modulus_lo, _ = interval_af_curve(scen, grid)
+            lows[scale] = modulus_lo / scale
+        zeros = np.flatnonzero(lows[1.0] == 0.0)
+        assert 0 < zeros.size < len(grid)
+        for low in lows.values():
+            assert np.array_equal(np.flatnonzero(low == 0.0), zeros)
+            assert low == pytest.approx(lows[1.0], rel=1e-12)
+
 
 class TestPowerBounds:
     def test_zero_tolerance_equals_nominal(self):
