@@ -163,7 +163,7 @@ def cmd_pia(run: RunConfig) -> int:
 
 def cmd_features(run: RunConfig) -> int:
     bounds = power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
-    report = feature_report(bounds, probability_map(bounds, run.k_regions))
+    report = feature_report(probability_map(bounds, run.k_regions))
     payload = {
         "k_regions": report.k_regions,
         "u_max": report.u_max,
@@ -198,11 +198,9 @@ def cmd_mc(run: RunConfig) -> int:
     grid = uniform_grid(run.n_u)
     curve = power_bounds(run.scenario, grid, run.arc_points)
     pmap = probability_map(curve, run.k_regions)
-    report = run_mc(
-        run.scenario, pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions
-    )
-    mc_min_db = power_db(report.per_u_min, pmap.peak_power)
-    mc_max_db = power_db(report.per_u_max, pmap.peak_power)
+    report = run_mc(pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions)
+    mc_min_db = power_db(report.per_u_min, curve.peak_power)
+    mc_max_db = power_db(report.per_u_max, curve.peak_power)
     columns = (grid.samples, mc_min_db, mc_max_db, curve.p_lo_db, curve.p_hi_db)
     _write_csv(run, "mc_envelope.csv", "u,mc_min_db,mc_max_db,p_lo_db,p_hi_db", [columns])
     blocks = _ring_blocks(grid, report.region_frequencies, pmap.p)
@@ -214,9 +212,9 @@ def cmd_mc(run: RunConfig) -> int:
 
 
 def cmd_validate(run: RunConfig) -> int:
-    results = run_validation(
-        run.scenario, uniform_grid(run.n_u), run.k_regions, run.arc_points, run.mc_samples, run.seed
-    )
+    curve = power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
+    mc = run_mc(probability_map(curve, run.k_regions), run.mc_samples, seed=run.seed)
+    results = run_validation(mc)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 

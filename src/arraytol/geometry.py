@@ -25,8 +25,9 @@ import numpy as np
 from .errors import ValidationError
 from .model import check_integer
 
-# Absolute geometric tolerance in the natural units of the excitation
-# amplitudes (vertex coordinates are O(1)..O(10) in practice).
+# Geometric tolerance.  The weld and the ring-area floor scale it by the
+# region's size; elsewhere it is absolute, in the natural units of the
+# excitation amplitudes (vertex coordinates are O(1)..O(10) in practice).
 EPS_GEOM = 1e-9
 
 # Weld scale for collapsing numerically coincident points.
@@ -62,7 +63,8 @@ class ConvexPolygon:
 def convex_polygon(points) -> ConvexPolygon:
     """Normalize a CCW vertex sequence into a ConvexPolygon.
 
-    Welds coincident consecutive vertices, removes collinear ones, and
+    Welds consecutive vertices closer than EPS_GEOM times the farthest
+    vertex's modulus, removes collinear ones, and
     rejects inputs that are not convex and counter-clockwise.
     """
     arr = np.asarray(points, dtype=np.complex128).ravel()
@@ -81,7 +83,7 @@ def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
     vs = np.asarray(points, dtype=np.complex128)
     if not np.all(np.isfinite(vs)):
         raise ValidationError("polygon vertices must be finite")
-    keep = np.abs(vs - np.roll(vs, 1, axis=1)) > EPS_GEOM
+    keep = np.abs(vs - np.roll(vs, 1, axis=1)) > EPS_GEOM * np.abs(vs).max(axis=1, keepdims=True)
     keep[~keep.any(axis=1), 0] = True
     vs, n = _compact(vs, keep)
     slot = np.arange(vs.shape[1])

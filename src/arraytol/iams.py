@@ -24,12 +24,14 @@ _ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
 class PowerBoundsCurve:
     """Per-direction inclusive bounds of the radiated power pattern.
 
-    Linear power bounds plus dB values normalized so the nominal pattern
-    peaks at 0 dB; a zero lower bound maps to -inf dB.  vertices and
-    n_vertices hold the regions the bounds were taken from, in grid order,
-    in the padded-row format of arraytol.geometry.
+    The bounds of scenario over grid: linear power bounds plus dB values
+    normalized so the nominal pattern peaks at 0 dB; a zero lower bound
+    maps to -inf dB.  vertices and n_vertices hold the regions the bounds
+    were taken from, in grid order, in the padded-row format of
+    arraytol.geometry.
     """
 
+    scenario: ArrayScenario = field(repr=False)
     grid: AngularGrid
     vertices: np.ndarray = field(repr=False)
     p_lo: np.ndarray = field(repr=False)
@@ -135,6 +137,7 @@ def power_bounds(
     if peak_power <= 0.0:
         raise ValidationError("nominal pattern is identically zero on the grid")
     return PowerBoundsCurve(
+        scenario=scenario,
         grid=grid,
         vertices=vertices,
         p_lo=p_lo,

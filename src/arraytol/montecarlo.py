@@ -41,8 +41,9 @@ class ProbeHistogram:
 
 @dataclass(frozen=True)
 class McReport:
-    """Empirical envelope and ring occupancy over n_samples realizations."""
+    """Empirical envelope and ring occupancy over n_samples realizations of pmap's scenario."""
 
+    pmap: ProbabilityMap = field(repr=False)
     n_samples: int
     per_u_min: np.ndarray = field(repr=False)  # linear power
     per_u_max: np.ndarray = field(repr=False)
@@ -84,16 +85,11 @@ def _draw(box: tuple[np.ndarray, np.ndarray], stream: Generator, out: np.ndarray
     return x[..., : lo.size // 2] * np.exp(1j * x[..., lo.size // 2 :])
 
 
-def run_mc(
-    scenario: ArrayScenario,
-    pmap: ProbabilityMap,
-    n_samples: int,
-    seed: int = 0,
-    probe_directions=(),
-) -> McReport:
+def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions=()) -> McReport:
     """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
 
-    Grid, ring count and per-direction ring radii are those of pmap.  Each
+    Scenario and grid are those of pmap's bounds, and ring count and
+    per-direction ring radii those of pmap.  Each
     probe direction is histogrammed at its nearest grid sample; probes that
     share a sample give one histogram, in the order first probed.  Probe
     histograms use 200 uniform dB bins spanning [lower bound - 1 dB, upper
@@ -107,7 +103,7 @@ def run_mc(
     """
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0, SEED_LIMIT)
-    grid = pmap.grid
+    scenario, grid = pmap.bounds.scenario, pmap.bounds.grid
     k_regions = pmap.k_regions
     n_u = len(grid)
     box = _tolerance_box(scenario)
@@ -153,7 +149,7 @@ def run_mc(
             at_least[h] += np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
         for acc, ip, edges in zip(hist_counts, probe_idx, probe_edges):
             with np.errstate(divide="ignore"):
-                db = 10.0 * np.log10(p[:, ip] / pmap.peak_power)
+                db = 10.0 * np.log10(p[:, ip] / pmap.bounds.peak_power)
             acc += np.histogram(db, bins=edges)[0]
 
     counts = at_least[:-1] - at_least[1:]
@@ -162,6 +158,7 @@ def run_mc(
         for ip, edges, c in zip(probe_idx, probe_edges, hist_counts)
     )
     return McReport(
+        pmap=pmap,
         n_samples=n_samples,
         per_u_min=per_u_min,
         per_u_max=per_u_max,

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import EPS_GEOM, ConvexPolygon, disc_polygon_areas, distance_bounds_to_origin
 from .iams import PowerBoundsCurve
-from .model import AngularGrid, check_integer
+from .model import check_integer
 
 # Relative size, against the region's area, of a negative ring area that is
 # still taken for round-off and clipped to zero.
@@ -38,20 +38,20 @@ class RingPartition:
 class ProbabilityMap:
     """Per-direction ring-occupancy probabilities of the power pattern.
 
-    p[k, i] is the probability that the pattern at grid sample i falls in
-    the k-th power sub-interval; region_power_db[i] holds the K+1 ring
-    boundaries in dB relative to the nominal peak.  Directions where the
-    reachable region has no area carry the degenerate flag and put all
-    probability in the first ring by convention.
+    The map of bounds, on its grid: p[k, i] is the probability that the
+    pattern at grid sample i falls in the k-th power sub-interval;
+    region_power_db[i] holds the K+1 ring boundaries in dB relative to the
+    nominal peak.  Directions where the reachable region has no area carry
+    the degenerate flag and put all probability in the first ring by
+    convention.
     """
 
-    grid: AngularGrid
+    bounds: PowerBoundsCurve = field(repr=False)
     k_regions: int
     p: np.ndarray = field(repr=False)
     ring_radii: np.ndarray = field(repr=False)
     region_power_db: np.ndarray = field(repr=False)
     degenerate: np.ndarray = field(repr=False)
-    peak_power: float
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.nda
         raise ValidationError("ring areas overflow double precision; scale the amplitudes down")
     total = covered[:, -1]
     rings = np.diff(covered, axis=1)
-    live = total > EPS_GEOM * EPS_GEOM
+    live = total > (EPS_GEOM * radii[:, -1]) ** 2  # relative to the enclosing disc
     bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
     if bad.any():
         i = int(np.argmax(bad))
@@ -140,7 +140,7 @@ def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     """Ring partitions and occupancy probabilities at every grid sample.
 
     The rings split each direction's modulus bounds; grid, regions and peak
-    power are the ones bounds was computed from.
+    power are those of bounds, which the map keeps.
     """
     check_integer("k_regions", k_regions, 1)
     ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, k_regions)
@@ -148,19 +148,18 @@ def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     with np.errstate(divide="ignore"):
         region_power_db = 20.0 * np.log10(ring_radii) - 10.0 * math.log10(bounds.peak_power)
     return ProbabilityMap(
-        grid=bounds.grid,
+        bounds=bounds,
         k_regions=k_regions,
         p=p,
         ring_radii=ring_radii,
         region_power_db=region_power_db,
         degenerate=degenerate,
-        peak_power=bounds.peak_power,
     )
 
 
 def mean_probabilities(pmap: ProbabilityMap) -> np.ndarray:
     """Angular mean of each ring probability: (1/2) * integral of p_k(u) du."""
-    return 0.5 * np.trapezoid(pmap.p, x=pmap.grid.samples, axis=1)
+    return 0.5 * np.trapezoid(pmap.p, x=pmap.bounds.grid.samples, axis=1)
 
 
 def mainlobe_indices(nominal_power: np.ndarray) -> tuple[int, int, int]:
@@ -186,22 +185,21 @@ def mainlobe_indices(nominal_power: np.ndarray) -> tuple[int, int, int]:
     return i_max, left, right
 
 
-def feature_report(bounds: PowerBoundsCurve, pmap: ProbabilityMap) -> FeatureReport:
+def feature_report(pmap: ProbabilityMap) -> FeatureReport:
     """Sidelobe-level and peak intervals per ring, with their probabilities.
 
     Peak intervals are the ring boundaries at the steering direction and
     tile the peak bound exactly.  Sidelobe intervals subtract the pattern
     peak bounds from the highest sidelobe of each ring-boundary curve,
     searched outside the mainlobe independently per curve, so the first
-    and last intervals coincide with the overall bound endpoints.  The
-    ring count is pmap's; bounds and pmap must share one grid.
+    and last intervals coincide with the overall bound endpoints.  Ring
+    count, grid and nominal pattern are those of pmap and its bounds.
     """
+    bounds = pmap.bounds
     grid = bounds.grid
-    if not np.array_equal(pmap.grid.samples, grid.samples):
-        raise ValidationError("probability map and bounds are on different grids")
     k_regions = pmap.k_regions
 
-    nominal_power = pmap.peak_power * np.power(10.0, bounds.nominal_db / 10.0)
+    nominal_power = bounds.peak_power * np.power(10.0, bounds.nominal_db / 10.0)
     i_max, left, right = mainlobe_indices(nominal_power)
     side = np.ones(len(grid), dtype=bool)
     side[left : right + 1] = False

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .iams import element_sectors, power_bounds, rounding_allowance
-from .model import AngularGrid, ArrayScenario, scenario_from_tolerances
-from .montecarlo import run_mc
+from .model import scenario_from_tolerances
+from .montecarlo import McReport
 from .pia import feature_report, mean_probabilities, probability_map
 
 REL_TOL = 1e-9
@@ -67,18 +67,15 @@ def disc_polygon_area_quadrature(radii, vertices) -> np.ndarray:
     return width @ weights * h / 3.0
 
 
-def run_validation(
-    scenario: ArrayScenario,
-    grid: AngularGrid,
-    k_regions: int,
-    arc_points: int,
-    mc_samples: int,
-    seed: int,
-) -> list[CheckResult]:
-    """Run the full invariant suite; every entry carries a pass/fail verdict."""
+def run_validation(mc: McReport) -> list[CheckResult]:
+    """Check the products of one run: mc, its map and the map's bounds.
+
+    Builds only what the checks add: the 2K map, the scenario's
+    zero-tolerance collapse and its map, and the oracle slices.  Every
+    entry carries a pass/fail verdict.
+    """
     results: list[CheckResult] = []
-    bounds = power_bounds(scenario, grid, arc_points)
-    pmap = probability_map(bounds, k_regions)
+    pmap, bounds, k_regions = mc.pmap, mc.pmap.bounds, mc.pmap.k_regions
 
     col_err = float(np.abs(pmap.p.sum(axis=0) - 1.0).max())
     results.append(
@@ -104,7 +101,7 @@ def run_validation(
     )
 
     try:
-        report = feature_report(bounds, pmap)
+        report = feature_report(pmap)
     except ValidationError:  # the nominal pattern has no bracketed mainlobe
         na = "not applicable (no bracketed mainlobe)"
         results.append(CheckResult("gamma-interval-tiling", True, na))
@@ -146,7 +143,6 @@ def run_validation(
         )
     )
 
-    mc = run_mc(scenario, pmap, mc_samples, seed=seed)
     slack = REL_TOL * np.maximum(bounds.p_hi, 1e-300)
     lo_viol = int(np.sum(mc.per_u_min < bounds.p_lo - slack))
     hi_viol = int(np.sum(mc.per_u_max > bounds.p_hi + slack))
@@ -172,13 +168,14 @@ def run_validation(
         )
     )
 
-    results.append(_symmetry_check(scenario, bounds))
-    results.append(_zero_tolerance_check(scenario, grid, k_regions, arc_points))
-    results.append(_oracle_spot_check(pmap, bounds))
+    results.append(_symmetry_check(bounds))
+    results.append(_zero_tolerance_check(bounds, k_regions))
+    results.append(_oracle_spot_check(pmap))
     return results
 
 
-def _symmetry_check(scenario: ArrayScenario, bounds) -> CheckResult:
+def _symmetry_check(bounds) -> CheckResult:
+    scenario = bounds.scenario
     amps_lo = [e.amplitude_lo for e in scenario.elements]
     amps_hi = [e.amplitude_hi for e in scenario.elements]
     symmetric = (
@@ -199,19 +196,21 @@ def _symmetry_check(scenario: ArrayScenario, bounds) -> CheckResult:
     )
 
 
-def _zero_tolerance_check(scenario, grid, k_regions, arc_points) -> CheckResult:
+def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
+    scenario = bounds.scenario
     collapsed = scenario_from_tolerances(
         [(e.nominal_amplitude, e.nominal_phase) for e in scenario.elements],
         xi=0.0,
         gamma=0.0,
         spacing=scenario.spacing,
     )
-    b = power_bounds(collapsed, grid, arc_points)
+    # a zero-width sector is a segment whatever the arc_points
+    b = power_bounds(collapsed, bounds.grid)
     nominal_power = b.peak_power * np.power(10.0, b.nominal_db / 10.0)
     # The bounds of a point region are widened by the rounding allowance on
     # each side, which also covers the rounding of the nominal pattern: they
     # must contain it and be no wider than twice the allowance.
-    allowance = rounding_allowance(element_sectors(collapsed, arc_points))
+    allowance = rounding_allowance(element_sectors(collapsed))
     tol = 1e-9 * b.peak_power
     inside = np.all(b.p_lo - tol <= nominal_power) and np.all(nominal_power <= b.p_hi + tol)
     width = float((b.modulus_hi - b.modulus_lo).max())
@@ -228,7 +227,8 @@ def _zero_tolerance_check(scenario, grid, k_regions, arc_points) -> CheckResult:
     )
 
 
-def _oracle_spot_check(pmap, bounds) -> CheckResult:
+def _oracle_spot_check(pmap) -> CheckResult:
+    bounds = pmap.bounds
     n_u = len(bounds.grid)
     worst = 0.0
     for i in sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6}):

@@ -45,7 +45,7 @@ def taylor16_analysis(taylor16_scenario, grid501):
     k5_seconds = time.perf_counter() - t0
 
     pmap10 = probability_map(bounds, 10)
-    report = feature_report(bounds, pmap5)
+    report = feature_report(pmap5)
     return SimpleNamespace(
         scenario=taylor16_scenario,
         grid=grid501,

@@ -125,7 +125,6 @@ def test_criterion_4_refinement_identity(taylor16_analysis):
 def test_criterion_5_mc_inclusion_and_mode(taylor16_analysis):
     analysis = taylor16_analysis
     report = run_mc(
-        analysis.scenario,
         analysis.pmap5,
         100_000,
         seed=20,
@@ -233,7 +232,7 @@ class TestCriterion7Properties:
         pmap = probability_map(bounds, 5)
         assert pmap.degenerate.all()
         assert np.all(pmap.p[0] == 1.0)
-        rep = feature_report(bounds, pmap)
+        rep = feature_report(pmap)
         assert rep.degenerate
         assert np.all(np.abs(rep.gamma_intervals) < 1e-9)
         # the collapsed bound meets the taper's realized sidelobe level
@@ -252,7 +251,7 @@ class TestSmokeSweeps:
         grid = uniform_grid(151)
         bounds = power_bounds(scen, grid)
         pmap = probability_map(bounds, 5)
-        rep = feature_report(bounds, pmap)
+        rep = feature_report(pmap)
 
         assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
         assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-9)
@@ -282,7 +281,7 @@ class TestSmokeSweeps:
         grid = uniform_grid(101)
         bounds = power_bounds(scen, grid, arc_points=6)
         pmap = probability_map(bounds, 5)
-        rep = feature_report(bounds, pmap)
+        rep = feature_report(pmap)
 
         assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
         assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-9)

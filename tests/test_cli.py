@@ -220,7 +220,7 @@ class TestNumberFormat:
         k_regions = cfg["k_regions"]
         curve = power_bounds(scen, grid, cfg["arc_points"])
         pmap = probability_map(curve, k_regions)
-        mc = run_mc(scen, pmap, 500, seed=cfg["seed"], probe_directions=probes)
+        mc = run_mc(pmap, 500, seed=cfg["seed"], probe_directions=probes)
 
         def f(x):
             return repr(float(x))
@@ -230,8 +230,8 @@ class TestNumberFormat:
 
         u = grid.samples
         ring_db = pmap.region_power_db
-        mc_min_db = power_db(mc.per_u_min, pmap.peak_power)
-        mc_max_db = power_db(mc.per_u_max, pmap.peak_power)
+        mc_min_db = power_db(mc.per_u_min, curve.peak_power)
+        mc_max_db = power_db(mc.per_u_max, curve.peak_power)
         expected = {
             "bounds.csv": csv(
                 "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices",
@@ -341,33 +341,48 @@ class TestComputeOnce:
     """Each command builds the regions of a scenario once and chains on them."""
 
     @pytest.fixture()
-    def curve_calls(self, monkeypatch):
-        """Scenarios passed to interval_af_curve, through any module's binding of it."""
+    def calls(self, monkeypatch):
+        """First arguments of each call to a stage, by stage, through any module's binding."""
         import sys
 
-        import arraytol.iams
+        from arraytol import iams, montecarlo, pia
 
-        calls = []
-        original = arraytol.iams.interval_af_curve
+        calls = {}
+        for module, name in (
+            (iams, "interval_af_curve"), (pia, "probability_map"), (montecarlo, "run_mc")
+        ):
+            original = getattr(module, name)
+            seen = calls[name] = []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
+            def counted(*args, _original=original, _seen=seen, **kwargs):
+                _seen.append(args[0])
+                return _original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("arraytol") and getattr(module, "interval_af_curve", None) is original:
-                monkeypatch.setattr(module, "interval_af_curve", counted)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("arraytol") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
         return calls
 
-    def test_validation_builds_two_curves(self, curve_calls):
-        from arraytol import scenario_from_tolerances, uniform_grid
+    def test_validation_builds_only_its_own_products(self, calls, config_path):
+        from arraytol import scenario_from_tolerances
         from arraytol.validate import run_validation
 
         scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
-        run_validation(scen, uniform_grid(41), 5, 6, 500, 0)
-        # the scenario's own curve, then its zero-tolerance collapse
-        assert len(curve_calls) == 2
-        assert curve_calls[0] is scen and curve_calls[1] is not scen
+        mc = run_mc(probability_map(power_bounds(scen, uniform_grid(41), 6), 5), 500)
+        for seen in calls.values():
+            seen.clear()
+        run_validation(mc)
+        # the zero-tolerance collapse's curve, then the 2K map and the collapse's map
+        curves, maps = calls["interval_af_curve"], calls["probability_map"]
+        assert (len(curves), len(maps), len(calls["run_mc"])) == (1, 2, 0)
+        assert curves[0] is not scen
+        assert maps[0] is mc.pmap.bounds and maps[1] is not mc.pmap.bounds
+
+        for seen in calls.values():
+            seen.clear()
+        assert main(["validate", "--config", str(config_path), "--mc-samples", "500"]) == 0
+        # the command's own curve and MC, then the suite's collapse
+        assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (2, 1)
 
     def test_pia_builds_no_polygon_per_direction(self, config_path, tmp_path, monkeypatch):
         from arraytol.geometry import ConvexPolygon
@@ -385,14 +400,14 @@ class TestComputeOnce:
         assert len(built) == len(json.loads(config_path.read_text())["elements"])
 
     @pytest.mark.parametrize(
-        "command, calls", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 2)]
+        "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 2)]
     )
     def test_each_command_builds_one_curve_per_scenario(
-        self, curve_calls, config_path, tmp_path, command, calls
+        self, calls, config_path, tmp_path, command, curves
     ):
         args = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
         assert main(args + ["--mc-samples", "500"]) == 0
-        assert len(curve_calls) == calls
+        assert len(calls["interval_af_curve"]) == curves
 
 
 class TestConfigErrors:

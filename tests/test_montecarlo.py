@@ -75,7 +75,7 @@ class TestRunMc:
     def test_single_zero_tolerance_sample_is_nominal(self):
         scen = _scenario(0.0, 0.0)
         grid = uniform_grid(41)
-        report = run_mc(scen, _pmap(scen, grid, 3), 1, seed=0)
+        report = run_mc(_pmap(scen, grid, 3), 1, seed=0)
         nominal_power = np.abs(nominal_af_curve(scen, grid)) ** 2
         assert np.allclose(report.per_u_min, nominal_power, atol=1e-12)
         assert np.allclose(report.per_u_max, nominal_power, atol=1e-12)
@@ -83,8 +83,8 @@ class TestRunMc:
     def test_seeded_determinism(self):
         scen = _scenario()
         grid = uniform_grid(31)
-        a = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
-        b = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
+        a = run_mc(_pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
+        b = run_mc(_pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
         assert np.array_equal(a.per_u_min, b.per_u_min)
         assert np.array_equal(a.per_u_max, b.per_u_max)
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
@@ -97,7 +97,7 @@ class TestRunMc:
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
         scen = scenario_from_tolerances([(0.6, 0.3), (1.0, -0.2), (0.8, 1.1)], 0.05, 0.2, 0.5)
         grid = uniform_grid(21)
-        report = run_mc(scen, _pmap(scen, grid, 3), 37, seed=seed)
+        report = run_mc(_pmap(scen, grid, 3), 37, seed=seed)
         stream = sample_stream(seed)
         stack = np.array([sample_realization(scen, stream) for _ in range(37)])
         steering = np.exp(
@@ -110,15 +110,15 @@ class TestRunMc:
     def test_seed_uses_both_key_words(self):
         scen = _scenario()
         pmap = _pmap(scen, uniform_grid(21), 3)
-        low = run_mc(scen, pmap, 50, seed=9)
-        high = run_mc(scen, pmap, 50, seed=9 + 2**64)
+        low = run_mc(pmap, 50, seed=9)
+        high = run_mc(pmap, 50, seed=9 + 2**64)
         assert not np.array_equal(low.per_u_max, high.per_u_max)
 
     def test_numpy_integer_seed_matches_int(self):
         scen = _scenario()
         pmap = _pmap(scen, uniform_grid(21), 3)
-        a = run_mc(scen, pmap, 50, seed=np.int64(12), probe_directions=(0.3,))
-        b = run_mc(scen, pmap, 50, seed=12, probe_directions=(0.3,))
+        a = run_mc(pmap, 50, seed=np.int64(12), probe_directions=(0.3,))
+        b = run_mc(pmap, 50, seed=12, probe_directions=(0.3,))
         assert np.array_equal(a.per_u_min, b.per_u_min)
         assert np.array_equal(a.per_u_max, b.per_u_max)
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
@@ -133,7 +133,7 @@ class TestRunMc:
         # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
         for budget in (1 << 30, 1, 5 * 336, 64 * 336):
             monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
-            reports.append(run_mc(scen, pmap, 501, seed=1, probe_directions=(0.3, -0.6)))
+            reports.append(run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6)))
         for other in reports[1:]:
             assert np.array_equal(other.per_u_min, reports[0].per_u_min)
             assert np.array_equal(other.per_u_max, reports[0].per_u_max)
@@ -151,14 +151,14 @@ class TestRunMc:
             monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
         scen = _scenario(0.0, 0.0)
         grid = uniform_grid(21)
-        report = run_mc(scen, _pmap(scen, grid, 3), n_samples, seed=1)
+        report = run_mc(_pmap(scen, grid, 3), n_samples, seed=1)
         assert np.array_equal(report.per_u_min, report.per_u_max)
 
     def test_envelope_inside_bounds(self):
         scen = _scenario()
         grid = uniform_grid(51)
         curve = power_bounds(scen, grid)
-        report = run_mc(scen, _pmap(scen, grid, 5), 20_000, seed=5)
+        report = run_mc(_pmap(scen, grid, 5), 20_000, seed=5)
         slack = 1e-9 * np.maximum(curve.p_hi, 1e-300)
         assert np.all(report.per_u_min >= curve.p_lo - slack)
         assert np.all(report.per_u_max <= curve.p_hi + slack)
@@ -166,7 +166,7 @@ class TestRunMc:
     def test_frequency_columns_sum_to_one(self):
         scen = _scenario()
         grid = uniform_grid(21)
-        report = run_mc(scen, _pmap(scen, grid, 4), 3000, seed=2)
+        report = run_mc(_pmap(scen, grid, 4), 3000, seed=2)
         sums = report.region_frequencies.sum(axis=0)
         assert np.abs(sums - 1.0).max() <= 1.0 / 3000
 
@@ -178,7 +178,7 @@ class TestRunMc:
         scen = _scenario()
         grid = uniform_grid(41)
         pmap = _pmap(scen, grid, 5)
-        report = run_mc(scen, pmap, 30_000, seed=8)
+        report = run_mc(pmap, 30_000, seed=8)
         power = np.abs(nominal_af_curve(scen, grid)) ** 2
         from arraytol.pia import mainlobe_indices
 
@@ -199,7 +199,7 @@ class TestRunMc:
         scen = _scenario()
         grid = uniform_grid(41)
         pmap = _pmap(scen, grid, 5)
-        report = run_mc(scen, pmap, 2000, seed=3, probe_directions=(0.28,))
+        report = run_mc(pmap, 2000, seed=3, probe_directions=(0.28,))
         hist = report.histograms[0]
         idx = int(np.argmin(np.abs(grid.samples - 0.28)))
         assert hist.u == pytest.approx(float(grid.samples[idx]))
@@ -214,16 +214,16 @@ class TestRunMc:
         scen = _scenario()
         grid = uniform_grid(41)  # samples 0.05 apart
         pmap = _pmap(scen, grid, 5)
-        report = run_mc(scen, pmap, 500, seed=3, probe_directions=(0.28, -0.5, 0.3, 0.29, -0.51))
+        report = run_mc(pmap, 500, seed=3, probe_directions=(0.28, -0.5, 0.3, 0.29, -0.51))
         assert [h.index for h in report.histograms] == [26, 10]
         for hist in report.histograms:
             assert hist.u == float(grid.samples[hist.index])
-            single = run_mc(scen, pmap, 500, seed=3, probe_directions=(hist.u,))
+            single = run_mc(pmap, 500, seed=3, probe_directions=(hist.u,))
             assert np.array_equal(hist.counts, single.histograms[0].counts)
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(Exception):
-            run_mc(_scenario(), _pmap(_scenario(), uniform_grid(11), 3), 0, seed=0)
+            run_mc(_pmap(_scenario(), uniform_grid(11), 3), 0, seed=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -232,7 +232,7 @@ class TestRunMc:
     def test_rejects_bad_seed_or_count(self, kwargs):
         args = dict(seed=0, n_samples=10) | kwargs
         with pytest.raises(ValidationError):
-            run_mc(_scenario(), _pmap(_scenario(), uniform_grid(11), 3), **args)
+            run_mc(_pmap(_scenario(), uniform_grid(11), 3), **args)
 
 
 @st.composite
@@ -271,7 +271,7 @@ def test_random_scenarios_stay_inside_bounds(scen, n_u, k, seed):
     bounds = power_bounds(scen, grid, arc_points=4)
     pmap = probability_map(bounds, k)
     assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
-    report = run_mc(scen, pmap, 300, seed=seed)
+    report = run_mc(pmap, 300, seed=seed)
     slack = 1e-9 * np.maximum(bounds.p_hi, 1e-300)
     assert np.all(report.per_u_min >= bounds.p_lo - slack)
     assert np.all(report.per_u_max <= bounds.p_hi + slack)

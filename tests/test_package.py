@@ -1,6 +1,11 @@
-"""Package export list."""
+"""Package export list and the README's library example."""
+
+import re
+from pathlib import Path
 
 import arraytol
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves_once():
@@ -8,3 +13,10 @@ def test_every_exported_name_resolves_once():
     assert len(set(names)) == len(names)
     for name in names:
         assert getattr(arraytol, name) is not None
+
+
+def test_readme_library_example_runs(capsys):
+    block = re.search(r"## Library\n.*?```python\n(.*?)```", README.read_text("utf-8"), re.S)
+    exec(compile(block.group(1), str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)

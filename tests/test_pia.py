@@ -1,6 +1,7 @@
 """Ring-partition probability and feature-interval tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def _pmap(scenario, grid, k_regions):
 
 def _report(scenario, grid, k_regions):
     bounds = power_bounds(scenario, grid)
-    return feature_report(bounds, probability_map(bounds, k_regions))
+    return feature_report(probability_map(bounds, k_regions))
 
 
 class TestProbabilityMap:
@@ -174,7 +175,7 @@ class TestProbabilityMap:
         grid = uniform_grid(31)
         pmap = _pmap(small_scenario, grid, 4)
         i = 20
-        expected = 20.0 * np.log10(pmap.ring_radii[i]) - 10.0 * math.log10(pmap.peak_power)
+        expected = 20.0 * np.log10(pmap.ring_radii[i]) - 10.0 * math.log10(pmap.bounds.peak_power)
         assert pmap.region_power_db[i] == pytest.approx(expected, abs=1e-12)
 
 
@@ -212,11 +213,10 @@ class TestMeanProbabilities:
         k = 4
         p = np.full((k, len(grid)), 1.0 / k)
         pmap = ProbabilityMap(
-            grid=grid, k_regions=k, p=p,
+            bounds=SimpleNamespace(grid=grid), k_regions=k, p=p,
             ring_radii=np.tile(np.linspace(0, 1, k + 1), (len(grid), 1)),
             region_power_db=np.zeros((len(grid), k + 1)),
             degenerate=np.zeros(len(grid), dtype=bool),
-            peak_power=1.0,
         )
         assert mean_probabilities(pmap) == pytest.approx([0.25] * 4, abs=1e-15)
 
@@ -231,11 +231,10 @@ class TestMeanProbabilities:
         p[0] = (grid.samples >= 0).astype(float)
         p[1] = 1.0 - p[0]
         pmap = ProbabilityMap(
-            grid=grid, k_regions=2, p=p,
+            bounds=SimpleNamespace(grid=grid), k_regions=2, p=p,
             ring_radii=np.tile(np.linspace(0, 1, 3), (9, 1)),
             region_power_db=np.zeros((9, 3)),
             degenerate=np.zeros(9, dtype=bool),
-            peak_power=1.0,
         )
         means = mean_probabilities(pmap)
         # trapezoid adds half of the transition cell to the step side
@@ -307,9 +306,3 @@ class TestFeatureReport:
         side = np.ones(len(grid), dtype=bool)
         side[left : right + 1] = False
         assert rep.iams_sll[0] == pytest.approx(float(db[side].max()), abs=1e-9)
-
-    def test_mismatched_map_rejected(self, small_scenario):
-        pmap = _pmap(small_scenario, uniform_grid(51), 4)
-        bounds = power_bounds(small_scenario, uniform_grid(101))
-        with pytest.raises(ValidationError):
-            feature_report(bounds, pmap)

@@ -1,10 +1,13 @@
-"""Tests of the validate module's independent area oracle."""
+"""Tests of the validate module: its independent area oracle and its verdicts."""
+
+import math
 
 import numpy as np
 import pytest
 
+from arraytol import power_bounds, probability_map, run_mc, scenario_from_tolerances, uniform_grid
 from arraytol.geometry import disc_polygon_areas
-from arraytol.validate import disc_polygon_area_quadrature
+from arraytol.validate import disc_polygon_area_quadrature, run_validation
 
 from helpers import disc_convex_area_slab, random_convex_vertices
 
@@ -47,3 +50,19 @@ class TestAreaQuadrature:
         areas = disc_polygon_area_quadrature(radii, vertices)
         assert areas.shape == (len(radii),)
         assert np.all(areas == 0.0)
+
+
+class TestAmplitudeScale:
+    @staticmethod
+    def _mc(scale):
+        scen = scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
+        return run_mc(probability_map(power_bounds(scen, uniform_grid(41)), 3), 5000, seed=0)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 3e-8, 1.0, 1e6])
+    def test_regions_and_verdicts_do_not_depend_on_scale(self, scale):
+        # the geometry tolerances are relative: scaling every amplitude
+        # scales the regions and leaves their vertices and rings alone
+        ref, mc = self._mc(1.0).pmap, self._mc(scale)
+        assert np.array_equal(mc.pmap.bounds.n_vertices, ref.bounds.n_vertices)
+        assert np.array_equal(mc.pmap.degenerate, ref.degenerate)
+        assert [r.name for r in run_validation(mc) if not r.passed] == []
