@@ -83,7 +83,8 @@ def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
     vs = np.asarray(points, dtype=np.complex128)
     if not np.all(np.isfinite(vs)):
         raise ValidationError("polygon vertices must be finite")
-    keep = np.abs(vs - np.roll(vs, 1, axis=1)) > EPS_GEOM * np.abs(vs).max(axis=1, keepdims=True)
+    far = np.abs(vs).max(axis=1, keepdims=True)  # each row's scale
+    keep = np.abs(vs - np.roll(vs, 1, axis=1)) > EPS_GEOM * far
     keep[~keep.any(axis=1), 0] = True
     vs, n = _compact(vs, keep)
     slot = np.arange(vs.shape[1])
@@ -106,7 +107,7 @@ def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
             j = np.argmax(np.abs(ring - ring[at, i][:, None]), axis=1)
             vs[line] = np.where(slot == 1, ring[at, j][:, None], ring[at, i][:, None])
             n[line] = np.where(j != i, 2, 1)
-    if np.any(live & (cross < -EPS_GEOM * np.maximum(1.0, np.abs(e1) * np.abs(e2)))):
+    if np.any(live & (cross < -EPS_GEOM * np.maximum(far * far, np.abs(e1) * np.abs(e2)))):
         raise ValidationError("vertices are not a counter-clockwise convex polygon")
     return vs, n
 

@@ -64,8 +64,12 @@ def sample_stream(seed: int) -> Generator:
 
 def sample_realization(scenario: ArrayScenario, stream: Generator) -> np.ndarray:
     """One crisp excitation draw, uniform in each amplitude/phase interval,
-    from the next 2N uniforms of stream."""
-    return _draw(_tolerance_box(scenario), stream, np.empty(2 * scenario.n_elements))
+    from the next 2N uniforms of stream: _draw into fresh (2N,) and (N,)
+    buffers, the per-sample reference of run_mc's chunks."""
+    n = scenario.n_elements
+    weights = np.empty(n, dtype=complex)
+    _draw(_tolerance_box(scenario), stream, np.empty(2 * n), weights)
+    return weights
 
 
 def _tolerance_box(scenario: ArrayScenario) -> tuple[np.ndarray, np.ndarray]:
@@ -75,14 +79,22 @@ def _tolerance_box(scenario: ArrayScenario) -> tuple[np.ndarray, np.ndarray]:
     return lo, np.array([e.amplitude_hi for e in els] + [e.phase_hi for e in els]) - lo
 
 
-def _draw(box: tuple[np.ndarray, np.ndarray], stream: Generator, out: np.ndarray) -> np.ndarray:
-    """Fill out, of shape (..., 2N), with the next uniforms u in [0, 1) of
-    stream in C order and map them onto the tolerance box as
-    lo + (hi - lo) * u: the first N set the amplitudes, the last N the phases."""
-    stream.random(out=out)
+def _draw(
+    box: tuple[np.ndarray, np.ndarray], stream: Generator, uniforms: np.ndarray, weights: np.ndarray
+) -> None:
+    """Draw excitations in place: fill uniforms, of shape (..., 2N), with the
+    next uniforms u in [0, 1) of stream in C order and map them onto the
+    tolerance box as lo + (hi - lo) * u, the first N the amplitudes a and
+    the last N the phases b; then set weights, of shape (..., N), to
+    a cos b + j a sin b, the bits of a * exp(jb)."""
+    stream.random(out=uniforms)
     lo, width = box
-    x = lo + width * out
-    return x[..., : lo.size // 2] * np.exp(1j * x[..., lo.size // 2 :])
+    uniforms *= width
+    uniforms += lo
+    amp, phase = uniforms[..., : lo.size // 2], uniforms[..., lo.size // 2 :]
+    re, im = weights.real, weights.imag
+    np.multiply(np.cos(phase, out=re), amp, out=re)
+    np.multiply(np.sin(phase, out=im), amp, out=im)
 
 
 def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions=()) -> McReport:
@@ -98,8 +110,11 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     Samples draw their excitations in order from one sample_stream(seed),
     2N uniforms each, so sample i is the i-th sample_realization call on a
     fresh stream.  Chunks of _CHUNK_BYTES // (16 N_u) samples, at least 2,
-    reuse buffers; a lone last sample joins the chunk before it, as BLAS
-    rounds a one-row product (gemv) unlike the others (gemm).
+    reuse buffers allocated once per run: _draw maps each chunk's uniforms
+    and weights in place, and the pattern, power and ring-mask buffers are
+    written with out=, so memory does not grow with n_samples.  A lone last
+    sample joins the chunk before it, as BLAS rounds a one-row product
+    (gemv) unlike the others (gemm).
     """
     check_integer("n_samples", n_samples, 1)
     check_integer("seed", seed, 0, SEED_LIMIT)
@@ -132,6 +147,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     rows = min(step + 1, n_samples)
     product, power, ge = (np.empty((rows, n_u), dtype=t) for t in (complex, float, bool))
     uniforms = np.empty((rows, 2 * scenario.n_elements))
+    weights = np.empty((rows, scenario.n_elements), dtype=complex)
     stream = sample_stream(seed)
     per_u_min, per_u_max = np.full(n_u, np.inf), np.full(n_u, -np.inf)
     # at_least[h]: samples at or above ring boundary h (all at 0, none at K)
@@ -140,17 +156,19 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
     for start, stop in zip(starts, [*starts[1:], n_samples]):
         z, p, mask = product[: stop - start], power[: stop - start], ge[: stop - start]
-        np.matmul(_draw(box, stream, uniforms[: stop - start]), steering, out=z)
+        w = weights[: stop - start]
+        _draw(box, stream, uniforms[: stop - start], w)
+        np.matmul(w, steering, out=z)
         np.square(np.abs(z, out=p), out=p)
         np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
         np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
         for h in range(1, k_regions):
             np.greater_equal(p, inner_sq[h - 1], out=mask)
             at_least[h] += np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
-        for acc, ip, edges in zip(hist_counts, probe_idx, probe_edges):
-            with np.errstate(divide="ignore"):
-                db = 10.0 * np.log10(p[:, ip] / pmap.bounds.peak_power)
-            acc += np.histogram(db, bins=edges)[0]
+        with np.errstate(divide="ignore"):
+            db = 10.0 * np.log10(p[:, probe_idx] / pmap.bounds.peak_power)
+        for acc, col, edges in zip(hist_counts, db.T, probe_edges):
+            acc += np.histogram(col, bins=edges)[0]
 
     counts = at_least[:-1] - at_least[1:]
     histograms = tuple(

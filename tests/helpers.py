@@ -2,9 +2,9 @@
 
 Every oracle here computes areas or memberships through a different
 algorithm than the package (column quadrature, point grids, scipy hulls,
-the closed-form circular segment), so agreement is evidence rather than
-tautology.  direction_region reads one direction's region from the
-package's batched curve.
+the closed-form circular segment, numpy's complex exp for the excitation
+draws), so agreement is evidence rather than tautology.  direction_region
+reads one direction's region from the package's batched curve.
 """
 
 from __future__ import annotations
@@ -49,6 +49,18 @@ def direction_region(scenario, u: float, arc_points: int = 8):
     """(region, modulus_lo, modulus_hi) at one direction: row 0 of a one-sample curve."""
     vertices, n_vertices, lo, hi = interval_af_curve(scenario, AngularGrid([u]), arc_points)
     return ConvexPolygon(vertices[0, : n_vertices[0]]), float(lo[0]), float(hi[0])
+
+
+def reference_draw(scenario, uniforms) -> np.ndarray:
+    """Excitations of uniforms (..., 2N) in [0, 1) by the textbook mapping:
+    lo + width * u onto each amplitude, then phase interval, and
+    amp * exp(j * phase) with numpy's complex exp."""
+    els = scenario.elements
+    lo = np.array([e.amplitude_lo for e in els] + [e.phase_lo for e in els])
+    width = np.array([e.amplitude_hi for e in els] + [e.phase_hi for e in els]) - lo
+    x = lo + width * np.asarray(uniforms)
+    n = len(els)
+    return x[..., :n] * np.exp(1j * x[..., n:])
 
 
 def circular_segment_area(r: float, a1: complex, a2: complex) -> float:

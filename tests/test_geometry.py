@@ -46,6 +46,13 @@ class TestConvexPolygonFactory:
         with pytest.raises(ValidationError):
             convex_polygon([0j, 1j, 1 + 0j])
 
+    @pytest.mark.parametrize("scale", [10.0**k for k in range(-12, 7)])
+    def test_orientation_check_is_scale_free(self, scale):
+        # the clockwise slack scales with the ring, as the weld does
+        assert len(convex_polygon(scale * np.array([0j, 1 + 0j, 1j]))) == 3
+        with pytest.raises(ValidationError):
+            convex_polygon(scale * np.array([0j, 1j, 1 + 0j]))
+
     def test_rejects_nonconvex(self):
         with pytest.raises(ValidationError):
             convex_polygon([0j, 2 + 0j, 1 + 0.2j, 2 + 2j, 0 + 2j])

@@ -1,6 +1,7 @@
 """Monte Carlo oracle tests: determinism, inclusion, ring frequencies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from arraytol import (
 from arraytol import montecarlo
 from arraytol.errors import ValidationError
 
+from helpers import reference_draw, taylor_taper
+
 
 def _scenario(xi=0.02, gamma=math.radians(4.0)):
     amps = [0.5, 0.8, 1.0, 1.0, 0.8, 0.5]
@@ -30,6 +33,10 @@ def _scenario(xi=0.02, gamma=math.radians(4.0)):
 
 def _pmap(scenario, grid, k_regions):
     return probability_map(power_bounds(scenario, grid), k_regions)
+
+
+def _bits(w):
+    return np.ascontiguousarray(w).view(np.uint64)
 
 
 class TestSampleRealization:
@@ -69,6 +76,81 @@ class TestSampleRealization:
         c = sample_realization(scen, sample_stream(5))
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+
+class TestReferenceDraw:
+    """The in-place cos/sin draw gives the bits of lo + width * u and amp * exp(j phase)."""
+
+    @staticmethod
+    def _scenario():
+        # the middle element's phase interval has zero width
+        return ArrayScenario(
+            elements=(
+                ExcitationInterval(0.6, 0.3, 0.57, 0.62, 0.2, 0.35),
+                ExcitationInterval(1.0, -2.9, 0.99, 1.0, -2.9, -2.9),
+                ExcitationInterval(0.8, 1.1, 0.75, 0.8, 0.9, 1.4),
+            ),
+            spacing=0.5,
+        )
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
+    def test_sample_realization_rows(self, seed):
+        scen = self._scenario()
+        expected = reference_draw(scen, sample_stream(seed).random((40, 2 * scen.n_elements)))
+        stream = sample_stream(seed)
+        got = np.array([sample_realization(scen, stream) for _ in range(40)])
+        assert np.array_equal(_bits(got), _bits(expected))
+        assert np.allclose(np.angle(got[:, 1]), -2.9, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
+    def test_run_mc_chunk_weights(self, seed, monkeypatch):
+        scen = self._scenario()
+        grid = uniform_grid(21)  # 336 bytes of product per sample
+        chunks = []
+        draw = montecarlo._draw
+
+        def spy(box, stream, uniforms, weights):
+            draw(box, stream, uniforms, weights)
+            chunks.append(weights.copy())
+
+        monkeypatch.setattr(montecarlo, "_draw", spy)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 336)
+        run_mc(_pmap(scen, grid, 3), 23, seed=seed)
+        assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
+        expected = reference_draw(scen, sample_stream(seed).random((23, 2 * scen.n_elements)))
+        assert np.array_equal(_bits(np.concatenate(chunks)), _bits(expected))
+
+
+class TestRunMcMemory:
+    """run_mc's traced peak is its preallocated chunk buffers, whatever n_samples."""
+
+    N_U = 101
+
+    @pytest.fixture(scope="class")
+    def pmap(self):
+        scen = scenario_from_tolerances(
+            [(a, 0.0) for a in taylor_taper(16)], 0.01, math.radians(3.0), 0.5
+        )
+        return _pmap(scen, uniform_grid(self.N_U), 5)
+
+    @staticmethod
+    def _peak(pmap, n_samples):
+        tracemalloc.start()
+        try:
+            run_mc(pmap, n_samples, seed=0, probe_directions=(-0.336, 0.0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_samples(self, pmap):
+        assert abs(self._peak(pmap, 50_000) - self._peak(pmap, 5_000)) <= 64 << 10
+
+    def test_peak_is_the_chunk_buffers(self, pmap):
+        n, n_u = 16, self.N_U
+        rows = max(2, montecarlo._CHUNK_BYTES // (16 * n_u)) + 1
+        # product, power, ring mask, uniforms, weights; then the steering matrix
+        buffers = rows * (n_u * (16 + 8 + 1) + 2 * n * 8 + n * 16) + n * n_u * 16
+        assert self._peak(pmap, 5_000) <= 1.1 * buffers
 
 
 class TestRunMc:
