@@ -1,7 +1,8 @@
-"""Command-line front end: config ingestion, pipeline orchestration, CSV/JSON output.
+"""Command-line front end: config ingestion, pipeline orchestration, CSV/JSON/NPY output.
 
-All numeric output uses round-trip decimal formatting; `-inf` is the only
-non-numeric token.  Identical config and seed produce byte-identical files.
+All numeric CSV and JSON output uses round-trip decimal formatting; `-inf`
+is the only non-numeric token.  The polygon dump is a binary .npy array,
+exact to the bit.  Identical config and seed produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -143,12 +144,7 @@ def cmd_bounds(run: RunConfig) -> int:
     header = "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices"
     _write_csv(run, "bounds.csv", header, [columns])
     if run.dump_polygons:
-        vertex = [str(j) for j in range(curve.vertices.shape[1])]
-        blocks = (
-            ([repr(u)] * n, vertex[:n], vs[:n].real, vs[:n].imag)
-            for u, vs, n in zip(grid.samples.tolist(), curve.vertices, curve.n_vertices.tolist())
-        )
-        _write_csv(run, "polygons.csv", "u,vertex,re,im", blocks)
+        np.save(_out_path(run, "polygons.npy"), curve.vertices)
     return 0
 
 
@@ -164,6 +160,7 @@ def cmd_pia(run: RunConfig) -> int:
 def cmd_features(run: RunConfig) -> int:
     bounds = power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
     report = feature_report(probability_map(bounds, run.k_regions))
+    sll = report.sll_intervals  # None: no sidelobe, written as null
     payload = {
         "k_regions": report.k_regions,
         "u_max": report.u_max,
@@ -172,7 +169,7 @@ def cmd_features(run: RunConfig) -> int:
         "regions": [
             {
                 "k": k + 1,
-                "sll_db": [float(report.sll_intervals[k, 0]), float(report.sll_intervals[k, 1])],
+                "sll_db": None if sll is None else [float(sll[k, 0]), float(sll[k, 1])],
                 "sll_prob": float(report.sll_probs[k]),
                 "gamma_db": [
                     float(report.gamma_intervals[k, 0]),
@@ -184,7 +181,7 @@ def cmd_features(run: RunConfig) -> int:
             for k in range(report.k_regions)
         ],
         "iams": {
-            "sll_db": list(report.iams_sll),
+            "sll_db": None if report.iams_sll is None else list(report.iams_sll),
             "gamma_db": list(report.iams_gamma),
         },
     }
@@ -253,7 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds_p = sub.add_parser("bounds", parents=[common],
                               help="write the power-pattern bounds CSV")
     bounds_p.add_argument("--dump-polygons", action="store_true",
-                          help="also dump region polygons as a CSV vertex list")
+                          help="also write the region polygons to polygons.npy: an "
+                          "(n_u, M) complex128 array whose row i holds the region's "
+                          "n_vertices[i] CCW vertices (bounds.csv), then repeats of vertex 0")
     sub.add_parser("pia", parents=[common], help="write the ring-probability CSV")
     sub.add_parser("features", parents=[common], help="write the feature-report JSON")
     sub.add_parser("mc", parents=[common], help="write the Monte Carlo comparison CSVs")

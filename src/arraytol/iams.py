@@ -19,6 +19,11 @@ from .model import AngularGrid, ArrayScenario
 _TWO_PI = 2.0 * math.pi
 _ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
 
+# Range of the largest region modulus that the geometry represents: the
+# ring areas take products of about modulus**4, which stay normal doubles
+# (1e-288 to 1e288) inside it.
+_MODULUS_RANGE = (1e-72, 1e72)
+
 
 @dataclass(frozen=True)
 class PowerBoundsCurve:
@@ -124,16 +129,23 @@ def power_bounds(
 ) -> PowerBoundsCurve:
     """Inclusive power-pattern bounds over a grid, in linear power and dB.
 
-    Bounds or a nominal peak that overflow double precision raise
-    ValidationError.
+    A largest region modulus outside _MODULUS_RANGE raises
+    ValidationError; inside it the power bounds, and the nominal peak they
+    contain, are finite.
     """
     vertices, n_vertices, modulus_lo, modulus_hi = interval_af_curve(scenario, grid, arc_points)
+    smallest, largest = _MODULUS_RANGE
+    far = float(modulus_hi.max())
+    if not smallest <= far <= largest:
+        raise ValidationError(
+            f"largest region modulus {far:.3g} lies outside [{smallest:g}, {largest:g}], where "
+            "the region geometry overflows or underflows double precision; scale the "
+            f"amplitudes {'up' if far < smallest else 'down'}"
+        )
     p_lo = modulus_lo**2
     p_hi = modulus_hi**2
     nominal_power = np.abs(nominal_af_curve(scenario, grid)) ** 2
     peak_power = float(nominal_power.max())
-    if not (np.isfinite(p_lo).all() and np.isfinite(p_hi).all() and math.isfinite(peak_power)):
-        raise ValidationError("power bounds overflow double precision; scale the amplitudes down")
     if peak_power <= 0.0:
         raise ValidationError("nominal pattern is identically zero on the grid")
     return PowerBoundsCurve(

@@ -63,10 +63,10 @@ class FeatureReport:
     mainlobe_span: tuple[float, float]
     gamma_intervals: np.ndarray = field(repr=False)  # (K, 2) dB
     gamma_probs: np.ndarray = field(repr=False)
-    sll_intervals: np.ndarray = field(repr=False)  # (K, 2) dB
+    sll_intervals: np.ndarray | None = field(repr=False)  # (K, 2) dB; None: no sidelobe
     sll_probs: np.ndarray = field(repr=False)
     iams_gamma: tuple[float, float] = field(repr=True)
-    iams_sll: tuple[float, float] = field(repr=True)
+    iams_sll: tuple[float, float] | None = field(repr=True)
     mean_probs: np.ndarray = field(repr=False)
     degenerate: bool = False
 
@@ -163,11 +163,11 @@ def mean_probabilities(pmap: ProbabilityMap) -> np.ndarray:
 
 
 def mainlobe_indices(nominal_power: np.ndarray) -> tuple[int, int, int]:
-    """(peak index, left null index, right null index) of the nominal pattern.
+    """(peak index, left end index, right end index) of the nominal pattern's mainlobe.
 
-    The mainlobe spans from the first local minimum on each side of the
-    peak; a pattern that never turns back up before the grid edge has no
-    detectable mainlobe and is rejected.
+    The mainlobe is the lobe around the nominal peak.  It ends at the first
+    local minimum on each side of the peak, or at the grid edge where the
+    pattern does not turn back up before it.
     """
     i_max = int(np.argmax(nominal_power))
     n = nominal_power.size
@@ -177,11 +177,6 @@ def mainlobe_indices(nominal_power: np.ndarray) -> tuple[int, int, int]:
     right = i_max
     while right < n - 1 and nominal_power[right + 1] < nominal_power[right] * (1.0 + 1e-12):
         right += 1
-    if left == 0 or right == n - 1:
-        raise ValidationError(
-            "nominal pattern has no local minima bracketing the peak; "
-            "the grid is too coarse or the mainlobe reaches the grid edge"
-        )
     return i_max, left, right
 
 
@@ -192,8 +187,10 @@ def feature_report(pmap: ProbabilityMap) -> FeatureReport:
     tile the peak bound exactly.  Sidelobe intervals subtract the pattern
     peak bounds from the highest sidelobe of each ring-boundary curve,
     searched outside the mainlobe independently per curve, so the first
-    and last intervals coincide with the overall bound endpoints.  Ring
-    count, grid and nominal pattern are those of pmap and its bounds.
+    and last intervals coincide with the overall bound endpoints; with no
+    grid sample outside the mainlobe there is no sidelobe, and the
+    sidelobe intervals are None.  Ring count, grid and nominal pattern are
+    those of pmap and its bounds.
     """
     bounds = pmap.bounds
     grid = bounds.grid
@@ -210,10 +207,13 @@ def feature_report(pmap: ProbabilityMap) -> FeatureReport:
     gamma_intervals = np.column_stack((boundary_db[i_max, :-1], boundary_db[i_max, 1:]))
     gamma_probs = pmap.p[:, i_max].copy()
 
-    side_max = boundary_db[side].max(axis=0)  # highest sidelobe per boundary curve
-    sll_intervals = np.column_stack(
-        (side_max[:-1] - peak_sup_db, side_max[1:] - peak_inf_db)
-    )
+    sll_intervals = iams_sll = None
+    if side.any():
+        side_max = boundary_db[side].max(axis=0)  # highest sidelobe per boundary curve
+        sll_intervals = np.column_stack(
+            (side_max[:-1] - peak_sup_db, side_max[1:] - peak_inf_db)
+        )
+        iams_sll = (float(side_max[0] - peak_sup_db), float(side_max[-1] - peak_inf_db))
     means = mean_probabilities(pmap)
     return FeatureReport(
         k_regions=k_regions,
@@ -224,7 +224,7 @@ def feature_report(pmap: ProbabilityMap) -> FeatureReport:
         sll_intervals=sll_intervals,
         sll_probs=means.copy(),
         iams_gamma=(float(peak_inf_db), float(peak_sup_db)),
-        iams_sll=(float(side_max[0] - peak_sup_db), float(side_max[-1] - peak_inf_db)),
+        iams_sll=iams_sll,
         mean_probs=means,
         degenerate=bool(pmap.degenerate.any()),
     )

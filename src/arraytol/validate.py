@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .iams import element_sectors, power_bounds, rounding_allowance
 from .model import scenario_from_tolerances
 from .montecarlo import McReport
@@ -100,28 +99,27 @@ def run_validation(mc: McReport) -> list[CheckResult]:
         )
     )
 
-    try:
-        report = feature_report(pmap)
-    except ValidationError:  # the nominal pattern has no bracketed mainlobe
-        na = "not applicable (no bracketed mainlobe)"
-        results.append(CheckResult("gamma-interval-tiling", True, na))
-        results.append(CheckResult("sll-endpoint-coverage", True, na))
-    else:
-        tiling = all(
-            report.gamma_intervals[k, 1] == report.gamma_intervals[k + 1, 0]
-            for k in range(k_regions - 1)
+    report = feature_report(pmap)
+    tiling = all(
+        report.gamma_intervals[k, 1] == report.gamma_intervals[k + 1, 0]
+        for k in range(k_regions - 1)
+    )
+    ends = (
+        report.gamma_intervals[0, 0] == report.iams_gamma[0]
+        and report.gamma_intervals[-1, 1] == report.iams_gamma[1]
+    )
+    results.append(
+        CheckResult(
+            "gamma-interval-tiling",
+            tiling and ends,
+            "peak intervals adjacent and flush with the overall bounds",
         )
-        ends = (
-            report.gamma_intervals[0, 0] == report.iams_gamma[0]
-            and report.gamma_intervals[-1, 1] == report.iams_gamma[1]
-        )
+    )
+    if report.iams_sll is None:
         results.append(
-            CheckResult(
-                "gamma-interval-tiling",
-                tiling and ends,
-                "peak intervals adjacent and flush with the overall bounds",
-            )
+            CheckResult("sll-endpoint-coverage", True, "not applicable (no sidelobe)")
         )
+    else:
         sll_cov = (
             report.sll_intervals[0, 0] == report.iams_sll[0]
             and report.sll_intervals[-1, 1] == report.iams_sll[1]

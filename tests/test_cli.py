@@ -15,6 +15,7 @@ from arraytol import (
     uniform_grid,
 )
 from arraytol.cli import main
+from helpers import taylor_taper
 
 
 def _write_config(path, **overrides):
@@ -75,22 +76,46 @@ class TestBoundsCommand:
             "bounds", "--config", str(config_path), "--out", str(out),
             "--nu", "11", "--dump-polygons",
         ]) == 0
-        lines = (out / "polygons.csv").read_text().splitlines()
-        assert lines[0] == "u,vertex,re,im"
-        rows = [line.split(",") for line in lines[1:]]
-        bounds = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()[1:]]
-        assert len(rows) == sum(int(b[6]) for b in bounds)
+        assert not (out / "polygons.csv").exists()
+        dump = np.load(out / "polygons.npy")
+        counts = _vertex_counts(out / "bounds.csv")
+        assert dump.dtype == np.complex128
+        assert dump.shape == (11, max(counts))
         cfg = json.loads(config_path.read_text())
         curve = power_bounds(scenario_from_config(cfg), uniform_grid(11), cfg["arc_points"])
-        start = 0
-        for b, region, n_i in zip(bounds, curve.vertices, curve.n_vertices, strict=True):
-            n = int(b[6])
-            assert n == n_i
-            block, start = rows[start : start + n], start + n
-            assert [r[1] for r in block] == [str(j) for j in range(n)]
-            assert {r[0] for r in block} == {b[0]}
-            for col, part in ((2, region[:n].real), (3, region[:n].imag)):
-                assert np.array([float(r[col]) for r in block]).tobytes() == part.tobytes()
+        for row, region, n in zip(dump, curve.vertices, counts, strict=True):
+            assert row[:n].tobytes() == region[:n].tobytes()
+            assert np.all(row[n:] == row[0])
+
+    def test_dump_polygons_byte_identical_reruns(self, config_path, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            args = ["bounds", "--config", str(config_path), "--out", str(out), "--dump-polygons"]
+            assert main(args) == 0
+        assert (out1 / "polygons.npy").read_bytes() == (out2 / "polygons.npy").read_bytes()
+
+    @pytest.mark.parametrize("amplitude_hi, counts", [(1.0, {1}), (1.1, {2})])
+    def test_dump_polygons_at_zero_tolerance(self, tmp_path, amplitude_hi, counts):
+        # zero tolerance makes every sector a point, so each region is a
+        # point; one element's amplitude interval alone makes it a segment
+        elements = [{"amplitude": 1.0, "phase_deg": 0.0}] * 4
+        elements[1] = dict(elements[1], amplitude_lo=1.0, amplitude_hi=amplitude_hi)
+        cfg = _write_config(
+            tmp_path / "cfg.json", elements=elements, xi_percent=0.0, gamma_deg=0.0, n_u=21
+        )
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out), "--dump-polygons"]) == 0
+        dump = np.load(out / "polygons.npy")
+        assert set(_vertex_counts(out / "bounds.csv")) == counts
+        assert (dump.dtype, dump.shape) == (np.complex128, (21, max(counts)))
+        payload = json.loads(cfg.read_text())
+        curve = power_bounds(scenario_from_config(payload), uniform_grid(21), payload["arc_points"])
+        assert dump.tobytes() == curve.vertices.tobytes()
+
+
+def _vertex_counts(bounds_csv) -> list[int]:
+    """The n_vertices column of a bounds.csv."""
+    return [int(line.split(",")[6]) for line in bounds_csv.read_text().splitlines()[1:]]
 
 
 class TestPiaCommand:
@@ -135,25 +160,44 @@ class TestFeaturesCommand:
         probs = [r["mean_prob"] for r in payload["regions"]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
-    def test_mainlobe_failure_exits_one(self, tmp_path, capsys):
-        # two near-isotropic elements: the pattern has no interior null on a
-        # coarse grid, so feature extraction must fail loudly
+    def test_no_sidelobe_writes_null_sll_db(self, tmp_path):
+        # two near-isotropic elements: on a coarse grid the pattern falls
+        # from its peak to both grid edges, so the mainlobe is the whole grid
+        # and there is no sidelobe to report
         cfg = _write_config(
             tmp_path / "cfg.json",
             elements=[{"amplitude": 1.0, "phase_deg": 0.0}] * 2,
             n_u=5,
         )
         out = tmp_path / "out"
-        code = main(["features", "--config", str(cfg), "--out", str(out)])
-        assert code == 1
-        assert "validation error" in capsys.readouterr().err
+        assert main(["features", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "features.json").read_text())
+        assert payload["mainlobe_span"] == [-1.0, 1.0]
+        assert payload["iams"]["sll_db"] is None
+        assert [r["sll_db"] for r in payload["regions"]] == [None] * 5
+        assert payload["iams"]["gamma_db"][1] == payload["regions"][-1]["gamma_db"][1]
+        assert sum(r["sll_prob"] for r in payload["regions"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_mainlobe_reaching_one_grid_edge(self, tmp_path):
+        # a beam steered to u = 0.9 falls to the right grid edge, and its
+        # sidelobes lie left of it
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            elements=[{"amplitude": 1.0, "phase_deg": -162.0 * n} for n in range(6)],
+        )
+        out = tmp_path / "out"
+        assert main(["features", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "features.json").read_text())
+        assert payload["mainlobe_span"][1] == 1.0 and payload["mainlobe_span"][0] > -1.0
+        assert payload["iams"]["sll_db"][0] == payload["regions"][0]["sll_db"][0]
+        assert payload["iams"]["sll_db"][1] == payload["regions"][-1]["sll_db"][1]
 
 
 class TestOverflow:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("amplitude, command, written", [
-        (1e80, "pia", "pia.csv"),  # ring areas overflow, the power bounds do not
-        (1e200, "bounds", "bounds.csv"),  # the power bounds overflow
+        (1e80, "pia", "pia.csv"),  # ring areas would overflow, the power bounds would not
+        (1e200, "bounds", "bounds.csv"),  # the power bounds would overflow too
     ])
     def test_overflowing_amplitudes_exit_one(self, tmp_path, capsys, amplitude, command, written):
         cfg = _write_config(
@@ -168,6 +212,41 @@ class TestOverflow:
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
         assert "overflow" in capsys.readouterr().err
         assert not (out / written).exists()
+
+
+class TestAmplitudeRange:
+    """The geometry represents largest region moduli from 1e-72 to 1e72."""
+
+    @staticmethod
+    def _taylor16(tmp_path, scale):
+        return _write_config(
+            tmp_path / "cfg.json",
+            elements=[{"amplitude": scale * a, "phase_deg": 0.0} for a in taylor_taper(16)],
+            xi_percent=1.0,
+            gamma_deg=3.0,
+            k_regions=5,
+            n_u=41,
+            arc_points=8,
+        )
+
+    @pytest.mark.parametrize("scale", [1e-70, 1e70])
+    def test_scales_inside_the_range_validate(self, tmp_path, capsys, scale):
+        cfg = self._taylor16(tmp_path, scale)
+        assert main(["validate", "--config", str(cfg), "--mc-samples", "500"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-150, 1e-170])
+    @pytest.mark.parametrize("command", ["bounds", "pia", "validate"])
+    def test_scales_below_the_range_exit_one(self, tmp_path, capsys, scale, command):
+        # unchecked, the collinearity floor collapses every region at 1e-150,
+        # the crossing roots underflow at 1e-100, and the nominal peak
+        # underflows to zero at 1e-170
+        cfg = self._taylor16(tmp_path, scale)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "outside [1e-72, 1e+72]" in err and "scale the amplitudes up" in err
+        assert not out.exists()
 
 
 class TestMcCommand:
@@ -241,14 +320,6 @@ class TestNumberFormat:
                     for i in range(len(grid))
                 ),
             ),
-            "polygons.csv": csv(
-                "u,vertex,re,im",
-                (
-                    [f(u[i]), str(j), f(v.real), f(v.imag)]
-                    for i in range(len(grid))
-                    for j, v in enumerate(curve.vertices[i, : curve.n_vertices[i]])
-                ),
-            ),
             "pia.csv": csv(
                 "u,k,p_lo_db(k),p_hi_db(k),p_k",
                 (
@@ -282,9 +353,13 @@ class TestNumberFormat:
                 ([f(edges[b]), f(edges[b + 1]), str(int(hist.counts[b]))]
                  for b in range(hist.counts.size)),
             )
-        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "polygons.npy"])
         for name, text in expected.items():
             assert (out / name).read_bytes() == text.encode("utf-8"), name
+        # the polygon dump is binary: the library's regions, bit for bit
+        dump = np.load(out / "polygons.npy")
+        assert (dump.dtype, dump.shape) == (np.complex128, curve.vertices.shape)
+        assert dump.tobytes() == curve.vertices.tobytes()
         assert "-inf" in expected["bounds.csv"] and "-inf" in expected["mc_envelope.csv"]
 
 
@@ -306,17 +381,19 @@ class TestValidateCommand:
 
     def test_two_element_array_gives_a_verdict_per_check(self, tmp_path, capsys):
         # two elements at half a wavelength: the mainlobe reaches both grid
-        # edges, so the feature checks are not applicable but the rest run
+        # edges, so the sidelobe check is not applicable but the rest run
         cfg = _write_config(
             tmp_path / "cfg.json", elements=[{"amplitude": 1.0, "phase_deg": 0.0}] * 2
         )
         code = main(["validate", "--config", str(cfg), "--nu", "41", "--mc-samples", "500"])
         out = capsys.readouterr().out
         assert code == 0
-        assert out.count("not applicable (no bracketed mainlobe)") == 2
+        assert "PASS  sll-endpoint-coverage        not applicable (no sidelobe)" in out
+        assert "PASS  gamma-interval-tiling" in out
         assert "PASS  mean-probability-sum" in out and "PASS  mc-inclusion" in out
-        assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert "no local minima bracketing the peak" in capsys.readouterr().err
+        assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "features.json").read_text())
+        assert payload["iams"]["sll_db"] is None
 
     def test_exact_nulls_pass_every_check(self, tmp_path, capsys):
         # four equal zero-tolerance elements a quarter wavelength apart have

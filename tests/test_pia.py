@@ -255,13 +255,20 @@ class TestMainlobe:
         assert power[left] <= power[left + 1] and power[left] <= power[left - 1]
         assert power[right] <= power[right - 1] and power[right] <= power[right + 1]
 
-    def test_too_coarse_grid_raises(self, small_scenario):
+    def test_too_coarse_grid_ends_at_the_grid_edges(self, small_scenario):
         from arraytol import nominal_af_curve
 
         grid = uniform_grid(5)
         power = np.abs(nominal_af_curve(small_scenario, grid)) ** 2
-        with pytest.raises(ValidationError):
-            mainlobe_indices(power)
+        assert mainlobe_indices(power) == (2, 0, 4)
+
+    @pytest.mark.parametrize("power, expected", [
+        ([1.0, 2.0, 3.0], (2, 0, 2)),  # the peak is a grid edge
+        ([2.0, 1.0, 3.0, 4.0, 2.0], (3, 1, 4)),  # a minimum on the left only
+        ([1.0, 2.0, 2.0, 3.0], (3, 0, 3)),  # a plateau is no minimum
+    ])
+    def test_mainlobe_ends_at_first_minimum_or_grid_edge(self, power, expected):
+        assert mainlobe_indices(np.array(power)) == expected
 
 
 class TestFeatureReport:
