@@ -170,7 +170,7 @@ def cmd_features(run: RunConfig) -> int:
             {
                 "k": k + 1,
                 "sll_db": None if sll is None else [float(sll[k, 0]), float(sll[k, 1])],
-                "sll_prob": float(report.sll_probs[k]),
+                "sll_prob": float(report.mean_probs[k]),  # the angular mean, as mean_prob
                 "gamma_db": [
                     float(report.gamma_intervals[k, 0]),
                     float(report.gamma_intervals[k, 1]),

@@ -67,7 +67,7 @@ def convex_polygon(points) -> ConvexPolygon:
     vertex's modulus, removes collinear ones, and
     rejects inputs that are not convex and counter-clockwise.
     """
-    arr = np.asarray(points, dtype=np.complex128).ravel()
+    arr = np.array(points, dtype=np.complex128).ravel()  # a copy: convex_rows may return it
     if arr.size == 0:
         raise ValidationError("polygon needs at least one vertex")
     vertices, n_vertices = convex_rows(arr[None])
@@ -78,7 +78,7 @@ def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row of points as convex_polygon normalizes one.
 
     Returns the rows, as wide as points, in the padded-row format, and their
-    vertex counts.
+    vertex counts.  When no vertex is dropped the rows are points itself.
     """
     vs = np.asarray(points, dtype=np.complex128)
     if not np.all(np.isfinite(vs)):
@@ -86,7 +86,10 @@ def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
     far = np.abs(vs).max(axis=1, keepdims=True)  # each row's scale
     keep = np.abs(vs - np.roll(vs, 1, axis=1)) > EPS_GEOM * far
     keep[~keep.any(axis=1), 0] = True
-    vs, n = _compact(vs, keep)
+    if keep.all():  # nothing welded: compaction would be the identity
+        n = np.full(len(vs), vs.shape[1])
+    else:
+        vs, n = _compact(vs, keep)
     slot = np.arange(vs.shape[1])
     while True:
         e2 = np.roll(vs, -1, axis=1) - vs  # padding makes vertex 0 follow vertex n-1

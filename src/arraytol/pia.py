@@ -64,7 +64,6 @@ class FeatureReport:
     gamma_intervals: np.ndarray = field(repr=False)  # (K, 2) dB
     gamma_probs: np.ndarray = field(repr=False)
     sll_intervals: np.ndarray | None = field(repr=False)  # (K, 2) dB; None: no sidelobe
-    sll_probs: np.ndarray = field(repr=False)
     iams_gamma: tuple[float, float] = field(repr=True)
     iams_sll: tuple[float, float] | None = field(repr=True)
     mean_probs: np.ndarray = field(repr=False)
@@ -214,7 +213,6 @@ def feature_report(pmap: ProbabilityMap) -> FeatureReport:
             (side_max[:-1] - peak_sup_db, side_max[1:] - peak_inf_db)
         )
         iams_sll = (float(side_max[0] - peak_sup_db), float(side_max[-1] - peak_inf_db))
-    means = mean_probabilities(pmap)
     return FeatureReport(
         k_regions=k_regions,
         u_max=float(grid.samples[i_max]),
@@ -222,9 +220,8 @@ def feature_report(pmap: ProbabilityMap) -> FeatureReport:
         gamma_intervals=gamma_intervals,
         gamma_probs=gamma_probs,
         sll_intervals=sll_intervals,
-        sll_probs=means.copy(),
         iams_gamma=(float(peak_inf_db), float(peak_sup_db)),
         iams_sll=iams_sll,
-        mean_probs=means,
+        mean_probs=mean_probabilities(pmap),
         degenerate=bool(pmap.degenerate.any()),
     )

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +489,40 @@ class TestComputeOnce:
         args = [command, "--config", str(config_path), "--out", str(tmp_path / "out")]
         assert main(args + ["--mc-samples", "500"]) == 0
         assert len(calls["interval_af_curve"]) == curves
+
+
+class TestLeanImports:
+    """Commands that do not sample never load numpy.random (about 6 MiB resident)."""
+
+    # run in a fresh interpreter: pytest's own has numpy.random loaded already
+    SCRIPT = """
+import json, sys
+steps = []
+import arraytol
+steps.append(("import arraytol", "numpy.random" in sys.modules))
+from arraytol.cli import main
+cfg, out = sys.argv[1:]
+for args in (["bounds", "--dump-polygons"], ["pia"], ["features"], ["mc"]):
+    code = main([args[0], "--config", cfg, "--out", out, *args[1:]])
+    steps.append((" ".join(args) + f" (exit {code})", "numpy.random" in sys.modules))
+print(json.dumps(steps))
+"""
+
+    def test_only_mc_loads_numpy_random(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", n_u=21, mc_samples=200)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(cfg), str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+        )
+        assert [tuple(step) for step in json.loads(done.stdout)] == [
+            ("import arraytol", False),
+            ("bounds --dump-polygons (exit 0)", False),
+            ("pia (exit 0)", False),
+            ("features (exit 0)", False),
+            ("mc (exit 0)", True),
+        ]
 
 
 class TestConfigErrors:

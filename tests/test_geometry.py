@@ -61,6 +61,12 @@ class TestConvexPolygonFactory:
         with pytest.raises(ValidationError):
             convex_polygon([0j, complex(math.nan, 0), 1j])
 
+    def test_does_not_alias_its_input(self):
+        square = np.array([0j, 1 + 0j, 1 + 1j, 1j])  # nothing to weld or drop
+        p = convex_polygon(square)
+        square[:] = 5.0
+        assert np.array_equal(p.vertices, [0j, 1 + 0j, 1 + 1j, 1j])
+
 
 class TestPolygonizeIntervalPhasor:
     def test_zero_width_collapses_to_point(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from arraytol import (
     ArrayScenario,
     ExcitationInterval,
+    feature_report,
     nominal_af_curve,
     power_bounds,
     probability_map,
@@ -319,8 +320,8 @@ class TestRunMc:
 
 @st.composite
 def _random_scenarios(draw):
-    """2..16 elements, 0.25..2 wavelength spacing, steered, asymmetric intervals."""
-    n = draw(st.integers(min_value=2, max_value=16))
+    """2..64 elements, 0.25..2 wavelength spacing, steered, asymmetric intervals."""
+    n = draw(st.integers(min_value=2, max_value=64))
     spacing = draw(st.floats(min_value=0.25, max_value=2.0))
     steer = draw(st.floats(min_value=-math.pi, max_value=math.pi))
     fraction = st.floats(min_value=0.0, max_value=0.3)
@@ -357,3 +358,13 @@ def test_random_scenarios_stay_inside_bounds(scen, n_u, k, seed):
     slack = 1e-9 * np.maximum(bounds.p_hi, 1e-300)
     assert np.all(report.per_u_min >= bounds.p_lo - slack)
     assert np.all(report.per_u_max <= bounds.p_hi + slack)
+    features = feature_report(pmap)
+    gamma = features.gamma_intervals
+    assert np.array_equal(gamma[1:, 0], gamma[:-1, 1])  # the peak intervals tile
+    assert (gamma[0, 0], gamma[-1, 1]) == features.iams_gamma
+    sll = features.sll_intervals
+    if sll is None:
+        assert features.iams_sll is None
+    else:
+        assert (sll[0, 0], sll[-1, 1]) == features.iams_sll
+    assert abs(features.mean_probs.sum() - 1.0) <= 1e-9

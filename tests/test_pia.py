@@ -280,7 +280,7 @@ class TestFeatureReport:
         assert rep.gamma_intervals[0, 0] == rep.iams_gamma[0]
         assert rep.gamma_intervals[-1, 1] == rep.iams_gamma[1]
         assert rep.gamma_probs.sum() == pytest.approx(1.0, abs=1e-9)
-        assert rep.sll_probs.sum() == pytest.approx(1.0, abs=1e-9)
+        assert rep.mean_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert rep.u_max == pytest.approx(0.0)
 
     def test_sll_coverage_endpoints(self, small_scenario):
