@@ -136,40 +136,63 @@ def polygonize_interval_phasor(
     guaranteed superset of the sector; the inner arc is covered by its
     chord.  Over-coverage shrinks as O(1/arc_points^2).
     """
-    if not (0.0 <= amp_lo <= amp_hi):
-        raise ValidationError(f"amplitude interval [{amp_lo}, {amp_hi}] must satisfy 0 <= lo <= hi")
-    width = phase_hi - phase_lo
-    if width < 0.0:
-        raise ValidationError(f"phase interval [{phase_lo}, {phase_hi}] is reversed")
-    if width >= math.pi:
-        raise ValidationError(f"phase interval width {width} rad must be below pi")
+    vertices, n_vertices = polygonize_interval_phasors(
+        [(amp_lo, amp_hi, phase_lo, phase_hi)], arc_points
+    )
+    return ConvexPolygon(vertices[0, : n_vertices[0]])
+
+
+def polygonize_interval_phasors(sectors, arc_points: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """polygonize_interval_phasor of each (amp_lo, amp_hi, phase_lo, phase_hi) in sectors.
+
+    Returns the polygons in the padded-row format, normalized by one
+    convex_rows call.  A zero-width sector's row is its two ray points,
+    padded with repeats of the outer one, which the weld drops.
+    """
+    sectors = list(sectors)
+    for amp_lo, amp_hi, phase_lo, phase_hi in sectors:
+        if not (0.0 <= amp_lo <= amp_hi):
+            raise ValidationError(
+                f"amplitude interval [{amp_lo}, {amp_hi}] must satisfy 0 <= lo <= hi"
+            )
+        width = phase_hi - phase_lo
+        if width < 0.0:
+            raise ValidationError(f"phase interval [{phase_lo}, {phase_hi}] is reversed")
+        if width >= math.pi:
+            raise ValidationError(f"phase interval width {width} rad must be below pi")
     check_integer("arc_points", arc_points, 2)
 
-    if width <= 0.0:
-        rot = complex(math.cos(phase_lo), math.sin(phase_lo))
-        return convex_polygon([amp_lo * rot, amp_hi * rot])
-
-    step = width / arc_points
-    bulge = amp_hi / math.cos(0.5 * step)
-    pts = [amp_lo * _cis(phase_lo), amp_hi * _cis(phase_lo)]
-    for i in range(arc_points):
-        pts.append(bulge * _cis(phase_lo + (i + 0.5) * step))
-    pts.append(amp_hi * _cis(phase_hi))
-    pts.append(amp_lo * _cis(phase_hi))
-    return convex_polygon(pts)
+    points = np.empty((len(sectors), arc_points + 4), dtype=np.complex128)
+    for row, (amp_lo, amp_hi, phase_lo, phase_hi) in zip(points, sectors):
+        if phase_hi == phase_lo:
+            rot = _cis(phase_lo)
+            row[0], row[1:] = amp_lo * rot, amp_hi * rot
+            continue
+        step = (phase_hi - phase_lo) / arc_points
+        bulge = amp_hi / math.cos(0.5 * step)
+        row[:] = [
+            amp_lo * _cis(phase_lo),
+            amp_hi * _cis(phase_lo),
+            *(bulge * _cis(phase_lo + (i + 0.5) * step) for i in range(arc_points)),
+            amp_hi * _cis(phase_hi),
+            amp_lo * _cis(phase_hi),
+        ]
+    return convex_rows(points)
 
 
 def _cis(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
 
 
-def _row_blocks(n_rows: int, row_size: int, size: int = _BLOCK_EDGES) -> list[slice]:
-    """Slices of consecutive rows holding about size elements each."""
+def _row_blocks(
+    n_rows: int, row_size: int, size: int = _BLOCK_EDGES, start: int = 0
+) -> list[slice]:
+    """Slices of consecutive rows, from start up to n_rows, holding about size elements each."""
     step = max(1, size // max(1, row_size))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
+    return [slice(first, min(first + step, n_rows)) for first in range(start, n_rows, step)]
 
 
-def rotated_minkowski_sums(polys, angles) -> tuple[np.ndarray, np.ndarray]:
+def rotated_minkowski_sums(polys, angles, mirrored: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Minkowski sums of rigidly rotated convex polygons, one per row of angles.
 
     Row i sums polys[n] rotated about the origin by angles[i, n] radians.  The
@@ -182,6 +205,10 @@ def rotated_minkowski_sums(polys, angles) -> tuple[np.ndarray, np.ndarray]:
     convex_rows.  Returns (vertices, n_vertices) in the padded-row format;
     vertices is a column slice of one array as wide as the operands' vertex
     count.
+
+    The first mirrored rows are not summed but filled by _mirror_rows from
+    the last ones, which is their sum when angles[i] == -angles[-1 - i]
+    and every polygon is its own conjugate.
     """
     polys = list(polys)
     if not polys:
@@ -198,9 +225,29 @@ def rotated_minkowski_sums(polys, angles) -> tuple[np.ndarray, np.ndarray]:
     n_edges = int(real.sum())
     vertices = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     n_vertices = np.empty(angles.shape[0], dtype=np.int64)
-    for block in _row_blocks(angles.shape[0], n_edges):
+    for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
         vertices[block], n_vertices[block] = convex_rows(_trace(verts, angles[block], real))
-    return vertices[:, : n_vertices.max(initial=1)], n_vertices
+    vertices = vertices[:, : n_vertices[mirrored:].max(initial=1)]
+    _mirror_rows(vertices, n_vertices, mirrored)
+    return vertices, n_vertices
+
+
+def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) -> None:
+    """Fill padded rows [0, mirrored) in place with the conjugates of the last rows.
+
+    Row i becomes the mirror image of row -1 - i in the real axis: its
+    vertex 0 is the conjugate of that row's vertex 0 and the rest follow
+    in reverse order, so the row stays counter-clockwise and is padded
+    with repeats of its vertex 0.
+    """
+    slot = np.arange(vertices.shape[1])
+    last = len(vertices) - 1
+    for block in _row_blocks(mirrored, vertices.shape[1]):
+        source = last - np.arange(block.start, block.stop)
+        n = n_vertices[source][:, None]
+        order = np.where(slot < n, (n - slot) % n, 0)
+        vertices[block] = np.take_along_axis(vertices[source], order, axis=1).conj()
+        n_vertices[block] = n[:, 0]
 
 
 def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from .errors import ValidationError
 from .geometry import (
     ConvexPolygon,
     modulus_bounds,
-    polygonize_interval_phasor,
+    polygonize_interval_phasors,
     rotated_minkowski_sums,
 )
 from .model import AngularGrid, ArrayScenario
@@ -33,7 +34,10 @@ class PowerBoundsCurve:
     normalized so the nominal pattern peaks at 0 dB; a zero lower bound
     maps to -inf dB.  vertices and n_vertices hold the regions the bounds
     were taken from, in grid order, in the padded-row format of
-    arraytol.geometry.
+    arraytol.geometry.  arc_points is the sector polygonization the regions
+    were built with, allowance the rounding allowance their modulus bounds
+    were widened by, and the first mirrored rows are mirror images of the
+    last ones (interval_af_curve).
     """
 
     scenario: ArrayScenario = field(repr=False)
@@ -48,6 +52,9 @@ class PowerBoundsCurve:
     modulus_hi: np.ndarray = field(repr=False)
     n_vertices: np.ndarray = field(repr=False)
     peak_power: float
+    arc_points: int
+    allowance: float
+    mirrored: int
 
 
 def nominal_af(scenario: ArrayScenario, u: float) -> complex:
@@ -72,34 +79,84 @@ def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
     return (amps[:, None] * np.exp(1j * (phases[:, None] + steering))).sum(axis=0)
 
 
+class IntervalRegions(NamedTuple):
+    """The regions of a grid and their modulus bounds, as interval_af_curve returns them."""
+
+    vertices: np.ndarray
+    n_vertices: np.ndarray
+    modulus_lo: np.ndarray
+    modulus_hi: np.ndarray
+    allowance: float  # the rounding_allowance the modulus bounds are widened by
+    mirrored: int  # leading rows filled as mirror images (mirrored_rows)
+
+
 def interval_af_curve(
     scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Array-factor regions at every grid sample: (vertices, n_vertices, modulus_lo, modulus_hi).
+) -> IntervalRegions:
+    """Array-factor regions at every grid sample, with their modulus bounds.
 
     Each element's sector is polygonized once; at direction u it is that
     polygon rotated by the steering phase 2*pi*spacing*n*u, and the region,
     their Minkowski sum, contains the nominal array factor.  One batched
     Minkowski sum covers the whole grid and returns its regions in the
     padded-row format.  The modulus bounds are widened by the
-    rounding_allowance of the sectors.
+    rounding_allowance of the sectors.  Where mirrored_rows finds the
+    mirror symmetry, only the rows from u = 0 on are summed and bounded;
+    each row at -u is the conjugate of the row at u and copies its bounds.
     """
     sectors = element_sectors(scenario, arc_points)
-    psi = _TWO_PI * scenario.spacing * np.outer(grid.samples, np.arange(scenario.n_elements))
-    vertices, n_vertices = rotated_minkowski_sums(sectors, psi)
-    lo, hi = modulus_bounds(vertices, n_vertices)
+    mirrored = mirrored_rows(scenario, grid)
+    psi = steering_phases(scenario, grid.samples)
+    vertices, n_vertices = rotated_minkowski_sums(sectors, psi, mirrored)
+    lo, hi = modulus_bounds(vertices[mirrored:], n_vertices[mirrored:])
     slack = rounding_allowance(sectors)
-    return vertices, n_vertices, np.maximum(lo - slack, 0.0), hi + slack
+    return IntervalRegions(
+        vertices,
+        n_vertices,
+        unfold_mirror(np.maximum(lo - slack, 0.0), mirrored),
+        unfold_mirror(hi + slack, mirrored),
+        slack,
+        mirrored,
+    )
+
+
+def mirrored_rows(scenario: ArrayScenario, grid: AngularGrid) -> int:
+    """How many leading grid rows the geometry fills as mirror images of trailing ones.
+
+    When every element's phase interval is symmetric about 0 (exactly
+    phase_lo == -phase_hi), each sector is its own conjugate, and on a
+    grid with u[::-1] == -u exactly the region at -u is the conjugate of
+    the region at u: the len(grid) // 2 rows with u < 0 are mirrored.
+    Anything else mirrors none.
+    """
+    u = grid.samples
+    symmetric = all(e.phase_lo == -e.phase_hi for e in scenario.elements)
+    return len(u) // 2 if symmetric and np.array_equal(u, -u[::-1]) else 0
+
+
+def unfold_mirror(values: np.ndarray, mirrored: int) -> np.ndarray:
+    """Full-grid values from those of rows mirrored onward, along the last axis.
+
+    Row i < mirrored takes the value of row -1 - i.  With nothing mirrored
+    the result is values itself, not a copy.
+    """
+    if not mirrored:
+        return values
+    return np.concatenate((values[..., ::-1][..., :mirrored], values), axis=-1)
+
+
+def steering_phases(scenario: ArrayScenario, u) -> np.ndarray:
+    """(len(u), N) steering phases 2*pi*spacing*n*u of each element at each direction."""
+    return _TWO_PI * scenario.spacing * np.outer(u, np.arange(scenario.n_elements))
 
 
 def element_sectors(scenario: ArrayScenario, arc_points: int = 8) -> list[ConvexPolygon]:
     """Each element's excitation sector as a covering polygon, in element order."""
-    return [
-        polygonize_interval_phasor(
-            el.amplitude_lo, el.amplitude_hi, el.phase_lo, el.phase_hi, arc_points
-        )
-        for el in scenario.elements
-    ]
+    vertices, n_vertices = polygonize_interval_phasors(
+        [(e.amplitude_lo, e.amplitude_hi, e.phase_lo, e.phase_hi) for e in scenario.elements],
+        arc_points,
+    )
+    return [ConvexPolygon(row[:n]) for row, n in zip(vertices, n_vertices.tolist())]
 
 
 def rounding_allowance(sectors: list[ConvexPolygon]) -> float:
@@ -133,17 +190,18 @@ def power_bounds(
     ValidationError; inside it the power bounds, and the nominal peak they
     contain, are finite.
     """
-    vertices, n_vertices, modulus_lo, modulus_hi = interval_af_curve(scenario, grid, arc_points)
+    regions = interval_af_curve(scenario, grid, arc_points)
     smallest, largest = _MODULUS_RANGE
-    far = float(modulus_hi.max())
+    far = float(regions.modulus_hi.max())
     if not smallest <= far <= largest:
         raise ValidationError(
             f"largest region modulus {far:.3g} lies outside [{smallest:g}, {largest:g}], where "
             "the region geometry overflows or underflows double precision; scale the "
             f"amplitudes {'up' if far < smallest else 'down'}"
         )
-    p_lo = modulus_lo**2
-    p_hi = modulus_hi**2
+    p_lo = regions.modulus_lo**2
+    p_hi = regions.modulus_hi**2
+    # the full grid: a nominal phase inside a symmetric interval need not be 0
     nominal_power = np.abs(nominal_af_curve(scenario, grid)) ** 2
     peak_power = float(nominal_power.max())
     if peak_power <= 0.0:
@@ -151,14 +209,17 @@ def power_bounds(
     return PowerBoundsCurve(
         scenario=scenario,
         grid=grid,
-        vertices=vertices,
+        vertices=regions.vertices,
         p_lo=p_lo,
         p_hi=p_hi,
         p_lo_db=power_db(p_lo, peak_power),
         p_hi_db=power_db(p_hi, peak_power),
         nominal_db=power_db(nominal_power, peak_power),
-        modulus_lo=modulus_lo,
-        modulus_hi=modulus_hi,
-        n_vertices=n_vertices,
+        modulus_lo=regions.modulus_lo,
+        modulus_hi=regions.modulus_hi,
+        n_vertices=regions.n_vertices,
         peak_power=peak_power,
+        arc_points=arc_points,
+        allowance=regions.allowance,
+        mirrored=regions.mirrored,
     )

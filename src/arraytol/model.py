@@ -129,9 +129,17 @@ def scenario_from_tolerances(
 
 
 def uniform_grid(n_samples: int) -> AngularGrid:
-    """Equally spaced grid spanning [-1, 1] inclusive."""
+    """Equally spaced grid spanning [-1, 1] inclusive, bitwise antisymmetric.
+
+    Sample k is j / (n_samples - 1) for the integer j = 2k - (n_samples - 1):
+    the double nearest to -1 + 2k / (n_samples - 1).  Division rounds -j to
+    exactly minus the rounding of j, so the negative half is the negated
+    non-negative half (u[::-1] == -u, and the middle sample of an odd grid
+    is exactly 0), which the geometry's mirror needs; np.linspace is not
+    antisymmetric, and differs from this grid by at most one ulp of 1.
+    """
     check_integer("n_samples", n_samples, 2)
-    return AngularGrid(np.linspace(-1.0, 1.0, n_samples))
+    return AngularGrid(np.arange(1 - n_samples, n_samples, 2) / (n_samples - 1))
 
 
 def scenario_from_config(cfg: dict) -> ArrayScenario:

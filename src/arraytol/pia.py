@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import EPS_GEOM, ConvexPolygon, disc_polygon_areas, distance_bounds_to_origin
-from .iams import PowerBoundsCurve
+from .iams import PowerBoundsCurve, unfold_mirror
 from .model import check_integer
 
 # Relative size, against the region's area, of a negative ring area that is
@@ -139,11 +139,15 @@ def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     """Ring partitions and occupancy probabilities at every grid sample.
 
     The rings split each direction's modulus bounds; grid, regions and peak
-    power are those of bounds, which the map keeps.
+    power are those of bounds, which the map keeps.  The ring areas are
+    taken only for the rows bounds computed; its mirrored rows copy the
+    probabilities of their mirror images.
     """
     check_integer("k_regions", k_regions, 1)
     ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, k_regions)
-    p, degenerate = _ring_probabilities(ring_radii, bounds.vertices, bounds.n_vertices)
+    m = bounds.mirrored
+    p, degenerate = _ring_probabilities(ring_radii[m:], bounds.vertices[m:], bounds.n_vertices[m:])
+    p, degenerate = unfold_mirror(p, m), unfold_mirror(degenerate, m)
     with np.errstate(divide="ignore"):
         region_power_db = 20.0 * np.log10(ring_radii) - 10.0 * math.log10(bounds.peak_power)
     return ProbabilityMap(

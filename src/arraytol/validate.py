@@ -13,13 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .iams import element_sectors, power_bounds, rounding_allowance
+from .geometry import modulus_bounds, rotated_minkowski_sums
+from .iams import element_sectors, power_bounds, steering_phases
 from .model import scenario_from_tolerances
 from .montecarlo import McReport
-from .pia import feature_report, mean_probabilities, probability_map
+from .pia import (
+    _ring_probabilities,
+    _ring_radii,
+    feature_report,
+    mean_probabilities,
+    probability_map,
+)
 
 REL_TOL = 1e-9
 N_COLUMNS = 8193  # odd, so composite Simpson has an even number of panels
+N_RAYS = 64  # directions along which pattern-symmetry compares regions
 
 
 @dataclass(frozen=True)
@@ -166,32 +174,55 @@ def run_validation(mc: McReport) -> list[CheckResult]:
         )
     )
 
-    results.append(_symmetry_check(bounds))
+    results.append(_symmetry_check(pmap))
     results.append(_zero_tolerance_check(bounds, k_regions))
     results.append(_oracle_spot_check(pmap))
     return results
 
 
-def _symmetry_check(bounds) -> CheckResult:
+def _symmetry_check(pmap) -> CheckResult:
+    """Recompute the mirrored rows among the oracle directions and their mirror images.
+
+    Sums those rows directly, without the mirror, and compares their
+    regions (by their support functions along N_RAYS directions), modulus
+    bounds and ring probabilities with the ones the curve and the map
+    copied from the rows at -u.
+    """
+    bounds = pmap.bounds
+    n_u, mirrored = len(bounds.grid), bounds.mirrored
+    if mirrored == 0:
+        return CheckResult("pattern-symmetry", True, "not applicable (no mirrored rows)")
+    rows = sorted({j for i in _oracle_directions(n_u) for j in (i, n_u - 1 - i) if j < mirrored})
     scenario = bounds.scenario
-    amps_lo = [e.amplitude_lo for e in scenario.elements]
-    amps_hi = [e.amplitude_hi for e in scenario.elements]
-    symmetric = (
-        amps_lo == amps_lo[::-1]
-        and amps_hi == amps_hi[::-1]
-        and all(e.nominal_phase == 0.0 for e in scenario.elements)
-        and all(e.phase_lo == -e.phase_hi for e in scenario.elements)
+    vertices, n_vertices = rotated_minkowski_sums(
+        element_sectors(scenario, bounds.arc_points),
+        steering_phases(scenario, bounds.grid.samples[rows]),
     )
-    us = bounds.grid.samples
-    if not symmetric or not np.allclose(us, -us[::-1], atol=0.0):
-        return CheckResult("pattern-symmetry", True, "not applicable (asymmetric scenario)")
-    scale = float(bounds.p_hi.max())
-    err_lo = float(np.abs(bounds.p_lo - bounds.p_lo[::-1]).max()) / scale
-    err_hi = float(np.abs(bounds.p_hi - bounds.p_hi[::-1]).max()) / scale
-    ok = err_lo <= REL_TOL and err_hi <= REL_TOL
+    lo, hi = modulus_bounds(vertices, n_vertices)
+    lo, hi = np.maximum(lo - bounds.allowance, 0.0), hi + bounds.allowance
+    scale = float(bounds.modulus_hi.max())
+    rays = np.exp(2j * np.pi * np.arange(N_RAYS) / N_RAYS)[:, None]
+    err_region = float(
+        np.abs(_support(vertices, rays) - _support(bounds.vertices[rows], rays)).max()
+    ) / scale
+    err_mod = max(
+        float(np.abs(lo - bounds.modulus_lo[rows]).max()),
+        float(np.abs(hi - bounds.modulus_hi[rows]).max()),
+    ) / scale
+    p, _ = _ring_probabilities(_ring_radii(lo, hi, pmap.k_regions), vertices, n_vertices)
+    err_p = float(np.abs(p - pmap.p[:, rows]).max())
     return CheckResult(
-        "pattern-symmetry", ok, f"max relative asymmetry lo {err_lo:.3e}, hi {err_hi:.3e}"
+        "pattern-symmetry",
+        max(err_region, err_mod, err_p) <= REL_TOL,
+        f"{len(rows)} mirrored directions summed directly: max relative error of regions "
+        f"{err_region:.3e}, modulus bounds {err_mod:.3e}; max ring-probability error "
+        f"{err_p:.3e}",
     )
+
+
+def _support(vertices, rays) -> np.ndarray:
+    """(rows, rays) support function of each padded region along each unit ray."""
+    return (vertices[:, None, :] * rays.conj()).real.max(axis=2)
 
 
 def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
@@ -208,11 +239,10 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
     # The bounds of a point region are widened by the rounding allowance on
     # each side, which also covers the rounding of the nominal pattern: they
     # must contain it and be no wider than twice the allowance.
-    allowance = rounding_allowance(element_sectors(collapsed))
     tol = 1e-9 * b.peak_power
     inside = np.all(b.p_lo - tol <= nominal_power) and np.all(nominal_power <= b.p_hi + tol)
     width = float((b.modulus_hi - b.modulus_lo).max())
-    narrow = width <= 2.0 * allowance + 1e-9 * np.sqrt(b.peak_power)
+    narrow = width <= 2.0 * b.allowance + 1e-9 * np.sqrt(b.peak_power)
     dev = float(np.maximum(b.p_hi - nominal_power, nominal_power - b.p_lo).max())
     pm = probability_map(b, k_regions)
     ok = bool(inside and narrow and pm.degenerate.all() and np.all(pm.p[0] == 1.0))
@@ -220,16 +250,21 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
         "zero-tolerance-collapse",
         ok,
         "degenerate intervals collapse onto the nominal pattern within the rounding "
-        f"allowance {allowance:.3e}, max |p - nominal| = {dev:.3e} "
+        f"allowance {b.allowance:.3e}, max |p - nominal| = {dev:.3e} "
         "(warning: all ring probability assigned to the first ring by convention)",
     )
+
+
+def _oracle_directions(n_u: int) -> list[int]:
+    """The four grid rows the area oracle checks."""
+    return sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6})
 
 
 def _oracle_spot_check(pmap) -> CheckResult:
     bounds = pmap.bounds
     n_u = len(bounds.grid)
     worst = 0.0
-    for i in sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6}):
+    for i in _oracle_directions(n_u):
         if pmap.degenerate[i]:
             continue
         region = bounds.vertices[i, : bounds.n_vertices[i]]

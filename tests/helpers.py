@@ -47,8 +47,28 @@ def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.nda
 
 def direction_region(scenario, u: float, arc_points: int = 8):
     """(region, modulus_lo, modulus_hi) at one direction: row 0 of a one-sample curve."""
-    vertices, n_vertices, lo, hi = interval_af_curve(scenario, AngularGrid([u]), arc_points)
-    return ConvexPolygon(vertices[0, : n_vertices[0]]), float(lo[0]), float(hi[0])
+    r = interval_af_curve(scenario, AngularGrid([u]), arc_points)
+    region = ConvexPolygon(r.vertices[0, : r.n_vertices[0]])
+    return region, float(r.modulus_lo[0]), float(r.modulus_hi[0])
+
+
+def boundary_distance(a, b) -> float:
+    """Two-way distance between the boundaries of two vertex rings.
+
+    The largest distance from a vertex of either ring to the nearest point
+    on the other ring's edges: 0 for the same polygon whatever vertex each
+    ring starts at.
+    """
+
+    def one_way(points, ring):
+        d = np.roll(ring, -1) - ring
+        dd = d.real**2 + d.imag**2
+        rel = points[:, None] - ring[None, :]
+        t = np.clip((rel * d.conj()).real / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+        return float(np.abs(rel - t * d).min(axis=1).max())
+
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return max(one_way(a, b), one_way(b, a))
 
 
 def reference_draw(scenario, uniforms) -> np.ndarray:

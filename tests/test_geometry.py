@@ -16,7 +16,8 @@ from arraytol import (
     polygon_area,
     polygonize_interval_phasor,
 )
-from arraytol.geometry import disc_polygon_areas
+from arraytol import geometry
+from arraytol.geometry import disc_polygon_areas, polygonize_interval_phasors
 from arraytol.validate import disc_polygon_area_quadrature
 
 from helpers import (
@@ -129,6 +130,37 @@ class TestPolygonizeIntervalPhasor:
         for arc_points in (2.5, True):
             with pytest.raises(ValidationError, match="integer"):
                 polygonize_interval_phasor(0.5, 1.0, 0.0, 0.1, arc_points=arc_points)
+
+    def test_batch_is_one_normalization_of_the_single_sectors(self, monkeypatch):
+        # a zero-width sector among wide ones: its row is padded, and the
+        # weld drops the padding
+        sectors = [(0.9, 1.1, -0.1, 0.1), (0.5, 0.7, 0.3, 0.3), (0.0, 1.0, 1.0, 1.2),
+                   (1.0, 1.0, -2.0, -2.0), (0.0, 0.0, 0.0, 0.0)]
+        calls = []
+        convex_rows = geometry.convex_rows
+        monkeypatch.setattr(
+            geometry, "convex_rows", lambda points: calls.append(1) or convex_rows(points)
+        )
+        vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=5)
+        assert len(calls) == 1
+        assert vertices.shape == (len(sectors), 5 + 4)
+        assert n_vertices.tolist() == [9, 2, 8, 1, 1]
+        lo, hi, ph, _ = sectors[1]
+        ray = complex(math.cos(ph), math.sin(ph))
+        segment = convex_polygon([lo * ray, hi * ray]).vertices
+        assert vertices[1, :2].tobytes() == segment.tobytes()
+        for row, n, sector in zip(vertices, n_vertices, sectors):
+            assert np.all(row[n:] == row[0])
+            single = polygonize_interval_phasor(*sector, arc_points=5)
+            assert row[:n].tobytes() == single.vertices.tobytes()
+
+    def test_batch_reports_the_bad_sector(self):
+        good = (0.5, 1.0, 0.0, 0.1)
+        for bad, match in (((1.0, 0.5, 0.0, 0.1), "amplitude interval"),
+                           ((0.5, 1.0, 0.2, 0.1), "reversed"),
+                           ((0.5, 1.0, 0.0, math.pi), "below pi")):
+            with pytest.raises(ValidationError, match=match):
+                polygonize_interval_phasors([good, bad, good])
 
     def test_boundary_width_just_below_pi_accepted(self):
         p = polygonize_interval_phasor(0.5, 1.0, 0.0, math.pi * (1 - 1e-9), arc_points=8)

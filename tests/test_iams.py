@@ -1,5 +1,6 @@
 """Interval array factor and power-bounds tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,12 +20,14 @@ from arraytol import (
     polygonize_interval_phasor,
     power_bounds,
     power_db,
+    probability_map,
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol.iams import element_sectors
+from arraytol.geometry import convex_rows
+from arraytol.iams import element_sectors, rounding_allowance
 
-from helpers import direction_region, taylor_taper
+from helpers import boundary_distance, direction_region, taylor_taper
 
 
 def _uniform_scenario(n, xi=0.0, gamma=0.0, spacing=0.5):
@@ -140,9 +143,10 @@ class TestIntervalAf:
             )
         rng = np.random.default_rng(4)
         us = np.unique(np.concatenate(([-1.0, -0.5, 0.0, 0.5, 1.0], rng.uniform(-1, 1, 20))))
-        vertices, n_vertices, modulus_lo, modulus_hi = interval_af_curve(
+        vertices, n_vertices, modulus_lo, modulus_hi, _, mirrored = interval_af_curve(
             scen, AngularGrid(us), arc_points=8
         )
+        assert mirrored == 0  # the random directions are not a mirror grid
         rays = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
         for i, u in enumerate(us):
             sectors = []
@@ -181,7 +185,7 @@ class TestIntervalAf:
         lows = {}
         for scale in (1e-4, 1e-2, 1.0, 1e2):
             scen = scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
-            _, _, modulus_lo, _ = interval_af_curve(scen, grid)
+            modulus_lo = interval_af_curve(scen, grid).modulus_lo
             lows[scale] = modulus_lo / scale
         zeros = np.flatnonzero(lows[1.0] == 0.0)
         assert 0 < zeros.size < len(grid)
@@ -267,11 +271,126 @@ class TestPowerBounds:
             [(100.0, -math.pi / 2 - 3e-11), (1.0, 0.0)], 0.01, math.radians(3.0), 0.5
         )
         grid = AngularGrid(np.array([-0.5, 0.0, 0.5]))
-        _, _, _, modulus_hi = interval_af_curve(scen, grid)
+        modulus_hi = interval_af_curve(scen, grid).modulus_hi
         sectors = element_sectors(scen)
         for u, hi in zip(grid.samples, modulus_hi):
             a, b = (s.vertices * np.exp(1j * math.pi * n * u) for n, s in enumerate(sectors))
             assert hi >= np.abs(a[:, None] + b[None, :]).max()
+
+
+def _taylor_scenario(n):
+    return scenario_from_tolerances(
+        [(float(a), 0.0) for a in taylor_taper(n)], 0.01, math.radians(3.0), 0.5
+    )
+
+
+def _with_element(scen, i, **changes):
+    """scen with element i's fields replaced."""
+    elements = list(scen.elements)
+    elements[i] = dataclasses.replace(elements[i], **changes)
+    return dataclasses.replace(scen, elements=tuple(elements))
+
+
+class TestMirror:
+    """On a symmetric scenario and grid the rows at u < 0 are conjugate copies."""
+
+    @staticmethod
+    def _assert_mirrored_rows_match_direct(scen, grid, rows, k_regions=5):
+        bounds = power_bounds(scen, grid)
+        pmap = probability_map(bounds, k_regions)
+        assert bounds.mirrored == len(grid) // 2
+        assert all(i < bounds.mirrored for i in rows)
+        direct = power_bounds(scen, AngularGrid(grid.samples[rows]))
+        assert direct.mirrored == 0
+        direct_p = probability_map(direct, k_regions).p
+        scale = float(bounds.modulus_hi.max())
+        for j, i in enumerate(rows):
+            n = bounds.n_vertices[i]
+            got = bounds.vertices[i, :n]
+            assert np.all(bounds.vertices[i, n:] == got[0])
+            ref = direct.vertices[j, : direct.n_vertices[j]]
+            assert boundary_distance(got, ref) <= 1e-12 * scale
+        assert np.abs(bounds.modulus_lo[rows] - direct.modulus_lo).max() <= 1e-12 * scale
+        assert np.abs(bounds.modulus_hi[rows] - direct.modulus_hi).max() <= 1e-12 * scale
+        assert np.abs(pmap.p[:, rows] - direct_p).max() <= 1e-12
+        # the mirrored rows are counter-clockwise convex polygons as they stand
+        m = bounds.mirrored
+        _, n_vertices = convex_rows(bounds.vertices[:m])
+        assert np.array_equal(n_vertices, bounds.n_vertices[:m])
+
+    def test_every_taylor16_direction(self, taylor16_scenario, grid501):
+        self._assert_mirrored_rows_match_direct(taylor16_scenario, grid501, list(range(250)))
+
+    def test_every_40th_row_of_64_elements(self):
+        self._assert_mirrored_rows_match_direct(
+            _taylor_scenario(64), uniform_grid(401), list(range(0, 200, 40))
+        )
+
+    @pytest.mark.parametrize("n_u", [2, 3, 40, 41])
+    def test_small_and_even_grids(self, small_scenario, n_u):
+        # an even grid has no u = 0 row: every computed row has u > 0
+        self._assert_mirrored_rows_match_direct(
+            small_scenario, uniform_grid(n_u), list(range(n_u // 2))
+        )
+
+    def test_mirrored_rows_copy_their_images(self, small_scenario):
+        bounds = power_bounds(small_scenario, uniform_grid(41))
+        pmap = probability_map(bounds, 4)
+        for values in (bounds.modulus_lo, bounds.modulus_hi, bounds.n_vertices, pmap.degenerate):
+            assert np.array_equal(values, values[::-1])
+        assert np.array_equal(pmap.p, pmap.p[:, ::-1])
+        assert pmap.p.flags.c_contiguous
+
+    def test_nudged_phase_switches_the_mirror_off(self, small_scenario):
+        grid = uniform_grid(41)
+        el = small_scenario.elements[0]
+        nudged = _with_element(small_scenario, 0, phase_hi=math.nextafter(el.phase_hi, 1.0))
+        mirrored, direct = power_bounds(small_scenario, grid), power_bounds(nudged, grid)
+        assert mirrored.mirrored == 20 and direct.mirrored == 0
+        for i, u in enumerate(grid.samples.tolist()):
+            region, _, _ = direction_region(nudged, u)
+            n = direct.n_vertices[i]
+            assert direct.vertices[i, :n].tobytes() == region.vertices.tobytes()
+        scale = mirrored.modulus_hi.max()
+        assert np.abs(direct.modulus_lo - mirrored.modulus_lo).max() <= 1e-12 * scale
+        assert np.abs(direct.modulus_hi - mirrored.modulus_hi).max() <= 1e-12 * scale
+
+    def test_nominal_phase_inside_a_symmetric_interval(self, small_scenario):
+        # the regions mirror, the nominal pattern does not
+        scen = small_scenario
+        for i in range(scen.n_elements):
+            scen = _with_element(scen, i, nominal_phase=0.01 * (i + 1))
+        grid = uniform_grid(41)
+        curve = power_bounds(scen, grid)
+        assert curve.mirrored == 20
+        nominal_power = np.abs(nominal_af_curve(scen, grid)) ** 2
+        assert np.array_equal(curve.nominal_db, power_db(nominal_power, curve.peak_power))
+        assert not np.allclose(curve.nominal_db, curve.nominal_db[::-1], rtol=0.0, atol=1e-6)
+        assert np.all(curve.p_lo <= nominal_power * (1 + 1e-12))
+        assert np.all(nominal_power <= curve.p_hi * (1 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "samples", [np.linspace(-1.0, 1.0, 41), [-0.5, 0.0, 0.25]], ids=["linspace-41", "uneven"]
+    )
+    def test_custom_grid_takes_the_direct_path(self, small_scenario, samples):
+        grid = AngularGrid(samples)
+        assert not np.array_equal(grid.samples, -grid.samples[::-1])
+        curve = power_bounds(small_scenario, grid)
+        assert curve.mirrored == 0
+        for i, u in enumerate(grid.samples.tolist()):
+            region, modulus_lo, modulus_hi = direction_region(small_scenario, u)
+            n = curve.n_vertices[i]
+            assert curve.vertices[i, :n].tobytes() == region.vertices.tobytes()
+            assert (curve.modulus_lo[i], curve.modulus_hi[i]) == (modulus_lo, modulus_hi)
+
+    def test_any_antisymmetric_grid_mirrors(self, small_scenario):
+        curve = power_bounds(small_scenario, AngularGrid([-0.5, -0.25, 0.25, 0.5]))
+        assert curve.mirrored == 2
+
+    def test_curve_carries_its_polygonization(self, small_scenario):
+        curve = power_bounds(small_scenario, uniform_grid(11), arc_points=6)
+        assert curve.arc_points == 6
+        assert curve.allowance == rounding_allowance(element_sectors(small_scenario, 6))
 
 
 class TestPowerDb:

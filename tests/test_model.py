@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ class TestUniformGrid:
         assert len(g) == 501
         assert np.allclose(np.diff(g.samples), 0.004, atol=1e-15)
         assert g.samples[0] == -1.0 and g.samples[-1] == 1.0
+
+    @pytest.mark.parametrize("n_samples", [2, 3, 40, 41, 101, 501, 2001])
+    def test_antisymmetric_and_within_one_ulp_of_linspace(self, n_samples):
+        u = uniform_grid(n_samples).samples
+        assert np.array_equal(u, -u[::-1])
+        assert np.all(np.diff(u) > 0.0)
+        assert u[0] == -1.0 and u[-1] == 1.0
+        assert np.abs(u - np.linspace(-1.0, 1.0, n_samples)).max() <= np.spacing(1.0)
+        # each sample is the double nearest to -1 + 2k / (n - 1)
+        for k, x in enumerate(u.tolist()):
+            exact = Fraction(2 * k - (n_samples - 1), n_samples - 1)
+            assert abs(Fraction(x) - exact) <= Fraction(np.spacing(abs(x))) / 2
 
     @pytest.mark.parametrize("n_samples", [1, 2.5, 3.0])
     def test_too_few_samples(self, n_samples):

@@ -24,7 +24,12 @@ from arraytol import pia
 from arraytol.geometry import _BLOCK_EDGES
 from arraytol.pia import mainlobe_indices
 
-from helpers import direction_region, disc_convex_area_slab, random_convex_vertices
+from helpers import (
+    boundary_distance,
+    direction_region,
+    disc_convex_area_slab,
+    random_convex_vertices,
+)
 
 
 class TestRingPartition:
@@ -189,22 +194,33 @@ class TestPaddedRegions:
     def test_rows_match_single_directions(self, xi, gamma, at_zero, most):
         # at u = 0 the four sectors are aligned: their sum has the vertex
         # count of one sector, or is a fully collinear segment when the
-        # sectors are segments; three blocks of rows put it between others
+        # sectors are segments; three blocks of rows put it between others.
+        # The rows from u = 0 on are computed and match to the bit; the
+        # mirrored rows at u < 0 are conjugate copies and match as sets.
         scen = scenario_from_tolerances([(1.0, 0.0)] * 4, xi, gamma, 0.5)
         grid = uniform_grid(2 * (_BLOCK_EDGES // most) + 1)
         bounds = power_bounds(scen, grid)
         pmap = probability_map(bounds, 5)
         assert bounds.vertices.shape[1] == bounds.n_vertices.max() == most
         assert bounds.n_vertices[len(grid) // 2] == at_zero
+        assert bounds.mirrored == len(grid) // 2
+        scale = float(bounds.modulus_hi.max())
         for i, u in enumerate(grid.samples.tolist()):
             region, modulus_lo, modulus_hi = direction_region(scen, u)
             n = bounds.n_vertices[i]
             assert n == len(region)
-            assert bounds.vertices[i, :n].tobytes() == region.vertices.tobytes()
             assert np.all(bounds.vertices[i, n:] == bounds.vertices[i, 0])
-            assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (modulus_lo, modulus_hi)
             part = ring_partition(modulus_lo, modulus_hi, 5)
-            assert pmap.p[:, i].tobytes() == region_probabilities(region, part).tobytes()
+            expected = region_probabilities(region, part)
+            if i >= bounds.mirrored:
+                assert bounds.vertices[i, :n].tobytes() == region.vertices.tobytes()
+                assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (modulus_lo, modulus_hi)
+                assert pmap.p[:, i].tobytes() == expected.tobytes()
+            else:
+                assert boundary_distance(bounds.vertices[i, :n], region.vertices) <= 1e-12 * scale
+                assert abs(bounds.modulus_lo[i] - modulus_lo) <= 1e-12 * scale
+                assert abs(bounds.modulus_hi[i] - modulus_hi) <= 1e-12 * scale
+                assert np.abs(pmap.p[:, i] - expected).max() <= 1e-12
 
 
 class TestMeanProbabilities:
@@ -282,6 +298,15 @@ class TestFeatureReport:
         assert rep.gamma_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert rep.mean_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert rep.u_max == pytest.approx(0.0)
+
+    def test_even_grid_takes_the_first_of_two_tied_maxima(self, small_scenario):
+        # no sample at u = 0: the mirrored nominal peak is tied at -u and u
+        grid = uniform_grid(40)
+        bounds = power_bounds(small_scenario, grid)
+        i = len(grid) // 2 - 1
+        assert bounds.nominal_db[i] == bounds.nominal_db[i + 1] == bounds.nominal_db.max()
+        rep = feature_report(probability_map(bounds, 5))
+        assert rep.u_max == grid.samples[i] == -grid.samples[i + 1]
 
     def test_sll_coverage_endpoints(self, small_scenario):
         rep = _report(small_scenario, uniform_grid(101), 5)

@@ -1,13 +1,22 @@
 """Tests of the validate module: its independent area oracle and its verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from arraytol import power_bounds, probability_map, run_mc, scenario_from_tolerances, uniform_grid
+from arraytol import (
+    ExcitationInterval,
+    power_bounds,
+    probability_map,
+    run_mc,
+    scenario_from_tolerances,
+    uniform_grid,
+)
+from arraytol import iams, validate
 from arraytol.geometry import disc_polygon_areas
-from arraytol.validate import disc_polygon_area_quadrature, run_validation
+from arraytol.validate import _symmetry_check, disc_polygon_area_quadrature, run_validation
 
 from helpers import disc_convex_area_slab, random_convex_vertices
 
@@ -66,3 +75,61 @@ class TestAmplitudeScale:
         assert np.array_equal(mc.pmap.bounds.n_vertices, ref.bounds.n_vertices)
         assert np.array_equal(mc.pmap.degenerate, ref.degenerate)
         assert [r.name for r in run_validation(mc) if not r.passed] == []
+
+
+class TestPatternSymmetry:
+    """The check sums some mirrored rows directly and compares them with the copies."""
+
+    @staticmethod
+    def _pmap(scen, n_u=41):
+        return probability_map(power_bounds(scen, uniform_grid(n_u)), 4)
+
+    @staticmethod
+    def _symmetric():
+        return scenario_from_tolerances(
+            [(a, 0.0) for a in (0.5, 0.8, 1.0, 1.0, 0.8, 0.5)], 0.02, math.radians(4.0), 0.5
+        )
+
+    def test_passes_on_the_copies(self):
+        result = _symmetry_check(self._pmap(self._symmetric()))
+        assert result.passed
+        assert result.detail.startswith("2 mirrored directions summed directly")
+
+    @pytest.mark.parametrize("row", [6, 13])
+    def test_fails_on_a_wrong_mirrored_row(self, row):
+        # rows 6 and 13 are the mirrored oracle directions of a 41-sample grid
+        pmap = self._pmap(self._symmetric())
+        p = pmap.p.copy()
+        p[:, row] = p[::-1, row]
+        assert not _symmetry_check(dataclasses.replace(pmap, p=p)).passed
+        hi = pmap.bounds.modulus_hi.copy()
+        hi[row] *= 1.0 + 1e-6
+        bounds = dataclasses.replace(pmap.bounds, modulus_hi=hi)
+        assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
+        # the region at u in place of its mirror image: same moduli and areas
+        vertices = pmap.bounds.vertices.copy()
+        vertices[row] = vertices[row].conj()
+        bounds = dataclasses.replace(pmap.bounds, vertices=vertices)
+        assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
+
+    def test_not_applicable_without_mirrored_rows(self):
+        scen = self._symmetric()
+        elements = list(scen.elements)
+        elements[2] = dataclasses.replace(elements[2], phase_hi=elements[2].phase_hi + 1e-9)
+        nudged = dataclasses.replace(scen, elements=tuple(elements))
+        result = _symmetry_check(self._pmap(nudged))
+        assert result.passed and result.detail == "not applicable (no mirrored rows)"
+
+    def test_collapse_reuses_the_curve_allowance(self, monkeypatch):
+        # the only polygonization in the suite is the collapsed scenario's curve
+        el = ExcitationInterval(1.0, 0.3, 0.99, 1.01, 0.25, 0.35)
+        scen = dataclasses.replace(self._symmetric(), elements=(el,) * 4)
+        mc = run_mc(self._pmap(scen), 500, seed=0)
+        calls = []
+        sectors = iams.element_sectors
+        for module in (iams, validate):
+            monkeypatch.setattr(
+                module, "element_sectors", lambda *a: calls.append(a) or sectors(*a)
+            )
+        assert [r.name for r in run_validation(mc) if not r.passed] == []
+        assert len(calls) == 1
