@@ -1,24 +1,21 @@
 """Exact 2-D convex geometry in the complex plane: sector polygons, batched
 Minkowski sums, origin-distance bounds and exact disc-region areas.
 
-Polygons are immutable sequences of complex vertices in counter-clockwise
-order.  Degenerate polygons (a single point or a segment) are allowed and
-flow through every operation.  All discs are centered at the origin, which
-is the only case the power-pattern analysis needs.
-
-A batch of regions is one padded array: row i of a (rows, M) complex array
-holds its region's n_vertices[i] vertices, then repeats of its vertex 0.
-The padding makes zero-length edges, so the farthest vertex needs no
-vertex count.  Tests on a vertex's two neighbours take them cyclically
-modulo the row's count, and areas sum each row over its own vertices only.
-The batched functions size their own row blocks.  The single-polygon
-functions are one-row calls of the batched ones.
+Every batch of convex polygons is one padded array: row i of a (rows, M)
+complex array holds its polygon's n_vertices[i] vertices in
+counter-clockwise order, then repeats of its vertex 0.  Degenerate
+polygons (a single point or a segment) are allowed and flow through every
+operation.  The padding makes zero-length edges, so the farthest vertex
+needs no vertex count.  Tests on a vertex's two neighbours take them
+cyclically modulo the row's count, and areas sum each row over its own
+vertices only.  The functions size their own row blocks.  All discs are
+centered at the origin, which is the only case the power-pattern analysis
+needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,41 +41,14 @@ _BLOCK_EDGES = 10_000
 _BLOCK_TRIPLES = 20_000
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
-    """Convex CCW polygon; 1 vertex = point, 2 vertices = segment."""
-
-    vertices: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.vertices.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.vertices.size
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"ConvexPolygon(n={self.vertices.size})"
-
-
-def convex_polygon(points) -> ConvexPolygon:
-    """Normalize a CCW vertex sequence into a ConvexPolygon.
-
-    Welds consecutive vertices closer than EPS_GEOM times the farthest
-    vertex's modulus, removes collinear ones, and
-    rejects inputs that are not convex and counter-clockwise.
-    """
-    arr = np.array(points, dtype=np.complex128).ravel()  # a copy: convex_rows may return it
-    if arr.size == 0:
-        raise ValidationError("polygon needs at least one vertex")
-    vertices, n_vertices = convex_rows(arr[None])
-    return ConvexPolygon(vertices[0, : n_vertices[0]])
-
-
 def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each row of points as convex_polygon normalizes one.
+    """Normalize each row of points, a CCW vertex ring, into a convex polygon.
 
-    Returns the rows, as wide as points, in the padded-row format, and their
-    vertex counts.  When no vertex is dropped the rows are points itself.
+    Welds consecutive vertices closer than EPS_GEOM times the row's
+    farthest vertex's modulus, removes collinear ones, and rejects rows
+    that are not convex and counter-clockwise.  Returns the rows, as wide
+    as points, in the padded-row format, and their vertex counts.  When no
+    vertex is dropped the rows are points itself.
     """
     vs = np.asarray(points, dtype=np.complex128)
     if not np.all(np.isfinite(vs)):
@@ -122,32 +92,17 @@ def _compact(vs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(np.arange(vs.shape[1]) < n[:, None], vs, vs[:, :1]), n
 
 
-def polygonize_interval_phasor(
-    amp_lo: float,
-    amp_hi: float,
-    phase_lo: float,
-    phase_hi: float,
-    arc_points: int = 8,
-) -> ConvexPolygon:
-    """Convex polygon covering the annular sector {a*e^(jb)}.
+def polygonize_interval_phasors(sectors, arc_points: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Convex polygons covering each annular sector {a*e^(jb)} in sectors.
 
-    The outer arc is replaced by circumscribed tangent chords (arc_points
+    Each sector is given as (amp_lo, amp_hi, phase_lo, phase_hi).  The
+    outer arc is replaced by circumscribed tangent chords (arc_points
     vertices pushed to radius amp_hi/cos(step/2)), so the polygon is a
     guaranteed superset of the sector; the inner arc is covered by its
-    chord.  Over-coverage shrinks as O(1/arc_points^2).
-    """
-    vertices, n_vertices = polygonize_interval_phasors(
-        [(amp_lo, amp_hi, phase_lo, phase_hi)], arc_points
-    )
-    return ConvexPolygon(vertices[0, : n_vertices[0]])
-
-
-def polygonize_interval_phasors(sectors, arc_points: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """polygonize_interval_phasor of each (amp_lo, amp_hi, phase_lo, phase_hi) in sectors.
-
-    Returns the polygons in the padded-row format, normalized by one
-    convex_rows call.  A zero-width sector's row is its two ray points,
-    padded with repeats of the outer one, which the weld drops.
+    chord.  Over-coverage shrinks as O(1/arc_points^2).  Returns the
+    polygons in the padded-row format, normalized by one convex_rows call.
+    A zero-width sector's row is its two ray points, padded with repeats of
+    the outer one, which the weld drops.
     """
     sectors = list(sectors)
     for amp_lo, amp_hi, phase_lo, phase_hi in sectors:
@@ -192,44 +147,43 @@ def _row_blocks(
     return [slice(first, min(first + step, n_rows)) for first in range(start, n_rows, step)]
 
 
-def rotated_minkowski_sums(polys, angles, mirrored: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def rotated_minkowski_sums(
+    vertices, n_vertices, angles, mirrored: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Minkowski sums of rigidly rotated convex polygons, one per row of angles.
 
-    Row i sums polys[n] rotated about the origin by angles[i, n] radians.  The
+    vertices and n_vertices are the operands in the padded-row format.  Row
+    i sums operand n rotated about the origin by angles[i, n] radians.  The
     row's edge vectors sorted by direction (angles folded into [0, 2*pi),
     ties kept in operand order) trace the sum's shape, all rows of a block
-    in one argsort and one cumsum.  A trace starts where its first edge in
-    that order starts: at the sum, over the operands, of the vertex where
-    each operand's own first edge starts (its edge of least folded
-    direction, the lowest index among ties).  The traces are normalized by
+    in one argsort and one cumsum.  A point keeps one zero-length edge,
+    which the weld drops.  A trace starts where its first edge in that
+    order starts: at the sum, over the operands, of the vertex where each
+    operand's own first edge starts (its edge of least folded direction,
+    the lowest index among ties).  The traces are normalized by
     convex_rows.  Returns (vertices, n_vertices) in the padded-row format;
     vertices is a column slice of one array as wide as the operands' vertex
     count.
 
     The first mirrored rows are not summed but filled by _mirror_rows from
     the last ones, which is their sum when angles[i] == -angles[-1 - i]
-    and every polygon is its own conjugate.
+    and every operand is its own conjugate.
     """
-    polys = list(polys)
-    if not polys:
+    n_vertices = np.asarray(n_vertices)
+    if n_vertices.size == 0:
         raise ValidationError("a Minkowski sum needs at least one polygon")
-    angles = np.asarray(angles, dtype=np.float64).reshape(-1, len(polys))
-    sizes = np.array([len(p) for p in polys])
-    # pad with repeats of vertex 0; a point keeps one zero-length edge, and the
-    # weld drops the vertex it repeats
-    width = int(sizes.max())
-    verts = np.array(
-        [np.concatenate((p.vertices, np.repeat(p.vertices[:1], width - len(p)))) for p in polys]
-    )
-    real = np.arange(width) < sizes[:, None]
-    n_edges = int(real.sum())
-    vertices = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
-    n_vertices = np.empty(angles.shape[0], dtype=np.int64)
+    width = int(n_vertices.max())
+    verts = np.asarray(vertices, dtype=np.complex128)[:, :width]
+    angles = np.asarray(angles, dtype=np.float64).reshape(-1, len(verts))
+    real = np.arange(width) < n_vertices[:, None]
+    n_edges = int(n_vertices.sum())
+    sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
+    counts = np.empty(angles.shape[0], dtype=np.int64)
     for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
-        vertices[block], n_vertices[block] = convex_rows(_trace(verts, angles[block], real))
-    vertices = vertices[:, : n_vertices[mirrored:].max(initial=1)]
-    _mirror_rows(vertices, n_vertices, mirrored)
-    return vertices, n_vertices
+        sums[block], counts[block] = convex_rows(_trace(verts, angles[block], real))
+    sums = sums[:, : counts[mirrored:].max(initial=1)]
+    _mirror_rows(sums, counts, mirrored)
+    return sums, counts
 
 
 def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) -> None:
@@ -268,18 +222,6 @@ def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> np.ndarra
     return trace
 
 
-def minkowski_sum_many(polys) -> ConvexPolygon:
-    """Minkowski sum of convex polygons via angular merge of edge vectors."""
-    polys = list(polys)
-    vertices, n_vertices = rotated_minkowski_sums(polys, np.zeros(len(polys)))
-    return ConvexPolygon(vertices[0, : n_vertices[0]])
-
-
-def contains_point(poly: ConvexPolygon, z: complex) -> bool:
-    """Closed membership test with EPS_GEOM slack."""
-    return bool(modulus_bounds((poly.vertices - z)[None], [len(poly)])[0][0] <= EPS_GEOM)
-
-
 def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) distance from the origin to each padded region (as a filled set)."""
     vertices = np.asarray(vertices, dtype=np.complex128)
@@ -304,24 +246,6 @@ def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
         near = np.where(edge, np.abs(vs + t * e), np.inf).min(axis=1)
         lo[block] = np.where(inside, 0.0, near)
     return lo, hi
-
-
-def distance_bounds_to_origin(poly: ConvexPolygon) -> tuple[float, float]:
-    """(min, max) distance from the origin to the polygon (as a filled set)."""
-    lo, hi = modulus_bounds(poly.vertices[None], [len(poly)])
-    return float(lo[0]), float(hi[0])
-
-
-def polygon_area(points) -> float:
-    """Absolute shoelace area of a vertex ring; below 3 points the area is 0."""
-    if isinstance(points, ConvexPolygon):
-        arr = points.vertices
-    else:
-        arr = np.asarray(points, dtype=np.complex128).ravel()
-    if arr.size < 3:
-        return 0.0
-    nxt = np.roll(arr, -1)
-    return 0.5 * abs(float(np.sum(arr.real * nxt.imag - nxt.real * arr.imag)))
 
 
 def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
@@ -384,16 +308,3 @@ def _fan_areas(r2: np.ndarray, a: np.ndarray) -> np.ndarray:
     piece = (p1.conj() * p2).imag + q * (np.angle(ai.conj() * p1) + np.angle(p2.conj() * bi))
     total += np.bincount(i * r2.shape[1] + k, piece, total.size).reshape(total.shape)
     return 0.5 * total
-
-
-def disc_polygon_intersection_area(r: float, poly: ConvexPolygon) -> float:
-    """Exact area of disc(0, r) intersected with a convex polygon.
-
-    Exactly 0.0 when the polygon has no area or lies at distance r or more
-    from the origin (tangency included).
-    """
-    if r < 0.0:
-        raise ValidationError("radius must be non-negative")
-    if r == 0.0 or len(poly) < 3 or distance_bounds_to_origin(poly)[0] >= r:
-        return 0.0
-    return max(float(disc_polygon_areas([[r]], poly.vertices[None], [len(poly)])[0, 0]), 0.0)

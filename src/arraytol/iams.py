@@ -9,12 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import (
-    ConvexPolygon,
-    modulus_bounds,
-    polygonize_interval_phasors,
-    rotated_minkowski_sums,
-)
+from .geometry import modulus_bounds, polygonize_interval_phasors, rotated_minkowski_sums
 from .model import AngularGrid, ArrayScenario
 
 _TWO_PI = 2.0 * math.pi
@@ -57,19 +52,6 @@ class PowerBoundsCurve:
     mirrored: int
 
 
-def nominal_af(scenario: ArrayScenario, u: float) -> complex:
-    """Crisp array factor: sum of nominal phasors with the steering progression."""
-    if not abs(u) <= 1.0:
-        raise ValidationError(f"direction u={u} must lie in [-1, 1]")
-    total = 0.0 + 0.0j
-    for n, el in enumerate(scenario.elements):
-        psi = _TWO_PI * scenario.spacing * n * u
-        total += el.nominal_amplitude * complex(
-            math.cos(el.nominal_phase + psi), math.sin(el.nominal_phase + psi)
-        )
-    return total
-
-
 def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
     """Vectorized nominal array factor over a grid."""
     n = np.arange(scenario.n_elements)
@@ -104,10 +86,10 @@ def interval_af_curve(
     mirror symmetry, only the rows from u = 0 on are summed and bounded;
     each row at -u is the conjugate of the row at u and copies its bounds.
     """
-    sectors = element_sectors(scenario, arc_points)
+    sectors, sector_counts = element_sectors(scenario, arc_points)
     mirrored = mirrored_rows(scenario, grid)
     psi = steering_phases(scenario, grid.samples)
-    vertices, n_vertices = rotated_minkowski_sums(sectors, psi, mirrored)
+    vertices, n_vertices = rotated_minkowski_sums(sectors, sector_counts, psi, mirrored)
     lo, hi = modulus_bounds(vertices[mirrored:], n_vertices[mirrored:])
     slack = rounding_allowance(sectors)
     return IntervalRegions(
@@ -150,24 +132,30 @@ def steering_phases(scenario: ArrayScenario, u) -> np.ndarray:
     return _TWO_PI * scenario.spacing * np.outer(u, np.arange(scenario.n_elements))
 
 
-def element_sectors(scenario: ArrayScenario, arc_points: int = 8) -> list[ConvexPolygon]:
-    """Each element's excitation sector as a covering polygon, in element order."""
-    vertices, n_vertices = polygonize_interval_phasors(
+def element_sectors(
+    scenario: ArrayScenario, arc_points: int = 8
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's excitation sector as a covering polygon, in element order.
+
+    Returns (vertices, n_vertices) in the padded-row format, one row per element.
+    """
+    return polygonize_interval_phasors(
         [(e.amplitude_lo, e.amplitude_hi, e.phase_lo, e.phase_hi) for e in scenario.elements],
         arc_points,
     )
-    return [ConvexPolygon(row[:n]) for row, n in zip(vertices, n_vertices.tolist())]
 
 
-def rounding_allowance(sectors: list[ConvexPolygon]) -> float:
+def rounding_allowance(sectors: np.ndarray) -> float:
     """Modulus widening that keeps rounded phasor sums inside the bounds.
 
     Summing N phasors in floating point moves the sum by up to about
     N * eps * (sum of their moduli), both in the region sums and wherever a
-    realization is evaluated; the allowance is twice that, with each
-    sector's modulus taken as its farthest vertex.
+    realization is evaluated; the allowance is twice that.  sectors is the
+    padded vertex array of element_sectors; each sector's modulus is the
+    farthest vertex of its row, which the padding cannot change, and the
+    moduli are summed in element order.
     """
-    return _ROUNDING * len(sectors) * sum(float(np.abs(s.vertices).max()) for s in sectors)
+    return _ROUNDING * len(sectors) * sum(np.abs(sectors).max(axis=1).tolist())
 
 
 def power_db(power, peak_power: float):

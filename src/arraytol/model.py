@@ -61,17 +61,15 @@ class ArrayScenario:
             raise ValidationError(f"an array needs at least 2 elements, got {len(self.elements)}")
         if not (self.spacing > 0.0):
             raise ValidationError(f"spacing must be positive, got {self.spacing}")
+        # the largest steering phase, at u = +-1 on the last element
+        if not math.isfinite(2.0 * math.pi * self.spacing * (len(self.elements) - 1)):
+            raise ValidationError(
+                f"spacing {self.spacing} makes the steering phase 2*pi*spacing*(N-1) overflow"
+            )
 
     @property
     def n_elements(self) -> int:
         return len(self.elements)
-
-    def is_degenerate(self) -> bool:
-        """True when every tolerance interval has zero width."""
-        return all(
-            e.amplitude_hi == e.amplitude_lo and e.phase_hi == e.phase_lo
-            for e in self.elements
-        )
 
 
 @dataclass(frozen=True)

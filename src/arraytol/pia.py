@@ -14,24 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import EPS_GEOM, ConvexPolygon, disc_polygon_areas, distance_bounds_to_origin
+from .geometry import EPS_GEOM, disc_polygon_areas
 from .iams import PowerBoundsCurve, unfold_mirror
 from .model import check_integer
 
 # Relative size, against the region's area, of a negative ring area that is
 # still taken for round-off and clipped to zero.
 _ROUNDOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class RingPartition:
-    """K+1 ascending radii splitting [modulus_lo, modulus_hi] uniformly."""
-
-    radii: np.ndarray = field(repr=False)
-    width_per_ring: float
-
-    def __post_init__(self):
-        self.radii.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -70,44 +59,12 @@ class FeatureReport:
     degenerate: bool = False
 
 
-def ring_partition(modulus_lo: float, modulus_hi: float, k_regions: int) -> RingPartition:
-    """Uniform split of [modulus_lo, modulus_hi] into k_regions rings."""
-    check_integer("k_regions", k_regions, 1)
-    if not (0.0 <= modulus_lo <= modulus_hi):
-        raise ValidationError(
-            f"modulus bounds must satisfy 0 <= lo <= hi, got ({modulus_lo}, {modulus_hi})"
-        )
-    radii = _ring_radii(modulus_lo, modulus_hi, k_regions)
-    return RingPartition(radii=radii, width_per_ring=(modulus_hi - modulus_lo) / k_regions)
-
-
 def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
     """K+1 radii splitting [modulus_lo, modulus_hi] uniformly, along a new last axis."""
     lo, hi = np.asarray(modulus_lo)[..., None], np.asarray(modulus_hi)[..., None]
     radii = lo + (hi - lo) / k_regions * np.arange(k_regions + 1)
     radii[..., :1], radii[..., -1:] = lo, hi  # pin the endpoints against rounding
     return radii
-
-
-def region_probabilities(region: ConvexPolygon, partition: RingPartition) -> np.ndarray:
-    """Area fraction of the region captured by each annular ring.
-
-    Computed from the exact disc-polygon intersection areas at every ring
-    boundary, fanned from the disc center; ring areas are the telescoped
-    differences, so the result sums to one.  Differences below zero by more
-    than round-off (1e-12 of the region's area), and areas that overflow,
-    raise ValidationError.  A region with no area puts all probability in
-    the first ring.
-    """
-    lo, hi = distance_bounds_to_origin(region)
-    radii = partition.radii
-    if radii[0] > lo + EPS_GEOM or radii[-1] < hi - EPS_GEOM:
-        raise ValidationError(
-            f"partition radii [{radii[0]}, {radii[-1]}] do not bracket the "
-            f"region's modulus bounds [{lo}, {hi}]"
-        )
-    p, _ = _ring_probabilities(radii[None], region.vertices[None], np.array([len(region)]))
-    return p[:, 0]
 
 
 def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:

@@ -195,7 +195,7 @@ def _symmetry_check(pmap) -> CheckResult:
     rows = sorted({j for i in _oracle_directions(n_u) for j in (i, n_u - 1 - i) if j < mirrored})
     scenario = bounds.scenario
     vertices, n_vertices = rotated_minkowski_sums(
-        element_sectors(scenario, bounds.arc_points),
+        *element_sectors(scenario, bounds.arc_points),
         steering_phases(scenario, bounds.grid.samples[rows]),
     )
     lo, hi = modulus_bounds(vertices, n_vertices)

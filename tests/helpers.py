@@ -1,9 +1,14 @@
-"""Independent oracles and input generators shared across the test suite.
+"""Independent oracles, input generators and one-row calls shared across the test suite.
 
 Every oracle here computes areas or memberships through a different
 algorithm than the package (column quadrature, point grids, scipy hulls,
-the closed-form circular segment, numpy's complex exp for the excitation
-draws), so agreement is evidence rather than tautology.  direction_region
+the shoelace formula, the closed-form circular segment, element-by-element
+math.cos/sin for the nominal pattern, numpy's complex exp for the
+excitation draws), so agreement is evidence rather than tautology.
+
+The package keeps polygons only as padded arrays (arraytol.geometry).  The
+one-row calls here run its batched kernels on a single polygon, given and
+returned as a 1-D array of its counter-clockwise vertices; direction_region
 reads one direction's region from the package's batched curve.
 """
 
@@ -14,8 +19,16 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from arraytol import AngularGrid, ConvexPolygon, ValidationError, interval_af_curve
-from arraytol.geometry import EPS_GEOM
+from arraytol import AngularGrid, ValidationError, interval_af_curve
+from arraytol.geometry import (
+    EPS_GEOM,
+    convex_rows,
+    disc_polygon_areas,
+    modulus_bounds,
+    polygonize_interval_phasors,
+    rotated_minkowski_sums,
+)
+from arraytol.pia import _ring_probabilities
 
 
 def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.ndarray:
@@ -48,8 +61,86 @@ def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.nda
 def direction_region(scenario, u: float, arc_points: int = 8):
     """(region, modulus_lo, modulus_hi) at one direction: row 0 of a one-sample curve."""
     r = interval_af_curve(scenario, AngularGrid([u]), arc_points)
-    region = ConvexPolygon(r.vertices[0, : r.n_vertices[0]])
-    return region, float(r.modulus_lo[0]), float(r.modulus_hi[0])
+    return r.vertices[0, : r.n_vertices[0]], float(r.modulus_lo[0]), float(r.modulus_hi[0])
+
+
+def nominal_af(scenario, u: float) -> complex:
+    """Crisp array factor at one direction, summed element by element with math.cos/sin."""
+    total = 0.0 + 0.0j
+    for n, el in enumerate(scenario.elements):
+        psi = 2.0 * math.pi * scenario.spacing * n * u
+        total += el.nominal_amplitude * complex(
+            math.cos(el.nominal_phase + psi), math.sin(el.nominal_phase + psi)
+        )
+    return total
+
+
+def padded(polys) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex rings as one padded array: each row repeats its vertex 0 up to the widest."""
+    polys = [np.asarray(p, dtype=np.complex128) for p in polys]
+    width = max(len(p) for p in polys)
+    rows = [np.concatenate((p, np.repeat(p[:1], width - len(p)))) for p in polys]
+    return np.array(rows), np.array([len(p) for p in polys])
+
+
+def convex_polygon(points) -> np.ndarray:
+    """A CCW vertex ring normalized by convex_rows as a one-row batch."""
+    arr = np.array(points, dtype=np.complex128).ravel()  # a copy: convex_rows may return it
+    vertices, n_vertices = convex_rows(arr[None])
+    return vertices[0, : n_vertices[0]]
+
+
+def polygonize_interval_phasor(amp_lo, amp_hi, phase_lo, phase_hi, arc_points: int = 8):
+    """The covering polygon of one annular sector: a one-row polygonize_interval_phasors."""
+    vertices, n_vertices = polygonize_interval_phasors(
+        [(amp_lo, amp_hi, phase_lo, phase_hi)], arc_points
+    )
+    return vertices[0, : n_vertices[0]]
+
+
+def minkowski_sum_many(polys) -> np.ndarray:
+    """Minkowski sum of vertex rings: one row of rotated_minkowski_sums at zero angles."""
+    polys = list(polys)
+    vertices, n_vertices = rotated_minkowski_sums(*padded(polys), np.zeros(len(polys)))
+    return vertices[0, : n_vertices[0]]
+
+
+def distance_bounds_to_origin(poly) -> tuple[float, float]:
+    """(min, max) distance from the origin to one polygon: a one-row modulus_bounds."""
+    lo, hi = modulus_bounds(np.asarray(poly)[None], [len(poly)])
+    return float(lo[0]), float(hi[0])
+
+
+def contains_point(poly, z: complex) -> bool:
+    """Closed membership with EPS_GEOM slack: the polygon moved by -z reaches the origin."""
+    return distance_bounds_to_origin(np.asarray(poly) - z)[0] <= EPS_GEOM
+
+
+def polygon_area(points) -> float:
+    """Absolute shoelace area of a vertex ring; below 3 points the area is 0."""
+    arr = np.asarray(points, dtype=np.complex128).ravel()
+    if arr.size < 3:
+        return 0.0
+    nxt = np.roll(arr, -1)
+    return 0.5 * abs(float(np.sum(arr.real * nxt.imag - nxt.real * arr.imag)))
+
+
+def disc_polygon_intersection_area(r: float, poly) -> float:
+    """Area of disc(0, r) intersected with one polygon: a one-row disc_polygon_areas.
+
+    Exactly 0.0 when the polygon has no area or lies at distance r or more
+    from the origin (tangency included).
+    """
+    poly = np.asarray(poly, dtype=np.complex128)
+    if r == 0.0 or len(poly) < 3 or distance_bounds_to_origin(poly)[0] >= r:
+        return 0.0
+    return max(float(disc_polygon_areas([[r]], poly[None], [len(poly)])[0, 0]), 0.0)
+
+
+def region_probabilities(region, radii) -> np.ndarray:
+    """Ring probabilities of one region between consecutive radii: a one-row map kernel."""
+    p, _ = _ring_probabilities(np.asarray(radii)[None], np.asarray(region)[None], [len(region)])
+    return p[:, 0]
 
 
 def boundary_distance(a, b) -> float:

@@ -13,30 +13,29 @@ import numpy as np
 import pytest
 
 from arraytol import (
-    ConvexPolygon,
     ValidationError,
-    convex_polygon,
-    disc_polygon_intersection_area,
     feature_report,
     mean_probabilities,
-    minkowski_sum_many,
-    nominal_af,
-    polygon_area,
     power_bounds,
     probability_map,
-    region_probabilities,
-    ring_partition,
     run_mc,
     scenario_from_tolerances,
     uniform_grid,
 )
+from arraytol.pia import _ring_radii
 
 from helpers import (
+    convex_polygon,
     direction_region,
     disc_convex_area_slab,
+    disc_polygon_intersection_area,
     minkowski_sum_area_brute,
+    minkowski_sum_many,
+    nominal_af,
+    polygon_area,
     random_convex_vertices,
     random_triangle_for_case,
+    region_probabilities,
     taylor_taper,
 )
 
@@ -77,20 +76,20 @@ def test_criterion_2_single_direction_regions(taylor16_scenario, grid501):
     assert u0 == pytest.approx(-0.336, abs=1e-12)
     start = time.perf_counter()
     region, modulus_lo, modulus_hi = direction_region(taylor16_scenario, u0, arc_points=8)
-    part = ring_partition(modulus_lo, modulus_hi, 5)
-    probs = region_probabilities(region, part)
+    radii = _ring_radii(modulus_lo, modulus_hi, 5)
+    probs = region_probabilities(region, radii)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
 
     assert 100.0 * probs == pytest.approx(U0_PROBS_K5, abs=1.5)
     peak = abs(nominal_af(taylor16_scenario, 0.0)) ** 2
-    bounds_db = 20.0 * np.log10(part.radii) - 10.0 * math.log10(peak)
+    bounds_db = 20.0 * np.log10(radii) - 10.0 * math.log10(peak)
     assert bounds_db == pytest.approx(U0_BOUNDS_DB, abs=0.3)
 
-    part10 = ring_partition(modulus_lo, modulus_hi, 10)
-    probs10 = region_probabilities(region, part10)
+    radii10 = _ring_radii(modulus_lo, modulus_hi, 10)
+    probs10 = region_probabilities(region, radii10)
     assert 100.0 * probs10[0] == pytest.approx(U0_P1_K10, abs=1.5)
-    second = 20.0 * math.log10(part10.radii[1]) - 10.0 * math.log10(peak)
+    second = 20.0 * math.log10(radii10[1]) - 10.0 * math.log10(peak)
     assert second == pytest.approx(U0_K10_SECOND_BOUND, abs=0.3)
     print(f"criterion 2 PASS: probe probabilities {np.round(100 * probs, 2)} % in {elapsed:.3f}s")
 
@@ -184,7 +183,7 @@ class TestCriterion6GeometryOracles:
 
 
 def _triangle(v1, v2, v3):
-    return ConvexPolygon(np.array([complex(v1), complex(v2), complex(v3)]))
+    return np.array([complex(v1), complex(v2), complex(v3)])
 
 
 class TestCriterion7Properties:

@@ -426,11 +426,12 @@ class TestComputeOnce:
         """First arguments of each call to a stage, by stage, through any module's binding."""
         import sys
 
-        from arraytol import iams, montecarlo, pia
+        from arraytol import geometry, iams, montecarlo, pia
 
         calls = {}
         for module, name in (
-            (iams, "interval_af_curve"), (pia, "probability_map"), (montecarlo, "run_mc")
+            (iams, "interval_af_curve"), (pia, "probability_map"), (montecarlo, "run_mc"),
+            (geometry, "polygonize_interval_phasors"), (geometry, "rotated_minkowski_sums"),
         ):
             original = getattr(module, name)
             seen = calls[name] = []
@@ -465,20 +466,11 @@ class TestComputeOnce:
         # the command's own curve and MC, then the suite's collapse
         assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (2, 1)
 
-    def test_pia_builds_no_polygon_per_direction(self, config_path, tmp_path, monkeypatch):
-        from arraytol.geometry import ConvexPolygon
-
-        built = []
-        post_init = ConvexPolygon.__post_init__
-
-        def counted(self):
-            built.append(len(self))
-            post_init(self)
-
-        monkeypatch.setattr(ConvexPolygon, "__post_init__", counted)
+    def test_pia_builds_no_polygon_per_direction(self, calls, config_path, tmp_path):
         assert main(["pia", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
-        # one per element sector; the regions of the 81 directions are array rows
-        assert len(built) == len(json.loads(config_path.read_text())["elements"])
+        # one padded array of element sectors, and one batched sum for the 81 directions
+        assert len(calls["polygonize_interval_phasors"]) == 1
+        assert len(calls["rotated_minkowski_sums"]) == 1
 
     @pytest.mark.parametrize(
         "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 2)]
@@ -577,6 +569,16 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert path[-1] in err
         assert ("integer" if math.isfinite(value) else "finite") in err
+
+    def test_overflowing_steering_phase_exits_two(self, tmp_path, capsys):
+        # a finite spacing whose largest steering phase 2*pi*spacing*(N-1) is not
+        payload = json.loads(_write_config(tmp_path / "full.json").read_text())
+        payload["spacing_wavelengths"] = 1e308
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "steering phase" in capsys.readouterr().err
 
     def test_negative_seed_flag_exits_two(self, config_path, capsys):
         code = main(["mc", "--config", str(config_path), "--seed", "-5"])

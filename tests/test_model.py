@@ -37,7 +37,6 @@ class TestScenarioFromTolerances:
         el = scen.elements[0]
         assert el.amplitude_lo == el.amplitude_hi == 0.5
         assert el.phase_lo == el.phase_hi == 0.0
-        assert scen.is_degenerate()
 
     def test_exact_endpoint_arithmetic(self):
         scen = scenario_from_tolerances(

@@ -10,111 +10,104 @@ from arraytol import (
     AngularGrid,
     ProbabilityMap,
     ValidationError,
-    convex_polygon,
     feature_report,
     mean_probabilities,
     power_bounds,
     probability_map,
-    region_probabilities,
-    ring_partition,
     scenario_from_tolerances,
     uniform_grid,
 )
 from arraytol import pia
 from arraytol.geometry import _BLOCK_EDGES
-from arraytol.pia import mainlobe_indices
+from arraytol.pia import _ring_radii, mainlobe_indices
 
 from helpers import (
     boundary_distance,
+    convex_polygon,
     direction_region,
     disc_convex_area_slab,
+    distance_bounds_to_origin,
     random_convex_vertices,
+    region_probabilities,
 )
 
 
 class TestRingPartition:
     def test_uniform_split(self):
-        part = ring_partition(0.0, 1.0, 5)
-        assert np.allclose(part.radii, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)
-        assert part.width_per_ring == pytest.approx(0.2)
+        radii = _ring_radii(0.0, 1.0, 5)
+        assert np.allclose(radii, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)
+        assert np.diff(radii) == pytest.approx([0.2] * 5)
 
     def test_degenerate_bounds(self):
-        part = ring_partition(2.0, 2.0, 3)
-        assert list(part.radii) == [2.0, 2.0, 2.0, 2.0]
-        assert part.width_per_ring == 0.0
+        radii = _ring_radii(2.0, 2.0, 3)
+        assert list(radii) == [2.0, 2.0, 2.0, 2.0]
+        assert np.all(np.diff(radii) == 0.0)
 
     def test_single_region(self):
-        part = ring_partition(1.0, 4.0, 1)
-        assert list(part.radii) == [1.0, 4.0]
+        radii = _ring_radii(1.0, 4.0, 1)
+        assert list(radii) == [1.0, 4.0]
 
-    def test_invalid_inputs(self):
+    def test_invalid_inputs(self, small_scenario):
+        # the map checks the ring count before it splits any bounds
+        bounds = power_bounds(small_scenario, uniform_grid(11))
         with pytest.raises(ValidationError):
-            ring_partition(0.0, 1.0, 0)
-        with pytest.raises(ValidationError):
-            ring_partition(2.0, 1.0, 3)
+            probability_map(bounds, 0)
         for k in (2.5, True):
             with pytest.raises(ValidationError, match="integer"):
-                ring_partition(0.0, 1.0, k)
+                probability_map(bounds, k)
 
     def test_halving_aligns_exactly(self):
         lo, hi = 0.137, 2.961
-        coarse = ring_partition(lo, hi, 5)
-        fine = ring_partition(lo, hi, 10)
-        assert np.array_equal(coarse.radii, fine.radii[0::2])
+        coarse = _ring_radii(lo, hi, 5)
+        fine = _ring_radii(lo, hi, 10)
+        assert np.array_equal(coarse, fine[0::2])
 
 
 class TestRegionProbabilities:
     def test_single_region_is_certain(self):
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
-        part = ring_partition(*_bounds(p), 1)
-        assert list(region_probabilities(p, part)) == [1.0]
+        radii = _ring_radii(*distance_bounds_to_origin(p), 1)
+        assert list(region_probabilities(p, radii)) == [1.0]
 
     def test_offset_square_against_oracle(self):
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
-        part = ring_partition(1.0, math.sqrt(5.0), 2)
-        probs = region_probabilities(p, part)
-        covered = [disc_convex_area_slab(float(r), p.vertices, 16385) for r in part.radii]
+        radii = _ring_radii(1.0, math.sqrt(5.0), 2)
+        probs = region_probabilities(p, radii)
+        covered = [disc_convex_area_slab(float(r), p, 16385) for r in radii]
         oracle = np.diff(covered) / covered[-1]
         assert probs == pytest.approx(oracle, abs=1e-3)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_bracket_precondition(self):
-        p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
-        with pytest.raises(ValidationError):
-            region_probabilities(p, ring_partition(1.2, 3.0, 2))
-        with pytest.raises(ValidationError):
-            region_probabilities(p, ring_partition(1.0, 2.0, 2))
-
     def test_degenerate_point_region(self):
         p = convex_polygon([0.5 + 0.5j])
-        probs = region_probabilities(p, ring_partition(*_bounds(p), 4))
+        probs = region_probabilities(p, _ring_radii(*distance_bounds_to_origin(p), 4))
         assert list(probs) == [1.0, 0.0, 0.0, 0.0]
 
     def test_degenerate_segment_region(self):
         p = convex_polygon([1 + 0j, 2 + 0j])
-        probs = region_probabilities(p, ring_partition(1.0, 2.0, 3))
+        probs = region_probabilities(p, _ring_radii(1.0, 2.0, 3))
         assert list(probs) == [1.0, 0.0, 0.0]
 
     def test_negative_ring_area_raises(self, monkeypatch):
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
-        part = ring_partition(1.0, math.sqrt(5.0), 3)
+        radii = _ring_radii(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
             pia,
             "disc_polygon_areas",
             lambda radii, poly, n_vertices: np.array([[0.0, 0.6, 0.4, 1.0]]),
         )
         with pytest.raises(ValidationError, match="round-off"):
-            region_probabilities(p, part)
+            region_probabilities(p, radii)
 
     def test_round_off_ring_area_clipped(self, monkeypatch):
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
-        part = ring_partition(1.0, math.sqrt(5.0), 3)
+        radii = _ring_radii(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
             pia,
             "disc_polygon_areas",
             lambda radii, poly, n_vertices: np.array([[0.0, 0.5, 0.5 - 1e-14, 1.0]]),
         )
-        probs = region_probabilities(p, part)
+        probs = region_probabilities(p, radii)
         assert probs[1] == 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -124,19 +117,13 @@ class TestRegionProbabilities:
             center = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             p = convex_polygon(random_convex_vertices(rng, int(rng.integers(4, 10)),
                                                       scale=1.2, center=center))
-            lo, hi = _bounds(p)
+            lo, hi = distance_bounds_to_origin(p)
             k = int(rng.integers(1, 7))
-            part = ring_partition(lo, hi, k)
-            probs = region_probabilities(p, part)
-            covered = [disc_convex_area_slab(float(r), p.vertices) for r in part.radii]
+            radii = _ring_radii(lo, hi, k)
+            probs = region_probabilities(p, radii)
+            covered = [disc_convex_area_slab(float(r), p) for r in radii]
             oracle = np.diff(covered) / covered[-1]
             assert probs == pytest.approx(oracle, abs=1e-3)
-
-
-def _bounds(p):
-    from arraytol import distance_bounds_to_origin
-
-    return distance_bounds_to_origin(p)
 
 
 def _pmap(scenario, grid, k_regions):
@@ -210,14 +197,14 @@ class TestPaddedRegions:
             n = bounds.n_vertices[i]
             assert n == len(region)
             assert np.all(bounds.vertices[i, n:] == bounds.vertices[i, 0])
-            part = ring_partition(modulus_lo, modulus_hi, 5)
-            expected = region_probabilities(region, part)
+            radii = _ring_radii(modulus_lo, modulus_hi, 5)
+            expected = region_probabilities(region, radii)
             if i >= bounds.mirrored:
-                assert bounds.vertices[i, :n].tobytes() == region.vertices.tobytes()
+                assert bounds.vertices[i, :n].tobytes() == region.tobytes()
                 assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (modulus_lo, modulus_hi)
                 assert pmap.p[:, i].tobytes() == expected.tobytes()
             else:
-                assert boundary_distance(bounds.vertices[i, :n], region.vertices) <= 1e-12 * scale
+                assert boundary_distance(bounds.vertices[i, :n], region) <= 1e-12 * scale
                 assert abs(bounds.modulus_lo[i] - modulus_lo) <= 1e-12 * scale
                 assert abs(bounds.modulus_hi[i] - modulus_hi) <= 1e-12 * scale
                 assert np.abs(pmap.p[:, i] - expected).max() <= 1e-12
