@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .iams import power_bounds, power_db
+from .iams import PowerBoundsCurve, power_bounds, power_db
 from .model import (
     ArrayScenario,
     check_integer,
@@ -136,10 +136,14 @@ def _ring_blocks(grid, *columns):
         yield ([repr(u)] * k_regions, ks, *(c[:, i] for c in columns))
 
 
+def _curve(run: RunConfig) -> PowerBoundsCurve:
+    """The power bounds of the run's scenario on its uniform grid."""
+    return power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
+
+
 def cmd_bounds(run: RunConfig) -> int:
-    grid = uniform_grid(run.n_u)
-    curve = power_bounds(run.scenario, grid, run.arc_points)
-    columns = (grid.samples, curve.p_lo_db, curve.p_hi_db, curve.nominal_db,
+    curve = _curve(run)
+    columns = (curve.grid.samples, curve.p_lo_db, curve.p_hi_db, curve.nominal_db,
                curve.modulus_lo, curve.modulus_hi, curve.n_vertices)
     header = "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices"
     _write_csv(run, "bounds.csv", header, [columns])
@@ -149,17 +153,15 @@ def cmd_bounds(run: RunConfig) -> int:
 
 
 def cmd_pia(run: RunConfig) -> int:
-    grid = uniform_grid(run.n_u)
-    pmap = probability_map(power_bounds(run.scenario, grid, run.arc_points), run.k_regions)
+    pmap = probability_map(_curve(run), run.k_regions)
     ring_db = pmap.region_power_db.T
-    blocks = _ring_blocks(grid, ring_db[:-1], ring_db[1:], pmap.p)
+    blocks = _ring_blocks(pmap.bounds.grid, ring_db[:-1], ring_db[1:], pmap.p)
     _write_csv(run, "pia.csv", "u,k,p_lo_db(k),p_hi_db(k),p_k", blocks)
     return 0
 
 
 def cmd_features(run: RunConfig) -> int:
-    bounds = power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
-    report = feature_report(probability_map(bounds, run.k_regions))
+    report = feature_report(probability_map(_curve(run), run.k_regions))
     sll = report.sll_intervals  # None: no sidelobe, written as null
     payload = {
         "k_regions": report.k_regions,
@@ -192,15 +194,14 @@ def cmd_features(run: RunConfig) -> int:
 
 
 def cmd_mc(run: RunConfig) -> int:
-    grid = uniform_grid(run.n_u)
-    curve = power_bounds(run.scenario, grid, run.arc_points)
+    curve = _curve(run)
     pmap = probability_map(curve, run.k_regions)
     report = run_mc(pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions)
     mc_min_db = power_db(report.per_u_min, curve.peak_power)
     mc_max_db = power_db(report.per_u_max, curve.peak_power)
-    columns = (grid.samples, mc_min_db, mc_max_db, curve.p_lo_db, curve.p_hi_db)
+    columns = (curve.grid.samples, mc_min_db, mc_max_db, curve.p_lo_db, curve.p_hi_db)
     _write_csv(run, "mc_envelope.csv", "u,mc_min_db,mc_max_db,p_lo_db,p_hi_db", [columns])
-    blocks = _ring_blocks(grid, report.region_frequencies, pmap.p)
+    blocks = _ring_blocks(curve.grid, report.region_frequencies, pmap.p)
     _write_csv(run, "mc_frequencies.csv", "u,k,mc_freq,pia_p", blocks)
     for hist in report.histograms:
         columns = (hist.bin_edges_db[:-1], hist.bin_edges_db[1:], hist.counts)
@@ -209,8 +210,7 @@ def cmd_mc(run: RunConfig) -> int:
 
 
 def cmd_validate(run: RunConfig) -> int:
-    curve = power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
-    mc = run_mc(probability_map(curve, run.k_regions), run.mc_samples, seed=run.seed)
+    mc = run_mc(probability_map(_curve(run), run.k_regions), run.mc_samples, seed=run.seed)
     results = run_validation(mc)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1

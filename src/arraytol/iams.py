@@ -27,8 +27,10 @@ class PowerBoundsCurve:
 
     The bounds of scenario over grid: linear power bounds plus dB values
     normalized so the nominal pattern peaks at 0 dB; a zero lower bound
-    maps to -inf dB.  vertices and n_vertices hold the regions the bounds
-    were taken from, in grid order, in the padded-row format of
+    maps to -inf dB.  Every dB value is power_db of a linear power:
+    nominal_db and peak_power are taken from nominal_power, the nominal
+    |AF|**2 at each direction.  vertices and n_vertices hold the regions
+    the bounds were taken from, in grid order, in the padded-row format of
     arraytol.geometry.  arc_points is the sector polygonization the regions
     were built with, allowance the rounding allowance their modulus bounds
     were widened by, and the first mirrored rows are mirror images of the
@@ -43,6 +45,7 @@ class PowerBoundsCurve:
     p_lo_db: np.ndarray = field(repr=False)
     p_hi_db: np.ndarray = field(repr=False)
     nominal_db: np.ndarray = field(repr=False)
+    nominal_power: np.ndarray = field(repr=False)
     modulus_lo: np.ndarray = field(repr=False)
     modulus_hi: np.ndarray = field(repr=False)
     n_vertices: np.ndarray = field(repr=False)
@@ -54,10 +57,10 @@ class PowerBoundsCurve:
 
 def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
     """Vectorized nominal array factor over a grid."""
-    n = np.arange(scenario.n_elements)
     amps = np.array([el.nominal_amplitude for el in scenario.elements])
     phases = np.array([el.nominal_phase for el in scenario.elements])
-    steering = _TWO_PI * scenario.spacing * np.outer(n, grid.samples)
+    # C order, since numpy's sum along axis 0 rounds by memory layout
+    steering = np.ascontiguousarray(steering_phases(scenario, grid.samples).T)
     return (amps[:, None] * np.exp(1j * (phases[:, None] + steering))).sum(axis=0)
 
 
@@ -160,13 +163,9 @@ def rounding_allowance(sectors: np.ndarray) -> float:
 
 def power_db(power, peak_power: float):
     """Linear power to dB relative to the peak; 0 maps to -inf."""
-    p = np.asarray(power, dtype=np.float64)
-    out = np.full(p.shape, -np.inf)
-    pos = p > 0.0
-    out[pos] = 10.0 * np.log10(p[pos] / peak_power)
-    if out.shape == ():
-        return float(out)
-    return out
+    with np.errstate(divide="ignore"):
+        out = 10.0 * np.log10(np.asarray(power, dtype=np.float64) / peak_power)
+    return float(out) if out.shape == () else out
 
 
 def power_bounds(
@@ -203,6 +202,7 @@ def power_bounds(
         p_lo_db=power_db(p_lo, peak_power),
         p_hi_db=power_db(p_hi, peak_power),
         nominal_db=power_db(nominal_power, peak_power),
+        nominal_power=nominal_power,
         modulus_lo=regions.modulus_lo,
         modulus_hi=regions.modulus_hi,
         n_vertices=regions.n_vertices,

@@ -61,6 +61,8 @@ class ArrayScenario:
             raise ValidationError(f"an array needs at least 2 elements, got {len(self.elements)}")
         if not (self.spacing > 0.0):
             raise ValidationError(f"spacing must be positive, got {self.spacing}")
+        if not any(e.nominal_amplitude for e in self.elements):
+            raise ValidationError("every nominal amplitude is 0: the nominal pattern is zero")
         # the largest steering phase, at u = +-1 on the last element
         if not math.isfinite(2.0 * math.pi * self.spacing * (len(self.elements) - 1)):
             raise ValidationError(

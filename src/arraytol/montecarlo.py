@@ -16,13 +16,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
+from .iams import power_db, steering_phases
 from .model import ArrayScenario, check_integer
 from .pia import ProbabilityMap
 
 if TYPE_CHECKING:
     from numpy.random import Generator
 
-_TWO_PI = 2.0 * math.pi
 _HIST_BINS = 200
 _CHUNK_BYTES = 2 << 20  # one chunk's (chunk, N_u) complex128 product
 SEED_LIMIT = 1 << 128  # seeds are Philox keys: two 64-bit words
@@ -129,9 +129,8 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     k_regions = pmap.k_regions
     n_u = len(grid)
     box = _tolerance_box(scenario)
-    steering = np.exp(
-        1j * _TWO_PI * scenario.spacing * np.outer(np.arange(scenario.n_elements), grid.samples)
-    )
+    # C order: the gemm rounds by the memory layout of its operands
+    steering = np.exp(1j * np.ascontiguousarray(steering_phases(scenario, grid.samples).T))
     # boundaries between rings, one contiguous row per boundary
     inner_sq = np.ascontiguousarray(pmap.ring_radii[:, 1:k_regions].T ** 2)
 
@@ -172,8 +171,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         for h in range(1, k_regions):
             np.greater_equal(p, inner_sq[h - 1], out=mask)
             at_least[h] += np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
-        with np.errstate(divide="ignore"):
-            db = 10.0 * np.log10(p[:, probe_idx] / pmap.bounds.peak_power)
+        db = power_db(p[:, probe_idx], pmap.bounds.peak_power)
         for acc, col, edges in zip(hist_counts, db.T, probe_edges):
             acc += np.histogram(col, bins=edges)[0]
 

@@ -8,14 +8,13 @@ sidelobe-level and pattern-peak feature intervals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .geometry import EPS_GEOM, disc_polygon_areas
-from .iams import PowerBoundsCurve, unfold_mirror
+from .iams import PowerBoundsCurve, power_db, unfold_mirror
 from .model import check_integer
 
 # Relative size, against the region's area, of a negative ring area that is
@@ -30,7 +29,9 @@ class ProbabilityMap:
     The map of bounds, on its grid: p[k, i] is the probability that the
     pattern at grid sample i falls in the k-th power sub-interval;
     region_power_db[i] holds the K+1 ring boundaries in dB relative to the
-    nominal peak.  Directions where the reachable region has no area carry
+    nominal peak, power_db of the squared ring radii: the end radii are the
+    modulus bounds, so columns 0 and K are bitwise the p_lo_db and p_hi_db
+    of bounds.  Directions where the reachable region has no area carry
     the degenerate flag and put all probability in the first ring by
     convention.
     """
@@ -63,7 +64,7 @@ def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
     """K+1 radii splitting [modulus_lo, modulus_hi] uniformly, along a new last axis."""
     lo, hi = np.asarray(modulus_lo)[..., None], np.asarray(modulus_hi)[..., None]
     radii = lo + (hi - lo) / k_regions * np.arange(k_regions + 1)
-    radii[..., :1], radii[..., -1:] = lo, hi  # pin the endpoints against rounding
+    radii[..., :1], radii[..., -1:] = lo, hi  # the outer boundaries are the bounds, bit for bit
     return radii
 
 
@@ -105,14 +106,12 @@ def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     m = bounds.mirrored
     p, degenerate = _ring_probabilities(ring_radii[m:], bounds.vertices[m:], bounds.n_vertices[m:])
     p, degenerate = unfold_mirror(p, m), unfold_mirror(degenerate, m)
-    with np.errstate(divide="ignore"):
-        region_power_db = 20.0 * np.log10(ring_radii) - 10.0 * math.log10(bounds.peak_power)
     return ProbabilityMap(
         bounds=bounds,
         k_regions=k_regions,
         p=p,
         ring_radii=ring_radii,
-        region_power_db=region_power_db,
+        region_power_db=power_db(ring_radii**2, bounds.peak_power),
         degenerate=degenerate,
     )
 
@@ -156,8 +155,7 @@ def feature_report(pmap: ProbabilityMap) -> FeatureReport:
     grid = bounds.grid
     k_regions = pmap.k_regions
 
-    nominal_power = bounds.peak_power * np.power(10.0, bounds.nominal_db / 10.0)
-    i_max, left, right = mainlobe_indices(nominal_power)
+    i_max, left, right = mainlobe_indices(bounds.nominal_power)
     side = np.ones(len(grid), dtype=bool)
     side[left : right + 1] = False
 

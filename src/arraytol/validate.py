@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import modulus_bounds, rotated_minkowski_sums
-from .iams import element_sectors, power_bounds, steering_phases
-from .model import scenario_from_tolerances
+from .iams import interval_af_curve, power_bounds
+from .model import AngularGrid, scenario_from_tolerances
 from .montecarlo import McReport
 from .pia import (
     _ring_probabilities,
@@ -193,13 +192,10 @@ def _symmetry_check(pmap) -> CheckResult:
     if mirrored == 0:
         return CheckResult("pattern-symmetry", True, "not applicable (no mirrored rows)")
     rows = sorted({j for i in _oracle_directions(n_u) for j in (i, n_u - 1 - i) if j < mirrored})
-    scenario = bounds.scenario
-    vertices, n_vertices = rotated_minkowski_sums(
-        *element_sectors(scenario, bounds.arc_points),
-        steering_phases(scenario, bounds.grid.samples[rows]),
-    )
-    lo, hi = modulus_bounds(vertices, n_vertices)
-    lo, hi = np.maximum(lo - bounds.allowance, 0.0), hi + bounds.allowance
+    # a grid of only u < 0 samples is never mirrored: every row is summed
+    vertices, n_vertices, lo, hi = interval_af_curve(
+        bounds.scenario, AngularGrid(bounds.grid.samples[rows]), bounds.arc_points
+    )[:4]
     scale = float(bounds.modulus_hi.max())
     rays = np.exp(2j * np.pi * np.arange(N_RAYS) / N_RAYS)[:, None]
     err_region = float(
@@ -235,7 +231,7 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
     )
     # a zero-width sector is a segment whatever the arc_points
     b = power_bounds(collapsed, bounds.grid)
-    nominal_power = b.peak_power * np.power(10.0, b.nominal_db / 10.0)
+    nominal_power = b.nominal_power
     # The bounds of a point region are widened by the rounding allowance on
     # each side, which also covers the rounding of the nominal pattern: they
     # must contain it and be no wider than twice the allowance.

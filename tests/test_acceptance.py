@@ -225,7 +225,7 @@ class TestCriterion7Properties:
         )
         grid = uniform_grid(201)
         bounds = power_bounds(collapsed, grid)
-        nominal_power = bounds.peak_power * np.power(10.0, bounds.nominal_db / 10.0)
+        nominal_power = bounds.nominal_power
         assert np.allclose(bounds.p_lo, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
         assert np.allclose(bounds.p_hi, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
         pmap = probability_map(bounds, 5)

@@ -148,6 +148,16 @@ class TestPiaCommand:
         p = np.array([float(r[4]) for r in rows]).reshape(31, 5)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
 
+    def test_outer_ring_boundaries_are_the_bounds_as_text(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        for command in ("bounds", "pia"):
+            assert main([command, "--config", str(config_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "pia.csv").read_text().splitlines()[1:]]
+        # u, then the k=1 lower and the k=5 upper boundary of each direction
+        outer = [[lo[0], lo[2], hi[3]] for lo, hi in zip(rows[0::5], rows[4::5])]
+        bounds = [row.split(",")[:3] for row in (out / "bounds.csv").read_text().splitlines()[1:]]
+        assert outer == bounds
+
 
 class TestFeaturesCommand:
     def test_json_layout(self, config_path, tmp_path):
@@ -454,17 +464,20 @@ class TestComputeOnce:
         for seen in calls.values():
             seen.clear()
         run_validation(mc)
-        # the zero-tolerance collapse's curve, then the 2K map and the collapse's map
+        # the mirrored rows summed directly and the zero-tolerance collapse's
+        # curve, then the 2K map and the collapse's map
         curves, maps = calls["interval_af_curve"], calls["probability_map"]
-        assert (len(curves), len(maps), len(calls["run_mc"])) == (1, 2, 0)
-        assert curves[0] is not scen
+        assert (len(curves), len(maps), len(calls["run_mc"])) == (2, 2, 0)
+        assert len(calls["rotated_minkowski_sums"]) == 2
+        assert curves[0] is scen and curves[1] is not scen
         assert maps[0] is mc.pmap.bounds and maps[1] is not mc.pmap.bounds
 
         for seen in calls.values():
             seen.clear()
         assert main(["validate", "--config", str(config_path), "--mc-samples", "500"]) == 0
-        # the command's own curve and MC, then the suite's collapse
-        assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (2, 1)
+        # the command's own curve and MC, then the suite's direct rows and collapse
+        assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (3, 1)
+        assert len(calls["rotated_minkowski_sums"]) == 3
 
     def test_pia_builds_no_polygon_per_direction(self, calls, config_path, tmp_path):
         assert main(["pia", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
@@ -473,7 +486,7 @@ class TestComputeOnce:
         assert len(calls["rotated_minkowski_sums"]) == 1
 
     @pytest.mark.parametrize(
-        "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 2)]
+        "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 3)]
     )
     def test_each_command_builds_one_curve_per_scenario(
         self, calls, config_path, tmp_path, command, curves
@@ -569,6 +582,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert path[-1] in err
         assert ("integer" if math.isfinite(value) else "finite") in err
+
+    @pytest.mark.parametrize("amplitude_hi", [None, 0.1], ids=["all-zero", "zero-nominal"])
+    def test_zero_nominal_amplitudes_exit_two(self, tmp_path, capsys, amplitude_hi):
+        payload = json.loads(_write_config(tmp_path / "full.json").read_text())
+        for el in payload["elements"]:
+            el["amplitude"] = 0.0
+            if amplitude_hi is not None:
+                el.update(amplitude_lo=0.0, amplitude_hi=amplitude_hi)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "nominal amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_steering_phase_exits_two(self, tmp_path, capsys):
         # a finite spacing whose largest steering phase 2*pi*spacing*(N-1) is not

@@ -371,6 +371,7 @@ class TestMirror:
         curve = power_bounds(scen, grid)
         assert curve.mirrored == 20
         nominal_power = np.abs(nominal_af_curve(scen, grid)) ** 2
+        assert np.array_equal(curve.nominal_power, nominal_power)
         assert np.array_equal(curve.nominal_db, power_db(nominal_power, curve.peak_power))
         assert not np.allclose(curve.nominal_db, curve.nominal_db[::-1], rtol=0.0, atol=1e-6)
         assert np.all(curve.p_lo <= nominal_power * (1 + 1e-12))

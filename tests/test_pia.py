@@ -170,6 +170,15 @@ class TestProbabilityMap:
         expected = 20.0 * np.log10(pmap.ring_radii[i]) - 10.0 * math.log10(pmap.bounds.peak_power)
         assert pmap.region_power_db[i] == pytest.approx(expected, abs=1e-12)
 
+    def test_outer_ring_boundaries_are_the_bounds(self, small_scenario):
+        # a zero lower bound at the nulls of a zero-tolerance array, -inf on both sides
+        zero_tol = scenario_from_tolerances([(1.0, 0.0)] * 4, 0.0, 0.0, 0.5)
+        for scenario in (small_scenario, zero_tol):
+            pmap = _pmap(scenario, uniform_grid(101), 5)
+            bounds = pmap.bounds
+            assert np.array_equal(pmap.region_power_db[:, 0], bounds.p_lo_db)
+            assert np.array_equal(pmap.region_power_db[:, -1], bounds.p_hi_db)
+
 
 class TestPaddedRegions:
     """Regions of different vertex counts share one padded array and its blocks."""

@@ -14,7 +14,7 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol import iams, validate
+from arraytol import iams
 from arraytol.geometry import disc_polygon_areas
 from arraytol.validate import _symmetry_check, disc_polygon_area_quadrature, run_validation
 
@@ -127,9 +127,6 @@ class TestPatternSymmetry:
         mc = run_mc(self._pmap(scen), 500, seed=0)
         calls = []
         sectors = iams.element_sectors
-        for module in (iams, validate):
-            monkeypatch.setattr(
-                module, "element_sectors", lambda *a: calls.append(a) or sectors(*a)
-            )
+        monkeypatch.setattr(iams, "element_sectors", lambda *a: calls.append(a) or sectors(*a))
         assert [r.name for r in run_validation(mc) if not r.passed] == []
         assert len(calls) == 1
