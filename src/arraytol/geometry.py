@@ -44,45 +44,52 @@ _BLOCK_TRIPLES = 20_000
 def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row of points, a CCW vertex ring, into a convex polygon.
 
-    Welds consecutive vertices closer than EPS_GEOM times the row's
-    farthest vertex's modulus, removes collinear ones, and rejects rows
-    that are not convex and counter-clockwise.  Returns the rows, as wide
-    as points, in the padded-row format, and their vertex counts.  When no
-    vertex is dropped the rows are points itself.
+    Welds short steps, merges same-direction parallel steps and checks
+    convexity, in one pass over the steps between consecutive vertices: a
+    vertex is dropped when the step into it is no longer than EPS_GEOM
+    times the row's farthest vertex's modulus, or when the steps into and
+    out of it are both longer, parallel and of one direction.  So a
+    segment keeps its two ends, and a row that would drop every vertex
+    keeps its vertex 0.  Returns the rows, as wide as points, in the
+    padded-row format, and their vertex counts, and rejects rows that are
+    not convex and counter-clockwise.  When no vertex is dropped the rows
+    are points itself.
     """
     vs = np.asarray(points, dtype=np.complex128)
+    return _normalize(vs, np.roll(vs, -1, axis=1) - vs)
+
+
+def _normalize(vs: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """convex_rows of rows vs given with their steps, steps[:, k] from vertex k to k+1."""
     if not np.all(np.isfinite(vs)):
         raise ValidationError("polygon vertices must be finite")
     far = np.abs(vs).max(axis=1, keepdims=True)  # each row's scale
-    keep = np.abs(vs - np.roll(vs, 1, axis=1)) > EPS_GEOM * far
+    into, cross, l_in, l_out = _turns(steps)
+    long = l_in > EPS_GEOM * far
+    same = (np.abs(cross) <= _WELD * l_in * l_out) & (
+        into.real * steps.real + into.imag * steps.imag > 0.0
+    )
+    # a merge needs a long step out as well: a corner whose step in is welded stays
+    keep = long & ~(same & np.roll(long, -1, axis=1))
     keep[~keep.any(axis=1), 0] = True
-    if keep.all():  # nothing welded: compaction would be the identity
+    if keep.all():  # nothing dropped: compaction would be the identity
         n = np.full(len(vs), vs.shape[1])
     else:
         vs, n = _compact(vs, keep)
-    slot = np.arange(vs.shape[1])
-    while True:
-        e2 = np.roll(vs, -1, axis=1) - vs  # padding makes vertex 0 follow vertex n-1
-        e1 = np.roll(e2, 1, axis=1)
-        e1[:, 0] = e2[np.arange(len(vs)), n - 1]
-        cross = e1.real * e2.imag - e1.imag * e2.real
-        live = (slot < n[:, None]) & (n >= 3)[:, None]
-        flat = live & (np.abs(cross) <= _WELD * np.abs(e1) * np.abs(e2) + 1e-300)
-        if not flat.any():
-            break
-        line = np.all(flat == live, axis=1) & (n >= 3)
-        flat[line] = False
-        vs, n = _compact(vs, (slot < n[:, None]) & ~flat)
-        if line.any():  # a fully collinear row keeps its two extreme points
-            ring = vs[line]
-            at = np.arange(len(ring))
-            i = np.argmin(ring.real + ring.imag * 1e-9, axis=1)
-            j = np.argmax(np.abs(ring - ring[at, i][:, None]), axis=1)
-            vs[line] = np.where(slot == 1, ring[at, j][:, None], ring[at, i][:, None])
-            n[line] = np.where(j != i, 2, 1)
-    if np.any(live & (cross < -EPS_GEOM * np.maximum(far * far, np.abs(e1) * np.abs(e2)))):
+        steps = np.roll(vs, -1, axis=1) - vs  # padding makes vertex 0 follow vertex n-1
+        steps[:, -1] = steps[np.arange(len(vs)), n - 1]  # rolled, it is vertex 0's step in
+        _, cross, l_in, l_out = _turns(steps)
+    live = (np.arange(vs.shape[1]) < n[:, None]) & (n >= 3)[:, None]
+    if np.any(live & (cross < -EPS_GEOM * np.maximum(far * far, l_in * l_out))):
         raise ValidationError("vertices are not a counter-clockwise convex polygon")
     return vs, n
+
+
+def _turns(steps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each vertex's step in, its cross product with the step out, and the two lengths."""
+    into = np.roll(steps, 1, axis=1)
+    l_out = np.abs(steps)
+    return into, into.real * steps.imag - into.imag * steps.real, np.roll(l_out, 1, axis=1), l_out
 
 
 def _compact(vs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,10 +167,13 @@ def rotated_minkowski_sums(
     which the weld drops.  A trace starts where its first edge in that
     order starts: at the sum, over the operands, of the vertex where each
     operand's own first edge starts (its edge of least folded direction,
-    the lowest index among ties).  The traces are normalized by
-    convex_rows.  Returns (vertices, n_vertices) in the padded-row format;
-    vertices is a column slice of one array as wide as the operands' vertex
-    count.
+    the lowest index among ties).  Each trace is normalized by
+    convex_rows's rule applied to those sorted edge vectors, not to
+    differences of the trace, so parallel edges of different operands merge
+    however far the sum lies from the origin.  A sum of parallel segments
+    is its two ends, vertex 0 where its trace starts.  Returns (vertices,
+    n_vertices) in the padded-row format; vertices is a column slice of one
+    array as wide as the operands' vertex count.
 
     The first mirrored rows are not summed but filled by _mirror_rows from
     the last ones, which is their sum when angles[i] == -angles[-1 - i]
@@ -180,7 +190,7 @@ def rotated_minkowski_sums(
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)
     for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
-        sums[block], counts[block] = convex_rows(_trace(verts, angles[block], real))
+        sums[block], counts[block] = _normalize(*_trace(verts, angles[block], real))
     sums = sums[:, : counts[mirrored:].max(initial=1)]
     _mirror_rows(sums, counts, mirrored)
     return sums, counts
@@ -204,8 +214,11 @@ def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) ->
         n_vertices[block] = n[:, 0]
 
 
-def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> np.ndarray:
-    """A block's edge traces (its own function, so its temporaries die before convex_rows)."""
+def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> tuple:
+    """A block's edge traces and their sorted steps.
+
+    Its own function, so its (rows, N, width) temporaries die before _normalize.
+    """
     rotated = verts * np.exp(1j * angles[:, :, None])  # (rows, N, width)
     edges = np.roll(rotated, -1, axis=2) - rotated
     heading = np.angle(edges)
@@ -219,7 +232,7 @@ def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> np.ndarra
     trace = np.zeros_like(steps)
     np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
     trace += anchor[:, None]
-    return trace
+    return trace, steps
 
 
 def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:

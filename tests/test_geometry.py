@@ -29,6 +29,7 @@ from helpers import (
     polygon_area,
     polygonize_interval_phasor,
     random_convex_vertices,
+    taylor_taper,
 )
 
 
@@ -40,6 +41,9 @@ class TestConvexPolygonFactory:
     def test_welds_duplicates(self):
         p = convex_polygon([0j, 0j, 1 + 0j, 1 + 0j, 1j])
         assert len(p) == 3
+        # the step into the near-duplicate is parallel to the edge, and is welded
+        # without dropping the corner after it
+        assert len(convex_polygon([0j, 1 + 0j, 1 + 1e-12 + 0j, 1 + 1j, 1j])) == 4
 
     def test_drops_collinear(self):
         p = convex_polygon([0j, 0.5 + 0j, 1 + 0j, 1 + 1j, 1j])
@@ -182,6 +186,11 @@ class TestMinkowskiSum:
         s = minkowski_sum_many((sq, sq))
         assert polygon_area(s) == pytest.approx(4.0)
         assert len(s) == 4
+        # a square of side 1e-12 makes steps the weld drops, each one after a
+        # parallel unit step: the corners stay
+        s = minkowski_sum_many((sq, 1e-12 * sq))
+        assert polygon_area(s) == pytest.approx(1.0)
+        assert len(s) == 4
 
     def test_square_plus_triangle_hexagon(self):
         sq = convex_polygon([0j, 1 + 0j, 1 + 1j, 1j])
@@ -200,6 +209,31 @@ class TestMinkowskiSum:
         parallel = minkowski_sum_many((seg_h, convex_polygon([0j, 3 + 0j])))
         assert len(parallel) == 2
         assert abs(parallel[1] - parallel[0]) == pytest.approx(5.0)
+        # along heading 2 rad the trace starts at the lower right end, not the
+        # leftmost: the ends are compared in either order
+        ray = complex(math.cos(2.0), math.sin(2.0))
+        a, b = [0.3 + 0.1j, 0.3 + 0.1j + 2 * ray], [-1j, -1j + 3 * ray]
+        tilted = minkowski_sum_many((convex_polygon(a), convex_polygon(b)))
+        assert len(tilted) == 2
+        ends = [a[0] + b[0], a[1] + b[1]]
+        assert sorted(tilted.tolist(), key=abs) == pytest.approx(sorted(ends, key=abs), abs=1e-12)
+
+    @pytest.mark.parametrize("offset", [1e2, 1e3, 1e4])
+    def test_copies_of_one_square_far_out_sum_to_a_square(self, offset):
+        # the copies' steps are equal and parallel; differences of the trace,
+        # rounded at the offset's scale, are not
+        square = 1e-3 * np.exp(0.3j) * np.array([0, 1, 1 + 1j, 1j]) + offset * (1 + 1j)
+        s = minkowski_sum_many([square] * 3)
+        assert len(s) == 4
+        assert polygon_area(s - 3 * offset * (1 + 1j)) == pytest.approx(9e-6, rel=1e-6)
+
+    def test_homothetic_sectors_sum_to_one_sector_shape(self):
+        # sectors of one phase interval at one rotation have parallel edges,
+        # so their sum has as many vertices as each of them
+        sectors = [(0.99 * a, 1.01 * a, -0.05, 0.05) for a in taylor_taper(64)]
+        vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
+        _, n = rotated_minkowski_sums(vertices, n_vertices, np.full(len(sectors), 0.4))
+        assert n.tolist() == [8 + 4]
 
     def test_brute_force_fuzz(self):
         rng = np.random.default_rng(7)
