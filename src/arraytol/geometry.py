@@ -45,10 +45,11 @@ def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
     """Normalize each row of points, a CCW vertex ring, into a convex polygon.
 
     Welds short steps, merges same-direction parallel steps and checks
-    convexity, in one pass over the steps between consecutive vertices: a
-    vertex is dropped when the step into it is no longer than EPS_GEOM
-    times the row's farthest vertex's modulus, or when the steps into and
-    out of it are both longer, parallel and of one direction.  So a
+    convexity, in one pass over the steps between consecutive vertices.  A
+    step is short when it is no longer than EPS_GEOM times the row's
+    farthest vertex's modulus, and is welded into the next step that is
+    not.  A vertex is dropped when the step into it is short, or when its
+    welded steps in and out are parallel and point the same way.  So a
     segment keeps its two ends, and a row that would drop every vertex
     keeps its vertex 0.  Returns the rows, as wide as points, in the
     padded-row format, and their vertex counts, and rejects rows that are
@@ -63,33 +64,46 @@ def _normalize(vs: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """convex_rows of rows vs given with their steps, steps[:, k] from vertex k to k+1."""
     if not np.all(np.isfinite(vs)):
         raise ValidationError("polygon vertices must be finite")
-    far = np.abs(vs).max(axis=1, keepdims=True)  # each row's scale
-    into, cross, l_in, l_out = _turns(steps)
-    long = l_in > EPS_GEOM * far
-    same = (np.abs(cross) <= _WELD * l_in * l_out) & (
-        into.real * steps.real + into.imag * steps.imag > 0.0
-    )
-    # a merge needs a long step out as well: a corner whose step in is welded stays
-    keep = long & ~(same & np.roll(long, -1, axis=1))
-    keep[~keep.any(axis=1), 0] = True
+    keep = _kept(steps, np.abs(vs).max(axis=1, keepdims=True))
     if keep.all():  # nothing dropped: compaction would be the identity
-        n = np.full(len(vs), vs.shape[1])
-    else:
-        vs, n = _compact(vs, keep)
-        steps = np.roll(vs, -1, axis=1) - vs  # padding makes vertex 0 follow vertex n-1
-        steps[:, -1] = steps[np.arange(len(vs)), n - 1]  # rolled, it is vertex 0's step in
-        _, cross, l_in, l_out = _turns(steps)
-    live = (np.arange(vs.shape[1]) < n[:, None]) & (n >= 3)[:, None]
-    if np.any(live & (cross < -EPS_GEOM * np.maximum(far * far, l_in * l_out))):
+        return vs, np.full(len(vs), vs.shape[1])
+    return _compact(vs, keep)
+
+
+def _kept(steps: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """The vertices that rows with these steps and scales far keep.
+
+    A step is long when it is longer than EPS_GEOM * far, and each step
+    that is not long is welded into the next long step, past the row's end
+    into its first.  The steps between the vertices left are then the
+    welded long steps.  A vertex is dropped when its step in is not long,
+    or when its welded step in and its next welded step out are parallel
+    and point the same way.  A kept vertex of a row that keeps at least
+    three must turn left from the one to the other.  Its own function, so
+    its temporaries die before the compaction.
+    """
+    long = np.abs(steps) > EPS_GEOM * far
+    welded = out = steps
+    if not long.all():
+        width = steps.shape[1]
+        at = np.where(long, np.arange(width), np.argmax(long, axis=1)[:, None] + width)
+        at = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1] % width  # the next long step
+        welded = np.where(long, steps, 0.0)
+        rows, cols = np.nonzero(~long)
+        np.add.at(welded, (rows, at[rows, cols]), steps[rows, cols])
+        out = np.take_along_axis(welded, at, axis=1)
+    into = np.roll(welded, 1, axis=1)
+    cross = into.real * out.imag - into.imag * out.real
+    l_in, l_out = np.abs(into), np.abs(out)
+    same = (np.abs(cross) <= _WELD * l_in * l_out) & (
+        into.real * out.real + into.imag * out.imag > 0.0
+    )
+    keep = np.roll(long, 1, axis=1) & ~same
+    keep[~keep.any(axis=1), 0] = True
+    polygon = keep & (keep.sum(axis=1) >= 3)[:, None]
+    if np.any(polygon & (cross < -EPS_GEOM * np.maximum(far * far, l_in * l_out))):
         raise ValidationError("vertices are not a counter-clockwise convex polygon")
-    return vs, n
-
-
-def _turns(steps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each vertex's step in, its cross product with the step out, and the two lengths."""
-    into = np.roll(steps, 1, axis=1)
-    l_out = np.abs(steps)
-    return into, into.real * steps.imag - into.imag * steps.real, np.roll(l_out, 1, axis=1), l_out
+    return keep
 
 
 def _compact(vs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,12 +182,10 @@ def rotated_minkowski_sums(
     order starts: at the sum, over the operands, of the vertex where each
     operand's own first edge starts (its edge of least folded direction,
     the lowest index among ties).  Each trace is normalized by
-    convex_rows's rule applied to those sorted edge vectors, not to
-    differences of the trace, so parallel edges of different operands merge
-    however far the sum lies from the origin.  A sum of parallel segments
-    is its two ends, vertex 0 where its trace starts.  Returns (vertices,
-    n_vertices) in the padded-row format; vertices is a column slice of one
-    array as wide as the operands' vertex count.
+    convex_rows's rule applied to those sorted edge vectors.  A sum of
+    parallel segments is its two ends, vertex 0 where its trace starts.
+    Returns (vertices, n_vertices) in the padded-row format; vertices is a
+    column slice of one array as wide as the operands' vertex count.
 
     The first mirrored rows are not summed but filled by _mirror_rows from
     the last ones, which is their sum when angles[i] == -angles[-1 - i]

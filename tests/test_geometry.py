@@ -44,6 +44,10 @@ class TestConvexPolygonFactory:
         # the step into the near-duplicate is parallel to the edge, and is welded
         # without dropping the corner after it
         assert len(convex_polygon([0j, 1 + 0j, 1 + 1e-12 + 0j, 1 + 1j, 1j])) == 4
+        # a welded step between two parallel steps: the two still merge, also
+        # when the welded step leaves the line and the step after it returns
+        assert len(convex_polygon([0j, 1 + 0j, 1 + 1e-12 + 0j, 2 + 0j, 2 + 1j, 1j])) == 4
+        assert len(convex_polygon([0j, 1 + 0j, 1 + 1e-10j, 2 + 0j, 2 + 1j, 1j])) == 4
 
     def test_drops_collinear(self):
         p = convex_polygon([0j, 0.5 + 0j, 1 + 0j, 1 + 1j, 1j])
@@ -209,19 +213,23 @@ class TestMinkowskiSum:
         parallel = minkowski_sum_many((seg_h, convex_polygon([0j, 3 + 0j])))
         assert len(parallel) == 2
         assert abs(parallel[1] - parallel[0]) == pytest.approx(5.0)
-        # along heading 2 rad the trace starts at the lower right end, not the
-        # leftmost: the ends are compared in either order
+        # vertex 0 is where the trace starts, so the ends are compared in either order
         ray = complex(math.cos(2.0), math.sin(2.0))
         a, b = [0.3 + 0.1j, 0.3 + 0.1j + 2 * ray], [-1j, -1j + 3 * ray]
         tilted = minkowski_sum_many((convex_polygon(a), convex_polygon(b)))
         assert len(tilted) == 2
         ends = [a[0] + b[0], a[1] + b[1]]
         assert sorted(tilted.tolist(), key=abs) == pytest.approx(sorted(ends, key=abs), abs=1e-12)
+        # a point's zero step sorts between two segments' parallel steps
+        sectors = [(0.9, 1.1, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.8, 1.0, 0.0, 0.0)]
+        s, n = rotated_minkowski_sums(*polygonize_interval_phasors(sectors), np.zeros(3))
+        assert n.tolist() == [2]
+        lo, hi = geometry.modulus_bounds(s, n)
+        assert lo[0] == pytest.approx(0.9 + 0.8) and hi[0] == pytest.approx(1.1 + 1.0)
 
     @pytest.mark.parametrize("offset", [1e2, 1e3, 1e4])
     def test_copies_of_one_square_far_out_sum_to_a_square(self, offset):
-        # the copies' steps are equal and parallel; differences of the trace,
-        # rounded at the offset's scale, are not
+        # the copies' steps are equal and parallel, and merge at any offset
         square = 1e-3 * np.exp(0.3j) * np.array([0, 1, 1 + 1j, 1j]) + offset * (1 + 1j)
         s = minkowski_sum_many([square] * 3)
         assert len(s) == 4
