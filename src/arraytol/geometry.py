@@ -36,9 +36,10 @@ _TWO_PI = 2.0 * math.pi
 # edges, which bounds its temporary arrays.
 _BLOCK_EDGES = 10_000
 
-# Ring areas work on blocks of about this many (region, radius, edge)
-# triples, small enough that their temporaries do not raise peak memory.
-_BLOCK_TRIPLES = 20_000
+# Ring areas work on blocks of about this many (region, radius, vertex)
+# triples, small enough that their temporaries do not raise peak memory
+# and stay in cache.
+_BLOCK_TRIPLES = 80_000
 
 
 def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
@@ -57,21 +58,25 @@ def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
     are points itself.
     """
     vs = np.asarray(points, dtype=np.complex128)
-    return _normalize(vs, np.roll(vs, -1, axis=1) - vs)
+    return _normalize(vs, np.roll(vs, -1, axis=1) - vs)[:2]
 
 
-def _normalize(vs: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """convex_rows of rows vs given with their steps, steps[:, k] from vertex k to k+1."""
+def _normalize(vs: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """convex_rows of rows vs given with their steps, steps[:, k] from vertex k to k+1.
+
+    Also returns each row's total length of the steps it welded: no vertex
+    of vs lies farther than that from its row's polygon.
+    """
     if not np.all(np.isfinite(vs)):
         raise ValidationError("polygon vertices must be finite")
-    keep = _kept(steps, np.abs(vs).max(axis=1, keepdims=True))
+    keep, welded = _kept(steps, np.abs(vs).max(axis=1, keepdims=True))
     if keep.all():  # nothing dropped: compaction would be the identity
-        return vs, np.full(len(vs), vs.shape[1])
-    return _compact(vs, keep)
+        return vs, np.full(len(vs), vs.shape[1]), welded
+    return *_compact(vs, keep), welded
 
 
-def _kept(steps: np.ndarray, far: np.ndarray) -> np.ndarray:
-    """The vertices that rows with these steps and scales far keep.
+def _kept(steps: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices that rows with these steps and scales far keep, and each row's welded length.
 
     A step is long when it is longer than EPS_GEOM * far, and each step
     that is not long is welded into the next long step, past the row's end
@@ -79,12 +84,16 @@ def _kept(steps: np.ndarray, far: np.ndarray) -> np.ndarray:
     welded long steps.  A vertex is dropped when its step in is not long,
     or when its welded step in and its next welded step out are parallel
     and point the same way.  A kept vertex of a row that keeps at least
-    three must turn left from the one to the other.  Its own function, so
-    its temporaries die before the compaction.
+    three must turn left from the one to the other.  The welded length is
+    the sum of the lengths of the steps that are not long.  Its own
+    function, so its temporaries die before the compaction.
     """
-    long = np.abs(steps) > EPS_GEOM * far
+    lengths = np.abs(steps)
+    long = lengths > EPS_GEOM * far
     welded = out = steps
+    moved = np.zeros(len(steps))
     if not long.all():
+        moved = np.where(long, 0.0, lengths).sum(axis=1)
         width = steps.shape[1]
         at = np.where(long, np.arange(width), np.argmax(long, axis=1)[:, None] + width)
         at = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1] % width  # the next long step
@@ -103,7 +112,7 @@ def _kept(steps: np.ndarray, far: np.ndarray) -> np.ndarray:
     polygon = keep & (keep.sum(axis=1) >= 3)[:, None]
     if np.any(polygon & (cross < -EPS_GEOM * np.maximum(far * far, l_in * l_out))):
         raise ValidationError("vertices are not a counter-clockwise convex polygon")
-    return keep
+    return keep, moved
 
 
 def _compact(vs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +178,7 @@ def _row_blocks(
 
 
 def rotated_minkowski_sums(
-    vertices, n_vertices, angles, mirrored: int = 0
+    vertices, n_vertices, angles, mirrored: int = 0, welded: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minkowski sums of rigidly rotated convex polygons, one per row of angles.
 
@@ -189,7 +198,10 @@ def rotated_minkowski_sums(
 
     The first mirrored rows are not summed but filled by _mirror_rows from
     the last ones, which is their sum when angles[i] == -angles[-1 - i]
-    and every operand is its own conjugate.
+    and every operand is its own conjugate.  When welded is given, one
+    float per row, each summed row's entry receives the total length of
+    the steps its normalization welded: no point of the sum lies farther
+    than that from the row's polygon.
     """
     n_vertices = np.asarray(n_vertices)
     if n_vertices.size == 0:
@@ -202,7 +214,9 @@ def rotated_minkowski_sums(
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)
     for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
-        sums[block], counts[block] = _normalize(*_trace(verts, angles[block], real))
+        sums[block], counts[block], moved = _normalize(*_trace(verts, angles[block], real))
+        if welded is not None:
+            welded[block] = moved
     sums = sums[:, : counts[mirrored:].max(initial=1)]
     _mirror_rows(sums, counts, mirrored)
     return sums, counts
@@ -239,7 +253,14 @@ def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> tuple:
     heading[:, ~real] = np.inf
     first = np.argmin(heading, axis=2)  # each operand's first edge in the stable sort
     anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
-    order = np.argsort(heading[:, real], axis=1, kind="stable")
+    heading = heading[:, real]
+    # distinct headings have one order, which the default sort finds fastest;
+    # rows with equal headings are sorted again, stably, to keep operand order
+    order = np.argsort(heading, axis=1)
+    ordered = np.take_along_axis(heading, order, axis=1)
+    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(heading[tied], axis=1, kind="stable")
     steps = np.take_along_axis(edges[:, real], order, axis=1)
     trace = np.zeros_like(steps)
     np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
@@ -273,6 +294,55 @@ def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+
+
+def _region_blocks(vertices: np.ndarray, n_vertices, per_vertex: int, size: int):
+    """(rows, unpadded vertices) of the padded regions with at least three vertices.
+
+    Regions come in groups of equal vertex count, each cut to its own
+    width, so padding never enters a sum and a region's results do not
+    depend on the array it comes in; each group in blocks of rows holding
+    about size elements, per_vertex of them per vertex.  A block of
+    consecutive rows is a view.
+    """
+    n_vertices = np.asarray(n_vertices)
+    for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
+        group = np.flatnonzero(n_vertices == n)
+        for block in _row_blocks(group.size, per_vertex * n, size):
+            rows = group[block]
+            if rows[-1] - rows[0] == rows.size - 1:
+                yield rows, vertices[rows[0] : rows[-1] + 1, :n]
+            else:
+                yield rows, vertices[rows, :n]
+
+
+def _fan_cross(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cross(a - a0, b - a0) for the edges (a, b) of unpadded regions a, (rows, n), into out.
+
+    a0 is the region's vertex 0, so the terms fan the region from a
+    boundary point: on a convex CCW region none is negative, and they sum
+    to twice its area with an error relative to that area, however far the
+    region lies from the origin.
+    """
+    ac = a - a[:, :1]
+    out[:, :-1] = (ac[:, :-1].conj() * ac[:, 1:]).imag
+    out[:, -1] = 0.0  # the edge back to vertex 0
+    return out
+
+
+def region_areas(vertices, n_vertices) -> np.ndarray:
+    """Area of each padded region: half the sum of its _fan_cross terms, 0.0 below three vertices.
+
+    It is the area disc_polygon_areas gives, bit for bit, for a radius that
+    encloses every vertex.
+    """
+    vertices = np.asarray(vertices, dtype=np.complex128)
+    areas = np.zeros(len(vertices))
+    for rows, a in _region_blocks(vertices, n_vertices, 1, _BLOCK_EDGES):
+        areas[rows] = 0.5 * _fan_cross(a, np.empty(a.shape)).sum(axis=1)
+    return areas
+
+
 def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     """Area of disc(0, r) intersected with each region, for every r in its row of radii.
 
@@ -280,56 +350,136 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     the padded-row format; the result is (rows, R), exactly 0.0 on a region
     with fewer than three vertices.  Fans each region from the disc center:
     a row sums, over the CCW edges (a, b), the signed area of disc(0, r)
-    intersected with triangle(0, a, b).  Each edge is classed against each
-    radius by quantities taken once per edge:
+    intersected with triangle(0, a, b).  That is cross(a, b) / 2 for an
+    edge inside the disc, r**2 * angle(a, b) / 2 for an edge outside it,
+    and for an edge the circle crosses, with p1 and p2 the ends of its
+    chord (its edge-circle roots clipped to the edge), cross(p1, p2) / 2
+    plus r**2 / 2 times the angles a -> p1 and p2 -> b.
 
-    - inside, when max(|a|^2, |b|^2) <= r^2: it adds cross(a, b) / 2;
-    - outside, when the squared distance from the origin to the edge is
-      >= r^2 (a tangent edge is outside): it adds r^2 * angle(a, b) / 2;
-    - crossing, otherwise.  With d = b - a and t1 <= t2 the edge-circle
-      roots clipped to [0, 1], the chord between p1 = a + t1*d and
-      p2 = a + t2*d adds cross(p1, p2) / 2 and the arcs outside the disc
-      add r^2 * angle / 2 (angles a -> p1 and p2 -> b).
-
-    Both closed forms are the crossing formula's limits at the class
-    boundaries, so a class decided wrongly in the last bit costs no more
-    than round-off.  Only the crossing triples are gathered for the roots.
-    Regions are summed in groups of equal vertex count, each cut to its own
-    width, so padding never enters a sum and a region's areas do not depend
-    on the array it comes in.
+    Each (region, radius) costs one compare of |a|**2 with r**2 per vertex
+    (a vertex with |a|**2 == r**2 is inside); the rest scales with the
+    edges the circle crosses.  Between two edges whose ends lie on either
+    side, the boundary runs with every vertex inside or every vertex
+    outside.  An inside run from vertex s to vertex t adds its _fan_cross
+    terms, a difference of prefix sums, plus cross(a0, a_t - a_s); an
+    outside run adds r**2 times its edges' angles, likewise.  A circle that
+    separates no edge's ends encloses every vertex, and the area is
+    region_areas', or none: then it is pi * r**2 if the region winds
+    around the origin and 0 if not.  An edge with both ends outside still
+    dips inside when its point nearest the origin lies strictly inside (a
+    tangent edge is outside); it then trades its angle term for its
+    crossing piece.  The crossing formula's limits at the class boundaries
+    are the run terms, so a class decided wrongly in the last bit costs no
+    more than round-off.  The per-vertex work runs in blocks of about
+    _BLOCK_TRIPLES (region, radius, vertex) triples, four more radii
+    counted for the per-vertex arrays; the crossed edges are then taken
+    all at once.
     """
-    radii = np.asarray(radii, dtype=np.float64)
+    r2 = np.asarray(radii, dtype=np.float64) ** 2
     vertices = np.asarray(vertices, dtype=np.complex128)
     n_vertices = np.asarray(n_vertices)
-    areas = np.zeros(radii.shape)
-    for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
-        rows = np.flatnonzero(n_vertices == n)
-        for block in _row_blocks(rows.size, radii.shape[1] * n, _BLOCK_TRIPLES):
-            idx = rows[block]
-            areas[idx] = _fan_areas(radii[idx] ** 2, vertices[idx, :n])
-    return areas
+    per_row, width = r2.shape[1], vertices.shape[1]
+    keys, before, after, dips = [], [], [], []
+    fan = np.zeros(len(vertices))  # each region's sum of fan terms
+    ring = np.zeros(len(vertices), dtype=np.complex128)  # and its prefix sums' total
+    for rows, a in _region_blocks(vertices, n_vertices, per_row + 4, _BLOCK_TRIPLES):
+        n = a.shape[1]
+        ab = a.conj() * np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+        terms = np.empty(a.shape, dtype=np.complex128)
+        fan[rows] = _fan_cross(a, terms.real).sum(axis=1)
+        np.arctan2(ab.imag, ab.real, out=terms.imag)
+        prefix = np.empty((len(a), n + 1), dtype=np.complex128)
+        prefix[:, 0] = 0.0
+        np.cumsum(terms, axis=1, out=prefix[:, 1:])
+        ring[rows] = prefix[:, n]
+        aa = (a * a.conj()).real
+        inside = aa[:, None, :] <= r2[rows, :, None]  # each vertex's class at each radius
+        crossed = np.empty_like(inside)  # the edges whose ends lie on either side
+        np.not_equal(inside[..., :-1], inside[..., 1:], out=crossed[..., :-1])
+        np.not_equal(inside[..., -1], inside[..., 0], out=crossed[..., -1])
+        flat, e = np.divmod(np.flatnonzero(crossed), n)
+        row = flat // per_row
+        keys.append((rows[row] * per_row + flat % per_row) * width + e)
+        before.append(prefix[row, e])  # the prefix sums before and after each
+        after.append(prefix[row, e + 1])
+        # an edge can dip inside only where the foot of the origin's
+        # perpendicular lies strictly between its ends: a . b < min(|a|^2, |b|^2)
+        near = np.minimum(aa, np.concatenate((aa[:, 1:], aa[:, :1]), axis=1), out=aa)
+        row, e = np.divmod(np.flatnonzero(ab.real < near), n)
+        dips.append(rows[row] * width + e)
+    if not keys:  # no region has an area
+        return np.zeros(r2.shape)
+    return 0.5 * _crossed_areas(r2, vertices, n_vertices, keys, before, after, fan, ring, dips)
 
 
-def _fan_areas(r2: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """disc_polygon_areas of unpadded regions a, (rows, n), at squared radii r2, (rows, R)."""
-    b = np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+def _crossed_areas(r2, vertices, n_vertices, keys, before, after, fan, ring, dips) -> np.ndarray:
+    """Twice disc_polygon_areas, from what its per-vertex pass gathered.
+
+    keys are the crossed edges as flat (region, radius, edge) indices into
+    (rows, R, width), with the prefix sums of the region's fan terms
+    before and after each; fan and ring hold each region's sums of those
+    terms, pairwise and by the prefix; dips are the edges that can dip, as
+    flat (region, edge) indices.
+    """
+    per_row, width = r2.shape[1], vertices.shape[1]
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    g, e = np.divmod(keys[order], width)  # g: flat (region, radius)
+    before, after = np.concatenate(before)[order], np.concatenate(after)[order]
+    i, q = g // per_row, r2.ravel()[g]
+    a, b = vertices[i, e], vertices[i, (e + 1) % n_vertices[i]]
+    # the run from each crossed edge to the next one of its (region,
+    # radius), around past the region's last vertex after the last
+    last = np.ones(g.size, dtype=bool)
+    last[:-1] = g[1:] != g[:-1]
+    nxt = np.arange(1, g.size + 1)
+    nxt[last] = np.searchsorted(g, g[last])
+    run = before[nxt] - after + ring[i] * last
+    span, a0 = a[nxt] - b, vertices[i, 0]
+    runs = np.where(
+        (a * a.conj()).real > q,  # the run after an edge from outside is inside
+        run.real + (a0.real * span.imag - a0.imag * span.real),
+        q * run.imag,
+    )
+    areas = np.bincount(g, _crossing(a, b, q) + runs, r2.size).reshape(r2.shape)
+    areas = areas.astype(np.float64, copy=False)  # bincount counts in integers when g is empty
+
+    # radii that separate no edge's ends enclose every vertex or none
+    whole = np.ones(r2.size, dtype=bool)
+    whole[g] = False
+    whole = whole.reshape(r2.shape) & (n_vertices >= 3)[:, None]
+    a0 = vertices[:, :1]
+    winding = np.where(ring.imag > math.pi, _TWO_PI, 0.0)[:, None]  # 2*pi or 0, exactly
+    areas[whole] = np.where((a0 * a0.conj()).real <= r2, fan[:, None], r2 * winding)[whole]
+
+    # the edges that dip inside: their crossing piece in place of their angle term
+    i, e = np.divmod(np.concatenate(dips), width)
+    a, b = vertices[i, e], vertices[i, (e + 1) % n_vertices[i]]
     d = b - a
+    t = -(a.real * d.real + a.imag * d.imag) / (d * d.conj()).real
+    foot = a + np.clip(t, 0.0, 1.0) * d
+    q = r2[i]
+    dip = ((foot * foot.conj()).real[:, None] < q) & (
+        q < np.minimum((a * a.conj()).real, (b * b.conj()).real)[:, None]
+    )
+    j, k = np.divmod(np.flatnonzero(dip), per_row)
+    a, b, q = a[j], b[j], q[j, k]
     ab = a.conj() * b
-    aa = a.real * a.real + a.imag * a.imag
-    dd = d.real * d.real + d.imag * d.imag
+    piece = _crossing(a, b, q) - q * np.arctan2(ab.imag, ab.real)
+    return areas + np.bincount(i[j] * per_row + k, piece, r2.size).reshape(r2.shape)
+
+
+def _crossing(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Twice the area of disc(0, sqrt(q)) meet triangle(0, a, b), for edges (a, b) its circle crosses.
+
+    With p1 and p2 the edge-circle roots clipped to the edge, that is
+    cross(p1, p2) plus q times the angles a -> p1 and p2 -> b.
+    """
+    d = b - a
+    dd = (d * d.conj()).real
     dd = np.where(dd > 0.0, dd, 1.0)  # a zero-length edge puts both roots on a
     ad = a.real * d.real + a.imag * d.imag
-    foot = a + np.clip(-ad / dd, 0.0, 1.0) * d  # the edge's point nearest the origin
-    inside = np.maximum(aa, b.real * b.real + b.imag * b.imag)[:, None, :] <= r2[:, :, None]
-    outside = ~inside & ((foot.real**2 + foot.imag**2)[:, None, :] >= r2[:, :, None])
-    total = (inside * ab.imag[:, None, :]).sum(axis=2)
-    total += r2 * (outside * np.angle(ab)[:, None, :]).sum(axis=2)
-    i, k, e = np.nonzero(~(inside | outside))
-    ai, di, bi, q = a[i, e], d[i, e], b[i, e], r2[i, k]
-    qa, qb = dd[i, e], ad[i, e]
-    sq = np.sqrt(np.maximum(qb * qb - qa * (aa[i, e] - q), 0.0))
-    p1 = ai + np.clip((-qb - sq) / qa, 0.0, 1.0) * di
-    p2 = ai + np.clip((-qb + sq) / qa, 0.0, 1.0) * di
-    piece = (p1.conj() * p2).imag + q * (np.angle(ai.conj() * p1) + np.angle(p2.conj() * bi))
-    total += np.bincount(i * r2.shape[1] + k, piece, total.size).reshape(total.shape)
-    return 0.5 * total
+    sq = np.sqrt(np.maximum(ad * ad - dd * ((a * a.conj()).real - q), 0.0))
+    p1 = a + np.clip((-ad - sq) / dd, 0.0, 1.0) * d
+    p2 = a + np.clip((-ad + sq) / dd, 0.0, 1.0) * d
+    return (p1.conj() * p2).imag + q * (np.angle(a.conj() * p1) + np.angle(p2.conj() * b))

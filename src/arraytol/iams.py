@@ -33,8 +33,8 @@ class PowerBoundsCurve:
     the bounds were taken from, in grid order, in the padded-row format of
     arraytol.geometry.  arc_points is the sector polygonization the regions
     were built with, allowance the rounding allowance their modulus bounds
-    were widened by, and the first mirrored rows are mirror images of the
-    last ones (interval_af_curve).
+    were widened by (besides each row's welded length), and the first
+    mirrored rows are mirror images of the last ones (interval_af_curve).
     """
 
     scenario: ArrayScenario = field(repr=False)
@@ -85,21 +85,25 @@ def interval_af_curve(
     their Minkowski sum, contains the nominal array factor.  One batched
     Minkowski sum covers the whole grid and returns its regions in the
     padded-row format.  The modulus bounds are widened by the
-    rounding_allowance of the sectors.  Where mirrored_rows finds the
+    rounding_allowance of the sectors, and each row's by the length of the
+    steps its normalization welded, which bounds how far the weld moved
+    the region's boundary.  Where mirrored_rows finds the
     mirror symmetry, only the rows from u = 0 on are summed and bounded;
     each row at -u is the conjugate of the row at u and copies its bounds.
     """
     sectors, sector_counts = element_sectors(scenario, arc_points)
     mirrored = mirrored_rows(scenario, grid)
     psi = steering_phases(scenario, grid.samples)
-    vertices, n_vertices = rotated_minkowski_sums(sectors, sector_counts, psi, mirrored)
+    welded = np.zeros(len(psi))
+    vertices, n_vertices = rotated_minkowski_sums(sectors, sector_counts, psi, mirrored, welded)
     lo, hi = modulus_bounds(vertices[mirrored:], n_vertices[mirrored:])
     slack = rounding_allowance(sectors)
+    reach = slack + welded[mirrored:]
     return IntervalRegions(
         vertices,
         n_vertices,
-        unfold_mirror(np.maximum(lo - slack, 0.0), mirrored),
-        unfold_mirror(hi + slack, mirrored),
+        unfold_mirror(np.maximum(lo - reach, 0.0), mirrored),
+        unfold_mirror(hi + reach, mirrored),
         slack,
         mirrored,
     )

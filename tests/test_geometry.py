@@ -283,6 +283,44 @@ class TestMinkowskiSum:
         assert sums.tobytes() == wide_sums.tobytes()
 
 
+def _stably_traced_sums(vertices, n_vertices, angles):
+    """rotated_minkowski_sums as its docstring reads: headings in a stable argsort."""
+    width = int(max(n_vertices))
+    real = np.arange(width) < np.asarray(n_vertices)[:, None]
+    rotated = vertices[:, :width] * np.exp(1j * angles[:, :, None])
+    edges = np.roll(rotated, -1, axis=2) - rotated
+    heading = np.angle(edges)
+    heading[heading < 0.0] += 2.0 * math.pi
+    heading[heading >= 2.0 * math.pi] = 0.0
+    heading[:, ~real] = np.inf
+    first = np.argmin(heading, axis=2)
+    anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
+    order = np.argsort(heading[:, real], axis=1, kind="stable")
+    steps = np.take_along_axis(edges[:, real], order, axis=1)
+    trace = np.zeros_like(steps)
+    np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
+    trace += anchor[:, None]
+    return geometry._normalize(trace, steps)[:2]
+
+
+class TestTieRule:
+    def test_tied_headings_are_traced_in_operand_order(self):
+        # sectors of one phase interval [0, 0.1] start with a step along the
+        # real axis, so at zero rotation those steps tie across operands;
+        # their lengths differ, so the order the trace adds them in shows in
+        # the last bits of the vertices after them.  The steered row has no
+        # tie.  Identical sectors would tie with identical steps, whose order
+        # no output shows.
+        amplitudes = (0.3, 0.5, 0.7, 1.1, 1.3, 1.7)
+        sectors = [(0.9 * a, 1.1 * a, 0.0, 0.1) for a in amplitudes]
+        vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
+        angles = np.stack((np.zeros(len(sectors)), 0.7 * np.arange(len(sectors))))
+        sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)
+        ref_sums, ref_counts = _stably_traced_sums(vertices, n_vertices, angles)
+        assert counts.tolist() == ref_counts.tolist() == [12, 72]
+        assert sums.tobytes() == ref_sums[:, : sums.shape[1]].tobytes()
+
+
 class TestDistanceBounds:
     def test_offset_square(self):
         p = convex_polygon([1 + 1j, 3 + 1j, 3 + 3j, 1 + 3j])
@@ -487,3 +525,57 @@ class TestDiscPolygonAreas:
         )
         both = disc_polygon_areas(np.stack((radii, radii)), padded, [len(other), len(p)])
         assert np.array_equal(both[1], areas)
+
+    @staticmethod
+    def _match_slab_oracle(p, radii):
+        """Areas of region p at radii against the slab oracle, relative to its area."""
+        areas = disc_polygon_areas(np.asarray(radii)[None], p[None], [len(p)])[0]
+        oracle = [disc_convex_area_slab(float(r), p, 16385) for r in radii]
+        assert areas == pytest.approx(oracle, rel=1e-6, abs=1e-6 * polygon_area(p))
+        return areas
+
+    def test_region_far_from_the_origin(self):
+        # over 200 times its own size away, so its fan terms about the origin
+        # are that many times its area; the runs take them about a vertex
+        rng = np.random.default_rng(29)
+        p = convex_polygon(random_convex_vertices(rng, 12, scale=1.0, center=800 * np.exp(0.3j)))
+        lo, hi = distance_bounds_to_origin(p)
+        assert lo >= 200 * np.abs(p[:, None] - p[None, :]).max()
+        areas = self._match_slab_oracle(p, lo + (hi - lo) * np.linspace(0.05, 0.95, 7))
+        assert np.all(np.diff(areas) > 0.0)
+
+    def test_region_around_the_origin_with_an_inside_run_past_vertex_0(self):
+        # an ellipse around the origin whose vertex 0 lies nearest it: at
+        # radius 1 vertices n - 1, 0 and 1 are inside, so the inside run
+        # wraps from the last vertex to the first
+        theta = math.pi + 2 * math.pi * np.arange(12) / 12
+        p = 1.2 + 2.0 * np.cos(theta) + 1.5j * np.sin(theta)
+        assert np.flatnonzero(np.abs(p) <= 1.0).tolist() == [0, 1, 11]
+        self._match_slab_oracle(p, [0.5, 0.85, 1.0, 1.5, 2.5, 3.0])
+        # within every edge's distance the disc lies inside the region
+        assert disc_polygon_areas([[0.5]], p[None], [12])[0, 0] == pytest.approx(0.25 * math.pi)
+
+    def test_vertex_exactly_on_the_circle(self):
+        # |3 + 4j|**2 == 25.0 exactly: the vertex is inside the disc of radius 5
+        p = convex_polygon([3 + 4j, 1 + 7j, -2 + 5j, -1 + 2j])
+        radii = [np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 9.0)]
+        areas = self._match_slab_oracle(p, radii)
+        assert np.all(np.diff(areas) >= 0.0)
+        assert areas[2] - areas[0] < 1e-12 * polygon_area(p)
+
+    def test_steered_sum_of_768_vertices(self):
+        rng = np.random.default_rng(31)
+        sectors = []
+        for n, a in enumerate(taylor_taper(64)):
+            phase = math.radians(30.0 * n)
+            sectors.append((
+                a * (1 - rng.uniform(0.005, 0.02)), a * (1 + rng.uniform(0.005, 0.02)),
+                phase - math.radians(rng.uniform(1.0, 4.0)), phase + math.radians(rng.uniform(1.0, 4.0)),
+            ))
+        vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
+        angles = math.pi * 0.37 * np.arange(len(sectors))
+        sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)
+        assert counts.tolist() == [768]
+        p = sums[0]
+        lo, hi = distance_bounds_to_origin(p)
+        self._match_slab_oracle(p, lo + (hi - lo) * np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))

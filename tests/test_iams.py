@@ -284,6 +284,30 @@ class TestPowerBounds:
             )
             assert hi >= np.abs(a[:, None] + b[None, :]).max()
 
+    @pytest.mark.parametrize("amplitude", [3e-10, 1e-9, 1e-8])
+    def test_a_welded_sector_widens_the_bounds(self, amplitude):
+        # next to a radial segment of length 0.48, every step of a sector
+        # about 1e-9 across is short, so the weld drops the sector from the
+        # sum; the bounds must still hold its realizations at both amplitude
+        # ends, which lie up to about amplitude * 1e-2 off the segment
+        scen = ArrayScenario(
+            elements=(
+                ExcitationInterval(0.5, 0.0, 0.26, 0.74, 0.0, 0.0),
+                ExcitationInterval(
+                    amplitude, 0.0, 0.99 * amplitude, 1.01 * amplitude,
+                    -math.radians(3.0), math.radians(3.0),
+                ),
+            ),
+            spacing=0.5,
+        )
+        grid = AngularGrid(np.array([0.0, 0.3]))
+        curve = interval_af_curve(scen, grid)
+        phases = np.linspace(-math.radians(3.0), math.radians(3.0), 101)
+        for u, lo, hi in zip(grid.samples, curve.modulus_lo, curve.modulus_hi):
+            second = np.array([0.99, 1.01])[:, None] * amplitude * np.exp(1j * (phases + math.pi * u))
+            moduli = np.abs(np.array([0.26, 0.74])[:, None, None] + second[None])
+            assert lo <= moduli.min() and moduli.max() <= hi, (u, lo - moduli.min(), moduli.max() - hi)
+
 
 def _taylor_scenario(n):
     return scenario_from_tolerances(

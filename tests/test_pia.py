@@ -14,11 +14,12 @@ from arraytol import (
     mean_probabilities,
     power_bounds,
     probability_map,
+    scenario_from_config,
     scenario_from_tolerances,
     uniform_grid,
 )
 from arraytol import pia
-from arraytol.geometry import _BLOCK_EDGES
+from arraytol.geometry import _BLOCK_EDGES, disc_polygon_areas, region_areas
 from arraytol.pia import _ring_radii, mainlobe_indices
 
 from helpers import (
@@ -89,12 +90,12 @@ class TestRegionProbabilities:
         assert list(probs) == [1.0, 0.0, 0.0]
 
     def test_negative_ring_area_raises(self, monkeypatch):
+        # the map takes the outer discs in closed form, 0.0 and this square's
+        # area 1.0, and asks the kernel only for the two interior radii
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         radii = _ring_radii(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia,
-            "disc_polygon_areas",
-            lambda radii, poly, n_vertices: np.array([[0.0, 0.6, 0.4, 1.0]]),
+            pia, "disc_polygon_areas", lambda radii, poly, n_vertices: np.array([[0.6, 0.4]])
         )
         with pytest.raises(ValidationError, match="round-off"):
             region_probabilities(p, radii)
@@ -105,7 +106,7 @@ class TestRegionProbabilities:
         monkeypatch.setattr(
             pia,
             "disc_polygon_areas",
-            lambda radii, poly, n_vertices: np.array([[0.0, 0.5, 0.5 - 1e-14, 1.0]]),
+            lambda radii, poly, n_vertices: np.array([[0.5, 0.5 - 1e-14]]),
         )
         probs = region_probabilities(p, radii)
         assert probs[1] == 0.0
@@ -178,6 +179,30 @@ class TestProbabilityMap:
             bounds = pmap.bounds
             assert np.array_equal(pmap.region_power_db[:, 0], bounds.p_lo_db)
             assert np.array_equal(pmap.region_power_db[:, -1], bounds.p_hi_db)
+
+
+def _workload_config(name):
+    """The seed-0 config of a perfbench workload, from perfbench/workloads.py."""
+    import runpy
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["WORKLOADS"][name].config(0)
+
+
+class TestOuterRings:
+    @pytest.mark.parametrize("workload", ["taylor16", "steered64", "mc-coarse16"])
+    def test_closed_forms_are_the_kernels_areas(self, workload):
+        # the map takes the innermost and outermost discs in closed form, 0
+        # and region_areas; the kernel's areas at those radii are the same bits
+        config = _workload_config(workload)
+        bounds = power_bounds(
+            scenario_from_config(config), uniform_grid(config["n_u"]), config["arc_points"]
+        )
+        radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, config["k_regions"])
+        outer = disc_polygon_areas(radii[:, [0, -1]], bounds.vertices, bounds.n_vertices)
+        assert np.array_equal(outer[:, 0], np.zeros(len(radii)))
+        assert outer[:, 1].tobytes() == region_areas(bounds.vertices, bounds.n_vertices).tobytes()
 
 
 class TestPaddedRegions:
