@@ -88,12 +88,11 @@ def _kept(steps: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the sum of the lengths of the steps that are not long.  Its own
     function, so its temporaries die before the compaction.
     """
-    lengths = np.abs(steps)
-    long = lengths > EPS_GEOM * far
+    long = np.abs(steps) > EPS_GEOM * far
     welded = out = steps
     moved = np.zeros(len(steps))
     if not long.all():
-        moved = np.where(long, 0.0, lengths).sum(axis=1)
+        moved = np.abs(np.where(long, 0.0, steps)).sum(axis=1)
         width = steps.shape[1]
         at = np.where(long, np.arange(width), np.argmax(long, axis=1)[:, None] + width)
         at = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1] % width  # the next long step
@@ -186,7 +185,8 @@ def rotated_minkowski_sums(
     i sums operand n rotated about the origin by angles[i, n] radians.  The
     row's edge vectors sorted by direction (angles folded into [0, 2*pi),
     ties kept in operand order) trace the sum's shape, all rows of a block
-    in one argsort and one cumsum.  A point keeps one zero-length edge,
+    in one argsort and one cumsum; only rows with tied directions are
+    sorted again, stably.  A point keeps one zero-length edge,
     which the weld drops.  A trace starts where its first edge in that
     order starts: at the sum, over the operands, of the vertex where each
     operand's own first edge starts (its edge of least folded direction,
@@ -257,8 +257,7 @@ def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> tuple:
     # distinct headings have one order, which the default sort finds fastest;
     # rows with equal headings are sorted again, stably, to keep operand order
     order = np.argsort(heading, axis=1)
-    ordered = np.take_along_axis(heading, order, axis=1)
-    tied = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    tied = (np.diff(np.take_along_axis(heading, order, axis=1), axis=1) == 0.0).any(axis=1)
     if tied.any():
         order[tied] = np.argsort(heading[tied], axis=1, kind="stable")
     steps = np.take_along_axis(edges[:, real], order, axis=1)
@@ -379,53 +378,73 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     vertices = np.asarray(vertices, dtype=np.complex128)
     n_vertices = np.asarray(n_vertices)
     per_row, width = r2.shape[1], vertices.shape[1]
-    keys, before, after, dips = [], [], [], []
+    crossed, dips, before, after = [], [], [], []
     fan = np.zeros(len(vertices))  # each region's sum of fan terms
     ring = np.zeros(len(vertices), dtype=np.complex128)  # and its prefix sums' total
     for rows, a in _region_blocks(vertices, n_vertices, per_row + 4, _BLOCK_TRIPLES):
-        n = a.shape[1]
-        ab = a.conj() * np.concatenate((a[:, 1:], a[:, :1]), axis=1)
-        terms = np.empty(a.shape, dtype=np.complex128)
-        fan[rows] = _fan_cross(a, terms.real).sum(axis=1)
-        np.arctan2(ab.imag, ab.real, out=terms.imag)
-        prefix = np.empty((len(a), n + 1), dtype=np.complex128)
-        prefix[:, 0] = 0.0
-        np.cumsum(terms, axis=1, out=prefix[:, 1:])
-        ring[rows] = prefix[:, n]
-        aa = (a * a.conj()).real
-        inside = aa[:, None, :] <= r2[rows, :, None]  # each vertex's class at each radius
-        crossed = np.empty_like(inside)  # the edges whose ends lie on either side
-        np.not_equal(inside[..., :-1], inside[..., 1:], out=crossed[..., :-1])
-        np.not_equal(inside[..., -1], inside[..., 0], out=crossed[..., -1])
-        flat, e = np.divmod(np.flatnonzero(crossed), n)
-        row = flat // per_row
-        keys.append((rows[row] * per_row + flat % per_row) * width + e)
-        before.append(prefix[row, e])  # the prefix sums before and after each
-        after.append(prefix[row, e + 1])
-        # an edge can dip inside only where the foot of the origin's
-        # perpendicular lies strictly between its ends: a . b < min(|a|^2, |b|^2)
-        near = np.minimum(aa, np.concatenate((aa[:, 1:], aa[:, :1]), axis=1), out=aa)
-        row, e = np.divmod(np.flatnonzero(ab.real < near), n)
-        dips.append(rows[row] * width + e)
-    if not keys:  # no region has an area
+        fan[rows], ring[rows], (row, k, e), sums, dip = _vertex_pass(a, r2[rows])
+        crossed.append((rows[row] * per_row + k) * width + e)
+        before.append(sums[0])
+        after.append(sums[1])
+        row, k, e = dip
+        dips.append((rows[row] * per_row + k) * width + e)
+    if not crossed:  # no region has an area
         return np.zeros(r2.shape)
-    return 0.5 * _crossed_areas(r2, vertices, n_vertices, keys, before, after, fan, ring, dips)
+    crossed, dips = np.concatenate(crossed), np.concatenate(dips)
+    before, after = np.concatenate(before), np.concatenate(after)
+    return 0.5 * _crossed_areas(r2, vertices, n_vertices, crossed, before, after, fan, ring, dips)
 
 
-def _crossed_areas(r2, vertices, n_vertices, keys, before, after, fan, ring, dips) -> np.ndarray:
-    """Twice disc_polygon_areas, from what its per-vertex pass gathered.
+def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
+    """disc_polygon_areas' per-vertex work on unpadded regions a, (rows, n), at squared radii r2.
 
-    keys are the crossed edges as flat (region, radius, edge) indices into
-    (rows, R, width), with the prefix sums of the region's fan terms
-    before and after each; fan and ring hold each region's sums of those
-    terms, pairwise and by the prefix; dips are the edges that can dip, as
-    flat (region, edge) indices.
+    Returns each region's sum of _fan_cross terms, and the total of its
+    prefix sums of those terms plus 1j times the edges' angles; the edges
+    whose ends lie on either side of a circle, as (region, radius, edge)
+    indices, with those prefix sums before and after each; and the edges
+    that dip inside a circle, likewise.  Its own function, so its
+    temporaries die before the next block's.
+    """
+    n, per_row = a.shape[1], r2.shape[1]
+    terms = np.empty(a.shape, dtype=np.complex128)
+    fan = _fan_cross(a, terms.real).sum(axis=1)
+    ab = a.conj() * np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+    np.arctan2(ab.imag, ab.real, out=terms.imag)
+    np.cumsum(terms, axis=1, out=terms)  # the prefix sums through each edge
+    aa = _abs2(a)
+    inside = aa[:, None, :] <= r2[:, :, None]  # each vertex's class at each radius
+    crossed = np.empty_like(inside)
+    np.not_equal(inside[..., :-1], inside[..., 1:], out=crossed[..., :-1])
+    np.not_equal(inside[..., -1], inside[..., 0], out=crossed[..., -1])
+    flat, e = np.divmod(np.flatnonzero(crossed), n)
+    row = flat // per_row
+    sums = np.where(e > 0, terms[row, e - 1], 0.0), terms[row, e]
+    # an edge with both ends outside dips inside when the foot of the
+    # origin's perpendicular lies inside; the foot lies strictly between
+    # the ends only where a . b < min(|a|^2, |b|^2)
+    near = np.minimum(aa, np.roll(aa, -1, axis=1))
+    drow, de = np.divmod(np.flatnonzero(ab.real < near), n)
+    start, d = a[drow, de], a[drow, (de + 1) % n] - a[drow, de]
+    t = -(start.real * d.real + start.imag * d.imag) / _abs2(d)
+    q = r2[drow]
+    dips = (_abs2(start + np.clip(t, 0.0, 1.0) * d)[:, None] < q) & (q < near[drow, de][:, None])
+    j, k = np.divmod(np.flatnonzero(dips), per_row)
+    return fan, terms[:, -1], (row, flat % per_row, e), sums, (drow[j], k, de[j])
+
+
+def _crossed_areas(r2, vertices, n_vertices, crossed, before, after, fan, ring, dips):
+    """Twice disc_polygon_areas, from what its per-vertex passes gathered.
+
+    crossed and dips are flat (region, radius, edge) indices into
+    (rows, R, width) of the edges whose ends lie on either side of the
+    circle and of those that dip inside it; before and after the prefix
+    sums of the crossed edges' regions before and after them, and fan and
+    ring each region's sums as _vertex_pass returns them.
     """
     per_row, width = r2.shape[1], vertices.shape[1]
-    keys = np.concatenate(keys)
-    order = np.argsort(keys)
-    g, e = np.divmod(keys[order], width)  # g: flat (region, radius)
-    before, after = np.concatenate(before)[order], np.concatenate(after)[order]
+    order = np.argsort(crossed)
+    g, e = np.divmod(crossed[order], width)  # g: flat (region, radius)
+    before, after = before[order], after[order]
     i, q = g // per_row, r2.ravel()[g]
     a, b = vertices[i, e], vertices[i, (e + 1) % n_vertices[i]]
     # the run from each crossed edge to the next one of its (region,
@@ -437,7 +456,7 @@ def _crossed_areas(r2, vertices, n_vertices, keys, before, after, fan, ring, dip
     run = before[nxt] - after + ring[i] * last
     span, a0 = a[nxt] - b, vertices[i, 0]
     runs = np.where(
-        (a * a.conj()).real > q,  # the run after an edge from outside is inside
+        _abs2(a) > q,  # the run after an edge from outside is inside
         run.real + (a0.real * span.imag - a0.imag * span.real),
         q * run.imag,
     )
@@ -448,25 +467,16 @@ def _crossed_areas(r2, vertices, n_vertices, keys, before, after, fan, ring, dip
     whole = np.ones(r2.size, dtype=bool)
     whole[g] = False
     whole = whole.reshape(r2.shape) & (n_vertices >= 3)[:, None]
-    a0 = vertices[:, :1]
     winding = np.where(ring.imag > math.pi, _TWO_PI, 0.0)[:, None]  # 2*pi or 0, exactly
-    areas[whole] = np.where((a0 * a0.conj()).real <= r2, fan[:, None], r2 * winding)[whole]
+    areas[whole] = np.where(_abs2(vertices[:, :1]) <= r2, fan[:, None], r2 * winding)[whole]
 
-    # the edges that dip inside: their crossing piece in place of their angle term
-    i, e = np.divmod(np.concatenate(dips), width)
+    # the edges that dip inside trade their angle term for their crossing piece
+    g, e = np.divmod(dips, width)
+    i, q = g // per_row, r2.ravel()[g]
     a, b = vertices[i, e], vertices[i, (e + 1) % n_vertices[i]]
-    d = b - a
-    t = -(a.real * d.real + a.imag * d.imag) / (d * d.conj()).real
-    foot = a + np.clip(t, 0.0, 1.0) * d
-    q = r2[i]
-    dip = ((foot * foot.conj()).real[:, None] < q) & (
-        q < np.minimum((a * a.conj()).real, (b * b.conj()).real)[:, None]
-    )
-    j, k = np.divmod(np.flatnonzero(dip), per_row)
-    a, b, q = a[j], b[j], q[j, k]
     ab = a.conj() * b
     piece = _crossing(a, b, q) - q * np.arctan2(ab.imag, ab.real)
-    return areas + np.bincount(i[j] * per_row + k, piece, r2.size).reshape(r2.shape)
+    return areas + np.bincount(g, piece, r2.size).reshape(r2.shape)
 
 
 def _crossing(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -476,10 +486,15 @@ def _crossing(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
     cross(p1, p2) plus q times the angles a -> p1 and p2 -> b.
     """
     d = b - a
-    dd = (d * d.conj()).real
+    dd = _abs2(d)
     dd = np.where(dd > 0.0, dd, 1.0)  # a zero-length edge puts both roots on a
     ad = a.real * d.real + a.imag * d.imag
-    sq = np.sqrt(np.maximum(ad * ad - dd * ((a * a.conj()).real - q), 0.0))
+    sq = np.sqrt(np.maximum(ad * ad - dd * (_abs2(a) - q), 0.0))
     p1 = a + np.clip((-ad - sq) / dd, 0.0, 1.0) * d
     p2 = a + np.clip((-ad + sq) / dd, 0.0, 1.0) * d
     return (p1.conj() * p2).imag + q * (np.angle(a.conj() * p1) + np.angle(p2.conj() * b))
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|**2, by one formula wherever the ring areas class a vertex against a radius."""
+    return z.real * z.real + z.imag * z.imag
