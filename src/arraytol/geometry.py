@@ -185,8 +185,7 @@ def rotated_minkowski_sums(
     i sums operand n rotated about the origin by angles[i, n] radians.  The
     row's edge vectors sorted by direction (angles folded into [0, 2*pi),
     ties kept in operand order) trace the sum's shape, all rows of a block
-    in one argsort and one cumsum; only rows with tied directions are
-    sorted again, stably.  A point keeps one zero-length edge,
+    in one argsort and one cumsum (_trace).  A point keeps one zero-length edge,
     which the weld drops.  A trace starts where its first edge in that
     order starts: at the sum, over the operands, of the vertex where each
     operand's own first edge starts (its edge of least folded direction,
@@ -213,8 +212,11 @@ def rotated_minkowski_sums(
     n_edges = int(n_vertices.sum())
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)
+    stable = False  # whether an earlier block had tied headings
     for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
-        sums[block], counts[block], moved = _normalize(*_trace(verts, angles[block], real))
+        trace, steps, stable = _trace(verts, angles[block], real, stable)
+        sums[block], counts[block], moved = _normalize(trace, steps)
+        del trace, steps  # before the next block's
         if welded is not None:
             welded[block] = moved
     sums = sums[:, : counts[mirrored:].max(initial=1)]
@@ -240,10 +242,15 @@ def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) ->
         n_vertices[block] = n[:, 0]
 
 
-def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> tuple:
-    """A block's edge traces and their sorted steps.
+def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray, stable: bool) -> tuple:
+    """A block's edge traces, their sorted steps, and whether the block sorted stably.
 
-    Its own function, so its (rows, N, width) temporaries die before _normalize.
+    Distinct headings have one order, which numpy's default sort finds
+    fastest; rows with equal headings are sorted again, stably, to keep
+    operand order.  Ties come from the scenario (sectors of equal phase
+    width whose rotations coincide), so a sum that has met them in one
+    block sorts every later block stably from the start.  Its own
+    function, so its (rows, N, width) temporaries die before _normalize.
     """
     rotated = verts * np.exp(1j * angles[:, :, None])  # (rows, N, width)
     edges = np.roll(rotated, -1, axis=2) - rotated
@@ -254,17 +261,19 @@ def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> tuple:
     first = np.argmin(heading, axis=2)  # each operand's first edge in the stable sort
     anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
     heading = heading[:, real]
-    # distinct headings have one order, which the default sort finds fastest;
-    # rows with equal headings are sorted again, stably, to keep operand order
-    order = np.argsort(heading, axis=1)
-    tied = (np.diff(np.take_along_axis(heading, order, axis=1), axis=1) == 0.0).any(axis=1)
-    if tied.any():
-        order[tied] = np.argsort(heading[tied], axis=1, kind="stable")
+    if stable:
+        order = np.argsort(heading, axis=1, kind="stable")
+    else:
+        order = np.argsort(heading, axis=1)
+        tied = (np.diff(np.take_along_axis(heading, order, axis=1), axis=1) == 0.0).any(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(heading[tied], axis=1, kind="stable")
+            stable = True
     steps = np.take_along_axis(edges[:, real], order, axis=1)
     trace = np.zeros_like(steps)
     np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
     trace += anchor[:, None]
-    return trace, steps
+    return trace, steps, stable
 
 
 def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -291,8 +300,6 @@ def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
         near = np.where(edge, np.abs(vs + t * e), np.inf).min(axis=1)
         lo[block] = np.where(inside, 0.0, near)
     return lo, hi
-
-
 
 
 def _region_blocks(vertices: np.ndarray, n_vertices, per_vertex: int, size: int):
@@ -425,7 +432,8 @@ def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
     near = np.minimum(aa, np.roll(aa, -1, axis=1))
     drow, de = np.divmod(np.flatnonzero(ab.real < near), n)
     start, d = a[drow, de], a[drow, (de + 1) % n] - a[drow, de]
-    t = -(start.real * d.real + start.imag * d.imag) / _abs2(d)
+    dd = _abs2(d)
+    t = -(start.real * d.real + start.imag * d.imag) / np.where(dd > 0.0, dd, 1.0)
     q = r2[drow]
     dips = (_abs2(start + np.clip(t, 0.0, 1.0) * d)[:, None] < q) & (q < near[drow, de][:, None])
     j, k = np.divmod(np.flatnonzero(dips), per_row)
@@ -480,7 +488,7 @@ def _crossed_areas(r2, vertices, n_vertices, crossed, before, after, fan, ring, 
 
 
 def _crossing(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Twice the area of disc(0, sqrt(q)) meet triangle(0, a, b), for edges (a, b) its circle crosses.
+    """Twice the area of disc(0, sqrt(q)) meet triangle(0, a, b), for an edge (a, b) it crosses.
 
     With p1 and p2 the edge-circle roots clipped to the edge, that is
     cross(p1, p2) plus q times the angles a -> p1 and p2 -> b.

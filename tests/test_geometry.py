@@ -308,16 +308,19 @@ class TestTieRule:
         # sectors of one phase interval [0, 0.1] start with a step along the
         # real axis, so at zero rotation those steps tie across operands;
         # their lengths differ, so the order the trace adds them in shows in
-        # the last bits of the vertices after them.  The steered row has no
-        # tie.  Identical sectors would tie with identical steps, whose order
-        # no output shows.
+        # the last bits of the vertices after them.  Identical sectors would
+        # tie with identical steps, whose order no output shows.  The first
+        # and last of 300 rows are unrotated, the rest steered; the last
+        # comes in a later block, which sorts stably from the start.
         amplitudes = (0.3, 0.5, 0.7, 1.1, 1.3, 1.7)
         sectors = [(0.9 * a, 1.1 * a, 0.0, 0.1) for a in amplitudes]
         vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
-        angles = np.stack((np.zeros(len(sectors)), 0.7 * np.arange(len(sectors))))
+        angles = np.outer(np.linspace(0.0, 1.0, 300), 0.7 * np.arange(len(sectors)))
+        angles[-1] = 0.0
+        assert 300 * len(sectors) * 12 > 2 * geometry._BLOCK_EDGES
         sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)
         ref_sums, ref_counts = _stably_traced_sums(vertices, n_vertices, angles)
-        assert counts.tolist() == ref_counts.tolist() == [12, 72]
+        assert counts[0] == counts[-1] == 12 and np.array_equal(counts, ref_counts)
         assert sums.tobytes() == ref_sums[:, : sums.shape[1]].tobytes()
 
 
@@ -568,10 +571,9 @@ class TestDiscPolygonAreas:
         sectors = []
         for n, a in enumerate(taylor_taper(64)):
             phase = math.radians(30.0 * n)
-            sectors.append((
-                a * (1 - rng.uniform(0.005, 0.02)), a * (1 + rng.uniform(0.005, 0.02)),
-                phase - math.radians(rng.uniform(1.0, 4.0)), phase + math.radians(rng.uniform(1.0, 4.0)),
-            ))
+            amplitudes = a * (1 - rng.uniform(0.005, 0.02)), a * (1 + rng.uniform(0.005, 0.02))
+            phases = phase - math.radians(rng.uniform(1, 4)), phase + math.radians(rng.uniform(1, 4))
+            sectors.append((*amplitudes, *phases))
         vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
         angles = math.pi * 0.37 * np.arange(len(sectors))
         sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)

@@ -304,9 +304,10 @@ class TestPowerBounds:
         curve = interval_af_curve(scen, grid)
         phases = np.linspace(-math.radians(3.0), math.radians(3.0), 101)
         for u, lo, hi in zip(grid.samples, curve.modulus_lo, curve.modulus_hi):
-            second = np.array([0.99, 1.01])[:, None] * amplitude * np.exp(1j * (phases + math.pi * u))
+            second = np.outer([0.99, 1.01], amplitude * np.exp(1j * (phases + math.pi * u)))
             moduli = np.abs(np.array([0.26, 0.74])[:, None, None] + second[None])
-            assert lo <= moduli.min() and moduli.max() <= hi, (u, lo - moduli.min(), moduli.max() - hi)
+            assert lo <= moduli.min(), (u, lo - moduli.min())
+            assert moduli.max() <= hi, (u, moduli.max() - hi)
 
 
 def _taylor_scenario(n):
