@@ -386,10 +386,9 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     n_vertices = np.asarray(n_vertices)
     per_row, width = r2.shape[1], vertices.shape[1]
     crossed, dips, before, after = [], [], [], []
-    fan = np.zeros(len(vertices))  # each region's sum of fan terms
-    ring = np.zeros(len(vertices), dtype=np.complex128)  # and its prefix sums' total
+    ring = np.zeros(len(vertices), dtype=np.complex128)  # each region's prefix sums' total
     for rows, a in _region_blocks(vertices, n_vertices, per_row + 4, _BLOCK_TRIPLES):
-        fan[rows], ring[rows], (row, k, e), sums, dip = _vertex_pass(a, r2[rows])
+        ring[rows], (row, k, e), sums, dip = _vertex_pass(a, r2[rows])
         crossed.append((rows[row] * per_row + k) * width + e)
         before.append(sums[0])
         after.append(sums[1])
@@ -399,22 +398,22 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
         return np.zeros(r2.shape)
     crossed, dips = np.concatenate(crossed), np.concatenate(dips)
     before, after = np.concatenate(before), np.concatenate(after)
-    return 0.5 * _crossed_areas(r2, vertices, n_vertices, crossed, before, after, fan, ring, dips)
+    return 0.5 * _crossed_areas(r2, vertices, n_vertices, crossed, before, after, ring, dips)
 
 
 def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
     """disc_polygon_areas' per-vertex work on unpadded regions a, (rows, n), at squared radii r2.
 
-    Returns each region's sum of _fan_cross terms, and the total of its
-    prefix sums of those terms plus 1j times the edges' angles; the edges
-    whose ends lie on either side of a circle, as (region, radius, edge)
-    indices, with those prefix sums before and after each; and the edges
-    that dip inside a circle, likewise.  Its own function, so its
-    temporaries die before the next block's.
+    Returns the total of each region's prefix sums of its _fan_cross
+    terms plus 1j times its edges' angles; the edges whose ends lie on
+    either side of a circle, as (region, radius, edge) indices, with those
+    prefix sums before and after each; and the edges that dip inside a
+    circle, likewise.  Its own function, so its temporaries die before the
+    next block's.
     """
     n, per_row = a.shape[1], r2.shape[1]
     terms = np.empty(a.shape, dtype=np.complex128)
-    fan = _fan_cross(a, terms.real).sum(axis=1)
+    _fan_cross(a, terms.real)
     ab = a.conj() * np.concatenate((a[:, 1:], a[:, :1]), axis=1)
     np.arctan2(ab.imag, ab.real, out=terms.imag)
     np.cumsum(terms, axis=1, out=terms)  # the prefix sums through each edge
@@ -437,17 +436,17 @@ def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
     q = r2[drow]
     dips = (_abs2(start + np.clip(t, 0.0, 1.0) * d)[:, None] < q) & (q < near[drow, de][:, None])
     j, k = np.divmod(np.flatnonzero(dips), per_row)
-    return fan, terms[:, -1], (row, flat % per_row, e), sums, (drow[j], k, de[j])
+    return terms[:, -1], (row, flat % per_row, e), sums, (drow[j], k, de[j])
 
 
-def _crossed_areas(r2, vertices, n_vertices, crossed, before, after, fan, ring, dips):
+def _crossed_areas(r2, vertices, n_vertices, crossed, before, after, ring, dips):
     """Twice disc_polygon_areas, from what its per-vertex passes gathered.
 
     crossed and dips are flat (region, radius, edge) indices into
     (rows, R, width) of the edges whose ends lie on either side of the
     circle and of those that dip inside it; before and after the prefix
-    sums of the crossed edges' regions before and after them, and fan and
-    ring each region's sums as _vertex_pass returns them.
+    sums of the crossed edges' regions before and after them, and ring
+    each region's total of them as _vertex_pass returns it.
     """
     per_row, width = r2.shape[1], vertices.shape[1]
     order = np.argsort(crossed)
@@ -476,7 +475,10 @@ def _crossed_areas(r2, vertices, n_vertices, crossed, before, after, fan, ring, 
     whole[g] = False
     whole = whole.reshape(r2.shape) & (n_vertices >= 3)[:, None]
     winding = np.where(ring.imag > math.pi, _TWO_PI, 0.0)[:, None]  # 2*pi or 0, exactly
-    areas[whole] = np.where(_abs2(vertices[:, :1]) <= r2, fan[:, None], r2 * winding)[whole]
+    areas[whole] = (r2 * winding)[whole]
+    rows, k = np.nonzero(whole & (_abs2(vertices[:, :1]) <= r2))
+    if rows.size:
+        areas[rows, k] = 2.0 * region_areas(vertices, n_vertices)[rows]
 
     # the edges that dip inside trade their angle term for their crossing piece
     g, e = np.divmod(dips, width)

@@ -571,9 +571,8 @@ class TestDiscPolygonAreas:
         sectors = []
         for n, a in enumerate(taylor_taper(64)):
             phase = math.radians(30.0 * n)
-            amplitudes = a * (1 - rng.uniform(0.005, 0.02)), a * (1 + rng.uniform(0.005, 0.02))
-            phases = phase - math.radians(rng.uniform(1, 4)), phase + math.radians(rng.uniform(1, 4))
-            sectors.append((*amplitudes, *phases))
+            da, dp = rng.uniform(0.005, 0.02, 2), np.radians(rng.uniform(1.0, 4.0, 2))
+            sectors.append((a * (1 - da[0]), a * (1 + da[1]), phase - dp[0], phase + dp[1]))
         vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
         angles = math.pi * 0.37 * np.arange(len(sectors))
         sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)
