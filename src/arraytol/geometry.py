@@ -177,8 +177,8 @@ def _row_blocks(
 
 
 def rotated_minkowski_sums(
-    vertices, n_vertices, angles, mirrored: int = 0, welded: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+    vertices, n_vertices, angles, mirrored: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minkowski sums of rigidly rotated convex polygons, one per row of angles.
 
     vertices and n_vertices are the operands in the padded-row format.  Row
@@ -192,15 +192,16 @@ def rotated_minkowski_sums(
     the lowest index among ties).  Each trace is normalized by
     convex_rows's rule applied to those sorted edge vectors.  A sum of
     parallel segments is its two ends, vertex 0 where its trace starts.
-    Returns (vertices, n_vertices) in the padded-row format; vertices is a
-    column slice of one array as wide as the operands' vertex count.
+    Returns (vertices, n_vertices, welded): the sums in the padded-row
+    format, vertices a column slice of one array as wide as the operands'
+    vertex count, and each row's total length of the steps its
+    normalization welded.  No point of a sum lies farther than that from
+    its row's polygon, so bounds taken from the polygon must be widened by
+    it.
 
     The first mirrored rows are not summed but filled by _mirror_rows from
     the last ones, which is their sum when angles[i] == -angles[-1 - i]
-    and every operand is its own conjugate.  When welded is given, one
-    float per row, each summed row's entry receives the total length of
-    the steps its normalization welded: no point of the sum lies farther
-    than that from the row's polygon.
+    and every operand is its own conjugate.
     """
     n_vertices = np.asarray(n_vertices)
     if n_vertices.size == 0:
@@ -212,16 +213,13 @@ def rotated_minkowski_sums(
     n_edges = int(n_vertices.sum())
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)
-    stable = False  # whether an earlier block had tied headings
+    welded = np.empty(angles.shape[0])
     for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
-        trace, steps, stable = _trace(verts, angles[block], real, stable)
-        sums[block], counts[block], moved = _normalize(trace, steps)
-        del trace, steps  # before the next block's
-        if welded is not None:
-            welded[block] = moved
+        sums[block], counts[block], welded[block] = _normalize(*_trace(verts, angles[block], real))
     sums = sums[:, : counts[mirrored:].max(initial=1)]
     _mirror_rows(sums, counts, mirrored)
-    return sums, counts
+    welded[:mirrored] = welded[::-1][:mirrored]
+    return sums, counts, welded
 
 
 def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) -> None:
@@ -242,15 +240,10 @@ def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) ->
         n_vertices[block] = n[:, 0]
 
 
-def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray, stable: bool) -> tuple:
-    """A block's edge traces, their sorted steps, and whether the block sorted stably.
+def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> tuple:
+    """A block's edge traces and their sorted steps.
 
-    Distinct headings have one order, which numpy's default sort finds
-    fastest; rows with equal headings are sorted again, stably, to keep
-    operand order.  Ties come from the scenario (sectors of equal phase
-    width whose rotations coincide), so a sum that has met them in one
-    block sorts every later block stably from the start.  Its own
-    function, so its (rows, N, width) temporaries die before _normalize.
+    Its own function, so its (rows, N, width) temporaries die before _normalize.
     """
     rotated = verts * np.exp(1j * angles[:, :, None])  # (rows, N, width)
     edges = np.roll(rotated, -1, axis=2) - rotated
@@ -260,20 +253,12 @@ def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray, stable: bool
     heading[:, ~real] = np.inf
     first = np.argmin(heading, axis=2)  # each operand's first edge in the stable sort
     anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
-    heading = heading[:, real]
-    if stable:
-        order = np.argsort(heading, axis=1, kind="stable")
-    else:
-        order = np.argsort(heading, axis=1)
-        tied = (np.diff(np.take_along_axis(heading, order, axis=1), axis=1) == 0.0).any(axis=1)
-        if tied.any():
-            order[tied] = np.argsort(heading[tied], axis=1, kind="stable")
-            stable = True
+    order = np.argsort(heading[:, real], axis=1, kind="stable")
     steps = np.take_along_axis(edges[:, real], order, axis=1)
     trace = np.zeros_like(steps)
     np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
     trace += anchor[:, None]
-    return trace, steps, stable
+    return trace, steps
 
 
 def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
@@ -336,19 +321,6 @@ def _fan_cross(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def region_areas(vertices, n_vertices) -> np.ndarray:
-    """Area of each padded region: half the sum of its _fan_cross terms, 0.0 below three vertices.
-
-    It is the area disc_polygon_areas gives, bit for bit, for a radius that
-    encloses every vertex.
-    """
-    vertices = np.asarray(vertices, dtype=np.complex128)
-    areas = np.zeros(len(vertices))
-    for rows, a in _region_blocks(vertices, n_vertices, 1, _BLOCK_EDGES):
-        areas[rows] = 0.5 * _fan_cross(a, np.empty(a.shape)).sum(axis=1)
-    return areas
-
-
 def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     """Area of disc(0, r) intersected with each region, for every r in its row of radii.
 
@@ -369,9 +341,11 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     outside.  An inside run from vertex s to vertex t adds its _fan_cross
     terms, a difference of prefix sums, plus cross(a0, a_t - a_s); an
     outside run adds r**2 times its edges' angles, likewise.  A circle that
-    separates no edge's ends encloses every vertex, and the area is
-    region_areas', or none: then it is pi * r**2 if the region winds
-    around the origin and 0 if not.  An edge with both ends outside still
+    separates no edge's ends encloses every vertex, and the area is half
+    the sum of the region's _fan_cross terms, or none: then it is
+    pi * r**2 if the region winds around the origin and 0 if not.  So a
+    radius within every edge's distance from the origin and one beyond
+    every vertex take these closed forms.  An edge with both ends outside still
     dips inside when its point nearest the origin lies strictly inside (a
     tangent edge is outside); it then trades its angle term for its
     crossing piece.  The crossing formula's limits at the class boundaries
@@ -476,9 +450,8 @@ def _crossed_areas(r2, vertices, n_vertices, crossed, before, after, ring, dips)
     whole = whole.reshape(r2.shape) & (n_vertices >= 3)[:, None]
     winding = np.where(ring.imag > math.pi, _TWO_PI, 0.0)[:, None]  # 2*pi or 0, exactly
     areas[whole] = (r2 * winding)[whole]
-    rows, k = np.nonzero(whole & (_abs2(vertices[:, :1]) <= r2))
-    if rows.size:
-        areas[rows, k] = 2.0 * region_areas(vertices, n_vertices)[rows]
+    enclosing = whole & (_abs2(vertices[:, :1]) <= r2)
+    areas[enclosing] = np.broadcast_to(ring.real[:, None], r2.shape)[enclosing]
 
     # the edges that dip inside trade their angle term for their crossing piece
     g, e = np.divmod(dips, width)

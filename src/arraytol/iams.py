@@ -94,8 +94,7 @@ def interval_af_curve(
     sectors, sector_counts = element_sectors(scenario, arc_points)
     mirrored = mirrored_rows(scenario, grid)
     psi = steering_phases(scenario, grid.samples)
-    welded = np.zeros(len(psi))
-    vertices, n_vertices = rotated_minkowski_sums(sectors, sector_counts, psi, mirrored, welded)
+    vertices, n_vertices, welded = rotated_minkowski_sums(sectors, sector_counts, psi, mirrored)
     lo, hi = modulus_bounds(vertices[mirrored:], n_vertices[mirrored:])
     slack = rounding_allowance(sectors)
     reach = slack + welded[mirrored:]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import EPS_GEOM, disc_polygon_areas, region_areas
+from .geometry import EPS_GEOM, disc_polygon_areas
 from .iams import PowerBoundsCurve, power_db, unfold_mirror
 from .model import check_integer
 
@@ -72,15 +72,11 @@ def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.nda
     """(K, rows) ring probabilities of padded regions, and which regions have no area.
 
     Row i's radii run from one within every edge's distance from the
-    origin to one that encloses every edge, as the modulus bounds do.  The
-    outer disc then covers the whole region, region_areas.  The inner disc
-    covers none of it: a positive first radius means a positive modulus
-    lower bound, so the origin lies outside the region.  Only the K - 1
-    interior radii go to disc_polygon_areas, whose closed forms for radii
-    that cross no edge give these two areas bit for bit.
+    origin to one that encloses every vertex, as the modulus bounds do, so
+    disc_polygon_areas takes its closed forms there: 0 for the first disc
+    and the region's area for the last.
     """
-    inner = disc_polygon_areas(radii[:, 1:-1], vertices, n_vertices)
-    covered = np.column_stack((np.zeros(len(inner)), inner, region_areas(vertices, n_vertices)))
+    covered = disc_polygon_areas(radii, vertices, n_vertices)
     if not np.isfinite(covered).all():
         raise ValidationError("ring areas overflow double precision; scale the amplitudes down")
     total = covered[:, -1]

@@ -101,7 +101,7 @@ def polygonize_interval_phasor(amp_lo, amp_hi, phase_lo, phase_hi, arc_points: i
 def minkowski_sum_many(polys) -> np.ndarray:
     """Minkowski sum of vertex rings: one row of rotated_minkowski_sums at zero angles."""
     polys = list(polys)
-    vertices, n_vertices = rotated_minkowski_sums(*padded(polys), np.zeros(len(polys)))
+    vertices, n_vertices, _ = rotated_minkowski_sums(*padded(polys), np.zeros(len(polys)))
     return vertices[0, : n_vertices[0]]
 
 

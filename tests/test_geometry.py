@@ -222,7 +222,7 @@ class TestMinkowskiSum:
         assert sorted(tilted.tolist(), key=abs) == pytest.approx(sorted(ends, key=abs), abs=1e-12)
         # a point's zero step sorts between two segments' parallel steps
         sectors = [(0.9, 1.1, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.8, 1.0, 0.0, 0.0)]
-        s, n = rotated_minkowski_sums(*polygonize_interval_phasors(sectors), np.zeros(3))
+        s, n, _ = rotated_minkowski_sums(*polygonize_interval_phasors(sectors), np.zeros(3))
         assert n.tolist() == [2]
         lo, hi = geometry.modulus_bounds(s, n)
         assert lo[0] == pytest.approx(0.9 + 0.8) and hi[0] == pytest.approx(1.1 + 1.0)
@@ -240,7 +240,7 @@ class TestMinkowskiSum:
         # so their sum has as many vertices as each of them
         sectors = [(0.99 * a, 1.01 * a, -0.05, 0.05) for a in taylor_taper(64)]
         vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
-        _, n = rotated_minkowski_sums(vertices, n_vertices, np.full(len(sectors), 0.4))
+        _, n, _ = rotated_minkowski_sums(vertices, n_vertices, np.full(len(sectors), 0.4))
         assert n.tolist() == [8 + 4]
 
     def test_brute_force_fuzz(self):
@@ -277,51 +277,10 @@ class TestMinkowskiSum:
         vertices, n_vertices = padded(polys)
         wide = np.concatenate((vertices, np.repeat(vertices[:, :1], 4, axis=1)), axis=1)
         angles = rng.uniform(-math.pi, math.pi, (6, len(polys)))
-        sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)
-        wide_sums, wide_counts = rotated_minkowski_sums(wide, n_vertices, angles)
+        sums, counts, _ = rotated_minkowski_sums(vertices, n_vertices, angles)
+        wide_sums, wide_counts, _ = rotated_minkowski_sums(wide, n_vertices, angles)
         assert np.array_equal(counts, wide_counts)
         assert sums.tobytes() == wide_sums.tobytes()
-
-
-def _stably_traced_sums(vertices, n_vertices, angles):
-    """rotated_minkowski_sums as its docstring reads: headings in a stable argsort."""
-    width = int(max(n_vertices))
-    real = np.arange(width) < np.asarray(n_vertices)[:, None]
-    rotated = vertices[:, :width] * np.exp(1j * angles[:, :, None])
-    edges = np.roll(rotated, -1, axis=2) - rotated
-    heading = np.angle(edges)
-    heading[heading < 0.0] += 2.0 * math.pi
-    heading[heading >= 2.0 * math.pi] = 0.0
-    heading[:, ~real] = np.inf
-    first = np.argmin(heading, axis=2)
-    anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
-    order = np.argsort(heading[:, real], axis=1, kind="stable")
-    steps = np.take_along_axis(edges[:, real], order, axis=1)
-    trace = np.zeros_like(steps)
-    np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
-    trace += anchor[:, None]
-    return geometry._normalize(trace, steps)[:2]
-
-
-class TestTieRule:
-    def test_tied_headings_are_traced_in_operand_order(self):
-        # sectors of one phase interval [0, 0.1] start with a step along the
-        # real axis, so at zero rotation those steps tie across operands;
-        # their lengths differ, so the order the trace adds them in shows in
-        # the last bits of the vertices after them.  Identical sectors would
-        # tie with identical steps, whose order no output shows.  The first
-        # and last of 300 rows are unrotated, the rest steered; the last
-        # comes in a later block, which sorts stably from the start.
-        amplitudes = (0.3, 0.5, 0.7, 1.1, 1.3, 1.7)
-        sectors = [(0.9 * a, 1.1 * a, 0.0, 0.1) for a in amplitudes]
-        vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
-        angles = np.outer(np.linspace(0.0, 1.0, 300), 0.7 * np.arange(len(sectors)))
-        angles[-1] = 0.0
-        assert 300 * len(sectors) * 12 > 2 * geometry._BLOCK_EDGES
-        sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)
-        ref_sums, ref_counts = _stably_traced_sums(vertices, n_vertices, angles)
-        assert counts[0] == counts[-1] == 12 and np.array_equal(counts, ref_counts)
-        assert sums.tobytes() == ref_sums[:, : sums.shape[1]].tobytes()
 
 
 class TestDistanceBounds:
@@ -575,7 +534,7 @@ class TestDiscPolygonAreas:
             sectors.append((a * (1 - da[0]), a * (1 + da[1]), phase - dp[0], phase + dp[1]))
         vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
         angles = math.pi * 0.37 * np.arange(len(sectors))
-        sums, counts = rotated_minkowski_sums(vertices, n_vertices, angles)
+        sums, counts, _ = rotated_minkowski_sums(vertices, n_vertices, angles)
         assert counts.tolist() == [768]
         p = sums[0]
         lo, hi = distance_bounds_to_origin(p)

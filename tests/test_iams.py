@@ -300,8 +300,10 @@ class TestPowerBounds:
             ),
             spacing=0.5,
         )
-        grid = AngularGrid(np.array([0.0, 0.3]))
+        # -0.3 mirrors 0.3, so its bounds are copied rather than summed
+        grid = AngularGrid(np.array([-0.3, 0.0, 0.3]))
         curve = interval_af_curve(scen, grid)
+        assert curve.mirrored == 1
         phases = np.linspace(-math.radians(3.0), math.radians(3.0), 101)
         for u, lo, hi in zip(grid.samples, curve.modulus_lo, curve.modulus_hi):
             second = np.outer([0.99, 1.01], amplitude * np.exp(1j * (phases + math.pi * u)))

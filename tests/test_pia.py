@@ -19,7 +19,7 @@ from arraytol import (
     uniform_grid,
 )
 from arraytol import pia
-from arraytol.geometry import _BLOCK_EDGES, disc_polygon_areas, region_areas
+from arraytol.geometry import _BLOCK_EDGES, disc_polygon_areas
 from arraytol.pia import _ring_radii, mainlobe_indices
 
 from helpers import (
@@ -90,12 +90,12 @@ class TestRegionProbabilities:
         assert list(probs) == [1.0, 0.0, 0.0]
 
     def test_negative_ring_area_raises(self, monkeypatch):
-        # the map takes the outer discs in closed form, 0.0 and this square's
-        # area 1.0, and asks the kernel only for the two interior radii
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         radii = _ring_radii(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia, "disc_polygon_areas", lambda radii, poly, n_vertices: np.array([[0.6, 0.4]])
+            pia,
+            "disc_polygon_areas",
+            lambda radii, poly, n_vertices: np.array([[0.0, 0.6, 0.4, 1.0]]),
         )
         with pytest.raises(ValidationError, match="round-off"):
             region_probabilities(p, radii)
@@ -106,7 +106,7 @@ class TestRegionProbabilities:
         monkeypatch.setattr(
             pia,
             "disc_polygon_areas",
-            lambda radii, poly, n_vertices: np.array([[0.5, 0.5 - 1e-14]]),
+            lambda radii, poly, n_vertices: np.array([[0.0, 0.5, 0.5 - 1e-14, 1.0]]),
         )
         probs = region_probabilities(p, radii)
         assert probs[1] == 0.0
@@ -192,17 +192,21 @@ def _workload_config(name):
 
 class TestOuterRings:
     @pytest.mark.parametrize("workload", ["taylor16", "steered64", "mc-coarse16"])
-    def test_closed_forms_are_the_kernels_areas(self, workload):
-        # the map takes the innermost and outermost discs in closed form, 0
-        # and region_areas; the kernel's areas at those radii are the same bits
+    def test_outer_radii_take_the_kernels_closed_forms(self, workload):
+        # the innermost ring radius lies within every edge's distance from
+        # the origin and the outermost beyond every vertex, so the kernel
+        # covers none of a region at the one and, as at twice that radius,
+        # all of it at the other
         config = _workload_config(workload)
         bounds = power_bounds(
             scenario_from_config(config), uniform_grid(config["n_u"]), config["arc_points"]
         )
         radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, config["k_regions"])
-        outer = disc_polygon_areas(radii[:, [0, -1]], bounds.vertices, bounds.n_vertices)
-        assert np.array_equal(outer[:, 0], np.zeros(len(radii)))
-        assert outer[:, 1].tobytes() == region_areas(bounds.vertices, bounds.n_vertices).tobytes()
+        outer = np.column_stack((radii[:, 0], radii[:, -1], 2.0 * radii[:, -1]))
+        areas = disc_polygon_areas(outer, bounds.vertices, bounds.n_vertices)
+        assert np.array_equal(areas[:, 0], np.zeros(len(radii)))
+        assert np.all(areas[:, 1] > 0.0)
+        assert areas[:, 1].tobytes() == areas[:, 2].tobytes()
 
 
 class TestPaddedRegions:
