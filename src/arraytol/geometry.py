@@ -185,8 +185,8 @@ def rotated_minkowski_sums(
     i sums operand n rotated about the origin by angles[i, n] radians.  The
     row's edge vectors sorted by direction (angles folded into [0, 2*pi),
     ties kept in operand order) trace the sum's shape, all rows of a block
-    in one argsort and one cumsum (_trace).  A point keeps one zero-length
-    edge, which the weld drops.  A trace starts where its first edge in that
+    in one argsort and one cumsum.  A point keeps one zero-length edge,
+    which the weld drops.  A trace starts where its first edge in that
     order starts: at the sum, over the operands, of the vertex where each
     operand's own first edge starts (its edge of least folded direction,
     the lowest index among ties).  Each trace is normalized by
