@@ -10,7 +10,9 @@ needs no vertex count.  Tests on a vertex's two neighbours take them
 cyclically modulo the row's count, and areas sum each row over its own
 vertices only.  The functions size their own row blocks.  All discs are
 centered at the origin, which is the only case the power-pattern analysis
-needs.
+needs.  Sector polygons are built exactly, dropping only exact repeats;
+the one normalization, which welds near-coincident vertices and reports
+how far that moved each row, runs on the Minkowski sums.
 """
 
 from __future__ import annotations
@@ -42,30 +44,21 @@ _BLOCK_EDGES = 10_000
 _BLOCK_TRIPLES = 80_000
 
 
-def convex_rows(points) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each row of points, a CCW vertex ring, into a convex polygon.
-
-    Welds short steps, merges same-direction parallel steps and checks
-    convexity, in one pass over the steps between consecutive vertices.  A
-    step is short when it is no longer than EPS_GEOM times the row's
-    farthest vertex's modulus, and is welded into the next step that is
-    not.  A vertex is dropped when the step into it is short, or when its
-    welded steps in and out are parallel and point the same way.  So a
-    segment keeps its two ends, and a row that would drop every vertex
-    keeps its vertex 0.  Returns the rows, as wide as points, in the
-    padded-row format, and their vertex counts, and rejects rows that are
-    not convex and counter-clockwise.  When no vertex is dropped the rows
-    are points itself.
-    """
-    vs = np.asarray(points, dtype=np.complex128)
-    return _normalize(vs, np.roll(vs, -1, axis=1) - vs)[:2]
-
-
 def _normalize(vs: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """convex_rows of rows vs given with their steps, steps[:, k] from vertex k to k+1.
+    """Normalize each row of vs, a CCW vertex ring, into a convex polygon.
 
-    Also returns each row's total length of the steps it welded: no vertex
-    of vs lies farther than that from its row's polygon.
+    steps[:, k] is the step from vertex k to k+1.  Welds short steps,
+    merges same-direction parallel steps and checks convexity, in one pass
+    over the steps.  A step is short when it is no longer than EPS_GEOM
+    times the row's farthest vertex's modulus, and is welded into the next
+    step that is not.  A vertex is dropped when the step into it is short,
+    or when its welded steps in and out are parallel and point the same
+    way.  So a segment keeps its two ends, and a row that would drop every
+    vertex keeps its vertex 0.  Returns the rows, as wide as vs, in the
+    padded-row format (vs itself when no vertex is dropped), their vertex
+    counts, and each row's total length of the steps it welded: no vertex
+    of vs lies farther than that from its row's polygon.  Rejects rows
+    that are not convex and counter-clockwise.
     """
     if not np.all(np.isfinite(vs)):
         raise ValidationError("polygon vertices must be finite")
@@ -107,7 +100,6 @@ def _kept(steps: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         into.real * out.real + into.imag * out.imag > 0.0
     )
     keep = np.roll(long, 1, axis=1) & ~same
-    keep[~keep.any(axis=1), 0] = True
     polygon = keep & (keep.sum(axis=1) >= 3)[:, None]
     if np.any(polygon & (cross < -EPS_GEOM * np.maximum(far * far, l_in * l_out))):
         raise ValidationError("vertices are not a counter-clockwise convex polygon")
@@ -115,7 +107,11 @@ def _kept(steps: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compact(vs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's kept vertices in order, padded with repeats of the new vertex 0."""
+    """Each row's kept vertices in order, padded with repeats of the new vertex 0.
+
+    A row that keeps none keeps its vertex 0; keep is updated in place.
+    """
+    keep[~keep.any(axis=1), 0] = True
     n = keep.sum(axis=1)
     vs = np.take_along_axis(vs, np.argsort(~keep, axis=1, kind="stable"), axis=1)
     return np.where(np.arange(vs.shape[1]) < n[:, None], vs, vs[:, :1]), n
@@ -129,12 +125,19 @@ def polygonize_interval_phasors(sectors, arc_points: int = 8) -> tuple[np.ndarra
     vertices pushed to radius amp_hi/cos(step/2)), so the polygon is a
     guaranteed superset of the sector; the inner arc is covered by its
     chord.  Over-coverage shrinks as O(1/arc_points^2).  Returns the
-    polygons in the padded-row format, normalized by one convex_rows call.
-    A zero-width sector's row is its two ray points, padded with repeats of
-    the outer one, which the weld drops.
+    polygons in the padded-row format, each row its arc_points + 4 points
+    less every exact repeat of the vertex before it (cyclically), and a row
+    of equal points its vertex 0.  So a zero-width sector is a radial
+    segment, outer end first, and a sector with amp_lo == amp_hi or
+    amp_lo == 0 loses its repeated corners.  Nothing is welded: the rows
+    are convex by construction, and near-coincident vertices are left to
+    the Minkowski sum's normalization, which widens the bounds by what it
+    welds.
     """
+    check_integer("arc_points", arc_points, 2)
     sectors = list(sectors)
-    for amp_lo, amp_hi, phase_lo, phase_hi in sectors:
+    points = np.empty((len(sectors), arc_points + 4), dtype=np.complex128)
+    for row, (amp_lo, amp_hi, phase_lo, phase_hi) in zip(points, sectors):
         if not (0.0 <= amp_lo <= amp_hi):
             raise ValidationError(
                 f"amplitude interval [{amp_lo}, {amp_hi}] must satisfy 0 <= lo <= hi"
@@ -144,15 +147,7 @@ def polygonize_interval_phasors(sectors, arc_points: int = 8) -> tuple[np.ndarra
             raise ValidationError(f"phase interval [{phase_lo}, {phase_hi}] is reversed")
         if width >= math.pi:
             raise ValidationError(f"phase interval width {width} rad must be below pi")
-    check_integer("arc_points", arc_points, 2)
-
-    points = np.empty((len(sectors), arc_points + 4), dtype=np.complex128)
-    for row, (amp_lo, amp_hi, phase_lo, phase_hi) in zip(points, sectors):
-        if phase_hi == phase_lo:
-            rot = _cis(phase_lo)
-            row[0], row[1:] = amp_lo * rot, amp_hi * rot
-            continue
-        step = (phase_hi - phase_lo) / arc_points
+        step = width / arc_points
         bulge = amp_hi / math.cos(0.5 * step)
         row[:] = [
             amp_lo * _cis(phase_lo),
@@ -161,7 +156,7 @@ def polygonize_interval_phasors(sectors, arc_points: int = 8) -> tuple[np.ndarra
             amp_hi * _cis(phase_hi),
             amp_lo * _cis(phase_hi),
         ]
-    return convex_rows(points)
+    return _compact(points, points != np.roll(points, 1, axis=1))
 
 
 def _cis(angle: float) -> complex:
@@ -189,8 +184,9 @@ def rotated_minkowski_sums(
     which the weld drops.  A trace starts where its first edge in that
     order starts: at the sum, over the operands, of the vertex where each
     operand's own first edge starts (its edge of least folded direction,
-    the lowest index among ties).  Each trace is normalized by
-    convex_rows's rule applied to those sorted edge vectors.  A sum of
+    the lowest index among ties, moved back over the cyclic predecessors
+    that rounding sorted after it, as _trace says).  Each trace is
+    normalized by _normalize applied to those sorted edge vectors.  A sum of
     parallel segments is its two ends, vertex 0 where its trace starts.
     Returns (vertices, n_vertices, welded): the sums in the padded-row
     format, vertices a column slice of one array as wide as the operands'
@@ -209,13 +205,13 @@ def rotated_minkowski_sums(
     width = int(n_vertices.max())
     verts = np.asarray(vertices, dtype=np.complex128)[:, :width]
     angles = np.asarray(angles, dtype=np.float64).reshape(-1, len(verts))
-    real = np.arange(width) < n_vertices[:, None]
     n_edges = int(n_vertices.sum())
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)
     welded = np.empty(angles.shape[0])
     for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
-        sums[block], counts[block], welded[block] = _normalize(*_trace(verts, angles[block], real))
+        trace = _trace(verts, angles[block], n_vertices)
+        sums[block], counts[block], welded[block] = _normalize(*trace)
     sums = sums[:, : counts[mirrored:].max(initial=1)]
     _mirror_rows(sums, counts, mirrored)
     welded[:mirrored] = welded[::-1][:mirrored]
@@ -240,18 +236,33 @@ def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) ->
         n_vertices[block] = n[:, 0]
 
 
-def _trace(verts: np.ndarray, angles: np.ndarray, real: np.ndarray) -> tuple:
-    """A block's edge traces and their sorted steps.
+def _trace(verts: np.ndarray, angles: np.ndarray, n: np.ndarray) -> tuple:
+    """A block's edge traces and their sorted steps, n the operands' vertex counts.
 
-    Its own function, so its (rows, N, width) temporaries die before _normalize.
+    Each operand's first edge is its edge of least heading, moved back to
+    its cyclic predecessor for as long as that heads less than pi/2 after
+    the least heading.  On a convex polygon the true first edge's
+    predecessor heads more than pi after it, so only edges that rounding
+    sorted after their successor move it; anchored at the least heading,
+    the trace would be shifted by their length.  A point's one edge is its
+    own predecessor and stays.  Its own function, so its (rows, N, width)
+    temporaries die before _normalize.
     """
+    real = np.arange(verts.shape[1]) < n[:, None]
     rotated = verts * np.exp(1j * angles[:, :, None])  # (rows, N, width)
     edges = np.roll(rotated, -1, axis=2) - rotated
     heading = np.angle(edges)
     heading[heading < 0.0] += _TWO_PI
     heading[heading >= _TWO_PI] = 0.0  # fold 2*pi onto 0
     heading[:, ~real] = np.inf
-    first = np.argmin(heading, axis=2)  # each operand's first edge in the stable sort
+    first = np.argmin(heading, axis=2)  # each operand's least-heading edge, (rows, N)
+    limit = np.take_along_axis(heading, first[..., None], axis=2)[..., 0] + 0.5 * math.pi
+    for _ in range(verts.shape[1] - 1):
+        before = (first - 1) % n
+        back = (n > 1) & (np.take_along_axis(heading, before[..., None], axis=2)[..., 0] < limit)
+        if not back.any():
+            break
+        first = np.where(back, before, first)
     anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
     order = np.argsort(heading[:, real], axis=1, kind="stable")
     steps = np.take_along_axis(edges[:, real], order, axis=1)
@@ -287,7 +298,7 @@ def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _region_blocks(vertices: np.ndarray, n_vertices, per_vertex: int, size: int):
+def _region_blocks(vertices: np.ndarray, n_vertices: np.ndarray, per_vertex: int, size: int):
     """(rows, unpadded vertices) of the padded regions with at least three vertices.
 
     Regions come in groups of equal vertex count, each cut to its own
@@ -296,7 +307,6 @@ def _region_blocks(vertices: np.ndarray, n_vertices, per_vertex: int, size: int)
     about size elements, per_vertex of them per vertex.  A block of
     consecutive rows is a view.
     """
-    n_vertices = np.asarray(n_vertices)
     for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
         group = np.flatnonzero(n_vertices == n)
         for block in _row_blocks(group.size, per_vertex * n, size):

@@ -22,7 +22,7 @@ from scipy.spatial import ConvexHull
 from arraytol import AngularGrid, ValidationError, interval_af_curve
 from arraytol.geometry import (
     EPS_GEOM,
-    convex_rows,
+    _normalize,
     disc_polygon_areas,
     modulus_bounds,
     polygonize_interval_phasors,
@@ -83,10 +83,16 @@ def padded(polys) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array([len(p) for p in polys])
 
 
+def normalized_rows(points) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, n_vertices) of CCW vertex rings normalized by the Minkowski sums' _normalize."""
+    vs = np.asarray(points, dtype=np.complex128)
+    return _normalize(vs, np.roll(vs, -1, axis=1) - vs)[:2]
+
+
 def convex_polygon(points) -> np.ndarray:
-    """A CCW vertex ring normalized by convex_rows as a one-row batch."""
-    arr = np.array(points, dtype=np.complex128).ravel()  # a copy: convex_rows may return it
-    vertices, n_vertices = convex_rows(arr[None])
+    """A CCW vertex ring normalized by the Minkowski sums' _normalize as a one-row batch."""
+    arr = np.array(points, dtype=np.complex128).ravel()  # a copy: _normalize may return it
+    vertices, n_vertices = normalized_rows(arr[None])
     return vertices[0, : n_vertices[0]]
 
 

@@ -141,28 +141,50 @@ class TestPolygonizeIntervalPhasor:
             with pytest.raises(ValidationError, match="integer"):
                 polygonize_interval_phasor(0.5, 1.0, 0.0, 0.1, arc_points=arc_points)
 
-    def test_batch_is_one_normalization_of_the_single_sectors(self, monkeypatch):
-        # a zero-width sector among wide ones: its row is padded, and the
-        # weld drops the padding
+    def test_batch_rows_are_the_single_sectors(self):
+        # zero-width and repeated-corner sectors among wide ones: their rows
+        # are padded with repeats of their vertex 0
         sectors = [(0.9, 1.1, -0.1, 0.1), (0.5, 0.7, 0.3, 0.3), (0.0, 1.0, 1.0, 1.2),
-                   (1.0, 1.0, -2.0, -2.0), (0.0, 0.0, 0.0, 0.0)]
-        calls = []
-        convex_rows = geometry.convex_rows
-        monkeypatch.setattr(
-            geometry, "convex_rows", lambda points: calls.append(1) or convex_rows(points)
-        )
+                   (1.0, 1.0, -2.0, -2.0), (0.0, 0.0, 0.0, 0.0), (0.8, 0.8, 0.5, 0.7)]
         vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=5)
-        assert len(calls) == 1
         assert vertices.shape == (len(sectors), 5 + 4)
-        assert n_vertices.tolist() == [9, 2, 8, 1, 1]
-        lo, hi, ph, _ = sectors[1]
-        ray = complex(math.cos(ph), math.sin(ph))
-        segment = convex_polygon([lo * ray, hi * ray])
-        assert vertices[1, :2].tobytes() == segment.tobytes()
+        assert n_vertices.tolist() == [9, 2, 8, 1, 1, 7]
         for row, n, sector in zip(vertices, n_vertices, sectors):
             assert np.all(row[n:] == row[0])
             single = polygonize_interval_phasor(*sector, arc_points=5)
             assert row[:n].tobytes() == single.tobytes()
+
+    @staticmethod
+    def _ray(amp, phase):
+        return amp * complex(math.cos(phase), math.sin(phase))
+
+    def test_drops_exact_repeats_only(self):
+        # a sector 1e-10 rad wide keeps every vertex, 3e-11 or less apart
+        p = polygonize_interval_phasor(0.98, 1.02, 0.0, 1e-10, arc_points=8)
+        assert len(p) == 12
+        assert np.abs(np.diff(p[1:-1])).max() < 3e-11
+        assert p[0] == 0.98 and p[-1] == self._ray(0.98, 1e-10)
+        # amp_lo == amp_hi: the two radial edges vanish, the arc stays
+        p = polygonize_interval_phasor(0.8, 0.8, 0.5, 0.7, arc_points=4)
+        assert len(p) == 6
+        assert p[0] == self._ray(0.8, 0.5) and p[-1] == self._ray(0.8, 0.7)
+        # amp_lo == 0: the inner chord's two ends are one vertex, the origin
+        p = polygonize_interval_phasor(0.0, 1.0, 0.5, 0.7, arc_points=4)
+        assert len(p) == 7
+        assert p[0] == self._ray(1.0, 0.5) and p[-1] == 0.0
+
+    @pytest.mark.parametrize(
+        "sector, expected",
+        [((0.5, 0.7, 0.3, 0.3), [(0.7, 0.3), (0.5, 0.3)]),
+         ((0.0, 0.7, 0.3, 0.3), [(0.7, 0.3), (0.0, 0.3)]),
+         ((0.7, 0.7, 0.3, 0.3), [(0.7, 0.3)]),
+         ((0.0, 0.0, 0.3, 0.3), [(0.0, 0.3)]),
+         ((0.0, 0.0, 0.3, 0.5), [(0.0, 0.3)])],
+        ids=["zero-width", "zero-width-from-origin", "point", "zero", "zero-amplitude"],
+    )
+    def test_repeats_collapse_to_a_segment_or_a_point(self, sector, expected):
+        p = polygonize_interval_phasor(*sector, arc_points=4)
+        assert p.tolist() == [self._ray(*v) for v in expected]
 
     def test_batch_reports_the_bad_sector(self):
         good = (0.5, 1.0, 0.0, 0.1)

@@ -19,7 +19,6 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol.geometry import convex_rows
 from arraytol.iams import element_sectors, rounding_allowance
 
 from helpers import (
@@ -29,6 +28,7 @@ from helpers import (
     distance_bounds_to_origin,
     minkowski_sum_many,
     nominal_af,
+    normalized_rows,
     polygonize_interval_phasor,
     taylor_taper,
 )
@@ -311,6 +311,94 @@ class TestPowerBounds:
             assert lo <= moduli.min(), (u, lo - moduli.min())
             assert moduli.max() <= hi, (u, moduli.max() - hi)
 
+    def test_a_narrow_sector_is_not_welded_alone(self):
+        # a sector 1e-10 rad wide has steps far below the weld scale; built
+        # exactly, its steps reach the sum, whose weld widens the bounds by
+        # them, so realizations at its far corner stay inside
+        scen = ArrayScenario(
+            elements=(
+                ExcitationInterval(1.0, 0.0, 0.98, 1.02, 0.0, 1e-10),
+                ExcitationInterval(1.0, 0.0, 0.98, 1.02, -0.05, 0.05),
+            ),
+            spacing=0.5,
+        )
+        first = _phasors([0.98, 1.02], np.linspace(0.0, 1e-10, 101))
+        second = _phasors([0.98, 1.02], np.linspace(-0.05, 0.05, 101))
+        _assert_inside(scen, [0.5], np.stack(np.meshgrid(first, second), axis=-1))
+        assert element_sectors(scen)[1].tolist() == [12, 12]
+
+    def test_a_rounded_first_edge_does_not_shift_the_sum(self):
+        # the narrow sector's arc chords are 2.8e-9 long and head 8.6e-9 rad
+        # apart, about what rounding moves their headings by; where rounding
+        # sorts the least-heading edge's predecessor after it, a trace
+        # anchored at the least-heading edge would move every later vertex
+        # by that predecessor's length
+        center = -1.3
+        scen = ArrayScenario(
+            elements=(
+                ExcitationInterval(
+                    0.65, center, 0.65 * (1 - 5e-8), 0.65 * (1 + 5e-8),
+                    center - 1.3e-8, center + 1.3e-8,
+                ),
+                ExcitationInterval(1.0, 0.0, 0.99, 1.01, 0.0, 0.0),
+            ),
+            spacing=0.5,
+        )
+        assert element_sectors(scen, 3)[1].tolist() == [7, 2]
+        first = _phasors(
+            [0.65 * (1 - 5e-8), 0.65 * (1 + 5e-8)],
+            np.linspace(center - 1.3e-8, center + 1.3e-8, 201),
+        )
+        second = _phasors([0.99, 1.01], [0.0])
+        _assert_inside(scen, [0.25], np.stack(np.meshgrid(first, second), axis=-1), 3)
+
+    def test_narrow_sector_fuzz(self):
+        # narrow, thin, tiny and zero-width sectors side by side; every
+        # realization with amplitudes at their ends, half of them with
+        # phases at their ends, lies in the bounds
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            elements = []
+            for _ in range(int(rng.integers(2, 6))):
+                amp = 10.0 ** rng.uniform(-9, 0) if rng.random() < 0.3 else rng.uniform(0.2, 1.0)
+                width = 10.0 ** rng.uniform(-13, -1) if rng.random() < 0.6 else 0.0
+                xi = 10.0 ** rng.uniform(-12, -1) if rng.random() < 0.7 else 0.0
+                phase = rng.uniform(-math.pi, math.pi)
+                elements.append(ExcitationInterval(
+                    amp, phase, amp * (1 - xi), amp * (1 + xi),
+                    phase - 0.5 * width, phase + 0.5 * width,
+                ))
+            scen = ArrayScenario(elements=tuple(elements), spacing=0.5)
+            n = scen.n_elements
+            lo = np.array([(e.amplitude_lo, e.phase_lo) for e in elements])
+            hi = np.array([(e.amplitude_hi, e.phase_hi) for e in elements])
+            amps = np.where(rng.random((4000, n)) < 0.5, lo[:, 0], hi[:, 0])
+            phases = np.where(rng.random((4000, n)) < 0.5, lo[:, 1], hi[:, 1])
+            phases[2000:] = rng.uniform(lo[:, 1], hi[:, 1], (2000, n))
+            arc_points = int(rng.integers(2, 9))
+            u = np.sort(rng.uniform(-1.0, 1.0, 3))
+            _assert_inside(scen, u, amps * np.exp(1j * phases), arc_points)
+
+
+def _phasors(amplitudes, phases) -> np.ndarray:
+    """Every amplitude at every phase, as one flat array of complex excitations."""
+    return np.outer(amplitudes, np.exp(1j * np.asarray(phases))).ravel()
+
+
+def _assert_inside(scen, u, excitations, arc_points=8):
+    """The array factor of each row of excitations, at each u, lies in the modulus bounds.
+
+    excitations is (..., N): one complex excitation per element, element n
+    steered by 2*pi*spacing*n*u.
+    """
+    curve = interval_af_curve(scen, AngularGrid(u), arc_points)
+    excitations = np.asarray(excitations).reshape(-1, scen.n_elements)
+    steering = np.exp(2j * math.pi * scen.spacing * np.outer(np.arange(scen.n_elements), u))
+    moduli = np.abs(excitations @ steering)
+    below = curve.modulus_lo - moduli.min(axis=0)
+    above = moduli.max(axis=0) - curve.modulus_hi
+    assert below.max() <= 0.0 and above.max() <= 0.0, (below, above)
+
 
 def _taylor_scenario(n):
     return scenario_from_tolerances(
@@ -349,7 +437,7 @@ class TestMirror:
         assert np.abs(pmap.p[:, rows] - direct_p).max() <= 1e-12
         # the mirrored rows are counter-clockwise convex polygons as they stand
         m = bounds.mirrored
-        _, n_vertices = convex_rows(bounds.vertices[:m])
+        _, n_vertices = normalized_rows(bounds.vertices[:m])
         assert np.array_equal(n_vertices, bounds.n_vertices[:m])
 
     def test_every_taylor16_direction(self, taylor16_scenario, grid501):
