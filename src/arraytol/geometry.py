@@ -60,9 +60,10 @@ def _normalize(vs: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     of vs lies farther than that from its row's polygon.  Rejects rows
     that are not convex and counter-clockwise.
     """
-    if not np.all(np.isfinite(vs)):
+    far = np.abs(vs).max(axis=1, keepdims=True)  # NaN or inf if any vertex of its row is
+    if not np.all(np.isfinite(far)):
         raise ValidationError("polygon vertices must be finite")
-    keep, welded = _kept(steps, np.abs(vs).max(axis=1, keepdims=True))
+    keep, welded = _kept(steps, far)
     if keep.all():  # nothing dropped: compaction would be the identity
         return vs, np.full(len(vs), vs.shape[1]), welded
     return *_compact(vs, keep), welded
@@ -81,25 +82,26 @@ def _kept(steps: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the sum of the lengths of the steps that are not long.  Its own
     function, so its temporaries die before the compaction.
     """
-    long = np.abs(steps) > EPS_GEOM * far
-    welded = out = steps
+    length = np.abs(steps)
+    long = length > EPS_GEOM * far
+    welded, out, l_out = steps, steps, length
     moved = np.zeros(len(steps))
     if not long.all():
-        moved = np.abs(np.where(long, 0.0, steps)).sum(axis=1)
+        moved = np.where(long, 0.0, length).sum(axis=1)
         width = steps.shape[1]
         at = np.where(long, np.arange(width), np.argmax(long, axis=1)[:, None] + width)
         at = np.minimum.accumulate(at[:, ::-1], axis=1)[:, ::-1] % width  # the next long step
+        at += np.arange(0, at.size, width)[:, None]  # flat indices
         welded = np.where(long, steps, 0.0)
-        rows, cols = np.nonzero(~long)
-        np.add.at(welded, (rows, at[rows, cols]), steps[rows, cols])
-        out = np.take_along_axis(welded, at, axis=1)
-    into = np.roll(welded, 1, axis=1)
+        np.add.at(welded.reshape(-1), at[~long], steps[~long])
+        length = np.abs(welded)
+        out, l_out = welded.reshape(-1)[at], length.reshape(-1)[at]
+    into, l_in = _previous(welded), _previous(length)
     cross = into.real * out.imag - into.imag * out.real
-    l_in, l_out = np.abs(into), np.abs(out)
     same = (np.abs(cross) <= _WELD * l_in * l_out) & (
         into.real * out.real + into.imag * out.imag > 0.0
     )
-    keep = np.roll(long, 1, axis=1) & ~same
+    keep = _previous(long) & ~same
     polygon = keep & (keep.sum(axis=1) >= 3)[:, None]
     if np.any(polygon & (cross < -EPS_GEOM * np.maximum(far * far, l_in * l_out))):
         raise ValidationError("vertices are not a counter-clockwise convex polygon")
@@ -113,7 +115,8 @@ def _compact(vs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     keep[~keep.any(axis=1), 0] = True
     n = keep.sum(axis=1)
-    vs = np.take_along_axis(vs, np.argsort(~keep, axis=1, kind="stable"), axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")
+    vs = vs.reshape(-1)[order + np.arange(0, order.size, order.shape[1])[:, None]]
     return np.where(np.arange(vs.shape[1]) < n[:, None], vs, vs[:, :1]), n
 
 
@@ -156,11 +159,28 @@ def polygonize_interval_phasors(sectors, arc_points: int = 8) -> tuple[np.ndarra
             amp_hi * _cis(phase_hi),
             amp_lo * _cis(phase_hi),
         ]
-    return _compact(points, points != np.roll(points, 1, axis=1))
+    return _compact(points, points != _previous(points))
 
 
 def _cis(angle: float) -> complex:
     return complex(math.cos(angle), math.sin(angle))
+
+
+def _previous(x: np.ndarray) -> np.ndarray:
+    """x[:, k - 1] at each column k of a 2-D x, cyclically."""
+    out = np.empty_like(x)
+    out.reshape(-1)[1:] = x.reshape(-1)[:-1]  # each row's column 0 is set next
+    out[:, 0] = x[:, -1]
+    return out
+
+
+def _edges(vs: np.ndarray) -> np.ndarray:
+    """vs[..., k + 1] - vs[..., k] along the last axis, cyclically: the edges of vertex rings."""
+    edges = np.empty_like(vs)
+    flat = vs.reshape(-1)  # differences across rings land on their last edges, set next
+    np.subtract(flat[1:], flat[:-1], out=edges.reshape(-1)[:-1])
+    np.subtract(vs[..., 0], vs[..., -1], out=edges[..., -1])
+    return edges
 
 
 def _row_blocks(
@@ -232,7 +252,7 @@ def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) ->
         source = last - np.arange(block.start, block.stop)
         n = n_vertices[source][:, None]
         order = np.where(slot < n, (n - slot) % n, 0)
-        vertices[block] = np.take_along_axis(vertices[source], order, axis=1).conj()
+        vertices[block] = vertices[source[:, None], order].conj()
         n_vertices[block] = n[:, 0]
 
 
@@ -245,27 +265,31 @@ def _trace(verts: np.ndarray, angles: np.ndarray, n: np.ndarray) -> tuple:
     predecessor heads more than pi after it, so only edges that rounding
     sorted after their successor move it; anchored at the least heading,
     the trace would be shifted by their length.  A point's one edge is its
-    own predecessor and stays.  Its own function, so its (rows, N, width)
-    temporaries die before _normalize.
+    own predecessor and stays.  Padded slots head +inf, so one stable
+    argsort of each whole row puts its real edges first, in their own
+    order.  Its own function, so its (rows, N, width) temporaries die
+    before _normalize.
     """
-    real = np.arange(verts.shape[1]) < n[:, None]
+    rows, width = len(angles), verts.shape[1]
     rotated = verts * np.exp(1j * angles[:, :, None])  # (rows, N, width)
-    edges = np.roll(rotated, -1, axis=2) - rotated
+    edges = _edges(rotated)
     heading = np.angle(edges)
-    heading[heading < 0.0] += _TWO_PI
-    heading[heading >= _TWO_PI] = 0.0  # fold 2*pi onto 0
-    heading[:, ~real] = np.inf
+    np.add(heading, _TWO_PI, out=heading, where=heading < 0.0)
+    heading[~(heading < _TWO_PI)] = 0.0  # fold 2*pi onto 0, and NaN: padding sorts after it
+    heading[:, np.arange(width) >= n[:, None]] = np.inf
+    flat = heading.reshape(-1)
+    base = np.arange(0, heading.size, width).reshape(rows, -1)  # each operand's slot 0
     first = np.argmin(heading, axis=2)  # each operand's least-heading edge, (rows, N)
-    limit = np.take_along_axis(heading, first[..., None], axis=2)[..., 0] + 0.5 * math.pi
-    for _ in range(verts.shape[1] - 1):
+    limit = flat[base + first] + 0.5 * math.pi
+    for _ in range(width - 1):
         before = (first - 1) % n
-        back = (n > 1) & (np.take_along_axis(heading, before[..., None], axis=2)[..., 0] < limit)
+        back = (n > 1) & (flat[base + before] < limit)
         if not back.any():
             break
         first = np.where(back, before, first)
-    anchor = np.take_along_axis(rotated, first[..., None], axis=2)[..., 0].sum(axis=1)
-    order = np.argsort(heading[:, real], axis=1, kind="stable")
-    steps = np.take_along_axis(edges[:, real], order, axis=1)
+    anchor = rotated.reshape(-1)[base + first].sum(axis=1)
+    order = np.argsort(heading.reshape(rows, -1), axis=1, kind="stable")[:, : n.sum()]
+    steps = edges.reshape(-1)[order + base[:, :1]]
     trace = np.zeros_like(steps)
     np.cumsum(steps[:, :-1], axis=1, out=trace[:, 1:])
     trace += anchor[:, None]
@@ -273,28 +297,32 @@ def _trace(verts: np.ndarray, angles: np.ndarray, n: np.ndarray) -> tuple:
 
 
 def modulus_bounds(vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) distance from the origin to each padded region (as a filled set)."""
+    """(min, max) distance from the origin to each padded region (as a filled set).
+
+    Only the regions that do not contain the origin search their edges for the nearest point.
+    """
     vertices = np.asarray(vertices, dtype=np.complex128)
     n_vertices = np.asarray(n_vertices)
-    lo = np.empty(len(vertices))
+    lo = np.zeros(len(vertices))  # regions that contain the origin keep 0
     hi = np.empty(len(vertices))
     slot = np.arange(vertices.shape[1])
     for block in _row_blocks(len(vertices), vertices.shape[1]):
         vs, n = vertices[block], n_vertices[block]
-        e = np.roll(vs, -1, axis=1) - vs
+        e = _edges(vs)
         hi[block] = far = np.abs(vs).max(axis=1)
         # origin left of every edge, with a slack of EPS_GEOM relative to the
         # largest cross product the edge can make, so it does not depend on scale
         cross = e.imag * vs.real - e.real * vs.imag
         inside = (n >= 3) & np.all(cross >= np.abs(e) * (-EPS_GEOM * far)[:, None], axis=1)
+        out = np.flatnonzero(~inside)  # the other regions' nearest points, over their edges
+        vs, e, n = vs[out], e[out], n[out]
         dd = e.real**2 + e.imag**2
         dd = np.where(dd == 0.0, 1.0, dd)
         t = np.clip(-(vs.real * e.real + vs.imag * e.imag) / dd, 0.0, 1.0)
         # padded slots are no edges, and a segment's two directed edges
         # coincide, so it takes its first
         edge = slot < np.where(n == 2, 1, n)[:, None]
-        near = np.where(edge, np.abs(vs + t * e), np.inf).min(axis=1)
-        lo[block] = np.where(inside, 0.0, near)
+        lo[block.start + out] = np.where(edge, np.abs(vs + t * e), np.inf).min(axis=1)
     return lo, hi
 
 
@@ -398,7 +426,8 @@ def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
     n, per_row = a.shape[1], r2.shape[1]
     terms = np.empty(a.shape, dtype=np.complex128)
     _fan_cross(a, terms.real)
-    ab = a.conj() * np.concatenate((a[:, 1:], a[:, :1]), axis=1)
+    b = np.concatenate((a[:, 1:], a[:, :1]), axis=1)  # each edge's end
+    ab = a.conj() * b
     np.arctan2(ab.imag, ab.real, out=terms.imag)
     np.cumsum(terms, axis=1, out=terms)  # the prefix sums through each edge
     aa = _abs2(a)
@@ -412,9 +441,9 @@ def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
     # an edge with both ends outside dips inside when the foot of the
     # origin's perpendicular lies inside; the foot lies strictly between
     # the ends only where a . b < min(|a|^2, |b|^2)
-    near = np.minimum(aa, np.roll(aa, -1, axis=1))
+    near = np.minimum(aa, _abs2(b))
     drow, de = np.divmod(np.flatnonzero(ab.real < near), n)
-    start, d = a[drow, de], a[drow, (de + 1) % n] - a[drow, de]
+    start, d = a[drow, de], b[drow, de] - a[drow, de]
     dd = _abs2(d)
     t = -(start.real * d.real + start.imag * d.imag) / np.where(dd > 0.0, dd, 1.0)
     q = r2[drow]

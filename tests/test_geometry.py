@@ -69,8 +69,24 @@ class TestConvexPolygonFactory:
             convex_polygon([0j, 2 + 0j, 1 + 0.2j, 2 + 2j, 0 + 2j])
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            convex_polygon([0j, complex(math.nan, 0), 1j])
+        # a sum checks each row by its farthest modulus, which any non-finite
+        # vertex of the row makes non-finite: here at every vertex of a
+        # triangle that a square's row pads, and in one row's rotation of
+        # it; the arithmetic on such a vertex is invalid, so not warned of
+        square, triangle = [0j, 1 + 0j, 1 + 1j, 1j], [2 + 0j, 3 + 0j, 2 + 1j]
+        for bad in (complex(math.nan, 0), complex(math.inf, 0), complex(-math.inf, 0),
+                    complex(math.inf, math.nan)):
+            with pytest.raises(ValidationError):
+                convex_polygon([0j, bad, 1j])
+            with np.errstate(invalid="ignore"):
+                for k in range(3):
+                    operands = padded([square, triangle[:k] + [bad] + triangle[k + 1 :]])
+                    with pytest.raises(ValidationError):
+                        rotated_minkowski_sums(*operands, np.zeros((3, 2)))
+                angles = np.zeros((3, 2))
+                angles[1, 1] = bad.real
+                with pytest.raises(ValidationError):
+                    rotated_minkowski_sums(*padded([square, triangle]), angles)
 
     def test_does_not_alias_its_input(self):
         square = np.array([0j, 1 + 0j, 1 + 1j, 1j])  # nothing to weld or drop
@@ -331,6 +347,26 @@ class TestDistanceBounds:
     def test_point(self):
         p = convex_polygon([3 + 4j])
         assert distance_bounds_to_origin(p) == (5.0, 5.0)
+
+    def test_rows_are_independent(self):
+        # the nearest-point search runs only on the rows whose region does not
+        # contain the origin; each row of a padded batch, in either order,
+        # has the bits of the one-row call
+        polys = [
+            np.array([0.3 + 0.4j]),
+            np.array([1 + 1j, 2 + 0.5j]),
+            np.array([2 + 1j, 3 + 1j, 3 + 2j, 2 + 2j]),
+            np.array([-1 - 1j, 2 - 1j, 2j]),
+            np.array([-1 + 1e-12j, 1 + 1e-12j, 1 + 1j, -1 + 1j]),  # origin 1e-12 off an edge
+        ]
+        single = [np.array(distance_bounds_to_origin(p)) for p in polys]
+        nearest = [pytest.approx(x) for x in (0.5, math.sqrt(2.0), math.sqrt(5.0))] + [0.0, 0.0]
+        assert [s[0] for s in single] == nearest
+        for order in (polys, polys[::-1]):
+            lo, hi = geometry.modulus_bounds(*padded(order))
+            expected = single if order is polys else single[::-1]
+            for i, bounds in enumerate(expected):
+                assert np.array([lo[i], hi[i]]).tobytes() == bounds.tobytes()
 
 
 class TestAreas:

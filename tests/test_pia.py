@@ -8,6 +8,8 @@ import pytest
 
 from arraytol import (
     AngularGrid,
+    ArrayScenario,
+    ExcitationInterval,
     ProbabilityMap,
     ValidationError,
     feature_report,
@@ -246,6 +248,43 @@ class TestPaddedRegions:
                 assert abs(bounds.modulus_lo[i] - modulus_lo) <= 1e-12 * scale
                 assert abs(bounds.modulus_hi[i] - modulus_hi) <= 1e-12 * scale
                 assert np.abs(pmap.p[:, i] - expected).max() <= 1e-12
+
+
+    def test_steered_rows_match_single_directions(self):
+        # a 90 deg/element progression has no mirror, so every row is summed;
+        # a radial segment and a phase-only sector pad the other operands, the
+        # equal sectors align at u = -0.5 and merge there, and each block of
+        # rows holds regions around the origin and regions off it
+        tolerances = [(0.5, 0.05, 0.15), (1.0, 0.05, 0.15), (1.0, 0.05, 0.0),
+                      (1.0, 0.05, 0.15), (1.0, 0.0, 0.15), (0.5, 0.05, 0.15)]
+        elements = []
+        for n, (amp, xi, gamma) in enumerate(tolerances):
+            phase = 0.5 * math.pi * n
+            elements.append(ExcitationInterval(
+                amp, phase, amp * (1.0 - xi), amp * (1.0 + xi), phase - gamma, phase + gamma
+            ))
+        scen = ArrayScenario(tuple(elements), 0.5)
+        edges = 12 + 12 + 2 + 12 + 10 + 12
+        rows = _BLOCK_EDGES // edges
+        grid = uniform_grid(2 * rows + 1)
+        bounds = power_bounds(scen, grid)
+        pmap = probability_map(bounds, 5)
+        assert bounds.mirrored == 0
+        assert bounds.vertices.shape[1] == edges
+        assert bounds.n_vertices.min() < edges
+        for block in (slice(0, rows), slice(rows, 2 * rows)):
+            around = bounds.modulus_lo[block] == 0.0
+            assert around.any() and not around.all()
+        for i, u in enumerate(grid.samples.tolist()):
+            region, modulus_lo, modulus_hi = direction_region(scen, u)
+            n = bounds.n_vertices[i]
+            assert n == len(region)
+            assert bounds.vertices[i, :n].tobytes() == region.tobytes()
+            assert np.array([bounds.modulus_lo[i], bounds.modulus_hi[i]]).tobytes() == (
+                np.array([modulus_lo, modulus_hi]).tobytes()
+            )
+            expected = region_probabilities(region, _ring_radii(modulus_lo, modulus_hi, 5))
+            assert pmap.p[:, i].tobytes() == expected.tobytes()
 
 
 class TestMeanProbabilities:
