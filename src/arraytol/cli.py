@@ -21,7 +21,7 @@ from .iams import PowerBoundsCurve, power_bounds, power_db
 from .model import (
     ArrayScenario,
     check_integer,
-    check_number,
+    config_number,
     load_config,
     scenario_from_config,
     uniform_grid,
@@ -39,11 +39,23 @@ class RunConfig:
     k_regions: int
     n_u: int
     arc_points: int
-    probe_directions: tuple[float, ...] = ()
-    mc_samples: int = 100_000
-    seed: int = 0
-    out_dir: str = "."
-    dump_polygons: bool = False
+    probe_directions: tuple[float, ...]
+    mc_samples: int
+    seed: int
+    out_dir: str
+    dump_polygons: bool
+
+
+# The integer run fields: each one's config key (and RunConfig field), the
+# flag that overrides it, its least value, the value it must stay below
+# (None: no limit), its default (None: required) and the flag's help.
+_RUN_FIELDS = (
+    ("k_regions", "--k", 1, None, None, "number of probability rings"),
+    ("n_u", "--nu", 2, None, None, "number of angular samples"),
+    ("arc_points", "--arc-points", 2, None, None, "outer-arc vertices per excitation sector"),
+    ("mc_samples", "--mc-samples", 1, None, 100_000, "Monte Carlo sample count"),
+    ("seed", "--seed", 0, SEED_LIMIT, 0, "Monte Carlo seed"),
+)
 
 
 def _json_safe(obj):
@@ -62,47 +74,25 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
 
-    def resolved(flag_value, key, default=None, required=False):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            check_number(key, cfg[key])
-            return cfg[key]
-        if required:
-            raise ConfigError(f"config is missing required field '{key}'")
-        return default
-
-    k_regions = resolved(args.k, "k_regions", required=True)
-    n_u = resolved(args.nu, "n_u", required=True)
-    arc_points = resolved(args.arc_points, "arc_points", required=True)
-    mc_samples = resolved(args.mc_samples, "mc_samples", default=100_000)
-    seed = resolved(args.seed, "seed", default=0)
-    for name, value, minimum, limit in (
-        ("k_regions", k_regions, 1, None),
-        ("n_u", n_u, 2, None),
-        ("arc_points", arc_points, 2, None),
-        ("mc_samples", mc_samples, 1, None),
-        ("seed", seed, 0, SEED_LIMIT),
-        ("threads", args.threads, 1, None),
-    ):
-        try:
-            check_integer(name, value, minimum, limit)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from exc
+    fields = {}
+    try:
+        for key, _, least, limit, default, _ in _RUN_FIELDS:
+            value = getattr(args, key)  # the flag, else the config value, else the default
+            fields[key] = config_number(cfg, key, default=default) if value is None else value
+            check_integer(key, fields[key], least, limit)
+        check_integer("threads", args.threads, 1)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
     probes = tuple(args.probe or ())
     for u in probes:
         if not (-1.0 <= u <= 1.0):
             raise ConfigError(f"probe direction {u} must lie in [-1, 1]")
     return RunConfig(
         scenario=scenario,
-        k_regions=k_regions,
-        n_u=n_u,
-        arc_points=arc_points,
         probe_directions=probes,
-        mc_samples=mc_samples,
-        seed=seed,
         out_dir=args.out,
         dump_polygons=getattr(args, "dump_polygons", False),
+        **fields,
     )
 
 
@@ -142,6 +132,7 @@ def _curve(run: RunConfig) -> PowerBoundsCurve:
 
 
 def cmd_bounds(run: RunConfig) -> int:
+    """Write the power-pattern bounds CSV."""
     curve = _curve(run)
     columns = (curve.grid.samples, curve.p_lo_db, curve.p_hi_db, curve.nominal_db,
                curve.modulus_lo, curve.modulus_hi, curve.n_vertices)
@@ -153,6 +144,7 @@ def cmd_bounds(run: RunConfig) -> int:
 
 
 def cmd_pia(run: RunConfig) -> int:
+    """Write the ring-probability CSV."""
     pmap = probability_map(_curve(run), run.k_regions)
     ring_db = pmap.region_power_db.T
     blocks = _ring_blocks(pmap.bounds.grid, ring_db[:-1], ring_db[1:], pmap.p)
@@ -161,6 +153,7 @@ def cmd_pia(run: RunConfig) -> int:
 
 
 def cmd_features(run: RunConfig) -> int:
+    """Write the feature-report JSON."""
     report = feature_report(probability_map(_curve(run), run.k_regions))
     sll = report.sll_intervals  # None: no sidelobe, written as null
     payload = {
@@ -194,6 +187,7 @@ def cmd_features(run: RunConfig) -> int:
 
 
 def cmd_mc(run: RunConfig) -> int:
+    """Write the Monte Carlo comparison CSVs."""
     curve = _curve(run)
     pmap = probability_map(curve, run.k_regions)
     report = run_mc(pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions)
@@ -210,6 +204,7 @@ def cmd_mc(run: RunConfig) -> int:
 
 
 def cmd_validate(run: RunConfig) -> int:
+    """Run the invariant suite."""
     mc = run_mc(probability_map(_curve(run), run.k_regions), run.mc_samples, seed=run.seed)
     results = run_validation(mc)
     print(format_results(results))
@@ -233,13 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON scenario/config file")
-    common.add_argument("--k", type=int, default=None, help="number of probability rings")
-    common.add_argument("--nu", type=int, default=None, help="number of angular samples")
-    common.add_argument("--arc-points", type=int, default=None, dest="arc_points",
-                        help="outer-arc vertices per excitation sector")
-    common.add_argument("--mc-samples", type=int, default=None, dest="mc_samples",
-                        help="Monte Carlo sample count")
-    common.add_argument("--seed", type=int, default=None, help="Monte Carlo seed")
+    for key, flag, *_, text in _RUN_FIELDS:
+        common.add_argument(flag, type=int, default=None, dest=key, help=text)
     common.add_argument("--probe", type=float, action="append", default=None,
                         help="probe direction u for histograms (repeatable)")
     common.add_argument("--out", default=".", help="output directory")
@@ -247,16 +237,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility and ignored: every stage "
                         "runs as one array program on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
-    bounds_p = sub.add_parser("bounds", parents=[common],
-                              help="write the power-pattern bounds CSV")
-    bounds_p.add_argument("--dump-polygons", action="store_true",
-                          help="also write the region polygons to polygons.npy: an "
-                          "(n_u, M) complex128 array whose row i holds the region's "
-                          "n_vertices[i] CCW vertices (bounds.csv), then repeats of vertex 0")
-    sub.add_parser("pia", parents=[common], help="write the ring-probability CSV")
-    sub.add_parser("features", parents=[common], help="write the feature-report JSON")
-    sub.add_parser("mc", parents=[common], help="write the Monte Carlo comparison CSVs")
-    sub.add_parser("validate", parents=[common], help="run the invariant suite")
+    for name, command in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=command.__doc__)
+    sub.choices["bounds"].add_argument(
+        "--dump-polygons", action="store_true",
+        help="also write the region polygons to polygons.npy: an (n_u, M) complex128 array "
+        "whose row i holds the region's n_vertices[i] CCW vertices (bounds.csv), then "
+        "repeats of vertex 0",
+    )
     return parser
 
 

@@ -213,7 +213,9 @@ def rotated_minkowski_sums(
     vertex count, and each row's total length of the steps its
     normalization welded.  No point of a sum lies farther than that from
     its row's polygon, so bounds taken from the polygon must be widened by
-    it.
+    it.  Non-finite operands or angles raise ValidationError before any
+    arithmetic; _normalize still checks each sum, which finite operands
+    can overflow.
 
     The first mirrored rows are not summed but filled by _mirror_rows from
     the last ones, which is their sum when angles[i] == -angles[-1 - i]
@@ -225,6 +227,8 @@ def rotated_minkowski_sums(
     width = int(n_vertices.max())
     verts = np.asarray(vertices, dtype=np.complex128)[:, :width]
     angles = np.asarray(angles, dtype=np.float64).reshape(-1, len(verts))
+    if not (np.isfinite(verts).all() and np.isfinite(angles).all()):
+        raise ValidationError("polygon vertices and rotation angles must be finite")
     n_edges = int(n_vertices.sum())
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)

@@ -15,9 +15,9 @@ from .model import AngularGrid, ArrayScenario
 _TWO_PI = 2.0 * math.pi
 _ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
 
-# Range of the largest region modulus that the geometry represents: the
-# ring areas take products of about modulus**4, which stay normal doubles
-# (1e-288 to 1e288) inside it.
+# Range of the sector_reach, which bounds every region modulus, that the
+# geometry represents: the ring areas take products of about modulus**4,
+# which stay normal doubles (1e-288 to 1e288) inside it.
 _MODULUS_RANGE = (1e-72, 1e72)
 
 
@@ -85,18 +85,19 @@ def interval_af_curve(
     their Minkowski sum, contains the nominal array factor.  One batched
     Minkowski sum covers the whole grid and returns its regions in the
     padded-row format.  The modulus bounds are widened by the
-    rounding_allowance of the sectors, and each row's by the length of the
-    steps its normalization welded, which bounds how far the weld moved
-    the region's boundary.  Where mirrored_rows finds the
-    mirror symmetry, only the rows from u = 0 on are summed and bounded;
-    each row at -u is the conjugate of the row at u and copies its bounds.
+    rounding_allowance of the sectors, which checks their sector_reach
+    before the sum, and each row's by the length of the steps its
+    normalization welded, which bounds how far the weld moved the
+    region's boundary.  Where mirrored_rows finds the mirror symmetry,
+    only the rows from u = 0 on are summed and bounded; each row at -u is
+    the conjugate of the row at u and copies its bounds.
     """
     sectors, sector_counts = element_sectors(scenario, arc_points)
+    slack = rounding_allowance(sectors)
     mirrored = mirrored_rows(scenario, grid)
     psi = steering_phases(scenario, grid.samples)
     vertices, n_vertices, welded = rotated_minkowski_sums(sectors, sector_counts, psi, mirrored)
     lo, hi = modulus_bounds(vertices[mirrored:], n_vertices[mirrored:])
-    slack = rounding_allowance(sectors)
     reach = slack + welded[mirrored:]
     return IntervalRegions(
         vertices,
@@ -157,11 +158,29 @@ def rounding_allowance(sectors: np.ndarray) -> float:
     Summing N phasors in floating point moves the sum by up to about
     N * eps * (sum of their moduli), both in the region sums and wherever a
     realization is evaluated; the allowance is twice that.  sectors is the
-    padded vertex array of element_sectors; each sector's modulus is the
-    farthest vertex of its row, which the padding cannot change, and the
-    moduli are summed in element order.
+    padded vertex array of element_sectors, and the sum is their
+    sector_reach, so the allowance checks its range.
     """
-    return _ROUNDING * len(sectors) * sum(np.abs(sectors).max(axis=1).tolist())
+    return _ROUNDING * len(sectors) * sector_reach(sectors)
+
+
+def sector_reach(sectors: np.ndarray) -> float:
+    """The sum over the sectors of each one's modulus, which bounds every region modulus.
+
+    Each sector's modulus is the farthest vertex of its row of the padded
+    vertex array, which the padding cannot change, and the moduli are
+    summed in element order.  A sum outside _MODULUS_RANGE raises
+    ValidationError.
+    """
+    reach = sum(np.abs(sectors).max(axis=1).tolist())
+    smallest, largest = _MODULUS_RANGE
+    if not smallest <= reach <= largest:
+        raise ValidationError(
+            f"sector moduli sum {reach:.3g} lies outside [{smallest:g}, {largest:g}], where "
+            "the region geometry overflows or underflows double precision; scale the "
+            f"amplitudes {'up' if reach < smallest else 'down'}"
+        )
+    return reach
 
 
 def power_db(power, peak_power: float):
@@ -176,19 +195,11 @@ def power_bounds(
 ) -> PowerBoundsCurve:
     """Inclusive power-pattern bounds over a grid, in linear power and dB.
 
-    A largest region modulus outside _MODULUS_RANGE raises
-    ValidationError; inside it the power bounds, and the nominal peak they
-    contain, are finite.
+    A sector_reach outside _MODULUS_RANGE raises ValidationError before
+    any region is built; inside it the power bounds, and the nominal peak
+    they contain, are finite.
     """
     regions = interval_af_curve(scenario, grid, arc_points)
-    smallest, largest = _MODULUS_RANGE
-    far = float(regions.modulus_hi.max())
-    if not smallest <= far <= largest:
-        raise ValidationError(
-            f"largest region modulus {far:.3g} lies outside [{smallest:g}, {largest:g}], where "
-            "the region geometry overflows or underflows double precision; scale the "
-            f"amplitudes {'up' if far < smallest else 'down'}"
-        )
     p_lo = regions.modulus_lo**2
     p_hi = regions.modulus_hi**2
     # the full grid: a nominal phase inside a symmetric interval need not be 0

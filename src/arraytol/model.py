@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,12 @@ class ExcitationInterval:
     phase_hi: float
 
     def __post_init__(self):
+        ends = (self.amplitude_lo, self.amplitude_hi, self.phase_lo, self.phase_hi)
+        if not all(map(math.isfinite, ends)):
+            raise ValidationError(
+                f"interval endpoints must be finite, got amplitude [{ends[0]}, {ends[1]}] "
+                f"and phase [{ends[2]}, {ends[3]}]"
+            )
         if not (0.0 <= self.amplitude_lo <= self.nominal_amplitude <= self.amplitude_hi):
             raise ValidationError(
                 "amplitude interval must satisfy 0 <= lo <= nominal <= hi, got "
@@ -148,15 +155,12 @@ def scenario_from_config(cfg: dict) -> ArrayScenario:
     Per-element explicit endpoints (amplitude_lo/hi, phase_lo_deg/hi_deg)
     override the scenario-wide xi_percent / gamma_deg tolerances.
     """
-    spacing = _require(cfg, "spacing_wavelengths", (int, float))
-    raw_elements = _require(cfg, "elements", list)
-    if not raw_elements:
+    spacing = config_number(cfg, "spacing_wavelengths")
+    raw_elements = cfg.get("elements")
+    if not (isinstance(raw_elements, list) and raw_elements):
         raise ConfigError("config field 'elements' must be a non-empty list")
-    xi = cfg.get("xi_percent", 0.0)
-    gamma_deg = cfg.get("gamma_deg", 0.0)
-    check_number("xi_percent", xi)
-    check_number("gamma_deg", gamma_deg)
-    xi = xi / 100.0
+    xi = config_number(cfg, "xi_percent", default=0.0) / 100.0
+    gamma_deg = config_number(cfg, "gamma_deg", default=0.0)
     gamma = math.radians(gamma_deg)
     if not (0.0 <= xi < 1.0):
         raise ConfigError(f"config field 'xi_percent' must lie in [0, 100), got {xi * 100.0}")
@@ -165,23 +169,20 @@ def scenario_from_config(cfg: dict) -> ArrayScenario:
 
     elements = []
     for n, entry in enumerate(raw_elements, start=1):
+        ctx = f"elements[{n}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"elements[{n}] must be a mapping")
-        amp = _require(entry, "amplitude", (int, float), ctx=f"elements[{n}]")
-        phase_deg = _require(entry, "phase_deg", (int, float), ctx=f"elements[{n}]")
-        phase = math.radians(phase_deg)
-        amp_lo, amp_hi = _endpoint_pair(
-            entry, "amplitude_lo", "amplitude_hi", n,
-            default=(amp * (1.0 - xi), amp * (1.0 + xi)),
-        )
-        ph_lo, ph_hi = _endpoint_pair(
-            entry, "phase_lo_deg", "phase_hi_deg", n,
-            default=None,
-        )
-        if ph_lo is None:
-            ph_lo, ph_hi = phase - gamma, phase + gamma
-        else:
-            ph_lo, ph_hi = math.radians(ph_lo), math.radians(ph_hi)
+            raise ConfigError(f"{ctx} must be a mapping")
+        for lo_key, hi_key in (("amplitude_lo", "amplitude_hi"), ("phase_lo_deg", "phase_hi_deg")):
+            if (lo_key in entry) != (hi_key in entry):
+                raise ConfigError(f"{ctx}: '{lo_key}' and '{hi_key}' must be given together")
+        amp = config_number(entry, "amplitude", ctx)
+        phase = math.radians(config_number(entry, "phase_deg", ctx))
+        amp_lo = float(config_number(entry, "amplitude_lo", ctx, amp * (1.0 - xi)))
+        amp_hi = float(config_number(entry, "amplitude_hi", ctx, amp * (1.0 + xi)))
+        ph_lo, ph_hi = phase - gamma, phase + gamma
+        if "phase_lo_deg" in entry:
+            ph_lo = math.radians(config_number(entry, "phase_lo_deg", ctx))
+            ph_hi = math.radians(config_number(entry, "phase_hi_deg", ctx))
         try:
             elements.append(
                 ExcitationInterval(
@@ -194,7 +195,7 @@ def scenario_from_config(cfg: dict) -> ArrayScenario:
                 )
             )
         except ValidationError as exc:
-            raise ConfigError(f"elements[{n}]: {exc}") from exc
+            raise ConfigError(f"{ctx}: {exc}") from exc
     try:
         return ArrayScenario(elements=tuple(elements), spacing=float(spacing))
     except ValidationError as exc:
@@ -208,30 +209,29 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer of too many digits
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object at top level")
     return cfg
 
 
-def _require(mapping: dict, key: str, types, ctx: str = "config"):
+def config_number(mapping: dict, key: str, ctx: str = "config", default=None):
+    """mapping[key], which must be an int or float that a finite double holds, and not a bool.
+
+    An absent key gives default, or a ConfigError when default is None.
+    Every error names ctx and key.
+    """
     if key not in mapping:
-        raise ConfigError(f"{ctx} is missing required field '{key}'")
+        if default is None:
+            raise ConfigError(f"{ctx} is missing required field '{key}'")
+        return default
     value = mapping[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{ctx} field '{key}' has the wrong type")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{ctx} field '{key}' must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, an infinity, or a JSON integer too large
         raise ConfigError(f"{ctx} field '{key}' must be finite, got {value}")
     return value
-
-
-def check_number(name: str, value) -> None:
-    """Raise ConfigError unless a config value is a finite int or float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"config field '{name}' must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"config field '{name}' must be finite, got {value}")
 
 
 def check_integer(name: str, value, minimum: int, limit: int | None = None) -> None:
@@ -242,18 +242,3 @@ def check_integer(name: str, value, minimum: int, limit: int | None = None) -> N
         raise ValidationError(f"'{name}' must be an integer of at least {minimum}, got {value}")
     if limit is not None and value >= limit:
         raise ValidationError(f"'{name}' must be an integer below {limit}, got {value}")
-
-
-def _endpoint_pair(entry: dict, lo_key: str, hi_key: str, n: int, default):
-    has_lo = lo_key in entry
-    has_hi = hi_key in entry
-    if has_lo != has_hi:
-        raise ConfigError(
-            f"elements[{n}]: '{lo_key}' and '{hi_key}' must be given together"
-        )
-    if not has_lo:
-        return default if default is not None else (None, None)
-    lo, hi = entry[lo_key], entry[hi_key]
-    check_number(f"elements[{n}].{lo_key}", lo)
-    check_number(f"elements[{n}].{hi_key}", hi)
-    return float(lo), float(hi)

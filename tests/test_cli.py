@@ -18,7 +18,7 @@ from arraytol import (
     scenario_from_config,
     uniform_grid,
 )
-from arraytol.cli import main
+from arraytol.cli import _build_parser, build_run_config, main
 from helpers import taylor_taper
 
 
@@ -208,7 +208,6 @@ class TestFeaturesCommand:
 
 
 class TestOverflow:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("amplitude, command, written", [
         (1e80, "pia", "pia.csv"),  # ring areas would overflow, the power bounds would not
         (1e200, "bounds", "bounds.csv"),  # the power bounds would overflow too
@@ -229,7 +228,10 @@ class TestOverflow:
 
 
 class TestAmplitudeRange:
-    """The geometry represents largest region moduli from 1e-72 to 1e72."""
+    """Amplitudes whose sectors' moduli sum lies in [1e-72, 1e72] pass; others exit 1.
+
+    The sum bounds every region modulus, and is checked before any region is built.
+    """
 
     @staticmethod
     def _taylor16(tmp_path, scale):
@@ -583,6 +585,23 @@ class TestConfigErrors:
         assert path[-1] in err
         assert ("integer" if math.isfinite(value) else "finite") in err
 
+    @pytest.mark.parametrize(
+        "path", [("spacing_wavelengths",), ("elements", 1, "amplitude"), ("n_u",), ("seed",)]
+    )
+    def test_integer_beyond_the_double_range_exits_two(self, tmp_path, capsys, path):
+        # a JSON integer no double holds is rejected before arithmetic converts it
+        payload = json.loads(_write_config(tmp_path / "full.json").read_text())
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 10**400
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"'{path[-1]}' must be finite" in err
+
     @pytest.mark.parametrize("amplitude_hi", [None, 0.1], ids=["all-zero", "zero-nominal"])
     def test_zero_nominal_amplitudes_exit_two(self, tmp_path, capsys, amplitude_hi):
         payload = json.loads(_write_config(tmp_path / "full.json").read_text())
@@ -595,6 +614,20 @@ class TestConfigErrors:
         code = main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "nominal amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "mc"])
+    def test_infinite_interval_endpoint_exits_two(self, tmp_path, capsys, command):
+        # a finite amplitude whose amplitude * (1 + xi) overflows: the interval
+        # is rejected before the geometry, which would do invalid arithmetic
+        payload = json.loads(_write_config(tmp_path / "full.json", xi_percent=10.0).read_text())
+        payload["elements"][1]["amplitude"] = 1.7e308
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: elements[2]: ") and "finite" in err
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_steering_phase_exits_two(self, tmp_path, capsys):
@@ -617,6 +650,12 @@ class TestConfigErrors:
         assert code == 2
         capsys.readouterr()
 
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"spacing_wavelengths": 0.5, "note": "\xff"}')  # not UTF-8
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_unreadable_config_exits_two(self, tmp_path, capsys):
         code = main(["bounds", "--config", str(tmp_path / "missing.json")])
         assert code == 2
@@ -629,3 +668,53 @@ class TestConfigErrors:
         lines = (out / "pia.csv").read_text().splitlines()
         ks = {int(line.split(",")[1]) for line in lines[1:]}
         assert ks == {1, 2, 3}
+
+
+# Each integer run field: its config key, its flag, its least value and its
+# default (None: required).
+RUN_FIELDS = [
+    ("k_regions", "--k", 1, None),
+    ("n_u", "--nu", 2, None),
+    ("arc_points", "--arc-points", 2, None),
+    ("mc_samples", "--mc-samples", 1, 100_000),
+    ("seed", "--seed", 0, 0),
+]
+
+
+@pytest.mark.parametrize("key, flag, least, default", RUN_FIELDS)
+class TestRunFields:
+    @staticmethod
+    def _run_config(cfg, *flags):
+        args = _build_parser().parse_args(["bounds", "--config", str(cfg), *flags])
+        return build_run_config(args)
+
+    def test_flag_overrides_config(self, tmp_path, key, flag, least, default):
+        cfg = _write_config(tmp_path / "cfg.json", **{key: least + 3})
+        assert getattr(self._run_config(cfg), key) == least + 3
+        assert getattr(self._run_config(cfg, flag, str(least + 5)), key) == least + 5
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_below_least_value_exits_two(
+        self, tmp_path, capsys, key, flag, least, default, source
+    ):
+        below = least - 1
+        if source == "flag":
+            cfg, flags = _write_config(tmp_path / "cfg.json"), [flag, str(below)]
+        else:
+            cfg, flags = _write_config(tmp_path / "cfg.json", **{key: below}), []
+        out = tmp_path / "out"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' must be an integer of at least {least}, got {below}" in err
+        assert not out.exists()
+
+    def test_missing_field(self, tmp_path, capsys, key, flag, least, default):
+        payload = json.loads(_write_config(tmp_path / "full.json").read_text())
+        del payload[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        if default is not None:
+            assert getattr(self._run_config(cfg), key) == default
+            return
+        assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config is missing required field '{key}'" in capsys.readouterr().err

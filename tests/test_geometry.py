@@ -69,24 +69,22 @@ class TestConvexPolygonFactory:
             convex_polygon([0j, 2 + 0j, 1 + 0.2j, 2 + 2j, 0 + 2j])
 
     def test_rejects_nonfinite(self):
-        # a sum checks each row by its farthest modulus, which any non-finite
-        # vertex of the row makes non-finite: here at every vertex of a
-        # triangle that a square's row pads, and in one row's rotation of
-        # it; the arithmetic on such a vertex is invalid, so not warned of
+        # a sum rejects a non-finite operand vertex or angle before any
+        # arithmetic on it, so with no warning: here at every vertex of a
+        # triangle that a square's row pads, and in one row's rotation of it
         square, triangle = [0j, 1 + 0j, 1 + 1j, 1j], [2 + 0j, 3 + 0j, 2 + 1j]
         for bad in (complex(math.nan, 0), complex(math.inf, 0), complex(-math.inf, 0),
                     complex(math.inf, math.nan)):
             with pytest.raises(ValidationError):
                 convex_polygon([0j, bad, 1j])
-            with np.errstate(invalid="ignore"):
-                for k in range(3):
-                    operands = padded([square, triangle[:k] + [bad] + triangle[k + 1 :]])
-                    with pytest.raises(ValidationError):
-                        rotated_minkowski_sums(*operands, np.zeros((3, 2)))
-                angles = np.zeros((3, 2))
-                angles[1, 1] = bad.real
+            for k in range(3):
+                operands = padded([square, triangle[:k] + [bad] + triangle[k + 1 :]])
                 with pytest.raises(ValidationError):
-                    rotated_minkowski_sums(*padded([square, triangle]), angles)
+                    rotated_minkowski_sums(*operands, np.zeros((3, 2)))
+            angles = np.zeros((3, 2))
+            angles[1, 1] = bad.real
+            with pytest.raises(ValidationError):
+                rotated_minkowski_sums(*padded([square, triangle]), angles)
 
     def test_does_not_alias_its_input(self):
         square = np.array([0j, 1 + 0j, 1 + 1j, 1j])  # nothing to weld or drop

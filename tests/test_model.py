@@ -96,6 +96,14 @@ class TestExcitationInterval:
         with pytest.raises(ValidationError):
             ExcitationInterval(1.0, 0.0, 1.0, 1.0, -math.pi / 2, math.pi / 2)
 
+    @pytest.mark.parametrize("end", range(4))
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_endpoints(self, end, bad):
+        ends = [0.9, 1.1, -0.1, 0.1]
+        ends[end] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            ExcitationInterval(1.0, 0.0, *ends)
+
     def test_nominal_phasor(self):
         el = ExcitationInterval(2.0, math.pi / 2, 2.0, 2.0, math.pi / 2, math.pi / 2)
         assert el.nominal == pytest.approx(2j)
