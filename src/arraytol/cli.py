@@ -26,7 +26,7 @@ from .model import (
     scenario_from_config,
     uniform_grid,
 )
-from .montecarlo import SEED_LIMIT, run_mc
+from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, run_mc
 from .pia import feature_report, probability_map
 from .validate import format_results, run_validation
 
@@ -47,13 +47,18 @@ class RunConfig:
 
 
 # The integer run fields: each one's config key (and RunConfig field), the
-# flag that overrides it, its least value, the value it must stay below
-# (None: no limit), its default (None: required) and the flag's help.
+# flag that overrides it, its least value, the value it must stay below,
+# its default (None: required) and the flag's help.  The limits keep each
+# field's own arrays within numpy's byte range (K + 1 float64 ring radii,
+# n_u complex128 patterns, arc_points complex128 arc vertices) and the
+# sample count within the int64 ring counts.
+_MAX_BYTES = int(np.iinfo(np.intp).max)
 _RUN_FIELDS = (
-    ("k_regions", "--k", 1, None, None, "number of probability rings"),
-    ("n_u", "--nu", 2, None, None, "number of angular samples"),
-    ("arc_points", "--arc-points", 2, None, None, "outer-arc vertices per excitation sector"),
-    ("mc_samples", "--mc-samples", 1, None, 100_000, "Monte Carlo sample count"),
+    ("k_regions", "--k", 1, _MAX_BYTES // 8, None, "number of probability rings"),
+    ("n_u", "--nu", 2, _MAX_BYTES // 16, None, "number of angular samples"),
+    ("arc_points", "--arc-points", 2, _MAX_BYTES // 16, None,
+     "outer-arc vertices per excitation sector"),
+    ("mc_samples", "--mc-samples", 1, SAMPLE_LIMIT, 100_000, "Monte Carlo sample count"),
     ("seed", "--seed", 0, SEED_LIMIT, 0, "Monte Carlo seed"),
 )
 

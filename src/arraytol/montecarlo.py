@@ -2,9 +2,12 @@
 
 A run draws every sample's excitations, in sample order, from one Philox
 stream keyed by the seed, so results are bitwise identical for a fixed
-seed no matter how work is chunked: chunks are sized by a byte budget,
-and no chunk holds a lone sample, whose one-row product BLAS rounds
-differently.
+seed no matter how work is chunked.  Chunks of samples, sized by one
+byte budget, hold the draws, the power and the ring masks; each chunk's
+complex pattern product is formed in row blocks sized by a smaller, cache-
+sized budget and written straight into the chunk's power rows.  Neither a
+chunk nor a block holds a lone row, whose one-row product BLAS rounds
+differently (a gemv, not a gemm).
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ if TYPE_CHECKING:
     from numpy.random import Generator
 
 _HIST_BINS = 200
-_CHUNK_BYTES = 2 << 20  # one chunk's (chunk, N_u) complex128 product
+_CHUNK_BYTES = 2 << 20  # a chunk holds _CHUNK_BYTES // (16 N_u) samples
+_BLOCK_BYTES = 256 << 10  # one block's (block, N_u) complex128 product
+_COUNT_ROWS = 255  # ring-mask rows summed at once: a uint8 sum cannot wrap
 SEED_LIMIT = 1 << 128  # seeds are Philox keys: two 64-bit words
+SAMPLE_LIMIT = 1 << 63  # sample counts are int64
 
 
 @dataclass(frozen=True)
@@ -104,6 +110,13 @@ def _draw(
     np.multiply(np.sin(phase, out=im), amp, out=im)
 
 
+def _spans(n: int, step: int):
+    """(start, stop) pairs covering range(n) in steps of step >= 2; a lone
+    last row joins the span before it, so no span holds one row unless n is 1."""
+    starts = range(0, max(n - 1, 1), step)
+    return zip(starts, [*starts[1:], n])
+
+
 def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions=()) -> McReport:
     """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
 
@@ -118,12 +131,17 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     2N uniforms each, so sample i is the i-th sample_realization call on a
     fresh stream.  Chunks of _CHUNK_BYTES // (16 N_u) samples, at least 2,
     reuse buffers allocated once per run: _draw maps each chunk's uniforms
-    and weights in place, and the pattern, power and ring-mask buffers are
-    written with out=, so memory does not grow with n_samples.  A lone last
-    sample joins the chunk before it, as BLAS rounds a one-row product
-    (gemv) unlike the others (gemm).
+    and weights in place, and the power and ring-mask buffers are written
+    with out=, so memory does not grow with n_samples.  The complex pattern
+    product is formed in blocks of max(2, N, _BLOCK_BYTES // (16 N_u))
+    rows, whose |z|^2 goes straight into the chunk's power rows; the N floor
+    keeps each gemm large enough to run at full speed, and it makes a block
+    the whole chunk when N_u is large.  A lone last sample joins the chunk
+    before it, and a lone last row the block before it, as BLAS rounds a
+    one-row product (gemv) unlike the others (gemm).  Ring masks are summed
+    as uint8 over slices of _COUNT_ROWS rows.
     """
-    check_integer("n_samples", n_samples, 1)
+    check_integer("n_samples", n_samples, 1, SAMPLE_LIMIT)
     check_integer("seed", seed, 0, SEED_LIMIT)
     scenario, grid = pmap.bounds.scenario, pmap.bounds.grid
     k_regions = pmap.k_regions
@@ -149,9 +167,10 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
     step = max(2, _CHUNK_BYTES // (16 * n_u))
-    starts = range(0, max(n_samples - 1, 1), step)  # no start leaves one sample
+    block = max(2, scenario.n_elements, _BLOCK_BYTES // (16 * n_u))
     rows = min(step + 1, n_samples)
-    product, power, ge = (np.empty((rows, n_u), dtype=t) for t in (complex, float, bool))
+    product = np.empty((min(block + 1, rows), n_u), dtype=complex)
+    power, ge = (np.empty((rows, n_u), dtype=t) for t in (float, bool))
     uniforms = np.empty((rows, 2 * scenario.n_elements))
     weights = np.empty((rows, scenario.n_elements), dtype=complex)
     stream = sample_stream(seed)
@@ -160,17 +179,21 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
     at_least[0] = n_samples
     hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
-    for start, stop in zip(starts, [*starts[1:], n_samples]):
-        z, p, mask = product[: stop - start], power[: stop - start], ge[: stop - start]
-        w = weights[: stop - start]
-        _draw(box, stream, uniforms[: stop - start], w)
-        np.matmul(w, steering, out=z)
-        np.square(np.abs(z, out=p), out=p)
+    for start, stop in _spans(n_samples, step):
+        m = stop - start
+        p, mask, w = power[:m], ge[:m], weights[:m]
+        _draw(box, stream, uniforms[:m], w)
+        for lo, hi in _spans(m, block):
+            z, pb = product[: hi - lo], p[lo:hi]
+            np.matmul(w[lo:hi], steering, out=z)
+            np.square(np.abs(z, out=pb), out=pb)
         np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
         np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
         for h in range(1, k_regions):
             np.greater_equal(p, inner_sq[h - 1], out=mask)
-            at_least[h] += np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.int32)
+            for lo in range(0, m, _COUNT_ROWS):
+                rows_ge = mask[lo : lo + _COUNT_ROWS].view(np.uint8)
+                at_least[h] += np.add.reduce(rows_ge, axis=0, dtype=np.uint8)
         db = power_db(p[:, probe_idx], pmap.bounds.peak_power)
         for acc, col, edges in zip(hist_counts, db.T, probe_edges):
             acc += np.histogram(col, bins=edges)[0]

@@ -43,11 +43,12 @@ def disc_polygon_area_quadrature(radii, vertices) -> np.ndarray:
     chain, from the lowest of its leftmost vertices to the lowest of its
     rightmost, and an upper chain, from the highest of its rightmost back to
     the highest of its leftmost.  The region's slice at column x runs from
-    the lower chain to the upper one; for each radius the slices are clipped
-    by the circle and composite Simpson over N_COLUMNS columns integrates
-    their widths.  Breaking ties among the extreme vertices by height keeps
-    a vertical extreme edge out of both chains, so the end columns see the
-    whole slice.
+    the lower chain to the upper one; for each radius in turn the slices are
+    clipped by the circle and composite Simpson over N_COLUMNS columns
+    integrates their widths, so the temporaries are a few N_COLUMNS-long
+    rows whatever the number of radii.  Breaking ties among the extreme
+    vertices by height keeps a vertical extreme edge out of both chains, so
+    the end columns see the whole slice.
     """
     radii = np.asarray(radii, dtype=np.float64)
     vs = np.asarray(vertices, dtype=np.complex128)
@@ -59,18 +60,21 @@ def disc_polygon_area_quadrature(radii, vertices) -> np.ndarray:
     lower = np.roll(vs, -low_left)[: (low_right - low_left) % n + 1]
     upper = np.roll(vs, -high_right)[: (high_left - high_right) % n + 1][::-1]
 
-    x_lo = np.maximum(vs[low_left].real, -radii)
-    x_hi = np.minimum(vs[high_right].real, radii)
-    xs = np.linspace(x_lo, x_hi, N_COLUMNS, axis=-1)
-    y_circ = np.sqrt(np.maximum(radii[:, None] ** 2 - xs * xs, 0.0))
-    y_lo = np.maximum(np.interp(xs, lower.real, lower.imag), -y_circ)
-    y_hi = np.minimum(np.interp(xs, upper.real, upper.imag), y_circ)
-    width = np.maximum(y_hi - y_lo, 0.0)
     weights = np.ones(N_COLUMNS)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    h = np.maximum(x_hi - x_lo, 0.0) / (N_COLUMNS - 1)
-    return width @ weights * h / 3.0
+    areas = np.empty(radii.shape)
+    for i, r in enumerate(radii):
+        x_lo = max(vs[low_left].real, -r)
+        x_hi = min(vs[high_right].real, r)
+        xs = np.linspace(x_lo, x_hi, N_COLUMNS)
+        y_circ = np.sqrt(np.maximum(r * r - xs * xs, 0.0))
+        y_lo = np.maximum(np.interp(xs, lower.real, lower.imag), -y_circ)
+        y_hi = np.minimum(np.interp(xs, upper.real, upper.imag), y_circ)
+        width = np.maximum(y_hi - y_lo, 0.0)
+        h = max(x_hi - x_lo, 0.0) / (N_COLUMNS - 1)
+        areas[i] = width @ weights * h / 3.0
+    return areas
 
 
 def run_validation(mc: McReport) -> list[CheckResult]:

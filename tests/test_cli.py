@@ -602,6 +602,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert f"'{path[-1]}' must be finite" in err
 
+    # each value failed deep in numpy before the run fields had upper limits
+    @pytest.mark.parametrize(
+        "command, key, flag, value",
+        [
+            ("bounds", "n_u", "--nu", 10**300),  # "Maximum allowed size exceeded"
+            ("mc", "mc_samples", "--mc-samples", 2**63),  # OverflowError
+            ("pia", "k_regions", "--k", 2**63),  # IndexError
+            ("bounds", "arc_points", "--arc-points", 2**63),  # "Maximum allowed dimension"
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_run_field_beyond_its_limit_exits_two(
+        self, tmp_path, capsys, command, key, flag, value, source
+    ):
+        if source == "flag":
+            cfg, flags = _write_config(tmp_path / "cfg.json"), [flag, str(value)]
+        else:
+            cfg, flags = _write_config(tmp_path / "cfg.json", **{key: value}), []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"'{key}' must be an integer below " in err and f"got {value}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("amplitude_hi", [None, 0.1], ids=["all-zero", "zero-nominal"])
     def test_zero_nominal_amplitudes_exit_two(self, tmp_path, capsys, amplitude_hi):
         payload = json.loads(_write_config(tmp_path / "full.json").read_text())

@@ -149,8 +149,9 @@ class TestRunMcMemory:
     def test_peak_is_the_chunk_buffers(self, pmap):
         n, n_u = 16, self.N_U
         rows = max(2, montecarlo._CHUNK_BYTES // (16 * n_u)) + 1
-        # product, power, ring mask, uniforms, weights; then the steering matrix
-        buffers = rows * (n_u * (16 + 8 + 1) + 2 * n * 8 + n * 16) + n * n_u * 16
+        block_rows = min(max(2, n, montecarlo._BLOCK_BYTES // (16 * n_u)) + 1, rows)
+        # power, ring mask, uniforms, weights; the block's product; the steering matrix
+        buffers = rows * (n_u * (8 + 1) + 2 * n * 8 + n * 16) + (block_rows + n) * n_u * 16
         assert self._peak(pmap, 5_000) <= 1.1 * buffers
 
 
@@ -211,19 +212,26 @@ class TestRunMc:
         scen = _scenario()
         grid = uniform_grid(21)  # 336 bytes of product per sample
         pmap = _pmap(scen, grid, 3)
-        reports = []
-        # one chunk; 2-sample chunks; 5-sample chunks, leaving one sample
-        # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
-        for budget in (1 << 30, 1, 5 * 336, 64 * 336):
-            monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
-            reports.append(run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6)))
-        for other in reports[1:]:
-            assert np.array_equal(other.per_u_min, reports[0].per_u_min)
-            assert np.array_equal(other.per_u_max, reports[0].per_u_max)
-            assert np.array_equal(other.region_frequencies, reports[0].region_frequencies)
-            assert np.array_equal(other.mode_region, reports[0].mode_region)
-            for h, h0 in zip(other.histograms, reports[0].histograms):
-                assert np.array_equal(h.counts, h0.counts)
+        # the reference: one chunk, one block, one gemm
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1 << 30)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
+        reference = run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6))
+        # blocks: one per chunk; 6 rows, the N floor; 7 rows, leaving one
+        # row over in a 64-sample chunk (64 = 9 * 7 + 1); 100 rows, leaving
+        # one row over in the 501-sample chunk
+        for block_budget in (1 << 30, 1, 7 * 336, 100 * 336):
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
+            # one chunk; 2-sample chunks; 5-sample chunks, leaving one sample
+            # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
+            for budget in (1 << 30, 1, 5 * 336, 64 * 336):
+                monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+                other = run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6))
+                assert np.array_equal(other.per_u_min, reference.per_u_min)
+                assert np.array_equal(other.per_u_max, reference.per_u_max)
+                assert np.array_equal(other.region_frequencies, reference.region_frequencies)
+                assert np.array_equal(other.mode_region, reference.mode_region)
+                for h, h0 in zip(other.histograms, reference.histograms):
+                    assert np.array_equal(h.counts, h0.counts)
 
     @pytest.mark.parametrize("n_samples, budget", [(2049, None), (9, 4 * 336), (3, 1)])
     def test_lone_last_sample_rounds_like_the_rest(self, n_samples, budget, monkeypatch):
@@ -234,8 +242,12 @@ class TestRunMc:
             monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
         scen = _scenario(0.0, 0.0)
         grid = uniform_grid(21)
-        report = run_mc(_pmap(scen, grid, 3), n_samples, seed=1)
-        assert np.array_equal(report.per_u_min, report.per_u_max)
+        # blocks: the default; 6 rows, the N floor; 8 rows, leaving one row
+        # over in the 2049-sample chunk (2049 = 256 * 8 + 1)
+        for block_budget in (montecarlo._BLOCK_BYTES, 1, 8 * 336):
+            monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
+            report = run_mc(_pmap(scen, grid, 3), n_samples, seed=1)
+            assert np.array_equal(report.per_u_min, report.per_u_max)
 
     def test_envelope_inside_bounds(self):
         scen = _scenario()
@@ -310,7 +322,13 @@ class TestRunMc:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(seed=-5), dict(seed=2**128), dict(seed=1.5), dict(n_samples=2.5)],
+        [
+            dict(seed=-5),
+            dict(seed=2**128),
+            dict(seed=1.5),
+            dict(n_samples=2.5),
+            dict(n_samples=2**63),  # beyond the int64 ring counts
+        ],
     )
     def test_rejects_bad_seed_or_count(self, kwargs):
         args = dict(seed=0, n_samples=10) | kwargs

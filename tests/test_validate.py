@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestAreaQuadrature:
         areas = disc_polygon_area_quadrature(radii, vertices)
         assert areas.shape == (len(radii),)
         assert np.all(areas == 0.0)
+
+
+    def test_peak_does_not_grow_with_radii(self):
+        vertices = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)) + 0.3
+
+        def peak(n_radii):
+            radii = np.linspace(0.0, 1.5, n_radii)
+            tracemalloc.start()
+            try:
+                disc_polygon_area_quadrature(radii, vertices)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(41) - peak(6)) <= 64 << 10
 
 
 class TestAmplitudeScale:
