@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
+from .geometry import _row_blocks
 from .iams import PowerBoundsCurve, power_bounds, power_db
 from .model import (
     ArrayScenario,
@@ -47,20 +48,57 @@ class RunConfig:
 
 
 # The integer run fields: each one's config key (and RunConfig field), the
-# flag that overrides it, its least value, the value it must stay below,
-# its default (None: required) and the flag's help.  The limits keep each
-# field's own arrays within numpy's byte range (K + 1 float64 ring radii,
-# n_u complex128 patterns, arc_points complex128 arc vertices) and the
-# sample count within the int64 ring counts.
-_MAX_BYTES = int(np.iinfo(np.intp).max)
+# flag that overrides it, its least value, the value it must stay below
+# (None: only run_bytes bounds it), its default (None: required) and the
+# flag's help.  The limits keep the sample count within the int64 ring
+# counts and the seed within a Philox key.
 _RUN_FIELDS = (
-    ("k_regions", "--k", 1, _MAX_BYTES // 8, None, "number of probability rings"),
-    ("n_u", "--nu", 2, _MAX_BYTES // 16, None, "number of angular samples"),
-    ("arc_points", "--arc-points", 2, _MAX_BYTES // 16, None,
-     "outer-arc vertices per excitation sector"),
+    ("k_regions", "--k", 1, None, None, "number of probability rings"),
+    ("n_u", "--nu", 2, None, None, "number of angular samples"),
+    ("arc_points", "--arc-points", 2, None, None, "outer-arc vertices per excitation sector"),
     ("mc_samples", "--mc-samples", 1, SAMPLE_LIMIT, 100_000, "Monte Carlo sample count"),
     ("seed", "--seed", 0, SEED_LIMIT, 0, "Monte Carlo seed"),
 )
+
+
+# The most bytes run_bytes may estimate; a larger run is a config error,
+# raised before anything is allocated.
+_BYTE_BUDGET = 2**33
+
+
+def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int:
+    """An upper estimate of the bytes of a run's largest arrays.
+
+    The complex128 sectors and region array, each row N * (arc_points + 4)
+    vertices wide, the regions counted at every grid row (the mirror
+    stores about half of them), and the K + 1 and 2K + 1 ring maps: per
+    grid row and boundary, a float64 ring radius, its dB value and a
+    probability.
+    """
+    width = n_elements * (arc_points + 4)
+    return 16 * (n_u + 1) * width + 24 * n_u * (3 * k_regions + 2)
+
+
+def _check_size(n_elements: int, fields: dict) -> None:
+    """Raise ValidationError when the run_bytes of fields exceed _BYTE_BUDGET.
+
+    The message names each size field that alone could bring the run
+    within the budget, and the limit it must then stay below: run_bytes is
+    affine in each field.
+    """
+    size = {key: fields[key] for key, *_ in _RUN_FIELDS[:3]}  # the size fields
+    if run_bytes(n_elements, **size) <= _BYTE_BUDGET:
+        return
+    fixes = []
+    for key, _, least, *_ in _RUN_FIELDS[:3]:
+        base = run_bytes(n_elements, **size | {key: 0})
+        limit = (_BYTE_BUDGET - base) // (run_bytes(n_elements, **size | {key: 1}) - base) + 1
+        if limit > least:
+            fixes.append(f"'{key}' must be an integer below {limit}, got {size[key]}")
+    raise ValidationError(
+        f"the run's arrays would take more than {_BYTE_BUDGET >> 30} GiB: "
+        + (" or ".join(fixes) or "lower 'k_regions', 'n_u' and 'arc_points'")
+    )
 
 
 def _json_safe(obj):
@@ -86,6 +124,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             fields[key] = config_number(cfg, key, default=default) if value is None else value
             check_integer(key, fields[key], least, limit)
         check_integer("threads", args.threads, 1)
+        _check_size(scenario.n_elements, fields)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     probes = tuple(args.probe or ())
@@ -143,8 +182,14 @@ def cmd_bounds(run: RunConfig) -> int:
                curve.modulus_lo, curve.modulus_hi, curve.n_vertices)
     header = "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices"
     _write_csv(run, "bounds.csv", header, [columns])
-    if run.dump_polygons:
-        np.save(_out_path(run, "polygons.npy"), curve.vertices)
+    if run.dump_polygons:  # the bytes np.save writes of every row's region, in row blocks
+        shape = (len(curve.grid), curve.vertices.shape[1])
+        descr = np.lib.format.dtype_to_descr(curve.vertices.dtype)
+        header = {"descr": descr, "fortran_order": False, "shape": shape}
+        with open(_out_path(run, "polygons.npy"), "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for block in _row_blocks(*shape):
+                curve.regions(block)[0].tofile(fh)
     return 0
 
 

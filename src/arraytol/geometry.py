@@ -183,16 +183,14 @@ def _edges(vs: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _row_blocks(
-    n_rows: int, row_size: int, size: int = _BLOCK_EDGES, start: int = 0
-) -> list[slice]:
-    """Slices of consecutive rows, from start up to n_rows, holding about size elements each."""
+def _row_blocks(n_rows: int, row_size: int, size: int = _BLOCK_EDGES) -> list[slice]:
+    """Slices of consecutive rows, up to n_rows, holding about size elements each."""
     step = max(1, size // max(1, row_size))
-    return [slice(first, min(first + step, n_rows)) for first in range(start, n_rows, step)]
+    return [slice(first, min(first + step, n_rows)) for first in range(0, n_rows, step)]
 
 
 def rotated_minkowski_sums(
-    vertices, n_vertices, angles, mirrored: int = 0
+    vertices, n_vertices, angles
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minkowski sums of rigidly rotated convex polygons, one per row of angles.
 
@@ -216,10 +214,6 @@ def rotated_minkowski_sums(
     it.  Non-finite operands or angles raise ValidationError before any
     arithmetic; _normalize still checks each sum, which finite operands
     can overflow.
-
-    The first mirrored rows are not summed but filled by _mirror_rows from
-    the last ones, which is their sum when angles[i] == -angles[-1 - i]
-    and every operand is its own conjugate.
     """
     n_vertices = np.asarray(n_vertices)
     if n_vertices.size == 0:
@@ -233,45 +227,25 @@ def rotated_minkowski_sums(
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)
     welded = np.empty(angles.shape[0])
-    for block in _row_blocks(angles.shape[0], n_edges, start=mirrored):
+    for block in _row_blocks(angles.shape[0], n_edges):
         trace = _trace(verts, angles[block], n_vertices)
         sums[block], counts[block], welded[block] = _normalize(*trace)
-    sums = sums[:, : counts[mirrored:].max(initial=1)]
-    _mirror_rows(sums, counts, mirrored)
-    welded[:mirrored] = welded[::-1][:mirrored]
-    return sums, counts, welded
-
-
-def _mirror_rows(vertices: np.ndarray, n_vertices: np.ndarray, mirrored: int) -> None:
-    """Fill padded rows [0, mirrored) in place with the conjugates of the last rows.
-
-    Row i becomes the mirror image of row -1 - i in the real axis: its
-    vertex 0 is the conjugate of that row's vertex 0 and the rest follow
-    in reverse order, so the row stays counter-clockwise and is padded
-    with repeats of its vertex 0.
-    """
-    slot = np.arange(vertices.shape[1])
-    last = len(vertices) - 1
-    for block in _row_blocks(mirrored, vertices.shape[1]):
-        source = last - np.arange(block.start, block.stop)
-        n = n_vertices[source][:, None]
-        order = np.where(slot < n, (n - slot) % n, 0)
-        vertices[block] = vertices[source[:, None], order].conj()
-        n_vertices[block] = n[:, 0]
+    return sums[:, : counts.max(initial=1)], counts, welded
 
 
 def _trace(verts: np.ndarray, angles: np.ndarray, n: np.ndarray) -> tuple:
     """A block's edge traces and their sorted steps, n the operands' vertex counts.
 
-    Each operand's first edge is its edge of least heading, moved back to
-    its cyclic predecessor for as long as that heads less than pi/2 after
-    the least heading.  On a convex polygon the true first edge's
-    predecessor heads more than pi after it, so only edges that rounding
-    sorted after their successor move it; anchored at the least heading,
-    the trace would be shifted by their length.  A point's one edge is its
-    own predecessor and stays.  Padded slots head +inf, so one stable
-    argsort of each whole row puts its real edges first, in their own
-    order.  Its own function, so its (rows, N, width) temporaries die
+    Each operand's first edge is its nonzero edge of least heading (a
+    zero-length edge, which rounding can make, heads 0 wherever it lies),
+    moved back to its cyclic predecessor for as long as that heads less
+    than pi/2 after the least heading.  On a convex polygon the true first
+    edge's predecessor heads more than pi after it, so only edges that
+    rounding sorted after their successor move it; anchored at the least
+    heading, the trace would be shifted by their length.  A point's one
+    edge is its own predecessor and stays.  Padded slots head +inf, so one
+    stable argsort of each whole row puts its real edges first, in their
+    own order.  Its own function, so its (rows, N, width) temporaries die
     before _normalize.
     """
     rows, width = len(angles), verts.shape[1]
@@ -284,6 +258,8 @@ def _trace(verts: np.ndarray, angles: np.ndarray, n: np.ndarray) -> tuple:
     flat = heading.reshape(-1)
     base = np.arange(0, heading.size, width).reshape(rows, -1)  # each operand's slot 0
     first = np.argmin(heading, axis=2)  # each operand's least-heading edge, (rows, N)
+    if np.any(edges.reshape(-1)[base + first] == 0.0):  # right unless it is zero-length
+        first = np.argmin(np.where(edges == 0.0, np.inf, heading), axis=2)
     limit = flat[base + first] + 0.5 * math.pi
     for _ in range(width - 1):
         before = (first - 1) % n

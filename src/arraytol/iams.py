@@ -29,12 +29,12 @@ class PowerBoundsCurve:
     normalized so the nominal pattern peaks at 0 dB; a zero lower bound
     maps to -inf dB.  Every dB value is power_db of a linear power:
     nominal_db and peak_power are taken from nominal_power, the nominal
-    |AF|**2 at each direction.  vertices and n_vertices hold the regions
-    the bounds were taken from, in grid order, in the padded-row format of
-    arraytol.geometry.  arc_points is the sector polygonization the regions
-    were built with, allowance the rounding allowance their modulus bounds
-    were widened by (besides each row's welded length), and the first
-    mirrored rows are mirror images of the last ones (interval_af_curve).
+    |AF|**2 at each direction.  vertices holds the regions the bounds were
+    taken from, in the padded-row format of arraytol.geometry, from grid row
+    mirrored on: the rows before are mirror images (interval_af_curve), and
+    regions() reads any grid rows.  arc_points is the sector polygonization
+    the regions were built with, and allowance the rounding allowance their
+    modulus bounds were widened by (besides each row's welded length).
     """
 
     scenario: ArrayScenario = field(repr=False)
@@ -54,6 +54,24 @@ class PowerBoundsCurve:
     allowance: float
     mirrored: int
 
+    def regions(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(vertices, n_vertices) of grid rows, a slice or an index array, padded as vertices is.
+
+        Mirrored row i is the conjugate of row len(grid) - 1 - i, vertex 0
+        first and the rest in reverse order, so it stays counter-clockwise.
+        With nothing mirrored, a slice of rows gives a view of vertices.
+        """
+        if not self.mirrored:
+            return self.vertices[rows], self.n_vertices[rows]
+        row = np.arange(len(self.grid))[rows]
+        flip = (row < self.mirrored)[:, None]
+        n = self.n_vertices[row][:, None]
+        slot = np.arange(self.vertices.shape[1])
+        order = np.where(flip, np.where(slot < n, (n - slot) % n, 0), slot)
+        source = np.where(flip[:, 0], len(self.grid) - 1 - row, row) - self.mirrored
+        vertices = self.vertices[source[:, None], order]
+        return np.conjugate(vertices, out=vertices, where=flip), n[:, 0]
+
 
 def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
     """Vectorized nominal array factor over a grid."""
@@ -67,12 +85,12 @@ def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
 class IntervalRegions(NamedTuple):
     """The regions of a grid and their modulus bounds, as interval_af_curve returns them."""
 
-    vertices: np.ndarray
+    vertices: np.ndarray  # only the rows from mirrored on; the rest cover the whole grid
     n_vertices: np.ndarray
     modulus_lo: np.ndarray
     modulus_hi: np.ndarray
     allowance: float  # the rounding_allowance the modulus bounds are widened by
-    mirrored: int  # leading rows filled as mirror images (mirrored_rows)
+    mirrored: int  # leading rows that are mirror images, not stored (mirrored_rows)
 
 
 def interval_af_curve(
@@ -89,19 +107,19 @@ def interval_af_curve(
     before the sum, and each row's by the length of the steps its
     normalization welded, which bounds how far the weld moved the
     region's boundary.  Where mirrored_rows finds the mirror symmetry,
-    only the rows from u = 0 on are summed and bounded; each row at -u is
-    the conjugate of the row at u and copies its bounds.
+    only the rows from u = 0 on are summed, bounded and stored; each row at
+    -u is the conjugate of the row at u and copies its count and bounds.
     """
     sectors, sector_counts = element_sectors(scenario, arc_points)
     slack = rounding_allowance(sectors)
     mirrored = mirrored_rows(scenario, grid)
-    psi = steering_phases(scenario, grid.samples)
-    vertices, n_vertices, welded = rotated_minkowski_sums(sectors, sector_counts, psi, mirrored)
-    lo, hi = modulus_bounds(vertices[mirrored:], n_vertices[mirrored:])
-    reach = slack + welded[mirrored:]
+    psi = steering_phases(scenario, grid.samples[mirrored:])
+    vertices, n_vertices, welded = rotated_minkowski_sums(sectors, sector_counts, psi)
+    lo, hi = modulus_bounds(vertices, n_vertices)
+    reach = slack + welded
     return IntervalRegions(
         vertices,
-        n_vertices,
+        unfold_mirror(n_vertices, mirrored),
         unfold_mirror(np.maximum(lo - reach, 0.0), mirrored),
         unfold_mirror(hi + reach, mirrored),
         slack,
@@ -110,7 +128,7 @@ def interval_af_curve(
 
 
 def mirrored_rows(scenario: ArrayScenario, grid: AngularGrid) -> int:
-    """How many leading grid rows the geometry fills as mirror images of trailing ones.
+    """How many leading grid rows are mirror images of trailing ones, and not summed.
 
     When every element's phase interval is symmetric about 0 (exactly
     phase_lo == -phase_hi), each sector is its own conjugate, and on a

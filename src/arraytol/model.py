@@ -142,7 +142,7 @@ def uniform_grid(n_samples: int) -> AngularGrid:
     the double nearest to -1 + 2k / (n_samples - 1).  Division rounds -j to
     exactly minus the rounding of j, so the negative half is the negated
     non-negative half (u[::-1] == -u, and the middle sample of an odd grid
-    is exactly 0), which the geometry's mirror needs; np.linspace is not
+    is exactly 0), which iams.mirrored_rows needs; np.linspace is not
     antisymmetric, and differs from this grid by at most one ulp of 1.
     """
     check_integer("n_samples", n_samples, 2)

@@ -188,8 +188,8 @@ def _symmetry_check(pmap) -> CheckResult:
 
     Sums those rows directly, without the mirror, and compares their
     regions (by their support functions along N_RAYS directions), modulus
-    bounds and ring probabilities with the ones the curve and the map
-    copied from the rows at -u.
+    bounds and ring probabilities with the curve's regions() and the ones
+    the curve and the map copied from the rows at -u.
     """
     bounds = pmap.bounds
     n_u, mirrored = len(bounds.grid), bounds.mirrored
@@ -203,7 +203,7 @@ def _symmetry_check(pmap) -> CheckResult:
     scale = float(bounds.modulus_hi.max())
     rays = np.exp(2j * np.pi * np.arange(N_RAYS) / N_RAYS)[:, None]
     err_region = float(
-        np.abs(_support(vertices, rays) - _support(bounds.vertices[rows], rays)).max()
+        np.abs(_support(vertices, rays) - _support(bounds.regions(rows)[0], rays)).max()
     ) / scale
     err_mod = max(
         float(np.abs(lo - bounds.modulus_lo[rows]).max()),
@@ -261,14 +261,12 @@ def _oracle_directions(n_u: int) -> list[int]:
 
 
 def _oracle_spot_check(pmap) -> CheckResult:
-    bounds = pmap.bounds
-    n_u = len(bounds.grid)
+    rows = _oracle_directions(len(pmap.bounds.grid))
     worst = 0.0
-    for i in _oracle_directions(n_u):
+    for i, vertices, n in zip(rows, *pmap.bounds.regions(rows)):
         if pmap.degenerate[i]:
             continue
-        region = bounds.vertices[i, : bounds.n_vertices[i]]
-        covered = disc_polygon_area_quadrature(pmap.ring_radii[i], region)
+        covered = disc_polygon_area_quadrature(pmap.ring_radii[i], vertices[:n])
         if covered[-1] <= 0.0:
             continue
         oracle = np.diff(covered) / covered[-1]

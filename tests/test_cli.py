@@ -18,7 +18,8 @@ from arraytol import (
     scenario_from_config,
     uniform_grid,
 )
-from arraytol.cli import _build_parser, build_run_config, main
+from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
+from arraytol.errors import ConfigError
 from helpers import taylor_taper
 
 
@@ -87,7 +88,7 @@ class TestBoundsCommand:
         assert dump.shape == (11, max(counts))
         cfg = json.loads(config_path.read_text())
         curve = power_bounds(scenario_from_config(cfg), uniform_grid(11), cfg["arc_points"])
-        for row, region, n in zip(dump, curve.vertices, counts, strict=True):
+        for row, region, n in zip(dump, curve.regions()[0], counts, strict=True):
             assert row[:n].tobytes() == region[:n].tobytes()
             assert np.all(row[n:] == row[0])
 
@@ -114,7 +115,7 @@ class TestBoundsCommand:
         assert (dump.dtype, dump.shape) == (np.complex128, (21, max(counts)))
         payload = json.loads(cfg.read_text())
         curve = power_bounds(scenario_from_config(payload), uniform_grid(21), payload["arc_points"])
-        assert dump.tobytes() == curve.vertices.tobytes()
+        assert dump.tobytes() == curve.regions()[0].tobytes()
 
 
 def _vertex_counts(bounds_csv) -> list[int]:
@@ -374,8 +375,9 @@ class TestNumberFormat:
             assert (out / name).read_bytes() == text.encode("utf-8"), name
         # the polygon dump is binary: the library's regions, bit for bit
         dump = np.load(out / "polygons.npy")
-        assert (dump.dtype, dump.shape) == (np.complex128, curve.vertices.shape)
-        assert dump.tobytes() == curve.vertices.tobytes()
+        vertices = curve.regions()[0]
+        assert (dump.dtype, dump.shape) == (np.complex128, vertices.shape)
+        assert dump.tobytes() == vertices.tobytes()
         assert "-inf" in expected["bounds.csv"] and "-inf" in expected["mc_envelope.csv"]
 
 
@@ -743,3 +745,66 @@ class TestRunFields:
             return
         assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"config is missing required field '{key}'" in capsys.readouterr().err
+
+
+class TestSizeBudget:
+    """build_run_config rejects a run whose run_bytes exceed the budget, before it allocates."""
+
+    @pytest.mark.parametrize("steer", [0.0, 40.0], ids=["mirrored", "steered"])
+    def test_estimate_bounds_the_arrays_a_run_holds(self, steer):
+        scen = scenario_from_config({
+            "spacing_wavelengths": 0.5,
+            "elements": [{"amplitude": a, "phase_deg": steer * n}
+                         for n, a in enumerate((0.5, 0.8, 1.0, 1.0, 0.8, 0.5))],
+            "xi_percent": 2.0,
+            "gamma_deg": 4.0,
+        })
+        k_regions, n_u, arc_points = 5, 41, 6
+        curve = power_bounds(scen, uniform_grid(n_u), arc_points)
+        assert curve.mirrored == (20 if steer == 0.0 else 0)
+        held = curve.vertices.nbytes + 16 * scen.n_elements * (arc_points + 4)
+        for k in (k_regions, 2 * k_regions):
+            pmap = probability_map(curve, k)
+            held += pmap.ring_radii.nbytes + pmap.region_power_db.nbytes + pmap.p.nbytes
+        estimate = run_bytes(scen.n_elements, k_regions, n_u, arc_points)
+        assert estimate == 16 * 42 * 60 + 24 * 41 * 17
+        assert held <= estimate <= 2.2 * held
+
+    @pytest.mark.parametrize("key, flag", [("k_regions", "--k"), ("n_u", "--nu"),
+                                           ("arc_points", "--arc-points")])
+    def test_limit_in_the_message_is_exact(self, tmp_path, key, flag):
+        cfg = _write_config(tmp_path / "cfg.json")
+
+        def run_config(value):
+            args = _build_parser().parse_args(["bounds", "--config", str(cfg), flag, str(value)])
+            return build_run_config(args)
+
+        with pytest.raises(ConfigError) as info:
+            run_config(2**62)
+        message = str(info.value)
+        assert message.startswith("the run's arrays would take more than 8 GiB: ")
+        prefix = f"'{key}' must be an integer below "
+        assert prefix in message and f"got {2**62}" in message
+        limit = int(message.split(prefix)[1].split(",")[0])
+        fields = dict(k_regions=5, n_u=81, arc_points=6) | {key: limit}
+        assert run_bytes(6, **fields) > _BYTE_BUDGET
+        assert run_bytes(6, **fields | {key: limit - 1}) <= _BYTE_BUDGET
+        assert getattr(run_config(limit - 1), key) == limit - 1
+
+    def test_no_single_field_fixes_it(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", k_regions=10**8, n_u=10**8, arc_points=10**8)
+        args = _build_parser().parse_args(["bounds", "--config", str(cfg)])
+        with pytest.raises(ConfigError, match="lower 'k_regions', 'n_u' and 'arc_points'$"):
+            build_run_config(args)
+
+    # each of these ended in a traceback, exit 1, before the budget
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("pia", "--k", 2**60 - 2), ("bounds", "--nu", 2**59 - 2)],  # too big, _ArrayMemoryError
+    )
+    def test_sizes_too_large_for_memory_exit_two(self, tmp_path, capsys, command, flag, value):
+        cfg, out = _write_config(tmp_path / "cfg.json"), tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), flag, str(value)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()

@@ -15,6 +15,7 @@ from arraytol.geometry import (
 from arraytol.validate import disc_polygon_area_quadrature
 
 from helpers import (
+    boundary_distance,
     circular_segment_area,
     contains_point,
     convex_polygon,
@@ -278,6 +279,25 @@ class TestMinkowskiSum:
         vertices, n_vertices = polygonize_interval_phasors(sectors, arc_points=8)
         _, n, _ = rotated_minkowski_sums(vertices, n_vertices, np.full(len(sectors), 0.4))
         assert n.tolist() == [8 + 4]
+
+    def test_sliver_whose_bulge_rounds_together_sums_to_its_hull(self):
+        # a sector 1e-41 rad wide, rotated by pi/2: rounding puts its bulge
+        # vertices onto one another, and their zero-length edges head 0, the
+        # least heading, however far they lie from the first nonzero edge
+        vertices, n_vertices = polygonize_interval_phasors(
+            [(1.0, 1.0, 0.0, 0.0), (0.75, 1.0, 0.0, 1.03e-41)], arc_points=4
+        )
+        angles = np.array([0.0, 0.5 * math.pi])
+        rotated = vertices * np.exp(1j * angles)[:, None]
+        assert np.any(rotated[1, 1 : n_vertices[1]] == rotated[1, : n_vertices[1] - 1])
+        sums, counts, _ = rotated_minkowski_sums(vertices, n_vertices, angles)
+        # the brute-force hull of the vertex sums is the vertical segment
+        # between the lowest and the highest of them
+        brute = (rotated[0, : n_vertices[0], None] + rotated[1, : n_vertices[1]]).ravel()
+        assert np.abs(brute.real - 1.0).max() <= 1e-15
+        hull = brute[[np.argmin(brute.imag), np.argmax(brute.imag)]]
+        assert counts.tolist() == [2]
+        assert boundary_distance(sums[0, :2], hull) <= 1e-15
 
     def test_brute_force_fuzz(self):
         rng = np.random.default_rng(7)

@@ -426,10 +426,11 @@ class TestMirror:
         assert direct.mirrored == 0
         direct_p = probability_map(direct, k_regions).p
         scale = float(bounds.modulus_hi.max())
-        for j, i in enumerate(rows):
-            n = bounds.n_vertices[i]
-            got = bounds.vertices[i, :n]
-            assert np.all(bounds.vertices[i, n:] == got[0])
+        vertices, counts = bounds.regions(rows)
+        assert np.array_equal(counts, bounds.n_vertices[rows])
+        for j, (row, n) in enumerate(zip(vertices, counts, strict=True)):
+            got = row[:n]
+            assert np.all(row[n:] == got[0])
             ref = direct.vertices[j, : direct.n_vertices[j]]
             assert boundary_distance(got, ref) <= 1e-12 * scale
         assert np.abs(bounds.modulus_lo[rows] - direct.modulus_lo).max() <= 1e-12 * scale
@@ -437,7 +438,7 @@ class TestMirror:
         assert np.abs(pmap.p[:, rows] - direct_p).max() <= 1e-12
         # the mirrored rows are counter-clockwise convex polygons as they stand
         m = bounds.mirrored
-        _, n_vertices = normalized_rows(bounds.vertices[:m])
+        _, n_vertices = normalized_rows(bounds.regions(slice(0, m))[0])
         assert np.array_equal(n_vertices, bounds.n_vertices[:m])
 
     def test_every_taylor16_direction(self, taylor16_scenario, grid501):
@@ -454,6 +455,45 @@ class TestMirror:
         self._assert_mirrored_rows_match_direct(
             small_scenario, uniform_grid(n_u), list(range(n_u // 2))
         )
+
+    @pytest.mark.parametrize("n_u", [40, 41])
+    def test_mirrored_rows_are_stored_once(self, small_scenario, n_u):
+        curve = power_bounds(small_scenario, uniform_grid(n_u))
+        m = curve.mirrored
+        assert m == n_u // 2
+        assert len(curve.vertices) == len(curve.grid) - m
+        assert len(curve.n_vertices) == n_u
+        vertices, n_vertices = curve.regions()
+        assert vertices.shape == (n_u, curve.vertices.shape[1])
+        assert np.array_equal(n_vertices, curve.n_vertices)
+        # the stored rows come back as they are
+        assert vertices[m:].tobytes() == curve.vertices.tobytes()
+        # row i < m is the conjugate of row n_u - 1 - i, vertex 0 first and
+        # the rest in reverse order, padded with its vertex 0
+        for i in range(m):
+            source = curve.vertices[n_u - 1 - i - m]
+            n = curve.n_vertices[n_u - 1 - i]
+            image = np.concatenate((source[:1], source[1:n][::-1])).conj()
+            padded = np.concatenate((image, np.full(vertices.shape[1] - n, image[0])))
+            assert curve.n_vertices[i] == n
+            assert vertices[i].tobytes() == padded.tobytes()
+        # any rows, in any order
+        rows = [n_u - 1, 0, m, 3]
+        some, counts = curve.regions(rows)
+        assert some.tobytes() == vertices[rows].tobytes()
+        assert np.array_equal(counts, n_vertices[rows])
+
+    def test_unmirrored_regions_are_a_view(self, small_scenario):
+        el = small_scenario.elements[0]
+        nudged = _with_element(small_scenario, 0, phase_hi=math.nextafter(el.phase_hi, 1.0))
+        curve = power_bounds(nudged, uniform_grid(41))
+        assert curve.mirrored == 0
+        assert len(curve.vertices) == 41
+        vertices, n_vertices = curve.regions()
+        assert np.shares_memory(vertices, curve.vertices)
+        assert vertices.tobytes() == curve.vertices.tobytes()
+        assert np.shares_memory(curve.regions(slice(3, 9))[0], curve.vertices)
+        assert np.array_equal(n_vertices, curve.n_vertices)
 
     def test_mirrored_rows_copy_their_images(self, small_scenario):
         bounds = power_bounds(small_scenario, uniform_grid(41))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arraytol import (
@@ -366,6 +366,20 @@ def _random_scenarios(draw):
     n_u=st.integers(min_value=2, max_value=15),
     k=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# a sliver sector: at u = 1 its rotation by pi/2 rounds its bulge vertices
+# onto one another, and the region must still start where the sliver does
+@example(
+    scen=ArrayScenario(
+        (
+            ExcitationInterval(1.0, 0.0, 1.0, 1.0, 0.0, 0.0),
+            ExcitationInterval(1.0, 0.0, 0.75, 1.0, 0.0, 1.03e-41),
+        ),
+        0.25,
+    ),
+    n_u=2,
+    k=1,
+    seed=0,
 )
 def test_random_scenarios_stay_inside_bounds(scen, n_u, k, seed):
     grid = uniform_grid(n_u)

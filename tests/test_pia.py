@@ -205,7 +205,7 @@ class TestOuterRings:
         )
         radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, config["k_regions"])
         outer = np.column_stack((radii[:, 0], radii[:, -1], 2.0 * radii[:, -1]))
-        areas = disc_polygon_areas(outer, bounds.vertices, bounds.n_vertices)
+        areas = disc_polygon_areas(outer, *bounds.regions())
         assert np.array_equal(areas[:, 0], np.zeros(len(radii)))
         assert np.all(areas[:, 1] > 0.0)
         assert areas[:, 1].tobytes() == areas[:, 2].tobytes()
@@ -232,19 +232,20 @@ class TestPaddedRegions:
         assert bounds.n_vertices[len(grid) // 2] == at_zero
         assert bounds.mirrored == len(grid) // 2
         scale = float(bounds.modulus_hi.max())
+        vertices, _ = bounds.regions()
         for i, u in enumerate(grid.samples.tolist()):
             region, modulus_lo, modulus_hi = direction_region(scen, u)
             n = bounds.n_vertices[i]
             assert n == len(region)
-            assert np.all(bounds.vertices[i, n:] == bounds.vertices[i, 0])
+            assert np.all(vertices[i, n:] == vertices[i, 0])
             radii = _ring_radii(modulus_lo, modulus_hi, 5)
             expected = region_probabilities(region, radii)
             if i >= bounds.mirrored:
-                assert bounds.vertices[i, :n].tobytes() == region.tobytes()
+                assert vertices[i, :n].tobytes() == region.tobytes()
                 assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (modulus_lo, modulus_hi)
                 assert pmap.p[:, i].tobytes() == expected.tobytes()
             else:
-                assert boundary_distance(bounds.vertices[i, :n], region) <= 1e-12 * scale
+                assert boundary_distance(vertices[i, :n], region) <= 1e-12 * scale
                 assert abs(bounds.modulus_lo[i] - modulus_lo) <= 1e-12 * scale
                 assert abs(bounds.modulus_hi[i] - modulus_hi) <= 1e-12 * scale
                 assert np.abs(pmap.p[:, i] - expected).max() <= 1e-12

@@ -122,9 +122,11 @@ class TestPatternSymmetry:
         hi[row] *= 1.0 + 1e-6
         bounds = dataclasses.replace(pmap.bounds, modulus_hi=hi)
         assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
-        # the region at u in place of its mirror image: same moduli and areas
+        # the stored partner row conjugated, so row reads the region at its
+        # partner's u, not its own: same moduli and areas
         vertices = pmap.bounds.vertices.copy()
-        vertices[row] = vertices[row].conj()
+        partner = 40 - row - pmap.bounds.mirrored
+        vertices[partner] = vertices[partner].conj()
         bounds = dataclasses.replace(pmap.bounds, vertices=vertices)
         assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
 
