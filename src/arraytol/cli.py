@@ -61,9 +61,9 @@ _RUN_FIELDS = (
 )
 
 
-# The most bytes run_bytes may estimate; a larger run is a config error,
-# raised before anything is allocated.
-_BYTE_BUDGET = 2**33
+# The most bytes run_bytes may estimate, the machine's physical memory; a
+# larger run is a config error, raised before anything is allocated.
+_BYTE_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int:
@@ -96,7 +96,7 @@ def _check_size(n_elements: int, fields: dict) -> None:
         if limit > least:
             fixes.append(f"'{key}' must be an integer below {limit}, got {size[key]}")
     raise ValidationError(
-        f"the run's arrays would take more than {_BYTE_BUDGET >> 30} GiB: "
+        f"the run's arrays would take more than the {_BYTE_BUDGET / 2**30:.1f} GiB of memory: "
         + (" or ".join(fixes) or "lower 'k_regions', 'n_u' and 'arc_points'")
     )
 
@@ -183,8 +183,8 @@ def cmd_bounds(run: RunConfig) -> int:
     header = "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices"
     _write_csv(run, "bounds.csv", header, [columns])
     if run.dump_polygons:  # the bytes np.save writes of every row's region, in row blocks
-        shape = (len(curve.grid), curve.vertices.shape[1])
-        descr = np.lib.format.dtype_to_descr(curve.vertices.dtype)
+        shape = (len(curve.grid), curve.stored_vertices.shape[1])
+        descr = np.lib.format.dtype_to_descr(curve.stored_vertices.dtype)
         header = {"descr": descr, "fortran_order": False, "shape": shape}
         with open(_out_path(run, "polygons.npy"), "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, header)

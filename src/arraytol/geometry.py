@@ -257,9 +257,8 @@ def _trace(verts: np.ndarray, angles: np.ndarray, n: np.ndarray) -> tuple:
     heading[:, np.arange(width) >= n[:, None]] = np.inf
     flat = heading.reshape(-1)
     base = np.arange(0, heading.size, width).reshape(rows, -1)  # each operand's slot 0
-    first = np.argmin(heading, axis=2)  # each operand's least-heading edge, (rows, N)
-    if np.any(edges.reshape(-1)[base + first] == 0.0):  # right unless it is zero-length
-        first = np.argmin(np.where(edges == 0.0, np.inf, heading), axis=2)
+    # each operand's least-heading nonzero edge, (rows, N); a complex edge is true where nonzero
+    first = np.argmin(np.where(edges, heading, np.inf), axis=2)
     limit = flat[base + first] + 0.5 * math.pi
     for _ in range(width - 1):
         before = (first - 1) % n

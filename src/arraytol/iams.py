@@ -29,17 +29,18 @@ class PowerBoundsCurve:
     normalized so the nominal pattern peaks at 0 dB; a zero lower bound
     maps to -inf dB.  Every dB value is power_db of a linear power:
     nominal_db and peak_power are taken from nominal_power, the nominal
-    |AF|**2 at each direction.  vertices holds the regions the bounds were
-    taken from, in the padded-row format of arraytol.geometry, from grid row
-    mirrored on: the rows before are mirror images (interval_af_curve), and
-    regions() reads any grid rows.  arc_points is the sector polygonization
-    the regions were built with, and allowance the rounding allowance their
-    modulus bounds were widened by (besides each row's welded length).
+    |AF|**2 at each direction.  stored_vertices holds the regions the bounds
+    were taken from, in the padded-row format of arraytol.geometry: grid row
+    i + mirrored in its row i, the rows before being mirror images that
+    regions() builds (interval_af_curve).  n_vertices covers the whole grid.
+    arc_points is the sector polygonization the regions were built with, and
+    allowance the rounding allowance their modulus bounds were widened by
+    (besides each row's welded length).
     """
 
     scenario: ArrayScenario = field(repr=False)
     grid: AngularGrid
-    vertices: np.ndarray = field(repr=False)
+    stored_vertices: np.ndarray = field(repr=False)
     p_lo: np.ndarray = field(repr=False)
     p_hi: np.ndarray = field(repr=False)
     p_lo_db: np.ndarray = field(repr=False)
@@ -55,21 +56,21 @@ class PowerBoundsCurve:
     mirrored: int
 
     def regions(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(vertices, n_vertices) of grid rows, a slice or an index array, padded as vertices is.
+        """(vertices, n_vertices) of grid rows, a slice or an index array, padded as stored.
 
         Mirrored row i is the conjugate of row len(grid) - 1 - i, vertex 0
         first and the rest in reverse order, so it stays counter-clockwise.
-        With nothing mirrored, a slice of rows gives a view of vertices.
+        With nothing mirrored, a slice of rows gives a view of stored_vertices.
         """
         if not self.mirrored:
-            return self.vertices[rows], self.n_vertices[rows]
+            return self.stored_vertices[rows], self.n_vertices[rows]
         row = np.arange(len(self.grid))[rows]
         flip = (row < self.mirrored)[:, None]
         n = self.n_vertices[row][:, None]
-        slot = np.arange(self.vertices.shape[1])
+        slot = np.arange(self.stored_vertices.shape[1])
         order = np.where(flip, np.where(slot < n, (n - slot) % n, 0), slot)
         source = np.where(flip[:, 0], len(self.grid) - 1 - row, row) - self.mirrored
-        vertices = self.vertices[source[:, None], order]
+        vertices = self.stored_vertices[source[:, None], order]
         return np.conjugate(vertices, out=vertices, where=flip), n[:, 0]
 
 
@@ -85,7 +86,7 @@ def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
 class IntervalRegions(NamedTuple):
     """The regions of a grid and their modulus bounds, as interval_af_curve returns them."""
 
-    vertices: np.ndarray  # only the rows from mirrored on; the rest cover the whole grid
+    stored_vertices: np.ndarray  # only the rows from mirrored on; the rest cover the whole grid
     n_vertices: np.ndarray
     modulus_lo: np.ndarray
     modulus_hi: np.ndarray
@@ -228,7 +229,7 @@ def power_bounds(
     return PowerBoundsCurve(
         scenario=scenario,
         grid=grid,
-        vertices=regions.vertices,
+        stored_vertices=regions.stored_vertices,
         p_lo=p_lo,
         p_hi=p_hi,
         p_lo_db=power_db(p_lo, peak_power),

@@ -106,7 +106,7 @@ def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     check_integer("k_regions", k_regions, 1)
     ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, k_regions)
     m = bounds.mirrored
-    p, degenerate = _ring_probabilities(ring_radii[m:], bounds.vertices, bounds.n_vertices[m:])
+    p, degenerate = _ring_probabilities(ring_radii[m:], bounds.stored_vertices, bounds.n_vertices[m:])
     p, degenerate = unfold_mirror(p, m), unfold_mirror(degenerate, m)
     return ProbabilityMap(
         bounds=bounds,

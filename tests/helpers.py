@@ -61,7 +61,7 @@ def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.nda
 def direction_region(scenario, u: float, arc_points: int = 8):
     """(region, modulus_lo, modulus_hi) at one direction: row 0 of a one-sample curve."""
     r = interval_af_curve(scenario, AngularGrid([u]), arc_points)
-    return r.vertices[0, : r.n_vertices[0]], float(r.modulus_lo[0]), float(r.modulus_hi[0])
+    return r.stored_vertices[0, : r.n_vertices[0]], float(r.modulus_lo[0]), float(r.modulus_hi[0])
 
 
 def nominal_af(scenario, u: float) -> complex:

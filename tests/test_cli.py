@@ -762,7 +762,7 @@ class TestSizeBudget:
         k_regions, n_u, arc_points = 5, 41, 6
         curve = power_bounds(scen, uniform_grid(n_u), arc_points)
         assert curve.mirrored == (20 if steer == 0.0 else 0)
-        held = curve.vertices.nbytes + 16 * scen.n_elements * (arc_points + 4)
+        held = curve.stored_vertices.nbytes + 16 * scen.n_elements * (arc_points + 4)
         for k in (k_regions, 2 * k_regions):
             pmap = probability_map(curve, k)
             held += pmap.ring_radii.nbytes + pmap.region_power_db.nbytes + pmap.p.nbytes
@@ -782,7 +782,8 @@ class TestSizeBudget:
         with pytest.raises(ConfigError) as info:
             run_config(2**62)
         message = str(info.value)
-        assert message.startswith("the run's arrays would take more than 8 GiB: ")
+        memory = f"{_BYTE_BUDGET / 2**30:.1f} GiB of memory"
+        assert message.startswith(f"the run's arrays would take more than the {memory}: ")
         prefix = f"'{key}' must be an integer below "
         assert prefix in message and f"got {2**62}" in message
         limit = int(message.split(prefix)[1].split(",")[0])

@@ -431,7 +431,7 @@ class TestMirror:
         for j, (row, n) in enumerate(zip(vertices, counts, strict=True)):
             got = row[:n]
             assert np.all(row[n:] == got[0])
-            ref = direct.vertices[j, : direct.n_vertices[j]]
+            ref = direct.stored_vertices[j, : direct.n_vertices[j]]
             assert boundary_distance(got, ref) <= 1e-12 * scale
         assert np.abs(bounds.modulus_lo[rows] - direct.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(bounds.modulus_hi[rows] - direct.modulus_hi).max() <= 1e-12 * scale
@@ -461,17 +461,20 @@ class TestMirror:
         curve = power_bounds(small_scenario, uniform_grid(n_u))
         m = curve.mirrored
         assert m == n_u // 2
-        assert len(curve.vertices) == len(curve.grid) - m
+        assert len(curve.stored_vertices) == len(curve.grid) - m
         assert len(curve.n_vertices) == n_u
+        # no field is named as if it held every grid row: reading one fails loudly
+        assert not hasattr(curve, "vertices")
+        assert not hasattr(interval_af_curve(small_scenario, curve.grid), "vertices")
         vertices, n_vertices = curve.regions()
-        assert vertices.shape == (n_u, curve.vertices.shape[1])
+        assert vertices.shape == (n_u, curve.stored_vertices.shape[1])
         assert np.array_equal(n_vertices, curve.n_vertices)
         # the stored rows come back as they are
-        assert vertices[m:].tobytes() == curve.vertices.tobytes()
+        assert vertices[m:].tobytes() == curve.stored_vertices.tobytes()
         # row i < m is the conjugate of row n_u - 1 - i, vertex 0 first and
         # the rest in reverse order, padded with its vertex 0
         for i in range(m):
-            source = curve.vertices[n_u - 1 - i - m]
+            source = curve.stored_vertices[n_u - 1 - i - m]
             n = curve.n_vertices[n_u - 1 - i]
             image = np.concatenate((source[:1], source[1:n][::-1])).conj()
             padded = np.concatenate((image, np.full(vertices.shape[1] - n, image[0])))
@@ -488,11 +491,11 @@ class TestMirror:
         nudged = _with_element(small_scenario, 0, phase_hi=math.nextafter(el.phase_hi, 1.0))
         curve = power_bounds(nudged, uniform_grid(41))
         assert curve.mirrored == 0
-        assert len(curve.vertices) == 41
+        assert len(curve.stored_vertices) == 41
         vertices, n_vertices = curve.regions()
-        assert np.shares_memory(vertices, curve.vertices)
-        assert vertices.tobytes() == curve.vertices.tobytes()
-        assert np.shares_memory(curve.regions(slice(3, 9))[0], curve.vertices)
+        assert np.shares_memory(vertices, curve.stored_vertices)
+        assert vertices.tobytes() == curve.stored_vertices.tobytes()
+        assert np.shares_memory(curve.regions(slice(3, 9))[0], curve.stored_vertices)
         assert np.array_equal(n_vertices, curve.n_vertices)
 
     def test_mirrored_rows_copy_their_images(self, small_scenario):
@@ -512,7 +515,7 @@ class TestMirror:
         for i, u in enumerate(grid.samples.tolist()):
             region, _, _ = direction_region(nudged, u)
             n = direct.n_vertices[i]
-            assert direct.vertices[i, :n].tobytes() == region.tobytes()
+            assert direct.stored_vertices[i, :n].tobytes() == region.tobytes()
         scale = mirrored.modulus_hi.max()
         assert np.abs(direct.modulus_lo - mirrored.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(direct.modulus_hi - mirrored.modulus_hi).max() <= 1e-12 * scale
@@ -543,7 +546,7 @@ class TestMirror:
         for i, u in enumerate(grid.samples.tolist()):
             region, modulus_lo, modulus_hi = direction_region(small_scenario, u)
             n = curve.n_vertices[i]
-            assert curve.vertices[i, :n].tobytes() == region.tobytes()
+            assert curve.stored_vertices[i, :n].tobytes() == region.tobytes()
             assert (curve.modulus_lo[i], curve.modulus_hi[i]) == (modulus_lo, modulus_hi)
 
     def test_any_antisymmetric_grid_mirrors(self, small_scenario):

@@ -228,7 +228,7 @@ class TestPaddedRegions:
         grid = uniform_grid(2 * (_BLOCK_EDGES // most) + 1)
         bounds = power_bounds(scen, grid)
         pmap = probability_map(bounds, 5)
-        assert bounds.vertices.shape[1] == bounds.n_vertices.max() == most
+        assert bounds.stored_vertices.shape[1] == bounds.n_vertices.max() == most
         assert bounds.n_vertices[len(grid) // 2] == at_zero
         assert bounds.mirrored == len(grid) // 2
         scale = float(bounds.modulus_hi.max())
@@ -271,7 +271,7 @@ class TestPaddedRegions:
         bounds = power_bounds(scen, grid)
         pmap = probability_map(bounds, 5)
         assert bounds.mirrored == 0
-        assert bounds.vertices.shape[1] == edges
+        assert bounds.stored_vertices.shape[1] == edges
         assert bounds.n_vertices.min() < edges
         for block in (slice(0, rows), slice(rows, 2 * rows)):
             around = bounds.modulus_lo[block] == 0.0
@@ -280,7 +280,7 @@ class TestPaddedRegions:
             region, modulus_lo, modulus_hi = direction_region(scen, u)
             n = bounds.n_vertices[i]
             assert n == len(region)
-            assert bounds.vertices[i, :n].tobytes() == region.tobytes()
+            assert bounds.stored_vertices[i, :n].tobytes() == region.tobytes()
             assert np.array([bounds.modulus_lo[i], bounds.modulus_hi[i]]).tobytes() == (
                 np.array([modulus_lo, modulus_hi]).tobytes()
             )

@@ -124,10 +124,10 @@ class TestPatternSymmetry:
         assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
         # the stored partner row conjugated, so row reads the region at its
         # partner's u, not its own: same moduli and areas
-        vertices = pmap.bounds.vertices.copy()
+        vertices = pmap.bounds.stored_vertices.copy()
         partner = 40 - row - pmap.bounds.mirrored
         vertices[partner] = vertices[partner].conj()
-        bounds = dataclasses.replace(pmap.bounds, vertices=vertices)
+        bounds = dataclasses.replace(pmap.bounds, stored_vertices=vertices)
         assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
 
     def test_not_applicable_without_mirrored_rows(self):
