@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import _row_blocks
-from .iams import PowerBoundsCurve, power_bounds, power_db
+from .geometry import _row_blocks, pad_rows
+from .iams import _PASS_BYTES, PowerBoundsCurve, power_bounds, power_db
 from .model import (
     ArrayScenario,
     check_integer,
@@ -69,14 +69,16 @@ _BYTE_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int:
     """An upper estimate of the bytes of a run's largest arrays.
 
-    The complex128 sectors and region array, each row N * (arc_points + 4)
-    vertices wide, the regions counted at every grid row (the mirror
-    stores about half of them), and the K + 1 and 2K + 1 ring maps: per
+    The complex128 sectors and one block of the region pass, each row
+    N * (arc_points + 4) vertices wide, the block _PASS_BYTES of regions or
+    one row where a row is wider; per grid row, the curve's nine float64
+    values (vertex count, modulus bounds, power bounds and their dB values,
+    nominal power and its dB value); and the K + 1 and 2K + 1 ring maps: per
     grid row and boundary, a float64 ring radius, its dB value and a
     probability.
     """
     width = n_elements * (arc_points + 4)
-    return 16 * (n_u + 1) * width + 24 * n_u * (3 * k_regions + 2)
+    return 32 * width + _PASS_BYTES + 8 * n_u * (9 + 3 * (3 * k_regions + 2))
 
 
 def _check_size(n_elements: int, fields: dict) -> None:
@@ -170,32 +172,70 @@ def _ring_blocks(grid, *columns):
         yield ([repr(u)] * k_regions, ks, *(c[:, i] for c in columns))
 
 
-def _curve(run: RunConfig) -> PowerBoundsCurve:
-    """The power bounds of the run's scenario on its uniform grid."""
-    return power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points)
+def _curve(run: RunConfig, ring_counts=(), sink=None) -> PowerBoundsCurve:
+    """The power bounds of the run's scenario on its uniform grid (power_bounds)."""
+    return power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points, ring_counts, sink)
+
+
+def _npy_header(fh, shape) -> int:
+    """Write np.save's header of a complex128 array of shape at the start of fh; its length."""
+    fh.seek(0)
+    descr = np.lib.format.dtype_to_descr(np.dtype(np.complex128))
+    np.lib.format.write_array_header_1_0(
+        fh, {"descr": descr, "fortran_order": False, "shape": shape}
+    )
+    return fh.tell()
+
+
+def _write_rows(fh, start: int, width: int, first: int, vertices) -> None:
+    """Write padded regions as rows first on of a width-wide array whose data starts at start."""
+    fh.seek(start + 16 * width * first)
+    fh.write(np.ascontiguousarray(pad_rows(vertices, width)))
+
+
+def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
+    """The run's curve, each block of regions written to polygons.npy as the pass sums it.
+
+    The rows go to their offsets in an array N * (arc_points + 4) vertices
+    wide, which no region exceeds.  Where the widest region is narrower,
+    the rows are then moved in place, in order, to that width, and the
+    file truncated: it holds the bytes np.save writes of the region array.
+    A failed pass removes the file.
+    """
+    width = run.scenario.n_elements * (run.arc_points + 4)
+    path = _out_path(run, "polygons.npy")
+    with open(path, "w+b") as fh:
+        try:
+            start = _npy_header(fh, (run.n_u, width))
+            curve = _curve(run, sink=lambda first, vs, n: _write_rows(fh, start, width, first, vs))
+            widest = int(curve.n_vertices.max())
+            if widest < width:  # no row moves onto one not yet read
+                moved = _npy_header(fh, (run.n_u, widest))
+                for block in _row_blocks(run.n_u, 16 * width, _PASS_BYTES):
+                    fh.seek(start + 16 * width * block.start)
+                    rows = np.frombuffer(fh.read(16 * width * (block.stop - block.start)),
+                                         dtype=np.complex128).reshape(-1, width)
+                    _write_rows(fh, moved, widest, block.start, rows[:, :widest])
+                fh.truncate()
+        except BaseException:
+            os.remove(path)
+            raise
+    return curve
 
 
 def cmd_bounds(run: RunConfig) -> int:
     """Write the power-pattern bounds CSV."""
-    curve = _curve(run)
+    curve = _dumped_curve(run) if run.dump_polygons else _curve(run)
     columns = (curve.grid.samples, curve.p_lo_db, curve.p_hi_db, curve.nominal_db,
                curve.modulus_lo, curve.modulus_hi, curve.n_vertices)
     header = "u,p_lo_db,p_hi_db,nominal_db,modulus_lo,modulus_hi,n_vertices"
     _write_csv(run, "bounds.csv", header, [columns])
-    if run.dump_polygons:  # the bytes np.save writes of every row's region, in row blocks
-        shape = (len(curve.grid), curve.stored_vertices.shape[1])
-        descr = np.lib.format.dtype_to_descr(curve.stored_vertices.dtype)
-        header = {"descr": descr, "fortran_order": False, "shape": shape}
-        with open(_out_path(run, "polygons.npy"), "wb") as fh:
-            np.lib.format.write_array_header_1_0(fh, header)
-            for block in _row_blocks(*shape):
-                curve.regions(block)[0].tofile(fh)
     return 0
 
 
 def cmd_pia(run: RunConfig) -> int:
     """Write the ring-probability CSV."""
-    pmap = probability_map(_curve(run), run.k_regions)
+    pmap = probability_map(_curve(run, (run.k_regions,)), run.k_regions)
     ring_db = pmap.region_power_db.T
     blocks = _ring_blocks(pmap.bounds.grid, ring_db[:-1], ring_db[1:], pmap.p)
     _write_csv(run, "pia.csv", "u,k,p_lo_db(k),p_hi_db(k),p_k", blocks)
@@ -204,7 +244,7 @@ def cmd_pia(run: RunConfig) -> int:
 
 def cmd_features(run: RunConfig) -> int:
     """Write the feature-report JSON."""
-    report = feature_report(probability_map(_curve(run), run.k_regions))
+    report = feature_report(probability_map(_curve(run, (run.k_regions,)), run.k_regions))
     sll = report.sll_intervals  # None: no sidelobe, written as null
     payload = {
         "k_regions": report.k_regions,
@@ -238,7 +278,7 @@ def cmd_features(run: RunConfig) -> int:
 
 def cmd_mc(run: RunConfig) -> int:
     """Write the Monte Carlo comparison CSVs."""
-    curve = _curve(run)
+    curve = _curve(run, (run.k_regions,))
     pmap = probability_map(curve, run.k_regions)
     report = run_mc(pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions)
     mc_min_db = power_db(report.per_u_min, curve.peak_power)
@@ -255,7 +295,9 @@ def cmd_mc(run: RunConfig) -> int:
 
 def cmd_validate(run: RunConfig) -> int:
     """Run the invariant suite."""
-    mc = run_mc(probability_map(_curve(run), run.k_regions), run.mc_samples, seed=run.seed)
+    # the suite's refinement check reads the 2K map from the same pass
+    curve = _curve(run, (run.k_regions, 2 * run.k_regions))
+    mc = run_mc(probability_map(curve, run.k_regions), run.mc_samples, seed=run.seed)
     results = run_validation(mc)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1

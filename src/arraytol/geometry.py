@@ -189,6 +189,19 @@ def _row_blocks(n_rows: int, row_size: int, size: int = _BLOCK_EDGES) -> list[sl
     return [slice(first, min(first + step, n_rows)) for first in range(0, n_rows, step)]
 
 
+def pad_rows(vertices: np.ndarray, width: int) -> np.ndarray:
+    """Padded regions widened to width columns by more repeats of each row's vertex 0.
+
+    Regions already width wide come back as they are, not copied.
+    """
+    if vertices.shape[1] == width:
+        return vertices
+    out = np.empty((len(vertices), width), dtype=vertices.dtype)
+    out[:, : vertices.shape[1]] = vertices
+    out[:, vertices.shape[1] :] = vertices[:, :1]
+    return out
+
+
 def rotated_minkowski_sums(
     vertices, n_vertices, angles
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,8 +9,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import modulus_bounds, polygonize_interval_phasors, rotated_minkowski_sums
-from .model import AngularGrid, ArrayScenario
+from .geometry import (
+    EPS_GEOM,
+    _row_blocks,
+    disc_polygon_areas,
+    modulus_bounds,
+    pad_rows,
+    polygonize_interval_phasors,
+    rotated_minkowski_sums,
+)
+from .model import AngularGrid, ArrayScenario, check_integer
 
 _TWO_PI = 2.0 * math.pi
 _ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
@@ -19,6 +27,14 @@ _ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
 # geometry represents: the ring areas take products of about modulus**4,
 # which stay normal doubles (1e-288 to 1e288) inside it.
 _MODULUS_RANGE = (1e-72, 1e72)
+
+# The region pass works on blocks of grid rows whose padded regions take
+# about this many bytes; one block's regions are all the pass holds.
+_PASS_BYTES = 1 << 20
+
+# Relative size, against the region's area, of a negative ring area that is
+# still taken for round-off and clipped to zero.
+_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,18 +45,20 @@ class PowerBoundsCurve:
     normalized so the nominal pattern peaks at 0 dB; a zero lower bound
     maps to -inf dB.  Every dB value is power_db of a linear power:
     nominal_db and peak_power are taken from nominal_power, the nominal
-    |AF|**2 at each direction.  stored_vertices holds the regions the bounds
-    were taken from, in the padded-row format of arraytol.geometry: grid row
-    i + mirrored in its row i, the rows before being mirror images that
-    regions() builds (interval_af_curve).  n_vertices covers the whole grid.
-    arc_points is the sector polygonization the regions were built with, and
-    allowance the rounding allowance their modulus bounds were widened by
-    (besides each row's welded length).
+    |AF|**2 at each direction.  The regions the bounds were taken from are
+    not kept: n_vertices holds their vertex counts, and regions() sums the
+    requested rows again from sectors, the (vertices, n_vertices) of
+    element_sectors.  arc_points is the sector polygonization, allowance the
+    rounding allowance the modulus bounds were widened by (besides each
+    row's welded length), mirrored the leading rows that are mirror images
+    (mirrored_rows), and rings the (p, degenerate) of each ring count the
+    region pass was asked for (interval_af_curve), which probability_map
+    reads.
     """
 
     scenario: ArrayScenario = field(repr=False)
     grid: AngularGrid
-    stored_vertices: np.ndarray = field(repr=False)
+    sectors: tuple[np.ndarray, np.ndarray] = field(repr=False)
     p_lo: np.ndarray = field(repr=False)
     p_hi: np.ndarray = field(repr=False)
     p_lo_db: np.ndarray = field(repr=False)
@@ -54,78 +72,161 @@ class PowerBoundsCurve:
     arc_points: int
     allowance: float
     mirrored: int
+    rings: dict = field(repr=False)
 
     def regions(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(vertices, n_vertices) of grid rows, a slice or an index array, padded as stored.
+        """(vertices, n_vertices) of grid rows, a slice or an index array, summed again.
 
-        Mirrored row i is the conjugate of row len(grid) - 1 - i, vertex 0
-        first and the rest in reverse order, so it stays counter-clockwise.
-        With nothing mirrored, a slice of rows gives a view of stored_vertices.
+        The rows are padded to the widest region of the grid, as
+        `bounds --dump-polygons` writes them.  Mirrored row i is the
+        mirror_image of the region summed at row len(grid) - 1 - i, as in
+        the region pass, so each row has the bits the pass had.
         """
-        if not self.mirrored:
-            return self.stored_vertices[rows], self.n_vertices[rows]
         row = np.arange(len(self.grid))[rows]
-        flip = (row < self.mirrored)[:, None]
-        n = self.n_vertices[row][:, None]
-        slot = np.arange(self.stored_vertices.shape[1])
-        order = np.where(flip, np.where(slot < n, (n - slot) % n, 0), slot)
-        source = np.where(flip[:, 0], len(self.grid) - 1 - row, row) - self.mirrored
-        vertices = self.stored_vertices[source[:, None], order]
-        return np.conjugate(vertices, out=vertices, where=flip), n[:, 0]
+        flip = row < self.mirrored
+        source = np.where(flip, len(self.grid) - 1 - row, row)
+        psi = steering_phases(self.scenario, self.grid.samples[source])
+        vertices, n_vertices, _ = rotated_minkowski_sums(*self.sectors, psi)
+        vertices = pad_rows(vertices, int(self.n_vertices.max()))
+        vertices[flip] = mirror_image(vertices[flip], n_vertices[flip])
+        return vertices, n_vertices
 
 
 def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
-    """Vectorized nominal array factor over a grid."""
-    amps = np.array([el.nominal_amplitude for el in scenario.elements])
-    phases = np.array([el.nominal_phase for el in scenario.elements])
-    # C order, since numpy's sum along axis 0 rounds by memory layout
-    steering = np.ascontiguousarray(steering_phases(scenario, grid.samples).T)
-    return (amps[:, None] * np.exp(1j * (phases[:, None] + steering))).sum(axis=0)
+    """The nominal array factor over a grid, summed element by element.
+
+    The elements are added in order, one grid-long term at a time, so no
+    (N, len(grid)) array is held; on a grid of two or more samples each sum
+    rounds as numpy's sum along the element axis does.
+    """
+    u, step = grid.samples, _TWO_PI * scenario.spacing
+    terms = (
+        el.nominal_amplitude * np.exp(1j * (el.nominal_phase + step * (u * n)))
+        for n, el in enumerate(scenario.elements)
+    )
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
 
 
 class IntervalRegions(NamedTuple):
-    """The regions of a grid and their modulus bounds, as interval_af_curve returns them."""
+    """The region pass over a grid, as interval_af_curve returns it; every array covers the grid."""
 
-    stored_vertices: np.ndarray  # only the rows from mirrored on; the rest cover the whole grid
     n_vertices: np.ndarray
     modulus_lo: np.ndarray
     modulus_hi: np.ndarray
     allowance: float  # the rounding_allowance the modulus bounds are widened by
-    mirrored: int  # leading rows that are mirror images, not stored (mirrored_rows)
+    mirrored: int  # leading rows that are mirror images, not summed (mirrored_rows)
+    sectors: tuple[np.ndarray, np.ndarray]  # element_sectors, which the regions sum
+    rings: dict  # ring count K: ((K, len(grid)) ring probabilities, degenerate flags)
 
 
 def interval_af_curve(
-    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
+    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8, ring_counts=(), sink=None
 ) -> IntervalRegions:
-    """Array-factor regions at every grid sample, with their modulus bounds.
+    """The region pass: array-factor regions at every grid sample, reduced as they are summed.
 
     Each element's sector is polygonized once; at direction u it is that
     polygon rotated by the steering phase 2*pi*spacing*n*u, and the region,
-    their Minkowski sum, contains the nominal array factor.  One batched
-    Minkowski sum covers the whole grid and returns its regions in the
-    padded-row format.  The modulus bounds are widened by the
-    rounding_allowance of the sectors, which checks their sector_reach
-    before the sum, and each row's by the length of the steps its
-    normalization welded, which bounds how far the weld moved the
-    region's boundary.  Where mirrored_rows finds the mirror symmetry,
-    only the rows from u = 0 on are summed, bounded and stored; each row at
-    -u is the conjugate of the row at u and copies its count and bounds.
+    their Minkowski sum, contains the nominal array factor.  The grid's
+    rows are summed in blocks of about _PASS_BYTES of regions, and each
+    block is reduced before the next is summed: its modulus bounds, widened
+    by the rounding_allowance of the sectors, which checks their
+    sector_reach before the sum, and each row's by the length of the steps
+    its normalization welded, which bounds how far the weld moved the
+    region's boundary; the ring probabilities of each ring count in
+    ring_counts; and, when sink is given, sink(first, vertices, n_vertices)
+    with the block's regions in the padded-row format, the grid rows from
+    first on.  Then the block is dropped, so no array of every region is
+    ever held.  Where mirrored_rows finds the mirror symmetry, only the rows
+    from u = 0 on are summed; each row at -u copies the count, bounds and
+    ring probabilities of the row at u, and sink gets its region as the
+    mirror_image of the one at u, after the block it comes from.
     """
-    sectors, sector_counts = element_sectors(scenario, arc_points)
-    slack = rounding_allowance(sectors)
+    for k_regions in ring_counts:
+        check_integer("k_regions", k_regions, 1)
+    sectors = element_sectors(scenario, arc_points)
+    slack = rounding_allowance(sectors[0])
     mirrored = mirrored_rows(scenario, grid)
     psi = steering_phases(scenario, grid.samples[mirrored:])
-    vertices, n_vertices, welded = rotated_minkowski_sums(sectors, sector_counts, psi)
-    lo, hi = modulus_bounds(vertices, n_vertices)
-    reach = slack + welded
+    rows = len(psi)
+    n_vertices = np.empty(rows, dtype=np.int64)
+    lo, hi = np.empty(rows), np.empty(rows)
+    # C order, since numpy's sums along the grid round by memory layout
+    rings = {k: (np.empty((k, rows)), np.empty(rows, dtype=bool)) for k in ring_counts}
+    for block in _row_blocks(rows, 16 * int(sectors[1].sum()), _PASS_BYTES):
+        vertices, n_vertices[block], welded = rotated_minkowski_sums(*sectors, psi[block])
+        n = n_vertices[block]
+        block_lo, block_hi = modulus_bounds(vertices, n)
+        reach = slack + welded
+        lo[block], hi[block] = np.maximum(block_lo - reach, 0.0), block_hi + reach
+        if rings:  # every ring count in one ring-area call
+            radii = [_ring_radii(lo[block], hi[block], k_regions) for k_regions in rings]
+            for (p, degenerate), (block_p, no_area) in zip(
+                rings.values(), _ring_probabilities(radii, vertices, n)
+            ):
+                p[:, block], degenerate[block] = block_p, no_area
+        if sink is not None:
+            sink(mirrored + block.start, vertices, n)
+            # the image of summed row s (grid row mirrored + s) is grid row
+            # len(grid) - 1 - mirrored - s, where that row is mirrored
+            first = max(0, len(grid) - 2 * mirrored - block.start)
+            if first < len(n):
+                image_n = n[first:][::-1]
+                image = mirror_image(vertices[first:][::-1], image_n)
+                sink(len(grid) - mirrored - block.stop, image, image_n)
+        del vertices  # so the next block's sum does not hold it too
     return IntervalRegions(
-        vertices,
         unfold_mirror(n_vertices, mirrored),
-        unfold_mirror(np.maximum(lo - reach, 0.0), mirrored),
-        unfold_mirror(hi + reach, mirrored),
+        unfold_mirror(lo, mirrored),
+        unfold_mirror(hi, mirrored),
         slack,
         mirrored,
+        sectors,
+        {k: tuple(unfold_mirror(a, mirrored) for a in ring) for k, ring in rings.items()},
     )
+
+
+def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
+    """K+1 radii splitting [modulus_lo, modulus_hi] uniformly, along a new last axis."""
+    lo, hi = np.asarray(modulus_lo)[..., None], np.asarray(modulus_hi)[..., None]
+    radii = lo + (hi - lo) / k_regions * np.arange(k_regions + 1)
+    radii[..., :1], radii[..., -1:] = lo, hi  # the outer boundaries are the bounds, bit for bit
+    return radii
+
+
+def _ring_probabilities(radii, vertices, n_vertices) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For each (rows, K+1) array in radii, the padded regions' (K, rows) ring probabilities.
+
+    Each comes with which regions have no area.  One disc_polygon_areas
+    call takes every radius; a region's area at a radius does not depend
+    on the other radii of its row.  Row i's radii run from one within
+    every edge's distance from the origin to one that encloses every
+    vertex, as the modulus bounds do, so disc_polygon_areas takes its
+    closed forms there: 0 for the first disc and the region's area for the
+    last.
+    """
+    covered = disc_polygon_areas(np.concatenate(radii, axis=1), vertices, n_vertices)
+    if not np.isfinite(covered).all():
+        raise ValidationError("ring areas overflow double precision; scale the amplitudes down")
+    probabilities = []
+    ends = np.cumsum([r.shape[1] for r in radii])[:-1]
+    for ring_radii, areas in zip(radii, np.split(covered, ends, axis=1)):
+        total = areas[:, -1]
+        rings = np.diff(areas, axis=1)
+        live = total > (EPS_GEOM * ring_radii[:, -1]) ** 2  # relative to the enclosing disc
+        bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValidationError(
+                f"ring areas {rings[i].tolist()} of a region with area {total[i]} "
+                "are negative beyond round-off"
+            )
+        rings = np.where(live[:, None], np.maximum(rings, 0.0), 0.0)
+        rings[~live, 0] = 1.0  # a region with no area puts all probability in the first ring
+        probabilities.append(((rings / rings.sum(axis=1, keepdims=True)).T, ~live))
+    return probabilities
 
 
 def mirrored_rows(scenario: ArrayScenario, grid: AngularGrid) -> int:
@@ -140,6 +241,17 @@ def mirrored_rows(scenario: ArrayScenario, grid: AngularGrid) -> int:
     u = grid.samples
     symmetric = all(e.phase_lo == -e.phase_hi for e in scenario.elements)
     return len(u) // 2 if symmetric and np.array_equal(u, -u[::-1]) else 0
+
+
+def mirror_image(vertices: np.ndarray, n_vertices: np.ndarray) -> np.ndarray:
+    """The conjugate of each padded region: its vertex 0 first, then the rest in reverse order.
+
+    So the image stays counter-clockwise and keeps the padded-row format.
+    """
+    n = np.asarray(n_vertices)[:, None]
+    slot = np.arange(vertices.shape[1])
+    image = np.take_along_axis(vertices, np.where(slot < n, (n - slot) % n, 0), axis=1)
+    return np.conjugate(image, out=image)
 
 
 def unfold_mirror(values: np.ndarray, mirrored: int) -> np.ndarray:
@@ -210,15 +322,18 @@ def power_db(power, peak_power: float):
 
 
 def power_bounds(
-    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8
+    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8, ring_counts=(), sink=None
 ) -> PowerBoundsCurve:
     """Inclusive power-pattern bounds over a grid, in linear power and dB.
 
-    A sector_reach outside _MODULUS_RANGE raises ValidationError before
-    any region is built; inside it the power bounds, and the nominal peak
-    they contain, are finite.
+    One region pass (interval_af_curve) takes the bounds and the ring
+    probabilities of each count in ring_counts, which probability_map then
+    reads, and hands each block of regions to sink.  A sector_reach outside
+    _MODULUS_RANGE raises ValidationError before any region is built;
+    inside it the power bounds, and the nominal peak they contain, are
+    finite.
     """
-    regions = interval_af_curve(scenario, grid, arc_points)
+    regions = interval_af_curve(scenario, grid, arc_points, ring_counts, sink)
     p_lo = regions.modulus_lo**2
     p_hi = regions.modulus_hi**2
     # the full grid: a nominal phase inside a symmetric interval need not be 0
@@ -229,7 +344,7 @@ def power_bounds(
     return PowerBoundsCurve(
         scenario=scenario,
         grid=grid,
-        stored_vertices=regions.stored_vertices,
+        sectors=regions.sectors,
         p_lo=p_lo,
         p_hi=p_hi,
         p_lo_db=power_db(p_lo, peak_power),
@@ -243,4 +358,5 @@ def power_bounds(
         arc_points=arc_points,
         allowance=regions.allowance,
         mirrored=regions.mirrored,
+        rings=regions.rings,
     )

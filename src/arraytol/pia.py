@@ -13,13 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import EPS_GEOM, disc_polygon_areas
-from .iams import PowerBoundsCurve, power_db, unfold_mirror
+from .iams import PowerBoundsCurve, _ring_radii, power_db
 from .model import check_integer
-
-# Relative size, against the region's area, of a negative ring area that is
-# still taken for round-off and clipped to zero.
-_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,54 +55,23 @@ class FeatureReport:
     degenerate: bool = False
 
 
-def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
-    """K+1 radii splitting [modulus_lo, modulus_hi] uniformly, along a new last axis."""
-    lo, hi = np.asarray(modulus_lo)[..., None], np.asarray(modulus_hi)[..., None]
-    radii = lo + (hi - lo) / k_regions * np.arange(k_regions + 1)
-    radii[..., :1], radii[..., -1:] = lo, hi  # the outer boundaries are the bounds, bit for bit
-    return radii
-
-
-def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
-    """(K, rows) ring probabilities of padded regions, and which regions have no area.
-
-    Row i's radii run from one within every edge's distance from the
-    origin to one that encloses every vertex, as the modulus bounds do, so
-    disc_polygon_areas takes its closed forms there: 0 for the first disc
-    and the region's area for the last.
-    """
-    covered = disc_polygon_areas(radii, vertices, n_vertices)
-    if not np.isfinite(covered).all():
-        raise ValidationError("ring areas overflow double precision; scale the amplitudes down")
-    total = covered[:, -1]
-    rings = np.diff(covered, axis=1)
-    live = total > (EPS_GEOM * radii[:, -1]) ** 2  # relative to the enclosing disc
-    bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValidationError(
-            f"ring areas {rings[i].tolist()} of a region with area {total[i]} "
-            "are negative beyond round-off"
-        )
-    rings = np.where(live[:, None], np.maximum(rings, 0.0), 0.0)
-    rings[~live, 0] = 1.0  # a region with no area puts all probability in the first ring
-    # C order, since numpy's sums along the grid round by memory layout
-    return np.ascontiguousarray((rings / rings.sum(axis=1, keepdims=True)).T), ~live
-
-
 def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
     """Ring partitions and occupancy probabilities at every grid sample.
 
     The rings split each direction's modulus bounds; grid, regions and peak
-    power are those of bounds, which the map keeps.  The ring areas are
-    taken only for the rows bounds computed; its mirrored rows copy the
-    probabilities of their mirror images.
+    power are those of bounds, which the map keeps.  The probabilities are
+    the ones the region pass of bounds took for k_regions rings; a ring
+    count it was not asked for (power_bounds' ring_counts) raises
+    ValidationError, since the regions are no longer held.
     """
     check_integer("k_regions", k_regions, 1)
+    if k_regions not in bounds.rings:
+        raise ValidationError(
+            f"the bounds hold ring probabilities for {sorted(bounds.rings)} rings, not "
+            f"{k_regions}; pass ring_counts=({k_regions},) to power_bounds"
+        )
+    p, degenerate = bounds.rings[k_regions]
     ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, k_regions)
-    m = bounds.mirrored
-    p, degenerate = _ring_probabilities(ring_radii[m:], bounds.stored_vertices, bounds.n_vertices[m:])
-    p, degenerate = unfold_mirror(p, m), unfold_mirror(degenerate, m)
     return ProbabilityMap(
         bounds=bounds,
         k_regions=k_regions,

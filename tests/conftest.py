@@ -37,9 +37,12 @@ def grid501():
 
 @pytest.fixture(scope="session")
 def taylor16_analysis(taylor16_scenario, grid501):
-    """Full pipeline on the 501-sample grid, with the K=5 path timed end to end."""
+    """Full pipeline on the 501-sample grid, timed end to end through the K=5 means.
+
+    The one region pass takes the K=5 and K=10 ring probabilities.
+    """
     t0 = time.perf_counter()
-    bounds = power_bounds(taylor16_scenario, grid501, arc_points=8)
+    bounds = power_bounds(taylor16_scenario, grid501, arc_points=8, ring_counts=(5, 10))
     pmap5 = probability_map(bounds, 5)
     means5 = mean_probabilities(pmap5)
     k5_seconds = time.perf_counter() - t0

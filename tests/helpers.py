@@ -9,12 +9,14 @@ excitation draws), so agreement is evidence rather than tautology.
 The package keeps polygons only as padded arrays (arraytol.geometry).  The
 one-row calls here run its batched kernels on a single polygon, given and
 returned as a 1-D array of its counter-clockwise vertices; direction_region
-reads one direction's region from the package's batched curve.
+takes one direction's region from the package's region pass.
 """
 
 from __future__ import annotations
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -28,7 +30,7 @@ from arraytol.geometry import (
     polygonize_interval_phasors,
     rotated_minkowski_sums,
 )
-from arraytol.pia import _ring_probabilities
+from arraytol.iams import _ring_probabilities
 
 
 def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.ndarray:
@@ -58,10 +60,31 @@ def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.nda
     return g / g.max()
 
 
+def workload_config(name: str) -> dict:
+    """The seed-0 config of a perfbench workload, from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return runpy.run_path(str(path))["WORKLOADS"][name].config(0)
+
+
+def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
+    """(regions, pass): each grid row's region as the region pass hands it to its sink.
+
+    regions[i] is row i's unpadded vertex array; pass is the IntervalRegions
+    interval_af_curve returns.
+    """
+    regions = [None] * len(grid)
+
+    def sink(first, vertices, n_vertices):
+        for i, (row, n) in enumerate(zip(vertices, n_vertices, strict=True)):
+            regions[first + i] = row[:n]
+
+    return regions, interval_af_curve(scenario, grid, arc_points, ring_counts, sink)
+
+
 def direction_region(scenario, u: float, arc_points: int = 8):
-    """(region, modulus_lo, modulus_hi) at one direction: row 0 of a one-sample curve."""
-    r = interval_af_curve(scenario, AngularGrid([u]), arc_points)
-    return r.stored_vertices[0, : r.n_vertices[0]], float(r.modulus_lo[0]), float(r.modulus_hi[0])
+    """(region, modulus_lo, modulus_hi) at one direction: the region pass over a one-sample grid."""
+    (region,), r = pass_regions(scenario, AngularGrid([u]), arc_points)
+    return region, float(r.modulus_lo[0]), float(r.modulus_hi[0])
 
 
 def nominal_af(scenario, u: float) -> complex:
@@ -145,7 +168,9 @@ def disc_polygon_intersection_area(r: float, poly) -> float:
 
 def region_probabilities(region, radii) -> np.ndarray:
     """Ring probabilities of one region between consecutive radii: a one-row map kernel."""
-    p, _ = _ring_probabilities(np.asarray(radii)[None], np.asarray(region)[None], [len(region)])
+    ((p, _),) = _ring_probabilities(
+        [np.asarray(radii)[None]], np.asarray(region)[None], [len(region)]
+    )
     return p[:, 0]
 
 

@@ -224,7 +224,7 @@ class TestCriterion7Properties:
             spacing=taylor16_scenario.spacing,
         )
         grid = uniform_grid(201)
-        bounds = power_bounds(collapsed, grid)
+        bounds = power_bounds(collapsed, grid, ring_counts=(5,))
         nominal_power = bounds.nominal_power
         assert np.allclose(bounds.p_lo, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
         assert np.allclose(bounds.p_hi, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
@@ -248,7 +248,7 @@ class TestSmokeSweeps:
             [(float(a), 0.0) for a in amps], 0.01, math.radians(gamma_deg), 0.5
         )
         grid = uniform_grid(151)
-        bounds = power_bounds(scen, grid)
+        bounds = power_bounds(scen, grid, ring_counts=(5,))
         pmap = probability_map(bounds, 5)
         rep = feature_report(pmap)
 
@@ -278,7 +278,7 @@ class TestSmokeSweeps:
             [(float(a), 0.0) for a in amps], 0.01, math.radians(3.0), 0.5
         )
         grid = uniform_grid(101)
-        bounds = power_bounds(scen, grid, arc_points=6)
+        bounds = power_bounds(scen, grid, arc_points=6, ring_counts=(5,))
         pmap = probability_map(bounds, 5)
         rep = feature_report(pmap)
 

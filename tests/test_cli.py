@@ -18,9 +18,11 @@ from arraytol import (
     scenario_from_config,
     uniform_grid,
 )
+from arraytol import cli, iams
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
-from helpers import taylor_taper
+from arraytol.iams import _PASS_BYTES
+from helpers import taylor_taper, workload_config
 
 
 def _write_config(path, **overrides):
@@ -116,6 +118,45 @@ class TestBoundsCommand:
         payload = json.loads(cfg.read_text())
         curve = power_bounds(scenario_from_config(payload), uniform_grid(21), payload["arc_points"])
         assert dump.tobytes() == curve.regions()[0].tobytes()
+
+
+class TestRegionPass:
+    """The region pass's results and polygon dump do not depend on its block size."""
+
+    @pytest.mark.parametrize("workload", ["taylor16", "steered64"])  # mirrored, direct
+    def test_block_size_changes_no_bit(self, workload, tmp_path, monkeypatch):
+        config = workload_config(workload)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        scen, grid = scenario_from_config(config), uniform_grid(config["n_u"])
+        k_regions = config["k_regions"]
+        runs = []
+        # the whole grid, or one block, against blocks of a few rows
+        for pass_bytes in (_PASS_BYTES, _PASS_BYTES // 37):
+            monkeypatch.setattr(iams, "_PASS_BYTES", pass_bytes)
+            monkeypatch.setattr(cli, "_PASS_BYTES", pass_bytes)
+            out = tmp_path / str(pass_bytes)
+            assert main(["bounds", "--config", str(cfg), "--out", str(out), "--dump-polygons"]) == 0
+            blocks = []
+            curve = power_bounds(
+                scen, grid, config["arc_points"], ring_counts=(k_regions, 2 * k_regions),
+                sink=lambda first, vertices, n: blocks.append(first),
+            )
+            runs.append((curve, (out / "polygons.npy").read_bytes(), len(blocks)))
+        (one, one_dump, one_blocks), (few, few_dump, few_blocks) = runs
+        assert few_blocks > 2 * one_blocks
+        for name in ("n_vertices", "modulus_lo", "modulus_hi"):
+            assert getattr(one, name).tobytes() == getattr(few, name).tobytes(), name
+        for k in (k_regions, 2 * k_regions):
+            for a, b in zip(one.rings[k], few.rings[k], strict=True):
+                assert a.tobytes() == b.tobytes()
+        assert one_dump == few_dump
+        # the dump holds the regions regions() sums again, byte for byte
+        dump = np.load(tmp_path / str(_PASS_BYTES) / "polygons.npy")
+        assert dump.shape == (len(grid), one.n_vertices.max())
+        assert few.regions()[0].tobytes() == dump.tobytes()
+        rows = [len(grid) - 1, 0, len(grid) // 2, 7]
+        assert few.regions(rows)[0].tobytes() == dump[rows].tobytes()
 
 
 def _vertex_counts(bounds_csv) -> list[int]:
@@ -314,7 +355,7 @@ class TestNumberFormat:
         scen = scenario_from_config(cfg)
         grid = uniform_grid(cfg["n_u"])
         k_regions = cfg["k_regions"]
-        curve = power_bounds(scen, grid, cfg["arc_points"])
+        curve = power_bounds(scen, grid, cfg["arc_points"], ring_counts=(k_regions,))
         pmap = probability_map(curve, k_regions)
         mc = run_mc(pmap, 500, seed=cfg["seed"], probe_directions=probes)
 
@@ -464,24 +505,27 @@ class TestComputeOnce:
         from arraytol.validate import run_validation
 
         scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
-        mc = run_mc(probability_map(power_bounds(scen, uniform_grid(41), 6), 5), 500)
+        bounds = power_bounds(scen, uniform_grid(41), 6, ring_counts=(5, 10))
+        mc = run_mc(probability_map(bounds, 5), 500)
         for seen in calls.values():
             seen.clear()
         run_validation(mc)
         # the mirrored rows summed directly and the zero-tolerance collapse's
-        # curve, then the 2K map and the collapse's map
+        # curve, then the 2K map and the collapse's map; the regions of the
+        # mirrored rows and of the oracle rows are summed again
         curves, maps = calls["interval_af_curve"], calls["probability_map"]
         assert (len(curves), len(maps), len(calls["run_mc"])) == (2, 2, 0)
-        assert len(calls["rotated_minkowski_sums"]) == 2
+        assert len(calls["rotated_minkowski_sums"]) == 4
         assert curves[0] is scen and curves[1] is not scen
         assert maps[0] is mc.pmap.bounds and maps[1] is not mc.pmap.bounds
 
         for seen in calls.values():
             seen.clear()
         assert main(["validate", "--config", str(config_path), "--mc-samples", "500"]) == 0
-        # the command's own curve and MC, then the suite's direct rows and collapse
+        # the command's own curve and MC, then the suite's direct rows and
+        # collapse, and its two sets of regions summed again
         assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (3, 1)
-        assert len(calls["rotated_minkowski_sums"]) == 3
+        assert len(calls["rotated_minkowski_sums"]) == 5
 
     def test_pia_builds_no_polygon_per_direction(self, calls, config_path, tmp_path):
         assert main(["pia", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
@@ -759,15 +803,24 @@ class TestSizeBudget:
             "xi_percent": 2.0,
             "gamma_deg": 4.0,
         })
-        k_regions, n_u, arc_points = 5, 41, 6
-        curve = power_bounds(scen, uniform_grid(n_u), arc_points)
-        assert curve.mirrored == (20 if steer == 0.0 else 0)
-        held = curve.stored_vertices.nbytes + 16 * scen.n_elements * (arc_points + 4)
+        # enough rows for the region pass to take several blocks
+        k_regions, n_u, arc_points = 5, 4001, 6
+        blocks = []
+        curve = power_bounds(
+            scen, uniform_grid(n_u), arc_points, ring_counts=(k_regions, 2 * k_regions),
+            sink=lambda first, vertices, n: blocks.append(vertices.nbytes),
+        )
+        assert curve.mirrored == (2000 if steer == 0.0 else 0)
+        assert len(blocks) > 2
+        held = max(blocks) + curve.sectors[0].nbytes
+        for name in ("n_vertices", "modulus_lo", "modulus_hi", "p_lo", "p_hi", "p_lo_db",
+                     "p_hi_db", "nominal_db", "nominal_power"):
+            held += getattr(curve, name).nbytes
         for k in (k_regions, 2 * k_regions):
             pmap = probability_map(curve, k)
             held += pmap.ring_radii.nbytes + pmap.region_power_db.nbytes + pmap.p.nbytes
         estimate = run_bytes(scen.n_elements, k_regions, n_u, arc_points)
-        assert estimate == 16 * 42 * 60 + 24 * 41 * 17
+        assert estimate == 32 * 60 + _PASS_BYTES + 8 * 4001 * 60
         assert held <= estimate <= 2.2 * held
 
     @pytest.mark.parametrize("key, flag", [("k_regions", "--k"), ("n_u", "--nu"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
+from arraytol import iams
 from arraytol.iams import element_sectors, rounding_allowance
 
 from helpers import (
@@ -29,6 +31,7 @@ from helpers import (
     minkowski_sum_many,
     nominal_af,
     normalized_rows,
+    pass_regions,
     polygonize_interval_phasor,
     taylor_taper,
 )
@@ -148,7 +151,7 @@ class TestIntervalAf:
             )
         rng = np.random.default_rng(4)
         us = np.unique(np.concatenate(([-1.0, -0.5, 0.0, 0.5, 1.0], rng.uniform(-1, 1, 20))))
-        vertices, n_vertices, modulus_lo, modulus_hi, _, mirrored = interval_af_curve(
+        regions, (n_vertices, modulus_lo, modulus_hi, _, mirrored, *_) = pass_regions(
             scen, AngularGrid(us), arc_points=8
         )
         assert mirrored == 0  # the random directions are not a mirror grid
@@ -161,8 +164,8 @@ class TestIntervalAf:
                     el.amplitude_lo, el.amplitude_hi, el.phase_lo + psi, el.phase_hi + psi, 8
                 ))
             ref_region = minkowski_sum_many(sectors)
-            got = vertices[i, : n_vertices[i]]
-            assert got.size == len(ref_region)
+            got = regions[i]
+            assert got.size == n_vertices[i] == len(ref_region)
             # the start vertex may differ by one where an edge angle sits on
             # the 0 / 2*pi fold, so align the rings before comparing
             ref = np.roll(ref_region, -int(np.argmin(np.abs(ref_region - got[0]))))
@@ -418,20 +421,21 @@ class TestMirror:
 
     @staticmethod
     def _assert_mirrored_rows_match_direct(scen, grid, rows, k_regions=5):
-        bounds = power_bounds(scen, grid)
+        bounds = power_bounds(scen, grid, ring_counts=(k_regions,))
         pmap = probability_map(bounds, k_regions)
         assert bounds.mirrored == len(grid) // 2
         assert all(i < bounds.mirrored for i in rows)
-        direct = power_bounds(scen, AngularGrid(grid.samples[rows]))
+        direct = power_bounds(scen, AngularGrid(grid.samples[rows]), ring_counts=(k_regions,))
         assert direct.mirrored == 0
         direct_p = probability_map(direct, k_regions).p
         scale = float(bounds.modulus_hi.max())
         vertices, counts = bounds.regions(rows)
         assert np.array_equal(counts, bounds.n_vertices[rows])
+        refs, _ = direct.regions()
         for j, (row, n) in enumerate(zip(vertices, counts, strict=True)):
             got = row[:n]
             assert np.all(row[n:] == got[0])
-            ref = direct.stored_vertices[j, : direct.n_vertices[j]]
+            ref = refs[j, : direct.n_vertices[j]]
             assert boundary_distance(got, ref) <= 1e-12 * scale
         assert np.abs(bounds.modulus_lo[rows] - direct.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(bounds.modulus_hi[rows] - direct.modulus_hi).max() <= 1e-12 * scale
@@ -457,49 +461,61 @@ class TestMirror:
         )
 
     @pytest.mark.parametrize("n_u", [40, 41])
-    def test_mirrored_rows_are_stored_once(self, small_scenario, n_u):
+    def test_mirrored_rows_are_summed_once(self, small_scenario, n_u, monkeypatch):
+        summed = []
+        minkowski = iams.rotated_minkowski_sums
+        monkeypatch.setattr(
+            iams, "rotated_minkowski_sums", lambda *a: summed.append(len(a[2])) or minkowski(*a)
+        )
+        regions, _ = pass_regions(small_scenario, uniform_grid(n_u))
         curve = power_bounds(small_scenario, uniform_grid(n_u))
         m = curve.mirrored
         assert m == n_u // 2
-        assert len(curve.stored_vertices) == len(curve.grid) - m
+        assert summed == [n_u - m] * 2
         assert len(curve.n_vertices) == n_u
-        # no field is named as if it held every grid row: reading one fails loudly
-        assert not hasattr(curve, "vertices")
-        assert not hasattr(interval_af_curve(small_scenario, curve.grid), "vertices")
+        # no field holds regions: reading one fails loudly
+        for name in ("vertices", "stored_vertices"):
+            assert not hasattr(curve, name)
+            assert not hasattr(interval_af_curve(small_scenario, curve.grid), name)
         vertices, n_vertices = curve.regions()
-        assert vertices.shape == (n_u, curve.stored_vertices.shape[1])
+        assert vertices.shape == (n_u, curve.n_vertices.max())
         assert np.array_equal(n_vertices, curve.n_vertices)
-        # the stored rows come back as they are
-        assert vertices[m:].tobytes() == curve.stored_vertices.tobytes()
+        # the summed rows come back as the pass had them
+        for i in range(m, n_u):
+            n = n_vertices[i]
+            assert vertices[i, :n].tobytes() == regions[i].tobytes()
+            assert np.all(vertices[i, n:] == vertices[i, 0])
         # row i < m is the conjugate of row n_u - 1 - i, vertex 0 first and
-        # the rest in reverse order, padded with its vertex 0
+        # the rest in reverse order, padded with its vertex 0, as the pass hands it on
         for i in range(m):
-            source = curve.stored_vertices[n_u - 1 - i - m]
+            source = regions[n_u - 1 - i]
             n = curve.n_vertices[n_u - 1 - i]
             image = np.concatenate((source[:1], source[1:n][::-1])).conj()
             padded = np.concatenate((image, np.full(vertices.shape[1] - n, image[0])))
             assert curve.n_vertices[i] == n
             assert vertices[i].tobytes() == padded.tobytes()
+            assert regions[i].tobytes() == image.tobytes()
         # any rows, in any order
         rows = [n_u - 1, 0, m, 3]
         some, counts = curve.regions(rows)
         assert some.tobytes() == vertices[rows].tobytes()
         assert np.array_equal(counts, n_vertices[rows])
 
-    def test_unmirrored_regions_are_a_view(self, small_scenario):
+    def test_unmirrored_regions_are_the_pass_rows(self, small_scenario):
         el = small_scenario.elements[0]
         nudged = _with_element(small_scenario, 0, phase_hi=math.nextafter(el.phase_hi, 1.0))
+        regions, _ = pass_regions(nudged, uniform_grid(41))
         curve = power_bounds(nudged, uniform_grid(41))
         assert curve.mirrored == 0
-        assert len(curve.stored_vertices) == 41
         vertices, n_vertices = curve.regions()
-        assert np.shares_memory(vertices, curve.stored_vertices)
-        assert vertices.tobytes() == curve.stored_vertices.tobytes()
-        assert np.shares_memory(curve.regions(slice(3, 9))[0], curve.stored_vertices)
         assert np.array_equal(n_vertices, curve.n_vertices)
+        for row, n, region in zip(vertices, n_vertices, regions, strict=True):
+            assert row[:n].tobytes() == region.tobytes()
+            assert np.all(row[n:] == row[0])
+        assert curve.regions(slice(3, 9))[0].tobytes() == vertices[3:9].tobytes()
 
     def test_mirrored_rows_copy_their_images(self, small_scenario):
-        bounds = power_bounds(small_scenario, uniform_grid(41))
+        bounds = power_bounds(small_scenario, uniform_grid(41), ring_counts=(4,))
         pmap = probability_map(bounds, 4)
         for values in (bounds.modulus_lo, bounds.modulus_hi, bounds.n_vertices, pmap.degenerate):
             assert np.array_equal(values, values[::-1])
@@ -512,10 +528,11 @@ class TestMirror:
         nudged = _with_element(small_scenario, 0, phase_hi=math.nextafter(el.phase_hi, 1.0))
         mirrored, direct = power_bounds(small_scenario, grid), power_bounds(nudged, grid)
         assert mirrored.mirrored == 20 and direct.mirrored == 0
+        vertices, _ = direct.regions()
         for i, u in enumerate(grid.samples.tolist()):
             region, _, _ = direction_region(nudged, u)
             n = direct.n_vertices[i]
-            assert direct.stored_vertices[i, :n].tobytes() == region.tobytes()
+            assert vertices[i, :n].tobytes() == region.tobytes()
         scale = mirrored.modulus_hi.max()
         assert np.abs(direct.modulus_lo - mirrored.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(direct.modulus_hi - mirrored.modulus_hi).max() <= 1e-12 * scale
@@ -543,10 +560,11 @@ class TestMirror:
         assert not np.array_equal(grid.samples, -grid.samples[::-1])
         curve = power_bounds(small_scenario, grid)
         assert curve.mirrored == 0
+        vertices, _ = curve.regions()
         for i, u in enumerate(grid.samples.tolist()):
             region, modulus_lo, modulus_hi = direction_region(small_scenario, u)
             n = curve.n_vertices[i]
-            assert curve.stored_vertices[i, :n].tobytes() == region.tobytes()
+            assert vertices[i, :n].tobytes() == region.tobytes()
             assert (curve.modulus_lo[i], curve.modulus_hi[i]) == (modulus_lo, modulus_hi)
 
     def test_any_antisymmetric_grid_mirrors(self, small_scenario):
@@ -557,6 +575,31 @@ class TestMirror:
         curve = power_bounds(small_scenario, uniform_grid(11), arc_points=6)
         assert curve.arc_points == 6
         assert curve.allowance == rounding_allowance(element_sectors(small_scenario, 6)[0])
+
+
+class TestRegionPass:
+    def test_pass_holds_one_block_of_regions(self):
+        # steered 64 elements: no mirror, and 768 vertices per region, so the
+        # 501 regions of the grid would take 501 * 768 * 16 bytes at once
+        scen, grid = _steered_asymmetric_scenario(64, seed=3), uniform_grid(501)
+        assert int(element_sectors(scen)[1].sum()) == 768
+        tracemalloc.start()
+        try:
+            curve = power_bounds(scen, grid, ring_counts=(5,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.mirrored == 0 and curve.n_vertices.max() == 768
+        assert peak < 501 * 768 * 16 / 2
+
+    def test_a_ring_count_not_asked_for_raises(self, small_scenario):
+        curve = power_bounds(small_scenario, uniform_grid(11), ring_counts=(3, 5, 3))
+        assert sorted(curve.rings) == [3, 5]
+        assert probability_map(curve, 5).p.shape == (5, 11)
+        with pytest.raises(ValidationError, match=r"ring_counts=\(4,\)"):
+            probability_map(curve, 4)
+        with pytest.raises(ValidationError, match="integer"):
+            power_bounds(small_scenario, uniform_grid(11), ring_counts=(0,))
 
 
 class TestPowerDb:

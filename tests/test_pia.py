@@ -20,9 +20,10 @@ from arraytol import (
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol import pia
+from arraytol import iams
 from arraytol.geometry import _BLOCK_EDGES, disc_polygon_areas
-from arraytol.pia import _ring_radii, mainlobe_indices
+from arraytol.iams import _ring_radii
+from arraytol.pia import mainlobe_indices
 
 from helpers import (
     boundary_distance,
@@ -32,6 +33,7 @@ from helpers import (
     distance_bounds_to_origin,
     random_convex_vertices,
     region_probabilities,
+    workload_config,
 )
 
 
@@ -95,7 +97,7 @@ class TestRegionProbabilities:
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         radii = _ring_radii(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia,
+            iams,
             "disc_polygon_areas",
             lambda radii, poly, n_vertices: np.array([[0.0, 0.6, 0.4, 1.0]]),
         )
@@ -106,7 +108,7 @@ class TestRegionProbabilities:
         p = convex_polygon([1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j])
         radii = _ring_radii(1.0, math.sqrt(5.0), 3)
         monkeypatch.setattr(
-            pia,
+            iams,
             "disc_polygon_areas",
             lambda radii, poly, n_vertices: np.array([[0.0, 0.5, 0.5 - 1e-14, 1.0]]),
         )
@@ -130,11 +132,11 @@ class TestRegionProbabilities:
 
 
 def _pmap(scenario, grid, k_regions):
-    return probability_map(power_bounds(scenario, grid), k_regions)
+    return probability_map(power_bounds(scenario, grid, ring_counts=(k_regions,)), k_regions)
 
 
 def _report(scenario, grid, k_regions):
-    bounds = power_bounds(scenario, grid)
+    bounds = power_bounds(scenario, grid, ring_counts=(k_regions,))
     return feature_report(probability_map(bounds, k_regions))
 
 
@@ -183,15 +185,6 @@ class TestProbabilityMap:
             assert np.array_equal(pmap.region_power_db[:, -1], bounds.p_hi_db)
 
 
-def _workload_config(name):
-    """The seed-0 config of a perfbench workload, from perfbench/workloads.py."""
-    import runpy
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    return runpy.run_path(str(path))["WORKLOADS"][name].config(0)
-
-
 class TestOuterRings:
     @pytest.mark.parametrize("workload", ["taylor16", "steered64", "mc-coarse16"])
     def test_outer_radii_take_the_kernels_closed_forms(self, workload):
@@ -199,7 +192,7 @@ class TestOuterRings:
         # the origin and the outermost beyond every vertex, so the kernel
         # covers none of a region at the one and, as at twice that radius,
         # all of it at the other
-        config = _workload_config(workload)
+        config = workload_config(workload)
         bounds = power_bounds(
             scenario_from_config(config), uniform_grid(config["n_u"]), config["arc_points"]
         )
@@ -226,13 +219,13 @@ class TestPaddedRegions:
         # mirrored rows at u < 0 are conjugate copies and match as sets.
         scen = scenario_from_tolerances([(1.0, 0.0)] * 4, xi, gamma, 0.5)
         grid = uniform_grid(2 * (_BLOCK_EDGES // most) + 1)
-        bounds = power_bounds(scen, grid)
+        bounds = power_bounds(scen, grid, ring_counts=(5,))
         pmap = probability_map(bounds, 5)
-        assert bounds.stored_vertices.shape[1] == bounds.n_vertices.max() == most
+        vertices, _ = bounds.regions()
+        assert vertices.shape[1] == bounds.n_vertices.max() == most
         assert bounds.n_vertices[len(grid) // 2] == at_zero
         assert bounds.mirrored == len(grid) // 2
         scale = float(bounds.modulus_hi.max())
-        vertices, _ = bounds.regions()
         for i, u in enumerate(grid.samples.tolist()):
             region, modulus_lo, modulus_hi = direction_region(scen, u)
             n = bounds.n_vertices[i]
@@ -268,10 +261,11 @@ class TestPaddedRegions:
         edges = 12 + 12 + 2 + 12 + 10 + 12
         rows = _BLOCK_EDGES // edges
         grid = uniform_grid(2 * rows + 1)
-        bounds = power_bounds(scen, grid)
+        bounds = power_bounds(scen, grid, ring_counts=(5,))
         pmap = probability_map(bounds, 5)
         assert bounds.mirrored == 0
-        assert bounds.stored_vertices.shape[1] == edges
+        vertices, _ = bounds.regions()
+        assert vertices.shape[1] == edges
         assert bounds.n_vertices.min() < edges
         for block in (slice(0, rows), slice(rows, 2 * rows)):
             around = bounds.modulus_lo[block] == 0.0
@@ -280,7 +274,7 @@ class TestPaddedRegions:
             region, modulus_lo, modulus_hi = direction_region(scen, u)
             n = bounds.n_vertices[i]
             assert n == len(region)
-            assert bounds.stored_vertices[i, :n].tobytes() == region.tobytes()
+            assert vertices[i, :n].tobytes() == region.tobytes()
             assert np.array([bounds.modulus_lo[i], bounds.modulus_hi[i]]).tobytes() == (
                 np.array([modulus_lo, modulus_hi]).tobytes()
             )
@@ -367,7 +361,7 @@ class TestFeatureReport:
     def test_even_grid_takes_the_first_of_two_tied_maxima(self, small_scenario):
         # no sample at u = 0: the mirrored nominal peak is tied at -u and u
         grid = uniform_grid(40)
-        bounds = power_bounds(small_scenario, grid)
+        bounds = power_bounds(small_scenario, grid, ring_counts=(5,))
         i = len(grid) // 2 - 1
         assert bounds.nominal_db[i] == bounds.nominal_db[i + 1] == bounds.nominal_db.max()
         rep = feature_report(probability_map(bounds, 5))

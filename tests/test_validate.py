@@ -81,7 +81,8 @@ class TestAmplitudeScale:
     @staticmethod
     def _mc(scale):
         scen = scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
-        return run_mc(probability_map(power_bounds(scen, uniform_grid(41)), 3), 5000, seed=0)
+        bounds = power_bounds(scen, uniform_grid(41), ring_counts=(3, 6))
+        return run_mc(probability_map(bounds, 3), 5000, seed=0)
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 3e-8, 1.0, 1e6])
     def test_regions_and_verdicts_do_not_depend_on_scale(self, scale):
@@ -98,7 +99,7 @@ class TestPatternSymmetry:
 
     @staticmethod
     def _pmap(scen, n_u=41):
-        return probability_map(power_bounds(scen, uniform_grid(n_u)), 4)
+        return probability_map(power_bounds(scen, uniform_grid(n_u), ring_counts=(4, 8)), 4)
 
     @staticmethod
     def _symmetric():
@@ -122,12 +123,10 @@ class TestPatternSymmetry:
         hi[row] *= 1.0 + 1e-6
         bounds = dataclasses.replace(pmap.bounds, modulus_hi=hi)
         assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
-        # the stored partner row conjugated, so row reads the region at its
-        # partner's u, not its own: same moduli and areas
-        vertices = pmap.bounds.stored_vertices.copy()
-        partner = 40 - row - pmap.bounds.mirrored
-        vertices[partner] = vertices[partner].conj()
-        bounds = dataclasses.replace(pmap.bounds, stored_vertices=vertices)
+        # the sectors turned by pi, so regions() turns each region, row's
+        # among them, by pi: same moduli and areas
+        sectors, counts = pmap.bounds.sectors
+        bounds = dataclasses.replace(pmap.bounds, sectors=(-sectors, counts))
         assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
 
     def test_not_applicable_without_mirrored_rows(self):
