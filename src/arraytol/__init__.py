@@ -7,7 +7,7 @@ seeded Monte Carlo oracle.
 """
 
 from .errors import ConfigError, ValidationError
-from .iams import PowerBoundsCurve, interval_af_curve, nominal_af_curve, power_bounds, power_db
+from .iams import PowerBoundsCurve, nominal_af_curve, power_bounds, power_db
 from .model import (
     AngularGrid,
     ArrayScenario,
@@ -34,7 +34,6 @@ __all__ = [
     "ProbeHistogram",
     "ValidationError",
     "feature_report",
-    "interval_af_curve",
     "load_config",
     "mean_probabilities",
     "nominal_af_curve",

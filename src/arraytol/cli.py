@@ -200,9 +200,13 @@ def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
     wide, which no region exceeds.  Where the widest region is narrower,
     the rows are then moved in place, in order, to that width, and the
     file truncated: it holds the bytes np.save writes of the region array.
-    A failed pass removes the file.
+    A failed pass removes the file and the directories the dump created.
     """
     width = run.scenario.n_elements * (run.arc_points + 4)
+    made, head = [], os.path.abspath(run.out_dir)  # the directories to create, deepest first
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     path = _out_path(run, "polygons.npy")
     with open(path, "w+b") as fh:
         try:
@@ -219,6 +223,8 @@ def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
                 fh.truncate()
         except BaseException:
             os.remove(path)
+            for directory in made:
+                os.rmdir(directory)
             raise
     return curve
 

@@ -14,7 +14,6 @@ from .geometry import (
     _row_blocks,
     disc_polygon_areas,
     modulus_bounds,
-    pad_rows,
     polygonize_interval_phasors,
     rotated_minkowski_sums,
 )
@@ -46,14 +45,14 @@ class PowerBoundsCurve:
     maps to -inf dB.  Every dB value is power_db of a linear power:
     nominal_db and peak_power are taken from nominal_power, the nominal
     |AF|**2 at each direction.  The regions the bounds were taken from are
-    not kept: n_vertices holds their vertex counts, and regions() sums the
-    requested rows again from sectors, the (vertices, n_vertices) of
-    element_sectors.  arc_points is the sector polygonization, allowance the
-    rounding allowance the modulus bounds were widened by (besides each
-    row's welded length), mirrored the leading rows that are mirror images
-    (mirrored_rows), and rings the (p, degenerate) of each ring count the
-    region pass was asked for (interval_af_curve), which probability_map
-    reads.
+    not kept; they leave the region pass only through power_bounds' sink.
+    n_vertices holds their vertex counts and sectors the (vertices,
+    n_vertices) of element_sectors that they sum.  arc_points is the sector
+    polygonization, allowance the rounding allowance the modulus bounds were
+    widened by (besides each row's welded length), mirrored the leading rows
+    that are mirror images (mirrored_rows), and rings the (p, degenerate) of
+    each ring count the region pass was asked for (interval_af_curve), which
+    probability_map reads.
     """
 
     scenario: ArrayScenario = field(repr=False)
@@ -73,23 +72,6 @@ class PowerBoundsCurve:
     allowance: float
     mirrored: int
     rings: dict = field(repr=False)
-
-    def regions(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-        """(vertices, n_vertices) of grid rows, a slice or an index array, summed again.
-
-        The rows are padded to the widest region of the grid, as
-        `bounds --dump-polygons` writes them.  Mirrored row i is the
-        mirror_image of the region summed at row len(grid) - 1 - i, as in
-        the region pass, so each row has the bits the pass had.
-        """
-        row = np.arange(len(self.grid))[rows]
-        flip = row < self.mirrored
-        source = np.where(flip, len(self.grid) - 1 - row, row)
-        psi = steering_phases(self.scenario, self.grid.samples[source])
-        vertices, n_vertices, _ = rotated_minkowski_sums(*self.sectors, psi)
-        vertices = pad_rows(vertices, int(self.n_vertices.max()))
-        vertices[flip] = mirror_image(vertices[flip], n_vertices[flip])
-        return vertices, n_vertices
 
 
 def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
@@ -118,35 +100,34 @@ class IntervalRegions(NamedTuple):
     modulus_hi: np.ndarray
     allowance: float  # the rounding_allowance the modulus bounds are widened by
     mirrored: int  # leading rows that are mirror images, not summed (mirrored_rows)
-    sectors: tuple[np.ndarray, np.ndarray]  # element_sectors, which the regions sum
     rings: dict  # ring count K: ((K, len(grid)) ring probabilities, degenerate flags)
 
 
 def interval_af_curve(
-    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8, ring_counts=(), sink=None
+    scenario: ArrayScenario, grid: AngularGrid, sectors, ring_counts=(), sink=None
 ) -> IntervalRegions:
     """The region pass: array-factor regions at every grid sample, reduced as they are summed.
 
-    Each element's sector is polygonized once; at direction u it is that
-    polygon rotated by the steering phase 2*pi*spacing*n*u, and the region,
-    their Minkowski sum, contains the nominal array factor.  The grid's
-    rows are summed in blocks of about _PASS_BYTES of regions, and each
-    block is reduced before the next is summed: its modulus bounds, widened
-    by the rounding_allowance of the sectors, which checks their
-    sector_reach before the sum, and each row's by the length of the steps
-    its normalization welded, which bounds how far the weld moved the
-    region's boundary; the ring probabilities of each ring count in
-    ring_counts; and, when sink is given, sink(first, vertices, n_vertices)
-    with the block's regions in the padded-row format, the grid rows from
-    first on.  Then the block is dropped, so no array of every region is
-    ever held.  Where mirrored_rows finds the mirror symmetry, only the rows
-    from u = 0 on are summed; each row at -u copies the count, bounds and
-    ring probabilities of the row at u, and sink gets its region as the
-    mirror_image of the one at u, after the block it comes from.
+    sectors is the (vertices, n_vertices) of scenario's element_sectors; at
+    direction u element n's sector is rotated by the steering phase
+    2*pi*spacing*n*u, and the region, their Minkowski sum, contains the
+    nominal array factor.  The grid's rows are summed in blocks of about
+    _PASS_BYTES of regions, and each block is reduced before the next is
+    summed: its modulus bounds, widened by the rounding_allowance of the
+    sectors, which checks their sector_reach before the sum, and each row's
+    by the length of the steps its normalization welded, which bounds how
+    far the weld moved the region's boundary; the ring probabilities of each
+    ring count in ring_counts; and, when sink is given, sink(first,
+    vertices, n_vertices) with the block's regions in the padded-row format,
+    the grid rows from first on.  Then the block is dropped, so no array of
+    every region is ever held.  Where mirrored_rows finds the mirror
+    symmetry, only the rows from u = 0 on are summed; each row at -u copies
+    the count, bounds and ring probabilities of the row at u, and sink gets
+    its region as the mirror_image of the one at u, after the block it comes
+    from.
     """
     for k_regions in ring_counts:
         check_integer("k_regions", k_regions, 1)
-    sectors = element_sectors(scenario, arc_points)
     slack = rounding_allowance(sectors[0])
     mirrored = mirrored_rows(scenario, grid)
     psi = steering_phases(scenario, grid.samples[mirrored:])
@@ -183,7 +164,6 @@ def interval_af_curve(
         unfold_mirror(hi, mirrored),
         slack,
         mirrored,
-        sectors,
         {k: tuple(unfold_mirror(a, mirrored) for a in ring) for k, ring in rings.items()},
     )
 
@@ -326,14 +306,16 @@ def power_bounds(
 ) -> PowerBoundsCurve:
     """Inclusive power-pattern bounds over a grid, in linear power and dB.
 
-    One region pass (interval_af_curve) takes the bounds and the ring
+    The sectors are polygonized once, and one region pass
+    (interval_af_curve) over them takes the bounds and the ring
     probabilities of each count in ring_counts, which probability_map then
     reads, and hands each block of regions to sink.  A sector_reach outside
     _MODULUS_RANGE raises ValidationError before any region is built;
     inside it the power bounds, and the nominal peak they contain, are
     finite.
     """
-    regions = interval_af_curve(scenario, grid, arc_points, ring_counts, sink)
+    sectors = element_sectors(scenario, arc_points)
+    regions = interval_af_curve(scenario, grid, sectors, ring_counts, sink)
     p_lo = regions.modulus_lo**2
     p_hi = regions.modulus_hi**2
     # the full grid: a nominal phase inside a symmetric interval need not be 0
@@ -344,7 +326,7 @@ def power_bounds(
     return PowerBoundsCurve(
         scenario=scenario,
         grid=grid,
-        sectors=regions.sectors,
+        sectors=sectors,
         p_lo=p_lo,
         p_hi=p_hi,
         p_lo_db=power_db(p_lo, peak_power),

@@ -76,8 +76,9 @@ def run_validation(mc: McReport) -> list[CheckResult]:
 
     The bounds must hold the ring probabilities of K and 2K rings
     (power_bounds' ring_counts).  Builds only what the checks add: the
-    scenario's zero-tolerance collapse, a few regions summed again, and the
-    oracle slices.  Every entry carries a pass/fail verdict.
+    scenario's zero-tolerance collapse, a few regions summed again from the
+    curve's sectors, and the oracle slices.  Every entry carries a pass/fail
+    verdict.
     """
     results: list[CheckResult] = []
     pmap, bounds, k_regions = mc.pmap, mc.pmap.bounds, mc.pmap.k_regions
@@ -172,36 +173,60 @@ def run_validation(mc: McReport) -> list[CheckResult]:
         )
     )
 
-    results.append(_symmetry_check(pmap))
+    regions = _oracle_regions(bounds)
+    results.append(_symmetry_check(pmap, regions))
     results.append(_zero_tolerance_check(bounds, k_regions))
-    results.append(_oracle_spot_check(pmap))
+    results.append(_oracle_spot_check(pmap, regions))
     return results
 
 
-def _symmetry_check(pmap) -> CheckResult:
-    """Recompute the mirrored rows among the oracle directions and their mirror images.
+def _pass_regions(bounds, rows, ring_counts=()):
+    """({row: unpadded region}, pass): the region pass over the curve's sectors at grid rows.
 
-    Sums those rows directly, without the mirror, and compares their
-    regions (by their support functions along N_RAYS directions), modulus
-    bounds and ring probabilities with the curve's regions() and the ones
-    the curve and the map copied from the rows at -u.
+    rows is a sorted list, and its samples are the pass's grid.
+    """
+    regions = {}
+
+    def sink(first, vertices, n_vertices):
+        regions.update((i, row[:n]) for i, row, n in zip(rows[first:], vertices, n_vertices))
+
+    grid = AngularGrid(bounds.grid.samples[rows])
+    return regions, interval_af_curve(bounds.scenario, grid, bounds.sectors, ring_counts, sink)
+
+
+def _oracle_regions(bounds) -> dict:
+    """{row: unpadded region} of the oracle directions, from one region pass.
+
+    Where the curve mirrored, the rows' mirror partners join them, so their
+    samples are their own mirror image: the pass mirrors as the curve's did
+    and hands over the curve's regions bit for bit, mirror images included.
+    """
+    rows = _oracle_directions(len(bounds.grid))
+    if bounds.mirrored:
+        rows = sorted({j for i in rows for j in (i, len(bounds.grid) - 1 - i)})
+    return _pass_regions(bounds, rows)[0]
+
+
+def _symmetry_check(pmap, regions) -> CheckResult:
+    """Recompute the mirrored rows among regions, the _oracle_regions, without the mirror.
+
+    Sums those rows directly from the curve's sectors and compares their
+    regions (by their support functions along N_RAYS directions) with the
+    mirror images in regions, and their modulus bounds and ring
+    probabilities with the ones the curve and the map copied from the rows
+    at -u.
     """
     bounds = pmap.bounds
-    n_u, mirrored = len(bounds.grid), bounds.mirrored
-    if mirrored == 0:
+    if bounds.mirrored == 0:
         return CheckResult("pattern-symmetry", True, "not applicable (no mirrored rows)")
-    rows = sorted({j for i in _oracle_directions(n_u) for j in (i, n_u - 1 - i) if j < mirrored})
+    rows = sorted(i for i in regions if i < bounds.mirrored)
     rays = np.exp(2j * np.pi * np.arange(N_RAYS) / N_RAYS)[:, None]
-    support = []  # of the direct regions, block by block
     # a grid of only u < 0 samples is never mirrored: every row is summed
-    direct = interval_af_curve(
-        bounds.scenario, AngularGrid(bounds.grid.samples[rows]), bounds.arc_points,
-        ring_counts=(pmap.k_regions,),
-        sink=lambda first, vertices, n: support.append(_support(vertices, rays)),
-    )
+    summed, direct = _pass_regions(bounds, rows, (pmap.k_regions,))
     scale = float(bounds.modulus_hi.max())
-    err_region = float(
-        np.abs(np.concatenate(support) - _support(bounds.regions(rows)[0], rays)).max()
+    err_region = max(
+        float(np.abs(_support(summed[i], rays) - _support(regions[i], rays)).max())
+        for i in rows
     ) / scale
     err_mod = max(
         float(np.abs(direct.modulus_lo - bounds.modulus_lo[rows]).max()),
@@ -218,8 +243,8 @@ def _symmetry_check(pmap) -> CheckResult:
 
 
 def _support(vertices, rays) -> np.ndarray:
-    """(rows, rays) support function of each padded region along each unit ray."""
-    return (vertices[:, None, :] * rays.conj()).real.max(axis=2)
+    """The support function of a region along each unit ray of the (rays, 1) column."""
+    return (vertices * rays.conj()).real.max(axis=1)
 
 
 def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
@@ -257,13 +282,13 @@ def _oracle_directions(n_u: int) -> list[int]:
     return sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6})
 
 
-def _oracle_spot_check(pmap) -> CheckResult:
-    rows = _oracle_directions(len(pmap.bounds.grid))
+def _oracle_spot_check(pmap, regions) -> CheckResult:
+    """The ring probabilities of the oracle directions against the quadrature of regions."""
     worst = 0.0
-    for i, vertices, n in zip(rows, *pmap.bounds.regions(rows)):
+    for i in _oracle_directions(len(pmap.bounds.grid)):
         if pmap.degenerate[i]:
             continue
-        covered = disc_polygon_area_quadrature(pmap.ring_radii[i], vertices[:n])
+        covered = disc_polygon_area_quadrature(pmap.ring_radii[i], regions[i])
         if covered[-1] <= 0.0:
             continue
         oracle = np.diff(covered) / covered[-1]

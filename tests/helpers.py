@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from arraytol import AngularGrid, ValidationError, interval_af_curve
+from arraytol import AngularGrid, ValidationError
 from arraytol.geometry import (
     EPS_GEOM,
     _normalize,
@@ -30,7 +30,7 @@ from arraytol.geometry import (
     polygonize_interval_phasors,
     rotated_minkowski_sums,
 )
-from arraytol.iams import _ring_probabilities
+from arraytol.iams import _ring_probabilities, element_sectors, interval_af_curve
 
 
 def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.ndarray:
@@ -69,7 +69,8 @@ def workload_config(name: str) -> dict:
 def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
     """(regions, pass): each grid row's region as the region pass hands it to its sink.
 
-    regions[i] is row i's unpadded vertex array; pass is the IntervalRegions
+    The pass sums the scenario's element_sectors at arc_points.  regions[i]
+    is row i's unpadded vertex array; pass is the IntervalRegions
     interval_af_curve returns.
     """
     regions = [None] * len(grid)
@@ -78,7 +79,8 @@ def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
         for i, (row, n) in enumerate(zip(vertices, n_vertices, strict=True)):
             regions[first + i] = row[:n]
 
-    return regions, interval_af_curve(scenario, grid, arc_points, ring_counts, sink)
+    sectors = element_sectors(scenario, arc_points)
+    return regions, interval_af_curve(scenario, grid, sectors, ring_counts, sink)
 
 
 def direction_region(scenario, u: float, arc_points: int = 8):

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from arraytol import (
+    AngularGrid,
+    ValidationError,
     power_bounds,
     power_db,
     probability_map,
@@ -22,7 +24,7 @@ from arraytol import cli, iams
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
-from helpers import taylor_taper, workload_config
+from helpers import padded, pass_regions, taylor_taper, workload_config
 
 
 def _write_config(path, **overrides):
@@ -89,9 +91,9 @@ class TestBoundsCommand:
         assert dump.dtype == np.complex128
         assert dump.shape == (11, max(counts))
         cfg = json.loads(config_path.read_text())
-        curve = power_bounds(scenario_from_config(cfg), uniform_grid(11), cfg["arc_points"])
-        for row, region, n in zip(dump, curve.regions()[0], counts, strict=True):
-            assert row[:n].tobytes() == region[:n].tobytes()
+        regions, _ = pass_regions(scenario_from_config(cfg), uniform_grid(11), cfg["arc_points"])
+        for row, region, n in zip(dump, regions, counts, strict=True):
+            assert row[:n].tobytes() == region.tobytes()
             assert np.all(row[n:] == row[0])
 
     def test_dump_polygons_byte_identical_reruns(self, config_path, tmp_path):
@@ -116,8 +118,9 @@ class TestBoundsCommand:
         assert set(_vertex_counts(out / "bounds.csv")) == counts
         assert (dump.dtype, dump.shape) == (np.complex128, (21, max(counts)))
         payload = json.loads(cfg.read_text())
-        curve = power_bounds(scenario_from_config(payload), uniform_grid(21), payload["arc_points"])
-        assert dump.tobytes() == curve.regions()[0].tobytes()
+        scen = scenario_from_config(payload)
+        regions, _ = pass_regions(scen, uniform_grid(21), payload["arc_points"])
+        assert dump.tobytes() == padded(regions)[0].tobytes()
 
 
 class TestRegionPass:
@@ -151,12 +154,12 @@ class TestRegionPass:
             for a, b in zip(one.rings[k], few.rings[k], strict=True):
                 assert a.tobytes() == b.tobytes()
         assert one_dump == few_dump
-        # the dump holds the regions regions() sums again, byte for byte
+        # the dump of one block holds the regions the pass hands its sink in
+        # blocks of a few rows, byte for byte
         dump = np.load(tmp_path / str(_PASS_BYTES) / "polygons.npy")
         assert dump.shape == (len(grid), one.n_vertices.max())
-        assert few.regions()[0].tobytes() == dump.tobytes()
-        rows = [len(grid) - 1, 0, len(grid) // 2, 7]
-        assert few.regions(rows)[0].tobytes() == dump[rows].tobytes()
+        regions, _ = pass_regions(scen, grid, config["arc_points"])
+        assert padded(regions)[0].tobytes() == dump.tobytes()
 
 
 def _vertex_counts(bounds_csv) -> list[int]:
@@ -306,6 +309,18 @@ class TestAmplitudeRange:
         assert "outside [1e-72, 1e+72]" in err and "scale the amplitudes up" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out_dir", ["new/nested", "existing/new", "existing"])
+    def test_a_failed_dump_leaves_no_directory_it_made(self, tmp_path, capsys, out_dir):
+        # the pass fails on the sector-reach range after the dump has opened
+        # its file; a directory that was there stays, empty
+        cfg = self._taylor16(tmp_path, 1e160)
+        (tmp_path / "existing").mkdir()
+        args = ["bounds", "--config", str(cfg), "--out", str(tmp_path / out_dir)]
+        assert main([*args, "--dump-polygons"]) == 1
+        assert "scale the amplitudes down" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "existing"]
+        assert list((tmp_path / "existing").iterdir()) == []
+
 
 class TestMcCommand:
     def test_outputs_and_inclusion(self, config_path, tmp_path):
@@ -416,7 +431,7 @@ class TestNumberFormat:
             assert (out / name).read_bytes() == text.encode("utf-8"), name
         # the polygon dump is binary: the library's regions, bit for bit
         dump = np.load(out / "polygons.npy")
-        vertices = curve.regions()[0]
+        vertices, _ = padded(pass_regions(scen, grid, cfg["arc_points"])[0])
         assert (dump.dtype, dump.shape) == (np.complex128, vertices.shape)
         assert dump.tobytes() == vertices.tobytes()
         assert "-inf" in expected["bounds.csv"] and "-inf" in expected["mc_envelope.csv"]
@@ -473,6 +488,26 @@ class TestValidateCommand:
         assert "max |p - nominal| = " in collapse
 
 
+    def test_an_exact_nominal_null_on_a_mirrored_row_passes(self, tmp_path, capsys):
+        # two equal elements half a wavelength apart, nominal phase 7.5 deg:
+        # the nominal pattern is exactly 0 at u = -1, the one mirrored row of
+        # a 3-sample grid, which power_bounds rejects as a grid of its own;
+        # validate's passes over sub-grids of rows read no nominal pattern
+        element = {"amplitude": 1.0, "phase_deg": 7.5, "phase_lo_deg": -70.0,
+                   "phase_hi_deg": 70.0}
+        cfg = _write_config(tmp_path / "cfg.json", elements=[element] * 2, n_u=3)
+        scen = scenario_from_config(json.loads(cfg.read_text()))
+        assert power_bounds(scen, uniform_grid(3)).mirrored == 1
+        with pytest.raises(ValidationError, match="identically zero"):
+            power_bounds(scen, AngularGrid([-1.0]))
+        code = main(["validate", "--config", str(cfg), "--mc-samples", "500"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
+        assert any(line.startswith("PASS  pattern-symmetry  ") and "1 mirrored" in line
+                   for line in lines)
+
+
 class TestComputeOnce:
     """Each command builds the regions of a scenario once and chains on them."""
 
@@ -510,22 +545,24 @@ class TestComputeOnce:
         for seen in calls.values():
             seen.clear()
         run_validation(mc)
-        # the mirrored rows summed directly and the zero-tolerance collapse's
-        # curve, then the 2K map and the collapse's map; the regions of the
-        # mirrored rows and of the oracle rows are summed again
+        # the oracle rows and the mirrored rows among them summed again from
+        # the curve's sectors, and the zero-tolerance collapse's curve, the
+        # one polygonization; then the 2K map and the collapse's map
         curves, maps = calls["interval_af_curve"], calls["probability_map"]
-        assert (len(curves), len(maps), len(calls["run_mc"])) == (2, 2, 0)
-        assert len(calls["rotated_minkowski_sums"]) == 4
-        assert curves[0] is scen and curves[1] is not scen
+        assert (len(curves), len(maps), len(calls["run_mc"])) == (3, 2, 0)
+        assert len(calls["rotated_minkowski_sums"]) == 3
+        assert len(calls["polygonize_interval_phasors"]) == 1
+        assert curves[0] is scen and curves[1] is scen and curves[2] is not scen
         assert maps[0] is mc.pmap.bounds and maps[1] is not mc.pmap.bounds
 
         for seen in calls.values():
             seen.clear()
         assert main(["validate", "--config", str(config_path), "--mc-samples", "500"]) == 0
-        # the command's own curve and MC, then the suite's direct rows and
-        # collapse, and its two sets of regions summed again
-        assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (3, 1)
-        assert len(calls["rotated_minkowski_sums"]) == 5
+        # the command's own curve and MC, then the suite's oracle and direct
+        # rows, summed from the command's sectors, and its collapse
+        assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (4, 1)
+        assert len(calls["polygonize_interval_phasors"]) == 2
+        assert len(calls["rotated_minkowski_sums"]) == 4
 
     def test_pia_builds_no_polygon_per_direction(self, calls, config_path, tmp_path):
         assert main(["pia", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
@@ -534,7 +571,7 @@ class TestComputeOnce:
         assert len(calls["rotated_minkowski_sums"]) == 1
 
     @pytest.mark.parametrize(
-        "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 3)]
+        "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 4)]
     )
     def test_each_command_builds_one_curve_per_scenario(
         self, calls, config_path, tmp_path, command, curves

@@ -12,7 +12,6 @@ from arraytol import (
     ArrayScenario,
     ExcitationInterval,
     ValidationError,
-    interval_af_curve,
     nominal_af_curve,
     power_bounds,
     power_db,
@@ -21,7 +20,7 @@ from arraytol import (
     uniform_grid,
 )
 from arraytol import iams
-from arraytol.iams import element_sectors, rounding_allowance
+from arraytol.iams import element_sectors, interval_af_curve, rounding_allowance
 
 from helpers import (
     boundary_distance,
@@ -31,6 +30,7 @@ from helpers import (
     minkowski_sum_many,
     nominal_af,
     normalized_rows,
+    padded,
     pass_regions,
     polygonize_interval_phasor,
     taylor_taper,
@@ -111,7 +111,7 @@ class TestIntervalAf:
     def test_rejects_direction_outside_unit_interval(self, u):
         scen = _uniform_scenario(2, xi=0.05, gamma=0.05)
         with pytest.raises(ValidationError, match=r"must lie in \[-1, 1\]"):
-            interval_af_curve(scen, AngularGrid([u]))
+            interval_af_curve(scen, AngularGrid([u]), element_sectors(scen))
 
     def test_single_live_element_is_its_sector(self):
         # second element has a zero-width interval at zero amplitude, so the
@@ -192,7 +192,7 @@ class TestIntervalAf:
         lows = {}
         for scale in (1e-4, 1e-2, 1.0, 1e2):
             scen = scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
-            modulus_lo = interval_af_curve(scen, grid).modulus_lo
+            modulus_lo = interval_af_curve(scen, grid, element_sectors(scen)).modulus_lo
             lows[scale] = modulus_lo / scale
         zeros = np.flatnonzero(lows[1.0] == 0.0)
         assert 0 < zeros.size < len(grid)
@@ -278,8 +278,8 @@ class TestPowerBounds:
             [(100.0, -math.pi / 2 - 3e-11), (1.0, 0.0)], 0.01, math.radians(3.0), 0.5
         )
         grid = AngularGrid(np.array([-0.5, 0.0, 0.5]))
-        modulus_hi = interval_af_curve(scen, grid).modulus_hi
         sectors, counts = element_sectors(scen)
+        modulus_hi = interval_af_curve(scen, grid, (sectors, counts)).modulus_hi
         for u, hi in zip(grid.samples, modulus_hi):
             a, b = (
                 row[:k] * np.exp(1j * math.pi * n * u)
@@ -305,7 +305,7 @@ class TestPowerBounds:
         )
         # -0.3 mirrors 0.3, so its bounds are copied rather than summed
         grid = AngularGrid(np.array([-0.3, 0.0, 0.3]))
-        curve = interval_af_curve(scen, grid)
+        curve = interval_af_curve(scen, grid, element_sectors(scen))
         assert curve.mirrored == 1
         phases = np.linspace(-math.radians(3.0), math.radians(3.0), 101)
         for u, lo, hi in zip(grid.samples, curve.modulus_lo, curve.modulus_hi):
@@ -394,7 +394,7 @@ def _assert_inside(scen, u, excitations, arc_points=8):
     excitations is (..., N): one complex excitation per element, element n
     steered by 2*pi*spacing*n*u.
     """
-    curve = interval_af_curve(scen, AngularGrid(u), arc_points)
+    curve = interval_af_curve(scen, AngularGrid(u), element_sectors(scen, arc_points))
     excitations = np.asarray(excitations).reshape(-1, scen.n_elements)
     steering = np.exp(2j * math.pi * scen.spacing * np.outer(np.arange(scen.n_elements), u))
     moduli = np.abs(excitations @ steering)
@@ -425,24 +425,20 @@ class TestMirror:
         pmap = probability_map(bounds, k_regions)
         assert bounds.mirrored == len(grid) // 2
         assert all(i < bounds.mirrored for i in rows)
-        direct = power_bounds(scen, AngularGrid(grid.samples[rows]), ring_counts=(k_regions,))
+        regions, _ = pass_regions(scen, grid)
+        # the rows alone: a grid of u < 0 samples, summed without the mirror
+        refs, direct = pass_regions(scen, AngularGrid(grid.samples[rows]), ring_counts=(k_regions,))
         assert direct.mirrored == 0
-        direct_p = probability_map(direct, k_regions).p
         scale = float(bounds.modulus_hi.max())
-        vertices, counts = bounds.regions(rows)
-        assert np.array_equal(counts, bounds.n_vertices[rows])
-        refs, _ = direct.regions()
-        for j, (row, n) in enumerate(zip(vertices, counts, strict=True)):
-            got = row[:n]
-            assert np.all(row[n:] == got[0])
-            ref = refs[j, : direct.n_vertices[j]]
-            assert boundary_distance(got, ref) <= 1e-12 * scale
+        for i, ref in zip(rows, refs, strict=True):
+            assert len(regions[i]) == bounds.n_vertices[i]
+            assert boundary_distance(regions[i], ref) <= 1e-12 * scale
         assert np.abs(bounds.modulus_lo[rows] - direct.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(bounds.modulus_hi[rows] - direct.modulus_hi).max() <= 1e-12 * scale
-        assert np.abs(pmap.p[:, rows] - direct_p).max() <= 1e-12
+        assert np.abs(pmap.p[:, rows] - direct.rings[k_regions][0]).max() <= 1e-12
         # the mirrored rows are counter-clockwise convex polygons as they stand
         m = bounds.mirrored
-        _, n_vertices = normalized_rows(bounds.regions(slice(0, m))[0])
+        _, n_vertices = normalized_rows(padded(regions[:m])[0])
         assert np.array_equal(n_vertices, bounds.n_vertices[:m])
 
     def test_every_taylor16_direction(self, taylor16_scenario, grid501):
@@ -467,52 +463,40 @@ class TestMirror:
         monkeypatch.setattr(
             iams, "rotated_minkowski_sums", lambda *a: summed.append(len(a[2])) or minkowski(*a)
         )
-        regions, _ = pass_regions(small_scenario, uniform_grid(n_u))
+        regions, regions_pass = pass_regions(small_scenario, uniform_grid(n_u))
         curve = power_bounds(small_scenario, uniform_grid(n_u))
         m = curve.mirrored
         assert m == n_u // 2
         assert summed == [n_u - m] * 2
         assert len(curve.n_vertices) == n_u
-        # no field holds regions: reading one fails loudly
-        for name in ("vertices", "stored_vertices"):
+        # no field holds regions or sums them again: reading one fails loudly
+        for name in ("vertices", "stored_vertices", "regions"):
             assert not hasattr(curve, name)
-            assert not hasattr(interval_af_curve(small_scenario, curve.grid), name)
-        vertices, n_vertices = curve.regions()
-        assert vertices.shape == (n_u, curve.n_vertices.max())
-        assert np.array_equal(n_vertices, curve.n_vertices)
-        # the summed rows come back as the pass had them
-        for i in range(m, n_u):
-            n = n_vertices[i]
-            assert vertices[i, :n].tobytes() == regions[i].tobytes()
-            assert np.all(vertices[i, n:] == vertices[i, 0])
+        for name in ("vertices", "stored_vertices", "sectors"):
+            assert not hasattr(regions_pass, name)
+        assert [len(r) for r in regions] == curve.n_vertices.tolist()
         # row i < m is the conjugate of row n_u - 1 - i, vertex 0 first and
-        # the rest in reverse order, padded with its vertex 0, as the pass hands it on
+        # the rest in reverse order, as the pass hands it on
         for i in range(m):
             source = regions[n_u - 1 - i]
-            n = curve.n_vertices[n_u - 1 - i]
-            image = np.concatenate((source[:1], source[1:n][::-1])).conj()
-            padded = np.concatenate((image, np.full(vertices.shape[1] - n, image[0])))
-            assert curve.n_vertices[i] == n
-            assert vertices[i].tobytes() == padded.tobytes()
+            image = np.concatenate((source[:1], source[1:][::-1])).conj()
             assert regions[i].tobytes() == image.tobytes()
-        # any rows, in any order
-        rows = [n_u - 1, 0, m, 3]
-        some, counts = curve.regions(rows)
-        assert some.tobytes() == vertices[rows].tobytes()
-        assert np.array_equal(counts, n_vertices[rows])
 
     def test_unmirrored_regions_are_the_pass_rows(self, small_scenario):
         el = small_scenario.elements[0]
         nudged = _with_element(small_scenario, 0, phase_hi=math.nextafter(el.phase_hi, 1.0))
         regions, _ = pass_regions(nudged, uniform_grid(41))
-        curve = power_bounds(nudged, uniform_grid(41))
+        blocks = []  # power_bounds' sink, which gets every row of its one polygonization
+        curve = power_bounds(
+            nudged, uniform_grid(41), sink=lambda *block: blocks.append(block)
+        )
         assert curve.mirrored == 0
-        vertices, n_vertices = curve.regions()
-        assert np.array_equal(n_vertices, curve.n_vertices)
-        for row, n, region in zip(vertices, n_vertices, regions, strict=True):
-            assert row[:n].tobytes() == region.tobytes()
-            assert np.all(row[n:] == row[0])
-        assert curve.regions(slice(3, 9))[0].tobytes() == vertices[3:9].tobytes()
+        assert [len(r) for r in regions] == curve.n_vertices.tolist()
+        assert sum(len(n) for _, _, n in blocks) == 41
+        for first, vertices, n_vertices in blocks:
+            for row, n, region in zip(vertices, n_vertices, regions[first:]):
+                assert row[:n].tobytes() == region.tobytes()
+                assert np.all(row[n:] == row[0])
 
     def test_mirrored_rows_copy_their_images(self, small_scenario):
         bounds = power_bounds(small_scenario, uniform_grid(41), ring_counts=(4,))
@@ -528,11 +512,11 @@ class TestMirror:
         nudged = _with_element(small_scenario, 0, phase_hi=math.nextafter(el.phase_hi, 1.0))
         mirrored, direct = power_bounds(small_scenario, grid), power_bounds(nudged, grid)
         assert mirrored.mirrored == 20 and direct.mirrored == 0
-        vertices, _ = direct.regions()
+        regions, _ = pass_regions(nudged, grid)
         for i, u in enumerate(grid.samples.tolist()):
             region, _, _ = direction_region(nudged, u)
-            n = direct.n_vertices[i]
-            assert vertices[i, :n].tobytes() == region.tobytes()
+            assert direct.n_vertices[i] == len(region)
+            assert regions[i].tobytes() == region.tobytes()
         scale = mirrored.modulus_hi.max()
         assert np.abs(direct.modulus_lo - mirrored.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(direct.modulus_hi - mirrored.modulus_hi).max() <= 1e-12 * scale
@@ -560,11 +544,11 @@ class TestMirror:
         assert not np.array_equal(grid.samples, -grid.samples[::-1])
         curve = power_bounds(small_scenario, grid)
         assert curve.mirrored == 0
-        vertices, _ = curve.regions()
+        regions, _ = pass_regions(small_scenario, grid)
         for i, u in enumerate(grid.samples.tolist()):
             region, modulus_lo, modulus_hi = direction_region(small_scenario, u)
-            n = curve.n_vertices[i]
-            assert vertices[i, :n].tobytes() == region.tobytes()
+            assert curve.n_vertices[i] == len(region)
+            assert regions[i].tobytes() == region.tobytes()
             assert (curve.modulus_lo[i], curve.modulus_hi[i]) == (modulus_lo, modulus_hi)
 
     def test_any_antisymmetric_grid_mirrors(self, small_scenario):

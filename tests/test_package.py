@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
 import arraytol
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -28,7 +30,6 @@ def test_public_surface_is_exactly_these_names():
         "ProbeHistogram",
         "ValidationError",
         "feature_report",
-        "interval_af_curve",
         "load_config",
         "mean_probabilities",
         "nominal_af_curve",
@@ -44,8 +45,24 @@ def test_public_surface_is_exactly_these_names():
     ]
 
 
+def _library_blocks() -> list[str]:
+    """The python code blocks of the README's library section, in order."""
+    section = README.read_text("utf-8").split("## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
 def test_readme_library_example_runs(capsys):
-    block = re.search(r"## Library\n.*?```python\n(.*?)```", README.read_text("utf-8"), re.S)
-    exec(compile(block.group(1), str(README), "exec"), {})
+    exec(compile(_library_blocks()[0], str(README), "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_readme_sink_example_keeps_every_region():
+    scenario = arraytol.scenario_from_tolerances([(1.0, 0.0)] * 4, 0.02, 0.05, 0.5)
+    grid = arraytol.uniform_grid(21)
+    namespace = {"power_bounds": arraytol.power_bounds, "scenario": scenario, "grid": grid}
+    exec(compile(_library_blocks()[1], str(README), "exec"), namespace)
+    regions, bounds = namespace["regions"], namespace["bounds"]
+    assert bounds.mirrored == 10
+    assert [len(r) for r in regions] == bounds.n_vertices.tolist()
+    assert np.array_equal(regions[0], np.concatenate((regions[-1][:1], regions[-1][:0:-1])).conj())

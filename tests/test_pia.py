@@ -31,6 +31,8 @@ from helpers import (
     direction_region,
     disc_convex_area_slab,
     distance_bounds_to_origin,
+    padded,
+    pass_regions,
     random_convex_vertices,
     region_probabilities,
     workload_config,
@@ -193,12 +195,11 @@ class TestOuterRings:
         # covers none of a region at the one and, as at twice that radius,
         # all of it at the other
         config = workload_config(workload)
-        bounds = power_bounds(
-            scenario_from_config(config), uniform_grid(config["n_u"]), config["arc_points"]
-        )
+        scen, grid = scenario_from_config(config), uniform_grid(config["n_u"])
+        regions, bounds = pass_regions(scen, grid, config["arc_points"])
         radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, config["k_regions"])
         outer = np.column_stack((radii[:, 0], radii[:, -1], 2.0 * radii[:, -1]))
-        areas = disc_polygon_areas(outer, *bounds.regions())
+        areas = disc_polygon_areas(outer, *padded(regions))
         assert np.array_equal(areas[:, 0], np.zeros(len(radii)))
         assert np.all(areas[:, 1] > 0.0)
         assert areas[:, 1].tobytes() == areas[:, 2].tobytes()
@@ -221,7 +222,7 @@ class TestPaddedRegions:
         grid = uniform_grid(2 * (_BLOCK_EDGES // most) + 1)
         bounds = power_bounds(scen, grid, ring_counts=(5,))
         pmap = probability_map(bounds, 5)
-        vertices, _ = bounds.regions()
+        vertices, _ = padded(pass_regions(scen, grid)[0])
         assert vertices.shape[1] == bounds.n_vertices.max() == most
         assert bounds.n_vertices[len(grid) // 2] == at_zero
         assert bounds.mirrored == len(grid) // 2
@@ -264,7 +265,7 @@ class TestPaddedRegions:
         bounds = power_bounds(scen, grid, ring_counts=(5,))
         pmap = probability_map(bounds, 5)
         assert bounds.mirrored == 0
-        vertices, _ = bounds.regions()
+        vertices, _ = padded(pass_regions(scen, grid)[0])
         assert vertices.shape[1] == edges
         assert bounds.n_vertices.min() < edges
         for block in (slice(0, rows), slice(rows, 2 * rows)):

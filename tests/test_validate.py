@@ -17,7 +17,12 @@ from arraytol import (
 )
 from arraytol import iams
 from arraytol.geometry import disc_polygon_areas
-from arraytol.validate import _symmetry_check, disc_polygon_area_quadrature, run_validation
+from arraytol.validate import (
+    _oracle_regions,
+    _symmetry_check,
+    disc_polygon_area_quadrature,
+    run_validation,
+)
 
 from helpers import disc_convex_area_slab, random_convex_vertices
 
@@ -102,13 +107,18 @@ class TestPatternSymmetry:
         return probability_map(power_bounds(scen, uniform_grid(n_u), ring_counts=(4, 8)), 4)
 
     @staticmethod
+    def _check(pmap):
+        """_symmetry_check against the mirror images of the oracle rows' region pass."""
+        return _symmetry_check(pmap, _oracle_regions(pmap.bounds))
+
+    @staticmethod
     def _symmetric():
         return scenario_from_tolerances(
             [(a, 0.0) for a in (0.5, 0.8, 1.0, 1.0, 0.8, 0.5)], 0.02, math.radians(4.0), 0.5
         )
 
     def test_passes_on_the_copies(self):
-        result = _symmetry_check(self._pmap(self._symmetric()))
+        result = self._check(self._pmap(self._symmetric()))
         assert result.passed
         assert result.detail.startswith("2 mirrored directions summed directly")
 
@@ -118,27 +128,31 @@ class TestPatternSymmetry:
         pmap = self._pmap(self._symmetric())
         p = pmap.p.copy()
         p[:, row] = p[::-1, row]
-        assert not _symmetry_check(dataclasses.replace(pmap, p=p)).passed
+        assert not self._check(dataclasses.replace(pmap, p=p)).passed
         hi = pmap.bounds.modulus_hi.copy()
         hi[row] *= 1.0 + 1e-6
         bounds = dataclasses.replace(pmap.bounds, modulus_hi=hi)
-        assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
-        # the sectors turned by pi, so regions() turns each region, row's
-        # among them, by pi: same moduli and areas
-        sectors, counts = pmap.bounds.sectors
-        bounds = dataclasses.replace(pmap.bounds, sectors=(-sectors, counts))
-        assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds)).passed
+        assert not self._check(dataclasses.replace(pmap, bounds=bounds)).passed
+
+    def test_fails_on_images_that_are_not_conjugates(self, monkeypatch):
+        # the pass's images as the region at u in the image order, without
+        # the conjugation: same moduli, vertex counts and areas as the region at -u
+        pmap = self._pmap(self._symmetric())
+        image = iams.mirror_image
+        monkeypatch.setattr(iams, "mirror_image", lambda *a: np.conjugate(image(*a)))
+        assert not self._check(pmap).passed
 
     def test_not_applicable_without_mirrored_rows(self):
         scen = self._symmetric()
         elements = list(scen.elements)
         elements[2] = dataclasses.replace(elements[2], phase_hi=elements[2].phase_hi + 1e-9)
         nudged = dataclasses.replace(scen, elements=tuple(elements))
-        result = _symmetry_check(self._pmap(nudged))
+        result = self._check(self._pmap(nudged))
         assert result.passed and result.detail == "not applicable (no mirrored rows)"
 
     def test_collapse_reuses_the_curve_allowance(self, monkeypatch):
-        # the only polygonization in the suite is the collapsed scenario's curve
+        # the only polygonization in the suite is the collapsed scenario's
+        # curve: the oracle and direct rows sum the curve's own sectors
         el = ExcitationInterval(1.0, 0.3, 0.99, 1.01, 0.25, 0.35)
         scen = dataclasses.replace(self._symmetric(), elements=(el,) * 4)
         mc = run_mc(self._pmap(scen), 500, seed=0)
