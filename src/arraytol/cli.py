@@ -67,18 +67,29 @@ _BYTE_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int:
-    """An upper estimate of the bytes of a run's largest arrays.
+    """An upper estimate of the bytes a run allocates at its peak, validate's included.
 
-    The complex128 sectors and one block of the region pass, each row
-    N * (arc_points + 4) vertices wide, the block _PASS_BYTES of regions or
-    one row where a row is wider; per grid row, the curve's nine float64
-    values (vertex count, modulus bounds, power bounds and their dB values,
-    nominal power and its dB value); and the K + 1 and 2K + 1 ring maps: per
-    grid row and boundary, a float64 ring radius, its dB value and a
-    probability.
+    The coefficients are tracemalloc peaks, rounded up, of runs that take
+    the K + 1 and 2K + 1 ring boundaries in one region pass, as validate
+    does:
+    - 3 MiB: one block of the region pass with its ring-area temporaries,
+      which the pass sizes together, the geometry kernels' fixed-size
+      blocks, and a Monte Carlo chunk's power rows;
+    - per vertex of the widest row, N * (arc_points + 4) of them, 1200
+      bytes (the sectors, kernel temporaries where one row is wider than a
+      kernel block, and validate's support functions) plus 8 per ring
+      boundary (the ring areas);
+    - per grid row, 320 bytes plus 192 per ring (the curve, the ring maps
+      and the Monte Carlo counts), and 16 per element (the Monte Carlo
+      steering matrix).
+    Not counted: the Monte Carlo draw buffers, 32 * N bytes per sample of
+    a chunk, whose samples run_mc sizes by n_u alone, so they grow as
+    N / n_u where n_u is small.  Affine in each size field, as _check_size
+    assumes.
     """
-    width = n_elements * (arc_points + 4)
-    return 32 * width + _PASS_BYTES + 8 * n_u * (9 + 3 * (3 * k_regions + 2))
+    width, boundaries = n_elements * (arc_points + 4), 3 * k_regions + 2
+    return (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)
+            + n_u * (320 + 192 * k_regions + 16 * n_elements))
 
 
 def _check_size(n_elements: int, fields: dict) -> None:
@@ -200,7 +211,9 @@ def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
     wide, which no region exceeds.  Where the widest region is narrower,
     the rows are then moved in place, in order, to that width, and the
     file truncated: it holds the bytes np.save writes of the region array.
-    A failed pass removes the file and the directories the dump created.
+    The file is polygons.npy.part until the pass has succeeded, and then
+    replaces polygons.npy; a failed pass removes it and the directories the
+    dump created, so an earlier run's dump stays as it was.
     """
     width = run.scenario.n_elements * (run.arc_points + 4)
     made, head = [], os.path.abspath(run.out_dir)  # the directories to create, deepest first
@@ -208,7 +221,7 @@ def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
         made.append(head)
         head = os.path.dirname(head)
     path = _out_path(run, "polygons.npy")
-    with open(path, "w+b") as fh:
+    with open(path + ".part", "w+b") as fh:
         try:
             start = _npy_header(fh, (run.n_u, width))
             curve = _curve(run, sink=lambda first, vs, n: _write_rows(fh, start, width, first, vs))
@@ -222,10 +235,11 @@ def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
                     _write_rows(fh, moved, widest, block.start, rows[:, :widest])
                 fh.truncate()
         except BaseException:
-            os.remove(path)
+            os.remove(fh.name)
             for directory in made:
                 os.rmdir(directory)
             raise
+    os.replace(fh.name, path)
     return curve
 
 

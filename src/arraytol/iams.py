@@ -27,9 +27,14 @@ _ROUNDING = 2.0 * float(np.finfo(np.float64).eps)
 # which stay normal doubles (1e-288 to 1e288) inside it.
 _MODULUS_RANGE = (1e-72, 1e72)
 
-# The region pass works on blocks of grid rows whose padded regions take
-# about this many bytes; one block's regions are all the pass holds.
+# The region pass works on blocks of grid rows whose padded regions, and
+# their ring areas' temporaries, take about this many bytes; one block's
+# regions are all the pass holds.
 _PASS_BYTES = 1 << 20
+
+# Bytes, about, that disc_polygon_areas takes per region and ring radius
+# for the crossed edges it gathers over a whole block (tracemalloc peaks).
+_RING_AREA_BYTES = 640
 
 # Relative size, against the region's area, of a negative ring area that is
 # still taken for round-off and clipped to zero.
@@ -112,60 +117,58 @@ def interval_af_curve(
     direction u element n's sector is rotated by the steering phase
     2*pi*spacing*n*u, and the region, their Minkowski sum, contains the
     nominal array factor.  The grid's rows are summed in blocks of about
-    _PASS_BYTES of regions, and each block is reduced before the next is
-    summed: its modulus bounds, widened by the rounding_allowance of the
-    sectors, which checks their sector_reach before the sum, and each row's
-    by the length of the steps its normalization welded, which bounds how
-    far the weld moved the region's boundary; the ring probabilities of each
-    ring count in ring_counts; and, when sink is given, sink(first,
-    vertices, n_vertices) with the block's regions in the padded-row format,
-    the grid rows from first on.  Then the block is dropped, so no array of
-    every region is ever held.  Where mirrored_rows finds the mirror
-    symmetry, only the rows from u = 0 on are summed; each row at -u copies
-    the count, bounds and ring probabilities of the row at u, and sink gets
-    its region as the mirror_image of the one at u, after the block it comes
-    from.
+    _PASS_BYTES of regions and ring-area temporaries (_RING_AREA_BYTES per
+    region and ring radius), each from its own rows' steering phases, and
+    each block is reduced before the next is summed: its modulus bounds,
+    widened by the rounding_allowance of the sectors, which checks their
+    sector_reach before the sum, and each row's by the length of the steps
+    its normalization welded, which bounds how far the weld moved the
+    region's boundary; the ring probabilities of each ring count in
+    ring_counts; and, when sink is given, sink(first, vertices, n_vertices)
+    with the block's regions in the padded-row format, the grid rows from
+    first on.  Then the block is dropped, so no array of every region, or
+    of every row's steering phases, is ever held.  Where mirrored_rows finds
+    the mirror symmetry, only the rows from u = 0 on are summed.  One pair
+    of slices per block then maps each summed row at u to its image row at
+    -u: the block writes its vertex counts, bounds and ring probabilities to
+    its own rows and, reversed, to their image rows, and sink gets the
+    images' regions as the mirror_image of those at u, after the block's
+    own.
     """
     for k_regions in ring_counts:
         check_integer("k_regions", k_regions, 1)
     slack = rounding_allowance(sectors[0])
-    mirrored = mirrored_rows(scenario, grid)
-    psi = steering_phases(scenario, grid.samples[mirrored:])
-    rows = len(psi)
-    n_vertices = np.empty(rows, dtype=np.int64)
-    lo, hi = np.empty(rows), np.empty(rows)
+    n_u, mirrored = len(grid), mirrored_rows(scenario, grid)
+    n_vertices = np.empty(n_u, dtype=np.int64)
+    lo, hi = np.empty(n_u), np.empty(n_u)
     # C order, since numpy's sums along the grid round by memory layout
-    rings = {k: (np.empty((k, rows)), np.empty(rows, dtype=bool)) for k in ring_counts}
-    for block in _row_blocks(rows, 16 * int(sectors[1].sum()), _PASS_BYTES):
-        vertices, n_vertices[block], welded = rotated_minkowski_sums(*sectors, psi[block])
-        n = n_vertices[block]
+    rings = {k: (np.empty((k, n_u)), np.empty(n_u, dtype=bool)) for k in ring_counts}
+    row_bytes = 16 * int(sectors[1].sum()) + _RING_AREA_BYTES * sum(k + 1 for k in ring_counts)
+    for block in _row_blocks(n_u - mirrored, row_bytes, _PASS_BYTES):
+        rows = slice(mirrored + block.start, mirrored + block.stop)
+        # grid row r's image is row n_u - 1 - r, for the block's rows from first on
+        first = max(0, n_u - 2 * mirrored - block.start)
+        images = slice(n_u - mirrored - block.stop, n_u - rows.start - first)
+        psi = steering_phases(scenario, grid.samples[rows])
+        vertices, n, welded = rotated_minkowski_sums(*sectors, psi)
         block_lo, block_hi = modulus_bounds(vertices, n)
         reach = slack + welded
-        lo[block], hi[block] = np.maximum(block_lo - reach, 0.0), block_hi + reach
+        block_lo, block_hi = np.maximum(block_lo - reach, 0.0), block_hi + reach
+        values = [(n_vertices, n), (lo, block_lo), (hi, block_hi)]
         if rings:  # every ring count in one ring-area call
-            radii = [_ring_radii(lo[block], hi[block], k_regions) for k_regions in rings]
-            for (p, degenerate), (block_p, no_area) in zip(
-                rings.values(), _ring_probabilities(radii, vertices, n)
-            ):
-                p[:, block], degenerate[block] = block_p, no_area
+            radii = [_ring_radii(block_lo, block_hi, k_regions) for k_regions in rings]
+            for ring, block_ring in zip(rings.values(), _ring_probabilities(radii, vertices, n)):
+                values += zip(ring, block_ring)
+        for target, value in values:
+            target[..., rows] = value
+            target[..., images] = value[..., first:][..., ::-1]
         if sink is not None:
-            sink(mirrored + block.start, vertices, n)
-            # the image of summed row s (grid row mirrored + s) is grid row
-            # len(grid) - 1 - mirrored - s, where that row is mirrored
-            first = max(0, len(grid) - 2 * mirrored - block.start)
+            sink(rows.start, vertices, n)
             if first < len(n):
                 image_n = n[first:][::-1]
-                image = mirror_image(vertices[first:][::-1], image_n)
-                sink(len(grid) - mirrored - block.stop, image, image_n)
+                sink(images.start, mirror_image(vertices[first:][::-1], image_n), image_n)
         del vertices  # so the next block's sum does not hold it too
-    return IntervalRegions(
-        unfold_mirror(n_vertices, mirrored),
-        unfold_mirror(lo, mirrored),
-        unfold_mirror(hi, mirrored),
-        slack,
-        mirrored,
-        {k: tuple(unfold_mirror(a, mirrored) for a in ring) for k, ring in rings.items()},
-    )
+    return IntervalRegions(n_vertices, lo, hi, slack, mirrored, rings)
 
 
 def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
@@ -232,17 +235,6 @@ def mirror_image(vertices: np.ndarray, n_vertices: np.ndarray) -> np.ndarray:
     slot = np.arange(vertices.shape[1])
     image = np.take_along_axis(vertices, np.where(slot < n, (n - slot) % n, 0), axis=1)
     return np.conjugate(image, out=image)
-
-
-def unfold_mirror(values: np.ndarray, mirrored: int) -> np.ndarray:
-    """Full-grid values from those of rows mirrored onward, along the last axis.
-
-    Row i < mirrored takes the value of row -1 - i.  With nothing mirrored
-    the result is values itself, not a copy.
-    """
-    if not mirrored:
-        return values
-    return np.concatenate((values[..., ::-1][..., :mirrored], values), axis=-1)
 
 
 def steering_phases(scenario: ArrayScenario, u) -> np.ndarray:

@@ -147,8 +147,11 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     k_regions = pmap.k_regions
     n_u = len(grid)
     box = _tolerance_box(scenario)
-    # C order: the gemm rounds by the memory layout of its operands
-    steering = np.exp(1j * np.ascontiguousarray(steering_phases(scenario, grid.samples).T))
+    # C order, since the gemm rounds by the memory layout of its operands;
+    # in blocks of columns, so no (N, N_u) phase array is held
+    steering = np.empty((scenario.n_elements, n_u), dtype=complex)
+    for lo, hi in _spans(n_u, max(2, _BLOCK_BYTES // (16 * scenario.n_elements))):
+        steering[:, lo:hi] = np.exp(1j * steering_phases(scenario, grid.samples[lo:hi])).T
     # boundaries between rings, one contiguous row per boundary
     inner_sq = np.ascontiguousarray(pmap.ring_radii[:, 1:k_regions].T ** 2)
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from arraytol import cli, iams
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
+from arraytol.validate import run_validation
 from helpers import padded, pass_regions, taylor_taper, workload_config
 
 
@@ -126,9 +128,15 @@ class TestBoundsCommand:
 class TestRegionPass:
     """The region pass's results and polygon dump do not depend on its block size."""
 
-    @pytest.mark.parametrize("workload", ["taylor16", "steered64"])  # mirrored, direct
-    def test_block_size_changes_no_bit(self, workload, tmp_path, monkeypatch):
-        config = workload_config(workload)
+    @pytest.mark.parametrize(
+        "workload, n_u",
+        # mirrored, direct, and mirrored on an even grid, where every summed
+        # row has an image row
+        [("taylor16", 501), ("steered64", 501), ("taylor16", 500)],
+        ids=["taylor16", "steered64", "taylor16-even"],
+    )
+    def test_block_size_changes_no_bit(self, workload, n_u, tmp_path, monkeypatch):
+        config = workload_config(workload) | {"n_u": n_u}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         scen, grid = scenario_from_config(config), uniform_grid(config["n_u"])
@@ -320,6 +328,20 @@ class TestAmplitudeRange:
         assert "scale the amplitudes down" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "existing"]
         assert list((tmp_path / "existing").iterdir()) == []
+
+    def test_a_failed_dump_keeps_the_earlier_run(self, tmp_path, capsys):
+        # the dump replaces polygons.npy only once its pass has succeeded, so
+        # a failed run leaves an earlier run's files as they were, as it does
+        # without the dump
+        out = tmp_path / "out"
+        good = _write_config(tmp_path / "good.json")
+        assert main(["bounds", "--config", str(good), "--out", str(out), "--dump-polygons"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["bounds.csv", "polygons.npy"]
+        cfg = self._taylor16(tmp_path, 1e160)
+        assert main(["bounds", "--config", str(cfg), "--out", str(out), "--dump-polygons"]) == 1
+        assert "scale the amplitudes down" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestMcCommand:
@@ -831,34 +853,53 @@ class TestRunFields:
 class TestSizeBudget:
     """build_run_config rejects a run whose run_bytes exceed the budget, before it allocates."""
 
-    @pytest.mark.parametrize("steer", [0.0, 40.0], ids=["mirrored", "steered"])
-    def test_estimate_bounds_the_arrays_a_run_holds(self, steer):
+    @pytest.mark.parametrize(
+        "amplitudes, steer, exact, n_u, arc_points",
+        [
+            # enough rows for the region pass to take several blocks
+            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6),
+            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6),
+            # the steering matrix and the Minkowski blocks of a long array
+            (taylor_taper(256), 7.0, 0, 1001, 2),
+            # rows far wider than a kernel block
+            ((0.5, 0.8), 0.0, 0, 3, 50_000),
+            # five zero-tolerance elements, one vertex each: rows of 15
+            # vertices, so a pass block takes many rows
+            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6),
+        ],
+        ids=["mirrored", "steered", "steered-256", "wide-rows", "zero-tolerance"],
+    )
+    def test_estimate_bounds_the_arrays_a_run_holds(self, amplitudes, steer, exact, n_u, arc_points):
+        elements = [{"amplitude": float(a), "phase_deg": steer * n} for n, a in enumerate(amplitudes)]
+        for element in elements[:exact]:
+            element.update(amplitude_lo=element["amplitude"], amplitude_hi=element["amplitude"],
+                           phase_lo_deg=element["phase_deg"], phase_hi_deg=element["phase_deg"])
         scen = scenario_from_config({
             "spacing_wavelengths": 0.5,
-            "elements": [{"amplitude": a, "phase_deg": steer * n}
-                         for n, a in enumerate((0.5, 0.8, 1.0, 1.0, 0.8, 0.5))],
+            "elements": elements,
             "xi_percent": 2.0,
             "gamma_deg": 4.0,
         })
-        # enough rows for the region pass to take several blocks
-        k_regions, n_u, arc_points = 5, 4001, 6
-        blocks = []
-        curve = power_bounds(
-            scen, uniform_grid(n_u), arc_points, ring_counts=(k_regions, 2 * k_regions),
-            sink=lambda first, vertices, n: blocks.append(vertices.nbytes),
-        )
-        assert curve.mirrored == (2000 if steer == 0.0 else 0)
+        k_regions, blocks = 5, []
+        tracemalloc.start()
+        try:  # the chain of a validate command, each stage's products held
+            curve = power_bounds(
+                scen, uniform_grid(n_u), arc_points, ring_counts=(k_regions, 2 * k_regions),
+                sink=lambda first, vertices, n: blocks.append(first),
+            )
+            maps = [probability_map(curve, k) for k in (k_regions, 2 * k_regions)]
+            run_validation(run_mc(maps[0], 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert curve.mirrored == (n_u // 2 if steer == 0.0 else 0)
+        assert int(curve.sectors[1].sum()) == (len(amplitudes) - exact) * (arc_points + 4) + exact
         assert len(blocks) > 2
-        held = max(blocks) + curve.sectors[0].nbytes
-        for name in ("n_vertices", "modulus_lo", "modulus_hi", "p_lo", "p_hi", "p_lo_db",
-                     "p_hi_db", "nominal_db", "nominal_power"):
-            held += getattr(curve, name).nbytes
-        for k in (k_regions, 2 * k_regions):
-            pmap = probability_map(curve, k)
-            held += pmap.ring_radii.nbytes + pmap.region_power_db.nbytes + pmap.p.nbytes
-        estimate = run_bytes(scen.n_elements, k_regions, n_u, arc_points)
-        assert estimate == 32 * 60 + _PASS_BYTES + 8 * 4001 * 60
-        assert held <= estimate <= 2.2 * held
+        estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
+        width, boundaries = len(amplitudes) * (arc_points + 4), 17
+        assert estimate == (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)
+                            + n_u * (320 + 192 * k_regions + 16 * len(amplitudes)))
+        assert peak <= estimate <= 2.2 * peak
 
     @pytest.mark.parametrize("key, flag", [("k_regions", "--k"), ("n_u", "--nu"),
                                            ("arc_points", "--arc-points")])
