@@ -74,7 +74,8 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
     does:
     - 3 MiB: one block of the region pass with its ring-area temporaries,
       which the pass sizes together, the geometry kernels' fixed-size
-      blocks, and a Monte Carlo chunk's power rows;
+      blocks, and a Monte Carlo chunk, whose draws, power rows and ring
+      masks run_mc sizes together;
     - per vertex of the widest row, N * (arc_points + 4) of them, 1200
       bytes (the sectors, kernel temporaries where one row is wider than a
       kernel block, and validate's support functions) plus 8 per ring
@@ -82,10 +83,7 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
     - per grid row, 320 bytes plus 192 per ring (the curve, the ring maps
       and the Monte Carlo counts), and 16 per element (the Monte Carlo
       steering matrix).
-    Not counted: the Monte Carlo draw buffers, 32 * N bytes per sample of
-    a chunk, whose samples run_mc sizes by n_u alone, so they grow as
-    N / n_u where n_u is small.  Affine in each size field, as _check_size
-    assumes.
+    Affine in each size field, as _check_size assumes.
     """
     width, boundaries = n_elements * (arc_points + 4), 3 * k_regions + 2
     return (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)

@@ -2,12 +2,12 @@
 
 A run draws every sample's excitations, in sample order, from one Philox
 stream keyed by the seed, so results are bitwise identical for a fixed
-seed no matter how work is chunked.  Chunks of samples, sized by one
-byte budget, hold the draws, the power and the ring masks; each chunk's
-complex pattern product is formed in row blocks sized by a smaller, cache-
-sized budget and written straight into the chunk's power rows.  Neither a
-chunk nor a block holds a lone row, whose one-row product BLAS rounds
-differently (a gemv, not a gemm).
+seed no matter how work is chunked.  Chunks of samples are sized by one
+byte budget that counts every buffer they hold: the draws, the power and
+the ring masks.  Each chunk's complex pattern product is formed in row
+blocks sized by a smaller, cache-sized budget and written straight into
+the chunk's power rows.  Neither a chunk nor a block holds a lone row,
+whose one-row product BLAS rounds differently (a gemv, not a gemm).
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ if TYPE_CHECKING:
     from numpy.random import Generator
 
 _HIST_BINS = 200
-_CHUNK_BYTES = 2 << 20  # a chunk holds _CHUNK_BYTES // (16 N_u) samples
+_CHUNK_BYTES = 2 << 20  # a chunk holds _CHUNK_BYTES // (16 N_u + 32 N) samples
 _BLOCK_BYTES = 256 << 10  # one block's (block, N_u) complex128 product
-_COUNT_ROWS = 255  # ring-mask rows summed at once: a uint8 sum cannot wrap
 SEED_LIMIT = 1 << 128  # seeds are Philox keys: two 64-bit words
 SAMPLE_LIMIT = 1 << 63  # sample counts are int64
 
@@ -129,17 +128,18 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     100 dB below the upper edge, and samples below it are left uncounted.
     Samples draw their excitations in order from one sample_stream(seed),
     2N uniforms each, so sample i is the i-th sample_realization call on a
-    fresh stream.  Chunks of _CHUNK_BYTES // (16 N_u) samples, at least 2,
-    reuse buffers allocated once per run: _draw maps each chunk's uniforms
-    and weights in place, and the power and ring-mask buffers are written
-    with out=, so memory does not grow with n_samples.  The complex pattern
+    fresh stream.  Chunks of _CHUNK_BYTES // (16 N_u + 32 N) samples, at
+    least 2, reuse buffers allocated once per run, so memory grows with
+    neither n_samples nor N / N_u: per sample, 32 N bytes of uniforms and
+    weights, which _draw maps in place, and 9 N_u of power and ring mask,
+    written with out=.  The complex pattern
     product is formed in blocks of max(2, N, _BLOCK_BYTES // (16 N_u))
     rows, whose |z|^2 goes straight into the chunk's power rows; the N floor
     keeps each gemm large enough to run at full speed, and it makes a block
     the whole chunk when N_u is large.  A lone last sample joins the chunk
     before it, and a lone last row the block before it, as BLAS rounds a
-    one-row product (gemv) unlike the others (gemm).  Ring masks are summed
-    as uint8 over slices of _COUNT_ROWS rows.
+    one-row product (gemv) unlike the others (gemm).  Each ring boundary's
+    mask is summed over the chunk in one uint16 reduce.
     """
     check_integer("n_samples", n_samples, 1, SAMPLE_LIMIT)
     check_integer("seed", seed, 0, SEED_LIMIT)
@@ -169,7 +169,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         lo_edge = lo_db - 1.0 if math.isfinite(lo_db) else hi_edge - 100.0
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
-    step = max(2, _CHUNK_BYTES // (16 * n_u))
+    step = max(2, _CHUNK_BYTES // (16 * n_u + 32 * scenario.n_elements))
     block = max(2, scenario.n_elements, _BLOCK_BYTES // (16 * n_u))
     rows = min(step + 1, n_samples)
     product = np.empty((min(block + 1, rows), n_u), dtype=complex)
@@ -194,9 +194,8 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
         for h in range(1, k_regions):
             np.greater_equal(p, inner_sq[h - 1], out=mask)
-            for lo in range(0, m, _COUNT_ROWS):
-                rows_ge = mask[lo : lo + _COUNT_ROWS].view(np.uint8)
-                at_least[h] += np.add.reduce(rows_ge, axis=0, dtype=np.uint8)
+            # no wrap: a sample takes 48 bytes or more, so a chunk has < 2**16 rows
+            at_least[h] += np.add.reduce(mask, axis=0, dtype=np.uint16)
         db = power_db(p[:, probe_idx], pmap.bounds.peak_power)
         for acc, col, edges in zip(hist_counts, db.T, probe_edges):
             acc += np.histogram(col, bins=edges)[0]

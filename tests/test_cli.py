@@ -854,22 +854,28 @@ class TestSizeBudget:
     """build_run_config rejects a run whose run_bytes exceed the budget, before it allocates."""
 
     @pytest.mark.parametrize(
-        "amplitudes, steer, exact, n_u, arc_points",
+        "amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks",
         [
             # enough rows for the region pass to take several blocks
-            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6),
-            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6),
+            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6, 8, 3),
+            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6, 8, 3),
             # the steering matrix and the Minkowski blocks of a long array
-            (taylor_taper(256), 7.0, 0, 1001, 2),
+            (taylor_taper(256), 7.0, 0, 1001, 2, 8, 3),
             # rows far wider than a kernel block
-            ((0.5, 0.8), 0.0, 0, 3, 50_000),
+            ((0.5, 0.8), 0.0, 0, 3, 50_000, 8, 3),
             # five zero-tolerance elements, one vertex each: rows of 15
             # vertices, so a pass block takes many rows
-            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6),
+            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 8, 3),
+            # a wide array on a coarse grid, whose Monte Carlo draws, 32 N
+            # bytes a sample, outweigh its power rows; enough samples to
+            # fill a chunk sized by n_u alone (2 MiB / (16 n_u) = 65536)
+            (taylor_taper(64), 0.0, 0, 2, 4, 70_000, 1),
         ],
-        ids=["mirrored", "steered", "steered-256", "wide-rows", "zero-tolerance"],
+        ids=["mirrored", "steered", "steered-256", "wide-rows", "zero-tolerance", "wide-coarse"],
     )
-    def test_estimate_bounds_the_arrays_a_run_holds(self, amplitudes, steer, exact, n_u, arc_points):
+    def test_estimate_bounds_the_arrays_a_run_holds(
+        self, amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks
+    ):
         elements = [{"amplitude": float(a), "phase_deg": steer * n} for n, a in enumerate(amplitudes)]
         for element in elements[:exact]:
             element.update(amplitude_lo=element["amplitude"], amplitude_hi=element["amplitude"],
@@ -888,13 +894,13 @@ class TestSizeBudget:
                 sink=lambda first, vertices, n: blocks.append(first),
             )
             maps = [probability_map(curve, k) for k in (k_regions, 2 * k_regions)]
-            run_validation(run_mc(maps[0], 8))
+            run_validation(run_mc(maps[0], mc_samples))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert curve.mirrored == (n_u // 2 if steer == 0.0 else 0)
         assert int(curve.sectors[1].sum()) == (len(amplitudes) - exact) * (arc_points + 4) + exact
-        assert len(blocks) > 2
+        assert len(blocks) >= least_blocks
         estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
         width, boundaries = len(amplitudes) * (arc_points + 4), 17
         assert estimate == (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)

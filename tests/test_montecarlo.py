@@ -40,6 +40,15 @@ def _bits(w):
     return np.ascontiguousarray(w).view(np.uint64)
 
 
+def _assert_same_report(report, reference):
+    assert np.array_equal(report.per_u_min, reference.per_u_min)
+    assert np.array_equal(report.per_u_max, reference.per_u_max)
+    assert np.array_equal(report.region_frequencies, reference.region_frequencies)
+    assert np.array_equal(report.mode_region, reference.mode_region)
+    for h, h0 in zip(report.histograms, reference.histograms):
+        assert np.array_equal(h.counts, h0.counts)
+
+
 class TestSampleRealization:
     def test_zero_tolerance_gives_nominals(self):
         scen = _scenario(0.0, 0.0)
@@ -106,7 +115,7 @@ class TestReferenceDraw:
     @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
     def test_run_mc_chunk_weights(self, seed, monkeypatch):
         scen = self._scenario()
-        grid = uniform_grid(21)  # 336 bytes of product per sample
+        grid = uniform_grid(21)  # 16 * 21 + 32 * 3 = 432 chunk bytes per sample
         chunks = []
         draw = montecarlo._draw
 
@@ -115,7 +124,7 @@ class TestReferenceDraw:
             chunks.append(weights.copy())
 
         monkeypatch.setattr(montecarlo, "_draw", spy)
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 336)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 432)
         run_mc(_pmap(scen, grid, 3), 23, seed=seed)
         assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
         expected = reference_draw(scen, sample_stream(seed).random((23, 2 * scen.n_elements)))
@@ -123,16 +132,14 @@ class TestReferenceDraw:
 
 
 class TestRunMcMemory:
-    """run_mc's traced peak is its preallocated chunk buffers, whatever n_samples."""
+    """run_mc's traced peak is its preallocated chunk buffers, whatever n_samples, N and N_u."""
 
-    N_U = 101
-
-    @pytest.fixture(scope="class")
-    def pmap(self):
+    @staticmethod
+    def _taylor_pmap(n, n_u):
         scen = scenario_from_tolerances(
-            [(a, 0.0) for a in taylor_taper(16)], 0.01, math.radians(3.0), 0.5
+            [(a, 0.0) for a in taylor_taper(n)], 0.01, math.radians(3.0), 0.5
         )
-        return _pmap(scen, uniform_grid(self.N_U), 5)
+        return _pmap(scen, uniform_grid(n_u), 5)
 
     @staticmethod
     def _peak(pmap, n_samples):
@@ -143,12 +150,15 @@ class TestRunMcMemory:
         finally:
             tracemalloc.stop()
 
-    def test_peak_does_not_grow_with_samples(self, pmap):
+    def test_peak_does_not_grow_with_samples(self):
+        pmap = self._taylor_pmap(16, 101)
         assert abs(self._peak(pmap, 50_000) - self._peak(pmap, 5_000)) <= 64 << 10
 
-    def test_peak_is_the_chunk_buffers(self, pmap):
-        n, n_u = 16, self.N_U
-        rows = max(2, montecarlo._CHUNK_BYTES // (16 * n_u)) + 1
+    # the second: 64 elements on 2 directions, where the draws decide the chunk
+    @pytest.mark.parametrize("n, n_u", [(16, 101), (64, 2)])
+    def test_peak_is_the_chunk_buffers(self, n, n_u):
+        pmap = self._taylor_pmap(n, n_u)
+        rows = max(2, montecarlo._CHUNK_BYTES // (16 * n_u + 32 * n)) + 1
         block_rows = min(max(2, n, montecarlo._BLOCK_BYTES // (16 * n_u)) + 1, rows)
         # power, ring mask, uniforms, weights; the block's product; the steering matrix
         buffers = rows * (n_u * (8 + 1) + 2 * n * 8 + n * 16) + (block_rows + n) * n_u * 16
@@ -210,7 +220,8 @@ class TestRunMc:
 
     def test_chunk_size_invariance(self, monkeypatch):
         scen = _scenario()
-        grid = uniform_grid(21)  # 336 bytes of product per sample
+        # 16 * 21 = 336 block bytes per row, 336 + 32 * 6 = 528 chunk bytes per sample
+        grid = uniform_grid(21)
         pmap = _pmap(scen, grid, 3)
         # the reference: one chunk, one block, one gemm
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1 << 30)
@@ -223,17 +234,41 @@ class TestRunMc:
             monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
             # one chunk; 2-sample chunks; 5-sample chunks, leaving one sample
             # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
-            for budget in (1 << 30, 1, 5 * 336, 64 * 336):
+            for budget in (1 << 30, 1, 5 * 528, 64 * 528):
                 monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
                 other = run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6))
-                assert np.array_equal(other.per_u_min, reference.per_u_min)
-                assert np.array_equal(other.per_u_max, reference.per_u_max)
-                assert np.array_equal(other.region_frequencies, reference.region_frequencies)
-                assert np.array_equal(other.mode_region, reference.mode_region)
-                for h, h0 in zip(other.histograms, reference.histograms):
-                    assert np.array_equal(h.counts, h0.counts)
+                _assert_same_report(other, reference)
 
-    @pytest.mark.parametrize("n_samples, budget", [(2049, None), (9, 4 * 336), (3, 1)])
+    def test_chunk_size_invariance_where_the_draws_decide(self, monkeypatch):
+        # 40 elements on 5 directions: a sample's 32 * 40 = 1280 bytes of
+        # draws outweigh its 16 * 5 = 80, so the draws decide the chunk
+        scen = scenario_from_tolerances(
+            [(a, 0.0) for a in taylor_taper(40)], 0.02, math.radians(4.0), 0.5
+        )
+        pmap = _pmap(scen, uniform_grid(5), 3)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
+        reference = run_mc(pmap, 501, seed=1, probe_directions=(0.0,))
+        chunks = []
+        draw = montecarlo._draw
+
+        def spy(box, stream, uniforms, weights):
+            draw(box, stream, uniforms, weights)
+            chunks.append(len(weights))
+
+        monkeypatch.setattr(montecarlo, "_draw", spy)
+        # 5-sample chunks, leaving one sample over (501 = 100 * 5 + 1), and
+        # 64-sample chunks; blocks: the chunk, and 40 rows, the N floor
+        for budget, sizes in ((5 * 1360, [5] * 99 + [6]), (64 * 1360, [64] * 7 + [53])):
+            monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+            for block_budget in (1 << 30, 1):
+                monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
+                chunks.clear()
+                _assert_same_report(run_mc(pmap, 501, seed=1, probe_directions=(0.0,)), reference)
+                assert chunks == sizes
+
+    # chunks: one of 2049 samples, the default budget; 4 samples, then 5 with
+    # the lone ninth (16 * 21 + 32 * 6 = 528 bytes per sample); 2 with the lone third
+    @pytest.mark.parametrize("n_samples, budget", [(2049, None), (9, 4 * 528), (3, 1)])
     def test_lone_last_sample_rounds_like_the_rest(self, n_samples, budget, monkeypatch):
         # with zero tolerances every sample is the nominal pattern, so the
         # envelope has zero width only if every sample's product rounds the
