@@ -29,7 +29,7 @@ from .model import (
 )
 from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, run_mc
 from .pia import feature_report, probability_map
-from .validate import format_results, run_validation
+from .validate import format_results, oracle_rows, region_sink, run_validation
 
 
 @dataclass(frozen=True)
@@ -313,10 +313,12 @@ def cmd_mc(run: RunConfig) -> int:
 
 def cmd_validate(run: RunConfig) -> int:
     """Run the invariant suite."""
-    # the suite's refinement check reads the 2K map from the same pass
-    curve = _curve(run, (run.k_regions, 2 * run.k_regions))
+    # the suite's refinement check reads the 2K map from the same pass, and
+    # its area oracle and symmetry check the regions the sink keeps
+    regions, sink = region_sink(oracle_rows(run.n_u))
+    curve = _curve(run, (run.k_regions, 2 * run.k_regions), sink)
     mc = run_mc(probability_map(curve, run.k_regions), run.mc_samples, seed=run.seed)
-    results = run_validation(mc)
+    results = run_validation(mc, regions)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 

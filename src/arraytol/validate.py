@@ -1,14 +1,16 @@
 """Self-check suite: structural invariants plus an independent area oracle.
 
 These checks back the `validate` CLI command.  The area oracle splits a
-region once into its lower and upper chains, takes the exact slice between
-them at each column x, clips it by the circle and integrates the widths by
-Simpson quadrature in x: a computation path fully independent of the
-center-fanned geometry kernel.
+region once into its lower and upper chains, cuts its x-range into slabs
+on which each side is one chain line or one semicircle, and integrates
+every slab in closed form: a computation path independent of the
+geometry kernel's fan from the centre, with which it shares only the
+edge-circle quadratic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,16 @@ from .montecarlo import McReport
 from .pia import feature_report, mean_probabilities, probability_map
 
 REL_TOL = 1e-9
-N_COLUMNS = 8193  # odd, so composite Simpson has an even number of panels
 N_RAYS = 64  # directions along which pattern-symmetry compares regions
+
+# The area oracle's rounding bar on a region's ring probabilities is
+# ROUNDING_BAR * n * P * R / A, for n vertices, perimeter P, farthest vertex
+# modulus R and area A: each area sums about n terms, each rounded by about
+# eps * P * R.  An estimate, not a proof: over 2408 rows of the benchmark
+# workloads, Taylor-256, the CI smoke configs and narrower twins of its
+# narrow pattern, the kernel and the oracle differed by at most
+# 0.67 * n * eps * P * R / A.
+ROUNDING_BAR = 64.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -30,19 +40,22 @@ class CheckResult:
     detail: str
 
 
-def disc_polygon_area_quadrature(radii, vertices) -> np.ndarray:
+def disc_polygon_area_exact(radii, vertices) -> np.ndarray:
     """Area of one convex region inside the disc of each radius (independent oracle).
 
     vertices is a convex CCW vertex ring.  It is split once into a lower
     chain, from the lowest of its leftmost vertices to the lowest of its
     rightmost, and an upper chain, from the highest of its rightmost back to
-    the highest of its leftmost.  The region's slice at column x runs from
-    the lower chain to the upper one; for each radius in turn the slices are
-    clipped by the circle and composite Simpson over N_COLUMNS columns
-    integrates their widths, so the temporaries are a few N_COLUMNS-long
-    rows whatever the number of radii.  Breaking ties among the extreme
-    vertices by height keeps a vertical extreme edge out of both chains, so
-    the end columns see the whole slice.
+    the highest of its leftmost, so a vertical extreme edge is in neither.
+    For each radius in turn the x-range is cut at every vertex abscissa and
+    every edge-circle crossing; on each slab the top is then one upper-chain
+    line or the upper semicircle, and the bottom one lower-chain line or the
+    lower semicircle, whichever holds at the slab's midpoint.  A slab
+    integrates exactly, as the trapezoid under its ends plus, for each arc
+    side, the circular segment r**2 (theta - sin theta) / 2 over its chord:
+    the circle's integral (x sqrt(r**2 - x**2) + r**2 asin(x / r)) / 2 in a
+    form whose rounding grows with the slab's width, not with r**2.  The
+    temporaries are a few arrays as long as one radius's slabs.
     """
     radii = np.asarray(radii, dtype=np.float64)
     vs = np.asarray(vertices, dtype=np.complex128)
@@ -54,31 +67,71 @@ def disc_polygon_area_quadrature(radii, vertices) -> np.ndarray:
     lower = np.roll(vs, -low_left)[: (low_right - low_left) % n + 1]
     upper = np.roll(vs, -high_right)[: (high_left - high_right) % n + 1][::-1]
 
-    weights = np.ones(N_COLUMNS)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    areas = np.empty(radii.shape)
-    for i, r in enumerate(radii):
-        x_lo = max(vs[low_left].real, -r)
-        x_hi = min(vs[high_right].real, r)
-        xs = np.linspace(x_lo, x_hi, N_COLUMNS)
-        y_circ = np.sqrt(np.maximum(r * r - xs * xs, 0.0))
-        y_lo = np.maximum(np.interp(xs, lower.real, lower.imag), -y_circ)
-        y_hi = np.minimum(np.interp(xs, upper.real, upper.imag), y_circ)
-        width = np.maximum(y_hi - y_lo, 0.0)
-        h = max(x_hi - x_lo, 0.0) / (N_COLUMNS - 1)
-        areas[i] = width @ weights * h / 3.0
+    # edge a + t d, 0 < t < 1, crosses the circle where
+    # |d|**2 t**2 + 2 Re(conj(a) d) t + |a|**2 - r**2 = 0
+    d = np.roll(vs, -1) - vs
+    dd, b, aa = np.abs(d) ** 2, (vs.conj() * d).real, np.abs(vs) ** 2
+    areas = np.zeros(radii.shape)
+    for i, r in enumerate(radii.tolist()):
+        x_lo, x_hi = max(vs[low_left].real, -r), min(vs[high_right].real, r)
+        if not x_lo < x_hi:
+            continue
+        root = np.sqrt(np.maximum(b * b - dd * (aa - r * r), 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero-length edge crosses nothing
+            t = (-b + np.array([[-1.0], [1.0]]) * root) / dd
+        crossings = (vs.real + t * d.real)[(t > 0.0) & (t < 1.0)]
+        xs = np.unique(np.clip(np.concatenate((vs.real, crossings)), x_lo, x_hi))
+
+        def sides(x):
+            """The upper semicircle, the upper chain and the lower chain at x."""
+            return (np.sqrt(np.maximum((r - x) * (r + x), 0.0)),
+                    np.interp(x, upper.real, upper.imag), np.interp(x, lower.real, lower.imag))
+
+        arc, hi, lo = sides(0.5 * (xs[:-1] + xs[1:]))  # at the slab midpoints
+        arc_top, arc_bottom = arc < hi, -arc > lo
+        inside = np.minimum(arc, hi) > np.maximum(-arc, lo)
+        arc, hi, lo = sides(xs)  # at the slab ends
+        widths = [np.where(arc_top, arc[ends], hi[ends]) - np.where(arc_bottom, -arc[ends], lo[ends])
+                  for ends in (slice(None, -1), slice(1, None))]
+        trapezoids = 0.5 * (widths[0] + widths[1]) * np.diff(xs)
+        half_chord = 0.5 * np.hypot(np.diff(xs), np.diff(arc))
+        theta = 2.0 * np.arcsin(np.minimum(half_chord / r, 1.0))
+        segments = 0.5 * r * r * (theta - np.sin(theta))
+        areas[i] = np.sum((trapezoids + segments * (arc_top.astype(float) + arc_bottom))[inside])
     return areas
 
 
-def run_validation(mc: McReport) -> list[CheckResult]:
-    """Check the products of one run: mc, its map and the map's bounds.
+def region_sink(rows) -> tuple[dict, Callable]:
+    """({row: region}, sink): a region-pass sink that keeps the regions at the grid rows in rows.
+
+    Each region is kept unpadded, as a copy, so no pass block outlives the
+    sink call that handed it over.
+    """
+    regions, wanted = {}, set(rows)
+
+    def sink(first, vertices, n_vertices):
+        for i in wanted.intersection(range(first, first + len(n_vertices))):
+            regions[i] = vertices[i - first, : n_vertices[i - first]].copy()
+
+    return regions, sink
+
+
+def oracle_rows(n_u: int) -> list[int]:
+    """The grid rows whose regions run_validation reads: the oracle directions and their mirrors."""
+    return sorted({j for i in _oracle_directions(n_u) for j in (i, n_u - 1 - i)})
+
+
+def run_validation(mc: McReport, regions: dict) -> list[CheckResult]:
+    """Check the products of one run: mc, its map, the map's bounds and regions.
 
     The bounds must hold the ring probabilities of K and 2K rings
-    (power_bounds' ring_counts).  Builds only what the checks add: the
-    scenario's zero-tolerance collapse, a few regions summed again from the
-    curve's sectors, and the oracle slices.  Every entry carries a pass/fail
-    verdict.
+    (power_bounds' ring_counts), and regions the region of each of the
+    oracle_rows, as the region_sink of those rows keeps them from the
+    curve's own pass: the area oracle integrates them, and the symmetry
+    check compares the mirror images among them.  Builds only what the
+    checks add: the scenario's zero-tolerance collapse and the mirrored
+    oracle rows summed again, directly, from the curve's sectors.  Every
+    entry carries a pass/fail verdict.
     """
     results: list[CheckResult] = []
     pmap, bounds, k_regions = mc.pmap, mc.pmap.bounds, mc.pmap.k_regions
@@ -173,48 +226,20 @@ def run_validation(mc: McReport) -> list[CheckResult]:
         )
     )
 
-    regions = _oracle_regions(bounds)
     results.append(_symmetry_check(pmap, regions))
     results.append(_zero_tolerance_check(bounds, k_regions))
     results.append(_oracle_spot_check(pmap, regions))
     return results
 
 
-def _pass_regions(bounds, rows, ring_counts=()):
-    """({row: unpadded region}, pass): the region pass over the curve's sectors at grid rows.
-
-    rows is a sorted list, and its samples are the pass's grid.
-    """
-    regions = {}
-
-    def sink(first, vertices, n_vertices):
-        regions.update((i, row[:n]) for i, row, n in zip(rows[first:], vertices, n_vertices))
-
-    grid = AngularGrid(bounds.grid.samples[rows])
-    return regions, interval_af_curve(bounds.scenario, grid, bounds.sectors, ring_counts, sink)
-
-
-def _oracle_regions(bounds) -> dict:
-    """{row: unpadded region} of the oracle directions, from one region pass.
-
-    Where the curve mirrored, the rows' mirror partners join them, so their
-    samples are their own mirror image: the pass mirrors as the curve's did
-    and hands over the curve's regions bit for bit, mirror images included.
-    """
-    rows = _oracle_directions(len(bounds.grid))
-    if bounds.mirrored:
-        rows = sorted({j for i in rows for j in (i, len(bounds.grid) - 1 - i)})
-    return _pass_regions(bounds, rows)[0]
-
-
 def _symmetry_check(pmap, regions) -> CheckResult:
-    """Recompute the mirrored rows among regions, the _oracle_regions, without the mirror.
+    """Recompute the mirrored rows among regions, the curve's oracle_rows, without the mirror.
 
-    Sums those rows directly from the curve's sectors and compares their
-    regions (by their support functions along N_RAYS directions) with the
-    mirror images in regions, and their modulus bounds and ring
-    probabilities with the ones the curve and the map copied from the rows
-    at -u.
+    Sums those rows directly from the curve's sectors, in one region pass
+    over them alone, and compares their regions (by their support functions
+    along N_RAYS directions) with the mirror images the curve's pass handed
+    its sink, and their modulus bounds and ring probabilities with the ones
+    the curve and the map copied from the rows at -u.
     """
     bounds = pmap.bounds
     if bounds.mirrored == 0:
@@ -222,11 +247,13 @@ def _symmetry_check(pmap, regions) -> CheckResult:
     rows = sorted(i for i in regions if i < bounds.mirrored)
     rays = np.exp(2j * np.pi * np.arange(N_RAYS) / N_RAYS)[:, None]
     # a grid of only u < 0 samples is never mirrored: every row is summed
-    summed, direct = _pass_regions(bounds, rows, (pmap.k_regions,))
+    summed, sink = region_sink(range(len(rows)))
+    grid = AngularGrid(bounds.grid.samples[rows])
+    direct = interval_af_curve(bounds.scenario, grid, bounds.sectors, (pmap.k_regions,), sink)
     scale = float(bounds.modulus_hi.max())
     err_region = max(
-        float(np.abs(_support(summed[i], rays) - _support(regions[i], rays)).max())
-        for i in rows
+        float(np.abs(_support(summed[j], rays) - _support(regions[i], rays)).max())
+        for j, i in enumerate(rows)
     ) / scale
     err_mod = max(
         float(np.abs(direct.modulus_lo - bounds.modulus_lo[rows]).max()),
@@ -283,20 +310,28 @@ def _oracle_directions(n_u: int) -> list[int]:
 
 
 def _oracle_spot_check(pmap, regions) -> CheckResult:
-    """The ring probabilities of the oracle directions against the quadrature of regions."""
-    worst = 0.0
+    """The ring probabilities of the oracle directions against the exact areas of regions.
+
+    Each row's ring probabilities must lie within its rounding bar,
+    ROUNDING_BAR * n * P * R / A, of the oracle's.
+    """
+    worst = ratio = 0.0
     for i in _oracle_directions(len(pmap.bounds.grid)):
         if pmap.degenerate[i]:
             continue
-        covered = disc_polygon_area_quadrature(pmap.ring_radii[i], regions[i])
+        vs = regions[i]
+        covered = disc_polygon_area_exact(pmap.ring_radii[i], vs)
         if covered[-1] <= 0.0:
             continue
-        oracle = np.diff(covered) / covered[-1]
-        worst = max(worst, float(np.abs(pmap.p[:, i] - oracle).max()))
+        err = float(np.abs(pmap.p[:, i] - np.diff(covered) / covered[-1]).max())
+        perimeter = float(np.abs(np.diff(vs, append=vs[:1])).sum())
+        bar = ROUNDING_BAR * vs.size * perimeter * float(np.abs(vs).max()) / covered[-1]
+        worst, ratio = max(worst, err), max(ratio, err / bar)
     return CheckResult(
         "area-oracle-spot-check",
-        worst <= 1e-3,
-        f"max |p_k - quadrature oracle| = {worst:.3e}",
+        ratio <= 1.0,
+        f"max |p_k - exact oracle| = {worst:.3e}, at most {ratio:.3e} of the row's "
+        "rounding bar 64 n eps P R / A",
     )
 
 

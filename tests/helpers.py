@@ -1,7 +1,7 @@
 """Independent oracles, input generators and one-row calls shared across the test suite.
 
 Every oracle here computes areas or memberships through a different
-algorithm than the package (column quadrature, point grids, scipy hulls,
+algorithm than the package (closed-form x-slabs, point grids, scipy hulls,
 the shoelace formula, the closed-form circular segment, element-by-element
 math.cos/sin for the nominal pattern, numpy's complex exp for the
 excitation draws), so agreement is evidence rather than tautology.
@@ -224,8 +224,17 @@ def circular_segment_area(r: float, a1: complex, a2: complex) -> float:
     return r * r * math.asin(half / r) - half * math.sqrt(max(r * r - half * half, 0.0))
 
 
-def disc_convex_area_slab(r: float, verts, n_columns: int = 4097) -> float:
-    """Disc-polygon intersection area: exact y-slices, Simpson in x."""
+def disc_convex_area_slab(r: float, verts) -> float:
+    """Disc-polygon intersection area, exact: closed-form integrals over x-slabs.
+
+    The slabs are cut at every vertex abscissa and wherever an edge meets
+    the circle (np.roots of the edge's quadratic), so on each the region's
+    top is one edge line, the lowest of the leftward edges', or the upper
+    semicircle, and its bottom one edge line, the highest of the rightward
+    edges', or the lower semicircle.  Lines integrate as trapezoids, and an
+    arc as the trapezoid under its chord plus the circular segment
+    r**2 asin(c / 2r) - (c / 2) sqrt(r**2 - c**2 / 4) of its chord c.
+    """
     vs = np.asarray(verts, dtype=complex)
     if r <= 0.0 or vs.size < 3:
         return 0.0
@@ -233,31 +242,39 @@ def disc_convex_area_slab(r: float, verts, n_columns: int = 4097) -> float:
     x_hi = min(float(vs.real.max()), r)
     if x_hi <= x_lo:
         return 0.0
-    xs = np.linspace(x_lo, x_hi, n_columns)
-    lo = np.full(xs.size, -np.inf)
-    hi = np.full(xs.size, np.inf)
-    feasible = np.ones(xs.size, dtype=bool)
-    for i in range(vs.size):
-        a = vs[i]
-        b = vs[(i + 1) % vs.size]
-        dx = b.real - a.real
-        dy = b.imag - a.imag
-        if dx == 0.0:
-            feasible &= -dy * (xs - a.real) >= -1e-12 * abs(dy)
-            continue
-        y_edge = a.imag + dy * (xs - a.real) / dx
-        if dx > 0.0:
-            lo = np.maximum(lo, y_edge)
-        else:
-            hi = np.minimum(hi, y_edge)
-    y_circ = np.sqrt(np.maximum(r * r - xs * xs, 0.0))
-    width = np.minimum(hi, y_circ) - np.maximum(lo, -y_circ)
-    width = np.where(feasible, np.maximum(width, 0.0), 0.0)
-    h = xs[1] - xs[0]
-    w = np.ones(xs.size)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(np.sum(w * width) * h / 3.0)
+    d = np.roll(vs, -1) - vs
+    cuts = list(vs.real)
+    for a, da in zip(vs, d):
+        if da != 0.0:
+            roots = np.roots([abs(da) ** 2, 2.0 * (a.conjugate() * da).real, abs(a) ** 2 - r * r])
+            cuts += [(a + t.real * da).real for t in roots if t.imag == 0.0 and 0.0 < t.real < 1.0]
+    xs = np.unique(np.clip(cuts, x_lo, x_hi))
+    x0, x1 = xs[:-1], xs[1:]
+    mid = 0.5 * (x0 + x1)
+
+    def on_line(edges, x):
+        """The line of each edge in edges (an index array) at x."""
+        a, da = vs[edges], d[edges]
+        return a.imag + da.imag * (x - a.real) / da.real
+
+    upper, lower = np.flatnonzero(d.real < 0.0), np.flatnonzero(d.real > 0.0)
+    top_line = upper[np.argmin(on_line(upper[:, None], mid), axis=0)]
+    bottom_line = lower[np.argmax(on_line(lower[:, None], mid), axis=0)]
+
+    def circle(x):
+        return np.sqrt(np.maximum(r * r - x * x, 0.0))
+
+    arc_top = circle(mid) < on_line(top_line, mid)
+    arc_bottom = -circle(mid) > on_line(bottom_line, mid)
+    top = [np.where(arc_top, circle(x), on_line(top_line, x)) for x in (x0, x1, mid)]
+    bottom = [np.where(arc_bottom, -circle(x), on_line(bottom_line, x)) for x in (x0, x1, mid)]
+    half = 0.5 * np.hypot(x1 - x0, circle(x1) - circle(x0))
+    segment = r * r * np.arcsin(np.minimum(half / r, 1.0)) - half * np.sqrt(
+        np.maximum(r * r - half * half, 0.0)
+    )
+    slab = 0.5 * (top[0] - bottom[0] + top[1] - bottom[1]) * (x1 - x0)
+    slab += segment * (arc_top.astype(float) + arc_bottom)
+    return float(np.sum(slab[top[2] > bottom[2]]))
 
 
 def disc_convex_area_point_grid(r: float, verts, n: int = 1000) -> float:

@@ -25,7 +25,7 @@ from arraytol import cli, iams
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
-from arraytol.validate import run_validation
+from arraytol.validate import oracle_rows, region_sink, run_validation
 from helpers import padded, pass_regions, taylor_taper, workload_config
 
 
@@ -559,32 +559,33 @@ class TestComputeOnce:
 
     def test_validation_builds_only_its_own_products(self, calls, config_path):
         from arraytol import scenario_from_tolerances
-        from arraytol.validate import run_validation
 
         scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
-        bounds = power_bounds(scen, uniform_grid(41), 6, ring_counts=(5, 10))
+        regions, sink = region_sink(oracle_rows(41))
+        bounds = power_bounds(scen, uniform_grid(41), 6, ring_counts=(5, 10), sink=sink)
         mc = run_mc(probability_map(bounds, 5), 500)
         for seen in calls.values():
             seen.clear()
-        run_validation(mc)
-        # the oracle rows and the mirrored rows among them summed again from
-        # the curve's sectors, and the zero-tolerance collapse's curve, the
-        # one polygonization; then the 2K map and the collapse's map
+        run_validation(mc, regions)
+        # the mirrored oracle rows summed again from the curve's sectors, and
+        # the zero-tolerance collapse's curve, the one polygonization; then
+        # the 2K map and the collapse's map
         curves, maps = calls["interval_af_curve"], calls["probability_map"]
-        assert (len(curves), len(maps), len(calls["run_mc"])) == (3, 2, 0)
-        assert len(calls["rotated_minkowski_sums"]) == 3
+        assert (len(curves), len(maps), len(calls["run_mc"])) == (2, 2, 0)
+        assert len(calls["rotated_minkowski_sums"]) == 2
         assert len(calls["polygonize_interval_phasors"]) == 1
-        assert curves[0] is scen and curves[1] is scen and curves[2] is not scen
+        assert curves[0] is scen and curves[1] is not scen
         assert maps[0] is mc.pmap.bounds and maps[1] is not mc.pmap.bounds
 
         for seen in calls.values():
             seen.clear()
         assert main(["validate", "--config", str(config_path), "--mc-samples", "500"]) == 0
-        # the command's own curve and MC, then the suite's oracle and direct
-        # rows, summed from the command's sectors, and its collapse
-        assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (4, 1)
+        # the command's own curve, whose sink keeps the oracle rows, and its
+        # MC, then the suite's direct rows, summed from the command's
+        # sectors, and its collapse
+        assert (len(calls["interval_af_curve"]), len(calls["run_mc"])) == (3, 1)
         assert len(calls["polygonize_interval_phasors"]) == 2
-        assert len(calls["rotated_minkowski_sums"]) == 4
+        assert len(calls["rotated_minkowski_sums"]) == 3
 
     def test_pia_builds_no_polygon_per_direction(self, calls, config_path, tmp_path):
         assert main(["pia", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
@@ -593,7 +594,7 @@ class TestComputeOnce:
         assert len(calls["rotated_minkowski_sums"]) == 1
 
     @pytest.mark.parametrize(
-        "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 4)]
+        "command, curves", [("bounds", 1), ("pia", 1), ("features", 1), ("mc", 1), ("validate", 3)]
     )
     def test_each_command_builds_one_curve_per_scenario(
         self, calls, config_path, tmp_path, command, curves
@@ -889,12 +890,13 @@ class TestSizeBudget:
         k_regions, blocks = 5, []
         tracemalloc.start()
         try:  # the chain of a validate command, each stage's products held
+            regions, keep = region_sink(oracle_rows(n_u))
             curve = power_bounds(
                 scen, uniform_grid(n_u), arc_points, ring_counts=(k_regions, 2 * k_regions),
-                sink=lambda first, vertices, n: blocks.append(first),
+                sink=lambda first, vertices, n: blocks.append(first) or keep(first, vertices, n),
             )
             maps = [probability_map(curve, k) for k in (k_regions, 2 * k_regions)]
-            run_validation(run_mc(maps[0], mc_samples))
+            run_validation(run_mc(maps[0], mc_samples), regions)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -12,7 +12,7 @@ from arraytol.geometry import (
     polygonize_interval_phasors,
     rotated_minkowski_sums,
 )
-from arraytol.validate import disc_polygon_area_quadrature
+from arraytol.validate import ROUNDING_BAR, disc_polygon_area_exact
 
 from helpers import (
     boundary_distance,
@@ -505,8 +505,8 @@ class TestCircleTriangleIntersection:
             far = float(np.abs(p).max())
             for r in (0.25 * far, 0.5 * far, 0.8 * far, far, 1.5 * far):
                 whole = disc_polygon_intersection_area(r, p)
-                oracle = disc_convex_area_slab(r, p, 16385)
-                assert whole == pytest.approx(oracle, abs=1e-6 * max(1.0, oracle))
+                oracle = disc_convex_area_slab(r, p)
+                assert whole == pytest.approx(oracle, rel=0.0, abs=1e-13 * max(1.0, oracle))
             # beyond the farthest vertex the disc covers the whole polygon
             assert disc_polygon_intersection_area(1.5 * far, p) == pytest.approx(
                 polygon_area(p), rel=1e-12
@@ -536,7 +536,7 @@ class TestDiscPolygonAreas:
     def test_radii_at_the_class_boundaries(self, case):
         # an edge lies inside a disc from its farther end's modulus up and
         # outside it from its distance to the origin down; radii on both, and
-        # one ulp either side, must keep the areas monotone and on quadrature
+        # one ulp either side, must keep the areas monotone and on the exact oracle
         rng = np.random.default_rng(17 + case)
         if case < 5:
             center = (0j, 0.4 - 0.3j, 0.9 + 0.2j, 2.5 + 1j, -1.5 - 2j)[case]
@@ -553,8 +553,8 @@ class TestDiscPolygonAreas:
         whole = polygon_area(p)
         assert np.all(np.diff(areas) >= -1e-12 * whole)
         assert areas[-1] == pytest.approx(whole, rel=1e-12)
-        oracle = disc_polygon_area_quadrature(radii, p[p != np.roll(p, 1)])  # no repeats
-        assert areas == pytest.approx(oracle, rel=1e-5, abs=1e-5 * whole)
+        oracle = disc_polygon_area_exact(radii, p[p != np.roll(p, 1)])  # no repeats
+        assert areas == pytest.approx(oracle, rel=0.0, abs=1e-13 * whole)
         # among rows of another width and vertex count, the bits stay the same
         other = random_convex_vertices(rng, 12, center=0.5j)
         width = max(len(p), len(other)) + 3
@@ -566,10 +566,16 @@ class TestDiscPolygonAreas:
 
     @staticmethod
     def _match_slab_oracle(p, radii):
-        """Areas of region p at radii against the slab oracle, relative to its area."""
+        """Areas of region p at radii against the slab oracle, within validate's rounding bar.
+
+        The bar on an area is ROUNDING_BAR * n * P * R, for n vertices,
+        perimeter P and farthest vertex modulus R.
+        """
         areas = disc_polygon_areas(np.asarray(radii)[None], p[None], [len(p)])[0]
-        oracle = [disc_convex_area_slab(float(r), p, 16385) for r in radii]
-        assert areas == pytest.approx(oracle, rel=1e-6, abs=1e-6 * polygon_area(p))
+        oracle = [disc_convex_area_slab(float(r), p) for r in radii]
+        perimeter = float(np.abs(np.diff(p, append=p[:1])).sum())
+        bar = ROUNDING_BAR * len(p) * perimeter * float(np.abs(p).max())
+        assert areas == pytest.approx(oracle, rel=0.0, abs=bar)
         return areas
 
     def test_region_far_from_the_origin(self):

@@ -1,6 +1,7 @@
 """Tests of the validate module: its independent area oracle and its verdicts."""
 
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -16,24 +17,61 @@ from arraytol import (
     uniform_grid,
 )
 from arraytol import iams
+from arraytol.cli import main
 from arraytol.geometry import disc_polygon_areas
 from arraytol.validate import (
-    _oracle_regions,
     _symmetry_check,
-    disc_polygon_area_quadrature,
+    disc_polygon_area_exact,
+    oracle_rows,
+    region_sink,
     run_validation,
 )
 
 from helpers import disc_convex_area_slab, random_convex_vertices
 
 
+def _chain(scen, n_u, k_regions):
+    """The K-ring map of scen on n_u samples, its pass taking 2K rings too, and its oracle_rows.
+
+    The regions come from the curve's own pass, through region_sink, as validate takes them.
+    """
+    regions, sink = region_sink(oracle_rows(n_u))
+    bounds = power_bounds(scen, uniform_grid(n_u), ring_counts=(k_regions, 2 * k_regions),
+                          sink=sink)
+    return probability_map(bounds, k_regions), regions
+
+
+# the CI smoke config: 4 elements, symmetric intervals, 41 directions
+_SMOKE = {
+    "spacing_wavelengths": 0.5,
+    "elements": [{"amplitude": a, "phase_deg": 0.0} for a in (0.6, 1.0, 1.0, 0.6)],
+    "xi_percent": 2.0,
+    "gamma_deg": 4.0,
+    "k_regions": 3,
+    "n_u": 41,
+    "arc_points": 4,
+    "mc_samples": 500,
+    "seed": 1,
+}
+
+
+def _validate(tmp_path, capsys, config, *args):
+    """The validate command's exit code and its report lines by check name."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["validate", "--config", str(path), "--mc-samples", "200", *args])
+    return code, {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+
+
 class TestAreaQuadrature:
+    """The exact area oracle, disc_polygon_area_exact, against the kernel and the test slabs."""
+
     @pytest.mark.parametrize("start", range(4))
     def test_rectangle_inside_the_disc_at_every_start(self, start):
-        # vertical edges at both x extremes: the end columns must see the
+        # vertical edges at both x extremes: the end slabs must see the
         # whole slice whichever vertex the ring starts at
         rect = np.roll([-0.3 - 0.2j, 0.4 - 0.2j, 0.4 + 0.5j, -0.3 + 0.5j], start)
-        areas = disc_polygon_area_quadrature([1.0, 2.0], rect)
+        areas = disc_polygon_area_exact([1.0, 2.0], rect)
         assert np.allclose(areas, 0.7 * 0.7, rtol=0.0, atol=1e-12)
 
     def test_random_polygons_match_both_other_oracles(self):
@@ -45,12 +83,12 @@ class TestAreaQuadrature:
         for p in polys:
             far = float(np.abs(p).max())
             radii = far * np.array([0.25, 0.5, 0.8, 1.0, 1.5])
-            areas = disc_polygon_area_quadrature(radii, p)
+            areas = disc_polygon_area_exact(radii, p)
             exact = disc_polygon_areas(radii[None], p[None], [len(p)])[0]
             slab = [disc_convex_area_slab(r, p) for r in radii.tolist()]
-            tol = 1e-5 * exact[-1]
-            assert areas == pytest.approx(exact, rel=1e-5, abs=tol)
-            assert areas == pytest.approx(slab, rel=1e-5, abs=tol)
+            tol = 1e-13 * exact[-1]
+            assert areas == pytest.approx(exact, rel=1e-13, abs=tol)
+            assert areas == pytest.approx(slab, rel=1e-13, abs=tol)
 
     @pytest.mark.parametrize(
         "vertices, radii",
@@ -62,7 +100,7 @@ class TestAreaQuadrature:
         ids=["point", "segment", "zero-radius"],
     )
     def test_zero_area(self, vertices, radii):
-        areas = disc_polygon_area_quadrature(radii, vertices)
+        areas = disc_polygon_area_exact(radii, vertices)
         assert areas.shape == (len(radii),)
         assert np.all(areas == 0.0)
 
@@ -74,7 +112,7 @@ class TestAreaQuadrature:
             radii = np.linspace(0.0, 1.5, n_radii)
             tracemalloc.start()
             try:
-                disc_polygon_area_quadrature(radii, vertices)
+                disc_polygon_area_exact(radii, vertices)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -82,34 +120,65 @@ class TestAreaQuadrature:
         assert abs(peak(41) - peak(6)) <= 64 << 10
 
 
+class TestAreaOracleGate:
+    """The area oracle's gate: each row's rounding bar, 64 n eps P R / A."""
+
+    def test_fails_on_one_ring_area_off_by_a_millionth(self, tmp_path, capsys, monkeypatch):
+        code, checks = _validate(tmp_path, capsys, _SMOKE)
+        assert code == 0 and checks["area-oracle-spot-check"].startswith("PASS")
+        # the smoke curve's pass sums its rows from u = 0 on, so each
+        # ring-area call's first row is u = 0, the oracle direction n_u // 2;
+        # a 1e-6 relative change of its first inner disc's area moves its
+        # ring probabilities by about 1e-7, which a fixed 1e-3 gate passes
+        areas = iams.disc_polygon_areas
+
+        def scaled(*args):
+            covered = areas(*args)
+            covered[0, 1] *= 1.0 + 1e-6
+            return covered
+
+        monkeypatch.setattr(iams, "disc_polygon_areas", scaled)
+        code, checks = _validate(tmp_path, capsys, _SMOKE)
+        assert code == 1 and checks["area-oracle-spot-check"].startswith("FAIL")
+
+    @pytest.mark.parametrize("n_u", [2, 3, 7, 40, 41])
+    @pytest.mark.parametrize("width_deg", [1e-9, 1e-10, 1e-11, 1e-12])
+    def test_passes_on_narrow_phase_intervals(self, tmp_path, capsys, width_deg, n_u):
+        """CI's narrow pattern (phases within 1e-9 deg of nominal) and its narrower twins.
+
+        At u = +-1 every sector is a radial segment, and the regions there
+        are slivers whose ring probabilities rounding moves by up to about
+        6e-6 (width 1e-12 deg).  The gate grows with each region's P R / A,
+        so they pass where a fixed 1e-9 gate would fail them.  Only this
+        check is asserted: validate still fails pattern-symmetry on the
+        narrow pattern at n_u = 2 to 5, since the weld moves those slivers'
+        boundaries by about their width.
+        """
+        elements = [dict(e, phase_lo_deg=-width_deg, phase_hi_deg=width_deg)
+                    for e in _SMOKE["elements"]]
+        _, checks = _validate(tmp_path, capsys, _SMOKE | {"elements": elements}, "--nu", str(n_u))
+        assert checks["area-oracle-spot-check"].startswith("PASS")
+
+
 class TestAmplitudeScale:
     @staticmethod
     def _mc(scale):
         scen = scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
-        bounds = power_bounds(scen, uniform_grid(41), ring_counts=(3, 6))
-        return run_mc(probability_map(bounds, 3), 5000, seed=0)
+        pmap, regions = _chain(scen, 41, 3)
+        return run_mc(pmap, 5000, seed=0), regions
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 3e-8, 1.0, 1e6])
     def test_regions_and_verdicts_do_not_depend_on_scale(self, scale):
         # the geometry tolerances are relative: scaling every amplitude
         # scales the regions and leaves their vertices and rings alone
-        ref, mc = self._mc(1.0).pmap, self._mc(scale)
+        ref, (mc, regions) = self._mc(1.0)[0].pmap, self._mc(scale)
         assert np.array_equal(mc.pmap.bounds.n_vertices, ref.bounds.n_vertices)
         assert np.array_equal(mc.pmap.degenerate, ref.degenerate)
-        assert [r.name for r in run_validation(mc) if not r.passed] == []
+        assert [r.name for r in run_validation(mc, regions) if not r.passed] == []
 
 
 class TestPatternSymmetry:
     """The check sums some mirrored rows directly and compares them with the copies."""
-
-    @staticmethod
-    def _pmap(scen, n_u=41):
-        return probability_map(power_bounds(scen, uniform_grid(n_u), ring_counts=(4, 8)), 4)
-
-    @staticmethod
-    def _check(pmap):
-        """_symmetry_check against the mirror images of the oracle rows' region pass."""
-        return _symmetry_check(pmap, _oracle_regions(pmap.bounds))
 
     @staticmethod
     def _symmetric():
@@ -118,46 +187,46 @@ class TestPatternSymmetry:
         )
 
     def test_passes_on_the_copies(self):
-        result = self._check(self._pmap(self._symmetric()))
+        result = _symmetry_check(*_chain(self._symmetric(), 41, 4))
         assert result.passed
         assert result.detail.startswith("2 mirrored directions summed directly")
 
     @pytest.mark.parametrize("row", [6, 13])
     def test_fails_on_a_wrong_mirrored_row(self, row):
         # rows 6 and 13 are the mirrored oracle directions of a 41-sample grid
-        pmap = self._pmap(self._symmetric())
+        pmap, regions = _chain(self._symmetric(), 41, 4)
         p = pmap.p.copy()
         p[:, row] = p[::-1, row]
-        assert not self._check(dataclasses.replace(pmap, p=p)).passed
+        assert not _symmetry_check(dataclasses.replace(pmap, p=p), regions).passed
         hi = pmap.bounds.modulus_hi.copy()
         hi[row] *= 1.0 + 1e-6
         bounds = dataclasses.replace(pmap.bounds, modulus_hi=hi)
-        assert not self._check(dataclasses.replace(pmap, bounds=bounds)).passed
+        assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds), regions).passed
 
     def test_fails_on_images_that_are_not_conjugates(self, monkeypatch):
-        # the pass's images as the region at u in the image order, without
+        # the curve pass's images as the region at u in the image order, without
         # the conjugation: same moduli, vertex counts and areas as the region at -u
-        pmap = self._pmap(self._symmetric())
         image = iams.mirror_image
         monkeypatch.setattr(iams, "mirror_image", lambda *a: np.conjugate(image(*a)))
-        assert not self._check(pmap).passed
+        assert not _symmetry_check(*_chain(self._symmetric(), 41, 4)).passed
 
     def test_not_applicable_without_mirrored_rows(self):
         scen = self._symmetric()
         elements = list(scen.elements)
         elements[2] = dataclasses.replace(elements[2], phase_hi=elements[2].phase_hi + 1e-9)
         nudged = dataclasses.replace(scen, elements=tuple(elements))
-        result = self._check(self._pmap(nudged))
+        result = _symmetry_check(*_chain(nudged, 41, 4))
         assert result.passed and result.detail == "not applicable (no mirrored rows)"
 
     def test_collapse_reuses_the_curve_allowance(self, monkeypatch):
         # the only polygonization in the suite is the collapsed scenario's
-        # curve: the oracle and direct rows sum the curve's own sectors
+        # curve: the direct rows sum the curve's own sectors
         el = ExcitationInterval(1.0, 0.3, 0.99, 1.01, 0.25, 0.35)
         scen = dataclasses.replace(self._symmetric(), elements=(el,) * 4)
-        mc = run_mc(self._pmap(scen), 500, seed=0)
+        pmap, regions = _chain(scen, 41, 4)
+        mc = run_mc(pmap, 500, seed=0)
         calls = []
         sectors = iams.element_sectors
         monkeypatch.setattr(iams, "element_sectors", lambda *a: calls.append(a) or sectors(*a))
-        assert [r.name for r in run_validation(mc) if not r.passed] == []
+        assert [r.name for r in run_validation(mc, regions) if not r.passed] == []
         assert len(calls) == 1
