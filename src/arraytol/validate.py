@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .iams import interval_af_curve, power_bounds
 from .model import AngularGrid, scenario_from_tolerances
 from .montecarlo import McReport
@@ -131,10 +132,18 @@ def run_validation(mc: McReport, regions: dict) -> list[CheckResult]:
     check compares the mirror images among them.  Builds only what the
     checks add: the scenario's zero-tolerance collapse and the mirrored
     oracle rows summed again, directly, from the curve's sectors.  Every
-    entry carries a pass/fail verdict.
+    entry carries a pass/fail verdict.  Raises ValidationError when regions
+    lacks any of the oracle_rows.
     """
     results: list[CheckResult] = []
     pmap, bounds, k_regions = mc.pmap, mc.pmap.bounds, mc.pmap.k_regions
+    n_u = len(bounds.grid)
+    missing = sorted(set(oracle_rows(n_u)).difference(regions))
+    if missing:
+        raise ValidationError(
+            f"regions lacks grid rows {missing}: pass the regions that "
+            f"region_sink(oracle_rows({n_u})) keeps from the curve's pass"
+        )
 
     col_err = float(np.abs(pmap.p.sum(axis=0) - 1.0).max())
     results.append(

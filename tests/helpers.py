@@ -31,6 +31,7 @@ from arraytol.geometry import (
     rotated_minkowski_sums,
 )
 from arraytol.iams import _ring_probabilities, element_sectors, interval_af_curve
+from arraytol.validate import region_sink
 
 
 def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.ndarray:
@@ -66,21 +67,75 @@ def workload_config(name: str) -> dict:
     return runpy.run_path(str(path))["WORKLOADS"][name].config(0)
 
 
+# The smoke config: 4 elements, symmetric intervals, 41 directions.  CI's
+# console-script step writes the same config to smoke.json.
+SMOKE = {
+    "spacing_wavelengths": 0.5,
+    "elements": [{"amplitude": a, "phase_deg": 0.0} for a in (0.6, 1.0, 1.0, 0.6)],
+    "xi_percent": 2.0,
+    "gamma_deg": 4.0,
+    "k_regions": 3,
+    "n_u": 41,
+    "arc_points": 4,
+    "mc_samples": 500,
+    "seed": 1,
+}
+
+_SMOKE_ELEMENTS = SMOKE["elements"]
+
+# Legal but awkward variants of SMOKE, each a whole config.
+AWKWARD = {name: SMOKE | changes for name, changes in {
+    # 2 elements: the mainlobe reaches both grid edges, so there is no sidelobe
+    "2-elements": {"elements": _SMOKE_ELEMENTS[:2]},
+    # a wavelength apart: grating lobes
+    "grating": {"spacing_wavelengths": 1.0},
+    # zero tolerances: every sector, so every region, is a point
+    "zero-tol": {"xi_percent": 0.0, "gamma_deg": 0.0},
+    # a beam steered 60 deg/element: no phase interval is symmetric, so no mirror
+    "steered-60": {
+        "elements": [dict(e, phase_deg=60.0 * i) for i, e in enumerate(_SMOKE_ELEMENTS)]
+    },
+    # amplitude tolerances only: each sector a radial segment, or at amplitude 0 a point
+    "amp-only": {
+        "gamma_deg": 0.0,
+        "elements": [dict(e, amplitude=0.0) if i == 1 else e
+                     for i, e in enumerate(_SMOKE_ELEMENTS)],
+    },
+    # phase tolerances only: sectors whose repeated corners are dropped
+    "phase-only": {"xi_percent": 0.0},
+    # phase intervals 1e-9 deg either side of nominal: sectors far narrower than the sum's weld
+    "narrow": {"elements": [dict(e, phase_lo_deg=e["phase_deg"] - 1e-9,
+                                 phase_hi_deg=e["phase_deg"] + 1e-9) for e in _SMOKE_ELEMENTS]},
+    # a fixed element beside a sliver 5.9e-40 deg wide, whose bulge vertices
+    # round onto one another at u = 1
+    "sliver": {
+        "spacing_wavelengths": 0.25,
+        "elements": [
+            {"amplitude": 1.0, "phase_deg": 0.0, "amplitude_lo": 1.0, "amplitude_hi": 1.0,
+             "phase_lo_deg": 0.0, "phase_hi_deg": 0.0},
+            {"amplitude": 1.0, "phase_deg": 0.0, "amplitude_lo": 0.75, "amplitude_hi": 1.0,
+             "phase_lo_deg": 0.0, "phase_hi_deg": 5.885811931035676e-40},
+        ],
+    },
+    # a first phase interval 1e-9 deg off symmetric: no mirror
+    "smoke-direct": {"elements": [dict(_SMOKE_ELEMENTS[0], phase_lo_deg=-4.0,
+                                       phase_hi_deg=4.0 + 1e-9), *_SMOKE_ELEMENTS[1:]]},
+    # amplitudes 1e-9 times smaller: the geometry tolerances are relative
+    "smoke-1e-9": {"elements": [dict(e, amplitude=1e-9 * e["amplitude"]) for e in _SMOKE_ELEMENTS]},
+}.items()}
+
+
 def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
     """(regions, pass): each grid row's region as the region pass hands it to its sink.
 
     The pass sums the scenario's element_sectors at arc_points.  regions[i]
-    is row i's unpadded vertex array; pass is the IntervalRegions
-    interval_af_curve returns.
+    is row i's unpadded vertex array, as region_sink keeps it; pass is the
+    IntervalRegions interval_af_curve returns.
     """
-    regions = [None] * len(grid)
-
-    def sink(first, vertices, n_vertices):
-        for i, (row, n) in enumerate(zip(vertices, n_vertices, strict=True)):
-            regions[first + i] = row[:n]
-
+    kept, sink = region_sink(range(len(grid)))
     sectors = element_sectors(scenario, arc_points)
-    return regions, interval_af_curve(scenario, grid, sectors, ring_counts, sink)
+    curve = interval_af_curve(scenario, grid, sectors, ring_counts, sink)
+    return [kept[i] for i in range(len(grid))], curve
 
 
 def direction_region(scenario, u: float, arc_points: int = 8):

@@ -10,6 +10,7 @@ import pytest
 
 from arraytol import (
     ExcitationInterval,
+    ValidationError,
     power_bounds,
     probability_map,
     run_mc,
@@ -27,7 +28,7 @@ from arraytol.validate import (
     run_validation,
 )
 
-from helpers import disc_convex_area_slab, random_convex_vertices
+from helpers import SMOKE, disc_convex_area_slab, random_convex_vertices
 
 
 def _chain(scen, n_u, k_regions):
@@ -39,20 +40,6 @@ def _chain(scen, n_u, k_regions):
     bounds = power_bounds(scen, uniform_grid(n_u), ring_counts=(k_regions, 2 * k_regions),
                           sink=sink)
     return probability_map(bounds, k_regions), regions
-
-
-# the CI smoke config: 4 elements, symmetric intervals, 41 directions
-_SMOKE = {
-    "spacing_wavelengths": 0.5,
-    "elements": [{"amplitude": a, "phase_deg": 0.0} for a in (0.6, 1.0, 1.0, 0.6)],
-    "xi_percent": 2.0,
-    "gamma_deg": 4.0,
-    "k_regions": 3,
-    "n_u": 41,
-    "arc_points": 4,
-    "mc_samples": 500,
-    "seed": 1,
-}
 
 
 def _validate(tmp_path, capsys, config, *args):
@@ -124,7 +111,7 @@ class TestAreaOracleGate:
     """The area oracle's gate: each row's rounding bar, 64 n eps P R / A."""
 
     def test_fails_on_one_ring_area_off_by_a_millionth(self, tmp_path, capsys, monkeypatch):
-        code, checks = _validate(tmp_path, capsys, _SMOKE)
+        code, checks = _validate(tmp_path, capsys, SMOKE)
         assert code == 0 and checks["area-oracle-spot-check"].startswith("PASS")
         # the smoke curve's pass sums its rows from u = 0 on, so each
         # ring-area call's first row is u = 0, the oracle direction n_u // 2;
@@ -138,13 +125,13 @@ class TestAreaOracleGate:
             return covered
 
         monkeypatch.setattr(iams, "disc_polygon_areas", scaled)
-        code, checks = _validate(tmp_path, capsys, _SMOKE)
+        code, checks = _validate(tmp_path, capsys, SMOKE)
         assert code == 1 and checks["area-oracle-spot-check"].startswith("FAIL")
 
     @pytest.mark.parametrize("n_u", [2, 3, 7, 40, 41])
     @pytest.mark.parametrize("width_deg", [1e-9, 1e-10, 1e-11, 1e-12])
     def test_passes_on_narrow_phase_intervals(self, tmp_path, capsys, width_deg, n_u):
-        """CI's narrow pattern (phases within 1e-9 deg of nominal) and its narrower twins.
+        """The narrow pattern (phases within 1e-9 deg of nominal) and its narrower twins.
 
         At u = +-1 every sector is a radial segment, and the regions there
         are slivers whose ring probabilities rounding moves by up to about
@@ -152,12 +139,35 @@ class TestAreaOracleGate:
         so they pass where a fixed 1e-9 gate would fail them.  Only this
         check is asserted: validate still fails pattern-symmetry on the
         narrow pattern at n_u = 2 to 5, since the weld moves those slivers'
-        boundaries by about their width.
+        boundaries by about their width (the strict xfails of
+        test_cli.TestAwkwardPatterns).
         """
         elements = [dict(e, phase_lo_deg=-width_deg, phase_hi_deg=width_deg)
-                    for e in _SMOKE["elements"]]
-        _, checks = _validate(tmp_path, capsys, _SMOKE | {"elements": elements}, "--nu", str(n_u))
+                    for e in SMOKE["elements"]]
+        _, checks = _validate(tmp_path, capsys, SMOKE | {"elements": elements}, "--nu", str(n_u))
         assert checks["area-oracle-spot-check"].startswith("PASS")
+
+
+class TestRegionsPrecondition:
+    """run_validation names the oracle rows its regions lack, and the sink that keeps them."""
+
+    @pytest.mark.parametrize(
+        "kept, missing",
+        # before the check, {} failed in the symmetry check's pass over no
+        # rows, and the mirrored rows alone with a bare KeyError: 20
+        [((), [6, 13, 20, 27, 34]), ((6, 13), [20, 27, 34])],
+        ids=["none", "mirrored-only"],
+    )
+    def test_missing_oracle_rows_raise(self, small_scenario, kept, missing):
+        pmap, regions = _chain(small_scenario, 41, 3)
+        assert sorted(regions) == [6, 13, 20, 27, 34]
+        mc = run_mc(pmap, 200, seed=0)
+        with pytest.raises(ValidationError) as info:
+            run_validation(mc, {i: regions[i] for i in kept})
+        assert str(info.value) == (
+            f"regions lacks grid rows {missing}: pass the regions that "
+            "region_sink(oracle_rows(41)) keeps from the curve's pass"
+        )
 
 
 class TestAmplitudeScale:
