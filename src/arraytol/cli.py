@@ -8,6 +8,7 @@ exact to the bit.  Identical config and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -332,6 +333,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process; each parse_args call makes a new namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arraytol",

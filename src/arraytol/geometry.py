@@ -360,60 +360,56 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     a row sums, over the CCW edges (a, b), the signed area of disc(0, r)
     intersected with triangle(0, a, b).  That is cross(a, b) / 2 for an
     edge inside the disc, r**2 * angle(a, b) / 2 for an edge outside it,
-    and for an edge the circle crosses, with p1 and p2 the ends of its
-    chord (its edge-circle roots clipped to the edge), cross(p1, p2) / 2
-    plus r**2 / 2 times the angles a -> p1 and p2 -> b.
+    and for an edge the circle cuts, with p1 and p2 the ends of its chord
+    (its edge-circle roots clipped to the edge), cross(p1, p2) / 2 plus
+    r**2 / 2 times the angles a -> p1 and p2 -> b.
 
     Each (region, radius) costs one compare of |a|**2 with r**2 per vertex
     (a vertex with |a|**2 == r**2 is inside); the rest scales with the
-    edges the circle crosses.  Between two edges whose ends lie on either
-    side, the boundary runs with every vertex inside or every vertex
-    outside.  An inside run from vertex s to vertex t adds its _fan_cross
+    edges the circle cuts.  The circle cuts an edge whose ends lie on
+    either side of it, and an edge with both ends outside whose point
+    nearest the origin lies strictly inside (a tangent edge is outside).
+    Between two cut edges the boundary runs with every vertex inside or
+    every vertex outside: inside exactly when the cut edge before it ends
+    inside.  An inside run from vertex s to vertex t adds its _fan_cross
     terms, a difference of prefix sums, plus cross(a0, a_t - a_s); an
     outside run adds r**2 times its edges' angles, likewise.  A circle that
-    separates no edge's ends encloses every vertex, and the area is half
-    the sum of the region's _fan_cross terms, or none: then it is
-    pi * r**2 if the region winds around the origin and 0 if not.  So a
-    radius within every edge's distance from the origin and one beyond
-    every vertex take these closed forms.  An edge with both ends outside still
-    dips inside when its point nearest the origin lies strictly inside (a
-    tangent edge is outside); it then trades its angle term for its
-    crossing piece.  The crossing formula's limits at the class boundaries
-    are the run terms, so a class decided wrongly in the last bit costs no
-    more than round-off.  The per-vertex work runs in blocks of about
+    cuts no edge encloses every vertex, and the area is half the sum of the
+    region's _fan_cross terms, or none: then it is pi * r**2 if the region
+    winds around the origin and 0 if not.  So a radius within every edge's
+    distance from the origin and one beyond every vertex take these closed
+    forms.  The crossing formula's limits at the class boundaries are the
+    run terms, so a class decided wrongly in the last bit costs no more
+    than round-off.  The per-vertex work runs in blocks of about
     _BLOCK_TRIPLES (region, radius, vertex) triples, four more radii
-    counted for the per-vertex arrays; the crossed edges are then taken
-    all at once.
+    counted for the per-vertex arrays; the cut edges are then taken all at
+    once.
     """
     r2 = np.asarray(radii, dtype=np.float64) ** 2
     vertices = np.asarray(vertices, dtype=np.complex128)
     n_vertices = np.asarray(n_vertices)
     per_row, width = r2.shape[1], vertices.shape[1]
-    crossed, dips, before, after = [], [], [], []
+    cut, before, after = [], [], []
     ring = np.zeros(len(vertices), dtype=np.complex128)  # each region's prefix sums' total
     for rows, a in _region_blocks(vertices, n_vertices, per_row + 4, _BLOCK_TRIPLES):
-        ring[rows], (row, k, e), sums, dip = _vertex_pass(a, r2[rows])
-        crossed.append((rows[row] * per_row + k) * width + e)
+        ring[rows], (row, k, e), sums = _vertex_pass(a, r2[rows])
+        cut.append((rows[row] * per_row + k) * width + e)
         before.append(sums[0])
         after.append(sums[1])
-        row, k, e = dip
-        dips.append((rows[row] * per_row + k) * width + e)
-    if not crossed:  # no region has an area
+    if not cut:  # no region has an area
         return np.zeros(r2.shape)
-    crossed, dips = np.concatenate(crossed), np.concatenate(dips)
-    before, after = np.concatenate(before), np.concatenate(after)
-    return 0.5 * _crossed_areas(r2, vertices, n_vertices, crossed, before, after, ring, dips)
+    cut, before, after = np.concatenate(cut), np.concatenate(before), np.concatenate(after)
+    return 0.5 * _crossed_areas(r2, vertices, n_vertices, cut, before, after, ring)
 
 
 def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
     """disc_polygon_areas' per-vertex work on unpadded regions a, (rows, n), at squared radii r2.
 
     Returns the total of each region's prefix sums of its _fan_cross
-    terms plus 1j times its edges' angles; the edges whose ends lie on
-    either side of a circle, as (region, radius, edge) indices, with those
-    prefix sums before and after each; and the edges that dip inside a
-    circle, likewise.  Its own function, so its temporaries die before the
-    next block's.
+    terms plus 1j times its edges' angles; the edges each circle cuts, as
+    (region, radius, edge) indices in that order; and those prefix sums
+    before and after each.  Its own function, so its temporaries die
+    before the next block's.
     """
     n, per_row = a.shape[1], r2.shape[1]
     terms = np.empty(a.shape, dtype=np.complex128)
@@ -424,73 +420,64 @@ def _vertex_pass(a: np.ndarray, r2: np.ndarray) -> tuple:
     np.cumsum(terms, axis=1, out=terms)  # the prefix sums through each edge
     aa = _abs2(a)
     inside = aa[:, None, :] <= r2[:, :, None]  # each vertex's class at each radius
-    crossed = np.empty_like(inside)
-    np.not_equal(inside[..., :-1], inside[..., 1:], out=crossed[..., :-1])
-    np.not_equal(inside[..., -1], inside[..., 0], out=crossed[..., -1])
-    flat, e = np.divmod(np.flatnonzero(crossed), n)
-    row = flat // per_row
-    sums = np.where(e > 0, terms[row, e - 1], 0.0), terms[row, e]
-    # an edge with both ends outside dips inside when the foot of the
-    # origin's perpendicular lies inside; the foot lies strictly between
-    # the ends only where a . b < min(|a|^2, |b|^2)
+    cut = np.empty_like(inside)
+    np.not_equal(inside[..., :-1], inside[..., 1:], out=cut[..., :-1])
+    np.not_equal(inside[..., -1], inside[..., 0], out=cut[..., -1])
+    # a circle also cuts an edge with both ends outside when the foot of
+    # the origin's perpendicular lies inside; the foot lies strictly
+    # between the ends only where a . b < min(|a|^2, |b|^2)
     near = np.minimum(aa, _abs2(b))
     drow, de = np.divmod(np.flatnonzero(ab.real < near), n)
     start, d = a[drow, de], b[drow, de] - a[drow, de]
     dd = _abs2(d)
     t = -(start.real * d.real + start.imag * d.imag) / np.where(dd > 0.0, dd, 1.0)
     q = r2[drow]
-    dips = (_abs2(start + np.clip(t, 0.0, 1.0) * d)[:, None] < q) & (q < near[drow, de][:, None])
-    j, k = np.divmod(np.flatnonzero(dips), per_row)
-    return terms[:, -1], (row, flat % per_row, e), sums, (drow[j], k, de[j])
+    foot = _abs2(start + np.clip(t, 0.0, 1.0) * d)[:, None]
+    cut[drow, :, de] |= (foot < q) & (q < near[drow, de][:, None])
+    flat, e = np.divmod(np.flatnonzero(cut), n)
+    row = flat // per_row
+    sums = np.where(e > 0, terms[row, e - 1], 0.0), terms[row, e]
+    return terms[:, -1], (row, flat % per_row, e), sums
 
 
-def _crossed_areas(r2, vertices, n_vertices, crossed, before, after, ring, dips):
+def _crossed_areas(r2, vertices, n_vertices, cut, before, after, ring):
     """Twice disc_polygon_areas, from what its per-vertex passes gathered.
 
-    crossed and dips are flat (region, radius, edge) indices into
-    (rows, R, width) of the edges whose ends lie on either side of the
-    circle and of those that dip inside it; before and after the prefix
-    sums of the crossed edges' regions before and after them, and ring
-    each region's total of them as _vertex_pass returns it.
+    cut holds the flat (region, radius, edge) indices into (rows, R, width)
+    of the edges the circles cut, those of each (region, radius) together
+    and in edge order; before and after the prefix sums of their regions
+    before and after them, and ring each region's total of them as
+    _vertex_pass returns it.
     """
     per_row, width = r2.shape[1], vertices.shape[1]
-    order = np.argsort(crossed)
-    g, e = np.divmod(crossed[order], width)  # g: flat (region, radius)
-    before, after = before[order], after[order]
+    g, e = np.divmod(cut, width)  # g: flat (region, radius)
     i, q = g // per_row, r2.ravel()[g]
     a, b = vertices[i, e], vertices[i, (e + 1) % n_vertices[i]]
-    # the run from each crossed edge to the next one of its (region,
-    # radius), around past the region's last vertex after the last
-    last = np.ones(g.size, dtype=bool)
-    last[:-1] = g[1:] != g[:-1]
+    # the run from each cut edge to the next one of its (region, radius),
+    # around past the region's last vertex after the last
+    first = np.ones(g.size, dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    last = np.roll(first, -1)
     nxt = np.arange(1, g.size + 1)
-    nxt[last] = np.searchsorted(g, g[last])
+    nxt[last] = np.flatnonzero(first)
     run = before[nxt] - after + ring[i] * last
     span, a0 = a[nxt] - b, vertices[i, 0]
     runs = np.where(
-        _abs2(a) > q,  # the run after an edge from outside is inside
+        _abs2(b) <= q,  # the run after an edge that ends inside is inside
         run.real + (a0.real * span.imag - a0.imag * span.real),
         q * run.imag,
     )
     areas = np.bincount(g, _crossing(a, b, q) + runs, r2.size).reshape(r2.shape)
     areas = areas.astype(np.float64, copy=False)  # bincount counts in integers when g is empty
 
-    # radii that separate no edge's ends enclose every vertex or none
-    whole = np.ones(r2.size, dtype=bool)
-    whole[g] = False
-    whole = whole.reshape(r2.shape) & (n_vertices >= 3)[:, None]
+    # radii that cut no edge enclose every vertex or none
+    whole = np.ones(r2.shape, dtype=bool)
+    whole.flat[g] = False
     winding = np.where(ring.imag > math.pi, _TWO_PI, 0.0)[:, None]  # 2*pi or 0, exactly
     areas[whole] = (r2 * winding)[whole]
     enclosing = whole & (_abs2(vertices[:, :1]) <= r2)
     areas[enclosing] = np.broadcast_to(ring.real[:, None], r2.shape)[enclosing]
-
-    # the edges that dip inside trade their angle term for their crossing piece
-    g, e = np.divmod(dips, width)
-    i, q = g // per_row, r2.ravel()[g]
-    a, b = vertices[i, e], vertices[i, (e + 1) % n_vertices[i]]
-    ab = a.conj() * b
-    piece = _crossing(a, b, q) - q * np.arctan2(ab.imag, ab.real)
-    return areas + np.bincount(g, piece, r2.size).reshape(r2.shape)
+    return areas
 
 
 def _crossing(a: np.ndarray, b: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ _MODULUS_RANGE = (1e-72, 1e72)
 _PASS_BYTES = 1 << 20
 
 # Bytes, about, that disc_polygon_areas takes per region and ring radius
-# for the crossed edges it gathers over a whole block (tracemalloc peaks).
+# for the cut edges it gathers over a whole block (tracemalloc peaks).
 _RING_AREA_BYTES = 640
 
 # Relative size, against the region's area, of a negative ring area that is

@@ -1,8 +1,9 @@
 """Probability analysis inside the power-pattern bounds.
 
-Partitions each direction's reachable array-factor region into uniform
-annular rings, assigns each power sub-interval the area fraction of the
-region it captures, and reduces the per-direction probabilities into
+Reads the ring probabilities that the region pass of power_bounds took
+(each power sub-interval's share of a direction's reachable array-factor
+region, one uniform annular ring of it), pairs them with their ring
+boundaries in dB, and reduces the per-direction probabilities into
 sidelobe-level and pattern-peak feature intervals.
 """
 

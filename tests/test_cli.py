@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output files, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -786,7 +787,74 @@ print(code, peak_kib / 1024)
         assert float(peak_mib) < 80.0
 
 
+class TestParser:
+    """main builds its argument parser once per process, and no call leaks into the next."""
+
+    def test_two_calls_build_one_parser(self, config_path, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        _build_parser.cache_clear()
+        counts = []
+        for out in ("a", "b"):
+            assert main(["bounds", "--config", str(config_path), "--nu", "11",
+                         "--out", str(tmp_path / out)]) == 0
+            counts.append(len(built))
+        _build_parser.cache_clear()  # drop the parser built under the patch
+        assert counts[0] > 0 and counts[1] == counts[0]
+
+    def test_a_probe_does_not_carry_into_the_next_call(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE))
+        common = ["mc", "--config", str(cfg), "--nu", "11"]
+        assert main([*common, "--out", str(tmp_path / "a"), "--probe", "0.0"]) == 0
+        assert main([*common, "--out", str(tmp_path / "b")]) == 0
+        assert [p.name for p in (tmp_path / "a").glob("mc_hist_*")] == ["mc_hist_0005.csv"]
+        assert sorted(p.name for p in (tmp_path / "b").iterdir()) == [
+            "mc_envelope.csv", "mc_frequencies.csv"
+        ]
+
+
+def _one_error_line(capsys) -> str:
+    """The one line main wrote to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
 class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"elements": []}, "config field 'elements' must be a non-empty list"),
+            ({"gamma_deg": 90.0}, "config field 'gamma_deg' must lie in [0, 90), got 90.0"),
+            ({"elements": [0.6, *SMOKE["elements"][1:]]}, "elements[1] must be a mapping"),
+            ({"elements": [dict(SMOKE["elements"][0], amplitude="1"), *SMOKE["elements"][1:]]},
+             "elements[1] field 'amplitude' must be a number, got '1'"),
+        ],
+        ids=["no-elements", "gamma-90", "element-not-a-mapping", "amplitude-a-string"],
+    )
+    def test_bad_field_exits_two(self, tmp_path, capsys, changes, message):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(SMOKE | changes))
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 2
+        assert _one_error_line(capsys) == f"config error: {message}"
+        assert not out.exists()
+
+    def test_out_naming_a_file_exits_one(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(SMOKE))
+        out.write_text("not a directory")
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 1
+        line = _one_error_line(capsys)
+        assert line.startswith("i/o error: [Errno 17] File exists: ") and str(out) in line
+        assert out.read_text() == "not a directory"
+
     def test_missing_field_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         payload = json.loads(_write_config(tmp_path / "full.json").read_text())

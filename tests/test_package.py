@@ -1,5 +1,6 @@
-"""Package export list and the README's library example."""
+"""Package export list, the README's library example and CI's smoke config."""
 
+import json
 import re
 from pathlib import Path
 
@@ -7,7 +8,10 @@ import numpy as np
 
 import arraytol
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from helpers import SMOKE
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves_once():
@@ -66,3 +70,10 @@ def test_readme_sink_example_keeps_every_region():
     assert bounds.mirrored == 10
     assert [len(r) for r in regions] == bounds.n_vertices.tolist()
     assert np.array_equal(regions[0], np.concatenate((regions[-1][:1], regions[-1][:0:-1])).conj())
+
+
+def test_ci_smoke_config_is_the_tests_smoke_config():
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
+    configs = re.findall(r"^ *printf '%s' '(.*)' > smoke\.json$", workflow, re.M)
+    assert len(configs) == 1
+    assert json.loads(configs[0]) == SMOKE
