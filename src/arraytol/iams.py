@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,40 +42,57 @@ _ROUNDOFF = 1e-12
 
 @dataclass(frozen=True)
 class PowerBoundsCurve:
-    """Per-direction inclusive bounds of the radiated power pattern.
+    """Per-direction inclusive bounds of the radiated power pattern, as one region pass took them.
 
-    The bounds of scenario over grid: linear power bounds plus dB values
-    normalized so the nominal pattern peaks at 0 dB; a zero lower bound
-    maps to -inf dB.  Every dB value is power_db of a linear power:
-    nominal_db and peak_power are taken from nominal_power, the nominal
-    |AF|**2 at each direction.  The regions the bounds were taken from are
-    not kept; they leave the region pass only through power_bounds' sink.
-    n_vertices holds their vertex counts and sectors the (vertices,
-    n_vertices) of element_sectors that they sum.  arc_points is the sector
-    polygonization, allowance the rounding allowance the modulus bounds were
-    widened by (besides each row's welded length), mirrored the leading rows
-    that are mirror images (mirrored_rows), and rings the (p, degenerate) of
-    each ring count the region pass was asked for (interval_af_curve), which
-    probability_map reads.
+    The record of interval_af_curve over grid: the modulus bounds of each
+    direction's array-factor region, from the sectors (the (vertices,
+    n_vertices) of element_sectors) that the regions sum, and n_vertices
+    the regions' vertex counts.  The regions themselves are not kept; they
+    leave the pass only through its sink.  nominal_power is the nominal
+    |AF|**2 at each direction and peak_power its largest value, allowance
+    the rounding allowance the modulus bounds were widened by (besides each
+    row's welded length), mirrored the leading rows that are mirror images
+    (mirrored_rows), and rings the (p, degenerate) of each ring count the
+    pass was asked for, which probability_map reads.
+
+    The power bounds and their dB values, normalized so the nominal pattern
+    peaks at 0 dB (a zero lower bound maps to -inf dB), are computed from
+    these when read.  A curve of a pass over a sub-grid may have
+    peak_power == 0; only power_bounds guarantees a positive peak, so the
+    dB values are meaningful only on its curves.
     """
 
     scenario: ArrayScenario = field(repr=False)
     grid: AngularGrid
     sectors: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    p_lo: np.ndarray = field(repr=False)
-    p_hi: np.ndarray = field(repr=False)
-    p_lo_db: np.ndarray = field(repr=False)
-    p_hi_db: np.ndarray = field(repr=False)
-    nominal_db: np.ndarray = field(repr=False)
-    nominal_power: np.ndarray = field(repr=False)
+    n_vertices: np.ndarray = field(repr=False)
     modulus_lo: np.ndarray = field(repr=False)
     modulus_hi: np.ndarray = field(repr=False)
-    n_vertices: np.ndarray = field(repr=False)
+    nominal_power: np.ndarray = field(repr=False)
     peak_power: float
-    arc_points: int
     allowance: float
     mirrored: int
     rings: dict = field(repr=False)
+
+    @property
+    def p_lo(self) -> np.ndarray:
+        return self.modulus_lo**2
+
+    @property
+    def p_hi(self) -> np.ndarray:
+        return self.modulus_hi**2
+
+    @property
+    def p_lo_db(self) -> np.ndarray:
+        return power_db(self.p_lo, self.peak_power)
+
+    @property
+    def p_hi_db(self) -> np.ndarray:
+        return power_db(self.p_hi, self.peak_power)
+
+    @property
+    def nominal_db(self) -> np.ndarray:
+        return power_db(self.nominal_power, self.peak_power)
 
 
 def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
@@ -97,21 +113,10 @@ def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
     return total
 
 
-class IntervalRegions(NamedTuple):
-    """The region pass over a grid, as interval_af_curve returns it; every array covers the grid."""
-
-    n_vertices: np.ndarray
-    modulus_lo: np.ndarray
-    modulus_hi: np.ndarray
-    allowance: float  # the rounding_allowance the modulus bounds are widened by
-    mirrored: int  # leading rows that are mirror images, not summed (mirrored_rows)
-    rings: dict  # ring count K: ((K, len(grid)) ring probabilities, degenerate flags)
-
-
 def interval_af_curve(
     scenario: ArrayScenario, grid: AngularGrid, sectors, ring_counts=(), sink=None
-) -> IntervalRegions:
-    """The region pass: array-factor regions at every grid sample, reduced as they are summed.
+) -> PowerBoundsCurve:
+    """The region pass: array-factor regions at every grid sample, reduced to a PowerBoundsCurve.
 
     sectors is the (vertices, n_vertices) of scenario's element_sectors; at
     direction u element n's sector is rotated by the steering phase
@@ -133,7 +138,10 @@ def interval_af_curve(
     -u: the block writes its vertex counts, bounds and ring probabilities to
     its own rows and, reversed, to their image rows, and sink gets the
     images' regions as the mirror_image of those at u, after the block's
-    own.
+    own.  The curve also holds the nominal power over the whole grid and
+    its peak, which is 0 where the nominal pattern vanishes at every
+    sample, as it may on a sub-grid: power_bounds, not the pass, rejects a
+    zero peak.
     """
     for k_regions in ring_counts:
         check_integer("k_regions", k_regions, 1)
@@ -168,7 +176,12 @@ def interval_af_curve(
                 image_n = n[first:][::-1]
                 sink(images.start, mirror_image(vertices[first:][::-1], image_n), image_n)
         del vertices  # so the next block's sum does not hold it too
-    return IntervalRegions(n_vertices, lo, hi, slack, mirrored, rings)
+    # the full grid: a nominal phase inside a symmetric interval need not be 0
+    nominal_power = np.abs(nominal_af_curve(scenario, grid)) ** 2
+    return PowerBoundsCurve(
+        scenario, grid, sectors, n_vertices, lo, hi, nominal_power,
+        float(nominal_power.max()), slack, mirrored, rings,
+    )
 
 
 def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
@@ -296,41 +309,19 @@ def power_db(power, peak_power: float):
 def power_bounds(
     scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8, ring_counts=(), sink=None
 ) -> PowerBoundsCurve:
-    """Inclusive power-pattern bounds over a grid, in linear power and dB.
+    """Inclusive power-pattern bounds over a grid: the curve of one region pass.
 
-    The sectors are polygonized once, and one region pass
+    The sectors are polygonized once at arc_points, and one region pass
     (interval_af_curve) over them takes the bounds and the ring
     probabilities of each count in ring_counts, which probability_map then
     reads, and hands each block of regions to sink.  A sector_reach outside
     _MODULUS_RANGE raises ValidationError before any region is built;
     inside it the power bounds, and the nominal peak they contain, are
-    finite.
+    finite.  A nominal pattern that is zero at every grid sample raises
+    ValidationError, so the curve's dB values are defined.
     """
     sectors = element_sectors(scenario, arc_points)
-    regions = interval_af_curve(scenario, grid, sectors, ring_counts, sink)
-    p_lo = regions.modulus_lo**2
-    p_hi = regions.modulus_hi**2
-    # the full grid: a nominal phase inside a symmetric interval need not be 0
-    nominal_power = np.abs(nominal_af_curve(scenario, grid)) ** 2
-    peak_power = float(nominal_power.max())
-    if peak_power <= 0.0:
+    curve = interval_af_curve(scenario, grid, sectors, ring_counts, sink)
+    if curve.peak_power <= 0.0:
         raise ValidationError("nominal pattern is identically zero on the grid")
-    return PowerBoundsCurve(
-        scenario=scenario,
-        grid=grid,
-        sectors=sectors,
-        p_lo=p_lo,
-        p_hi=p_hi,
-        p_lo_db=power_db(p_lo, peak_power),
-        p_hi_db=power_db(p_hi, peak_power),
-        nominal_db=power_db(nominal_power, peak_power),
-        nominal_power=nominal_power,
-        modulus_lo=regions.modulus_lo,
-        modulus_hi=regions.modulus_hi,
-        n_vertices=regions.n_vertices,
-        peak_power=peak_power,
-        arc_points=arc_points,
-        allowance=regions.allowance,
-        mirrored=regions.mirrored,
-        rings=regions.rings,
-    )
+    return curve

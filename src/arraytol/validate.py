@@ -322,9 +322,11 @@ def _oracle_spot_check(pmap, regions) -> CheckResult:
     """The ring probabilities of the oracle directions against the exact areas of regions.
 
     Each row's ring probabilities must lie within its rounding bar,
-    ROUNDING_BAR * n * P * R / A, of the oracle's.
+    ROUNDING_BAR * n * P * R / A, of the oracle's.  Rows whose region has
+    no area are skipped; when every row is, the check is not applicable.
     """
     worst = ratio = 0.0
+    integrated = 0
     for i in _oracle_directions(len(pmap.bounds.grid)):
         if pmap.degenerate[i]:
             continue
@@ -336,6 +338,11 @@ def _oracle_spot_check(pmap, regions) -> CheckResult:
         perimeter = float(np.abs(np.diff(vs, append=vs[:1])).sum())
         bar = ROUNDING_BAR * vs.size * perimeter * float(np.abs(vs).max()) / covered[-1]
         worst, ratio = max(worst, err), max(ratio, err / bar)
+        integrated += 1
+    if integrated == 0:
+        return CheckResult(
+            "area-oracle-spot-check", True, "not applicable (no oracle direction's region has area)"
+        )
     return CheckResult(
         "area-oracle-spot-check",
         ratio <= 1.0,

@@ -130,7 +130,7 @@ def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
 
     The pass sums the scenario's element_sectors at arc_points.  regions[i]
     is row i's unpadded vertex array, as region_sink keeps it; pass is the
-    IntervalRegions interval_af_curve returns.
+    PowerBoundsCurve interval_af_curve returns.
     """
     kept, sink = region_sink(range(len(grid)))
     sectors = element_sectors(scenario, arc_points)

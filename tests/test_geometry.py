@@ -87,6 +87,10 @@ class TestConvexPolygonFactory:
             with pytest.raises(ValidationError):
                 rotated_minkowski_sums(*padded([square, triangle]), angles)
 
+    def test_rejects_zero_operands(self):
+        with pytest.raises(ValidationError, match="a Minkowski sum needs at least one polygon"):
+            rotated_minkowski_sums(np.empty((0, 4), complex), np.empty(0, np.int64), np.empty((3, 0)))
+
     def test_does_not_alias_its_input(self):
         square = np.array([0j, 1 + 0j, 1 + 1j, 1j])  # nothing to weld or drop
         p = convex_polygon(square)

@@ -151,10 +151,9 @@ class TestIntervalAf:
             )
         rng = np.random.default_rng(4)
         us = np.unique(np.concatenate(([-1.0, -0.5, 0.0, 0.5, 1.0], rng.uniform(-1, 1, 20))))
-        regions, (n_vertices, modulus_lo, modulus_hi, _, mirrored, *_) = pass_regions(
-            scen, AngularGrid(us), arc_points=8
-        )
-        assert mirrored == 0  # the random directions are not a mirror grid
+        regions, curve = pass_regions(scen, AngularGrid(us), arc_points=8)
+        n_vertices, modulus_lo, modulus_hi = curve.n_vertices, curve.modulus_lo, curve.modulus_hi
+        assert curve.mirrored == 0  # the random directions are not a mirror grid
         rays = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False))
         for i, u in enumerate(us):
             sectors = []
@@ -463,7 +462,7 @@ class TestMirror:
         monkeypatch.setattr(
             iams, "rotated_minkowski_sums", lambda *a: summed.append(len(a[2])) or minkowski(*a)
         )
-        regions, regions_pass = pass_regions(small_scenario, uniform_grid(n_u))
+        regions, _ = pass_regions(small_scenario, uniform_grid(n_u))
         curve = power_bounds(small_scenario, uniform_grid(n_u))
         m = curve.mirrored
         assert m == n_u // 2
@@ -472,8 +471,6 @@ class TestMirror:
         # no field holds regions or sums them again: reading one fails loudly
         for name in ("vertices", "stored_vertices", "regions"):
             assert not hasattr(curve, name)
-        for name in ("vertices", "stored_vertices", "sectors"):
-            assert not hasattr(regions_pass, name)
         assert [len(r) for r in regions] == curve.n_vertices.tolist()
         # row i < m is the conjugate of row n_u - 1 - i, vertex 0 first and
         # the rest in reverse order, as the pass hands it on
@@ -557,8 +554,11 @@ class TestMirror:
 
     def test_curve_carries_its_polygonization(self, small_scenario):
         curve = power_bounds(small_scenario, uniform_grid(11), arc_points=6)
-        assert curve.arc_points == 6
-        assert curve.allowance == rounding_allowance(element_sectors(small_scenario, 6)[0])
+        sectors = element_sectors(small_scenario, 6)
+        assert len(curve.sectors) == len(sectors) == 2
+        for got, want in zip(curve.sectors, sectors):  # bit for bit
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert curve.allowance == rounding_allowance(sectors[0])
 
 
 class TestRegionPass:

@@ -148,6 +148,11 @@ class TestUniformGrid:
         with pytest.raises(ValidationError):
             AngularGrid(np.array([0.0, 1.1]))
 
+    @pytest.mark.parametrize("samples", [np.zeros((2, 2)), [], np.float64(0.5)])
+    def test_grid_rejects_samples_that_are_not_a_non_empty_vector(self, samples):
+        with pytest.raises(ValidationError, match="grid samples must be a 1-D array"):
+            AngularGrid(samples)
+
     @pytest.mark.parametrize(
         "samples", [[-0.5, math.nan], [math.nan, 0.5], [math.nan], [0.0, math.inf], [-math.inf]]
     )

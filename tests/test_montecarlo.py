@@ -351,6 +351,12 @@ class TestRunMc:
             single = run_mc(pmap, 500, seed=3, probe_directions=(hist.u,))
             assert np.array_equal(hist.counts, single.histograms[0].counts)
 
+    @pytest.mark.parametrize("u", [1.5, -1.0000001, float("nan")])
+    def test_rejects_a_probe_outside_the_direction_range(self, u):
+        # the CLI rejects such probes before any run; a library caller reaches run_mc's own check
+        with pytest.raises(ValidationError, match=rf"probe direction {u} must lie in \[-1, 1\]"):
+            run_mc(_pmap(_scenario(), uniform_grid(11), 3), 10, probe_directions=(u,))
+
     def test_rejects_bad_sample_count(self):
         with pytest.raises(Exception):
             run_mc(_pmap(_scenario(), uniform_grid(11), 3), 0, seed=0)

@@ -28,7 +28,7 @@ from arraytol.validate import (
     run_validation,
 )
 
-from helpers import SMOKE, disc_convex_area_slab, random_convex_vertices
+from helpers import AWKWARD, SMOKE, disc_convex_area_slab, random_convex_vertices
 
 
 def _chain(scen, n_u, k_regions):
@@ -146,6 +146,20 @@ class TestAreaOracleGate:
                     for e in SMOKE["elements"]]
         _, checks = _validate(tmp_path, capsys, SMOKE | {"elements": elements}, "--nu", str(n_u))
         assert checks["area-oracle-spot-check"].startswith("PASS")
+
+    def test_no_region_with_area_is_not_applicable(self, tmp_path, capsys):
+        # zero tolerances: every region is a point, so no oracle row is integrated
+        code, checks = _validate(tmp_path, capsys, AWKWARD["zero-tol"])
+        status, _, detail = checks["area-oracle-spot-check"].split(None, 2)
+        assert code == 0 and status == "PASS"
+        assert detail == "not applicable (no oracle direction's region has area)"
+
+    def test_a_partly_degenerate_pattern_reports_its_error(self, tmp_path, capsys):
+        # amp-only at n_u = 41: 3 of the 4 oracle rows have area
+        code, checks = _validate(tmp_path, capsys, AWKWARD["amp-only"], "--nu", "41")
+        status, _, detail = checks["area-oracle-spot-check"].split(None, 2)
+        assert code == 0 and status == "PASS"
+        assert detail.startswith("max |p_k - exact oracle| = ")
 
 
 class TestRegionsPrecondition:
