@@ -52,7 +52,8 @@ class RunConfig:
 # flag that overrides it, its least value, the value it must stay below
 # (None: only run_bytes bounds it), its default (None: required) and the
 # flag's help.  The limits keep the sample count within the int64 ring
-# counts and the seed within a Philox key.
+# counts and the seed within the two 64-bit words the Monte Carlo key is
+# derived from.
 _RUN_FIELDS = (
     ("k_regions", "--k", 1, None, None, "number of probability rings"),
     ("n_u", "--nu", 2, None, None, "number of angular samples"),

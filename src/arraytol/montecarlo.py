@@ -1,20 +1,24 @@
 """Seeded Monte Carlo oracle for the interval bounds and ring probabilities.
 
-A run draws every sample's excitations, in sample order, from one Philox
-stream keyed by the seed, so results are bitwise identical for a fixed
-seed no matter how work is chunked.  Chunks of samples are sized by one
-byte budget that counts every buffer they hold: the draws, the power and
-the ring masks.  Each chunk's complex pattern product is formed in row
-blocks sized by a smaller, cache-sized budget and written straight into
-the chunk's power rows.  Neither a chunk nor a block holds a lone row,
-whose one-row product BLAS rounds differently (a gemv, not a gemm).
+A run reads its random numbers from one counter-based stream (Salmon et
+al., SC 2011) built on SplitMix64 (Steele, Lea and Flood, OOPSLA 2014):
+word j is mix64(key + (j + 1) * gamma) in wrapping 64-bit arithmetic, with
+the key derived from the seed.  Samples take 2N words each, in sample
+order, so word j sits at a fixed counter and results are bitwise identical
+for a fixed seed no matter how work is chunked.  A chunk computes its words
+in place, in a few uint64 passes over its excitation buffer, so no process
+loads numpy.random.  Chunks of samples are sized by one byte budget that
+counts every buffer they hold: the draws, the power and the ring masks.
+Each chunk's complex pattern product is formed in row blocks sized by a
+smaller, cache-sized budget and written straight into the chunk's power
+rows.  Neither a chunk nor a block holds a lone row, whose one-row product
+BLAS rounds differently (a gemv, not a gemm).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,14 +27,17 @@ from .iams import power_db, steering_phases
 from .model import ArrayScenario, check_integer
 from .pia import ProbabilityMap
 
-if TYPE_CHECKING:
-    from numpy.random import Generator
-
 _HIST_BINS = 200
 _CHUNK_BYTES = 2 << 20  # a chunk holds _CHUNK_BYTES // (16 N_u + 32 N) samples
 _BLOCK_BYTES = 256 << 10  # one block's (block, N_u) complex128 product
-SEED_LIMIT = 1 << 128  # seeds are Philox keys: two 64-bit words
+SEED_LIMIT = 1 << 128  # seeds are two 64-bit words, folded into one key
 SAMPLE_LIMIT = 1 << 63  # sample counts are int64
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, odd, so the period is 2**64 words
+# mix64 (Stafford's Mix13): z ^= z >> 30; z *= M1; z ^= z >> 27; z *= M2; z ^= z >> 31
+_MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_MIX_LAST = 31
 
 
 @dataclass(frozen=True)
@@ -56,27 +63,67 @@ class McReport:
     per_u_min: np.ndarray = field(repr=False)  # linear power
     per_u_max: np.ndarray = field(repr=False)
     region_frequencies: np.ndarray = field(repr=False)  # (K, N_u)
-    mode_region: np.ndarray = field(repr=False)  # (N_u,) most frequent ring per direction, 1-based
     histograms: tuple[ProbeHistogram, ...] = ()
 
 
-def sample_stream(seed: int) -> Generator:
-    """The random stream of a run: numpy's Philox4x64-10 keyed by the seed.
+@dataclass
+class SampleStream:
+    """A run's random stream: its key and position, the counter of the next word it gives."""
 
-    The seed is the 128-bit key.  Samples read the stream in order, 2N
-    uniforms each, so sample i of run_mc is the i-th sample_realization
-    call on a fresh sample_stream(seed).  numpy.random is imported here,
-    not at module level, so processes that never sample (bounds, pia,
-    features) do not load it: it adds about 6 MiB of resident memory.
+    key: int
+    position: int = 0
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output function on one 64-bit word: a bijection, with _mix64(0) == 0."""
+    for shift, factor in _MIX_STEPS:
+        z = (z ^ (z >> shift)) * factor & _MASK
+    return z ^ (z >> _MIX_LAST)
+
+
+def sample_stream(seed: int) -> SampleStream:
+    """The random stream of a run, at its first word.
+
+    The key is mix64(lo ^ mix64(hi)) of the seed's low and high 64-bit
+    words.  mix64 is a bijection and mix64(0) is 0, so every seed below
+    2**64 has a key of its own, and seed 0 has key 0, whose first word is
+    splitmix64's first output from state 0.  Samples read the stream in
+    order, 2N words each, so sample i of run_mc is the i-th
+    sample_realization call on a fresh sample_stream(seed).  The stream
+    repeats after 2**64 words.
     """
-    from numpy.random import Generator, Philox
+    seed = int(seed)
+    return SampleStream(_mix64((seed & _MASK) ^ _mix64(seed >> 64)))
 
-    return Generator(Philox(key=seed))
+
+def _words(stream: SampleStream, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Set out, uint64 of shape (..., W), to the stream's next out.size words
+    in C order, and advance the stream past them.  scratch, a uint64 array
+    of out's shape, is overwritten.
+
+    Word j's state key + (j + 1) * gamma is a slot offset, copied into
+    every row, plus a row offset; mix64 then runs in place, in wrapping
+    uint64 arithmetic, shifting into scratch.  No pass allocates more than
+    numpy's ufunc buffer.
+    """
+    width = out.shape[-1]
+    slots = np.arange(width, dtype=np.uint64)
+    slots *= np.uint64(_GAMMA)
+    slots += np.uint64((stream.key + (stream.position + 1) * _GAMMA) & _MASK)
+    rows = np.arange(out.size // width, dtype=np.uint64).reshape(*out.shape[:-1], 1)
+    rows *= np.uint64(width * _GAMMA & _MASK)
+    np.copyto(out, slots)  # a copy, then one broadcast add: numpy buffers each broadcast operand
+    out += rows
+    stream.position += out.size
+    for shift, factor in _MIX_STEPS:
+        np.bitwise_xor(out, np.right_shift(out, shift, out=scratch), out=out)
+        out *= np.uint64(factor)
+    np.bitwise_xor(out, np.right_shift(out, _MIX_LAST, out=scratch), out=out)
 
 
-def sample_realization(scenario: ArrayScenario, stream: Generator) -> np.ndarray:
+def sample_realization(scenario: ArrayScenario, stream: SampleStream) -> np.ndarray:
     """One crisp excitation draw, uniform in each amplitude/phase interval,
-    from the next 2N uniforms of stream: _draw into fresh (2N,) and (N,)
+    from the next 2N words of stream: _draw into fresh (2N,) and (N,)
     buffers, the per-sample reference of run_mc's chunks."""
     n = scenario.n_elements
     weights = np.empty(n, dtype=complex)
@@ -85,25 +132,35 @@ def sample_realization(scenario: ArrayScenario, stream: Generator) -> np.ndarray
 
 
 def _tolerance_box(scenario: ArrayScenario) -> tuple[np.ndarray, np.ndarray]:
-    """Lows and widths of the N amplitude intervals, then of the N phase intervals."""
-    els = scenario.elements
-    lo = np.array([e.amplitude_lo for e in els] + [e.phase_lo for e in els])
-    return lo, np.array([e.amplitude_hi for e in els] + [e.phase_hi for e in els]) - lo
+    """Lows and widths of each element's amplitude interval then phase
+    interval, element by element: the (2N,) layout of a sample's uniforms."""
+    lo = np.array([(e.amplitude_lo, e.phase_lo) for e in scenario.elements]).ravel()
+    hi = np.array([(e.amplitude_hi, e.phase_hi) for e in scenario.elements]).ravel()
+    return lo, hi - lo
 
 
 def _draw(
-    box: tuple[np.ndarray, np.ndarray], stream: Generator, uniforms: np.ndarray, weights: np.ndarray
+    box: tuple[np.ndarray, np.ndarray],
+    stream: SampleStream,
+    uniforms: np.ndarray,
+    weights: np.ndarray,
 ) -> None:
-    """Draw excitations in place: fill uniforms, of shape (..., 2N), with the
-    next uniforms u in [0, 1) of stream in C order and map them onto the
-    tolerance box as lo + (hi - lo) * u, the first N the amplitudes a and
-    the last N the phases b; then set weights, of shape (..., N), to
+    """Draw excitations in place.  The stream's next words, as many as
+    uniforms, of shape (..., 2N), holds, are computed in weights, of shape
+    (..., N), viewed as uint64, and each word w becomes the uniform
+    u = (w >> 11) * 2**-53 in [0, 1).  Uniform 2n of a sample is element
+    n's amplitude a and uniform 2n + 1 its phase b, each mapped onto its
+    interval as lo + (hi - lo) * u; then weights is set to
     a cos b + j a sin b, the bits of a * exp(jb)."""
-    stream.random(out=uniforms)
+    words = weights.view(np.uint64)
+    _words(stream, words, uniforms.view(np.uint64))
+    np.right_shift(words, 11, out=words)
+    np.multiply(words, 2.0**-53, out=uniforms)
     lo, width = box
     uniforms *= width
     uniforms += lo
-    amp, phase = uniforms[..., : lo.size // 2], uniforms[..., lo.size // 2 :]
+    # element n is slot pair (2n, 2n + 1), so each slice is one strided loop
+    amp, phase = uniforms[..., 0::2], uniforms[..., 1::2]
     re, im = weights.real, weights.imag
     np.multiply(np.cos(phase, out=re), amp, out=re)
     np.multiply(np.sin(phase, out=im), amp, out=im)
@@ -127,19 +184,21 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     bound + 1 dB]; when the lower bound is -inf the span falls back to
     100 dB below the upper edge, and samples below it are left uncounted.
     Samples draw their excitations in order from one sample_stream(seed),
-    2N uniforms each, so sample i is the i-th sample_realization call on a
-    fresh stream.  Chunks of _CHUNK_BYTES // (16 N_u + 32 N) samples, at
-    least 2, reuse buffers allocated once per run, so memory grows with
-    neither n_samples nor N / N_u: per sample, 32 N bytes of uniforms and
-    weights, which _draw maps in place, and 9 N_u of power and ring mask,
-    written with out=.  The complex pattern
-    product is formed in blocks of max(2, N, _BLOCK_BYTES // (16 N_u))
-    rows, whose |z|^2 goes straight into the chunk's power rows; the N floor
-    keeps each gemm large enough to run at full speed, and it makes a block
-    the whole chunk when N_u is large.  A lone last sample joins the chunk
-    before it, and a lone last row the block before it, as BLAS rounds a
-    one-row product (gemv) unlike the others (gemm).  Each ring boundary's
-    mask is summed over the chunk in one uint16 reduce.
+    2N words each, so sample i is the i-th sample_realization call on a
+    fresh stream, and each word's counter is fixed whatever the chunks.
+    Chunks of _CHUNK_BYTES // (16 N_u + 32 N) samples, at least 2, reuse
+    buffers allocated once per run, so memory grows with neither n_samples
+    nor N / N_u: per sample, 32 N bytes of uniforms and weights, which
+    _draw fills in place, the weights holding the words until the
+    excitations overwrite them, and 9 N_u of power and ring mask, written
+    with out=.  The complex pattern product is formed in blocks of
+    max(2, N, _BLOCK_BYTES // (16 N_u)) rows, whose |z|^2 goes straight
+    into the chunk's power rows; the N floor keeps each gemm large enough
+    to run at full speed, and it makes a block the whole chunk when N_u is
+    large.  A lone last sample joins the chunk before it, and a lone last
+    row the block before it, as BLAS rounds a one-row product (gemv) unlike
+    the others (gemm).  Each ring boundary's mask is summed over the chunk
+    in one uint16 reduce.
     """
     check_integer("n_samples", n_samples, 1, SAMPLE_LIMIT)
     check_integer("seed", seed, 0, SEED_LIMIT)
@@ -211,6 +270,5 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         per_u_min=per_u_min,
         per_u_max=per_u_max,
         region_frequencies=counts / float(n_samples),
-        mode_region=np.argmax(counts, axis=0) + 1,
         histograms=histograms,
     )

@@ -81,7 +81,8 @@ def disc_polygon_area_exact(radii, vertices) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero-length edge crosses nothing
             t = (-b + np.array([[-1.0], [1.0]]) * root) / dd
         crossings = (vs.real + t * d.real)[(t > 0.0) & (t < 1.0)]
-        xs = np.unique(np.clip(np.concatenate((vs.real, crossings)), x_lo, x_hi))
+        xs = np.sort(np.clip(np.concatenate((vs.real, crossings)), x_lo, x_hi))
+        xs = xs[np.append(True, xs[1:] != xs[:-1])]  # np.unique imports numpy.ma
 
         def sides(x):
             """The upper semicircle, the upper chain and the lower chain at x."""

@@ -4,7 +4,8 @@ Every oracle here computes areas or memberships through a different
 algorithm than the package (closed-form x-slabs, point grids, scipy hulls,
 the shoelace formula, the closed-form circular segment, element-by-element
 math.cos/sin for the nominal pattern, numpy's complex exp for the
-excitation draws), so agreement is evidence rather than tautology.
+excitation draws, SplitMix64 one Python integer at a time for the random
+words), so agreement is evidence rather than tautology.
 
 The package keeps polygons only as padded arrays (arraytol.geometry).  The
 one-row calls here run its batched kernels on a single polygon, given and
@@ -250,16 +251,50 @@ def boundary_distance(a, b) -> float:
     return max(one_way(a, b), one_way(b, a))
 
 
+def splitmix64(state: int) -> tuple[int, int]:
+    """splitmix64.c's next(): the advanced state and its output word, in Python integers."""
+    state = (state + 0x9E3779B97F4A7C15) % 2**64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return state, z ^ (z >> 31)
+
+
+def splitmix64_words(key: int, position: int, count: int) -> list[int]:
+    """Words position .. position + count - 1 of the stream under key: splitmix64.c
+    run from state key + position * gamma."""
+    state, words = (key + position * 0x9E3779B97F4A7C15) % 2**64, []
+    for _ in range(count):
+        state, word = splitmix64(state)
+        words.append(word)
+    return words
+
+
+def stream_key(seed: int) -> int:
+    """The key of a seed: the finalizer of splitmix64.c's next() (its output
+    from state z - gamma) on lo ^ finalizer(hi), lo and hi the seed's 64-bit words."""
+    def mix(z):
+        return splitmix64((z - 0x9E3779B97F4A7C15) % 2**64)[1]
+
+    return mix((seed % 2**64) ^ mix(seed >> 64))
+
+
+def reference_uniforms(seed: int, shape) -> np.ndarray:
+    """The first prod(shape) uniforms (w >> 11) * 2**-53 of seed's stream, in C order."""
+    words = splitmix64_words(stream_key(seed), 0, math.prod(shape))
+    return np.array([(w >> 11) * 2.0**-53 for w in words]).reshape(shape)
+
+
 def reference_draw(scenario, uniforms) -> np.ndarray:
     """Excitations of uniforms (..., 2N) in [0, 1) by the textbook mapping:
-    lo + width * u onto each amplitude, then phase interval, and
-    amp * exp(j * phase) with numpy's complex exp."""
+    lo + width * u onto element n's amplitude interval for uniform 2n and
+    onto its phase interval for uniform 2n + 1, and amp * exp(j * phase)
+    with numpy's complex exp."""
     els = scenario.elements
-    lo = np.array([e.amplitude_lo for e in els] + [e.phase_lo for e in els])
-    width = np.array([e.amplitude_hi for e in els] + [e.phase_hi for e in els]) - lo
+    lo = np.array([(e.amplitude_lo, e.phase_lo) for e in els]).ravel()
+    width = np.array([(e.amplitude_hi, e.phase_hi) for e in els]).ravel() - lo
     x = lo + width * np.asarray(uniforms)
-    n = len(els)
-    return x[..., :n] * np.exp(1j * x[..., n:])
+    return x[..., 0::2] * np.exp(1j * x[..., 1::2])
 
 
 def circular_segment_area(r: float, a1: complex, a2: complex) -> float:

@@ -135,7 +135,7 @@ def test_criterion_5_mc_inclusion_and_mode(taylor16_analysis):
     assert lo_violations == 0 and hi_violations == 0
 
     pia_mode = int(np.argmax(analysis.pmap5.p[:, U0_INDEX])) + 1
-    mc_mode = int(report.mode_region[U0_INDEX])
+    mc_mode = int(np.argmax(report.region_frequencies[:, U0_INDEX])) + 1
     assert pia_mode == 3
     assert mc_mode == 3
     print(

@@ -735,30 +735,34 @@ def _fresh_python(script, *args) -> str:
 
 
 class TestLeanImports:
-    """Commands that do not sample never load numpy.random (about 6 MiB resident)."""
+    """No command loads numpy.random (about 6 MiB resident) or numpy.ma (each 9-15 ms to import)."""
 
     SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
 steps = []
+def lean():
+    return [m for m in ("numpy.random", "numpy.ma") if m in sys.modules]
 import arraytol
-steps.append(("import arraytol", "numpy.random" in sys.modules))
+steps.append(("import arraytol", lean()))
 from arraytol.cli import main
 cfg, out = sys.argv[1:]
-for args in (["bounds", "--dump-polygons"], ["pia"], ["features"], ["mc"]):
-    code = main([args[0], "--config", cfg, "--out", out, *args[1:]])
-    steps.append((" ".join(args) + f" (exit {code})", "numpy.random" in sys.modules))
+for args in (["bounds", "--dump-polygons"], ["pia"], ["features"], ["mc"], ["validate"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([args[0], "--config", cfg, "--out", out, *args[1:]])
+    steps.append((" ".join(args) + f" (exit {code})", lean()))
 print(json.dumps(steps))
 """
 
-    def test_only_mc_loads_numpy_random(self, tmp_path):
+    def test_no_command_loads_numpy_random_or_numpy_ma(self, tmp_path):
         cfg = _write_config(tmp_path / "cfg.json", n_u=21, mc_samples=200)
         steps = json.loads(_fresh_python(self.SCRIPT, cfg, tmp_path / "out"))
         assert [tuple(step) for step in steps] == [
-            ("import arraytol", False),
-            ("bounds --dump-polygons (exit 0)", False),
-            ("pia (exit 0)", False),
-            ("features (exit 0)", False),
-            ("mc (exit 0)", True),
+            ("import arraytol", []),
+            ("bounds --dump-polygons (exit 0)", []),
+            ("pia (exit 0)", []),
+            ("features (exit 0)", []),
+            ("mc (exit 0)", []),
+            ("validate (exit 0)", []),
         ]
 
 
@@ -770,8 +774,7 @@ class TestMcMemory:
     SCRIPT = """
 import sys
 from arraytol.cli import main
-cfg, out = sys.argv[1:]
-code = main(["mc", "--config", cfg, "--out", out, "--nu", "2", "--mc-samples", "70000"])
+code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     peak_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 print(code, peak_kib / 1024)
@@ -782,9 +785,23 @@ print(code, peak_kib / 1024)
         # every one of the samples' draws
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMOKE | {"elements": SMOKE["elements"] * 16}))
-        code, peak_mib = _fresh_python(self.SCRIPT, cfg, tmp_path / "out").split()
+        args = ("mc", "--config", cfg, "--out", tmp_path / "out", "--nu", 2, "--mc-samples", 70000)
+        code, peak_mib = _fresh_python(self.SCRIPT, *args).split()
         assert code == "0"
         assert float(peak_mib) < 80.0
+
+    def test_mc_peak_is_within_3_mib_of_pia(self, tmp_path):
+        # the taylor16 workload: 16 elements, 501 directions, 20000 samples;
+        # a sampling process holds a 2 MiB chunk and imports nothing pia does not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(workload_config("taylor16")))
+        peaks = {}
+        for command in ("pia", "mc"):
+            args = (command, "--config", cfg, "--out", tmp_path / command)
+            code, peak = _fresh_python(self.SCRIPT, *args).split()
+            assert code == "0"
+            peaks[command] = float(peak)
+        assert peaks["mc"] - peaks["pia"] <= 3.0, peaks
 
 
 class TestParser:

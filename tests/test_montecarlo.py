@@ -24,7 +24,7 @@ from arraytol import (
 from arraytol import montecarlo
 from arraytol.errors import ValidationError
 
-from helpers import reference_draw, taylor_taper
+from helpers import reference_draw, reference_uniforms, splitmix64_words, stream_key, taylor_taper
 
 
 def _scenario(xi=0.02, gamma=math.radians(4.0)):
@@ -44,9 +44,66 @@ def _assert_same_report(report, reference):
     assert np.array_equal(report.per_u_min, reference.per_u_min)
     assert np.array_equal(report.per_u_max, reference.per_u_max)
     assert np.array_equal(report.region_frequencies, reference.region_frequencies)
-    assert np.array_equal(report.mode_region, reference.mode_region)
     for h, h0 in zip(report.histograms, reference.histograms):
         assert np.array_equal(h.counts, h0.counts)
+
+
+class TestSampleStream:
+    """The stream is SplitMix64 at fixed counters, word j of a run mix64(key + (j + 1) gamma)."""
+
+    SEEDS = [0, 1, 2**64 - 1, 2**64 + 7, 2**128 - 1]
+
+    def test_seed_zero_reads_splitmix64_from_state_zero(self):
+        # 0xE220A8397B1DCDAF is splitmix64.c's first output from state 0
+        uniforms, weights = np.empty(2), np.empty(1, dtype=complex)
+        stream = sample_stream(0)
+        assert stream.key == 0
+        montecarlo._draw((np.zeros(2), np.ones(2)), stream, uniforms, weights)
+        assert uniforms[0] == (0xE220A8397B1DCDAF >> 11) * 2.0**-53
+        assert stream.position == 2
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_is_mix_of_the_seed_words(self, seed):
+        assert sample_stream(seed).key == stream_key(seed)
+        assert sample_stream(seed).position == 0
+
+    def test_seeds_a_word_apart_get_different_keys(self):
+        keys = {sample_stream(s).key for s in (0, 1, 9, 2**64, 9 + 2**64, 2**64 - 1, 2**128 - 1)}
+        assert len(keys) == 7
+        assert sample_stream(np.int64(12)).key == sample_stream(np.uint64(12)).key == stream_key(12)
+
+    # offsets: the start, an odd one, past 2**32, and across the 2**64 counter wrap
+    @pytest.mark.parametrize("position", [0, 5, 2**32 + 3, 2**64 - 5, 2**64 + 1])
+    @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
+    def test_words_match_a_scalar_transcription(self, seed, position):
+        key = sample_stream(seed).key
+        stream = montecarlo.SampleStream(key, position)
+        out = np.empty((3, 4), dtype=np.uint64)
+        montecarlo._words(stream, out, np.empty_like(out))
+        assert out.ravel().tolist() == splitmix64_words(key, position, 12)
+        assert stream.position == position + 12
+        montecarlo._words(stream, out[0], np.empty_like(out[0]))
+        assert out[0].tolist() == splitmix64_words(key, position + 12, 4)
+
+    def test_period_is_two_to_the_64_words(self):
+        key = sample_stream(3).key
+        words = [np.empty(6, dtype=np.uint64) for _ in range(2)]
+        for position, out in zip((7, 7 + 2**64), words):
+            montecarlo._words(montecarlo.SampleStream(key, position), out, np.empty_like(out))
+        assert np.array_equal(words[0], words[1])
+
+    def test_a_million_uniforms_look_uniform(self):
+        n = 10**6
+        uniforms, weights = np.empty((n // 2, 2)), np.empty((n // 2, 1), dtype=complex)
+        montecarlo._draw((np.zeros(2), np.ones(2)), sample_stream(0), uniforms, weights)
+        u = uniforms.ravel()
+        assert 0.0 <= u.min() and u.max() < 1.0
+        counts = np.bincount((u * 64).astype(np.int64), minlength=64)
+        chi2 = float(((counts - n / 64) ** 2).sum() / (n / 64))
+        assert chi2 <= 103.44  # the 99.9th percentile of chi-square with 63 degrees of freedom
+        assert abs(u.mean() - 0.5) <= 4.0 / math.sqrt(12.0 * n)
+        lag1 = np.corrcoef(u[:-1], u[1:])[0, 1]
+        assert abs(lag1) <= 4.0 / math.sqrt(n)
 
 
 class TestSampleRealization:
@@ -106,7 +163,7 @@ class TestReferenceDraw:
     @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
     def test_sample_realization_rows(self, seed):
         scen = self._scenario()
-        expected = reference_draw(scen, sample_stream(seed).random((40, 2 * scen.n_elements)))
+        expected = reference_draw(scen, reference_uniforms(seed, (40, 2 * scen.n_elements)))
         stream = sample_stream(seed)
         got = np.array([sample_realization(scen, stream) for _ in range(40)])
         assert np.array_equal(_bits(got), _bits(expected))
@@ -127,7 +184,7 @@ class TestReferenceDraw:
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 432)
         run_mc(_pmap(scen, grid, 3), 23, seed=seed)
         assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
-        expected = reference_draw(scen, sample_stream(seed).random((23, 2 * scen.n_elements)))
+        expected = reference_draw(scen, reference_uniforms(seed, (23, 2 * scen.n_elements)))
         assert np.array_equal(_bits(np.concatenate(chunks)), _bits(expected))
 
 
@@ -186,8 +243,7 @@ class TestRunMc:
 
     @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
     def test_draws_the_rows_of_sample_realization(self, seed, monkeypatch):
-        # 2N = 6 uniforms per sample is not a multiple of Philox's 4-word
-        # blocks, so samples straddle blocks; one chunk gives one gemm
+        # one chunk gives one gemm
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
         scen = scenario_from_tolerances([(0.6, 0.3), (1.0, -0.2), (0.8, 1.1)], 0.05, 0.2, 0.5)
         grid = uniform_grid(21)
@@ -322,8 +378,9 @@ class TestRunMc:
         ]
         assert peaks
         pia_mode = np.argmax(pmap.p, axis=0) + 1
+        mc_mode = np.argmax(report.region_frequencies, axis=0) + 1
         for i in peaks:
-            assert abs(int(report.mode_region[i]) - int(pia_mode[i])) <= 1
+            assert abs(int(mc_mode[i]) - int(pia_mode[i])) <= 1
 
     def test_histogram_bins_span_bounds(self):
         scen = _scenario()
