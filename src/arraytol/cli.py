@@ -29,8 +29,8 @@ from .model import (
     uniform_grid,
 )
 from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, run_mc
-from .pia import feature_report, probability_map
-from .validate import format_results, oracle_rows, region_sink, run_validation
+from .pia import ProbabilityMap, feature_report, probability_map
+from .validate import format_results, run_validation
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,14 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
       bytes (the sectors, kernel temporaries where one row is wider than a
       kernel block, and validate's support functions) plus 8 per ring
       boundary (the ring areas);
-    - per grid row, 320 bytes plus 192 per ring (the curve, the ring maps
+    - per grid row, 256 bytes plus 128 per ring (the curve, the ring maps
       and the Monte Carlo counts), and 16 per element (the Monte Carlo
       steering matrix).
     Affine in each size field, as _check_size assumes.
     """
     width, boundaries = n_elements * (arc_points + 4), 3 * k_regions + 2
     return (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)
-            + n_u * (320 + 192 * k_regions + 16 * n_elements))
+            + n_u * (256 + 128 * k_regions + 16 * n_elements))
 
 
 def _check_size(n_elements: int, fields: dict) -> None:
@@ -140,7 +140,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         _check_size(scenario.n_elements, fields)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    probes = tuple(args.probe or ())
+    probes = tuple(getattr(args, "probe", None) or ())  # mc's own flag
     for u in probes:
         if not (-1.0 <= u <= 1.0):
             raise ConfigError(f"probe direction {u} must lie in [-1, 1]")
@@ -186,6 +186,11 @@ def _ring_blocks(grid, *columns):
 def _curve(run: RunConfig, ring_counts=(), sink=None) -> PowerBoundsCurve:
     """The power bounds of the run's scenario on its uniform grid (power_bounds)."""
     return power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points, ring_counts, sink)
+
+
+def _map(run: RunConfig) -> ProbabilityMap:
+    """The run's K-ring probability map, from one region pass (_curve) that takes K rings."""
+    return probability_map(_curve(run, (run.k_regions,)), run.k_regions)
 
 
 def _npy_header(fh, shape) -> int:
@@ -255,7 +260,7 @@ def cmd_bounds(run: RunConfig) -> int:
 
 def cmd_pia(run: RunConfig) -> int:
     """Write the ring-probability CSV."""
-    pmap = probability_map(_curve(run, (run.k_regions,)), run.k_regions)
+    pmap = _map(run)
     ring_db = pmap.region_power_db.T
     blocks = _ring_blocks(pmap.bounds.grid, ring_db[:-1], ring_db[1:], pmap.p)
     _write_csv(run, "pia.csv", "u,k,p_lo_db(k),p_hi_db(k),p_k", blocks)
@@ -264,7 +269,7 @@ def cmd_pia(run: RunConfig) -> int:
 
 def cmd_features(run: RunConfig) -> int:
     """Write the feature-report JSON."""
-    report = feature_report(probability_map(_curve(run, (run.k_regions,)), run.k_regions))
+    report = feature_report(_map(run))
     sll = report.sll_intervals  # None: no sidelobe, written as null
     payload = {
         "k_regions": report.k_regions,
@@ -298,8 +303,8 @@ def cmd_features(run: RunConfig) -> int:
 
 def cmd_mc(run: RunConfig) -> int:
     """Write the Monte Carlo comparison CSVs."""
-    curve = _curve(run, (run.k_regions,))
-    pmap = probability_map(curve, run.k_regions)
+    pmap = _map(run)
+    curve = pmap.bounds
     report = run_mc(pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions)
     mc_min_db = power_db(report.per_u_min, curve.peak_power)
     mc_max_db = power_db(report.per_u_max, curve.peak_power)
@@ -314,13 +319,9 @@ def cmd_mc(run: RunConfig) -> int:
 
 
 def cmd_validate(run: RunConfig) -> int:
-    """Run the invariant suite."""
-    # the suite's refinement check reads the 2K map from the same pass, and
-    # its area oracle and symmetry check the regions the sink keeps
-    regions, sink = region_sink(oracle_rows(run.n_u))
-    curve = _curve(run, (run.k_regions, 2 * run.k_regions), sink)
-    mc = run_mc(probability_map(curve, run.k_regions), run.mc_samples, seed=run.seed)
-    results = run_validation(mc, regions)
+    """Run the invariant suite on a run that run_validation builds from the config."""
+    results = run_validation(run.scenario, uniform_grid(run.n_u), run.k_regions,
+                             run.mc_samples, arc_points=run.arc_points, seed=run.seed)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -345,8 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="JSON scenario/config file")
     for key, flag, *_, text in _RUN_FIELDS:
         common.add_argument(flag, type=int, default=None, dest=key, help=text)
-    common.add_argument("--probe", type=float, action="append", default=None,
-                        help="probe direction u for histograms (repeatable)")
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and ignored: every stage "
@@ -354,6 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=command.__doc__)
+    sub.choices["mc"].add_argument("--probe", type=float, action="append", default=None,
+                                   help="probe direction u for histograms (repeatable)")
     sub.choices["bounds"].add_argument(
         "--dump-polygons", action="store_true",
         help="also write the region polygons to polygons.npy: an (n_u, M) complex128 array "

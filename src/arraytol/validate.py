@@ -1,7 +1,9 @@
-"""Self-check suite: structural invariants plus an independent area oracle.
+"""Self-check suite: one run of a scenario, built here, then structural invariants and oracles.
 
-These checks back the `validate` CLI command.  The area oracle splits a
-region once into its lower and upper chains, cuts its x-range into slabs
+These checks back the `validate` CLI command.  run_validation builds the
+run it checks (one region pass, its K-ring map and a Monte Carlo report),
+so no caller wires a sink or a ring count for it.  The area oracle splits
+a region once into its lower and upper chains, cuts its x-range into slabs
 on which each side is one chain line or one semicircle, and integrates
 every slab in closed form: a computation path independent of the
 geometry kernel's fan from the centre, with which it shares only the
@@ -15,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .iams import interval_af_curve, power_bounds
-from .model import AngularGrid, scenario_from_tolerances
-from .montecarlo import McReport
-from .pia import feature_report, mean_probabilities, probability_map
+from .model import AngularGrid, ArrayScenario, scenario_from_tolerances
+from .montecarlo import run_mc
+from .pia import feature_report, mainlobe_indices, mean_probabilities, probability_map
 
 REL_TOL = 1e-9
 N_RAYS = 64  # directions along which pattern-symmetry compares regions
@@ -103,7 +104,7 @@ def disc_polygon_area_exact(radii, vertices) -> np.ndarray:
     return areas
 
 
-def region_sink(rows) -> tuple[dict, Callable]:
+def _region_sink(rows) -> tuple[dict, Callable]:
     """({row: region}, sink): a region-pass sink that keeps the regions at the grid rows in rows.
 
     Each region is kept unpadded, as a copy, so no pass block outlives the
@@ -118,33 +119,28 @@ def region_sink(rows) -> tuple[dict, Callable]:
     return regions, sink
 
 
-def oracle_rows(n_u: int) -> list[int]:
-    """The grid rows whose regions run_validation reads: the oracle directions and their mirrors."""
-    return sorted({j for i in _oracle_directions(n_u) for j in (i, n_u - 1 - i)})
+def run_validation(
+    scenario: ArrayScenario, grid: AngularGrid, k_regions: int, n_samples: int, *,
+    arc_points: int = 8, seed: int = 0,
+) -> list[CheckResult]:
+    """Build one run of scenario on grid, as the `validate` command does, and check it.
 
-
-def run_validation(mc: McReport, regions: dict) -> list[CheckResult]:
-    """Check the products of one run: mc, its map, the map's bounds and regions.
-
-    The bounds must hold the ring probabilities of K and 2K rings
-    (power_bounds' ring_counts), and regions the region of each of the
-    oracle_rows, as the region_sink of those rows keeps them from the
-    curve's own pass: the area oracle integrates them, and the symmetry
-    check compares the mirror images among them.  Builds only what the
-    checks add: the scenario's zero-tolerance collapse and the mirrored
-    oracle rows summed again, directly, from the curve's sectors.  Every
-    entry carries a pass/fail verdict.  Raises ValidationError when regions
-    lacks any of the oracle_rows.
+    The run is one region pass (power_bounds at arc_points) that takes the
+    ring probabilities of k_regions and 2 * k_regions rings, and whose sink
+    keeps a copy of the regions at the area oracle's four grid rows and
+    their mirror partners; the k_regions map of that pass; and a Monte
+    Carlo report of n_samples draws from seed, with no probes.  The checks
+    then build only what they add: the scenario's zero-tolerance collapse
+    and the mirrored rows among the kept ones summed again, directly, from
+    the curve's sectors.  Every entry carries a pass/fail verdict.
     """
+    n_u = len(grid)
+    directions = sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6})  # the area oracle's rows
+    regions, sink = _region_sink({j for i in directions for j in (i, n_u - 1 - i)})
+    bounds = power_bounds(scenario, grid, arc_points, (k_regions, 2 * k_regions), sink)
+    pmap = probability_map(bounds, k_regions)
+    mc = run_mc(pmap, n_samples, seed=seed)
     results: list[CheckResult] = []
-    pmap, bounds, k_regions = mc.pmap, mc.pmap.bounds, mc.pmap.k_regions
-    n_u = len(bounds.grid)
-    missing = sorted(set(oracle_rows(n_u)).difference(regions))
-    if missing:
-        raise ValidationError(
-            f"regions lacks grid rows {missing}: pass the regions that "
-            f"region_sink(oracle_rows({n_u})) keeps from the curve's pass"
-        )
 
     col_err = float(np.abs(pmap.p.sum(axis=0) - 1.0).max())
     results.append(
@@ -169,14 +165,18 @@ def run_validation(mc: McReport, regions: dict) -> list[CheckResult]:
         )
     )
 
+    # the report's intervals against the curve's own bounds at its peak and
+    # the highest of each bound outside the mainlobe
     report = feature_report(pmap)
+    i_max, left, right = mainlobe_indices(bounds.nominal_power)
+    lo_db, hi_db = bounds.p_lo_db, bounds.p_hi_db
     tiling = all(
         report.gamma_intervals[k, 1] == report.gamma_intervals[k + 1, 0]
         for k in range(k_regions - 1)
     )
     ends = (
-        report.gamma_intervals[0, 0] == report.iams_gamma[0]
-        and report.gamma_intervals[-1, 1] == report.iams_gamma[1]
+        report.gamma_intervals[0, 0] == lo_db[i_max]
+        and report.gamma_intervals[-1, 1] == hi_db[i_max]
     )
     results.append(
         CheckResult(
@@ -190,9 +190,10 @@ def run_validation(mc: McReport, regions: dict) -> list[CheckResult]:
             CheckResult("sll-endpoint-coverage", True, "not applicable (no sidelobe)")
         )
     else:
+        side = np.r_[:left, right + 1 : n_u]  # the grid rows outside the mainlobe
         sll_cov = (
-            report.sll_intervals[0, 0] == report.iams_sll[0]
-            and report.sll_intervals[-1, 1] == report.iams_sll[1]
+            report.sll_intervals[0, 0] == lo_db[side].max() - hi_db[i_max]
+            and report.sll_intervals[-1, 1] == hi_db[side].max() - lo_db[i_max]
         )
         results.append(
             CheckResult(
@@ -238,12 +239,12 @@ def run_validation(mc: McReport, regions: dict) -> list[CheckResult]:
 
     results.append(_symmetry_check(pmap, regions))
     results.append(_zero_tolerance_check(bounds, k_regions))
-    results.append(_oracle_spot_check(pmap, regions))
+    results.append(_oracle_spot_check(pmap, regions, directions))
     return results
 
 
 def _symmetry_check(pmap, regions) -> CheckResult:
-    """Recompute the mirrored rows among regions, the curve's oracle_rows, without the mirror.
+    """Recompute the mirrored rows among regions, the rows run_validation keeps, without the mirror.
 
     Sums those rows directly from the curve's sectors, in one region pass
     over them alone, and compares their regions (by their support functions
@@ -257,7 +258,7 @@ def _symmetry_check(pmap, regions) -> CheckResult:
     rows = sorted(i for i in regions if i < bounds.mirrored)
     rays = np.exp(2j * np.pi * np.arange(N_RAYS) / N_RAYS)[:, None]
     # a grid of only u < 0 samples is never mirrored: every row is summed
-    summed, sink = region_sink(range(len(rows)))
+    summed, sink = _region_sink(range(len(rows)))
     grid = AngularGrid(bounds.grid.samples[rows])
     direct = interval_af_curve(bounds.scenario, grid, bounds.sectors, (pmap.k_regions,), sink)
     scale = float(bounds.modulus_hi.max())
@@ -314,13 +315,8 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
     )
 
 
-def _oracle_directions(n_u: int) -> list[int]:
-    """The four grid rows the area oracle checks."""
-    return sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6})
-
-
-def _oracle_spot_check(pmap, regions) -> CheckResult:
-    """The ring probabilities of the oracle directions against the exact areas of regions.
+def _oracle_spot_check(pmap, regions, directions) -> CheckResult:
+    """The ring probabilities at the grid rows in directions against the exact areas of regions.
 
     Each row's ring probabilities must lie within its rounding bar,
     ROUNDING_BAR * n * P * R / A, of the oracle's.  Rows whose region has
@@ -328,7 +324,7 @@ def _oracle_spot_check(pmap, regions) -> CheckResult:
     """
     worst = ratio = 0.0
     integrated = 0
-    for i in _oracle_directions(len(pmap.bounds.grid)):
+    for i in directions:
         if pmap.degenerate[i]:
             continue
         vs = regions[i]

@@ -32,7 +32,7 @@ from arraytol.geometry import (
     rotated_minkowski_sums,
 )
 from arraytol.iams import _ring_probabilities, element_sectors, interval_af_curve
-from arraytol.validate import region_sink
+from arraytol.validate import _region_sink
 
 
 def taylor_taper(n_elements: int, sll_db: float = 25.0, nbar: int = 3) -> np.ndarray:
@@ -130,10 +130,10 @@ def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
     """(regions, pass): each grid row's region as the region pass hands it to its sink.
 
     The pass sums the scenario's element_sectors at arc_points.  regions[i]
-    is row i's unpadded vertex array, as region_sink keeps it; pass is the
+    is row i's unpadded vertex array, as validate._region_sink keeps it; pass is the
     PowerBoundsCurve interval_af_curve returns.
     """
-    kept, sink = region_sink(range(len(grid)))
+    kept, sink = _region_sink(range(len(grid)))
     sectors = element_sectors(scenario, arc_points)
     curve = interval_af_curve(scenario, grid, sectors, ring_counts, sink)
     return [kept[i] for i in range(len(grid))], curve

@@ -23,11 +23,11 @@ from arraytol import (
     scenario_from_config,
     uniform_grid,
 )
-from arraytol import cli, iams
+from arraytol import cli, iams, validate
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
-from arraytol.validate import oracle_rows, region_sink, run_validation
+from arraytol.validate import format_results, run_validation
 from helpers import AWKWARD, SMOKE, padded, pass_regions, taylor_taper, workload_config
 
 
@@ -484,6 +484,15 @@ class TestValidateCommand:
         assert "PASS" in out and "FAIL" not in out
         assert "column-stochasticity" in out
 
+    def test_prints_the_suite_on_the_run_run_validation_builds(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMOKE))
+        assert main(["validate", "--config", str(cfg)]) == 0
+        results = run_validation(scenario_from_config(SMOKE), uniform_grid(SMOKE["n_u"]),
+                                 SMOKE["k_regions"], SMOKE["mc_samples"],
+                                 arc_points=SMOKE["arc_points"], seed=SMOKE["seed"])
+        assert capsys.readouterr().out == format_results(results) + "\n"
+
     def test_zero_tolerance_config_passes_with_warning(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", xi_percent=0.0, gamma_deg=0.0)
         code = main(["validate", "--config", str(cfg), "--nu", "41",
@@ -677,21 +686,17 @@ class TestComputeOnce:
         from arraytol import scenario_from_tolerances
 
         scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
-        regions, sink = region_sink(oracle_rows(41))
-        bounds = power_bounds(scen, uniform_grid(41), 6, ring_counts=(5, 10), sink=sink)
-        mc = run_mc(probability_map(bounds, 5), 500)
-        for seen in calls.values():
-            seen.clear()
-        run_validation(mc, regions)
-        # the mirrored oracle rows summed again from the curve's sectors, and
-        # the zero-tolerance collapse's curve, the one polygonization; then
-        # the 2K map and the collapse's map
+        run_validation(scen, uniform_grid(41), 5, 500, arc_points=6)
+        # the run's curve, whose sink keeps the oracle rows, its K map and
+        # its MC; then the mirrored oracle rows summed again from the curve's
+        # sectors, and the zero-tolerance collapse's curve, the second
+        # polygonization; and the 2K map and the collapse's map
         curves, maps = calls["interval_af_curve"], calls["probability_map"]
-        assert (len(curves), len(maps), len(calls["run_mc"])) == (2, 2, 0)
-        assert len(calls["rotated_minkowski_sums"]) == 2
-        assert len(calls["polygonize_interval_phasors"]) == 1
-        assert curves[0] is scen and curves[1] is not scen
-        assert maps[0] is mc.pmap.bounds and maps[1] is not mc.pmap.bounds
+        assert (len(curves), len(maps), len(calls["run_mc"])) == (3, 3, 1)
+        assert len(calls["rotated_minkowski_sums"]) == 3
+        assert len(calls["polygonize_interval_phasors"]) == 2
+        assert curves[0] is scen and curves[1] is scen and curves[2] is not scen
+        assert calls["run_mc"][0].bounds is maps[0] is maps[1] and maps[2] is not maps[0]
 
         for seen in calls.values():
             seen.clear()
@@ -824,6 +829,13 @@ class TestParser:
             counts.append(len(built))
         _build_parser.cache_clear()  # drop the parser built under the patch
         assert counts[0] > 0 and counts[1] == counts[0]
+
+    def test_probe_is_an_mc_flag(self, config_path, capsys):
+        for command in ("bounds", "pia", "features", "validate"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "--config", str(config_path), "--probe", "0.0"])
+            assert info.value.code == 2
+            assert "unrecognized arguments: --probe 0.0" in capsys.readouterr().err
 
     def test_a_probe_does_not_carry_into_the_next_call(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1108,7 +1120,7 @@ class TestSizeBudget:
         ids=["mirrored", "steered", "steered-256", "wide-rows", "zero-tolerance", "wide-coarse"],
     )
     def test_estimate_bounds_the_arrays_a_run_holds(
-        self, amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks
+        self, monkeypatch, amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks
     ):
         elements = [{"amplitude": float(a), "phase_deg": steer * n} for n, a in enumerate(amplitudes)]
         for element in elements[:exact]:
@@ -1120,26 +1132,34 @@ class TestSizeBudget:
             "xi_percent": 2.0,
             "gamma_deg": 4.0,
         })
-        k_regions, blocks = 5, []
+        # the sink calls of the run's pass, the first _region_sink, and its
+        # curve, the one run_mc's map was built from
+        k_regions, sinks, maps = 5, [], []
+        region_sink, sample = validate._region_sink, validate.run_mc
+
+        def counted(rows):
+            regions, keep = region_sink(rows)
+            blocks = []
+            sinks.append(blocks)
+            return regions, lambda first, *block: blocks.append(first) or keep(first, *block)
+
+        monkeypatch.setattr(validate, "_region_sink", counted)
+        monkeypatch.setattr(validate, "run_mc", lambda pmap, *a, **kw: maps.append(pmap)
+                            or sample(pmap, *a, **kw))
         tracemalloc.start()
-        try:  # the chain of a validate command, each stage's products held
-            regions, keep = region_sink(oracle_rows(n_u))
-            curve = power_bounds(
-                scen, uniform_grid(n_u), arc_points, ring_counts=(k_regions, 2 * k_regions),
-                sink=lambda first, vertices, n: blocks.append(first) or keep(first, vertices, n),
-            )
-            maps = [probability_map(curve, k) for k in (k_regions, 2 * k_regions)]
-            run_validation(run_mc(maps[0], mc_samples), regions)
+        try:  # a validate command's run and checks
+            run_validation(scen, uniform_grid(n_u), k_regions, mc_samples, arc_points=arc_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        curve, blocks = maps[0].bounds, sinks[0]
         assert curve.mirrored == (n_u // 2 if steer == 0.0 else 0)
         assert int(curve.sectors[1].sum()) == (len(amplitudes) - exact) * (arc_points + 4) + exact
         assert len(blocks) >= least_blocks
         estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
         width, boundaries = len(amplitudes) * (arc_points + 4), 17
         assert estimate == (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)
-                            + n_u * (320 + 192 * k_regions + 16 * len(amplitudes)))
+                            + n_u * (256 + 128 * k_regions + 16 * len(amplitudes)))
         assert peak <= estimate <= 2.2 * peak
 
     @pytest.mark.parametrize("key, flag", [("k_regions", "--k"), ("n_u", "--nu"),

@@ -1,14 +1,17 @@
-"""Package export list, the README's library example, CI's smoke config and the benchmark's spans."""
+"""Package exports, the README's examples, CI's smoke config, CI's and the README's command lines,
+and the benchmark's spans."""
 
 import ast
 import importlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 
 import arraytol
+from arraytol.cli import _COMMANDS, _build_parser
 
 from helpers import SMOKE
 
@@ -79,6 +82,22 @@ def test_ci_smoke_config_is_the_tests_smoke_config():
     configs = re.findall(r"^ *printf '%s' '(.*)' > smoke\.json$", workflow, re.M)
     assert len(configs) == 1
     assert json.loads(configs[0]) == SMOKE
+
+
+def test_ci_and_readme_command_lines_parse():
+    """Every `arraytol ...` line of CI's workflow and the README's sh blocks is one the CLI accepts.
+
+    So a flag moved to another command, or renamed, cannot silently break
+    CI's smoke step or the documented command lines.
+    """
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
+    readme = "".join(re.findall(r"```sh\n(.*?)```", README.read_text("utf-8"), re.S))
+    line = re.compile(r"^\s*(?:if\s+)?arraytol\s+([^;#\n]*)", re.M)
+    for source, text in (("tests.yml", workflow), ("README.md", readme)):
+        # argparse exits with code 2 on an unknown command or flag
+        commands = {_build_parser().parse_args(shlex.split(args)).command
+                    for args in line.findall(text)}
+        assert commands == set(_COMMANDS), source
 
 
 # Span targets that perfbench/child.py still names but that the package no

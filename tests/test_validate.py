@@ -10,36 +10,33 @@ import pytest
 
 from arraytol import (
     ExcitationInterval,
-    ValidationError,
     power_bounds,
     probability_map,
-    run_mc,
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol import iams
+from arraytol import iams, pia, validate
 from arraytol.cli import main
 from arraytol.geometry import disc_polygon_areas
 from arraytol.validate import (
+    _region_sink,
     _symmetry_check,
     disc_polygon_area_exact,
-    oracle_rows,
-    region_sink,
     run_validation,
 )
 
 from helpers import AWKWARD, SMOKE, disc_convex_area_slab, random_convex_vertices
 
 
-def _chain(scen, n_u, k_regions):
-    """The K-ring map of scen on n_u samples, its pass taking 2K rings too, and its oracle_rows.
+def _chain(scen):
+    """The 4-ring map of scen on 41 samples and the regions run_validation keeps from its pass.
 
-    The regions come from the curve's own pass, through region_sink, as validate takes them.
+    Rows 6, 13, 20, 27 and 34: the area oracle's rows of a 41-sample grid
+    and their mirror partners, kept through the curve's own pass.
     """
-    regions, sink = region_sink(oracle_rows(n_u))
-    bounds = power_bounds(scen, uniform_grid(n_u), ring_counts=(k_regions, 2 * k_regions),
-                          sink=sink)
-    return probability_map(bounds, k_regions), regions
+    regions, sink = _region_sink((6, 13, 20, 27, 34))
+    bounds = power_bounds(scen, uniform_grid(41), ring_counts=(4, 8), sink=sink)
+    return probability_map(bounds, 4), regions
 
 
 def _validate(tmp_path, capsys, config, *args):
@@ -162,43 +159,42 @@ class TestAreaOracleGate:
         assert detail.startswith("max |p_k - exact oracle| = ")
 
 
-class TestRegionsPrecondition:
-    """run_validation names the oracle rows its regions lack, and the sink that keeps them."""
+class TestFeatureIntervalChecks:
+    """The peak and sidelobe interval checks read the curve's own bounds, not the report's."""
 
-    @pytest.mark.parametrize(
-        "kept, missing",
-        # before the check, {} failed in the symmetry check's pass over no
-        # rows, and the mirrored rows alone with a bare KeyError: 20
-        [((), [6, 13, 20, 27, 34]), ((6, 13), [20, 27, 34])],
-        ids=["none", "mirrored-only"],
-    )
-    def test_missing_oracle_rows_raise(self, small_scenario, kept, missing):
-        pmap, regions = _chain(small_scenario, 41, 3)
-        assert sorted(regions) == [6, 13, 20, 27, 34]
-        mc = run_mc(pmap, 200, seed=0)
-        with pytest.raises(ValidationError) as info:
-            run_validation(mc, {i: regions[i] for i in kept})
-        assert str(info.value) == (
-            f"regions lacks grid rows {missing}: pass the regions that "
-            "region_sink(oracle_rows(41)) keeps from the curve's pass"
-        )
+    def test_fail_on_a_map_whose_outer_radius_is_one_ulp_out(self, tmp_path, capsys, monkeypatch):
+        code, checks = _validate(tmp_path, capsys, SMOKE)
+        assert code == 0
+        radii = pia._ring_radii
+
+        def moved(*args):
+            out = radii(*args)
+            out[..., -1] = np.nextafter(out[..., -1], np.inf)
+            return out
+
+        # the map's boundaries move, the pass's modulus bounds do not
+        monkeypatch.setattr(pia, "_ring_radii", moved)
+        code, checks = _validate(tmp_path, capsys, SMOKE)
+        failed = [name for name, line in checks.items() if line.startswith("FAIL")]
+        assert code == 1 and failed == ["gamma-interval-tiling", "sll-endpoint-coverage"]
 
 
 class TestAmplitudeScale:
     @staticmethod
-    def _mc(scale):
-        scen = scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
-        pmap, regions = _chain(scen, 41, 3)
-        return run_mc(pmap, 5000, seed=0), regions
+    def _scenario(scale):
+        return scenario_from_tolerances([(scale, 0.0)] * 3, 0.01, math.radians(3.0), 0.5)
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 3e-8, 1.0, 1e6])
     def test_regions_and_verdicts_do_not_depend_on_scale(self, scale):
         # the geometry tolerances are relative: scaling every amplitude
         # scales the regions and leaves their vertices and rings alone
-        ref, (mc, regions) = self._mc(1.0)[0].pmap, self._mc(scale)
-        assert np.array_equal(mc.pmap.bounds.n_vertices, ref.bounds.n_vertices)
-        assert np.array_equal(mc.pmap.degenerate, ref.degenerate)
-        assert [r.name for r in run_validation(mc, regions) if not r.passed] == []
+        grid = uniform_grid(41)
+        ref, scaled = (probability_map(power_bounds(self._scenario(s), grid, ring_counts=(3,)), 3)
+                       for s in (1.0, scale))
+        assert np.array_equal(scaled.bounds.n_vertices, ref.bounds.n_vertices)
+        assert np.array_equal(scaled.degenerate, ref.degenerate)
+        results = run_validation(self._scenario(scale), grid, 3, 5000)
+        assert [r.name for r in results if not r.passed] == []
 
 
 class TestPatternSymmetry:
@@ -211,14 +207,14 @@ class TestPatternSymmetry:
         )
 
     def test_passes_on_the_copies(self):
-        result = _symmetry_check(*_chain(self._symmetric(), 41, 4))
+        result = _symmetry_check(*_chain(self._symmetric()))
         assert result.passed
         assert result.detail.startswith("2 mirrored directions summed directly")
 
     @pytest.mark.parametrize("row", [6, 13])
     def test_fails_on_a_wrong_mirrored_row(self, row):
         # rows 6 and 13 are the mirrored oracle directions of a 41-sample grid
-        pmap, regions = _chain(self._symmetric(), 41, 4)
+        pmap, regions = _chain(self._symmetric())
         p = pmap.p.copy()
         p[:, row] = p[::-1, row]
         assert not _symmetry_check(dataclasses.replace(pmap, p=p), regions).passed
@@ -232,25 +228,31 @@ class TestPatternSymmetry:
         # the conjugation: same moduli, vertex counts and areas as the region at -u
         image = iams.mirror_image
         monkeypatch.setattr(iams, "mirror_image", lambda *a: np.conjugate(image(*a)))
-        assert not _symmetry_check(*_chain(self._symmetric(), 41, 4)).passed
+        assert not _symmetry_check(*_chain(self._symmetric())).passed
 
     def test_not_applicable_without_mirrored_rows(self):
         scen = self._symmetric()
         elements = list(scen.elements)
         elements[2] = dataclasses.replace(elements[2], phase_hi=elements[2].phase_hi + 1e-9)
         nudged = dataclasses.replace(scen, elements=tuple(elements))
-        result = _symmetry_check(*_chain(nudged, 41, 4))
+        result = _symmetry_check(*_chain(nudged))
         assert result.passed and result.detail == "not applicable (no mirrored rows)"
 
     def test_collapse_reuses_the_curve_allowance(self, monkeypatch):
-        # the only polygonization in the suite is the collapsed scenario's
-        # curve: the direct rows sum the curve's own sectors
+        # two polygonizations, the run's curve and the collapsed scenario's:
+        # the direct rows of a mirrored scenario sum the curve's own sectors
         el = ExcitationInterval(1.0, 0.3, 0.99, 1.01, 0.25, 0.35)
-        scen = dataclasses.replace(self._symmetric(), elements=(el,) * 4)
-        pmap, regions = _chain(scen, 41, 4)
-        mc = run_mc(pmap, 500, seed=0)
-        calls = []
-        sectors = iams.element_sectors
-        monkeypatch.setattr(iams, "element_sectors", lambda *a: calls.append(a) or sectors(*a))
-        assert [r.name for r in run_validation(mc, regions) if not r.passed] == []
-        assert len(calls) == 1
+        offset = dataclasses.replace(self._symmetric(), elements=(el,) * 4)
+        made, summed = [], []
+        sectors, direct = iams.element_sectors, validate.interval_af_curve
+        monkeypatch.setattr(iams, "element_sectors",
+                            lambda *a: made.append(sectors(*a)) or made[-1])
+        monkeypatch.setattr(validate, "interval_af_curve",
+                            lambda *a: summed.append(a[2]) or direct(*a))
+        for scen, n_direct in ((offset, 0), (self._symmetric(), 1)):
+            made.clear()
+            summed.clear()
+            assert [r.name for r in run_validation(scen, uniform_grid(41), 4, 500)
+                    if not r.passed] == []
+            assert len(made) == 2
+            assert len(summed) == n_direct and all(s is made[0] for s in summed)
