@@ -7,7 +7,7 @@ seeded Monte Carlo oracle.
 """
 
 from .errors import ConfigError, ValidationError
-from .iams import PowerBoundsCurve, nominal_af_curve, power_bounds, power_db
+from .iams import PowerBoundsCurve, power_bounds, power_db
 from .model import (
     AngularGrid,
     ArrayScenario,
@@ -36,7 +36,6 @@ __all__ = [
     "feature_report",
     "load_config",
     "mean_probabilities",
-    "nominal_af_curve",
     "power_bounds",
     "power_db",
     "probability_map",

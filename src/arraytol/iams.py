@@ -49,11 +49,12 @@ class PowerBoundsCurve:
     n_vertices) of element_sectors) that the regions sum, and n_vertices
     the regions' vertex counts.  The regions themselves are not kept; they
     leave the pass only through its sink.  nominal_power is the nominal
-    |AF|**2 at each direction and peak_power its largest value, allowance
-    the rounding allowance the modulus bounds were widened by (besides each
-    row's welded length), mirrored the leading rows that are mirror images
-    (mirrored_rows), and rings the (p, degenerate) of each ring count the
-    pass was asked for, which probability_map reads.
+    |AF|**2 at each direction, from its region's steering phases, and
+    peak_power its largest value, allowance the rounding allowance the
+    modulus bounds were widened by (besides each row's welded length),
+    mirrored the leading rows that are mirror images (mirrored_rows), and
+    rings the (p, degenerate) of each ring count the pass was asked for,
+    which probability_map reads.
 
     The power bounds and their dB values, normalized so the nominal pattern
     peaks at 0 dB (a zero lower bound maps to -inf dB), are computed from
@@ -95,24 +96,6 @@ class PowerBoundsCurve:
         return power_db(self.nominal_power, self.peak_power)
 
 
-def nominal_af_curve(scenario: ArrayScenario, grid: AngularGrid) -> np.ndarray:
-    """The nominal array factor over a grid, summed element by element.
-
-    The elements are added in order, one grid-long term at a time, so no
-    (N, len(grid)) array is held; on a grid of two or more samples each sum
-    rounds as numpy's sum along the element axis does.
-    """
-    u, step = grid.samples, _TWO_PI * scenario.spacing
-    terms = (
-        el.nominal_amplitude * np.exp(1j * (el.nominal_phase + step * (u * n)))
-        for n, el in enumerate(scenario.elements)
-    )
-    total = next(terms)
-    for term in terms:
-        total += term
-    return total
-
-
 def interval_af_curve(
     scenario: ArrayScenario, grid: AngularGrid, sectors, ring_counts=(), sink=None
 ) -> PowerBoundsCurve:
@@ -138,17 +121,22 @@ def interval_af_curve(
     -u: the block writes its vertex counts, bounds and ring probabilities to
     its own rows and, reversed, to their image rows, and sink gets the
     images' regions as the mirror_image of those at u, after the block's
-    own.  The curve also holds the nominal power over the whole grid and
-    its peak, which is 0 where the nominal pattern vanishes at every
-    sample, as it may on a sub-grid: power_bounds, not the pass, rejects a
-    zero peak.
+    own.  Each block also sums the nominal array factor at its rows from
+    the phases psi its regions are rotated by, and at their image rows
+    from -psi, bitwise the phases at -u: a nominal phase inside a symmetric
+    interval need not be 0.  The curve holds the nominal power and its
+    peak, which is 0 where the nominal pattern vanishes at every sample,
+    as it may on a sub-grid: power_bounds, not the pass, rejects a zero
+    peak.
     """
     for k_regions in ring_counts:
         check_integer("k_regions", k_regions, 1)
     slack = rounding_allowance(sectors[0])
     n_u, mirrored = len(grid), mirrored_rows(scenario, grid)
     n_vertices = np.empty(n_u, dtype=np.int64)
-    lo, hi = np.empty(n_u), np.empty(n_u)
+    lo, hi, nominal = np.empty(n_u), np.empty(n_u), np.empty(n_u, dtype=complex)
+    amplitudes = np.array([[e.nominal_amplitude] for e in scenario.elements])
+    phases = np.array([[e.nominal_phase] for e in scenario.elements])
     # C order, since numpy's sums along the grid round by memory layout
     rings = {k: (np.empty((k, n_u)), np.empty(n_u, dtype=bool)) for k in ring_counts}
     row_bytes = 16 * int(sectors[1].sum()) + _RING_AREA_BYTES * sum(k + 1 for k in ring_counts)
@@ -158,6 +146,9 @@ def interval_af_curve(
         first = max(0, n_u - 2 * mirrored - block.start)
         images = slice(n_u - mirrored - block.stop, n_u - rows.start - first)
         psi = steering_phases(scenario, grid.samples[rows])
+        # before the sums, so the nominal's (N, rows) temporaries are gone by then
+        nominal[rows] = _nominal_af(amplitudes, phases, psi)
+        nominal[images] = _nominal_af(amplitudes, phases, -psi[first:][::-1])
         vertices, n, welded = rotated_minkowski_sums(*sectors, psi)
         block_lo, block_hi = modulus_bounds(vertices, n)
         reach = slack + welded
@@ -176,12 +167,16 @@ def interval_af_curve(
                 image_n = n[first:][::-1]
                 sink(images.start, mirror_image(vertices[first:][::-1], image_n), image_n)
         del vertices  # so the next block's sum does not hold it too
-    # the full grid: a nominal phase inside a symmetric interval need not be 0
-    nominal_power = np.abs(nominal_af_curve(scenario, grid)) ** 2
+    nominal_power = np.abs(nominal) ** 2
     return PowerBoundsCurve(
         scenario, grid, sectors, n_vertices, lo, hi, nominal_power,
         float(nominal_power.max()), slack, mirrored, rings,
     )
+
+
+def _nominal_af(amplitudes, phases, psi) -> np.ndarray:
+    """The nominal AF at each row of psi, its elements added in order (cumsum; sum is pairwise)."""
+    return np.cumsum(amplitudes * np.exp(1j * (phases + psi.T)), axis=0)[-1]
 
 
 def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
@@ -251,7 +246,7 @@ def mirror_image(vertices: np.ndarray, n_vertices: np.ndarray) -> np.ndarray:
 
 
 def steering_phases(scenario: ArrayScenario, u) -> np.ndarray:
-    """(len(u), N) steering phases 2*pi*spacing*n*u of each element at each direction."""
+    """(len(u), N) steering phases 2*pi*spacing*n*u: the regions', nominal's and MC's alike."""
     return _TWO_PI * scenario.spacing * np.outer(u, np.arange(scenario.n_elements))
 
 

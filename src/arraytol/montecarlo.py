@@ -56,9 +56,8 @@ class ProbeHistogram:
 
 @dataclass(frozen=True)
 class McReport:
-    """Empirical envelope and ring occupancy over n_samples realizations of pmap's scenario."""
+    """Empirical envelope and ring occupancy over n_samples realizations of a map's scenario."""
 
-    pmap: ProbabilityMap = field(repr=False)
     n_samples: int
     per_u_min: np.ndarray = field(repr=False)  # linear power
     per_u_max: np.ndarray = field(repr=False)
@@ -265,7 +264,6 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         for ip, edges, c in zip(probe_idx, probe_edges, hist_counts)
     )
     return McReport(
-        pmap=pmap,
         n_samples=n_samples,
         per_u_min=per_u_min,
         per_u_max=per_u_max,

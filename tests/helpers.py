@@ -3,7 +3,8 @@
 Every oracle here computes areas or memberships through a different
 algorithm than the package (closed-form x-slabs, point grids, scipy hulls,
 the shoelace formula, the closed-form circular segment, element-by-element
-math.cos/sin for the nominal pattern, numpy's complex exp for the
+math.cos/sin for the nominal pattern, an element loop with its own
+steering phases for the nominal curve, numpy's complex exp for the
 excitation draws, SplitMix64 one Python integer at a time for the random
 words), so agreement is evidence rather than tautology.
 
@@ -153,6 +154,25 @@ def nominal_af(scenario, u: float) -> complex:
         total += el.nominal_amplitude * complex(
             math.cos(el.nominal_phase + psi), math.sin(el.nominal_phase + psi)
         )
+    return total
+
+
+def nominal_af_curve(scenario, grid) -> np.ndarray:
+    """The nominal array factor over a grid, summed element by element: the bitwise reference.
+
+    The elements are added in order, one grid-long term at a time, each
+    term's steering phase formed here as 2*pi*spacing * (u * n), so no
+    (N, len(grid)) array is held; the region pass's nominal pattern must
+    equal it bit for bit.
+    """
+    u, step = grid.samples, 2.0 * math.pi * scenario.spacing
+    terms = (
+        el.nominal_amplitude * np.exp(1j * (el.nominal_phase + step * (u * n)))
+        for n, el in enumerate(scenario.elements)
+    )
+    total = next(terms)
+    for term in terms:
+        total += term
     return total
 
 

@@ -144,8 +144,8 @@ class TestRegionPass:
         scen, grid = scenario_from_config(config), uniform_grid(config["n_u"])
         k_regions = config["k_regions"]
         runs = []
-        # the whole grid, or one block, against blocks of a few rows
-        for pass_bytes in (_PASS_BYTES, _PASS_BYTES // 37):
+        # the whole grid, or one block, against blocks of a few rows and of one row
+        for pass_bytes in (_PASS_BYTES, _PASS_BYTES // 37, 1):
             monkeypatch.setattr(iams, "_PASS_BYTES", pass_bytes)
             monkeypatch.setattr(cli, "_PASS_BYTES", pass_bytes)
             out = tmp_path / str(pass_bytes)
@@ -156,14 +156,16 @@ class TestRegionPass:
                 sink=lambda first, vertices, n: blocks.append(first),
             )
             runs.append((curve, (out / "polygons.npy").read_bytes(), len(blocks)))
-        (one, one_dump, one_blocks), (few, few_dump, few_blocks) = runs
-        assert few_blocks > 2 * one_blocks
-        for name in ("n_vertices", "modulus_lo", "modulus_hi"):
-            assert getattr(one, name).tobytes() == getattr(few, name).tobytes(), name
-        for k in (k_regions, 2 * k_regions):
-            for a, b in zip(one.rings[k], few.rings[k], strict=True):
-                assert a.tobytes() == b.tobytes()
-        assert one_dump == few_dump
+        (one, one_dump, one_blocks), *others = runs
+        for few, few_dump, few_blocks in others:
+            assert few_blocks > 2 * one_blocks
+            for name in ("n_vertices", "modulus_lo", "modulus_hi", "nominal_power"):
+                assert getattr(one, name).tobytes() == getattr(few, name).tobytes(), name
+            for k in (k_regions, 2 * k_regions):
+                for a, b in zip(one.rings[k], few.rings[k], strict=True):
+                    assert a.tobytes() == b.tobytes()
+            assert one_dump == few_dump
+        assert others[-1][2] == len(grid)  # one-row blocks: the sink gets each row alone
         # the dump of one block holds the regions the pass hands its sink in
         # blocks of a few rows, byte for byte
         dump = np.load(tmp_path / str(_PASS_BYTES) / "polygons.npy")

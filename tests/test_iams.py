@@ -12,23 +12,27 @@ from arraytol import (
     ArrayScenario,
     ExcitationInterval,
     ValidationError,
-    nominal_af_curve,
     power_bounds,
     power_db,
     probability_map,
+    run_mc,
+    scenario_from_config,
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol import iams
+from arraytol import iams, montecarlo
 from arraytol.iams import element_sectors, interval_af_curve, rounding_allowance
 
 from helpers import (
+    AWKWARD,
+    SMOKE,
     boundary_distance,
     contains_point,
     direction_region,
     distance_bounds_to_origin,
     minkowski_sum_many,
     nominal_af,
+    nominal_af_curve,
     normalized_rows,
     padded,
     pass_regions,
@@ -91,11 +95,6 @@ class TestNominalAf:
         curve = nominal_af_curve(scen, grid)
         for i, u in enumerate(grid.samples):
             assert curve[i] == pytest.approx(nominal_af(scen, float(u)), abs=1e-12)
-
-    def test_rejects_out_of_range_direction(self):
-        # the curve takes its directions from a grid, which checks their range
-        with pytest.raises(Exception):
-            nominal_af_curve(_uniform_scenario(2), AngularGrid([1.5]))
 
 
 class TestIntervalAf:
@@ -575,6 +574,27 @@ class TestRegionPass:
             tracemalloc.stop()
         assert curve.mirrored == 0 and curve.n_vertices.max() == 768
         assert peak < 501 * 768 * 16 / 2
+
+    @pytest.mark.parametrize("config", [SMOKE, AWKWARD["steered-60"]], ids=["smoke", "steered-60"])
+    def test_every_stage_takes_the_phases_of_steering_phases(self, config, monkeypatch):
+        # 40 deg * n * u more per element: odd in u, as the mirror requires
+        # of the phases, and the nominal summed apart from the regions would
+        # leave the bounds on 22 of the 41 rows
+        phases = iams.steering_phases
+
+        def skewed(scenario, u):
+            skew = math.radians(40.0) * np.arange(scenario.n_elements)
+            return phases(scenario, u) + np.outer(u, skew)
+
+        monkeypatch.setattr(iams, "steering_phases", skewed)
+        monkeypatch.setattr(montecarlo, "steering_phases", skewed)
+        scen, grid = scenario_from_config(config), uniform_grid(41)
+        curve = power_bounds(scen, grid, config["arc_points"], ring_counts=(3,))
+        assert np.all(curve.p_lo <= curve.nominal_power)
+        assert np.all(curve.nominal_power <= curve.p_hi)
+        assert not np.allclose(curve.nominal_power, np.abs(nominal_af_curve(scen, grid)) ** 2)
+        mc = run_mc(probability_map(curve, 3), 2000, seed=1)
+        assert np.all(curve.p_lo <= mc.per_u_min) and np.all(mc.per_u_max <= curve.p_hi)
 
     def test_a_ring_count_not_asked_for_raises(self, small_scenario):
         curve = power_bounds(small_scenario, uniform_grid(11), ring_counts=(3, 5, 3))

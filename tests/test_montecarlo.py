@@ -12,7 +12,6 @@ from arraytol import (
     ArrayScenario,
     ExcitationInterval,
     feature_report,
-    nominal_af_curve,
     power_bounds,
     probability_map,
     run_mc,
@@ -24,7 +23,14 @@ from arraytol import (
 from arraytol import montecarlo
 from arraytol.errors import ValidationError
 
-from helpers import reference_draw, reference_uniforms, splitmix64_words, stream_key, taylor_taper
+from helpers import (
+    nominal_af_curve,
+    reference_draw,
+    reference_uniforms,
+    splitmix64_words,
+    stream_key,
+    taylor_taper,
+)
 
 
 def _scenario(xi=0.02, gamma=math.radians(4.0)):

@@ -41,7 +41,6 @@ def test_public_surface_is_exactly_these_names():
         "feature_report",
         "load_config",
         "mean_probabilities",
-        "nominal_af_curve",
         "power_bounds",
         "power_db",
         "probability_map",

@@ -31,6 +31,7 @@ from helpers import (
     direction_region,
     disc_convex_area_slab,
     distance_bounds_to_origin,
+    nominal_af_curve,
     padded,
     pass_regions,
     random_convex_vertices,
@@ -320,8 +321,6 @@ class TestMeanProbabilities:
 
 class TestMainlobe:
     def test_finds_first_minima(self, small_scenario):
-        from arraytol import nominal_af_curve
-
         grid = uniform_grid(201)
         power = np.abs(nominal_af_curve(small_scenario, grid)) ** 2
         i_max, left, right = mainlobe_indices(power)
@@ -332,8 +331,6 @@ class TestMainlobe:
         assert power[right] <= power[right - 1] and power[right] <= power[right + 1]
 
     def test_too_coarse_grid_ends_at_the_grid_edges(self, small_scenario):
-        from arraytol import nominal_af_curve
-
         grid = uniform_grid(5)
         power = np.abs(nominal_af_curve(small_scenario, grid)) ** 2
         assert mainlobe_indices(power) == (2, 0, 4)
@@ -390,7 +387,7 @@ class TestFeatureReport:
         assert np.all(np.abs(rep.gamma_intervals) < 1e-12)
         # with no tolerance the bound endpoints meet the nominal sidelobe level
         assert rep.iams_sll[0] == pytest.approx(rep.iams_sll[1], abs=1e-9)
-        from arraytol import nominal_af_curve, power_db
+        from arraytol import power_db
 
         power = np.abs(nominal_af_curve(scen, grid)) ** 2
         db = power_db(power, float(power.max()))

@@ -178,6 +178,25 @@ class TestFeatureIntervalChecks:
         failed = [name for name, line in checks.items() if line.startswith("FAIL")]
         assert code == 1 and failed == ["gamma-interval-tiling", "sll-endpoint-coverage"]
 
+    @pytest.mark.parametrize("config", [SMOKE, AWKWARD["steered-60"]], ids=["smoke", "steered-60"])
+    def test_fail_on_ring_radii_spaced_by_the_square_of_k(
+        self, tmp_path, capsys, monkeypatch, config
+    ):
+        def squared(modulus_lo, modulus_hi, k_regions):
+            """Radii at lo + (hi - lo) * (k / K)**2, the outer ones the bounds bit for bit."""
+            lo, hi = np.asarray(modulus_lo)[..., None], np.asarray(modulus_hi)[..., None]
+            radii = lo + (hi - lo) * (np.arange(k_regions + 1) / k_regions) ** 2
+            radii[..., :1], radii[..., -1:] = lo, hi
+            return radii
+
+        # the pass's ring areas and the map's boundaries move together, and
+        # the even 2K radii stay the K radii, so only the spacing check sees it
+        monkeypatch.setattr(iams, "_ring_radii", squared)
+        monkeypatch.setattr(pia, "_ring_radii", squared)
+        code, checks = _validate(tmp_path, capsys, config)
+        failed = [name for name, line in checks.items() if line.startswith("FAIL")]
+        assert code == 1 and failed == ["gamma-interval-tiling"]
+
 
 class TestAmplitudeScale:
     @staticmethod
