@@ -28,7 +28,7 @@ from .model import (
     scenario_from_config,
     uniform_grid,
 )
-from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, run_mc
+from .montecarlo import _BLOCK_BYTES, _CHUNK_BYTES, SAMPLE_LIMIT, SEED_LIMIT, run_mc
 from .pia import ProbabilityMap, feature_report, probability_map
 from .validate import format_results, run_validation
 
@@ -74,10 +74,12 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
     The coefficients are tracemalloc peaks, rounded up, of runs that take
     the K + 1 and 2K + 1 ring boundaries in one region pass, as validate
     does:
-    - 3 MiB: one block of the region pass with its ring-area temporaries,
-      which the pass sizes together, the geometry kernels' fixed-size
-      blocks, and a Monte Carlo chunk, whose draws, power rows and ring
-      masks run_mc sizes together;
+    - the larger of the region pass and the Monte Carlo, which run one
+      after the other: 2 MiB for one block of the pass with its ring-area
+      temporaries, which the pass sizes together, and the geometry
+      kernels' fixed-size blocks; and for each of run_mc's workers, one per
+      CPU this process may run on, its chunk, whose excitations and power
+      rows run_mc sizes together, and its product block;
     - per vertex of the widest row, N * (arc_points + 4) of them, 1200
       bytes (the sectors, kernel temporaries where one row is wider than a
       kernel block, and validate's support functions) plus 8 per ring
@@ -88,8 +90,11 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
     Affine in each size field, as _check_size assumes.
     """
     width, boundaries = n_elements * (arc_points + 4), 3 * k_regions + 2
-    return (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)
-            + n_u * (256 + 128 * k_regions + 16 * n_elements))
+    # run_mc's workers at most; without sched_getaffinity there is no
+    # /proc/self/maps either, where run_mc looks for OpenBLAS, so one runs
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return (max(2 * _PASS_BYTES, workers * (_CHUNK_BYTES + _BLOCK_BYTES))
+            + width * (1200 + 8 * boundaries) + n_u * (256 + 128 * k_regions + 16 * n_elements))
 
 
 def _check_size(n_elements: int, fields: dict) -> None:
@@ -348,8 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
         common.add_argument(flag, type=int, default=None, dest=key, help=text)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored: every stage "
-                        "runs as one array program on one thread")
+                        help="accepted for compatibility and ignored: the geometry "
+                        "runs as one array program on one thread, and the Monte Carlo "
+                        "one worker per CPU this process may run on")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=command.__doc__)

@@ -139,7 +139,9 @@ def interval_af_curve(
     phases = np.array([[e.nominal_phase] for e in scenario.elements])
     # C order, since numpy's sums along the grid round by memory layout
     rings = {k: (np.empty((k, n_u)), np.empty(n_u, dtype=bool)) for k in ring_counts}
-    row_bytes = 16 * int(sectors[1].sum()) + _RING_AREA_BYTES * sum(k + 1 for k in ring_counts)
+    # K rings beside 2K take no ring-area radii of their own (_ring_probabilities)
+    radii_per_row = sum(k + 1 for k in rings if 2 * k not in rings)
+    row_bytes = 16 * int(sectors[1].sum()) + _RING_AREA_BYTES * radii_per_row
     for block in _row_blocks(n_u - mirrored, row_bytes, _PASS_BYTES):
         rows = slice(mirrored + block.start, mirrored + block.stop)
         # grid row r's image is row n_u - 1 - r, for the block's rows from first on
@@ -190,22 +192,31 @@ def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
 def _ring_probabilities(radii, vertices, n_vertices) -> list[tuple[np.ndarray, np.ndarray]]:
     """For each (rows, K+1) array in radii, the padded regions' (K, rows) ring probabilities.
 
-    Each comes with which regions have no area.  One disc_polygon_areas
-    call takes every radius; a region's area at a radius does not depend
-    on the other radii of its row.  Row i's radii run from one within
-    every edge's distance from the origin to one that encloses every
-    vertex, as the modulus bounds do, so disc_polygon_areas takes its
-    closed forms there: 0 for the first disc and the region's area for the
-    last.
+    Each comes with which regions have no area.  The arrays are the
+    _ring_radii of one pair of bounds.  One disc_polygon_areas call takes
+    every radius; a region's area at a radius does not depend on the other
+    radii of its row, so the K + 1 radii of K rings, asked for beside 2K,
+    take their areas from the even columns of the 2K + 1, which are the
+    same radii bit for bit: (hi - lo) / 2K is ((hi - lo) / K) / 2 exactly.
+    Row i's radii run from one within every edge's distance from the
+    origin to one that encloses every vertex, as the modulus bounds do, so
+    disc_polygon_areas takes its closed forms there: 0 for the first disc
+    and the region's area for the last.
     """
-    covered = disc_polygon_areas(np.concatenate(radii, axis=1), vertices, n_vertices)
+    widths = [r.shape[1] for r in radii]
+    own = [w for w in widths if 2 * w - 1 not in widths]
+    covered = disc_polygon_areas(
+        np.concatenate([r for r in radii if r.shape[1] in own], axis=1), vertices, n_vertices
+    )
     if not np.isfinite(covered).all():
         raise ValidationError("ring areas overflow double precision; scale the amplitudes down")
+    areas = dict(zip(own, np.split(covered, np.cumsum(own)[:-1], axis=1)))
+    for width in sorted(set(widths) - set(own), reverse=True):  # 2K + 1 before K + 1
+        areas[width] = areas[2 * width - 1][:, ::2]
     probabilities = []
-    ends = np.cumsum([r.shape[1] for r in radii])[:-1]
-    for ring_radii, areas in zip(radii, np.split(covered, ends, axis=1)):
-        total = areas[:, -1]
-        rings = np.diff(areas, axis=1)
+    for ring_radii in radii:
+        total = areas[ring_radii.shape[1]][:, -1]
+        rings = np.diff(areas[ring_radii.shape[1]], axis=1)
         live = total > (EPS_GEOM * ring_radii[:, -1]) ** 2  # relative to the enclosing disc
         bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
         if bad.any():
@@ -296,8 +307,11 @@ def sector_reach(sectors: np.ndarray) -> float:
 
 def power_db(power, peak_power: float):
     """Linear power to dB relative to the peak; 0 maps to -inf."""
+    power = np.asarray(power, dtype=np.float64)
+    out = np.divide(power, peak_power, out=np.empty(power.shape))  # the one array it allocates
     with np.errstate(divide="ignore"):
-        out = 10.0 * np.log10(np.asarray(power, dtype=np.float64) / peak_power)
+        np.log10(out, out=out)
+    out *= 10.0
     return float(out) if out.shape == () else out
 
 

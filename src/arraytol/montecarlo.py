@@ -5,19 +5,30 @@ al., SC 2011) built on SplitMix64 (Steele, Lea and Flood, OOPSLA 2014):
 word j is mix64(key + (j + 1) * gamma) in wrapping 64-bit arithmetic, with
 the key derived from the seed.  Samples take 2N words each, in sample
 order, so word j sits at a fixed counter and results are bitwise identical
-for a fixed seed no matter how work is chunked.  A chunk computes its words
-in place, in a few uint64 passes over its excitation buffer, so no process
-loads numpy.random.  Chunks of samples are sized by one byte budget that
-counts every buffer they hold: the draws, the power and the ring masks.
-Each chunk's complex pattern product is formed in row blocks sized by a
-smaller, cache-sized budget and written straight into the chunk's power
-rows.  Neither a chunk nor a block holds a lone row, whose one-row product
-BLAS rounds differently (a gemv, not a gemm).
+for a fixed seed no matter how work is chunked, or which worker draws a
+chunk.  A chunk computes its words in place, in a few uint64 passes over
+its excitation buffer, so no process loads numpy.random.  The chunks run on
+one worker thread per usable CPU, each with its own buffers and
+accumulators, while OpenBLAS is held to one thread of its own: its idle
+worker spins on a CPU that a second worker would need.  Chunks of samples
+are sized by one byte budget per worker that counts every buffer they
+hold: the excitations and the power rows, in which the draw's uniforms
+live while it runs.  Each chunk's complex pattern product is formed in row
+blocks sized by a smaller, cache-sized budget and written straight into
+the chunk's power rows; the ring masks then reuse the product's bytes.
+Neither a chunk nor a block holds a lone row, whose one-row product BLAS
+rounds differently (a gemv, not a gemm).
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
 import math
+import os
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +39,13 @@ from .model import ArrayScenario, check_integer
 from .pia import ProbabilityMap
 
 _HIST_BINS = 200
-_CHUNK_BYTES = 2 << 20  # a chunk holds _CHUNK_BYTES // (16 N_u + 32 N) samples
+_CHUNK_BYTES = 768 << 10  # a worker's chunk holds _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N) samples
 _BLOCK_BYTES = 256 << 10  # one block's (block, N_u) complex128 product
+# The ufunc buffer, in elements, of an MC worker (numpy's default is 8192).
+# numpy allocates one for each broadcast or cast operand of a call, and the
+# workers' calls overlap by chance: small buffers keep run_mc's peak memory
+# from varying with how they interleave.
+_UFUNC_BUFFER = 1024
 SEED_LIMIT = 1 << 128  # seeds are two 64-bit words, folded into one key
 SAMPLE_LIMIT = 1 << 63  # sample counts are int64
 
@@ -38,6 +54,14 @@ _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, odd, so the perio
 # mix64 (Stafford's Mix13): z ^= z >> 30; z *= M1; z ^= z >> 27; z *= M2; z ^= z >> 31
 _MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 _MIX_LAST = 31
+
+# The (get, set) thread-count functions an OpenBLAS build may export, newest first:
+# numpy >= 2 wheels' scipy-openblas, then 64-bit and 32-bit integer builds
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -172,6 +196,43 @@ def _spans(n: int, step: int):
     return zip(starts, [*starts[1:], n])
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into
+    this process, found by its path in /proc/self/maps, or None where
+    there is none.  Looked up at the first run_mc call, not at import."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.rstrip("\n").split(maxsplit=5)[-1] for line in maps}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            library = ctypes.CDLL(path)  # mapped already, so this only gets its handle
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get, set_ = getattr(library, get_name, None), getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread(threads):
+    """Hold OpenBLAS to one thread, restoring its count on exit; threads
+    is its (get, set) pair from _openblas_threads."""
+    get, set_ = threads
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
+
+
 def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions=()) -> McReport:
     """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
 
@@ -184,31 +245,47 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     100 dB below the upper edge, and samples below it are left uncounted.
     Samples draw their excitations in order from one sample_stream(seed),
     2N words each, so sample i is the i-th sample_realization call on a
-    fresh stream, and each word's counter is fixed whatever the chunks.
-    Chunks of _CHUNK_BYTES // (16 N_u + 32 N) samples, at least 2, reuse
-    buffers allocated once per run, so memory grows with neither n_samples
-    nor N / N_u: per sample, 32 N bytes of uniforms and weights, which
-    _draw fills in place, the weights holding the words until the
-    excitations overwrite them, and 9 N_u of power and ring mask, written
-    with out=.  The complex pattern product is formed in blocks of
-    max(2, N, _BLOCK_BYTES // (16 N_u)) rows, whose |z|^2 goes straight
-    into the chunk's power rows; the N floor keeps each gemm large enough
-    to run at full speed, and it makes a block the whole chunk when N_u is
-    large.  A lone last sample joins the chunk before it, and a lone last
-    row the block before it, as BLAS rounds a one-row product (gemv) unlike
-    the others (gemm).  Each ring boundary's mask is summed over the chunk
-    in one uint16 reduce.
+    fresh stream, and each word's counter is fixed whatever the chunks:
+    the chunk from sample s on reads the stream from word 2N s.
+
+    The chunks, of _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N) samples, at
+    least 2, are dealt in turn to one worker per CPU the process may run
+    on (os.sched_getaffinity), at most one per chunk: worker 0 on the
+    calling thread, the others on threads of their own, each in a context
+    of its own with a _UFUNC_BUFFER-element ufunc buffer.  Each worker
+    keeps its own envelope, ring counts and histograms, which are merged
+    once every worker has finished: minima, maxima and integer sums, so
+    the report's bits do not depend on the workers.  A worker's exception
+    is raised here once every worker has finished.  While two or more
+    run, OpenBLAS is held to one thread, whose count is then restored;
+    where _openblas_threads finds no OpenBLAS to hold, one worker runs
+    every chunk.  One worker leaves OpenBLAS as it is: the one-row product
+    (gemv) of a one-sample run rounds by its thread count, while products
+    of two or more rows (gemm) do not.
+
+    A worker allocates its buffers once, so memory grows with neither
+    n_samples nor N / N_u: per sample, 16 N bytes of excitations and
+    8 max(N_u, 2N) of power row, whose leading 16 N hold the draw's
+    uniforms until the power overwrites them.  The complex pattern product
+    is formed in blocks of max(2, N, _BLOCK_BYTES // (16 N_u)) rows, whose
+    |z|^2 goes straight into the chunk's power rows; the N floor keeps each
+    gemm large enough to run at full speed, and it makes a block the whole
+    chunk when N_u is large.  The ring masks, a byte per sample and
+    direction, then reuse the product block's bytes.  A lone last sample
+    joins the chunk before it, and a lone last row the block before it, as
+    BLAS rounds a one-row product (gemv) unlike the others (gemm).  Each
+    ring boundary's mask is summed over the chunk in one uint16 reduce.
     """
     check_integer("n_samples", n_samples, 1, SAMPLE_LIMIT)
     check_integer("seed", seed, 0, SEED_LIMIT)
     scenario, grid = pmap.bounds.scenario, pmap.bounds.grid
-    k_regions = pmap.k_regions
+    k_regions, n = pmap.k_regions, scenario.n_elements
     n_u = len(grid)
     box = _tolerance_box(scenario)
     # C order, since the gemm rounds by the memory layout of its operands;
     # in blocks of columns, so no (N, N_u) phase array is held
-    steering = np.empty((scenario.n_elements, n_u), dtype=complex)
-    for lo, hi in _spans(n_u, max(2, _BLOCK_BYTES // (16 * scenario.n_elements))):
+    steering = np.empty((n, n_u), dtype=complex)
+    for lo, hi in _spans(n_u, max(2, _BLOCK_BYTES // (16 * n))):
         steering[:, lo:hi] = np.exp(1j * steering_phases(scenario, grid.samples[lo:hi])).T
     # boundaries between rings, one contiguous row per boundary
     inner_sq = np.ascontiguousarray(pmap.ring_radii[:, 1:k_regions].T ** 2)
@@ -227,46 +304,82 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         lo_edge = lo_db - 1.0 if math.isfinite(lo_db) else hi_edge - 100.0
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
-    step = max(2, _CHUNK_BYTES // (16 * n_u + 32 * scenario.n_elements))
-    block = max(2, scenario.n_elements, _BLOCK_BYTES // (16 * n_u))
-    rows = min(step + 1, n_samples)
-    product = np.empty((min(block + 1, rows), n_u), dtype=complex)
-    power, ge = (np.empty((rows, n_u), dtype=t) for t in (float, bool))
-    uniforms = np.empty((rows, 2 * scenario.n_elements))
-    weights = np.empty((rows, scenario.n_elements), dtype=complex)
-    stream = sample_stream(seed)
-    per_u_min, per_u_max = np.full(n_u, np.inf), np.full(n_u, -np.inf)
-    # at_least[h]: samples at or above ring boundary h (all at 0, none at K)
-    at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
-    at_least[0] = n_samples
-    hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
-    for start, stop in _spans(n_samples, step):
-        m = stop - start
-        p, mask, w = power[:m], ge[:m], weights[:m]
-        _draw(box, stream, uniforms[:m], w)
-        for lo, hi in _spans(m, block):
-            z, pb = product[: hi - lo], p[lo:hi]
-            np.matmul(w[lo:hi], steering, out=z)
-            np.square(np.abs(z, out=pb), out=pb)
-        np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
-        np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
-        for h in range(1, k_regions):
-            np.greater_equal(p, inner_sq[h - 1], out=mask)
-            # no wrap: a sample takes 48 bytes or more, so a chunk has < 2**16 rows
-            at_least[h] += np.add.reduce(mask, axis=0, dtype=np.uint16)
-        db = power_db(p[:, probe_idx], pmap.bounds.peak_power)
-        for acc, col, edges in zip(hist_counts, db.T, probe_edges):
-            acc += np.histogram(col, bins=edges)[0]
+    key = sample_stream(seed).key
+    width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
+    step = max(2, _CHUNK_BYTES // (8 * width + 16 * n))
+    # the chunks' first samples, as _spans gives them: the last chunk runs to n_samples
+    starts = range(0, max(n_samples - 1, 1), step)
+    block = max(2, n, _BLOCK_BYTES // (16 * n_u))
 
+    def chunk_loop(chunks):
+        """One worker: run the chunks starting at chunks, and return their
+        envelope, at_least counts and histograms."""
+        np.setbufsize(_UFUNC_BUFFER)  # in this worker's context only
+        rows = min(step + 1, n_samples)
+        block_rows = min(block + 1, rows)
+        power = np.empty(rows * width)
+        weights = np.empty((rows, n), dtype=complex)
+        # the product block, whose bytes then hold the ring masks
+        product = np.empty(max(block_rows * n_u, -(-rows * n_u // 16)), dtype=complex)
+        per_u_min, per_u_max = np.full(n_u, np.inf), np.full(n_u, -np.inf)
+        # at_least[h]: samples at or above ring boundary h, for 0 < h < K
+        at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
+        hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
+        for start in chunks:
+            m = (n_samples if start == starts[-1] else start + step) - start
+            p, w = power[: m * n_u].reshape(m, n_u), weights[:m]
+            _draw(box, SampleStream(key, 2 * n * start), power[: m * 2 * n].reshape(m, 2 * n), w)
+            for lo, hi in _spans(m, block):
+                z, pb = product[: (hi - lo) * n_u].reshape(hi - lo, n_u), p[lo:hi]
+                np.matmul(w[lo:hi], steering, out=z)
+                np.square(np.abs(z, out=pb), out=pb)
+            np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
+            np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
+            mask = product.view(bool)[: m * n_u].reshape(m, n_u)
+            for h in range(1, k_regions):
+                np.greater_equal(p, inner_sq[h - 1], out=mask)
+                # no wrap: a sample takes 32 bytes or more, so a chunk has
+                # at most _CHUNK_BYTES // 32 + 1 < 2**16 rows
+                at_least[h] += np.add.reduce(mask, axis=0, dtype=np.uint16)
+            db = power_db(p.T[probe_idx], pmap.bounds.peak_power)  # a contiguous row per probe
+            for acc, row, edges in zip(hist_counts, db, probe_edges):
+                acc += np.histogram(row, bins=edges)[0]
+        return per_u_min, per_u_max, at_least, hist_counts
+
+    blas = _openblas_threads()
+    n_workers = min(len(os.sched_getaffinity(0)), len(starts)) if blas else 1
+    results, failures = [None] * n_workers, []
+
+    def work(w):
+        try:
+            results[w] = chunk_loop(starts[w::n_workers])
+        except BaseException as error:  # raised below, once every worker has finished
+            failures.append(error)
+
+    with _one_blas_thread(blas) if n_workers > 1 else nullcontext():
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]
+        for thread in threads:
+            thread.start()
+        # worker 0 on this thread, whose heap the run's earlier stages have
+        # grown; in a copy of its context, which takes the ufunc buffer size
+        contextvars.copy_context().run(work, 0)
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+
+    lows, highs, at_least, hist_counts = zip(*results)
+    at_least = sum(at_least)
+    at_least[0] = n_samples  # every sample is at or above the inner disc, none above the outer
     counts = at_least[:-1] - at_least[1:]
     histograms = tuple(
-        ProbeHistogram(u=float(grid.samples[ip]), index=ip, bin_edges_db=edges, counts=c)
-        for ip, edges, c in zip(probe_idx, probe_edges, hist_counts)
+        ProbeHistogram(u=float(grid.samples[ip]), index=ip, bin_edges_db=edges, counts=sum(c))
+        for ip, edges, c in zip(probe_idx, probe_edges, zip(*hist_counts))
     )
     return McReport(
         n_samples=n_samples,
-        per_u_min=per_u_min,
-        per_u_max=per_u_max,
+        per_u_min=np.min(lows, axis=0),
+        per_u_max=np.max(highs, axis=0),
         region_frequencies=counts / float(n_samples),
         histograms=histograms,
     )

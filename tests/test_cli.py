@@ -23,7 +23,7 @@ from arraytol import (
     scenario_from_config,
     uniform_grid,
 )
-from arraytol import cli, iams, validate
+from arraytol import cli, iams, montecarlo, validate
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
@@ -1114,9 +1114,9 @@ class TestSizeBudget:
             # five zero-tolerance elements, one vertex each: rows of 15
             # vertices, so a pass block takes many rows
             ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 8, 3),
-            # a wide array on a coarse grid, whose Monte Carlo draws, 32 N
+            # a wide array on a coarse grid, whose Monte Carlo uniforms, 16 N
             # bytes a sample, outweigh its power rows; enough samples to
-            # fill a chunk sized by n_u alone (2 MiB / (16 n_u) = 65536)
+            # fill a chunk sized by n_u alone (768 KiB / (8 n_u) = 49152)
             (taylor_taper(64), 0.0, 0, 2, 4, 70_000, 1),
         ],
         ids=["mirrored", "steered", "steered-256", "wide-rows", "zero-tolerance", "wide-coarse"],
@@ -1136,6 +1136,8 @@ class TestSizeBudget:
         })
         # the sink calls of the run's pass, the first _region_sink, and its
         # curve, the one run_mc's map was built from
+        # two CPUs, so two Monte Carlo workers at most, whatever the machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         k_regions, sinks, maps = 5, [], []
         region_sink, sample = validate._region_sink, validate.run_mc
 
@@ -1160,7 +1162,8 @@ class TestSizeBudget:
         assert len(blocks) >= least_blocks
         estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
         width, boundaries = len(amplitudes) * (arc_points + 4), 17
-        assert estimate == (3 * _PASS_BYTES + width * (1200 + 8 * boundaries)
+        workers = 2 * (montecarlo._CHUNK_BYTES + montecarlo._BLOCK_BYTES)
+        assert estimate == (max(2 * _PASS_BYTES, workers) + width * (1200 + 8 * boundaries)
                             + n_u * (256 + 128 * k_regions + 16 * len(amplitudes)))
         assert peak <= estimate <= 2.2 * peak
 

@@ -1,6 +1,8 @@
 """Monte Carlo oracle tests: determinism, inclusion, ring frequencies."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -178,20 +180,23 @@ class TestReferenceDraw:
     @pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 - 1], ids=["0", "2^64+7", "2^128-1"])
     def test_run_mc_chunk_weights(self, seed, monkeypatch):
         scen = self._scenario()
-        grid = uniform_grid(21)  # 16 * 21 + 32 * 3 = 432 chunk bytes per sample
-        chunks = []
+        grid = uniform_grid(21)  # 8 * 21 + 16 * 3 = 216 chunk bytes per sample
+        chunks = {}  # by the stream position each chunk starts at; workers draw in any order
         draw = montecarlo._draw
 
         def spy(box, stream, uniforms, weights):
+            position = stream.position
             draw(box, stream, uniforms, weights)
-            chunks.append(weights.copy())
+            chunks[position] = weights.copy()
 
         monkeypatch.setattr(montecarlo, "_draw", spy)
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 432)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 216)
         run_mc(_pmap(scen, grid, 3), 23, seed=seed)
-        assert [len(c) for c in chunks] == [5, 5, 5, 5, 3]
+        assert sorted(chunks) == [0, 30, 60, 90, 120]  # 2N = 6 words a sample
+        assert [len(chunks[p]) for p in sorted(chunks)] == [5, 5, 5, 5, 3]
         expected = reference_draw(scen, reference_uniforms(seed, (23, 2 * scen.n_elements)))
-        assert np.array_equal(_bits(np.concatenate(chunks)), _bits(expected))
+        drawn = np.concatenate([chunks[p] for p in sorted(chunks)])
+        assert np.array_equal(_bits(drawn), _bits(expected))
 
 
 class TestRunMcMemory:
@@ -213,19 +218,126 @@ class TestRunMcMemory:
         finally:
             tracemalloc.stop()
 
-    def test_peak_does_not_grow_with_samples(self):
+    def test_peak_does_not_grow_with_samples(self, monkeypatch):
+        # two workers whatever the machine: how the workers' short-lived
+        # temporaries happen to overlap varies the peak by up to those of all but one
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
         pmap = self._taylor_pmap(16, 101)
         assert abs(self._peak(pmap, 50_000) - self._peak(pmap, 5_000)) <= 64 << 10
 
     # the second: 64 elements on 2 directions, where the draws decide the chunk
     @pytest.mark.parametrize("n, n_u", [(16, 101), (64, 2)])
-    def test_peak_is_the_chunk_buffers(self, n, n_u):
+    def test_peak_is_the_chunk_buffers(self, n, n_u, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        workers = 2 if montecarlo._openblas_threads() else 1
         pmap = self._taylor_pmap(n, n_u)
-        rows = max(2, montecarlo._CHUNK_BYTES // (16 * n_u + 32 * n)) + 1
+        width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
+        rows = max(2, montecarlo._CHUNK_BYTES // (8 * width + 16 * n)) + 1
+        assert 5_000 // rows >= workers  # a chunk for each worker
         block_rows = min(max(2, n, montecarlo._BLOCK_BYTES // (16 * n_u)) + 1, rows)
-        # power, ring mask, uniforms, weights; the block's product; the steering matrix
-        buffers = rows * (n_u * (8 + 1) + 2 * n * 8 + n * 16) + (block_rows + n) * n_u * 16
+        # each worker's power rows, which hold the uniforms, and weights; its
+        # product block, whose bytes hold the ring mask; the steering matrix
+        per_worker = rows * (8 * width + 16 * n) + max(16 * block_rows, rows) * n_u
+        buffers = workers * per_worker + n * n_u * 16
         assert self._peak(pmap, 5_000) <= 1.1 * buffers
+
+
+class TestWorkers:
+    """run_mc's chunks on one worker thread per CPU, with OpenBLAS held to one thread meanwhile."""
+
+    @staticmethod
+    def _run(pmap, n_samples, monkeypatch, cpus):
+        """run_mc with cpus CPUs to run on, and the threads that drew its chunks."""
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        threads = set()
+        draw = montecarlo._draw
+
+        def spy(*args):
+            threads.add(threading.current_thread())  # kept, so never reused
+            draw(*args)
+
+        monkeypatch.setattr(montecarlo, "_draw", spy)
+        report = run_mc(pmap, n_samples, seed=3, probe_directions=(-0.336, 0.0))
+        return report, len(threads)
+
+    # 16 elements on 101 directions, 8 * 101 + 16 * 16 = 1064 bytes a sample;
+    # 64 on 2, where 2N > N_u: 8 * 128 + 16 * 64 = 2048.  Chunks of 5 and 4
+    # samples, the last one with a lone sample joined to it
+    @pytest.mark.parametrize("n, n_u, rows, n_samples", [(16, 101, 5, 36), (64, 2, 4, 25)])
+    def test_bits_do_not_depend_on_the_workers(self, n, n_u, rows, n_samples, monkeypatch):
+        pmap = TestRunMcMemory._taylor_pmap(n, n_u)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", rows * (8 * max(n_u, 2 * n) + 16 * n))
+        reference, drawn_by = self._run(pmap, n_samples, monkeypatch, 1)
+        assert drawn_by == 1
+        pinned = montecarlo._openblas_threads() is not None
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers swap often, so a lost update would show
+        try:
+            for cpus in (2, 3):  # 3 workers on this machine's CPUs, however few
+                report, drawn_by = self._run(pmap, n_samples, monkeypatch, cpus)
+                assert drawn_by == (cpus if pinned else 1)
+                _assert_same_report(report, reference)
+                assert report.region_frequencies.sum(axis=0) == pytest.approx(1.0, abs=1e-12)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_without_openblas_one_worker_gives_the_same_bits(self, monkeypatch):
+        pmap = TestRunMcMemory._taylor_pmap(16, 101)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 1064)
+        reference, _ = self._run(pmap, 36, monkeypatch, 3)
+        monkeypatch.setattr(montecarlo, "_openblas_threads", lambda: None)
+        report, drawn_by = self._run(pmap, 36, monkeypatch, 3)
+        assert drawn_by == 1
+        _assert_same_report(report, reference)
+
+
+class TestOpenBlasPin:
+    """OpenBLAS runs one thread while run_mc's workers do, and its count is restored after."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        found = montecarlo._openblas_threads()
+        if found is None:
+            pytest.skip("no OpenBLAS is mapped into this process")
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 1064)  # 36 samples: 7 chunks
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        get, set_ = found
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @staticmethod
+    def _counts_at_draws(get, monkeypatch, fail_at=None):
+        """The OpenBLAS thread count at each _draw call; the call fail_at raises."""
+        counts = []
+        draw = montecarlo._draw
+
+        def spy(*args):
+            counts.append(get())
+            if len(counts) == fail_at:
+                raise RuntimeError(f"chunk {fail_at}")
+            draw(*args)
+
+        monkeypatch.setattr(montecarlo, "_draw", spy)
+        return counts
+
+    def test_count_is_one_during_the_run_and_restored_after(self, threads, monkeypatch):
+        counts = self._counts_at_draws(threads, monkeypatch)
+        run_mc(TestRunMcMemory._taylor_pmap(16, 101), 36, seed=0)
+        assert counts == [1] * 7 and threads() == 2
+
+    def test_count_is_restored_when_a_chunk_raises(self, threads, monkeypatch):
+        self._counts_at_draws(threads, monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="chunk 3"):
+            run_mc(TestRunMcMemory._taylor_pmap(16, 101), 36, seed=0)
+        assert threads() == 2
+
+    def test_one_worker_leaves_the_count(self, threads, monkeypatch):
+        # one sample: one chunk, whose one-row product (gemv) rounds by the count
+        counts = self._counts_at_draws(threads, monkeypatch)
+        run_mc(TestRunMcMemory._taylor_pmap(16, 101), 1, seed=0)
+        assert counts == [2] and threads() == 2
 
 
 class TestRunMc:
@@ -282,7 +394,7 @@ class TestRunMc:
 
     def test_chunk_size_invariance(self, monkeypatch):
         scen = _scenario()
-        # 16 * 21 = 336 block bytes per row, 336 + 32 * 6 = 528 chunk bytes per sample
+        # 16 * 21 = 336 block bytes per row, 8 * 21 + 16 * 6 = 264 chunk bytes per sample
         grid = uniform_grid(21)
         pmap = _pmap(scen, grid, 3)
         # the reference: one chunk, one block, one gemm
@@ -296,41 +408,43 @@ class TestRunMc:
             monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
             # one chunk; 2-sample chunks; 5-sample chunks, leaving one sample
             # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
-            for budget in (1 << 30, 1, 5 * 528, 64 * 528):
+            for budget in (1 << 30, 1, 5 * 264, 64 * 264):
                 monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
                 other = run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6))
                 _assert_same_report(other, reference)
 
     def test_chunk_size_invariance_where_the_draws_decide(self, monkeypatch):
-        # 40 elements on 5 directions: a sample's 32 * 40 = 1280 bytes of
-        # draws outweigh its 16 * 5 = 80, so the draws decide the chunk
+        # 40 elements on 5 directions: a sample's 2 * 40 uniforms outnumber
+        # its 5 power values, so the draws decide the chunk, at 8 * 80 + 16 * 40
+        # = 1280 bytes a sample
         scen = scenario_from_tolerances(
             [(a, 0.0) for a in taylor_taper(40)], 0.02, math.radians(4.0), 0.5
         )
         pmap = _pmap(scen, uniform_grid(5), 3)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
         reference = run_mc(pmap, 501, seed=1, probe_directions=(0.0,))
-        chunks = []
+        chunks = {}  # sizes by the stream position each chunk starts at
         draw = montecarlo._draw
 
         def spy(box, stream, uniforms, weights):
+            chunks[stream.position] = len(weights)
             draw(box, stream, uniforms, weights)
-            chunks.append(len(weights))
 
         monkeypatch.setattr(montecarlo, "_draw", spy)
         # 5-sample chunks, leaving one sample over (501 = 100 * 5 + 1), and
         # 64-sample chunks; blocks: the chunk, and 40 rows, the N floor
-        for budget, sizes in ((5 * 1360, [5] * 99 + [6]), (64 * 1360, [64] * 7 + [53])):
+        for budget, sizes in ((5 * 1280, [5] * 99 + [6]), (64 * 1280, [64] * 7 + [53])):
             monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
             for block_budget in (1 << 30, 1):
                 monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
                 chunks.clear()
                 _assert_same_report(run_mc(pmap, 501, seed=1, probe_directions=(0.0,)), reference)
-                assert chunks == sizes
+                assert [chunks[p] for p in sorted(chunks)] == sizes
+                assert sorted(chunks) == [80 * start for start in range(0, 500, sizes[0])]
 
-    # chunks: one of 2049 samples, the default budget; 4 samples, then 5 with
-    # the lone ninth (16 * 21 + 32 * 6 = 528 bytes per sample); 2 with the lone third
-    @pytest.mark.parametrize("n_samples, budget", [(2049, None), (9, 4 * 528), (3, 1)])
+    # chunks: one of 2049 samples, the default budget; 8 samples with the lone
+    # ninth (8 * 21 + 16 * 6 = 264 bytes per sample); 2 with the lone third
+    @pytest.mark.parametrize("n_samples, budget", [(2049, None), (9, 8 * 264), (3, 1)])
     def test_lone_last_sample_rounds_like_the_rest(self, n_samples, budget, monkeypatch):
         # with zero tolerances every sample is the nominal pattern, so the
         # envelope has zero width only if every sample's product rounds the

@@ -112,13 +112,15 @@ class TestAreaOracleGate:
         assert code == 0 and checks["area-oracle-spot-check"].startswith("PASS")
         # the smoke curve's pass sums its rows from u = 0 on, so each
         # ring-area call's first row is u = 0, the oracle direction n_u // 2;
-        # a 1e-6 relative change of its first inner disc's area moves its
-        # ring probabilities by about 1e-7, which a fixed 1e-3 gate passes
+        # the call takes the 2K + 1 radii, whose even ones are the K + 1, so
+        # column 2 is the first inner disc of K rings; a 1e-6 relative change
+        # of its area moves the K ring probabilities by about 1e-7, which a
+        # fixed 1e-3 gate passes
         areas = iams.disc_polygon_areas
 
         def scaled(*args):
             covered = areas(*args)
-            covered[0, 1] *= 1.0 + 1e-6
+            covered[0, 2] *= 1.0 + 1e-6
             return covered
 
         monkeypatch.setattr(iams, "disc_polygon_areas", scaled)
