@@ -28,7 +28,7 @@ from .model import (
     scenario_from_config,
     uniform_grid,
 )
-from .montecarlo import _BLOCK_BYTES, _CHUNK_BYTES, SAMPLE_LIMIT, SEED_LIMIT, run_mc
+from .montecarlo import _BLOCK_BYTES, _CHUNK_BYTES, _PROBE_BYTES, SAMPLE_LIMIT, SEED_LIMIT, run_mc
 from .pia import ProbabilityMap, feature_report, probability_map
 from .validate import format_results, run_validation
 
@@ -78,8 +78,9 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
       after the other: 2 MiB for one block of the pass with its ring-area
       temporaries, which the pass sizes together, and the geometry
       kernels' fixed-size blocks; and for each of run_mc's workers, one per
-      CPU this process may run on, its chunk, whose excitations and power
-      rows run_mc sizes together, and its product block;
+      CPU this process may run on, its chunk, whose excitations, power
+      rows and probe columns run_mc sizes together, its product block, and
+      the _PROBE_BYTES more of probe columns it batches;
     - per vertex of the widest row, N * (arc_points + 4) of them, 1200
       bytes (the sectors, kernel temporaries where one row is wider than a
       kernel block, and validate's support functions) plus 8 per ring
@@ -93,7 +94,7 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
     # run_mc's workers at most; without sched_getaffinity there is no
     # /proc/self/maps either, where run_mc looks for OpenBLAS, so one runs
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return (max(2 * _PASS_BYTES, workers * (_CHUNK_BYTES + _BLOCK_BYTES))
+    return (max(2 * _PASS_BYTES, workers * (_CHUNK_BYTES + _BLOCK_BYTES + _PROBE_BYTES))
             + width * (1200 + 8 * boundaries) + n_u * (256 + 128 * k_regions + 16 * n_elements))
 
 

@@ -305,10 +305,12 @@ def sector_reach(sectors: np.ndarray) -> float:
     return reach
 
 
-def power_db(power, peak_power: float):
-    """Linear power to dB relative to the peak; 0 maps to -inf."""
+def power_db(power, peak_power: float, out=None):
+    """Linear power to dB relative to the peak; 0 maps to -inf.  out, when
+    given, is a float64 array of power's shape that takes the dB, and may be power."""
     power = np.asarray(power, dtype=np.float64)
-    out = np.divide(power, peak_power, out=np.empty(power.shape))  # the one array it allocates
+    # the one array it allocates, where out is not given
+    out = np.divide(power, peak_power, out=np.empty(power.shape) if out is None else out)
     with np.errstate(divide="ignore"):
         np.log10(out, out=out)
     out *= 10.0

@@ -8,16 +8,20 @@ order, so word j sits at a fixed counter and results are bitwise identical
 for a fixed seed no matter how work is chunked, or which worker draws a
 chunk.  A chunk computes its words in place, in a few uint64 passes over
 its excitation buffer, so no process loads numpy.random.  The chunks run on
-one worker thread per usable CPU, each with its own buffers and
-accumulators, while OpenBLAS is held to one thread of its own: its idle
-worker spins on a CPU that a second worker would need.  Chunks of samples
-are sized by one byte budget per worker that counts every buffer they
-hold: the excitations and the power rows, in which the draw's uniforms
-live while it runs.  Each chunk's complex pattern product is formed in row
+one worker thread per usable CPU, each taking its next chunk from one
+shared queue and keeping its own buffers and accumulators, while OpenBLAS
+is held to one thread of its own: its idle worker spins on a CPU that a
+second worker would need.  Chunks of samples are sized by one byte budget
+per worker that counts every buffer they hold: the excitations, the power
+rows, in which the draw's uniforms live while it runs, and the probes'
+power columns.  Each chunk's complex pattern product is formed in row
 blocks sized by a smaller, cache-sized budget and written straight into
 the chunk's power rows; the ring masks then reuse the product's bytes.
-Neither a chunk nor a block holds a lone row, whose one-row product BLAS
-rounds differently (a gemv, not a gemm).
+A worker gathers its probes' power columns over several chunks and bins
+them in one batch, as each histogram call costs far more in Python than
+in counting.  No product has a lone row, whose one-row product BLAS
+rounds by its thread count (a gemv, not a gemm): a lone sample is
+repeated.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ from .model import ArrayScenario, check_integer
 from .pia import ProbabilityMap
 
 _HIST_BINS = 200
-_CHUNK_BYTES = 768 << 10  # a worker's chunk holds _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N) samples
+_CHUNK_BYTES = 768 << 10  # a worker's chunk: _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N + 8 P) samples
 _BLOCK_BYTES = 256 << 10  # one block's (block, N_u) complex128 product
+_PROBE_BYTES = 64 << 10  # a worker's probe columns beyond one chunk's, histogrammed when full
 # The ufunc buffer, in elements, of an MC worker (numpy's default is 8192).
 # numpy allocates one for each broadcast or cast operand of a call, and the
 # workers' calls overlap by chance: small buffers keep run_mc's peak memory
@@ -248,33 +253,42 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     fresh stream, and each word's counter is fixed whatever the chunks:
     the chunk from sample s on reads the stream from word 2N s.
 
-    The chunks, of _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N) samples, at
-    least 2, are dealt in turn to one worker per CPU the process may run
-    on (os.sched_getaffinity), at most one per chunk: worker 0 on the
-    calling thread, the others on threads of their own, each in a context
-    of its own with a _UFUNC_BUFFER-element ufunc buffer.  Each worker
-    keeps its own envelope, ring counts and histograms, which are merged
-    once every worker has finished: minima, maxima and integer sums, so
-    the report's bits do not depend on the workers.  A worker's exception
-    is raised here once every worker has finished.  While two or more
-    run, OpenBLAS is held to one thread, whose count is then restored;
-    where _openblas_threads finds no OpenBLAS to hold, one worker runs
-    every chunk.  One worker leaves OpenBLAS as it is: the one-row product
-    (gemv) of a one-sample run rounds by its thread count, while products
-    of two or more rows (gemm) do not.
+    The chunks, of _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N + 8 P) samples
+    for P probed grid samples, at least 2, run on one worker per CPU the
+    process may run on (os.sched_getaffinity), at most one per chunk:
+    worker 0 on the calling thread, the others on threads of their own,
+    each in a context of its own with a _UFUNC_BUFFER-element ufunc
+    buffer.  Each worker takes its next chunk from one queue of them that
+    all share, under a lock, until none is left or a worker has failed.
+    Each keeps its own envelope, ring counts and histograms, which are
+    merged once every worker has finished: minima, maxima and integer
+    sums, so the report's bits do not depend on which worker ran which
+    chunk.  A worker's exception is raised here once every worker has
+    finished.  While two or more run, OpenBLAS is held to one thread,
+    whose count is then restored; where _openblas_threads finds no
+    OpenBLAS to hold, one worker runs every chunk.  One worker leaves
+    OpenBLAS as it is, so that its product may use OpenBLAS's threads.
 
     A worker allocates its buffers once, so memory grows with neither
-    n_samples nor N / N_u: per sample, 16 N bytes of excitations and
+    n_samples nor N / N_u: per sample, 16 N bytes of excitations,
     8 max(N_u, 2N) of power row, whose leading 16 N hold the draw's
-    uniforms until the power overwrites them.  The complex pattern product
+    uniforms until the power overwrites them, and 8 P of probe columns.
+    Its probe buffer holds _PROBE_BYTES more of them, or at most the
+    run's n_samples: a worker copies each chunk's probe columns into it,
+    and takes them to dB in place and histograms them, a probe at a time,
+    only when the next chunk's would not fit, and once at the end.  With
+    no probes there is no buffer.  The complex pattern product
     is formed in blocks of max(2, N, _BLOCK_BYTES // (16 N_u)) rows, whose
     |z|^2 goes straight into the chunk's power rows; the N floor keeps each
     gemm large enough to run at full speed, and it makes a block the whole
     chunk when N_u is large.  The ring masks, a byte per sample and
     direction, then reuse the product block's bytes.  A lone last sample
-    joins the chunk before it, and a lone last row the block before it, as
-    BLAS rounds a one-row product (gemv) unlike the others (gemm).  Each
-    ring boundary's mask is summed over the chunk in one uint16 reduce.
+    joins the chunk before it, and a lone last row the block before it,
+    and the one sample of a one-sample run is repeated, taking the product
+    of two rows and keeping the first: BLAS rounds a one-row product
+    (gemv) by its thread count, and the rows of a product of two or more
+    (gemm) alike whatever the count.  Each ring boundary's mask is summed
+    over the chunk in one uint16 reduce.
     """
     check_integer("n_samples", n_samples, 1, SAMPLE_LIMIT)
     check_integer("seed", seed, 0, SEED_LIMIT)
@@ -306,33 +320,49 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
 
     key = sample_stream(seed).key
     width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
-    step = max(2, _CHUNK_BYTES // (8 * width + 16 * n))
+    # a sample's bytes: its power row, excitations and probe columns
+    step = max(2, _CHUNK_BYTES // (8 * width + 16 * n + 8 * len(probe_idx)))
     # the chunks' first samples, as _spans gives them: the last chunk runs to n_samples
     starts = range(0, max(n_samples - 1, 1), step)
     block = max(2, n, _BLOCK_BYTES // (16 * n_u))
+    # two rows at least: a one-sample run repeats its sample
+    rows = max(2, min(step + 1, n_samples))
+    block_rows = min(block + 1, rows)
+    # a worker's probe columns: a chunk's and _PROBE_BYTES more, or the run's
+    batch = min(rows + _PROBE_BYTES // (8 * max(len(probe_idx), 1)), n_samples)
 
-    def chunk_loop(chunks):
-        """One worker: run the chunks starting at chunks, and return their
-        envelope, at_least counts and histograms."""
+    def chunk_loop():
+        """One worker: run chunks from the shared queue until none is left,
+        and return their envelope, at_least counts and histograms."""
         np.setbufsize(_UFUNC_BUFFER)  # in this worker's context only
-        rows = min(step + 1, n_samples)
-        block_rows = min(block + 1, rows)
         power = np.empty(rows * width)
         weights = np.empty((rows, n), dtype=complex)
         # the product block, whose bytes then hold the ring masks
         product = np.empty(max(block_rows * n_u, -(-rows * n_u // 16)), dtype=complex)
+        # a row of sampled power per probe, histogrammed in batches
+        probes, filled = np.empty((len(probe_idx), batch)), 0
         per_u_min, per_u_max = np.full(n_u, np.inf), np.full(n_u, -np.inf)
         # at_least[h]: samples at or above ring boundary h, for 0 < h < K
         at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
         hist_counts = [np.zeros(_HIST_BINS, dtype=np.int64) for _ in probe_idx]
-        for start in chunks:
+
+        def histogram(columns):
+            """Bin the probe buffer's first columns, taken to dB in place, a row at a time."""
+            for acc, row, edges in zip(hist_counts, probes[:, :columns], probe_edges):
+                acc += np.histogram(power_db(row, pmap.bounds.peak_power, out=row), bins=edges)[0]
+
+        for start in iter(take, None):
             m = (n_samples if start == starts[-1] else start + step) - start
-            p, w = power[: m * n_u].reshape(m, n_u), weights[:m]
-            _draw(box, SampleStream(key, 2 * n * start), power[: m * 2 * n].reshape(m, 2 * n), w)
-            for lo, hi in _spans(m, block):
+            _draw(box, SampleStream(key, 2 * n * start), power[: m * 2 * n].reshape(m, 2 * n),
+                  weights[:m])
+            if m == 1:  # a product of two rows (gemm), as BLAS rounds a one-row gemv by its threads
+                weights[1] = weights[0]
+            p = power[: max(m, 2) * n_u].reshape(-1, n_u)
+            for lo, hi in _spans(len(p), block):
                 z, pb = product[: (hi - lo) * n_u].reshape(hi - lo, n_u), p[lo:hi]
-                np.matmul(w[lo:hi], steering, out=z)
+                np.matmul(weights[lo:hi], steering, out=z)
                 np.square(np.abs(z, out=pb), out=pb)
+            p = p[:m]
             np.minimum(per_u_min, p.min(axis=0), out=per_u_min)
             np.maximum(per_u_max, p.max(axis=0), out=per_u_max)
             mask = product.view(bool)[: m * n_u].reshape(m, n_u)
@@ -341,20 +371,32 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
                 # no wrap: a sample takes 32 bytes or more, so a chunk has
                 # at most _CHUNK_BYTES // 32 + 1 < 2**16 rows
                 at_least[h] += np.add.reduce(mask, axis=0, dtype=np.uint16)
-            db = power_db(p.T[probe_idx], pmap.bounds.peak_power)  # a contiguous row per probe
-            for acc, row, edges in zip(hist_counts, db, probe_edges):
-                acc += np.histogram(row, bins=edges)[0]
+            if probe_idx:
+                if filled + m > batch:
+                    histogram(filled)
+                    filled = 0
+                for row, ip in zip(probes, probe_idx):
+                    row[filled : filled + m] = p[:, ip]
+                filled += m
+        histogram(filled)
         return per_u_min, per_u_max, at_least, hist_counts
 
     blas = _openblas_threads()
     n_workers = min(len(os.sched_getaffinity(0)), len(starts)) if blas else 1
     results, failures = [None] * n_workers, []
+    queue, lock = iter(starts), threading.Lock()
+
+    def take():
+        """The next chunk's first sample; None once all are taken or a worker has failed."""
+        with lock:
+            return None if failures else next(queue, None)
 
     def work(w):
         try:
-            results[w] = chunk_loop(starts[w::n_workers])
+            results[w] = chunk_loop()
         except BaseException as error:  # raised below, once every worker has finished
-            failures.append(error)
+            with lock:
+                failures.append(error)
 
     with _one_blas_thread(blas) if n_workers > 1 else nullcontext():
         threads = [threading.Thread(target=work, args=(w,)) for w in range(1, n_workers)]

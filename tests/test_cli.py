@@ -727,8 +727,9 @@ class TestComputeOnce:
         assert len(calls["interval_af_curve"]) == curves
 
 
-def _fresh_python(script, *args) -> str:
-    """The stdout of script run with args in a fresh interpreter that imports the package from src.
+def _fresh_python(script, *args, env=()) -> str:
+    """The stdout of script run with args in a fresh interpreter that imports the package from src,
+    with the variables env sets added to this process's environment.
 
     pytest's own interpreter has loaded numpy.random and grown its heap.
     """
@@ -736,7 +737,8 @@ def _fresh_python(script, *args) -> str:
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script, *map(str, args)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path, **dict(env)), capture_output=True, text=True,
+        check=True,
     )
     return done.stdout
 
@@ -809,6 +811,30 @@ print(code, peak_kib / 1024)
             assert code == "0"
             peaks[command] = float(peak)
         assert peaks["mc"] - peaks["pia"] <= 3.0, peaks
+
+
+class TestOneSampleMc:
+    """A one-sample run's product is a two-row gemm, so its files do not
+    depend on OpenBLAS's thread count; a one-row product (gemv) rounds by it."""
+
+    SCRIPT = """
+import sys
+from arraytol.cli import main
+print(main(sys.argv[1:]))
+"""
+
+    def test_files_do_not_depend_on_openblas_threads(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(workload_config("steered64")))
+        for threads in ("1", "2"):
+            args = ("mc", "--config", cfg, "--out", tmp_path / threads, "--mc-samples", 1)
+            assert _fresh_python(self.SCRIPT, *args, env={"OPENBLAS_NUM_THREADS": threads}) == "0\n"
+        names = sorted(path.name for path in (tmp_path / "1").iterdir())
+        assert "mc_envelope.csv" in names
+        assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+        for name in names:
+            one, two = (tmp_path / "1" / name).read_bytes(), (tmp_path / "2" / name).read_bytes()
+            assert one == two, name
 
 
 class TestParser:
@@ -1162,7 +1188,7 @@ class TestSizeBudget:
         assert len(blocks) >= least_blocks
         estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
         width, boundaries = len(amplitudes) * (arc_points + 4), 17
-        workers = 2 * (montecarlo._CHUNK_BYTES + montecarlo._BLOCK_BYTES)
+        workers = 2 * (montecarlo._CHUNK_BYTES + montecarlo._BLOCK_BYTES + montecarlo._PROBE_BYTES)
         assert estimate == (max(2 * _PASS_BYTES, workers) + width * (1200 + 8 * boundaries)
                             + n_u * (256 + 128 * k_regions + 16 * len(amplitudes)))
         assert peak <= estimate <= 2.2 * peak

@@ -24,6 +24,7 @@ from arraytol import (
 )
 from arraytol import montecarlo
 from arraytol.errors import ValidationError
+from arraytol.validate import run_validation
 
 from helpers import (
     nominal_af_curve,
@@ -199,6 +200,15 @@ class TestReferenceDraw:
         assert np.array_equal(_bits(drawn), _bits(expected))
 
 
+# probe directions: grid samples of their own on 101 directions, one sample on 2
+PROBES = (-0.336, 0.0)
+
+
+def _probe_count(pmap, directions=PROBES):
+    """The histograms run_mc gives for directions: one per grid sample nearest one."""
+    return len({int(np.argmin(np.abs(pmap.bounds.grid.samples - u))) for u in directions})
+
+
 class TestRunMcMemory:
     """run_mc's traced peak is its preallocated chunk buffers, whatever n_samples, N and N_u."""
 
@@ -213,7 +223,7 @@ class TestRunMcMemory:
     def _peak(pmap, n_samples):
         tracemalloc.start()
         try:
-            run_mc(pmap, n_samples, seed=0, probe_directions=(-0.336, 0.0))
+            run_mc(pmap, n_samples, seed=0, probe_directions=PROBES)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -232,12 +242,15 @@ class TestRunMcMemory:
         workers = 2 if montecarlo._openblas_threads() else 1
         pmap = self._taylor_pmap(n, n_u)
         width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
-        rows = max(2, montecarlo._CHUNK_BYTES // (8 * width + 16 * n)) + 1
+        probes = _probe_count(pmap)  # a power column each
+        rows = max(2, montecarlo._CHUNK_BYTES // (8 * width + 16 * n + 8 * probes)) + 1
         assert 5_000 // rows >= workers  # a chunk for each worker
         block_rows = min(max(2, n, montecarlo._BLOCK_BYTES // (16 * n_u)) + 1, rows)
+        batch = min(rows + montecarlo._PROBE_BYTES // (8 * probes), 5_000)
         # each worker's power rows, which hold the uniforms, and weights; its
-        # product block, whose bytes hold the ring mask; the steering matrix
-        per_worker = rows * (8 * width + 16 * n) + max(16 * block_rows, rows) * n_u
+        # product block, whose bytes hold the ring mask; its probe buffer; the steering matrix
+        per_worker = (rows * (8 * width + 16 * n) + max(16 * block_rows, rows) * n_u
+                      + probes * 8 * batch)
         buffers = workers * per_worker + n * n_u * 16
         assert self._peak(pmap, 5_000) <= 1.1 * buffers
 
@@ -247,26 +260,35 @@ class TestWorkers:
 
     @staticmethod
     def _run(pmap, n_samples, monkeypatch, cpus):
-        """run_mc with cpus CPUs to run on, and the threads that drew its chunks."""
+        """run_mc with cpus CPUs to run on, and the threads that drew its chunks.
+
+        Each worker waits at its first draw until every worker has taken a
+        chunk from the shared queue, so none can take them all first.
+        """
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         threads = set()
+        started = threading.Barrier(cpus if montecarlo._openblas_threads() else 1, timeout=60)
         draw = montecarlo._draw
 
         def spy(*args):
-            threads.add(threading.current_thread())  # kept, so never reused
+            if threading.current_thread() not in threads:
+                threads.add(threading.current_thread())  # kept, so never reused
+                started.wait()
             draw(*args)
 
         monkeypatch.setattr(montecarlo, "_draw", spy)
-        report = run_mc(pmap, n_samples, seed=3, probe_directions=(-0.336, 0.0))
+        report = run_mc(pmap, n_samples, seed=3, probe_directions=PROBES)
         return report, len(threads)
 
-    # 16 elements on 101 directions, 8 * 101 + 16 * 16 = 1064 bytes a sample;
-    # 64 on 2, where 2N > N_u: 8 * 128 + 16 * 64 = 2048.  Chunks of 5 and 4
-    # samples, the last one with a lone sample joined to it
+    # 16 elements on 101 directions, 2 probed: 8 * 101 + 16 * 16 + 8 * 2 =
+    # 1080 bytes a sample; 64 on 2, where 2N > N_u, 1 probed: 8 * 128 +
+    # 16 * 64 + 8 = 2056.  Chunks of 5 and 4 samples, the last one with a
+    # lone sample joined to it
     @pytest.mark.parametrize("n, n_u, rows, n_samples", [(16, 101, 5, 36), (64, 2, 4, 25)])
     def test_bits_do_not_depend_on_the_workers(self, n, n_u, rows, n_samples, monkeypatch):
         pmap = TestRunMcMemory._taylor_pmap(n, n_u)
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", rows * (8 * max(n_u, 2 * n) + 16 * n))
+        sample_bytes = 8 * max(n_u, 2 * n) + 16 * n + 8 * _probe_count(pmap)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", rows * sample_bytes)
         reference, drawn_by = self._run(pmap, n_samples, monkeypatch, 1)
         assert drawn_by == 1
         pinned = montecarlo._openblas_threads() is not None
@@ -283,12 +305,66 @@ class TestWorkers:
 
     def test_without_openblas_one_worker_gives_the_same_bits(self, monkeypatch):
         pmap = TestRunMcMemory._taylor_pmap(16, 101)
-        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 1064)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 1080)  # 2 probes
         reference, _ = self._run(pmap, 36, monkeypatch, 3)
         monkeypatch.setattr(montecarlo, "_openblas_threads", lambda: None)
         report, drawn_by = self._run(pmap, 36, monkeypatch, 3)
         assert drawn_by == 1
         _assert_same_report(report, reference)
+
+
+class TestProbeBatches:
+    """A worker bins its probe columns in batches: a chunk's and _PROBE_BYTES more."""
+
+    @staticmethod
+    def _histogram_calls(monkeypatch):
+        calls = []
+        histogram = np.histogram
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[0]))
+            return histogram(*args, **kwargs)
+
+        monkeypatch.setattr(np, "histogram", spy)
+        return calls
+
+    # 2 probes, and 30 spread over the grid's 101 samples; chunks of 5
+    # samples and the last one of 6, so a chunk's probe columns take 6 rows
+    @pytest.mark.parametrize("directions", [PROBES, tuple(np.linspace(-1.0, 1.0, 30))],
+                             ids=["2-probes", "30-probes"])
+    def test_counts_do_not_depend_on_the_batches(self, directions, monkeypatch):
+        pmap = TestRunMcMemory._taylor_pmap(16, 101)
+        probes = _probe_count(pmap, directions)
+        assert probes == len(directions)
+        reference = run_mc(pmap, 36, seed=3, probe_directions=directions)
+        assert sum(h.counts.sum() for h in reference.histograms) > 0.9 * 36 * probes
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * (8 * 101 + 16 * 16 + 8 * probes))
+        calls = self._histogram_calls(monkeypatch)
+        # batches of 6 columns, flushed before each chunk but the first and
+        # at the end; of 18, holding 3 chunks; of the run's 36, flushed once
+        for probe_bytes, flushes in ((0, 7), (8 * probes * 12, 3), (1 << 30, 1)):
+            monkeypatch.setattr(montecarlo, "_PROBE_BYTES", probe_bytes)
+            for cpus in ({0}, {0, 1}):
+                monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid, c=cpus: c)
+                calls.clear()
+                report = run_mc(pmap, 36, seed=3, probe_directions=directions)
+                _assert_same_report(report, reference)
+                assert sum(calls) == 36 * probes  # each sample binned once per probe
+                if len(cpus) == 1:
+                    assert len(calls) == flushes * probes
+
+    def test_validation_bins_no_probe(self, monkeypatch):
+        scen = _scenario()
+        binned, to_db = self._histogram_calls(monkeypatch), []
+        power_db = montecarlo.power_db
+        monkeypatch.setattr(montecarlo, "power_db",
+                            lambda *a, **kw: to_db.append(len(a[0])) or power_db(*a, **kw))
+        results = run_validation(scen, uniform_grid(21), 3, 2000, arc_points=4)
+        assert all(r.passed for r in results)
+        assert binned == [] and to_db == []
+        # the spies see a run with a probe
+        run_mc(_pmap(scen, uniform_grid(21), 3), 2000, seed=0, probe_directions=(0.0,))
+        assert sum(binned) == sum(to_db) == 2000
 
 
 class TestOpenBlasPin:
@@ -334,7 +410,7 @@ class TestOpenBlasPin:
         assert threads() == 2
 
     def test_one_worker_leaves_the_count(self, threads, monkeypatch):
-        # one sample: one chunk, whose one-row product (gemv) rounds by the count
+        # one sample: one chunk, one worker, whose product may use OpenBLAS's threads
         counts = self._counts_at_draws(threads, monkeypatch)
         run_mc(TestRunMcMemory._taylor_pmap(16, 101), 1, seed=0)
         assert counts == [2] and threads() == 2
@@ -394,7 +470,8 @@ class TestRunMc:
 
     def test_chunk_size_invariance(self, monkeypatch):
         scen = _scenario()
-        # 16 * 21 = 336 block bytes per row, 8 * 21 + 16 * 6 = 264 chunk bytes per sample
+        # 16 * 21 = 336 block bytes per row; 8 * 21 + 16 * 6 + 8 * 2 = 280 chunk
+        # bytes per sample, with its two probe columns
         grid = uniform_grid(21)
         pmap = _pmap(scen, grid, 3)
         # the reference: one chunk, one block, one gemm
@@ -408,7 +485,7 @@ class TestRunMc:
             monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
             # one chunk; 2-sample chunks; 5-sample chunks, leaving one sample
             # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
-            for budget in (1 << 30, 1, 5 * 264, 64 * 264):
+            for budget in (1 << 30, 1, 5 * 280, 64 * 280):
                 monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
                 other = run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6))
                 _assert_same_report(other, reference)
@@ -416,7 +493,7 @@ class TestRunMc:
     def test_chunk_size_invariance_where_the_draws_decide(self, monkeypatch):
         # 40 elements on 5 directions: a sample's 2 * 40 uniforms outnumber
         # its 5 power values, so the draws decide the chunk, at 8 * 80 + 16 * 40
-        # = 1280 bytes a sample
+        # + 8 = 1288 bytes a sample, with its probe column
         scen = scenario_from_tolerances(
             [(a, 0.0) for a in taylor_taper(40)], 0.02, math.radians(4.0), 0.5
         )
@@ -433,7 +510,7 @@ class TestRunMc:
         monkeypatch.setattr(montecarlo, "_draw", spy)
         # 5-sample chunks, leaving one sample over (501 = 100 * 5 + 1), and
         # 64-sample chunks; blocks: the chunk, and 40 rows, the N floor
-        for budget, sizes in ((5 * 1280, [5] * 99 + [6]), (64 * 1280, [64] * 7 + [53])):
+        for budget, sizes in ((5 * 1288, [5] * 99 + [6]), (64 * 1288, [64] * 7 + [53])):
             monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
             for block_budget in (1 << 30, 1):
                 monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
