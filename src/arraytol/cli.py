@@ -71,9 +71,8 @@ _BYTE_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int:
     """An upper estimate of the bytes a run allocates at its peak, validate's included.
 
-    The coefficients are tracemalloc peaks, rounded up, of runs that take
-    the K + 1 and 2K + 1 ring boundaries in one region pass, as validate
-    does:
+    The coefficients are tracemalloc peaks, rounded up, of validate's runs,
+    whose one region pass takes the K + 1 ring boundaries:
     - the larger of the region pass and the Monte Carlo, which run one
       after the other: 2 MiB for one block of the pass with its ring-area
       temporaries, which the pass sizes together, and the geometry
@@ -85,17 +84,17 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int
       bytes (the sectors, kernel temporaries where one row is wider than a
       kernel block, and validate's support functions) plus 8 per ring
       boundary (the ring areas);
-    - per grid row, 256 bytes plus 128 per ring (the curve, the ring maps
-      and the Monte Carlo counts), and 16 per element (the Monte Carlo
-      steering matrix).
+    - per grid row, 64 bytes plus 80 per ring (the curve, the ring map and
+      the Monte Carlo counts), and 16 per element (the Monte Carlo steering
+      matrix).
     Affine in each size field, as _check_size assumes.
     """
-    width, boundaries = n_elements * (arc_points + 4), 3 * k_regions + 2
+    width, boundaries = n_elements * (arc_points + 4), k_regions + 1
     # run_mc's workers at most; without sched_getaffinity there is no
     # /proc/self/maps either, where run_mc looks for OpenBLAS, so one runs
     workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     return (max(2 * _PASS_BYTES, workers * (_CHUNK_BYTES + _BLOCK_BYTES + _PROBE_BYTES))
-            + width * (1200 + 8 * boundaries) + n_u * (256 + 128 * k_regions + 16 * n_elements))
+            + width * (1200 + 8 * boundaries) + n_u * (64 + 80 * k_regions + 16 * n_elements))
 
 
 def _check_size(n_elements: int, fields: dict) -> None:
@@ -189,14 +188,14 @@ def _ring_blocks(grid, *columns):
         yield ([repr(u)] * k_regions, ks, *(c[:, i] for c in columns))
 
 
-def _curve(run: RunConfig, ring_counts=(), sink=None) -> PowerBoundsCurve:
+def _curve(run: RunConfig, k_regions=None, sink=None) -> PowerBoundsCurve:
     """The power bounds of the run's scenario on its uniform grid (power_bounds)."""
-    return power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points, ring_counts, sink)
+    return power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points, k_regions, sink)
 
 
 def _map(run: RunConfig) -> ProbabilityMap:
     """The run's K-ring probability map, from one region pass (_curve) that takes K rings."""
-    return probability_map(_curve(run, (run.k_regions,)), run.k_regions)
+    return probability_map(_curve(run, run.k_regions))
 
 
 def _npy_header(fh, shape) -> int:

@@ -53,8 +53,8 @@ class PowerBoundsCurve:
     peak_power its largest value, allowance the rounding allowance the
     modulus bounds were widened by (besides each row's welded length),
     mirrored the leading rows that are mirror images (mirrored_rows), and
-    rings the (p, degenerate) of each ring count the pass was asked for,
-    which probability_map reads.
+    rings the (p, degenerate) of the pass's rings, which probability_map
+    reads, or None for a pass without rings.
 
     The power bounds and their dB values, normalized so the nominal pattern
     peaks at 0 dB (a zero lower bound maps to -inf dB), are computed from
@@ -73,7 +73,7 @@ class PowerBoundsCurve:
     peak_power: float
     allowance: float
     mirrored: int
-    rings: dict = field(repr=False)
+    rings: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
 
     @property
     def p_lo(self) -> np.ndarray:
@@ -97,7 +97,7 @@ class PowerBoundsCurve:
 
 
 def interval_af_curve(
-    scenario: ArrayScenario, grid: AngularGrid, sectors, ring_counts=(), sink=None
+    scenario: ArrayScenario, grid: AngularGrid, sectors, k_regions=None, sink=None
 ) -> PowerBoundsCurve:
     """The region pass: array-factor regions at every grid sample, reduced to a PowerBoundsCurve.
 
@@ -111,36 +111,36 @@ def interval_af_curve(
     widened by the rounding_allowance of the sectors, which checks their
     sector_reach before the sum, and each row's by the length of the steps
     its normalization welded, which bounds how far the weld moved the
-    region's boundary; the ring probabilities of each ring count in
-    ring_counts; and, when sink is given, sink(first, vertices, n_vertices)
-    with the block's regions in the padded-row format, the grid rows from
-    first on.  Then the block is dropped, so no array of every region, or
-    of every row's steering phases, is ever held.  Where mirrored_rows finds
-    the mirror symmetry, only the rows from u = 0 on are summed.  One pair
-    of slices per block then maps each summed row at u to its image row at
-    -u: the block writes its vertex counts, bounds and ring probabilities to
-    its own rows and, reversed, to their image rows, and sink gets the
-    images' regions as the mirror_image of those at u, after the block's
-    own.  Each block also sums the nominal array factor at its rows from
-    the phases psi its regions are rotated by, and at their image rows
-    from -psi, bitwise the phases at -u: a nominal phase inside a symmetric
-    interval need not be 0.  The curve holds the nominal power and its
-    peak, which is 0 where the nominal pattern vanishes at every sample,
-    as it may on a sub-grid: power_bounds, not the pass, rejects a zero
-    peak.
+    region's boundary; when k_regions is given, the probabilities of its
+    k_regions rings; and, when sink is given, sink(first, vertices,
+    n_vertices) with the block's regions in the padded-row format, the grid
+    rows from first on.  Then the block is dropped, so no array of every
+    region, or of every row's steering phases, is ever held.  Where
+    mirrored_rows finds the mirror symmetry, only the rows from u = 0 on
+    are summed.  One pair of slices per block then maps each summed row at
+    u to its image row at -u: the block writes its vertex counts, bounds
+    and ring probabilities to its own rows and, reversed, to their image
+    rows, and sink gets the images' regions as the mirror_image of those at
+    u, after the block's own.  Each block also sums the nominal array
+    factor at its rows from the phases psi its regions are rotated by, and
+    at their image rows from -psi, bitwise the phases at -u: a nominal
+    phase inside a symmetric interval need not be 0.  The curve holds the
+    nominal power and its peak, which is 0 where the nominal pattern
+    vanishes at every sample, as it may on a sub-grid: power_bounds, not
+    the pass, rejects a zero peak.
     """
-    for k_regions in ring_counts:
+    n_u, rings, radii_per_row = len(grid), None, 0
+    if k_regions is not None:
         check_integer("k_regions", k_regions, 1)
+        # C order, since numpy's sums along the grid round by memory layout
+        rings = (np.empty((k_regions, n_u)), np.empty(n_u, dtype=bool))
+        radii_per_row = k_regions + 1
     slack = rounding_allowance(sectors[0])
-    n_u, mirrored = len(grid), mirrored_rows(scenario, grid)
+    mirrored = mirrored_rows(scenario, grid)
     n_vertices = np.empty(n_u, dtype=np.int64)
     lo, hi, nominal = np.empty(n_u), np.empty(n_u), np.empty(n_u, dtype=complex)
     amplitudes = np.array([[e.nominal_amplitude] for e in scenario.elements])
     phases = np.array([[e.nominal_phase] for e in scenario.elements])
-    # C order, since numpy's sums along the grid round by memory layout
-    rings = {k: (np.empty((k, n_u)), np.empty(n_u, dtype=bool)) for k in ring_counts}
-    # K rings beside 2K take no ring-area radii of their own (_ring_probabilities)
-    radii_per_row = sum(k + 1 for k in rings if 2 * k not in rings)
     row_bytes = 16 * int(sectors[1].sum()) + _RING_AREA_BYTES * radii_per_row
     for block in _row_blocks(n_u - mirrored, row_bytes, _PASS_BYTES):
         rows = slice(mirrored + block.start, mirrored + block.stop)
@@ -156,10 +156,9 @@ def interval_af_curve(
         reach = slack + welded
         block_lo, block_hi = np.maximum(block_lo - reach, 0.0), block_hi + reach
         values = [(n_vertices, n), (lo, block_lo), (hi, block_hi)]
-        if rings:  # every ring count in one ring-area call
-            radii = [_ring_radii(block_lo, block_hi, k_regions) for k_regions in rings]
-            for ring, block_ring in zip(rings.values(), _ring_probabilities(radii, vertices, n)):
-                values += zip(ring, block_ring)
+        if rings is not None:
+            radii = _ring_radii(block_lo, block_hi, k_regions)
+            values += zip(rings, _ring_probabilities(radii, vertices, n))
         for target, value in values:
             target[..., rows] = value
             target[..., images] = value[..., first:][..., ::-1]
@@ -189,46 +188,31 @@ def _ring_radii(modulus_lo, modulus_hi, k_regions: int) -> np.ndarray:
     return radii
 
 
-def _ring_probabilities(radii, vertices, n_vertices) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For each (rows, K+1) array in radii, the padded regions' (K, rows) ring probabilities.
+def _ring_probabilities(radii, vertices, n_vertices) -> tuple[np.ndarray, np.ndarray]:
+    """The padded regions' (K, rows) ring probabilities between the (rows, K+1) radii.
 
-    Each comes with which regions have no area.  The arrays are the
-    _ring_radii of one pair of bounds.  One disc_polygon_areas call takes
-    every radius; a region's area at a radius does not depend on the other
-    radii of its row, so the K + 1 radii of K rings, asked for beside 2K,
-    take their areas from the even columns of the 2K + 1, which are the
-    same radii bit for bit: (hi - lo) / 2K is ((hi - lo) / K) / 2 exactly.
-    Row i's radii run from one within every edge's distance from the
-    origin to one that encloses every vertex, as the modulus bounds do, so
-    disc_polygon_areas takes its closed forms there: 0 for the first disc
-    and the region's area for the last.
+    They come with which regions have no area.  The radii are the
+    _ring_radii of one pair of bounds, and one disc_polygon_areas call
+    takes them all.  Row i's radii run from one within every edge's
+    distance from the origin to one that encloses every vertex, as the
+    modulus bounds do, so disc_polygon_areas takes its closed forms there:
+    0 for the first disc and the region's area for the last.
     """
-    widths = [r.shape[1] for r in radii]
-    own = [w for w in widths if 2 * w - 1 not in widths]
-    covered = disc_polygon_areas(
-        np.concatenate([r for r in radii if r.shape[1] in own], axis=1), vertices, n_vertices
-    )
+    covered = disc_polygon_areas(radii, vertices, n_vertices)
     if not np.isfinite(covered).all():
         raise ValidationError("ring areas overflow double precision; scale the amplitudes down")
-    areas = dict(zip(own, np.split(covered, np.cumsum(own)[:-1], axis=1)))
-    for width in sorted(set(widths) - set(own), reverse=True):  # 2K + 1 before K + 1
-        areas[width] = areas[2 * width - 1][:, ::2]
-    probabilities = []
-    for ring_radii in radii:
-        total = areas[ring_radii.shape[1]][:, -1]
-        rings = np.diff(areas[ring_radii.shape[1]], axis=1)
-        live = total > (EPS_GEOM * ring_radii[:, -1]) ** 2  # relative to the enclosing disc
-        bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValidationError(
-                f"ring areas {rings[i].tolist()} of a region with area {total[i]} "
-                "are negative beyond round-off"
-            )
-        rings = np.where(live[:, None], np.maximum(rings, 0.0), 0.0)
-        rings[~live, 0] = 1.0  # a region with no area puts all probability in the first ring
-        probabilities.append(((rings / rings.sum(axis=1, keepdims=True)).T, ~live))
-    return probabilities
+    total, rings = covered[:, -1], np.diff(covered, axis=1)
+    live = total > (EPS_GEOM * radii[:, -1]) ** 2  # relative to the enclosing disc
+    bad = live & (rings.min(axis=1) < -_ROUNDOFF * total)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(
+            f"ring areas {rings[i].tolist()} of a region with area {total[i]} "
+            "are negative beyond round-off"
+        )
+    rings = np.where(live[:, None], np.maximum(rings, 0.0), 0.0)
+    rings[~live, 0] = 1.0  # a region with no area puts all probability in the first ring
+    return (rings / rings.sum(axis=1, keepdims=True)).T, ~live
 
 
 def mirrored_rows(scenario: ArrayScenario, grid: AngularGrid) -> int:
@@ -318,21 +302,21 @@ def power_db(power, peak_power: float, out=None):
 
 
 def power_bounds(
-    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8, ring_counts=(), sink=None
+    scenario: ArrayScenario, grid: AngularGrid, arc_points: int = 8, k_regions=None, sink=None
 ) -> PowerBoundsCurve:
     """Inclusive power-pattern bounds over a grid: the curve of one region pass.
 
     The sectors are polygonized once at arc_points, and one region pass
-    (interval_af_curve) over them takes the bounds and the ring
-    probabilities of each count in ring_counts, which probability_map then
-    reads, and hands each block of regions to sink.  A sector_reach outside
-    _MODULUS_RANGE raises ValidationError before any region is built;
-    inside it the power bounds, and the nominal peak they contain, are
-    finite.  A nominal pattern that is zero at every grid sample raises
+    (interval_af_curve) over them takes the bounds and, when k_regions is
+    given, the probabilities of its k_regions rings, which probability_map
+    then reads, and hands each block of regions to sink.  A sector_reach
+    outside _MODULUS_RANGE raises ValidationError before any region is
+    built; inside it the power bounds, and the nominal peak they contain,
+    are finite.  A nominal pattern that is zero at every grid sample raises
     ValidationError, so the curve's dB values are defined.
     """
     sectors = element_sectors(scenario, arc_points)
-    curve = interval_af_curve(scenario, grid, sectors, ring_counts, sink)
+    curve = interval_af_curve(scenario, grid, sectors, k_regions, sink)
     if curve.peak_power <= 0.0:
         raise ValidationError("nominal pattern is identically zero on the grid")
     return curve

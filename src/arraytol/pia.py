@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .iams import PowerBoundsCurve, _ring_radii, power_db
-from .model import check_integer
 
 
 @dataclass(frozen=True)
@@ -56,26 +55,24 @@ class FeatureReport:
     degenerate: bool = False
 
 
-def probability_map(bounds: PowerBoundsCurve, k_regions: int) -> ProbabilityMap:
+def probability_map(bounds: PowerBoundsCurve) -> ProbabilityMap:
     """Ring partitions and occupancy probabilities at every grid sample.
 
-    The rings split each direction's modulus bounds; grid, regions and peak
-    power are those of bounds, which the map keeps.  The probabilities are
-    the ones the region pass of bounds took for k_regions rings; a ring
-    count it was not asked for (power_bounds' ring_counts) raises
-    ValidationError, since the regions are no longer held.
+    The rings split each direction's modulus bounds; grid, regions, peak
+    power and ring count are those of bounds, which the map keeps.  The
+    probabilities are the ones the region pass of bounds took; a curve
+    built without rings raises ValidationError, since the regions are no
+    longer held.
     """
-    check_integer("k_regions", k_regions, 1)
-    if k_regions not in bounds.rings:
+    if bounds.rings is None:
         raise ValidationError(
-            f"the bounds hold ring probabilities for {sorted(bounds.rings)} rings, not "
-            f"{k_regions}; pass ring_counts=({k_regions},) to power_bounds"
+            "the bounds hold no ring probabilities; pass k_regions= to power_bounds"
         )
-    p, degenerate = bounds.rings[k_regions]
-    ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, k_regions)
+    p, degenerate = bounds.rings
+    ring_radii = _ring_radii(bounds.modulus_lo, bounds.modulus_hi, len(p))
     return ProbabilityMap(
         bounds=bounds,
-        k_regions=k_regions,
+        k_regions=len(p),
         p=p,
         ring_radii=ring_radii,
         region_power_db=power_db(ring_radii**2, bounds.peak_power),

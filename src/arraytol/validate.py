@@ -20,7 +20,7 @@ import numpy as np
 from .iams import interval_af_curve, power_bounds
 from .model import AngularGrid, ArrayScenario, scenario_from_tolerances
 from .montecarlo import run_mc
-from .pia import feature_report, mainlobe_indices, mean_probabilities, probability_map
+from .pia import feature_report, mainlobe_indices, probability_map
 
 REL_TOL = 1e-9
 N_RAYS = 64  # directions along which pattern-symmetry compares regions
@@ -129,19 +129,19 @@ def run_validation(
     """Build one run of scenario on grid, as the `validate` command does, and check it.
 
     The run is one region pass (power_bounds at arc_points) that takes the
-    ring probabilities of k_regions and 2 * k_regions rings, and whose sink
-    keeps a copy of the regions at the area oracle's four grid rows and
-    their mirror partners; the k_regions map of that pass; and a Monte
-    Carlo report of n_samples draws from seed, with no probes.  The checks
-    then build only what they add: the scenario's zero-tolerance collapse
-    and the mirrored rows among the kept ones summed again, directly, from
-    the curve's sectors.  Every entry carries a pass/fail verdict.
+    ring probabilities of k_regions rings, and whose sink keeps a copy of
+    the regions at the area oracle's four grid rows and their mirror
+    partners; the map of that pass; and a Monte Carlo report of n_samples
+    draws from seed, with no probes.  The checks then build only what they
+    add: the scenario's zero-tolerance collapse and the mirrored rows among
+    the kept ones summed again, directly, from the curve's sectors.  Every
+    entry carries a pass/fail verdict.
     """
     n_u = len(grid)
     directions = sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6})  # the area oracle's rows
     regions, sink = _region_sink({j for i in directions for j in (i, n_u - 1 - i)})
-    bounds = power_bounds(scenario, grid, arc_points, (k_regions, 2 * k_regions), sink)
-    pmap = probability_map(bounds, k_regions)
+    bounds = power_bounds(scenario, grid, arc_points, k_regions, sink)
+    pmap = probability_map(bounds)
     mc = run_mc(pmap, n_samples, seed=seed)
     results: list[CheckResult] = []
 
@@ -154,28 +154,13 @@ def run_validation(
         )
     )
 
-    pmap2 = probability_map(bounds, 2 * k_regions)
-    agg = pmap2.p[0::2] + pmap2.p[1::2]
-    ref_err = float(np.abs(agg - pmap.p).max())
-    report = feature_report(pmap)
-    means2 = mean_probabilities(pmap2)
-    mean_err = float(np.abs(means2[0::2] + means2[1::2] - report.mean_probs).max())
-    results.append(
-        CheckResult(
-            "refinement-aggregation",
-            ref_err <= REL_TOL and mean_err <= REL_TOL,
-            f"max per-sample error {ref_err:.3e}, mean-prob error {mean_err:.3e}",
-        )
-    )
-
-    # each map's ring radii against a uniform split of the curve's bounds, and
+    # the map's ring radii against a uniform split of the curve's bounds, and
     # the report's intervals against the curve's bounds at its peak and the
     # highest of each bound outside the mainlobe
+    report = feature_report(pmap)
     lo, hi = bounds.modulus_lo[:, None], bounds.modulus_hi[:, None]
-    uniform = True
-    for m in (pmap, pmap2):
-        split = lo + (hi - lo) * (np.arange(m.k_regions + 1) / m.k_regions)
-        uniform &= bool(np.all(np.abs(m.ring_radii - split) <= RADII_TOL * hi))
+    split = lo + (hi - lo) * (np.arange(k_regions + 1) / k_regions)
+    uniform = bool(np.all(np.abs(pmap.ring_radii - split) <= RADII_TOL * hi))
     i_max, left, right = mainlobe_indices(bounds.nominal_power)
     lo_db, hi_db = bounds.p_lo_db, bounds.p_hi_db
     ends = (
@@ -186,7 +171,7 @@ def run_validation(
         CheckResult(
             "gamma-interval-tiling",
             uniform and ends,
-            "ring radii uniform at K and 2K rings, peak intervals flush with the overall bounds",
+            "ring radii uniform, peak intervals flush with the overall bounds",
         )
     )
     if report.iams_sll is None:
@@ -264,7 +249,7 @@ def _symmetry_check(pmap, regions) -> CheckResult:
     # a grid of only u < 0 samples is never mirrored: every row is summed
     summed, sink = _region_sink(range(len(rows)))
     grid = AngularGrid(bounds.grid.samples[rows])
-    direct = interval_af_curve(bounds.scenario, grid, bounds.sectors, (pmap.k_regions,), sink)
+    direct = interval_af_curve(bounds.scenario, grid, bounds.sectors, pmap.k_regions, sink)
     scale = float(bounds.modulus_hi.max())
     err_region = max(
         float(np.abs(_support(summed[j], rays) - _support(regions[i], rays)).max())
@@ -274,7 +259,7 @@ def _symmetry_check(pmap, regions) -> CheckResult:
         float(np.abs(direct.modulus_lo - bounds.modulus_lo[rows]).max()),
         float(np.abs(direct.modulus_hi - bounds.modulus_hi[rows]).max()),
     ) / scale
-    err_p = float(np.abs(direct.rings[pmap.k_regions][0] - pmap.p[:, rows]).max())
+    err_p = float(np.abs(direct.rings[0] - pmap.p[:, rows]).max())
     return CheckResult(
         "pattern-symmetry",
         max(err_region, err_mod, err_p) <= REL_TOL,
@@ -298,7 +283,7 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
         spacing=scenario.spacing,
     )
     # a zero-width sector is a segment whatever the arc_points
-    b = power_bounds(collapsed, bounds.grid, ring_counts=(k_regions,))
+    b = power_bounds(collapsed, bounds.grid, k_regions=k_regions)
     nominal_power = b.nominal_power
     # The bounds of a point region are widened by the rounding allowance on
     # each side, which also covers the rounding of the nominal pattern: they
@@ -308,7 +293,7 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
     width = float((b.modulus_hi - b.modulus_lo).max())
     narrow = width <= 2.0 * b.allowance + 1e-9 * np.sqrt(b.peak_power)
     dev = float(np.maximum(b.p_hi - nominal_power, nominal_power - b.p_lo).max())
-    pm = probability_map(b, k_regions)
+    pm = probability_map(b)
     ok = bool(inside and narrow and pm.degenerate.all() and np.all(pm.p[0] == 1.0))
     return CheckResult(
         "zero-tolerance-collapse",

@@ -127,7 +127,7 @@ AWKWARD = {name: SMOKE | changes for name, changes in {
 }.items()}
 
 
-def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
+def pass_regions(scenario, grid, arc_points: int = 8, k_regions=None):
     """(regions, pass): each grid row's region as the region pass hands it to its sink.
 
     The pass sums the scenario's element_sectors at arc_points.  regions[i]
@@ -136,7 +136,7 @@ def pass_regions(scenario, grid, arc_points: int = 8, ring_counts=()):
     """
     kept, sink = _region_sink(range(len(grid)))
     sectors = element_sectors(scenario, arc_points)
-    curve = interval_af_curve(scenario, grid, sectors, ring_counts, sink)
+    curve = interval_af_curve(scenario, grid, sectors, k_regions, sink)
     return [kept[i] for i in range(len(grid))], curve
 
 
@@ -246,9 +246,7 @@ def disc_polygon_intersection_area(r: float, poly) -> float:
 
 def region_probabilities(region, radii) -> np.ndarray:
     """Ring probabilities of one region between consecutive radii: a one-row map kernel."""
-    ((p, _),) = _ring_probabilities(
-        [np.asarray(radii)[None]], np.asarray(region)[None], [len(region)]
-    )
+    p, _ = _ring_probabilities(np.asarray(radii)[None], np.asarray(region)[None], [len(region)])
     return p[:, 0]
 
 

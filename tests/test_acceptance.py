@@ -224,11 +224,11 @@ class TestCriterion7Properties:
             spacing=taylor16_scenario.spacing,
         )
         grid = uniform_grid(201)
-        bounds = power_bounds(collapsed, grid, ring_counts=(5,))
+        bounds = power_bounds(collapsed, grid, k_regions=5)
         nominal_power = bounds.nominal_power
         assert np.allclose(bounds.p_lo, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
         assert np.allclose(bounds.p_hi, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
-        pmap = probability_map(bounds, 5)
+        pmap = probability_map(bounds)
         assert pmap.degenerate.all()
         assert np.all(pmap.p[0] == 1.0)
         rep = feature_report(pmap)
@@ -248,8 +248,8 @@ class TestSmokeSweeps:
             [(float(a), 0.0) for a in amps], 0.01, math.radians(gamma_deg), 0.5
         )
         grid = uniform_grid(151)
-        bounds = power_bounds(scen, grid, ring_counts=(5,))
-        pmap = probability_map(bounds, 5)
+        bounds = power_bounds(scen, grid, k_regions=5)
+        pmap = probability_map(bounds)
         rep = feature_report(pmap)
 
         assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
@@ -278,8 +278,8 @@ class TestSmokeSweeps:
             [(float(a), 0.0) for a in amps], 0.01, math.radians(3.0), 0.5
         )
         grid = uniform_grid(101)
-        bounds = power_bounds(scen, grid, arc_points=6, ring_counts=(5,))
-        pmap = probability_map(bounds, 5)
+        bounds = power_bounds(scen, grid, arc_points=6, k_regions=5)
+        pmap = probability_map(bounds)
         rep = feature_report(pmap)
 
         assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9

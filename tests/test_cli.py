@@ -60,6 +60,19 @@ def config_path(tmp_path):
     return _write_config(tmp_path / "cfg.json")
 
 
+# the checks a validate report prints, one line each, in order
+VALIDATE_CHECKS = (
+    "column-stochasticity", "gamma-interval-tiling", "sll-endpoint-coverage",
+    "mean-probability-sum", "mc-inclusion", "mc-ring-frequencies", "pattern-symmetry",
+    "zero-tolerance-collapse", "area-oracle-spot-check",
+)
+
+
+def _verdicts(lines) -> list[tuple[str, str]]:
+    """The (verdict, check name) of each line of a validate report."""
+    return [tuple(line.split()[:2]) for line in lines]
+
+
 class TestBoundsCommand:
     def test_writes_csv_with_expected_header(self, config_path, tmp_path):
         out = tmp_path / "out"
@@ -152,7 +165,7 @@ class TestRegionPass:
             assert main(["bounds", "--config", str(cfg), "--out", str(out), "--dump-polygons"]) == 0
             blocks = []
             curve = power_bounds(
-                scen, grid, config["arc_points"], ring_counts=(k_regions, 2 * k_regions),
+                scen, grid, config["arc_points"], k_regions,
                 sink=lambda first, vertices, n: blocks.append(first),
             )
             runs.append((curve, (out / "polygons.npy").read_bytes(), len(blocks)))
@@ -161,9 +174,8 @@ class TestRegionPass:
             assert few_blocks > 2 * one_blocks
             for name in ("n_vertices", "modulus_lo", "modulus_hi", "nominal_power"):
                 assert getattr(one, name).tobytes() == getattr(few, name).tobytes(), name
-            for k in (k_regions, 2 * k_regions):
-                for a, b in zip(one.rings[k], few.rings[k], strict=True):
-                    assert a.tobytes() == b.tobytes()
+            for a, b in zip(one.rings, few.rings, strict=True):
+                assert a.tobytes() == b.tobytes()
             assert one_dump == few_dump
         assert others[-1][2] == len(grid)  # one-row blocks: the sink gets each row alone
         # the dump of one block holds the regions the pass hands its sink in
@@ -410,8 +422,8 @@ class TestNumberFormat:
         scen = scenario_from_config(cfg)
         grid = uniform_grid(cfg["n_u"])
         k_regions = cfg["k_regions"]
-        curve = power_bounds(scen, grid, cfg["arc_points"], ring_counts=(k_regions,))
-        pmap = probability_map(curve, k_regions)
+        curve = power_bounds(scen, grid, cfg["arc_points"], k_regions=k_regions)
+        pmap = probability_map(curve)
         mc = run_mc(pmap, 500, seed=cfg["seed"], probe_directions=probes)
 
         def f(x):
@@ -532,7 +544,7 @@ class TestValidateCommand:
         code = main(["validate", "--config", str(cfg), "--nu", "2", "--mc-samples", "101"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
+        assert _verdicts(lines) == [("PASS", name) for name in VALIDATE_CHECKS]
         collapse = next(line for line in lines if "zero-tolerance-collapse" in line)
         assert "max |p - nominal| = " in collapse
 
@@ -552,7 +564,7 @@ class TestValidateCommand:
         code = main(["validate", "--config", str(cfg), "--mc-samples", "500"])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert len(lines) == 10 and all(line.startswith("PASS") for line in lines)
+        assert _verdicts(lines) == [("PASS", name) for name in VALIDATE_CHECKS]
         assert any(line.startswith("PASS  pattern-symmetry  ") and "1 mirrored" in line
                    for line in lines)
 
@@ -640,7 +652,7 @@ class TestAwkwardPatterns:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         lines = reports[0].splitlines()
-        assert len(lines) == 10 and [line for line in lines if not line.startswith("PASS")] == []
+        assert _verdicts(lines) == [("PASS", name) for name in VALIDATE_CHECKS]
         assert codes == [0, 0]
         if name in DIRECT:
             assert "PASS  pattern-symmetry             not applicable (no mirrored rows)" in lines
@@ -689,16 +701,16 @@ class TestComputeOnce:
 
         scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
         run_validation(scen, uniform_grid(41), 5, 500, arc_points=6)
-        # the run's curve, whose sink keeps the oracle rows, its K map and
-        # its MC; then the mirrored oracle rows summed again from the curve's
+        # the run's curve, whose sink keeps the oracle rows, its map and its
+        # MC; then the mirrored oracle rows summed again from the curve's
         # sectors, and the zero-tolerance collapse's curve, the second
-        # polygonization; and the 2K map and the collapse's map
+        # polygonization, and its map
         curves, maps = calls["interval_af_curve"], calls["probability_map"]
-        assert (len(curves), len(maps), len(calls["run_mc"])) == (3, 3, 1)
+        assert (len(curves), len(maps), len(calls["run_mc"])) == (3, 2, 1)
         assert len(calls["rotated_minkowski_sums"]) == 3
         assert len(calls["polygonize_interval_phasors"]) == 2
         assert curves[0] is scen and curves[1] is scen and curves[2] is not scen
-        assert calls["run_mc"][0].bounds is maps[0] is maps[1] and maps[2] is not maps[0]
+        assert calls["run_mc"][0].bounds is maps[0] and maps[1] is not maps[0]
 
         for seen in calls.values():
             seen.clear()
@@ -1187,10 +1199,10 @@ class TestSizeBudget:
         assert int(curve.sectors[1].sum()) == (len(amplitudes) - exact) * (arc_points + 4) + exact
         assert len(blocks) >= least_blocks
         estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
-        width, boundaries = len(amplitudes) * (arc_points + 4), 17
+        width, boundaries = len(amplitudes) * (arc_points + 4), k_regions + 1
         workers = 2 * (montecarlo._CHUNK_BYTES + montecarlo._BLOCK_BYTES + montecarlo._PROBE_BYTES)
         assert estimate == (max(2 * _PASS_BYTES, workers) + width * (1200 + 8 * boundaries)
-                            + n_u * (256 + 128 * k_regions + 16 * len(amplitudes)))
+                            + n_u * (64 + 80 * k_regions + 16 * len(amplitudes)))
         assert peak <= estimate <= 2.2 * peak
 
     @pytest.mark.parametrize("key, flag", [("k_regions", "--k"), ("n_u", "--nu"),

@@ -419,13 +419,13 @@ class TestMirror:
 
     @staticmethod
     def _assert_mirrored_rows_match_direct(scen, grid, rows, k_regions=5):
-        bounds = power_bounds(scen, grid, ring_counts=(k_regions,))
-        pmap = probability_map(bounds, k_regions)
+        bounds = power_bounds(scen, grid, k_regions=k_regions)
+        pmap = probability_map(bounds)
         assert bounds.mirrored == len(grid) // 2
         assert all(i < bounds.mirrored for i in rows)
         regions, _ = pass_regions(scen, grid)
         # the rows alone: a grid of u < 0 samples, summed without the mirror
-        refs, direct = pass_regions(scen, AngularGrid(grid.samples[rows]), ring_counts=(k_regions,))
+        refs, direct = pass_regions(scen, AngularGrid(grid.samples[rows]), k_regions=k_regions)
         assert direct.mirrored == 0
         scale = float(bounds.modulus_hi.max())
         for i, ref in zip(rows, refs, strict=True):
@@ -433,7 +433,7 @@ class TestMirror:
             assert boundary_distance(regions[i], ref) <= 1e-12 * scale
         assert np.abs(bounds.modulus_lo[rows] - direct.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(bounds.modulus_hi[rows] - direct.modulus_hi).max() <= 1e-12 * scale
-        assert np.abs(pmap.p[:, rows] - direct.rings[k_regions][0]).max() <= 1e-12
+        assert np.abs(pmap.p[:, rows] - direct.rings[0]).max() <= 1e-12
         # the mirrored rows are counter-clockwise convex polygons as they stand
         m = bounds.mirrored
         _, n_vertices = normalized_rows(padded(regions[:m])[0])
@@ -495,8 +495,8 @@ class TestMirror:
                 assert np.all(row[n:] == row[0])
 
     def test_mirrored_rows_copy_their_images(self, small_scenario):
-        bounds = power_bounds(small_scenario, uniform_grid(41), ring_counts=(4,))
-        pmap = probability_map(bounds, 4)
+        bounds = power_bounds(small_scenario, uniform_grid(41), k_regions=4)
+        pmap = probability_map(bounds)
         for values in (bounds.modulus_lo, bounds.modulus_hi, bounds.n_vertices, pmap.degenerate):
             assert np.array_equal(values, values[::-1])
         assert np.array_equal(pmap.p, pmap.p[:, ::-1])
@@ -568,7 +568,7 @@ class TestRegionPass:
         assert int(element_sectors(scen)[1].sum()) == 768
         tracemalloc.start()
         try:
-            curve = power_bounds(scen, grid, ring_counts=(5,))
+            curve = power_bounds(scen, grid, k_regions=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,21 +589,23 @@ class TestRegionPass:
         monkeypatch.setattr(iams, "steering_phases", skewed)
         monkeypatch.setattr(montecarlo, "steering_phases", skewed)
         scen, grid = scenario_from_config(config), uniform_grid(41)
-        curve = power_bounds(scen, grid, config["arc_points"], ring_counts=(3,))
+        curve = power_bounds(scen, grid, config["arc_points"], k_regions=3)
         assert np.all(curve.p_lo <= curve.nominal_power)
         assert np.all(curve.nominal_power <= curve.p_hi)
         assert not np.allclose(curve.nominal_power, np.abs(nominal_af_curve(scen, grid)) ** 2)
-        mc = run_mc(probability_map(curve, 3), 2000, seed=1)
+        mc = run_mc(probability_map(curve), 2000, seed=1)
         assert np.all(curve.p_lo <= mc.per_u_min) and np.all(mc.per_u_max <= curve.p_hi)
 
     def test_a_ring_count_not_asked_for_raises(self, small_scenario):
-        curve = power_bounds(small_scenario, uniform_grid(11), ring_counts=(3, 5, 3))
-        assert sorted(curve.rings) == [3, 5]
-        assert probability_map(curve, 5).p.shape == (5, 11)
-        with pytest.raises(ValidationError, match=r"ring_counts=\(4,\)"):
-            probability_map(curve, 4)
+        # the ring count is given once, to the pass; a curve without rings has none to map
+        curve = power_bounds(small_scenario, uniform_grid(11))
+        assert curve.rings is None
+        with pytest.raises(ValidationError, match="k_regions="):
+            probability_map(curve)
+        curve = power_bounds(small_scenario, uniform_grid(11), k_regions=5)
+        assert probability_map(curve).p.shape == (5, 11)
         with pytest.raises(ValidationError, match="integer"):
-            power_bounds(small_scenario, uniform_grid(11), ring_counts=(0,))
+            power_bounds(small_scenario, uniform_grid(11), k_regions=0)
 
 
 class TestPowerDb:

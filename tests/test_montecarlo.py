@@ -42,7 +42,7 @@ def _scenario(xi=0.02, gamma=math.radians(4.0)):
 
 
 def _pmap(scenario, grid, k_regions):
-    return probability_map(power_bounds(scenario, grid, ring_counts=(k_regions,)), k_regions)
+    return probability_map(power_bounds(scenario, grid, k_regions=k_regions))
 
 
 def _bits(w):
@@ -678,8 +678,8 @@ def _random_scenarios(draw):
 )
 def test_random_scenarios_stay_inside_bounds(scen, n_u, k, seed):
     grid = uniform_grid(n_u)
-    bounds = power_bounds(scen, grid, arc_points=4, ring_counts=(k,))
-    pmap = probability_map(bounds, k)
+    bounds = power_bounds(scen, grid, arc_points=4, k_regions=k)
+    pmap = probability_map(bounds)
     assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
     report = run_mc(pmap, 300, seed=seed)
     slack = 1e-9 * np.maximum(bounds.p_hi, 1e-300)

@@ -91,7 +91,8 @@ def test_ci_and_readme_command_lines_parse():
     """
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
     readme = "".join(re.findall(r"```sh\n(.*?)```", README.read_text("utf-8"), re.S))
-    line = re.compile(r"^\s*(?:if\s+)?arraytol\s+([^;#\n]*)", re.M)
+    # a command's arguments end at a ;, a comment or a redirection of its output
+    line = re.compile(r"^\s*(?:if\s+)?arraytol\s+([^;#>\n]*)", re.M)
     for source, text in (("tests.yml", workflow), ("README.md", readme)):
         # argparse exits with code 2 on an unknown command or flag
         commands = {_build_parser().parse_args(shlex.split(args)).command

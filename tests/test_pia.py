@@ -56,13 +56,12 @@ class TestRingPartition:
         assert list(radii) == [1.0, 4.0]
 
     def test_invalid_inputs(self, small_scenario):
-        # the map checks the ring count before it splits any bounds
-        bounds = power_bounds(small_scenario, uniform_grid(11))
+        # the pass checks the ring count before it splits any bounds
         with pytest.raises(ValidationError):
-            probability_map(bounds, 0)
+            power_bounds(small_scenario, uniform_grid(11), k_regions=0)
         for k in (2.5, True):
             with pytest.raises(ValidationError, match="integer"):
-                probability_map(bounds, k)
+                power_bounds(small_scenario, uniform_grid(11), k_regions=k)
 
     def test_halving_aligns_exactly(self):
         lo, hi = 0.137, 2.961
@@ -135,12 +134,12 @@ class TestRegionProbabilities:
 
 
 def _pmap(scenario, grid, k_regions):
-    return probability_map(power_bounds(scenario, grid, ring_counts=(k_regions,)), k_regions)
+    return probability_map(power_bounds(scenario, grid, k_regions=k_regions))
 
 
 def _report(scenario, grid, k_regions):
-    bounds = power_bounds(scenario, grid, ring_counts=(k_regions,))
-    return feature_report(probability_map(bounds, k_regions))
+    bounds = power_bounds(scenario, grid, k_regions=k_regions)
+    return feature_report(probability_map(bounds))
 
 
 class TestProbabilityMap:
@@ -153,10 +152,10 @@ class TestProbabilityMap:
         assert np.all(pmap.p[1:] == 0.0)
 
     def test_rejects_non_integer_ring_count(self, small_scenario):
-        bounds = power_bounds(small_scenario, uniform_grid(11))
+        # the region pass itself, which validate's direct rows take without power_bounds
         for k in (2.5, True):
             with pytest.raises(ValidationError, match="integer"):
-                probability_map(bounds, k)
+                pass_regions(small_scenario, uniform_grid(11), k_regions=k)
 
     def test_columns_sum_to_one(self, small_scenario):
         pmap = _pmap(small_scenario, uniform_grid(51), 5)
@@ -221,8 +220,8 @@ class TestPaddedRegions:
         # mirrored rows at u < 0 are conjugate copies and match as sets.
         scen = scenario_from_tolerances([(1.0, 0.0)] * 4, xi, gamma, 0.5)
         grid = uniform_grid(2 * (_BLOCK_EDGES // most) + 1)
-        bounds = power_bounds(scen, grid, ring_counts=(5,))
-        pmap = probability_map(bounds, 5)
+        bounds = power_bounds(scen, grid, k_regions=5)
+        pmap = probability_map(bounds)
         vertices, _ = padded(pass_regions(scen, grid)[0])
         assert vertices.shape[1] == bounds.n_vertices.max() == most
         assert bounds.n_vertices[len(grid) // 2] == at_zero
@@ -263,8 +262,8 @@ class TestPaddedRegions:
         edges = 12 + 12 + 2 + 12 + 10 + 12
         rows = _BLOCK_EDGES // edges
         grid = uniform_grid(2 * rows + 1)
-        bounds = power_bounds(scen, grid, ring_counts=(5,))
-        pmap = probability_map(bounds, 5)
+        bounds = power_bounds(scen, grid, k_regions=5)
+        pmap = probability_map(bounds)
         assert bounds.mirrored == 0
         vertices, _ = padded(pass_regions(scen, grid)[0])
         assert vertices.shape[1] == edges
@@ -359,10 +358,10 @@ class TestFeatureReport:
     def test_even_grid_takes_the_first_of_two_tied_maxima(self, small_scenario):
         # no sample at u = 0: the mirrored nominal peak is tied at -u and u
         grid = uniform_grid(40)
-        bounds = power_bounds(small_scenario, grid, ring_counts=(5,))
+        bounds = power_bounds(small_scenario, grid, k_regions=5)
         i = len(grid) // 2 - 1
         assert bounds.nominal_db[i] == bounds.nominal_db[i + 1] == bounds.nominal_db.max()
-        rep = feature_report(probability_map(bounds, 5))
+        rep = feature_report(probability_map(bounds))
         assert rep.u_max == grid.samples[i] == -grid.samples[i + 1]
 
     def test_sll_coverage_endpoints(self, small_scenario):

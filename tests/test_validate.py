@@ -35,8 +35,8 @@ def _chain(scen):
     and their mirror partners, kept through the curve's own pass.
     """
     regions, sink = _region_sink((6, 13, 20, 27, 34))
-    bounds = power_bounds(scen, uniform_grid(41), ring_counts=(4, 8), sink=sink)
-    return probability_map(bounds, 4), regions
+    bounds = power_bounds(scen, uniform_grid(41), k_regions=4, sink=sink)
+    return probability_map(bounds), regions
 
 
 def _validate(tmp_path, capsys, config, *args):
@@ -112,15 +112,14 @@ class TestAreaOracleGate:
         assert code == 0 and checks["area-oracle-spot-check"].startswith("PASS")
         # the smoke curve's pass sums its rows from u = 0 on, so each
         # ring-area call's first row is u = 0, the oracle direction n_u // 2;
-        # the call takes the 2K + 1 radii, whose even ones are the K + 1, so
-        # column 2 is the first inner disc of K rings; a 1e-6 relative change
-        # of its area moves the K ring probabilities by about 1e-7, which a
-        # fixed 1e-3 gate passes
+        # the call takes the K + 1 radii, so column 1 is the first inner
+        # disc; a 1e-6 relative change of its area moves the ring
+        # probabilities by about 1e-7, which a fixed 1e-3 gate passes
         areas = iams.disc_polygon_areas
 
         def scaled(*args):
             covered = areas(*args)
-            covered[0, 2] *= 1.0 + 1e-6
+            covered[0, 1] *= 1.0 + 1e-6
             return covered
 
         monkeypatch.setattr(iams, "disc_polygon_areas", scaled)
@@ -191,8 +190,8 @@ class TestFeatureIntervalChecks:
             radii[..., :1], radii[..., -1:] = lo, hi
             return radii
 
-        # the pass's ring areas and the map's boundaries move together, and
-        # the even 2K radii stay the K radii, so only the spacing check sees it
+        # the pass's ring areas and the map's boundaries move together, so
+        # only the spacing check sees it
         monkeypatch.setattr(iams, "_ring_radii", squared)
         monkeypatch.setattr(pia, "_ring_radii", squared)
         code, checks = _validate(tmp_path, capsys, config)
@@ -210,12 +209,39 @@ class TestAmplitudeScale:
         # the geometry tolerances are relative: scaling every amplitude
         # scales the regions and leaves their vertices and rings alone
         grid = uniform_grid(41)
-        ref, scaled = (probability_map(power_bounds(self._scenario(s), grid, ring_counts=(3,)), 3)
+        ref, scaled = (probability_map(power_bounds(self._scenario(s), grid, k_regions=3))
                        for s in (1.0, scale))
         assert np.array_equal(scaled.bounds.n_vertices, ref.bounds.n_vertices)
         assert np.array_equal(scaled.degenerate, ref.degenerate)
         results = run_validation(self._scenario(scale), grid, 3, 5000)
         assert [r.name for r in results if not r.passed] == []
+
+
+class TestRingCount:
+    def test_each_pass_takes_the_k_plus_one_radii_of_its_rings(self, monkeypatch):
+        # one ring count per pass: no pass takes a second count's radii
+        # beside the K + 1 boundaries of its K rings
+        scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
+        grid, k_regions, calls, passes = uniform_grid(41), 4, [], []
+        areas, curve = iams.disc_polygon_areas, iams.interval_af_curve
+
+        def spied(radii, vertices, n_vertices):
+            calls.append((len(passes), radii.shape, len(n_vertices)))
+            return areas(radii, vertices, n_vertices)
+
+        def counted(*args, **kwargs):
+            passes.append(args[1])
+            return curve(*args, **kwargs)
+
+        monkeypatch.setattr(iams, "disc_polygon_areas", spied)
+        for module in (iams, validate):  # power_bounds' binding, and the direct rows'
+            monkeypatch.setattr(module, "interval_af_curve", counted)
+        assert [r.name for r in run_validation(scen, grid, k_regions, 500) if not r.passed] == []
+        # the run's pass, the direct mirrored rows and the zero-tolerance collapse
+        assert len(passes) == 3 and passes[0] is grid
+        main = [(shape, rows) for index, shape, rows in calls if index == 1]
+        assert sum(rows for _, rows in main) == len(grid) - len(grid) // 2  # the summed rows
+        assert all(shape == (rows, k_regions + 1) for _, shape, rows in calls)
 
 
 class TestPatternSymmetry:
