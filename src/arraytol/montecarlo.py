@@ -269,15 +269,17 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     OpenBLAS to hold, one worker runs every chunk.  One worker leaves
     OpenBLAS as it is, so that its product may use OpenBLAS's threads.
 
-    A worker allocates its buffers once, so memory grows with neither
-    n_samples nor N / N_u: per sample, 16 N bytes of excitations,
+    Every worker's buffers are allocated once, before any takes a chunk,
+    so memory grows with neither n_samples nor N / N_u, nor with when a
+    worker starts: per sample, 16 N bytes of excitations,
     8 max(N_u, 2N) of power row, whose leading 16 N hold the draw's
     uniforms until the power overwrites them, and 8 P of probe columns.
     Its probe buffer holds _PROBE_BYTES more of them, or at most the
     run's n_samples: a worker copies each chunk's probe columns into it,
     and takes them to dB in place and histograms them, a probe at a time,
-    only when the next chunk's would not fit, and once at the end.  With
-    no probes there is no buffer.  The complex pattern product
+    only when the next chunk's would not fit, and once at the end, under a
+    lock all workers share.  With no probes there is no buffer.  The
+    complex pattern product
     is formed in blocks of max(2, N, _BLOCK_BYTES // (16 N_u)) rows, whose
     |z|^2 goes straight into the chunk's power rows; the N floor keeps each
     gemm large enough to run at full speed, and it makes a block the whole
@@ -318,7 +320,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         lo_edge = lo_db - 1.0 if math.isfinite(lo_db) else hi_edge - 100.0
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
-    key = sample_stream(seed).key
+    key, peak = sample_stream(seed).key, pmap.bounds.peak_power
     width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
     # a sample's bytes: its power row, excitations and probe columns
     step = max(2, _CHUNK_BYTES // (8 * width + 16 * n + 8 * len(probe_idx)))
@@ -331,16 +333,11 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     # a worker's probe columns: a chunk's and _PROBE_BYTES more, or the run's
     batch = min(rows + _PROBE_BYTES // (8 * max(len(probe_idx), 1)), n_samples)
 
-    def chunk_loop():
+    def chunk_loop(power, weights, product, probes):
         """One worker: run chunks from the shared queue until none is left,
         and return their envelope, at_least counts and histograms."""
         np.setbufsize(_UFUNC_BUFFER)  # in this worker's context only
-        power = np.empty(rows * width)
-        weights = np.empty((rows, n), dtype=complex)
-        # the product block, whose bytes then hold the ring masks
-        product = np.empty(max(block_rows * n_u, -(-rows * n_u // 16)), dtype=complex)
-        # a row of sampled power per probe, histogrammed in batches
-        probes, filled = np.empty((len(probe_idx), batch)), 0
+        filled = 0
         per_u_min, per_u_max = np.full(n_u, np.inf), np.full(n_u, -np.inf)
         # at_least[h]: samples at or above ring boundary h, for 0 < h < K
         at_least = np.zeros((k_regions + 1, n_u), dtype=np.int64)
@@ -348,8 +345,9 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
 
         def histogram(columns):
             """Bin the probe buffer's first columns, taken to dB in place, a row at a time."""
-            for acc, row, edges in zip(hist_counts, probes[:, :columns], probe_edges):
-                acc += np.histogram(power_db(row, pmap.bounds.peak_power, out=row), bins=edges)[0]
+            with binning:  # one worker's sorted copies at a time
+                for acc, row, edges in zip(hist_counts, probes[:, :columns], probe_edges):
+                    acc += np.histogram(power_db(row, peak, out=row), bins=edges)[0]
 
         for start in iter(take, None):
             m = (n_samples if start == starts[-1] else start + step) - start
@@ -384,7 +382,13 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     blas = _openblas_threads()
     n_workers = min(len(os.sched_getaffinity(0)), len(starts)) if blas else 1
     results, failures = [None] * n_workers, []
-    queue, lock = iter(starts), threading.Lock()
+    queue, lock, binning = iter(starts), threading.Lock(), threading.Lock()
+    # every worker's buffers, before any takes a chunk, so the peak does not
+    # depend on when a thread starts: power rows, excitations, the product
+    # block, whose bytes then hold the ring masks, and probe rows
+    held = [(np.empty(rows * width), np.empty((rows, n), dtype=complex),
+             np.empty(max(block_rows * n_u, -(-rows * n_u // 16)), dtype=complex),
+             np.empty((len(probe_idx), batch))) for _ in range(n_workers)]
 
     def take():
         """The next chunk's first sample; None once all are taken or a worker has failed."""
@@ -393,7 +397,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
 
     def work(w):
         try:
-            results[w] = chunk_loop()
+            results[w] = chunk_loop(*held[w])
         except BaseException as error:  # raised below, once every worker has finished
             with lock:
                 failures.append(error)

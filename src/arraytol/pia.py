@@ -41,7 +41,8 @@ class ProbabilityMap:
 
 @dataclass(frozen=True)
 class FeatureReport:
-    """Sidelobe-level and pattern-peak intervals with their probabilities."""
+    """Sidelobe-level and pattern-peak intervals with their probabilities, and
+    each ring's angular mean over the grid's span (mean_probs)."""
 
     k_regions: int
     u_max: float
@@ -81,8 +82,12 @@ def probability_map(bounds: PowerBoundsCurve) -> ProbabilityMap:
 
 
 def mean_probabilities(pmap: ProbabilityMap) -> np.ndarray:
-    """Angular mean of each ring probability: (1/2) * integral of p_k(u) du."""
-    return 0.5 * np.trapezoid(pmap.p, x=pmap.bounds.grid.samples, axis=1)
+    """Each ring probability's trapezoid mean over the grid's span u[-1] - u[0],
+    so the means sum to one on any grid; on a one-sample grid, its column."""
+    u = pmap.bounds.grid.samples
+    if u.size == 1:
+        return pmap.p[:, 0].copy()
+    return np.trapezoid(pmap.p, x=u, axis=1) / (u[-1] - u[0])
 
 
 def mainlobe_indices(nominal_power: np.ndarray) -> tuple[int, int, int]:

@@ -134,8 +134,11 @@ def run_validation(
     partners; the map of that pass; and a Monte Carlo report of n_samples
     draws from seed, with no probes.  The checks then build only what they
     add: the scenario's zero-tolerance collapse and the mirrored rows among
-    the kept ones summed again, directly, from the curve's sectors.  Every
-    entry carries a pass/fail verdict.
+    the kept ones summed again, directly, from the curve's sectors.  The
+    seven entries, in order: gamma-interval-tiling, sll-endpoint-coverage,
+    mc-inclusion, mc-ring-frequencies (informational: it always passes),
+    pattern-symmetry, zero-tolerance-collapse and area-oracle-spot-check,
+    each with a pass/fail verdict; every other one can fail.
     """
     n_u = len(grid)
     directions = sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6})  # the area oracle's rows
@@ -144,15 +147,6 @@ def run_validation(
     pmap = probability_map(bounds)
     mc = run_mc(pmap, n_samples, seed=seed)
     results: list[CheckResult] = []
-
-    col_err = float(np.abs(pmap.p.sum(axis=0) - 1.0).max())
-    results.append(
-        CheckResult(
-            "column-stochasticity",
-            col_err <= REL_TOL,
-            f"max |sum_k p_k - 1| = {col_err:.3e}",
-        )
-    )
 
     # the map's ring radii against a uniform split of the curve's bounds, and
     # the report's intervals against the curve's bounds at its peak and the
@@ -191,15 +185,6 @@ def run_validation(
                 "first/last sidelobe intervals coincide with the overall bounds",
             )
         )
-
-    mean_sum = float(np.abs(report.mean_probs.sum() - 1.0))
-    results.append(
-        CheckResult(
-            "mean-probability-sum",
-            mean_sum <= REL_TOL,
-            f"|sum mean_probs - 1| = {mean_sum:.3e}",
-        )
-    )
 
     slack = REL_TOL * np.maximum(bounds.p_hi, 1e-300)
     lo_viol = int(np.sum(mc.per_u_min < bounds.p_lo - slack))

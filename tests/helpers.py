@@ -6,7 +6,8 @@ the shoelace formula, the closed-form circular segment, element-by-element
 math.cos/sin for the nominal pattern, an element loop with its own
 steering phases for the nominal curve, numpy's complex exp for the
 excitation draws, SplitMix64 one Python integer at a time for the random
-words), so agreement is evidence rather than tautology.
+words, the law of cosines for the exact law of one toleranced element), so
+agreement is evidence rather than tautology.
 
 The package keeps polygons only as padded arrays (arraytol.geometry).  The
 one-row calls here run its batched kernels on a single polygon, given and
@@ -313,6 +314,58 @@ def reference_draw(scenario, uniforms) -> np.ndarray:
     width = np.array([(e.amplitude_hi, e.phase_hi) for e in els]).ravel() - lo
     x = lo + width * np.asarray(uniforms)
     return x[..., 0::2] * np.exp(1j * x[..., 1::2])
+
+
+def _config_intervals(config) -> list[tuple[float, float, float, float]]:
+    """Each element's (amplitude lo, hi, phase lo, hi) in radians, read from config as
+    its README states: explicit endpoints, or else the nominal with xi_percent / gamma_deg."""
+    xi, gamma = config.get("xi_percent", 0.0) / 100.0, config.get("gamma_deg", 0.0)
+    intervals = []
+    for e in config["elements"]:
+        a, b = e["amplitude"], e["phase_deg"]
+        a_lo, a_hi = e.get("amplitude_lo", a * (1.0 - xi)), e.get("amplitude_hi", a * (1.0 + xi))
+        b_lo, b_hi = e.get("phase_lo_deg", b - gamma), e.get("phase_hi_deg", b + gamma)
+        intervals.append((a_lo, a_hi, math.radians(b_lo), math.radians(b_hi)))
+    return intervals
+
+
+def one_element_ring_law(config, u: float, radii, nodes: int = 4000) -> np.ndarray:
+    """Exact ring probabilities of |AF(u)| when one element of config is toleranced.
+
+    The other elements are fixed, so AF(u) = c + a e^{j theta}, with c their
+    sum at psi_n = 2 pi d n u and, for the live element m, a uniform on its
+    amplitude interval and theta = phi + psi_m, phi uniform on its phase
+    interval, which must have width; c must not be 0.  By the law of cosines,
+    |AF|^2 = |c|^2 + a^2 + 2 |c| a cos(theta - arg c), so |AF| < r on the
+    theta outside the arc |theta - arg c| < arccos t (mod 2 pi),
+    t = (r^2 - |c|^2 - a^2) / (2 |c| a); P(|AF| < r) is the mean over a,
+    by the midpoint rule on nodes amplitudes, of that share of theta's
+    interval.  Ring k is radii[k] <= |AF| < radii[k + 1], for the K + 1
+    radii, except that the first ring holds all below radii[1] and the last
+    all from radii[K - 1] on, as run_mc counts its rings.
+    """
+    intervals = _config_intervals(config)
+    (m,) = [n for n, (a_lo, a_hi, b_lo, b_hi) in enumerate(intervals)
+            if (a_lo, b_lo) != (a_hi, b_hi)]
+    step = 2.0 * math.pi * config["spacing_wavelengths"] * u
+    c = sum(a_lo * complex(math.cos(b_lo + step * n), math.sin(b_lo + step * n))
+            for n, (a_lo, _, b_lo, _) in enumerate(intervals) if n != m)
+    a_lo, a_hi, b_lo, b_hi = intervals[m]
+    a = a_lo + (a_hi - a_lo) * (np.arange(nodes) + 0.5) / nodes
+    # theta - arg c runs over [lo, hi]
+    lo, hi = (b + step * m - math.atan2(c.imag, c.real) for b in (b_lo, b_hi))
+
+    def inside(x, alpha):
+        """The length of [0, x] outside the arcs |y| < alpha (mod 2 pi)."""
+        turns, rest = np.divmod(x, 2.0 * math.pi)
+        period = 2.0 * math.pi - 2.0 * alpha  # the inside's length in a turn
+        return turns * period + np.clip(rest - alpha, 0.0, period)
+
+    def cdf(r):
+        alpha = np.arccos(np.clip((r * r - abs(c) ** 2 - a * a) / (2.0 * abs(c) * a), -1.0, 1.0))
+        return float(np.mean(inside(hi, alpha) - inside(lo, alpha))) / (hi - lo)
+
+    return np.diff([0.0, *(cdf(r) for r in np.asarray(radii)[1:-1]), 1.0])
 
 
 def circular_segment_area(r: float, a1: complex, a2: complex) -> float:

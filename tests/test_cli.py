@@ -62,9 +62,8 @@ def config_path(tmp_path):
 
 # the checks a validate report prints, one line each, in order
 VALIDATE_CHECKS = (
-    "column-stochasticity", "gamma-interval-tiling", "sll-endpoint-coverage",
-    "mean-probability-sum", "mc-inclusion", "mc-ring-frequencies", "pattern-symmetry",
-    "zero-tolerance-collapse", "area-oracle-spot-check",
+    "gamma-interval-tiling", "sll-endpoint-coverage", "mc-inclusion", "mc-ring-frequencies",
+    "pattern-symmetry", "zero-tolerance-collapse", "area-oracle-spot-check",
 )
 
 
@@ -496,7 +495,7 @@ class TestValidateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-        assert "column-stochasticity" in out
+        assert "PASS  area-oracle-spot-check" in out
 
     def test_prints_the_suite_on_the_run_run_validation_builds(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -525,7 +524,7 @@ class TestValidateCommand:
         assert code == 0
         assert "PASS  sll-endpoint-coverage        not applicable (no sidelobe)" in out
         assert "PASS  gamma-interval-tiling" in out
-        assert "PASS  mean-probability-sum" in out and "PASS  mc-inclusion" in out
+        assert "PASS  zero-tolerance-collapse" in out and "PASS  mc-inclusion" in out
         assert main(["features", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         payload = json.loads((tmp_path / "out" / "features.json").read_text())
         assert payload["iams"]["sll_db"] is None

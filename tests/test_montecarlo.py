@@ -19,6 +19,7 @@ from arraytol import (
     run_mc,
     sample_realization,
     sample_stream,
+    scenario_from_config,
     scenario_from_tolerances,
     uniform_grid,
 )
@@ -28,6 +29,7 @@ from arraytol.validate import run_validation
 
 from helpers import (
     nominal_af_curve,
+    one_element_ring_law,
     reference_draw,
     reference_uniforms,
     splitmix64_words,
@@ -207,6 +209,71 @@ PROBES = (-0.336, 0.0)
 def _probe_count(pmap, directions=PROBES):
     """The histograms run_mc gives for directions: one per grid sample nearest one."""
     return len({int(np.argmin(np.abs(pmap.bounds.grid.samples - u))) for u in directions})
+
+
+def _fixed(amplitude, phase_deg):
+    return {"amplitude": amplitude, "phase_deg": phase_deg}
+
+
+def _live(amplitude, phase_deg, amplitude_lo, amplitude_hi, phase_lo_deg, phase_hi_deg):
+    return {"amplitude": amplitude, "phase_deg": phase_deg,
+            "amplitude_lo": amplitude_lo, "amplitude_hi": amplitude_hi,
+            "phase_lo_deg": phase_lo_deg, "phase_hi_deg": phase_hi_deg}
+
+
+# configs with one toleranced element, whose |AF| has an exact law
+ONE_LIVE = {
+    # element 0 at 1 +- 10 %, +-5 deg beside a fixed 0.8 at 0.3 rad
+    "d=0.5": {"spacing_wavelengths": 0.5,
+              "elements": [_live(1.0, 0.0, 0.9, 1.1, -5.0, 5.0), _fixed(0.8, math.degrees(0.3))]},
+    "d=2.7": {"spacing_wavelengths": 2.7,
+              "elements": [_live(1.0, 0.0, 0.9, 1.1, -5.0, 5.0), _fixed(0.8, math.degrees(0.3))]},
+    # a beam steered 60 deg/element, its middle element live
+    "steered": {"spacing_wavelengths": 0.5,
+                "elements": [_fixed(0.6, 0.0), _live(1.0, -60.0, 0.9, 1.1, -65.0, -55.0),
+                             _fixed(0.9, -120.0)]},
+    # amplitudes down to 0
+    "a_lo=0": {"spacing_wavelengths": 0.7,
+               "elements": [_fixed(0.7, 0.0), _live(0.5, 0.0, 0.0, 1.0, -10.0, 10.0)]},
+}
+# the chi-square(4) quantile at upper tail 1e-6: scipy.stats.chi2.isf(1e-6, 4) = 33.3768...
+CHI2_4_TAIL_1E_6 = 33.38
+
+
+class TestExactLaw:
+    """run_mc's ring counts against the exact law of one toleranced element (Pearson's chi-square).
+
+    K = 5 rings on 11 directions, 2e4 samples from seed 0: each row's chi-square
+    has 4 degrees of freedom, and a sound sampler exceeds the 1e-6 tail
+    quantile on a row with probability 1e-6.
+    """
+
+    @staticmethod
+    def _chi2(config, n_samples=20_000):
+        """The chi-square of each grid row's ring counts against the exact law."""
+        pmap = _pmap(scenario_from_config(config), uniform_grid(11), 5)
+        counts = run_mc(pmap, n_samples, seed=0).region_frequencies * n_samples
+        stats = []
+        for i, u in enumerate(pmap.bounds.grid.samples):
+            expected = n_samples * one_element_ring_law(config, u, pmap.ring_radii[i])
+            assert expected.min() >= 5.0  # Pearson's approximation holds
+            stats.append(float(((counts[:, i] - expected) ** 2 / expected).sum()))
+        return np.array(stats)
+
+    @pytest.mark.parametrize("name", ONE_LIVE)
+    def test_ring_counts_follow_the_law(self, name):
+        assert self._chi2(ONE_LIVE[name]).max() < CHI2_4_TAIL_1E_6
+
+    @pytest.mark.parametrize("name", ONE_LIVE)
+    def test_fails_draws_from_the_middle_half_of_each_interval(self, name, monkeypatch):
+        box = montecarlo._tolerance_box
+
+        def middle_half(scenario):
+            lo, width = box(scenario)
+            return lo + 0.25 * width, 0.5 * width
+
+        monkeypatch.setattr(montecarlo, "_tolerance_box", middle_half)
+        assert self._chi2(ONE_LIVE[name]).min() > CHI2_4_TAIL_1E_6
 
 
 class TestRunMcMemory:

@@ -14,6 +14,7 @@ import arraytol
 from arraytol.cli import _COMMANDS, _build_parser
 
 from helpers import SMOKE
+from test_cli import VALIDATE_CHECKS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -81,6 +82,13 @@ def test_ci_smoke_config_is_the_tests_smoke_config():
     configs = re.findall(r"^ *printf '%s' '(.*)' > smoke\.json$", workflow, re.M)
     assert len(configs) == 1
     assert json.loads(configs[0]) == SMOKE
+
+
+def test_ci_smoke_check_names_are_the_tests_validate_checks():
+    # CI's smoke step holds the names a validate report prints, in order, in one tuple
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text("utf-8")
+    (names,) = re.findall(r"names = (\(.*?\));", workflow)
+    assert ast.literal_eval(names) == VALIDATE_CHECKS
 
 
 def test_ci_and_readme_command_lines_parse():

@@ -318,6 +318,26 @@ class TestMeanProbabilities:
         assert means[0] == pytest.approx(0.5 + 0.125 / 2.0, abs=1e-12)
 
 
+    @pytest.mark.parametrize("samples", [np.linspace(-0.5, 0.5, 101), np.linspace(0.0, 1.0, 101)],
+                             ids=["centred", "one-sided"])
+    def test_sub_grid_mean_is_over_its_span(self, small_scenario, samples):
+        pmap = _pmap(small_scenario, AngularGrid(samples), 5)
+        means = mean_probabilities(pmap)
+        span_mean = np.trapezoid(pmap.p, x=samples, axis=1) / (samples[-1] - samples[0])
+        assert means == pytest.approx(span_mean, rel=1e-15, abs=0.0)
+        assert means.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_sample_grid_mean_is_its_column(self, small_scenario):
+        pmap = _pmap(small_scenario, AngularGrid([0.0]), 5)
+        assert np.array_equal(mean_probabilities(pmap), pmap.p[:, 0])
+
+    def test_uniform_grid_mean_is_half_the_integral_bit_for_bit(self, small_scenario):
+        # the span of uniform_grid is exactly 2, so features.json keeps its bytes
+        pmap = _pmap(small_scenario, uniform_grid(51), 5)
+        half = 0.5 * np.trapezoid(pmap.p, x=pmap.bounds.grid.samples, axis=1)
+        assert mean_probabilities(pmap).tobytes() == half.tobytes()
+
+
 class TestMainlobe:
     def test_finds_first_minima(self, small_scenario):
         grid = uniform_grid(201)

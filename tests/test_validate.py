@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from arraytol import (
+    AngularGrid,
     ExcitationInterval,
     power_bounds,
     probability_map,
+    scenario_from_config,
     scenario_from_tolerances,
     uniform_grid,
 )
@@ -25,7 +27,13 @@ from arraytol.validate import (
     run_validation,
 )
 
-from helpers import AWKWARD, SMOKE, disc_convex_area_slab, random_convex_vertices
+from helpers import (
+    AWKWARD,
+    SMOKE,
+    disc_convex_area_slab,
+    random_convex_vertices,
+    workload_config,
+)
 
 
 def _chain(scen):
@@ -214,6 +222,19 @@ class TestAmplitudeScale:
         assert np.array_equal(scaled.bounds.n_vertices, ref.bounds.n_vertices)
         assert np.array_equal(scaled.degenerate, ref.degenerate)
         results = run_validation(self._scenario(scale), grid, 3, 5000)
+        assert [r.name for r in results if not r.passed] == []
+
+
+class TestSubGrids:
+    """Library grids that are not uniform_grid: parts of [-1, 1] and a single sample."""
+
+    @pytest.mark.parametrize("samples", [
+        np.linspace(-0.5, 0.5, 101), np.linspace(0.0, 1.0, 101), np.array([0.0])
+    ], ids=["centred", "one-sided", "one-sample"])
+    def test_taylor16_passes_every_check(self, samples):
+        cfg = workload_config("taylor16")
+        results = run_validation(scenario_from_config(cfg), AngularGrid(samples),
+                                 cfg["k_regions"], 2000, arc_points=cfg["arc_points"])
         assert [r.name for r in results if not r.passed] == []
 
 
