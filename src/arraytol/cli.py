@@ -217,8 +217,8 @@ def _write_rows(fh, start: int, width: int, first: int, vertices) -> None:
 def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
     """The run's curve, each block of regions written to polygons.npy as the pass sums it.
 
-    The rows go to their offsets in an array N * (arc_points + 4) vertices
-    wide, which no region exceeds.  Where the widest region is narrower,
+    Each run of a Block's regions() goes to its offsets in an array
+    N * (arc_points + 4) vertices wide, which no region exceeds.  Where the widest region is narrower,
     the rows are then moved in place, in order, to that width, and the
     file truncated: it holds the bytes np.save writes of the region array.
     The file is polygons.npy.part until the pass has succeeded, and then
@@ -234,7 +234,12 @@ def _dumped_curve(run: RunConfig) -> PowerBoundsCurve:
     with open(path + ".part", "w+b") as fh:
         try:
             start = _npy_header(fh, (run.n_u, width))
-            curve = _curve(run, sink=lambda first, vs, n: _write_rows(fh, start, width, first, vs))
+
+            def write(block):
+                for first, vertices, _ in block.regions():
+                    _write_rows(fh, start, width, first, vertices)
+
+            curve = _curve(run, sink=write)
             widest = int(curve.n_vertices.max())
             if widest < width:  # no row moves onto one not yet read
                 moved = _npy_header(fh, (run.n_u, widest))

@@ -35,7 +35,7 @@ _WELD = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 # A batched Minkowski sum processes directions in blocks of about this many
-# edges, which bounds its temporary arrays.
+# operand vertices, rows * N * width, which bounds its (rows, N, width) traces.
 _BLOCK_EDGES = 10_000
 
 # Ring areas work on blocks of about this many (region, radius, vertex)
@@ -240,7 +240,7 @@ def rotated_minkowski_sums(
     sums = np.empty((angles.shape[0], n_edges), dtype=np.complex128)
     counts = np.empty(angles.shape[0], dtype=np.int64)
     welded = np.empty(angles.shape[0])
-    for block in _row_blocks(angles.shape[0], n_edges):
+    for block in _row_blocks(angles.shape[0], verts.size):
         trace = _trace(verts, angles[block], n_vertices)
         sums[block], counts[block], welded[block] = _normalize(*trace)
     return sums[:, : counts.max(initial=1)], counts, welded

@@ -48,13 +48,13 @@ class PowerBoundsCurve:
     direction's array-factor region, from the sectors (the (vertices,
     n_vertices) of element_sectors) that the regions sum, and n_vertices
     the regions' vertex counts.  The regions themselves are not kept; they
-    leave the pass only through its sink.  nominal_power is the nominal
-    |AF|**2 at each direction, from its region's steering phases, and
-    peak_power its largest value, allowance the rounding allowance the
-    modulus bounds were widened by (besides each row's welded length),
-    mirrored the leading rows that are mirror images (mirrored_rows), and
-    rings the (p, degenerate) of the pass's rings, which probability_map
-    reads, or None for a pass without rings.
+    leave the pass only in the Block its sink gets per block.  nominal_power
+    is the nominal |AF|**2 at each direction, from its region's steering
+    phases, and peak_power its largest value, allowance the rounding
+    allowance the modulus bounds were widened by (besides each row's welded
+    length), mirrored the leading rows that are mirror images
+    (mirrored_rows), and rings the (p, degenerate) of the pass's rings,
+    which probability_map reads, or None for a pass without rings.
 
     The power bounds and their dB values, normalized so the nominal pattern
     peaks at 0 dB (a zero lower bound maps to -inf dB), are computed from
@@ -96,6 +96,47 @@ class PowerBoundsCurve:
         return power_db(self.nominal_power, self.peak_power)
 
 
+@dataclass(frozen=True)
+class Block:
+    """One block of the region pass: its summed rows' regions, and the rows they mirror to.
+
+    vertices and n_vertices hold the regions of the grid rows rows, in the
+    padded-row format.  Grid row r's image is row n_u - 1 - r: the block's
+    rows from first on, reversed, are the partners of its image rows
+    images, which the pass does not sum.  On an unmirrored pass first is
+    the block's row count and images is empty.
+    """
+
+    rows: slice
+    images: slice
+    first: int
+    vertices: np.ndarray = field(repr=False)
+    n_vertices: np.ndarray = field(repr=False)
+
+    @classmethod
+    def of(cls, rows: slice, n_u: int, mirrored: int, **fields) -> Block:
+        """The block of rows, with fields, of a grid of n_u rows whose first mirrored are images."""
+        first = max(0, min(rows.stop, n_u - mirrored) - rows.start)
+        images = slice(n_u - rows.stop, n_u - rows.start - first)
+        return cls(rows, images, first, **fields)
+
+    def scatter(self, target: np.ndarray, value: np.ndarray) -> None:
+        """Write value, one entry per row along its last axis, to target's rows and image rows."""
+        target[..., self.rows] = value
+        target[..., self.images] = value[..., self.first:][..., ::-1]
+
+    def regions(self):
+        """The block's regions, as (first grid row, vertices, n_vertices) runs of padded rows.
+
+        The summed rows come first; then the image rows, if any, as the
+        mirror_image of their partners.
+        """
+        yield self.rows.start, self.vertices, self.n_vertices
+        if self.first < len(self.n_vertices):
+            n = self.n_vertices[self.first:][::-1]
+            yield self.images.start, mirror_image(self.vertices[self.first:][::-1], n), n
+
+
 def interval_af_curve(
     scenario: ArrayScenario, grid: AngularGrid, sectors, k_regions=None, sink=None
 ) -> PowerBoundsCurve:
@@ -112,24 +153,23 @@ def interval_af_curve(
     sector_reach before the sum, and each row's by the length of the steps
     its normalization welded, which bounds how far the weld moved the
     region's boundary; when k_regions is given, the probabilities of its
-    k_regions rings; and, when sink is given, sink(first, vertices,
-    n_vertices) with the block's regions in the padded-row format, the grid
-    rows from first on.  Then the block is dropped, so no array of every
-    region, or of every row's steering phases, is ever held.  Where
-    mirrored_rows finds the mirror symmetry, only the rows from u = 0 on
-    are summed.  One pair of slices per block then maps each summed row at
-    u to its image row at -u: the block writes its vertex counts, bounds
-    and ring probabilities to its own rows and, reversed, to their image
-    rows, and sink gets the images' regions as the mirror_image of those at
-    u, after the block's own.  Each block also sums the nominal array
-    factor at its rows from the phases psi its regions are rotated by, and
-    at their image rows from -psi, bitwise the phases at -u: a nominal
-    phase inside a symmetric interval need not be 0.  The curve holds the
-    nominal power and its peak, which is 0 where the nominal pattern
-    vanishes at every sample, as it may on a sub-grid: power_bounds, not
-    the pass, rejects a zero peak.
+    k_regions rings; and, when sink is given, sink(block) with the block's
+    Block.  Then the block is dropped, so no array of every region, or of
+    every row's steering phases, is ever held.  Where mirrored_rows finds
+    the mirror symmetry, only the rows from u = 0 on are summed, and each
+    Block maps its rows at u to their image rows at -u: the pass writes
+    the block's vertex counts, bounds and ring probabilities through
+    Block.scatter, and the sink reads the images' regions from
+    Block.regions, after the block's own.  After the regions are dropped,
+    so that its (N, rows) temporaries never join them, each block sums the
+    nominal array factor at its rows from the phases psi its regions are
+    rotated by, and at their image rows from the steering phases at -u,
+    bitwise -psi: a nominal phase inside a symmetric interval need not be
+    0.  The curve holds the nominal power and its peak, which is 0 where
+    the nominal pattern vanishes at every sample, as it may on a sub-grid:
+    power_bounds, not the pass, rejects a zero peak.
     """
-    n_u, rings, radii_per_row = len(grid), None, 0
+    u, n_u, rings, radii_per_row = grid.samples, len(grid), None, 0
     if k_regions is not None:
         check_integer("k_regions", k_regions, 1)
         # C order, since numpy's sums along the grid round by memory layout
@@ -142,16 +182,11 @@ def interval_af_curve(
     amplitudes = np.array([[e.nominal_amplitude] for e in scenario.elements])
     phases = np.array([[e.nominal_phase] for e in scenario.elements])
     row_bytes = 16 * int(sectors[1].sum()) + _RING_AREA_BYTES * radii_per_row
-    for block in _row_blocks(n_u - mirrored, row_bytes, _PASS_BYTES):
-        rows = slice(mirrored + block.start, mirrored + block.stop)
-        # grid row r's image is row n_u - 1 - r, for the block's rows from first on
-        first = max(0, n_u - 2 * mirrored - block.start)
-        images = slice(n_u - mirrored - block.stop, n_u - rows.start - first)
-        psi = steering_phases(scenario, grid.samples[rows])
-        # before the sums, so the nominal's (N, rows) temporaries are gone by then
-        nominal[rows] = _nominal_af(amplitudes, phases, psi)
-        nominal[images] = _nominal_af(amplitudes, phases, -psi[first:][::-1])
+    for summed in _row_blocks(n_u - mirrored, row_bytes, _PASS_BYTES):
+        rows = slice(mirrored + summed.start, mirrored + summed.stop)
+        psi = steering_phases(scenario, u[rows])
         vertices, n, welded = rotated_minkowski_sums(*sectors, psi)
+        block = Block.of(rows, n_u, mirrored, vertices=vertices, n_vertices=n)
         block_lo, block_hi = modulus_bounds(vertices, n)
         reach = slack + welded
         block_lo, block_hi = np.maximum(block_lo - reach, 0.0), block_hi + reach
@@ -160,14 +195,13 @@ def interval_af_curve(
             radii = _ring_radii(block_lo, block_hi, k_regions)
             values += zip(rings, _ring_probabilities(radii, vertices, n))
         for target, value in values:
-            target[..., rows] = value
-            target[..., images] = value[..., first:][..., ::-1]
+            block.scatter(target, value)
         if sink is not None:
-            sink(rows.start, vertices, n)
-            if first < len(n):
-                image_n = n[first:][::-1]
-                sink(images.start, mirror_image(vertices[first:][::-1], image_n), image_n)
-        del vertices  # so the next block's sum does not hold it too
+            sink(block)
+        images = block.images
+        del vertices, block  # so neither the nominal nor the next block's sum holds them too
+        nominal[rows] = _nominal_af(amplitudes, phases, psi)
+        nominal[images] = _nominal_af(amplitudes, phases, steering_phases(scenario, u[images]))
     nominal_power = np.abs(nominal) ** 2
     return PowerBoundsCurve(
         scenario, grid, sectors, n_vertices, lo, hi, nominal_power,
@@ -309,7 +343,7 @@ def power_bounds(
     The sectors are polygonized once at arc_points, and one region pass
     (interval_af_curve) over them takes the bounds and, when k_regions is
     given, the probabilities of its k_regions rings, which probability_map
-    then reads, and hands each block of regions to sink.  A sector_reach
+    then reads, and hands sink one Block per block of regions.  A sector_reach
     outside _MODULUS_RANGE raises ValidationError before any region is
     built; inside it the power bounds, and the nominal peak they contain,
     are finite.  A nominal pattern that is zero at every grid sample raises

@@ -110,14 +110,15 @@ def disc_polygon_area_exact(radii, vertices) -> np.ndarray:
 def _region_sink(rows) -> tuple[dict, Callable]:
     """({row: region}, sink): a region-pass sink that keeps the regions at the grid rows in rows.
 
-    Each region is kept unpadded, as a copy, so no pass block outlives the
-    sink call that handed it over.
+    Each region, mirror images included, is kept unpadded, as a copy, so no
+    pass block outlives the sink call that handed it over.
     """
     regions, wanted = {}, set(rows)
 
-    def sink(first, vertices, n_vertices):
-        for i in wanted.intersection(range(first, first + len(n_vertices))):
-            regions[i] = vertices[i - first, : n_vertices[i - first]].copy()
+    def sink(block):
+        for first, vertices, n_vertices in block.regions():
+            for i in wanted.intersection(range(first, first + len(n_vertices))):
+                regions[i] = vertices[i - first, : n_vertices[i - first]].copy()
 
     return regions, sink
 

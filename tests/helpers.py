@@ -6,8 +6,9 @@ the shoelace formula, the closed-form circular segment, element-by-element
 math.cos/sin for the nominal pattern, an element loop with its own
 steering phases for the nominal curve, numpy's complex exp for the
 excitation draws, SplitMix64 one Python integer at a time for the random
-words, the law of cosines for the exact law of one toleranced element), so
-agreement is evidence rather than tautology.
+words, the law of cosines for the exact laws of one toleranced element
+and of two with fixed amplitudes), so agreement is evidence rather than
+tautology.
 
 The package keeps polygons only as padded arrays (arraytol.geometry).  The
 one-row calls here run its batched kernels on a single polygon, given and
@@ -129,11 +130,12 @@ AWKWARD = {name: SMOKE | changes for name, changes in {
 
 
 def pass_regions(scenario, grid, arc_points: int = 8, k_regions=None):
-    """(regions, pass): each grid row's region as the region pass hands it to its sink.
+    """(regions, pass): each grid row's region as the region pass's Blocks yield it to its sink.
 
     The pass sums the scenario's element_sectors at arc_points.  regions[i]
-    is row i's unpadded vertex array, as validate._region_sink keeps it; pass is the
-    PowerBoundsCurve interval_af_curve returns.
+    is row i's unpadded vertex array, as validate._region_sink keeps it from
+    Block.regions(), mirror images included; pass is the PowerBoundsCurve
+    interval_af_curve returns.
     """
     kept, sink = _region_sink(range(len(grid)))
     sectors = element_sectors(scenario, arc_points)
@@ -364,6 +366,42 @@ def one_element_ring_law(config, u: float, radii, nodes: int = 4000) -> np.ndarr
     def cdf(r):
         alpha = np.arccos(np.clip((r * r - abs(c) ** 2 - a * a) / (2.0 * abs(c) * a), -1.0, 1.0))
         return float(np.mean(inside(hi, alpha) - inside(lo, alpha))) / (hi - lo)
+
+    return np.diff([0.0, *(cdf(r) for r in np.asarray(radii)[1:-1]), 1.0])
+
+
+def two_element_ring_law(config, u: float, radii) -> np.ndarray:
+    """Exact ring probabilities of |AF(u)| for two elements of config with fixed amplitudes.
+
+    Element n has amplitude a_n, whose interval must have no width, and a
+    phase phi_n uniform on its phase interval [l_n, h_n], of width w_n > 0;
+    psi = 2 pi d u is element 1's steering phase.  By the law of cosines,
+    |AF|^2 = a_0^2 + a_1^2 + 2 a_0 a_1 cos(psi + D), with D = phi_1 - phi_0,
+    so |AF| < r where psi + D lies strictly between alpha and 2 pi - alpha
+    (mod 2 pi), alpha = arccos t, t = (r^2 - a_0^2 - a_1^2) / (2 a_0 a_1).
+    D's law is trapezoidal: P(D <= x) is the area of {s + y <= x - (l_1 - h_0)}
+    in the w_0-by-w_1 box (s, y) >= 0, divided by w_0 w_1, which four ramps
+    max(., 0)^2 / 2 give in closed form.  The rings are one_element_ring_law's.
+    """
+    (a0, a0_hi, l0, h0), (a1, a1_hi, l1, h1) = _config_intervals(config)
+    if (a0, a1) != (a0_hi, a1_hi) or not (h0 > l0 and h1 > l1):
+        raise ValueError("the law needs fixed amplitudes and phase intervals with width")
+    psi = 2.0 * math.pi * config["spacing_wavelengths"] * u
+
+    def ramp(x):
+        return np.maximum(x, 0.0) ** 2 / 2.0
+
+    def difference_cdf(x):
+        """P(D <= x)."""
+        return (ramp(x - (l1 - h0)) - ramp(x - (l1 - l0)) - ramp(x - (h1 - h0))
+                + ramp(x - (h1 - l0))) / ((h0 - l0) * (h1 - l1))
+
+    def cdf(r):
+        alpha = math.acos(min(max((r * r - a0 * a0 - a1 * a1) / (2.0 * a0 * a1), -1.0), 1.0))
+        turns = 2.0 * math.pi * np.arange(-2, 3)  # D spans less than a turn
+        inside = difference_cdf(turns + 2.0 * math.pi - alpha - psi) - difference_cdf(
+            turns + alpha - psi)
+        return float(inside.sum())
 
     return np.diff([0.0, *(cdf(r) for r in np.asarray(radii)[1:-1]), 1.0])
 

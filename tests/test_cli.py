@@ -162,21 +162,28 @@ class TestRegionPass:
             monkeypatch.setattr(cli, "_PASS_BYTES", pass_bytes)
             out = tmp_path / str(pass_bytes)
             assert main(["bounds", "--config", str(cfg), "--out", str(out), "--dump-polygons"]) == 0
-            blocks = []
+            blocks = []  # each Block's count of summed rows and of image rows
             curve = power_bounds(
                 scen, grid, config["arc_points"], k_regions,
-                sink=lambda first, vertices, n: blocks.append(first),
+                sink=lambda block: blocks.append(
+                    (len(block.n_vertices), block.images.stop - block.images.start)
+                ),
             )
-            runs.append((curve, (out / "polygons.npy").read_bytes(), len(blocks)))
+            runs.append((curve, (out / "polygons.npy").read_bytes(), blocks))
         (one, one_dump, one_blocks), *others = runs
         for few, few_dump, few_blocks in others:
-            assert few_blocks > 2 * one_blocks
+            assert len(few_blocks) > 2 * len(one_blocks)
             for name in ("n_vertices", "modulus_lo", "modulus_hi", "nominal_power"):
                 assert getattr(one, name).tobytes() == getattr(few, name).tobytes(), name
             for a, b in zip(one.rings, few.rings, strict=True):
                 assert a.tobytes() == b.tobytes()
             assert one_dump == few_dump
-        assert others[-1][2] == len(grid)  # one-row blocks: the sink gets each row alone
+        for _, _, blocks in runs:  # the blocks' rows and image rows cover the grid once
+            assert sum(summed + images for summed, images in blocks) == len(grid)
+            assert sum(images for _, images in blocks) == one.mirrored
+        # one-row blocks: the sink gets each summed row alone, with its image if it has one
+        assert others[-1][2] == [(1, int(i >= len(grid) - one.mirrored))
+                                 for i in range(one.mirrored, len(grid))]
         # the dump of one block holds the regions the pass hands its sink in
         # blocks of a few rows, byte for byte
         dump = np.load(tmp_path / str(_PASS_BYTES) / "polygons.npy")
@@ -1146,8 +1153,8 @@ class TestSizeBudget:
             ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6, 8, 3),
             # the steering matrix and the Minkowski blocks of a long array
             (taylor_taper(256), 7.0, 0, 1001, 2, 8, 3),
-            # rows far wider than a kernel block
-            ((0.5, 0.8), 0.0, 0, 3, 50_000, 8, 3),
+            # rows far wider than a kernel block: a one-row block per summed row
+            ((0.5, 0.8), 0.0, 0, 3, 50_000, 8, 2),
             # five zero-tolerance elements, one vertex each: rows of 15
             # vertices, so a pass block takes many rows
             ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 8, 3),
@@ -1171,7 +1178,7 @@ class TestSizeBudget:
             "xi_percent": 2.0,
             "gamma_deg": 4.0,
         })
-        # the sink calls of the run's pass, the first _region_sink, and its
+        # the Blocks of the run's pass, the first _region_sink's, and its
         # curve, the one run_mc's map was built from
         # two CPUs, so two Monte Carlo workers at most, whatever the machine
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1182,7 +1189,7 @@ class TestSizeBudget:
             regions, keep = region_sink(rows)
             blocks = []
             sinks.append(blocks)
-            return regions, lambda first, *block: blocks.append(first) or keep(first, *block)
+            return regions, lambda block: blocks.append(block.rows) or keep(block)
 
         monkeypatch.setattr(validate, "_region_sink", counted)
         monkeypatch.setattr(validate, "run_mc", lambda pmap, *a, **kw: maps.append(pmap)

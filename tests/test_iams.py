@@ -484,12 +484,14 @@ class TestMirror:
         regions, _ = pass_regions(nudged, uniform_grid(41))
         blocks = []  # power_bounds' sink, which gets every row of its one polygonization
         curve = power_bounds(
-            nudged, uniform_grid(41), sink=lambda *block: blocks.append(block)
+            nudged, uniform_grid(41), sink=lambda block: blocks.append(list(block.regions()))
         )
         assert curve.mirrored == 0
         assert [len(r) for r in regions] == curve.n_vertices.tolist()
-        assert sum(len(n) for _, _, n in blocks) == 41
-        for first, vertices, n_vertices in blocks:
+        runs = [run for block in blocks for run in block]
+        assert len(runs) == len(blocks)  # no block has image rows
+        assert sum(len(n) for _, _, n in runs) == 41
+        for first, vertices, n_vertices in runs:
             for row, n, region in zip(vertices, n_vertices, regions[first:]):
                 assert row[:n].tobytes() == region.tobytes()
                 assert np.all(row[n:] == row[0])
@@ -575,6 +577,28 @@ class TestRegionPass:
         assert curve.mirrored == 0 and curve.n_vertices.max() == 768
         assert peak < 501 * 768 * 16 / 2
 
+    @pytest.mark.parametrize("k_regions", [None, 1])
+    def test_narrow_rows_take_no_more_than_wide_ones(self, k_regions):
+        # five of six elements with zero tolerance: rows of 15 vertices, so
+        # one pass block holds 2001 rows, and the Minkowski sum's trace
+        # arrays, (rows, N, width), must be blocked by N * width, not by 15
+        peaks = []
+        for exact in (5, 0):
+            elements = [{"amplitude": a, "phase_deg": 0.0} for a in (0.5, 0.8, 1.0, 1.0, 0.8, 0.5)]
+            for element in elements[:exact]:
+                element.update(amplitude_lo=element["amplitude"], amplitude_hi=element["amplitude"],
+                               phase_lo_deg=0.0, phase_hi_deg=0.0)
+            scen = scenario_from_config({"spacing_wavelengths": 0.5, "elements": elements,
+                                         "xi_percent": 2.0, "gamma_deg": 4.0})
+            grid = uniform_grid(4001)
+            tracemalloc.start()
+            try:
+                power_bounds(scen, grid, 6, k_regions)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
     @pytest.mark.parametrize("config", [SMOKE, AWKWARD["steered-60"]], ids=["smoke", "steered-60"])
     def test_every_stage_takes_the_phases_of_steering_phases(self, config, monkeypatch):
         # 40 deg * n * u more per element: odd in u, as the mirror requires
@@ -595,6 +619,32 @@ class TestRegionPass:
         assert not np.allclose(curve.nominal_power, np.abs(nominal_af_curve(scen, grid)) ** 2)
         mc = run_mc(probability_map(curve), 2000, seed=1)
         assert np.all(curve.p_lo <= mc.per_u_min) and np.all(mc.per_u_max <= curve.p_hi)
+
+    @pytest.mark.parametrize("pass_bytes", [iams._PASS_BYTES, 1], ids=["one-block", "one-row"])
+    @pytest.mark.parametrize(
+        "config, n_u",
+        [(SMOKE, 41), (SMOKE, 40), (AWKWARD["steered-60"], 41), (SMOKE, 2), (SMOKE, 3)],
+        ids=["odd", "even", "steered", "2", "3"],
+    )
+    def test_every_grid_row_reaches_the_sink_once(self, config, n_u, pass_bytes, monkeypatch):
+        monkeypatch.setattr(iams, "_PASS_BYTES", pass_bytes)
+        scen = scenario_from_config(config)
+        regions, counts = {}, []
+
+        def sink(block):
+            for first, vertices, n_vertices in block.regions():
+                for j, n in enumerate(n_vertices):
+                    counts.append(first + j)
+                    regions[first + j] = vertices[j].copy(), n
+
+        curve = power_bounds(scen, uniform_grid(n_u), config["arc_points"], sink=sink)
+        assert sorted(counts) == list(range(n_u))
+        assert [regions[i][1] for i in range(n_u)] == curve.n_vertices.tolist()
+        assert curve.mirrored == (0 if config is AWKWARD["steered-60"] else n_u // 2)
+        for i in range(curve.mirrored):  # each image row against its partner's mirror image
+            row, n = regions[n_u - 1 - i]
+            image = iams.mirror_image(row[None, :], [n])[0]
+            assert regions[i][1] == n and regions[i][0][:n].tobytes() == image[:n].tobytes()
 
     def test_a_ring_count_not_asked_for_raises(self, small_scenario):
         # the ring count is given once, to the pass; a curve without rings has none to map

@@ -30,6 +30,7 @@ from arraytol.validate import run_validation
 from helpers import (
     nominal_af_curve,
     one_element_ring_law,
+    two_element_ring_law,
     reference_draw,
     reference_uniforms,
     splitmix64_words,
@@ -236,12 +237,20 @@ ONE_LIVE = {
     "a_lo=0": {"spacing_wavelengths": 0.7,
                "elements": [_fixed(0.7, 0.0), _live(0.5, 0.0, 0.0, 1.0, -10.0, 10.0)]},
 }
+# two elements with fixed amplitudes 1 and 0.7 and +-10 deg phases: the
+# difference of their phases has a triangular law
+TWO_LIVE = {"spacing_wavelengths": 0.5, "xi_percent": 0.0, "gamma_deg": 10.0,
+            "elements": [_fixed(1.0, 0.0), _fixed(0.7, 0.0)]}
+# each config's exact ring law
+LAWS = {**{name: (config, one_element_ring_law) for name, config in ONE_LIVE.items()},
+        "two-live": (TWO_LIVE, two_element_ring_law)}
 # the chi-square(4) quantile at upper tail 1e-6: scipy.stats.chi2.isf(1e-6, 4) = 33.3768...
 CHI2_4_TAIL_1E_6 = 33.38
 
 
 class TestExactLaw:
-    """run_mc's ring counts against the exact law of one toleranced element (Pearson's chi-square).
+    """run_mc's ring counts against the exact law of one toleranced element, or of two
+    with fixed amplitudes (Pearson's chi-square).
 
     K = 5 rings on 11 directions, 2e4 samples from seed 0: each row's chi-square
     has 4 degrees of freedom, and a sound sampler exceeds the 1e-6 tail
@@ -249,22 +258,23 @@ class TestExactLaw:
     """
 
     @staticmethod
-    def _chi2(config, n_samples=20_000):
+    def _chi2(name, n_samples=20_000):
         """The chi-square of each grid row's ring counts against the exact law."""
+        config, law = LAWS[name]
         pmap = _pmap(scenario_from_config(config), uniform_grid(11), 5)
         counts = run_mc(pmap, n_samples, seed=0).region_frequencies * n_samples
         stats = []
         for i, u in enumerate(pmap.bounds.grid.samples):
-            expected = n_samples * one_element_ring_law(config, u, pmap.ring_radii[i])
+            expected = n_samples * law(config, u, pmap.ring_radii[i])
             assert expected.min() >= 5.0  # Pearson's approximation holds
             stats.append(float(((counts[:, i] - expected) ** 2 / expected).sum()))
         return np.array(stats)
 
-    @pytest.mark.parametrize("name", ONE_LIVE)
+    @pytest.mark.parametrize("name", LAWS)
     def test_ring_counts_follow_the_law(self, name):
-        assert self._chi2(ONE_LIVE[name]).max() < CHI2_4_TAIL_1E_6
+        assert self._chi2(name).max() < CHI2_4_TAIL_1E_6
 
-    @pytest.mark.parametrize("name", ONE_LIVE)
+    @pytest.mark.parametrize("name", LAWS)
     def test_fails_draws_from_the_middle_half_of_each_interval(self, name, monkeypatch):
         box = montecarlo._tolerance_box
 
@@ -273,7 +283,7 @@ class TestExactLaw:
             return lo + 0.25 * width, 0.5 * width
 
         monkeypatch.setattr(montecarlo, "_tolerance_box", middle_half)
-        assert self._chi2(ONE_LIVE[name]).min() > CHI2_4_TAIL_1E_6
+        assert self._chi2(name).min() > CHI2_4_TAIL_1E_6
 
 
 class TestRunMcMemory:
