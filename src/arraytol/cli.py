@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import _row_blocks, pad_rows
-from .iams import _PASS_BYTES, PowerBoundsCurve, power_bounds, power_db
+from .geometry import _row_blocks, kernel_bytes, pad_rows
+from .iams import _PASS_BYTES, PowerBoundsCurve, power_bounds, power_db, row_bytes
 from .model import (
     ArrayScenario,
     check_integer,
@@ -28,9 +28,9 @@ from .model import (
     scenario_from_config,
     uniform_grid,
 )
-from .montecarlo import _BLOCK_BYTES, _CHUNK_BYTES, _PROBE_BYTES, SAMPLE_LIMIT, SEED_LIMIT, run_mc
+from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, max_workers, run_mc, worker_bytes
 from .pia import ProbabilityMap, feature_report, probability_map
-from .validate import format_results, run_validation
+from .validate import KEPT_REGIONS, format_results, run_validation
 
 
 @dataclass(frozen=True)
@@ -48,16 +48,18 @@ class RunConfig:
     dump_polygons: bool
 
 
-# The integer run fields: each one's config key (and RunConfig field), the
-# flag that overrides it, its least value, the value it must stay below
-# (None: only run_bytes bounds it), its default (None: required) and the
-# flag's help.  The limits keep the sample count within the int64 ring
-# counts and the seed within the two 64-bit words the Monte Carlo key is
-# derived from.
-_RUN_FIELDS = (
+# The integer run fields, the size fields first: each one's config key (and
+# RunConfig field), the flag that overrides it, its least value, the value it
+# must stay below (None: only run_bytes bounds it), its default (None:
+# required) and the flag's help.  The limits keep the sample count within the
+# int64 ring counts and the seed within the two 64-bit words the Monte Carlo
+# key is derived from.
+_SIZE_FIELDS = (
     ("k_regions", "--k", 1, None, None, "number of probability rings"),
     ("n_u", "--nu", 2, None, None, "number of angular samples"),
     ("arc_points", "--arc-points", 2, None, None, "outer-arc vertices per excitation sector"),
+)
+_RUN_FIELDS = _SIZE_FIELDS + (
     ("mc_samples", "--mc-samples", 1, SAMPLE_LIMIT, 100_000, "Monte Carlo sample count"),
     ("seed", "--seed", 0, SEED_LIMIT, 0, "Monte Carlo seed"),
 )
@@ -71,30 +73,23 @@ _BYTE_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int:
     """An upper estimate of the bytes a run allocates at its peak, validate's included.
 
-    The coefficients are tracemalloc peaks, rounded up, of validate's runs,
-    whose one region pass takes the K + 1 ring boundaries:
-    - the larger of the region pass and the Monte Carlo, which run one
-      after the other: 2 MiB for one block of the pass with its ring-area
-      temporaries, which the pass sizes together, and the geometry
-      kernels' fixed-size blocks; and for each of run_mc's workers, one per
-      CPU this process may run on, its chunk, whose excitations, power
-      rows and probe columns run_mc sizes together, its product block, and
-      the _PROBE_BYTES more of probe columns it batches;
-    - per vertex of the widest row, N * (arc_points + 4) of them, 1200
-      bytes (the sectors, kernel temporaries where one row is wider than a
-      kernel block, and validate's support functions) plus 8 per ring
-      boundary (the ring areas);
-    - per grid row, 64 bytes plus 80 per ring (the curve, the ring map and
-      the Monte Carlo counts), and 16 per element (the Monte Carlo steering
-      matrix).
-    Affine in each size field, as _check_size assumes.
-    """
-    width, boundaries = n_elements * (arc_points + 4), k_regions + 1
-    # run_mc's workers at most; without sched_getaffinity there is no
-    # /proc/self/maps either, where run_mc looks for OpenBLAS, so one runs
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return (max(2 * _PASS_BYTES, workers * (_CHUNK_BYTES + _BLOCK_BYTES + _PROBE_BYTES))
-            + width * (1200 + 8 * boundaries) + n_u * (64 + 80 * k_regions + 16 * n_elements))
+    Each module counts what it allocates: arrays held per grid row; the larger
+    of a pass block with the kernels' and the Monte Carlo workers', which run
+    in turn; and for the widest region, N * (arc_points + 4) vertices, a pass
+    row, the kernels' temporaries on it and validate's copies.  Affine in each
+    size field, as _check_size assumes."""
+    width, radii, workers = n_elements * (arc_points + 4), k_regions + 1, max_workers()
+    kernels, kernel_row = kernel_bytes(width, radii)
+    mc_fixed, mc_row = worker_bytes(n_elements, k_regions)
+    # per grid row, float64 unless named: the grid; the run's and validate's zero-tolerance
+    # curves' int64 vertex counts, bounds, complex128 nominal, power, K probabilities, bool
+    # degenerate flags, K + 1 radii and dB; the Monte Carlo's N complex128 steering phasors,
+    # K - 1 boundaries, envelope, K + 1 and K int64 counts and K frequencies
+    curve = 8 * (1 + 2 + 2 + 1 + k_regions + 2 * radii) + 1
+    mc = 16 * n_elements + 8 * (k_regions - 1 + 2 + radii + 2 * k_regions)
+    held = 8 + 2 * curve + mc + workers * mc_row
+    return (max(_PASS_BYTES + kernels, workers * mc_fixed) + n_u * held
+            + row_bytes(width, radii) + kernel_row + 16 * width * KEPT_REGIONS)
 
 
 def _check_size(n_elements: int, fields: dict) -> None:
@@ -104,11 +99,11 @@ def _check_size(n_elements: int, fields: dict) -> None:
     within the budget, and the limit it must then stay below: run_bytes is
     affine in each field.
     """
-    size = {key: fields[key] for key, *_ in _RUN_FIELDS[:3]}  # the size fields
+    size = {key: fields[key] for key, *_ in _SIZE_FIELDS}
     if run_bytes(n_elements, **size) <= _BYTE_BUDGET:
         return
     fixes = []
-    for key, _, least, *_ in _RUN_FIELDS[:3]:
+    for key, _, least, *_ in _SIZE_FIELDS:
         base = run_bytes(n_elements, **size | {key: 0})
         limit = (_BYTE_BUDGET - base) // (run_bytes(n_elements, **size | {key: 1}) - base) + 1
         if limit > least:
@@ -170,14 +165,15 @@ def _write_csv(run: RunConfig, name: str, header: str, blocks) -> None:
     as repr of its Python values: integers as digits, floats as round-trip
     decimals or `inf`, `-inf`, `nan`.  Any other column holds ready-made
     strings, such as one direction's u repeated on each of its rows.  Only
-    one block is held as text at a time; callers pass one direction's rows,
-    or one row per direction.
+    1024 rows of a block, about 540 bytes a row, are held as text at a time.
     """
     with open(_out_path(run, name), "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for block in blocks:
-            cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c for c in block]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            for rows in _row_blocks(len(block[0]), 1, 1024):
+                cells = [map(repr, c[rows].tolist()) if isinstance(c, np.ndarray) else c[rows]
+                         for c in block]
+                fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _ring_blocks(grid, *columns):

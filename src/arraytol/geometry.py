@@ -37,11 +37,20 @@ _TWO_PI = 2.0 * math.pi
 # A batched Minkowski sum processes directions in blocks of about this many
 # operand vertices, rows * N * width, which bounds its (rows, N, width) traces.
 _BLOCK_EDGES = 10_000
+# Its bytes per operand vertex at _normalize's peak: the trace, steps, welded
+# steps, steps in and out (complex128); lengths in, out and welded, next long
+# step, cross products, their two bounds and a product (8 bytes each)
+_EDGE_BYTES = 5 * 16 + 8 * 8
 
 # Ring areas work on blocks of about this many (region, radius, vertex)
 # triples, small enough that their temporaries do not raise peak memory
 # and stay in cache.
 _BLOCK_TRIPLES = 80_000
+# _vertex_pass' bytes per triple: a candidate edge's float64 radius and 8 bool
+# masks; per vertex, as 10 radii: prefix sums, edge ends, a* b, a candidate's
+# start and direction (complex128); |a|**2, min(|a|**2, |b|**2), a candidate's
+# 3 indices, squared length, foot parameter and distance, 2 more (8 bytes each)
+_TRIPLE_BYTES, _VERTEX_RADII = 16, 10
 
 
 def _normalize(vs: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,6 +196,12 @@ def _row_blocks(n_rows: int, row_size: int, size: int = _BLOCK_EDGES) -> list[sl
     """Slices of consecutive rows, up to n_rows, holding about size elements each."""
     step = max(1, size // max(1, row_size))
     return [slice(first, min(first + step, n_rows)) for first in range(0, n_rows, step)]
+
+
+def kernel_bytes(width: int, radii: int) -> tuple[int, int]:
+    """(a block, a row width wide): the kernels' most temporaries, the ring areas' per vertex."""
+    blocks = max(_EDGE_BYTES * _BLOCK_EDGES, _TRIPLE_BYTES * _BLOCK_TRIPLES)
+    return blocks, _TRIPLE_BYTES * (radii + _VERTEX_RADII) * width
 
 
 def pad_rows(vertices: np.ndarray, width: int) -> np.ndarray:
@@ -381,9 +396,9 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     forms.  The crossing formula's limits at the class boundaries are the
     run terms, so a class decided wrongly in the last bit costs no more
     than round-off.  The per-vertex work runs in blocks of about
-    _BLOCK_TRIPLES (region, radius, vertex) triples, four more radii
-    counted for the per-vertex arrays; the cut edges are then taken all at
-    once.
+    _BLOCK_TRIPLES (region, radius, vertex) triples, _VERTEX_RADII more
+    radii counted for the per-vertex arrays; the cut edges are then taken
+    all at once.
     """
     r2 = np.asarray(radii, dtype=np.float64) ** 2
     vertices = np.asarray(vertices, dtype=np.complex128)
@@ -391,7 +406,7 @@ def disc_polygon_areas(radii, vertices, n_vertices) -> np.ndarray:
     per_row, width = r2.shape[1], vertices.shape[1]
     cut, before, after = [], [], []
     ring = np.zeros(len(vertices), dtype=np.complex128)  # each region's prefix sums' total
-    for rows, a in _region_blocks(vertices, n_vertices, per_row + 4, _BLOCK_TRIPLES):
+    for rows, a in _region_blocks(vertices, n_vertices, per_row + _VERTEX_RADII, _BLOCK_TRIPLES):
         ring[rows], (row, k, e), sums = _vertex_pass(a, r2[rows])
         cut.append((rows[row] * per_row + k) * width + e)
         before.append(sums[0])

@@ -31,9 +31,11 @@ _MODULUS_RANGE = (1e-72, 1e72)
 # regions are all the pass holds.
 _PASS_BYTES = 1 << 20
 
-# Bytes, about, that disc_polygon_areas takes per region and ring radius
-# for the cut edges it gathers over a whole block (tracemalloc peaks).
-_RING_AREA_BYTES = 640
+# Bytes disc_polygon_areas takes per region and ring radius: two cut edges,
+# as a circle usually makes on a convex region, each with its gathered int64
+# index and two complex128 prefix sums and 35 8-byte words of _crossed_areas'
+# temporaries (250-259 bytes a cut edge, traced)
+_RING_AREA_BYTES = 2 * (8 + 2 * 16 + 35 * 8)
 
 # Relative size, against the region's area, of a negative ring area that is
 # still taken for round-off and clipped to zero.
@@ -146,9 +148,8 @@ def interval_af_curve(
     direction u element n's sector is rotated by the steering phase
     2*pi*spacing*n*u, and the region, their Minkowski sum, contains the
     nominal array factor.  The grid's rows are summed in blocks of about
-    _PASS_BYTES of regions and ring-area temporaries (_RING_AREA_BYTES per
-    region and ring radius), each from its own rows' steering phases, and
-    each block is reduced before the next is summed: its modulus bounds,
+    _PASS_BYTES (row_bytes a row), each from its own rows' steering phases,
+    and each block is reduced before the next is summed: its modulus bounds,
     widened by the rounding_allowance of the sectors, which checks their
     sector_reach before the sum, and each row's by the length of the steps
     its normalization welded, which bounds how far the weld moved the
@@ -181,8 +182,8 @@ def interval_af_curve(
     lo, hi, nominal = np.empty(n_u), np.empty(n_u), np.empty(n_u, dtype=complex)
     amplitudes = np.array([[e.nominal_amplitude] for e in scenario.elements])
     phases = np.array([[e.nominal_phase] for e in scenario.elements])
-    row_bytes = 16 * int(sectors[1].sum()) + _RING_AREA_BYTES * radii_per_row
-    for summed in _row_blocks(n_u - mirrored, row_bytes, _PASS_BYTES):
+    per_row = row_bytes(int(sectors[1].sum()), radii_per_row)
+    for summed in _row_blocks(n_u - mirrored, per_row, _PASS_BYTES):
         rows = slice(mirrored + summed.start, mirrored + summed.stop)
         psi = steering_phases(scenario, u[rows])
         vertices, n, welded = rotated_minkowski_sums(*sectors, psi)
@@ -207,6 +208,11 @@ def interval_af_curve(
         scenario, grid, sectors, n_vertices, lo, hi, nominal_power,
         float(nominal_power.max()), slack, mirrored, rings,
     )
+
+
+def row_bytes(n_edges: int, radii: int) -> int:
+    """A pass row's bytes, its blocks' unit: n_edges complex128, _RING_AREA_BYTES a radius."""
+    return 16 * n_edges + _RING_AREA_BYTES * radii
 
 
 def _nominal_af(amplitudes, phases, psi) -> np.ndarray:

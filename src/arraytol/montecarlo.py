@@ -238,6 +238,21 @@ def _one_blas_thread(threads):
         set_(count)
 
 
+def max_workers() -> int:
+    """run_mc's most workers: one per usable CPU, one without os.sched_getaffinity."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def worker_bytes(n_elements: int, k_regions: int) -> tuple[int, int]:
+    """(fixed, per grid row): the most bytes of a run_mc worker's buffers, at any sample count
+    and P <= N_u probes: power rows, excitations and probe columns, _CHUNK_BYTES and up to
+    three samples of 8 max(N_u, 2N) + 16 N + 8 P bytes; the probe batch; the product block,
+    _BLOCK_BYTES and rows to the N floor or the chunk's; its envelope and K + 1 counts."""
+    product_rows = min(max(2, n_elements), max(2, _CHUNK_BYTES // (32 * n_elements))) + 1
+    fixed = _CHUNK_BYTES + 3 * 32 * n_elements + _PROBE_BYTES + _BLOCK_BYTES
+    return fixed, 3 * 16 + 16 * product_rows + 8 * (2 + k_regions + 1)
+
+
 def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions=()) -> McReport:
     """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
 
@@ -255,7 +270,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
 
     The chunks, of _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N + 8 P) samples
     for P probed grid samples, at least 2, run on one worker per CPU the
-    process may run on (os.sched_getaffinity), at most one per chunk:
+    process may run on (max_workers), at most one per chunk:
     worker 0 on the calling thread, the others on threads of their own,
     each in a context of its own with a _UFUNC_BUFFER-element ufunc
     buffer.  Each worker takes its next chunk from one queue of them that
@@ -380,7 +395,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         return per_u_min, per_u_max, at_least, hist_counts
 
     blas = _openblas_threads()
-    n_workers = min(len(os.sched_getaffinity(0)), len(starts)) if blas else 1
+    n_workers = min(max_workers(), len(starts)) if blas else 1
     results, failures = [None] * n_workers, []
     queue, lock, binning = iter(starts), threading.Lock(), threading.Lock()
     # every worker's buffers, before any takes a chunk, so the peak does not

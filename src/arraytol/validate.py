@@ -23,6 +23,8 @@ from .montecarlo import run_mc
 from .pia import feature_report, mainlobe_indices, probability_map
 
 REL_TOL = 1e-9
+# the most region copies it makes: 4 oracle rows, their partners, 4 summed again
+KEPT_REGIONS = 2 * 4 + 4
 N_RAYS = 64  # directions along which pattern-symmetry compares regions
 # a ring radius's distance from lo + (hi - lo) * (k / K), relative to hi
 # (at most 0.99 eps on the benchmark workloads and CI's smoke configs)
@@ -256,8 +258,8 @@ def _symmetry_check(pmap, regions) -> CheckResult:
 
 
 def _support(vertices, rays) -> np.ndarray:
-    """The support function of a region along each unit ray of the (rays, 1) column."""
-    return (vertices * rays.conj()).real.max(axis=1)
+    """The support function of a region along each unit ray of rays, one ray at a time."""
+    return np.array([(vertices * ray.conj()).real.max() for ray in rays])
 
 
 def _zero_tolerance_check(bounds, k_regions) -> CheckResult:

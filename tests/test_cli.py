@@ -23,7 +23,7 @@ from arraytol import (
     scenario_from_config,
     uniform_grid,
 )
-from arraytol import cli, iams, montecarlo, validate
+from arraytol import cli, geometry, iams, montecarlo, validate
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
@@ -1145,28 +1145,38 @@ class TestRunFields:
 class TestSizeBudget:
     """build_run_config rejects a run whose run_bytes exceed the budget, before it allocates."""
 
+    # each shape at K = 5 (under its own id) and at K = 1; Monte Carlo runs of
+    # enough samples that both workers fill a chunk, as the default 10**5 do,
+    # since run_bytes counts the workers' full buffers whatever mc_samples
+    _SHAPES = {
+        # enough rows for the region pass to take several blocks
+        "mirrored": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6, 100, 3),
+        "steered": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6, 100, 3),
+        # the steering matrix and the Minkowski blocks of a long array
+        "steered-256": (taylor_taper(256), 7.0, 0, 1001, 2, 200, 3),
+        # rows far wider than a kernel block: a one-row block per summed row
+        "wide-rows": ((0.5, 0.8), 0.0, 0, 3, 50_000, 8, 2),
+        # five zero-tolerance elements, one vertex each: rows of 15
+        # vertices, so a pass block takes many rows
+        "zero-tolerance": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 100, 3),
+        # a wide array on a coarse grid, whose Monte Carlo uniforms, 16 N
+        # bytes a sample, outweigh its power rows; enough samples to
+        # fill a chunk sized by n_u alone (768 KiB / (8 n_u) = 49152)
+        "wide-coarse": (taylor_taper(64), 0.0, 0, 2, 4, 70_000, 1),
+        # N = 1024 on two directions: run_bytes counts N (arc_points + 4)
+        # vertices per region, where these regions have 10 to 720
+        "taylor-1024-mirrored": (taylor_taper(1024), 0.0, 0, 2, 2, 100, 1),
+        "taylor-1024-steered": (taylor_taper(1024), 7.0, 0, 2, 2, 100, 1),
+    }
+
     @pytest.mark.parametrize(
-        "amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks",
-        [
-            # enough rows for the region pass to take several blocks
-            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6, 8, 3),
-            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6, 8, 3),
-            # the steering matrix and the Minkowski blocks of a long array
-            (taylor_taper(256), 7.0, 0, 1001, 2, 8, 3),
-            # rows far wider than a kernel block: a one-row block per summed row
-            ((0.5, 0.8), 0.0, 0, 3, 50_000, 8, 2),
-            # five zero-tolerance elements, one vertex each: rows of 15
-            # vertices, so a pass block takes many rows
-            ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 8, 3),
-            # a wide array on a coarse grid, whose Monte Carlo uniforms, 16 N
-            # bytes a sample, outweigh its power rows; enough samples to
-            # fill a chunk sized by n_u alone (768 KiB / (8 n_u) = 49152)
-            (taylor_taper(64), 0.0, 0, 2, 4, 70_000, 1),
-        ],
-        ids=["mirrored", "steered", "steered-256", "wide-rows", "zero-tolerance", "wide-coarse"],
+        "amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks, k_regions",
+        [pytest.param(*shape, k, id=name if k == 5 else f"{name}-k1")
+         for name, shape in _SHAPES.items() for k in (5, 1)],
     )
     def test_estimate_bounds_the_arrays_a_run_holds(
-        self, monkeypatch, amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks
+        self, monkeypatch, request, amplitudes, steer, exact, n_u, arc_points, mc_samples,
+        least_blocks, k_regions,
     ):
         elements = [{"amplitude": float(a), "phase_deg": steer * n} for n, a in enumerate(amplitudes)]
         for element in elements[:exact]:
@@ -1182,7 +1192,7 @@ class TestSizeBudget:
         # curve, the one run_mc's map was built from
         # two CPUs, so two Monte Carlo workers at most, whatever the machine
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        k_regions, sinks, maps = 5, [], []
+        sinks, maps = [], []
         region_sink, sample = validate._region_sink, validate.run_mc
 
         def counted(rows):
@@ -1205,11 +1215,36 @@ class TestSizeBudget:
         assert int(curve.sectors[1].sum()) == (len(amplitudes) - exact) * (arc_points + 4) + exact
         assert len(blocks) >= least_blocks
         estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
-        width, boundaries = len(amplitudes) * (arc_points + 4), k_regions + 1
-        workers = 2 * (montecarlo._CHUNK_BYTES + montecarlo._BLOCK_BYTES + montecarlo._PROBE_BYTES)
-        assert estimate == (max(2 * _PASS_BYTES, workers) + width * (1200 + 8 * boundaries)
-                            + n_u * (64 + 80 * k_regions + 16 * len(amplitudes)))
-        assert peak <= estimate <= 2.2 * peak
+        width, radii = len(amplitudes) * (arc_points + 4), k_regions + 1
+        kernels, kernel_row = geometry.kernel_bytes(width, radii)
+        mc_fixed, mc_row = montecarlo.worker_bytes(len(amplitudes), k_regions)
+        curve_row = 8 * (1 + 2 + 2 + 1 + k_regions + 2 * radii) + 1
+        mc = 16 * len(amplitudes) + 8 * (k_regions - 1 + 2 + radii + 2 * k_regions)
+        assert estimate == (max(_PASS_BYTES + kernels, 2 * mc_fixed)
+                            + n_u * (8 + 2 * curve_row + mc + 2 * mc_row)
+                            + iams.row_bytes(width, radii) + kernel_row
+                            + 16 * width * validate.KEPT_REGIONS)
+        assert peak <= estimate
+        if len(amplitudes) == 1024:  # the widest-row terms count vertices these regions lack
+            request.node.add_marker(pytest.mark.xfail(
+                strict=True, reason="estimate 2.6-2.9 times the peak: 6144 counted vertices a row"))
+        assert estimate <= 2.2 * peak
+
+    def test_bounds_text_does_not_grow_with_the_grid(self, tmp_path):
+        """bounds.csv is written 1024 rows at a time, so per direction a run
+        holds its arrays (the curve's and the written columns), not its text,
+        which run_bytes does not count: about 500 bytes a row as Python objects."""
+        cfg = _write_config(tmp_path / "cfg.json")
+        peaks = []
+        for n_u in (10_001, 20_001):
+            tracemalloc.start()
+            try:
+                assert main(["bounds", "--config", str(cfg), "--out", str(tmp_path),
+                             "--nu", str(n_u)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 10_000 < 100
 
     @pytest.mark.parametrize("key, flag", [("k_regions", "--k"), ("n_u", "--nu"),
                                            ("arc_points", "--arc-points")])
