@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .geometry import _row_blocks, kernel_bytes, pad_rows
-from .iams import _PASS_BYTES, PowerBoundsCurve, power_bounds, power_db, row_bytes
+from .geometry import _row_blocks, pad_rows
+from .iams import _PASS_BYTES, PowerBoundsCurve, curve_bytes, pass_bytes, power_bounds, power_db
 from .model import (
     ArrayScenario,
     check_integer,
@@ -28,8 +28,8 @@ from .model import (
     scenario_from_config,
     uniform_grid,
 )
-from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, max_workers, run_mc, worker_bytes
-from .pia import ProbabilityMap, feature_report, probability_map
+from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, mc_bytes, run_mc
+from .pia import ProbabilityMap, feature_report, map_bytes, probability_map
 from .validate import KEPT_REGIONS, format_results, run_validation
 
 
@@ -68,45 +68,55 @@ _RUN_FIELDS = _SIZE_FIELDS + (
 # The most bytes run_bytes may estimate, the machine's physical memory; a
 # larger run is a config error, raised before anything is allocated.
 _BYTE_BUDGET = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# The Python objects that run_bytes' array counts leave out: dataclasses, threads, contexts,
+# OpenBLAS handles (an allowance: up to about 60 KiB traced at run_mc's peak)
+_OBJECT_BYTES = 128 << 10
+_CSV_ROWS = 1024  # the rows of a block _write_csv holds as text at a time
 
 
-def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int) -> int:
+def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int,
+              mc_samples: int = SAMPLE_LIMIT - 1, n_probes: int = 0) -> int:
     """An upper estimate of the bytes a run allocates at its peak, validate's included.
 
-    Each module counts what it allocates: arrays held per grid row; the larger
-    of a pass block with the kernels' and the Monte Carlo workers', which run
-    in turn; and for the widest region, N * (arc_points + 4) vertices, a pass
-    row, the kernels' temporaries on it and validate's copies.  Affine in each
-    size field, as _check_size assumes."""
-    width, radii, workers = n_elements * (arc_points + 4), k_regions + 1, max_workers()
-    kernels, kernel_row = kernel_bytes(width, radii)
-    mc_fixed, mc_row = worker_bytes(n_elements, k_regions)
-    # per grid row, float64 unless named: the grid; the run's and validate's zero-tolerance
-    # curves' int64 vertex counts, bounds, complex128 nominal, power, K probabilities, bool
-    # degenerate flags, K + 1 radii and dB; the Monte Carlo's N complex128 steering phasors,
-    # K - 1 boundaries, envelope, K + 1 and K int64 counts and K frequencies
-    curve = 8 * (1 + 2 + 2 + 1 + k_regions + 2 * radii) + 1
-    mc = 16 * n_elements + 8 * (k_regions - 1 + 2 + radii + 2 * k_regions)
-    held = 8 + 2 * curve + mc + workers * mc_row
-    return (max(_PASS_BYTES + kernels, workers * mc_fixed) + n_u * held
-            + row_bytes(width, radii) + kernel_row + 16 * width * KEPT_REGIONS)
+    Each module counts the arrays it allocates.  Held from the pass on: the grid, the run's
+    curve and map, validate's kept regions.  On top, the largest of the stages, which run in
+    turn: the pass; run_mc; beside the Monte Carlo report, validate's direct pass over four
+    rows, or its zero-tolerance pass of N point sectors with their curve and map, or a
+    command's output.  Not affine in the size fields, which _check_size bisects."""
+    width, radii = n_elements * (arc_points + 4), k_regions + 1
+    curve, pmap = curve_bytes(n_u, k_regions), map_bytes(n_u, k_regions)
+    # five float64 dB columns, or the grid's Python floats with two; 7 columns' CSV text
+    output = 72 * n_u + min(max(n_u, k_regions), _CSV_ROWS) * (82 * 7 + 57)
+    rest = 8 * n_u * (k_regions + 2) + max(  # the report's envelope and K frequencies
+        pass_bytes(min(n_u, 4), width, radii) + curve_bytes(min(n_u, 4), k_regions),
+        curve + pmap + pass_bytes(n_u, n_elements, radii), output)
+    stages = (pass_bytes(n_u, width, radii), mc_bytes(n_elements, k_regions, n_u, mc_samples,
+                                                      min(n_probes, n_u)), rest)
+    return _OBJECT_BYTES + 8 * n_u + curve + pmap + 16 * width * KEPT_REGIONS + max(stages)
 
 
-def _check_size(n_elements: int, fields: dict) -> None:
+def _check_size(n_elements: int, fields: dict, n_probes: int = 0) -> None:
     """Raise ValidationError when the run_bytes of fields exceed _BYTE_BUDGET.
 
     The message names each size field that alone could bring the run
-    within the budget, and the limit it must then stay below: run_bytes is
-    affine in each field.
+    within the budget, and the limit it must then stay below, which it
+    bisects for: the largest value within the budget, plus one.
     """
     size = {key: fields[key] for key, *_ in _SIZE_FIELDS}
-    if run_bytes(n_elements, **size) <= _BYTE_BUDGET:
+
+    def fits(**change):
+        return run_bytes(n_elements, **size | change, mc_samples=fields["mc_samples"],
+                         n_probes=n_probes) <= _BYTE_BUDGET
+
+    if fits():
         return
     fixes = []
     for key, _, least, *_ in _SIZE_FIELDS:
-        base = run_bytes(n_elements, **size | {key: 0})
-        limit = (_BYTE_BUDGET - base) // (run_bytes(n_elements, **size | {key: 1}) - base) + 1
-        if limit > least:
+        if fits(**{key: least}):
+            low, limit = least, size[key]
+            while limit - low > 1:
+                middle = (low + limit) // 2
+                low, limit = (middle, limit) if fits(**{key: middle}) else (low, middle)
             fixes.append(f"'{key}' must be an integer below {limit}, got {size[key]}")
     raise ValidationError(
         f"the run's arrays would take more than the {_BYTE_BUDGET / 2**30:.1f} GiB of memory: "
@@ -137,10 +147,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             fields[key] = config_number(cfg, key, default=default) if value is None else value
             check_integer(key, fields[key], least, limit)
         check_integer("threads", args.threads, 1)
-        _check_size(scenario.n_elements, fields)
+        probes = tuple(getattr(args, "probe", None) or ())  # mc's own flag
+        _check_size(scenario.n_elements, fields, len(probes))
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    probes = tuple(getattr(args, "probe", None) or ())  # mc's own flag
     for u in probes:
         if not (-1.0 <= u <= 1.0):
             raise ConfigError(f"probe direction {u} must lie in [-1, 1]")
@@ -165,12 +175,14 @@ def _write_csv(run: RunConfig, name: str, header: str, blocks) -> None:
     as repr of its Python values: integers as digits, floats as round-trip
     decimals or `inf`, `-inf`, `nan`.  Any other column holds ready-made
     strings, such as one direction's u repeated on each of its rows.  Only
-    1024 rows of a block, about 540 bytes a row, are held as text at a time.
+    _CSV_ROWS rows of a block are held as text at a time: per cell, a
+    Python float in a list (32 bytes) and up to 25 characters in its line
+    and again in the rows' joined text; per line, its str header and slot.
     """
     with open(_out_path(run, name), "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for block in blocks:
-            for rows in _row_blocks(len(block[0]), 1, 1024):
+            for rows in _row_blocks(len(block[0]), 1, _CSV_ROWS):
                 cells = [map(repr, c[rows].tolist()) if isinstance(c, np.ndarray) else c[rows]
                          for c in block]
                 fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))

@@ -37,19 +37,19 @@ _TWO_PI = 2.0 * math.pi
 # A batched Minkowski sum processes directions in blocks of about this many
 # operand vertices, rows * N * width, which bounds its (rows, N, width) traces.
 _BLOCK_EDGES = 10_000
-# Its bytes per operand vertex at _normalize's peak: the trace, steps, welded
-# steps, steps in and out (complex128); lengths in, out and welded, next long
-# step, cross products, their two bounds and a product (8 bytes each)
+# Its bytes per operand vertex at _normalize's peak: trace, steps, welded steps, steps in
+# and out (complex128); lengths in, out and welded, next long step, cross products, their
+# two bounds and a product (float64 or int64)
 _EDGE_BYTES = 5 * 16 + 8 * 8
 
 # Ring areas work on blocks of about this many (region, radius, vertex)
 # triples, small enough that their temporaries do not raise peak memory
 # and stay in cache.
 _BLOCK_TRIPLES = 80_000
-# _vertex_pass' bytes per triple: a candidate edge's float64 radius and 8 bool
-# masks; per vertex, as 10 radii: prefix sums, edge ends, a* b, a candidate's
-# start and direction (complex128); |a|**2, min(|a|**2, |b|**2), a candidate's
-# 3 indices, squared length, foot parameter and distance, 2 more (8 bytes each)
+# _vertex_pass' bytes per triple: a float64 radius and 8 bool masks; per vertex, counted as
+# _VERTEX_RADII radii: prefix sums, edge ends, a* b, a candidate edge's start and direction
+# (complex128); |a|**2, min(|a|**2, |b|**2), a candidate's 3 indices, squared length, foot
+# parameter and distance and 2 more (8 bytes each), as if every edge were a candidate
 _TRIPLE_BYTES, _VERTEX_RADII = 16, 10
 
 
@@ -198,10 +198,11 @@ def _row_blocks(n_rows: int, row_size: int, size: int = _BLOCK_EDGES) -> list[sl
     return [slice(first, min(first + step, n_rows)) for first in range(0, n_rows, step)]
 
 
-def kernel_bytes(width: int, radii: int) -> tuple[int, int]:
-    """(a block, a row width wide): the kernels' most temporaries, the ring areas' per vertex."""
-    blocks = max(_EDGE_BYTES * _BLOCK_EDGES, _TRIPLE_BYTES * _BLOCK_TRIPLES)
-    return blocks, _TRIPLE_BYTES * (radii + _VERTEX_RADII) * width
+def kernel_bytes(width: int, radii: int) -> int:
+    """The kernels' most temporaries on rows of width vertices and radii ring radii: a block,
+    or one row where it is wider, of the Minkowski sum's and the ring areas' (per vertex)."""
+    return max(_EDGE_BYTES * max(_BLOCK_EDGES, width),
+               _TRIPLE_BYTES * max(_BLOCK_TRIPLES, (radii + _VERTEX_RADII) * width))
 
 
 def pad_rows(vertices: np.ndarray, width: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from .geometry import (
     EPS_GEOM,
     _row_blocks,
     disc_polygon_areas,
+    kernel_bytes,
     modulus_bounds,
     polygonize_interval_phasors,
     rotated_minkowski_sums,
@@ -31,10 +32,10 @@ _MODULUS_RANGE = (1e-72, 1e72)
 # regions are all the pass holds.
 _PASS_BYTES = 1 << 20
 
-# Bytes disc_polygon_areas takes per region and ring radius: two cut edges,
-# as a circle usually makes on a convex region, each with its gathered int64
-# index and two complex128 prefix sums and 35 8-byte words of _crossed_areas'
-# temporaries (250-259 bytes a cut edge, traced)
+# Bytes disc_polygon_areas takes per region and ring radius for the edges its circles cut,
+# gathered over a whole block: an assumption, not a bound.  Two cut edges, as measured
+# (0.75-1.75 per region and radius; a circle may cut every edge), each with its int64 index,
+# two complex128 prefix sums and 35 8-byte words of _crossed_areas' temporaries (traced)
 _RING_AREA_BYTES = 2 * (8 + 2 * 16 + 35 * 8)
 
 # Relative size, against the region's area, of a negative ring area that is
@@ -213,6 +214,20 @@ def interval_af_curve(
 def row_bytes(n_edges: int, radii: int) -> int:
     """A pass row's bytes, its blocks' unit: n_edges complex128, _RING_AREA_BYTES a radius."""
     return 16 * n_edges + _RING_AREA_BYTES * radii
+
+
+def curve_bytes(n_u: int, k_regions: int) -> int:
+    """A PowerBoundsCurve's bytes: per row, int64 vertex count, float64 bounds and power, the
+    complex128 nominal AF they are summed from, K float64 probabilities and a bool flag."""
+    return n_u * (8 * (1 + 2 + 1 + 2 + k_regions) + 1)
+
+
+def pass_bytes(n_u: int, n_edges: int, radii: int) -> int:
+    """The most bytes a pass over n_u rows of n_edges sector vertices takes besides its curve:
+    a block (row_bytes a row) and the kernels' temporaries or, larger, its image rows'
+    mirror images with their int64 gather index, padded again by a dump (40 bytes a vertex)."""
+    rows = min(n_u, max(1, _PASS_BYTES // row_bytes(n_edges, radii)))
+    return rows * row_bytes(n_edges, radii) + max(kernel_bytes(n_edges, radii), 40 * rows * n_edges)
 
 
 def _nominal_af(amplitudes, phases, psi) -> np.ndarray:

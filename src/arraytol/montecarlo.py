@@ -238,19 +238,36 @@ def _one_blas_thread(threads):
         set_(count)
 
 
-def max_workers() -> int:
-    """run_mc's most workers: one per usable CPU, one without os.sched_getaffinity."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _layout(n: int, n_u: int, n_samples: int, n_probes: int):
+    """run_mc's chunk step and first samples, product block rows, most workers (one per usable
+    CPU and chunk), and a worker's (shape, dtype) buffers: power rows, excitations, product
+    block (then ring masks) and probe columns."""
+    width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
+    step = max(2, _CHUNK_BYTES // (8 * width + 16 * n + 8 * n_probes))  # a sample's bytes
+    starts = range(0, max(n_samples - 1, 1), step)  # as _spans: the last runs to n_samples
+    block = max(2, n, _BLOCK_BYTES // (16 * n_u))
+    rows = max(2, min(step + 1, n_samples))  # two at least: a one-sample run repeats its sample
+    product = max(min(block + 1, rows) * n_u, -(-rows * n_u // 16))
+    batch = min(rows + _PROBE_BYTES // (8 * max(n_probes, 1)), n_samples)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return step, starts, block, min(cpus, len(starts)), (
+        ((rows * width,), float), ((rows, n), complex), ((product,), complex),
+        ((n_probes, batch), float))
 
 
-def worker_bytes(n_elements: int, k_regions: int) -> tuple[int, int]:
-    """(fixed, per grid row): the most bytes of a run_mc worker's buffers, at any sample count
-    and P <= N_u probes: power rows, excitations and probe columns, _CHUNK_BYTES and up to
-    three samples of 8 max(N_u, 2N) + 16 N + 8 P bytes; the probe batch; the product block,
-    _BLOCK_BYTES and rows to the N floor or the chunk's; its envelope and K + 1 counts."""
-    product_rows = min(max(2, n_elements), max(2, _CHUNK_BYTES // (32 * n_elements))) + 1
-    fixed = _CHUNK_BYTES + 3 * 32 * n_elements + _PROBE_BYTES + _BLOCK_BYTES
-    return fixed, 3 * 16 + 16 * product_rows + 8 * (2 + k_regions + 1)
+def mc_bytes(n: int, k_regions: int, n_u: int, n_samples: int, n_probes: int) -> int:
+    """The most bytes run_mc allocates, its report included, for N = n and P = n_probes: per
+    _layout worker, its buffers, envelope, K + 1 int64 counts, histograms, a min over the
+    chunk, a histogram's sorted copy and dB row, 2N uint64 word slots and an offset a row;
+    the tolerance box, complex128 steering matrix and one span of its phases times 1j and
+    exponentials; K - 1 ring boundaries; the report's envelope, a stack of the workers',
+    K frequencies, and K + 1 summed and K differenced int64 counts."""
+    *_, workers, buffers = _layout(n, n_u, n_samples, n_probes)
+    rows, batch = buffers[0][0][0] // max(n_u, 2 * n), buffers[3][0][1]
+    worker = sum(np.dtype(dtype).itemsize * math.prod(shape) for shape, dtype in buffers) + 8 * (
+        (k_regions + 4) * n_u + _HIST_BINS * n_probes + 2 * batch * min(n_probes, 1) + 2 * n + rows)
+    steering = 32 * n + 16 * n * n_u + 32 * n * min(n_u, max(2, _BLOCK_BYTES // (16 * n)))
+    return workers * worker + steering + 8 * n_u * (4 * k_regions + 2 + workers)
 
 
 def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions=()) -> McReport:
@@ -270,7 +287,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
 
     The chunks, of _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N + 8 P) samples
     for P probed grid samples, at least 2, run on one worker per CPU the
-    process may run on (max_workers), at most one per chunk:
+    process may run on (os.sched_getaffinity), at most one per chunk:
     worker 0 on the calling thread, the others on threads of their own,
     each in a context of its own with a _UFUNC_BUFFER-element ufunc
     buffer.  Each worker takes its next chunk from one queue of them that
@@ -284,18 +301,17 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     OpenBLAS to hold, one worker runs every chunk.  One worker leaves
     OpenBLAS as it is, so that its product may use OpenBLAS's threads.
 
-    Every worker's buffers are allocated once, before any takes a chunk,
-    so memory grows with neither n_samples nor N / N_u, nor with when a
-    worker starts: per sample, 16 N bytes of excitations,
+    Every worker's _layout buffers are allocated once, before any takes a
+    chunk, so memory grows with neither n_samples nor N / N_u, nor with
+    when a worker starts: per sample, 16 N bytes of excitations,
     8 max(N_u, 2N) of power row, whose leading 16 N hold the draw's
     uniforms until the power overwrites them, and 8 P of probe columns.
     Its probe buffer holds _PROBE_BYTES more of them, or at most the
     run's n_samples: a worker copies each chunk's probe columns into it,
     and takes them to dB in place and histograms them, a probe at a time,
     only when the next chunk's would not fit, and once at the end, under a
-    lock all workers share.  With no probes there is no buffer.  The
-    complex pattern product
-    is formed in blocks of max(2, N, _BLOCK_BYTES // (16 N_u)) rows, whose
+    lock all workers share.  The complex pattern product is formed in
+    blocks of max(2, N, _BLOCK_BYTES // (16 N_u)) rows, whose
     |z|^2 goes straight into the chunk's power rows; the N floor keeps each
     gemm large enough to run at full speed, and it makes a block the whole
     chunk when N_u is large.  The ring masks, a byte per sample and
@@ -336,17 +352,8 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
     key, peak = sample_stream(seed).key, pmap.bounds.peak_power
-    width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
-    # a sample's bytes: its power row, excitations and probe columns
-    step = max(2, _CHUNK_BYTES // (8 * width + 16 * n + 8 * len(probe_idx)))
-    # the chunks' first samples, as _spans gives them: the last chunk runs to n_samples
-    starts = range(0, max(n_samples - 1, 1), step)
-    block = max(2, n, _BLOCK_BYTES // (16 * n_u))
-    # two rows at least: a one-sample run repeats its sample
-    rows = max(2, min(step + 1, n_samples))
-    block_rows = min(block + 1, rows)
-    # a worker's probe columns: a chunk's and _PROBE_BYTES more, or the run's
-    batch = min(rows + _PROBE_BYTES // (8 * max(len(probe_idx), 1)), n_samples)
+    step, starts, block, workers, buffers = _layout(n, n_u, n_samples, len(probe_idx))
+    batch = buffers[3][0][1]  # a worker's probe columns
 
     def chunk_loop(power, weights, product, probes):
         """One worker: run chunks from the shared queue until none is left,
@@ -395,15 +402,12 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         return per_u_min, per_u_max, at_least, hist_counts
 
     blas = _openblas_threads()
-    n_workers = min(max_workers(), len(starts)) if blas else 1
+    n_workers = workers if blas else 1
     results, failures = [None] * n_workers, []
     queue, lock, binning = iter(starts), threading.Lock(), threading.Lock()
     # every worker's buffers, before any takes a chunk, so the peak does not
-    # depend on when a thread starts: power rows, excitations, the product
-    # block, whose bytes then hold the ring masks, and probe rows
-    held = [(np.empty(rows * width), np.empty((rows, n), dtype=complex),
-             np.empty(max(block_rows * n_u, -(-rows * n_u // 16)), dtype=complex),
-             np.empty((len(probe_idx), batch))) for _ in range(n_workers)]
+    # depend on when a thread starts
+    held = [[np.empty(shape, dtype) for shape, dtype in buffers] for _ in range(n_workers)]
 
     def take():
         """The next chunk's first sample; None once all are taken or a worker has failed."""

@@ -81,6 +81,12 @@ def probability_map(bounds: PowerBoundsCurve) -> ProbabilityMap:
     )
 
 
+def map_bytes(n_u: int, k_regions: int) -> int:
+    """A ProbabilityMap's bytes on n_u rows, besides its curve's: float64 ring radii and their
+    dB, and as many more of temporaries, which building it or its feature_report take."""
+    return 32 * n_u * (k_regions + 1)
+
+
 def mean_probabilities(pmap: ProbabilityMap) -> np.ndarray:
     """Each ring probability's trapezoid mean over the grid's span u[-1] - u[0],
     so the means sum to one on any grid; on a one-sample grid, its column."""

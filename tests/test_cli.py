@@ -1145,26 +1145,30 @@ class TestRunFields:
 class TestSizeBudget:
     """build_run_config rejects a run whose run_bytes exceed the budget, before it allocates."""
 
-    # each shape at K = 5 (under its own id) and at K = 1; Monte Carlo runs of
-    # enough samples that both workers fill a chunk, as the default 10**5 do,
-    # since run_bytes counts the workers' full buffers whatever mc_samples
+    # each shape at K = 5, under its own id, and at K = 1
     _SHAPES = {
         # enough rows for the region pass to take several blocks
-        "mirrored": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6, 100, 3),
-        "steered": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6, 100, 3),
+        "mirrored": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6, 8, 3),
+        "steered": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6, 8, 3),
         # the steering matrix and the Minkowski blocks of a long array
-        "steered-256": (taylor_taper(256), 7.0, 0, 1001, 2, 200, 3),
+        "steered-256": (taylor_taper(256), 7.0, 0, 1001, 2, 8, 3),
         # rows far wider than a kernel block: a one-row block per summed row
         "wide-rows": ((0.5, 0.8), 0.0, 0, 3, 50_000, 8, 2),
         # five zero-tolerance elements, one vertex each: rows of 15
         # vertices, so a pass block takes many rows
-        "zero-tolerance": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 100, 3),
+        "zero-tolerance": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 8, 3),
         # a wide array on a coarse grid, whose Monte Carlo uniforms, 16 N
         # bytes a sample, outweigh its power rows; enough samples to
         # fill a chunk sized by n_u alone (768 KiB / (8 n_u) = 49152)
         "wide-coarse": (taylor_taper(64), 0.0, 0, 2, 4, 70_000, 1),
-        # N = 1024 on two directions: run_bytes counts N (arc_points + 4)
-        # vertices per region, where these regions have 10 to 720
+        # the first shapes with samples enough for both workers to fill a
+        # chunk, as the default 10**5 do
+        "mirrored-mc": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 0, 4001, 6, 100, 3),
+        "steered-mc": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 40.0, 0, 4001, 6, 100, 3),
+        "steered-256-mc": (taylor_taper(256), 7.0, 0, 1001, 2, 200, 3),
+        "zero-tolerance-mc": ((0.5, 0.8, 1.0, 1.0, 0.8, 0.5), 0.0, 5, 4001, 6, 100, 3),
+        # N = 1024 on two directions, whose regions have 10 to 720 of the
+        # N (arc_points + 4) vertices a region may have
         "taylor-1024-mirrored": (taylor_taper(1024), 0.0, 0, 2, 2, 100, 1),
         "taylor-1024-steered": (taylor_taper(1024), 7.0, 0, 2, 2, 100, 1),
     }
@@ -1175,8 +1179,8 @@ class TestSizeBudget:
          for name, shape in _SHAPES.items() for k in (5, 1)],
     )
     def test_estimate_bounds_the_arrays_a_run_holds(
-        self, monkeypatch, request, amplitudes, steer, exact, n_u, arc_points, mc_samples,
-        least_blocks, k_regions,
+        self, monkeypatch, amplitudes, steer, exact, n_u, arc_points, mc_samples, least_blocks,
+        k_regions,
     ):
         elements = [{"amplitude": float(a), "phase_deg": steer * n} for n, a in enumerate(amplitudes)]
         for element in elements[:exact]:
@@ -1214,26 +1218,14 @@ class TestSizeBudget:
         assert curve.mirrored == (n_u // 2 if steer == 0.0 else 0)
         assert int(curve.sectors[1].sum()) == (len(amplitudes) - exact) * (arc_points + 4) + exact
         assert len(blocks) >= least_blocks
-        estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points)
-        width, radii = len(amplitudes) * (arc_points + 4), k_regions + 1
-        kernels, kernel_row = geometry.kernel_bytes(width, radii)
-        mc_fixed, mc_row = montecarlo.worker_bytes(len(amplitudes), k_regions)
-        curve_row = 8 * (1 + 2 + 2 + 1 + k_regions + 2 * radii) + 1
-        mc = 16 * len(amplitudes) + 8 * (k_regions - 1 + 2 + radii + 2 * k_regions)
-        assert estimate == (max(_PASS_BYTES + kernels, 2 * mc_fixed)
-                            + n_u * (8 + 2 * curve_row + mc + 2 * mc_row)
-                            + iams.row_bytes(width, radii) + kernel_row
-                            + 16 * width * validate.KEPT_REGIONS)
-        assert peak <= estimate
-        if len(amplitudes) == 1024:  # the widest-row terms count vertices these regions lack
-            request.node.add_marker(pytest.mark.xfail(
-                strict=True, reason="estimate 2.6-2.9 times the peak: 6144 counted vertices a row"))
-        assert estimate <= 2.2 * peak
+        estimate = run_bytes(len(amplitudes), k_regions, n_u, arc_points, mc_samples)
+        assert peak <= estimate <= 2.2 * peak
 
     def test_bounds_text_does_not_grow_with_the_grid(self, tmp_path):
-        """bounds.csv is written 1024 rows at a time, so per direction a run
-        holds its arrays (the curve's and the written columns), not its text,
-        which run_bytes does not count: about 500 bytes a row as Python objects."""
+        """bounds.csv is written cli._CSV_ROWS rows at a time, so the text a
+        run holds, which run_bytes counts for that many rows, does not grow
+        with the grid: per direction it holds arrays (the curve's and the
+        written columns), not text, about 500 bytes a row as Python objects."""
         cfg = _write_config(tmp_path / "cfg.json")
         peaks = []
         for n_u in (10_001, 20_001):
