@@ -23,7 +23,7 @@ from arraytol import (
     scenario_from_config,
     uniform_grid,
 )
-from arraytol import cli, geometry, iams, montecarlo, validate
+from arraytol import cli, iams, validate
 from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, run_bytes
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
