@@ -18,7 +18,7 @@ from .model import (
     uniform_grid,
 )
 from .montecarlo import McReport, ProbeHistogram, run_mc, sample_realization, sample_stream
-from .pia import FeatureReport, ProbabilityMap, feature_report, mean_probabilities, probability_map
+from .pia import FeatureReport, feature_report, mean_probabilities
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "FeatureReport",
     "McReport",
     "PowerBoundsCurve",
-    "ProbabilityMap",
     "ProbeHistogram",
     "ValidationError",
     "feature_report",
@@ -38,7 +37,6 @@ __all__ = [
     "mean_probabilities",
     "power_bounds",
     "power_db",
-    "probability_map",
     "run_mc",
     "sample_realization",
     "sample_stream",

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .geometry import _row_blocks, pad_rows
-from .iams import _PASS_BYTES, PowerBoundsCurve, curve_bytes, pass_bytes, power_bounds, power_db
+from .iams import (_PASS_BYTES, PowerBoundsCurve, curve_bytes, pass_bytes, power_bounds,
+                   power_db, ring_bytes)
 from .model import (
     ArrayScenario,
     check_integer,
@@ -29,7 +30,7 @@ from .model import (
     uniform_grid,
 )
 from .montecarlo import SAMPLE_LIMIT, SEED_LIMIT, mc_bytes, run_mc
-from .pia import ProbabilityMap, feature_report, map_bytes, probability_map
+from .pia import feature_report
 from .validate import KEPT_REGIONS, format_results, run_validation
 
 
@@ -79,20 +80,21 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int,
     """An upper estimate of the bytes a run allocates at its peak, validate's included.
 
     Each module counts the arrays it allocates.  Held from the pass on: the grid, the run's
-    curve and map, validate's kept regions.  On top, the largest of the stages, which run in
-    turn: the pass; run_mc; beside the Monte Carlo report, validate's direct pass over four
-    rows, or its zero-tolerance pass of N point sectors with their curve and map, or a
-    command's output.  Not affine in the size fields, which _check_size bisects."""
+    curve, validate's kept regions.  On top, the largest of the stages, which run in turn:
+    the pass; run_mc; beside the Monte Carlo report, validate's direct pass over four rows,
+    or its zero-tolerance pass of N point sectors with their curve, or a read of the curve's
+    ring radii and dB with a command's output.  Not affine in the size fields, which
+    _check_size bisects."""
     width, radii = n_elements * (arc_points + 4), k_regions + 1
-    curve, pmap = curve_bytes(n_u, k_regions), map_bytes(n_u, k_regions)
+    curve = curve_bytes(n_u, k_regions)
     # five float64 dB columns, or the grid's Python floats with two; 7 columns' CSV text
     output = 72 * n_u + min(max(n_u, k_regions), _CSV_ROWS) * (82 * 7 + 57)
     rest = 8 * n_u * (k_regions + 2) + max(  # the report's envelope and K frequencies
         pass_bytes(min(n_u, 4), width, radii) + curve_bytes(min(n_u, 4), k_regions),
-        curve + pmap + pass_bytes(n_u, n_elements, radii), output)
+        curve + pass_bytes(n_u, n_elements, radii), ring_bytes(n_u, k_regions) + output)
     stages = (pass_bytes(n_u, width, radii), mc_bytes(n_elements, k_regions, n_u, mc_samples,
                                                       min(n_probes, n_u)), rest)
-    return _OBJECT_BYTES + 8 * n_u + curve + pmap + 16 * width * KEPT_REGIONS + max(stages)
+    return _OBJECT_BYTES + 8 * n_u + curve + 16 * width * KEPT_REGIONS + max(stages)
 
 
 def _check_size(n_elements: int, fields: dict, n_probes: int = 0) -> None:
@@ -201,11 +203,6 @@ def _curve(run: RunConfig, k_regions=None, sink=None) -> PowerBoundsCurve:
     return power_bounds(run.scenario, uniform_grid(run.n_u), run.arc_points, k_regions, sink)
 
 
-def _map(run: RunConfig) -> ProbabilityMap:
-    """The run's K-ring probability map, from one region pass (_curve) that takes K rings."""
-    return probability_map(_curve(run, run.k_regions))
-
-
 def _npy_header(fh, shape) -> int:
     """Write np.save's header of a complex128 array of shape at the start of fh; its length."""
     fh.seek(0)
@@ -278,16 +275,16 @@ def cmd_bounds(run: RunConfig) -> int:
 
 def cmd_pia(run: RunConfig) -> int:
     """Write the ring-probability CSV."""
-    pmap = _map(run)
-    ring_db = pmap.region_power_db.T
-    blocks = _ring_blocks(pmap.bounds.grid, ring_db[:-1], ring_db[1:], pmap.p)
+    curve = _curve(run, run.k_regions)
+    ring_db = curve.region_power_db.T
+    blocks = _ring_blocks(curve.grid, ring_db[:-1], ring_db[1:], curve.p)
     _write_csv(run, "pia.csv", "u,k,p_lo_db(k),p_hi_db(k),p_k", blocks)
     return 0
 
 
 def cmd_features(run: RunConfig) -> int:
     """Write the feature-report JSON."""
-    report = feature_report(_map(run))
+    report = feature_report(_curve(run, run.k_regions))
     sll = report.sll_intervals  # None: no sidelobe, written as null
     payload = {
         "k_regions": report.k_regions,
@@ -321,14 +318,13 @@ def cmd_features(run: RunConfig) -> int:
 
 def cmd_mc(run: RunConfig) -> int:
     """Write the Monte Carlo comparison CSVs."""
-    pmap = _map(run)
-    curve = pmap.bounds
-    report = run_mc(pmap, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions)
+    curve = _curve(run, run.k_regions)
+    report = run_mc(curve, run.mc_samples, seed=run.seed, probe_directions=run.probe_directions)
     mc_min_db = power_db(report.per_u_min, curve.peak_power)
     mc_max_db = power_db(report.per_u_max, curve.peak_power)
     columns = (curve.grid.samples, mc_min_db, mc_max_db, curve.p_lo_db, curve.p_hi_db)
     _write_csv(run, "mc_envelope.csv", "u,mc_min_db,mc_max_db,p_lo_db,p_hi_db", [columns])
-    blocks = _ring_blocks(curve.grid, report.region_frequencies, pmap.p)
+    blocks = _ring_blocks(curve.grid, report.region_frequencies, curve.p)
     _write_csv(run, "mc_frequencies.csv", "u,k,mc_freq,pia_p", blocks)
     for hist in report.histograms:
         columns = (hist.bin_edges_db[:-1], hist.bin_edges_db[1:], hist.counts)

@@ -56,14 +56,20 @@ class PowerBoundsCurve:
     phases, and peak_power its largest value, allowance the rounding
     allowance the modulus bounds were widened by (besides each row's welded
     length), mirrored the leading rows that are mirror images
-    (mirrored_rows), and rings the (p, degenerate) of the pass's rings,
-    which probability_map reads, or None for a pass without rings.
+    (mirrored_rows), and rings the (p, degenerate) of the pass's k_regions
+    rings, or None for a pass without rings: p[k, i] is the probability
+    that the pattern at grid sample i falls in the k-th power sub-interval,
+    and degenerate flags the directions whose region has no area, which
+    put it all in the first ring.  Reading them, or the ring radii, from a
+    curve without rings raises ValidationError.
 
     The power bounds and their dB values, normalized so the nominal pattern
     peaks at 0 dB (a zero lower bound maps to -inf dB), are computed from
-    these when read.  A curve of a pass over a sub-grid may have
-    peak_power == 0; only power_bounds guarantees a positive peak, so the
-    dB values are meaningful only on its curves.
+    these when read, and so are ring_radii, the K+1 _ring_radii splitting
+    each row's modulus bounds, and their dB, region_power_db, whose
+    columns 0 and K are bitwise p_lo_db and p_hi_db.  A curve of a pass
+    over a sub-grid may have peak_power == 0; only power_bounds guarantees
+    a positive peak, so the dB values are meaningful only on its curves.
     """
 
     scenario: ArrayScenario = field(repr=False)
@@ -97,6 +103,33 @@ class PowerBoundsCurve:
     @property
     def nominal_db(self) -> np.ndarray:
         return power_db(self.nominal_power, self.peak_power)
+
+    def _rings(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.rings is None:
+            raise ValidationError(
+                "the bounds hold no ring probabilities; pass k_regions= to power_bounds"
+            )
+        return self.rings
+
+    @property
+    def k_regions(self) -> int:
+        return len(self._rings()[0])
+
+    @property
+    def p(self) -> np.ndarray:
+        return self._rings()[0]
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self._rings()[1]
+
+    @property
+    def ring_radii(self) -> np.ndarray:
+        return _ring_radii(self.modulus_lo, self.modulus_hi, self.k_regions)
+
+    @property
+    def region_power_db(self) -> np.ndarray:
+        return power_db(self.ring_radii**2, self.peak_power)
 
 
 @dataclass(frozen=True)
@@ -155,9 +188,10 @@ def interval_af_curve(
     sector_reach before the sum, and each row's by the length of the steps
     its normalization welded, which bounds how far the weld moved the
     region's boundary; when k_regions is given, the probabilities of its
-    k_regions rings; and, when sink is given, sink(block) with the block's
-    Block.  Then the block is dropped, so no array of every region, or of
-    every row's steering phases, is ever held.  Where mirrored_rows finds
+    k_regions rings, which the curve keeps as its rings; and, when sink is
+    given, sink(block) with the block's Block.  Then the block is dropped,
+    so no array of every region, or of every row's steering phases, is
+    ever held.  Where mirrored_rows finds
     the mirror symmetry, only the rows from u = 0 on are summed, and each
     Block maps its rows at u to their image rows at -u: the pass writes
     the block's vertex counts, bounds and ring probabilities through
@@ -220,6 +254,12 @@ def curve_bytes(n_u: int, k_regions: int) -> int:
     """A PowerBoundsCurve's bytes: per row, int64 vertex count, float64 bounds and power, the
     complex128 nominal AF they are summed from, K float64 probabilities and a bool flag."""
     return n_u * (8 * (1 + 2 + 1 + 2 + k_regions) + 1)
+
+
+def ring_bytes(n_u: int, k_regions: int) -> int:
+    """The bytes a read of a curve's ring_radii or region_power_db takes with its reader's
+    temporaries: float64 ring radii, their squares, their dB and one more (n_u, K+1) array."""
+    return 32 * n_u * (k_regions + 1)
 
 
 def pass_bytes(n_u: int, n_edges: int, radii: int) -> int:
@@ -363,11 +403,11 @@ def power_bounds(
 
     The sectors are polygonized once at arc_points, and one region pass
     (interval_af_curve) over them takes the bounds and, when k_regions is
-    given, the probabilities of its k_regions rings, which probability_map
-    then reads, and hands sink one Block per block of regions.  A sector_reach
-    outside _MODULUS_RANGE raises ValidationError before any region is
-    built; inside it the power bounds, and the nominal peak they contain,
-    are finite.  A nominal pattern that is zero at every grid sample raises
+    given, the probabilities of its k_regions rings, and hands sink one
+    Block per block of regions.  The curve is the run's one record, which
+    feature_report and run_mc take.  A sector_reach outside _MODULUS_RANGE
+    raises ValidationError before any region is built; inside it the power
+    bounds, and the nominal peak they contain, are finite.  A nominal pattern that is zero at every grid sample raises
     ValidationError, so the curve's dB values are defined.
     """
     sectors = element_sectors(scenario, arc_points)

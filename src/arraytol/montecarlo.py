@@ -38,9 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .iams import power_db, steering_phases
+from .iams import PowerBoundsCurve, power_db, ring_bytes, steering_phases
 from .model import ArrayScenario, check_integer
-from .pia import ProbabilityMap
 
 _HIST_BINS = 200
 _CHUNK_BYTES = 768 << 10  # a worker's chunk: _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N + 8 P) samples
@@ -85,7 +84,7 @@ class ProbeHistogram:
 
 @dataclass(frozen=True)
 class McReport:
-    """Empirical envelope and ring occupancy over n_samples realizations of a map's scenario."""
+    """Empirical envelope and ring occupancy over n_samples realizations of a curve's scenario."""
 
     n_samples: int
     per_u_min: np.ndarray = field(repr=False)  # linear power
@@ -195,10 +194,9 @@ def _draw(
 
 
 def _spans(n: int, step: int):
-    """(start, stop) pairs covering range(n) in steps of step >= 2; a lone
-    last row joins the span before it, so no span holds one row unless n is 1."""
-    starts = range(0, max(n - 1, 1), step)
-    return zip(starts, [*starts[1:], n])
+    """(start, stop) pairs covering range(n) in steps of step >= 2, made as they are taken; a
+    lone last row joins the span before it, so no span holds one row unless n is 1."""
+    return ((s, n if s + step >= n - 1 else s + step) for s in range(0, max(n - 1, 1), step))
 
 
 @functools.cache
@@ -239,51 +237,53 @@ def _one_blas_thread(threads):
 
 
 def _layout(n: int, n_u: int, n_samples: int, n_probes: int):
-    """run_mc's chunk step and first samples, product block rows, most workers (one per usable
-    CPU and chunk), and a worker's (shape, dtype) buffers: power rows, excitations, product
-    block (then ring masks) and probe columns."""
+    """run_mc's chunk step, product block rows, most workers (one per usable CPU and chunk), a
+    worker's sample rows and probe columns, and its (shape, dtype) buffers: power rows,
+    excitations, product block (then ring masks) and probe columns."""
     width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
     step = max(2, _CHUNK_BYTES // (8 * width + 16 * n + 8 * n_probes))  # a sample's bytes
-    starts = range(0, max(n_samples - 1, 1), step)  # as _spans: the last runs to n_samples
     block = max(2, n, _BLOCK_BYTES // (16 * n_u))
     rows = max(2, min(step + 1, n_samples))  # two at least: a one-sample run repeats its sample
     product = max(min(block + 1, rows) * n_u, -(-rows * n_u // 16))
     batch = min(rows + _PROBE_BYTES // (8 * max(n_probes, 1)), n_samples)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return step, starts, block, min(cpus, len(starts)), (
+    workers = len(list(zip(range(cpus), _spans(n_samples, step))))  # no more than chunks
+    return step, block, workers, rows, batch, (
         ((rows * width,), float), ((rows, n), complex), ((product,), complex),
         ((n_probes, batch), float))
 
 
 def mc_bytes(n: int, k_regions: int, n_u: int, n_samples: int, n_probes: int) -> int:
-    """The most bytes run_mc allocates, its report included, for N = n and P = n_probes: per
-    _layout worker, its buffers, envelope, K + 1 int64 counts, histograms, a min over the
-    chunk, a histogram's sorted copy and dB row, 2N uint64 word slots and an offset a row;
-    the tolerance box, complex128 steering matrix and one span of its phases times 1j and
-    exponentials; K - 1 ring boundaries; the report's envelope, a stack of the workers',
-    K frequencies, and K + 1 summed and K differenced int64 counts."""
-    *_, workers, buffers = _layout(n, n_u, n_samples, n_probes)
-    rows, batch = buffers[0][0][0] // max(n_u, 2 * n), buffers[3][0][1]
+    """The most bytes run_mc allocates, its report included, for N = n and P = n_probes: the
+    tolerance box, complex128 steering matrix and one span of its phases times 1j and
+    exponentials; then the larger of the curve's ring radii and dB, which it reads and frees
+    first, and what it holds after: per _layout worker, its buffers, envelope, K + 1 int64
+    counts, histograms, a min over the chunk, a histogram's sorted copy and dB row, 2N uint64
+    word slots and an offset a row; K - 1 ring boundaries; the report's envelope, a stack of
+    the workers', K frequencies, and K + 1 summed and K differenced int64 counts."""
+    *_, workers, rows, batch, buffers = _layout(n, n_u, n_samples, n_probes)
     worker = sum(np.dtype(dtype).itemsize * math.prod(shape) for shape, dtype in buffers) + 8 * (
         (k_regions + 4) * n_u + _HIST_BINS * n_probes + 2 * batch * min(n_probes, 1) + 2 * n + rows)
     steering = 32 * n + 16 * n * n_u + 32 * n * min(n_u, max(2, _BLOCK_BYTES // (16 * n)))
-    return workers * worker + steering + 8 * n_u * (4 * k_regions + 2 + workers)
+    return steering + max(ring_bytes(n_u, k_regions),
+                          workers * worker + 8 * n_u * (4 * k_regions + 2 + workers))
 
 
-def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions=()) -> McReport:
-    """Sample n_samples crisp patterns and bin them into pmap's ring partitions.
+def run_mc(curve: PowerBoundsCurve, n_samples: int, seed: int = 0,
+           probe_directions=()) -> McReport:
+    """Sample n_samples crisp patterns and bin them into curve's ring partitions.
 
-    Scenario and grid are those of pmap's bounds, and ring count and
-    per-direction ring radii those of pmap.  Each
-    probe direction is histogrammed at its nearest grid sample; probes that
-    share a sample give one histogram, in the order first probed.  Probe
-    histograms use 200 uniform dB bins spanning [lower bound - 1 dB, upper
-    bound + 1 dB]; when the lower bound is -inf the span falls back to
-    100 dB below the upper edge, and samples below it are left uncounted.
-    Samples draw their excitations in order from one sample_stream(seed),
-    2N words each, so sample i is the i-th sample_realization call on a
-    fresh stream, and each word's counter is fixed whatever the chunks:
-    the chunk from sample s on reads the stream from word 2N s.
+    Scenario, grid, ring count and per-direction ring radii are those of
+    curve, which must hold rings.  Each probe direction is histogrammed at
+    its nearest grid sample; probes that share a sample give one histogram,
+    in the order first probed.  Probe histograms use 200 uniform dB bins
+    spanning [lower bound - 1 dB, upper bound + 1 dB]; when the lower bound
+    is -inf the span falls back to 100 dB below the upper edge, and samples
+    below it are left uncounted.  Samples draw their excitations in order
+    from one sample_stream(seed), 2N words each, so sample i is the i-th
+    sample_realization call on a fresh stream, and each word's counter is
+    fixed whatever the chunks: the chunk from sample s on reads the stream
+    from word 2N s.
 
     The chunks, of _CHUNK_BYTES // (8 max(N_u, 2N) + 16 N + 8 P) samples
     for P probed grid samples, at least 2, run on one worker per CPU the
@@ -325,8 +325,8 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     """
     check_integer("n_samples", n_samples, 1, SAMPLE_LIMIT)
     check_integer("seed", seed, 0, SEED_LIMIT)
-    scenario, grid = pmap.bounds.scenario, pmap.bounds.grid
-    k_regions, n = pmap.k_regions, scenario.n_elements
+    scenario, grid = curve.scenario, curve.grid
+    k_regions, n = curve.k_regions, scenario.n_elements
     n_u = len(grid)
     box = _tolerance_box(scenario)
     # C order, since the gemm rounds by the memory layout of its operands;
@@ -335,7 +335,7 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     for lo, hi in _spans(n_u, max(2, _BLOCK_BYTES // (16 * n))):
         steering[:, lo:hi] = np.exp(1j * steering_phases(scenario, grid.samples[lo:hi])).T
     # boundaries between rings, one contiguous row per boundary
-    inner_sq = np.ascontiguousarray(pmap.ring_radii[:, 1:k_regions].T ** 2)
+    inner_sq = np.ascontiguousarray(curve.ring_radii[:, 1:k_regions].T ** 2)
 
     probe_idx = []
     for u in probe_directions:
@@ -345,15 +345,13 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
         if ip not in probe_idx:
             probe_idx.append(ip)
     probe_edges = []
-    for ip in probe_idx:
-        hi_edge = pmap.region_power_db[ip, k_regions] + 1.0
-        lo_db = pmap.region_power_db[ip, 0]
+    for lo_db, *_, hi_db in curve.region_power_db[probe_idx]:
+        hi_edge = hi_db + 1.0
         lo_edge = lo_db - 1.0 if math.isfinite(lo_db) else hi_edge - 100.0
         probe_edges.append(np.linspace(lo_edge, hi_edge, _HIST_BINS + 1))
 
-    key, peak = sample_stream(seed).key, pmap.bounds.peak_power
-    step, starts, block, workers, buffers = _layout(n, n_u, n_samples, len(probe_idx))
-    batch = buffers[3][0][1]  # a worker's probe columns
+    key, peak = sample_stream(seed).key, curve.peak_power
+    step, block, workers, _, batch, buffers = _layout(n, n_u, n_samples, len(probe_idx))
 
     def chunk_loop(power, weights, product, probes):
         """One worker: run chunks from the shared queue until none is left,
@@ -371,8 +369,8 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
                 for acc, row, edges in zip(hist_counts, probes[:, :columns], probe_edges):
                     acc += np.histogram(power_db(row, peak, out=row), bins=edges)[0]
 
-        for start in iter(take, None):
-            m = (n_samples if start == starts[-1] else start + step) - start
+        for start, stop in iter(take, None):
+            m = stop - start
             _draw(box, SampleStream(key, 2 * n * start), power[: m * 2 * n].reshape(m, 2 * n),
                   weights[:m])
             if m == 1:  # a product of two rows (gemm), as BLAS rounds a one-row gemv by its threads
@@ -404,13 +402,13 @@ def run_mc(pmap: ProbabilityMap, n_samples: int, seed: int = 0, probe_directions
     blas = _openblas_threads()
     n_workers = workers if blas else 1
     results, failures = [None] * n_workers, []
-    queue, lock, binning = iter(starts), threading.Lock(), threading.Lock()
+    queue, lock, binning = _spans(n_samples, step), threading.Lock(), threading.Lock()
     # every worker's buffers, before any takes a chunk, so the peak does not
     # depend on when a thread starts
     held = [[np.empty(shape, dtype) for shape, dtype in buffers] for _ in range(n_workers)]
 
     def take():
-        """The next chunk's first sample; None once all are taken or a worker has failed."""
+        """The next chunk's (start, stop); None once all are taken or a worker has failed."""
         with lock:
             return None if failures else next(queue, None)
 

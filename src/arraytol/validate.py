@@ -1,7 +1,7 @@
 """Self-check suite: one run of a scenario, built here, then structural invariants and oracles.
 
 These checks back the `validate` CLI command.  run_validation builds the
-run it checks (one region pass, its K-ring map and a Monte Carlo report),
+run it checks (one region pass that takes K rings and a Monte Carlo report),
 so no caller wires a sink or a ring count for it.  The area oracle splits
 a region once into its lower and upper chains, cuts its x-range into slabs
 on which each side is one chain line or one semicircle, and integrates
@@ -20,7 +20,7 @@ import numpy as np
 from .iams import interval_af_curve, power_bounds
 from .model import AngularGrid, ArrayScenario, scenario_from_tolerances
 from .montecarlo import run_mc
-from .pia import feature_report, mainlobe_indices, probability_map
+from .pia import feature_report, mainlobe_indices
 
 REL_TOL = 1e-9
 # the most region copies it makes: 4 oracle rows, their partners, 4 summed again
@@ -134,8 +134,8 @@ def run_validation(
     The run is one region pass (power_bounds at arc_points) that takes the
     ring probabilities of k_regions rings, and whose sink keeps a copy of
     the regions at the area oracle's four grid rows and their mirror
-    partners; the map of that pass; and a Monte Carlo report of n_samples
-    draws from seed, with no probes.  The checks then build only what they
+    partners; and a Monte Carlo report of n_samples draws from that pass's
+    curve and seed, with no probes.  The checks then build only what they
     add: the scenario's zero-tolerance collapse and the mirrored rows among
     the kept ones summed again, directly, from the curve's sectors.  The
     seven entries, in order: gamma-interval-tiling, sll-endpoint-coverage,
@@ -147,17 +147,16 @@ def run_validation(
     directions = sorted({n_u // 6, n_u // 3, n_u // 2, (5 * n_u) // 6})  # the area oracle's rows
     regions, sink = _region_sink({j for i in directions for j in (i, n_u - 1 - i)})
     bounds = power_bounds(scenario, grid, arc_points, k_regions, sink)
-    pmap = probability_map(bounds)
-    mc = run_mc(pmap, n_samples, seed=seed)
+    mc = run_mc(bounds, n_samples, seed=seed)
     results: list[CheckResult] = []
 
-    # the map's ring radii against a uniform split of the curve's bounds, and
-    # the report's intervals against the curve's bounds at its peak and the
+    # the curve's ring radii against a uniform split of its bounds, and the
+    # report's intervals against the curve's bounds at its peak and the
     # highest of each bound outside the mainlobe
-    report = feature_report(pmap)
+    report = feature_report(bounds)
     lo, hi = bounds.modulus_lo[:, None], bounds.modulus_hi[:, None]
-    split = lo + (hi - lo) * (np.arange(k_regions + 1) / k_regions)
-    uniform = bool(np.all(np.abs(pmap.ring_radii - split) <= RADII_TOL * hi))
+    split = np.arange(k_regions + 1) / k_regions
+    uniform = bool(np.all(np.abs(bounds.ring_radii - (lo + (hi - lo) * split)) <= RADII_TOL * hi))
     i_max, left, right = mainlobe_indices(bounds.nominal_power)
     lo_db, hi_db = bounds.p_lo_db, bounds.p_hi_db
     ends = (
@@ -202,7 +201,7 @@ def run_validation(
 
     # informational: the ring model is an area ratio, not the induced
     # density, so only the distance between the two is reported
-    tv = np.sort(0.5 * np.abs(mc.region_frequencies - pmap.p).sum(axis=0))
+    tv = np.sort(0.5 * np.abs(mc.region_frequencies - bounds.p).sum(axis=0))
     # np.median would import numpy.ma, about 1 MiB of resident memory
     median = 0.5 * (tv[(tv.size - 1) // 2] + tv[tv.size // 2])
     results.append(
@@ -214,22 +213,21 @@ def run_validation(
         )
     )
 
-    results.append(_symmetry_check(pmap, regions))
-    results.append(_zero_tolerance_check(bounds, k_regions))
-    results.append(_oracle_spot_check(pmap, regions, directions))
+    results.append(_symmetry_check(bounds, regions))
+    results.append(_zero_tolerance_check(bounds))
+    results.append(_oracle_spot_check(bounds, regions, directions))
     return results
 
 
-def _symmetry_check(pmap, regions) -> CheckResult:
+def _symmetry_check(bounds, regions) -> CheckResult:
     """Recompute the mirrored rows among regions, the rows run_validation keeps, without the mirror.
 
     Sums those rows directly from the curve's sectors, in one region pass
     over them alone, and compares their regions (by their support functions
     along N_RAYS directions) with the mirror images the curve's pass handed
     its sink, and their modulus bounds and ring probabilities with the ones
-    the curve and the map copied from the rows at -u.
+    the curve copied from the rows at -u.
     """
-    bounds = pmap.bounds
     if bounds.mirrored == 0:
         return CheckResult("pattern-symmetry", True, "not applicable (no mirrored rows)")
     rows = sorted(i for i in regions if i < bounds.mirrored)
@@ -237,7 +235,7 @@ def _symmetry_check(pmap, regions) -> CheckResult:
     # a grid of only u < 0 samples is never mirrored: every row is summed
     summed, sink = _region_sink(range(len(rows)))
     grid = AngularGrid(bounds.grid.samples[rows])
-    direct = interval_af_curve(bounds.scenario, grid, bounds.sectors, pmap.k_regions, sink)
+    direct = interval_af_curve(bounds.scenario, grid, bounds.sectors, bounds.k_regions, sink)
     scale = float(bounds.modulus_hi.max())
     err_region = max(
         float(np.abs(_support(summed[j], rays) - _support(regions[i], rays)).max())
@@ -247,7 +245,7 @@ def _symmetry_check(pmap, regions) -> CheckResult:
         float(np.abs(direct.modulus_lo - bounds.modulus_lo[rows]).max()),
         float(np.abs(direct.modulus_hi - bounds.modulus_hi[rows]).max()),
     ) / scale
-    err_p = float(np.abs(direct.rings[0] - pmap.p[:, rows]).max())
+    err_p = float(np.abs(direct.p - bounds.p[:, rows]).max())
     return CheckResult(
         "pattern-symmetry",
         max(err_region, err_mod, err_p) <= REL_TOL,
@@ -262,7 +260,7 @@ def _support(vertices, rays) -> np.ndarray:
     return np.array([(vertices * ray.conj()).real.max() for ray in rays])
 
 
-def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
+def _zero_tolerance_check(bounds) -> CheckResult:
     scenario = bounds.scenario
     collapsed = scenario_from_tolerances(
         [(e.nominal_amplitude, e.nominal_phase) for e in scenario.elements],
@@ -271,7 +269,7 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
         spacing=scenario.spacing,
     )
     # a zero-width sector is a segment whatever the arc_points
-    b = power_bounds(collapsed, bounds.grid, k_regions=k_regions)
+    b = power_bounds(collapsed, bounds.grid, k_regions=bounds.k_regions)
     nominal_power = b.nominal_power
     # The bounds of a point region are widened by the rounding allowance on
     # each side, which also covers the rounding of the nominal pattern: they
@@ -281,8 +279,7 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
     width = float((b.modulus_hi - b.modulus_lo).max())
     narrow = width <= 2.0 * b.allowance + 1e-9 * np.sqrt(b.peak_power)
     dev = float(np.maximum(b.p_hi - nominal_power, nominal_power - b.p_lo).max())
-    pm = probability_map(b)
-    ok = bool(inside and narrow and pm.degenerate.all() and np.all(pm.p[0] == 1.0))
+    ok = bool(inside and narrow and b.degenerate.all() and np.all(b.p[0] == 1.0))
     return CheckResult(
         "zero-tolerance-collapse",
         ok,
@@ -292,7 +289,7 @@ def _zero_tolerance_check(bounds, k_regions) -> CheckResult:
     )
 
 
-def _oracle_spot_check(pmap, regions, directions) -> CheckResult:
+def _oracle_spot_check(bounds, regions, directions) -> CheckResult:
     """The ring probabilities at the grid rows in directions against the exact areas of regions.
 
     Each row's ring probabilities must lie within its rounding bar,
@@ -301,14 +298,15 @@ def _oracle_spot_check(pmap, regions, directions) -> CheckResult:
     """
     worst = ratio = 0.0
     integrated = 0
+    radii = bounds.ring_radii
     for i in directions:
-        if pmap.degenerate[i]:
+        if bounds.degenerate[i]:
             continue
         vs = regions[i]
-        covered = disc_polygon_area_exact(pmap.ring_radii[i], vs)
+        covered = disc_polygon_area_exact(radii[i], vs)
         if covered[-1] <= 0.0:
             continue
-        err = float(np.abs(pmap.p[:, i] - np.diff(covered) / covered[-1]).max())
+        err = float(np.abs(bounds.p[:, i] - np.diff(covered) / covered[-1]).max())
         perimeter = float(np.abs(np.diff(vs, append=vs[:1])).sum())
         bar = ROUNDING_BAR * vs.size * perimeter * float(np.abs(vs).max()) / covered[-1]
         worst, ratio = max(worst, err), max(ratio, err / bar)

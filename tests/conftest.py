@@ -13,7 +13,6 @@ from arraytol import (
     feature_report,
     mean_probabilities,
     power_bounds,
-    probability_map,
     scenario_from_tolerances,
     uniform_grid,
 )
@@ -39,24 +38,22 @@ def grid501():
 def taylor16_analysis(taylor16_scenario, grid501):
     """Full pipeline on the 501-sample grid, timed end to end through the K=5 means.
 
-    The K=5 and K=10 maps come from two region passes, one per ring count.
+    The K=5 and K=10 curves come from two region passes, one per ring count.
     """
     t0 = time.perf_counter()
     bounds = power_bounds(taylor16_scenario, grid501, arc_points=8, k_regions=5)
-    pmap5 = probability_map(bounds)
-    means5 = mean_probabilities(pmap5)
+    means5 = mean_probabilities(bounds)
     k5_seconds = time.perf_counter() - t0
 
-    pmap10 = probability_map(power_bounds(taylor16_scenario, grid501, arc_points=8, k_regions=10))
-    report = feature_report(pmap5)
+    bounds10 = power_bounds(taylor16_scenario, grid501, arc_points=8, k_regions=10)
+    report = feature_report(bounds)
     return SimpleNamespace(
         scenario=taylor16_scenario,
         grid=grid501,
         bounds=bounds,
-        pmap5=pmap5,
-        pmap10=pmap10,
+        bounds10=bounds10,
         means5=means5,
-        means10=mean_probabilities(pmap10),
+        means10=mean_probabilities(bounds10),
         report=report,
         k5_seconds=k5_seconds,
     )

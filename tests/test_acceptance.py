@@ -17,12 +17,11 @@ from arraytol import (
     feature_report,
     mean_probabilities,
     power_bounds,
-    probability_map,
     run_mc,
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol.pia import _ring_radii
+from arraytol.iams import _ring_radii
 
 from helpers import (
     convex_polygon,
@@ -109,8 +108,8 @@ def test_criterion_3_feature_intervals(taylor16_analysis):
 
 
 def test_criterion_4_refinement_identity(taylor16_analysis):
-    p5 = taylor16_analysis.pmap5.p
-    p10 = taylor16_analysis.pmap10.p
+    p5 = taylor16_analysis.bounds.p
+    p10 = taylor16_analysis.bounds10.p
     agg = p10[0::2] + p10[1::2]
     per_sample = float(np.abs(agg - p5).max())
     assert per_sample <= 1e-9
@@ -124,7 +123,7 @@ def test_criterion_4_refinement_identity(taylor16_analysis):
 def test_criterion_5_mc_inclusion_and_mode(taylor16_analysis):
     analysis = taylor16_analysis
     report = run_mc(
-        analysis.pmap5,
+        analysis.bounds,
         100_000,
         seed=20,
         probe_directions=(float(analysis.grid.samples[U0_INDEX]),),
@@ -134,7 +133,7 @@ def test_criterion_5_mc_inclusion_and_mode(taylor16_analysis):
     hi_violations = int(np.sum(report.per_u_max > analysis.bounds.p_hi + slack))
     assert lo_violations == 0 and hi_violations == 0
 
-    pia_mode = int(np.argmax(analysis.pmap5.p[:, U0_INDEX])) + 1
+    pia_mode = int(np.argmax(analysis.bounds.p[:, U0_INDEX])) + 1
     mc_mode = int(np.argmax(report.region_frequencies[:, U0_INDEX])) + 1
     assert pia_mode == 3
     assert mc_mode == 3
@@ -188,9 +187,9 @@ def _triangle(v1, v2, v3):
 
 class TestCriterion7Properties:
     def test_column_stochasticity(self, taylor16_analysis):
-        err = float(np.abs(taylor16_analysis.pmap5.p.sum(axis=0) - 1.0).max())
+        err = float(np.abs(taylor16_analysis.bounds.p.sum(axis=0) - 1.0).max())
         assert err <= 1e-9
-        err10 = float(np.abs(taylor16_analysis.pmap10.p.sum(axis=0) - 1.0).max())
+        err10 = float(np.abs(taylor16_analysis.bounds10.p.sum(axis=0) - 1.0).max())
         assert err10 <= 1e-9
         print(f"criterion 7a PASS: column sums within {max(err, err10):.2e}")
 
@@ -228,10 +227,9 @@ class TestCriterion7Properties:
         nominal_power = bounds.nominal_power
         assert np.allclose(bounds.p_lo, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
         assert np.allclose(bounds.p_hi, nominal_power, rtol=0.0, atol=1e-9 * bounds.peak_power)
-        pmap = probability_map(bounds)
-        assert pmap.degenerate.all()
-        assert np.all(pmap.p[0] == 1.0)
-        rep = feature_report(pmap)
+        assert bounds.degenerate.all()
+        assert np.all(bounds.p[0] == 1.0)
+        rep = feature_report(bounds)
         assert rep.degenerate
         assert np.all(np.abs(rep.gamma_intervals) < 1e-9)
         # the collapsed bound meets the taper's realized sidelobe level
@@ -249,11 +247,10 @@ class TestSmokeSweeps:
         )
         grid = uniform_grid(151)
         bounds = power_bounds(scen, grid, k_regions=5)
-        pmap = probability_map(bounds)
-        rep = feature_report(pmap)
+        rep = feature_report(bounds)
 
-        assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
-        assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(bounds.p.sum(axis=0) - 1.0).max() <= 1e-9
+        assert mean_probabilities(bounds).sum() == pytest.approx(1.0, abs=1e-9)
         for k in range(4):
             assert rep.gamma_intervals[k, 1] == rep.gamma_intervals[k + 1, 0]
         assert rep.sll_intervals[0, 0] == rep.iams_sll[0]
@@ -279,11 +276,10 @@ class TestSmokeSweeps:
         )
         grid = uniform_grid(101)
         bounds = power_bounds(scen, grid, arc_points=6, k_regions=5)
-        pmap = probability_map(bounds)
-        rep = feature_report(pmap)
+        rep = feature_report(bounds)
 
-        assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
-        assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.abs(bounds.p.sum(axis=0) - 1.0).max() <= 1e-9
+        assert mean_probabilities(bounds).sum() == pytest.approx(1.0, abs=1e-9)
         for k in range(4):
             assert rep.gamma_intervals[k, 1] == rep.gamma_intervals[k + 1, 0]
         assert rep.sll_intervals[0, 0] == rep.iams_sll[0]

@@ -18,7 +18,6 @@ from arraytol import (
     ValidationError,
     power_bounds,
     power_db,
-    probability_map,
     run_mc,
     scenario_from_config,
     uniform_grid,
@@ -429,8 +428,7 @@ class TestNumberFormat:
         grid = uniform_grid(cfg["n_u"])
         k_regions = cfg["k_regions"]
         curve = power_bounds(scen, grid, cfg["arc_points"], k_regions=k_regions)
-        pmap = probability_map(curve)
-        mc = run_mc(pmap, 500, seed=cfg["seed"], probe_directions=probes)
+        mc = run_mc(curve, 500, seed=cfg["seed"], probe_directions=probes)
 
         def f(x):
             return repr(float(x))
@@ -439,7 +437,7 @@ class TestNumberFormat:
             return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
 
         u = grid.samples
-        ring_db = pmap.region_power_db
+        ring_db = curve.region_power_db
         mc_min_db = power_db(mc.per_u_min, curve.peak_power)
         mc_max_db = power_db(mc.per_u_max, curve.peak_power)
         expected = {
@@ -454,7 +452,7 @@ class TestNumberFormat:
             "pia.csv": csv(
                 "u,k,p_lo_db(k),p_hi_db(k),p_k",
                 (
-                    [f(u[i]), str(k + 1), f(ring_db[i, k]), f(ring_db[i, k + 1]), f(pmap.p[k, i])]
+                    [f(u[i]), str(k + 1), f(ring_db[i, k]), f(ring_db[i, k + 1]), f(curve.p[k, i])]
                     for i in range(len(grid))
                     for k in range(k_regions)
                 ),
@@ -470,7 +468,7 @@ class TestNumberFormat:
             "mc_frequencies.csv": csv(
                 "u,k,mc_freq,pia_p",
                 (
-                    [f(u[i]), str(k + 1), f(mc.region_frequencies[k, i]), f(pmap.p[k, i])]
+                    [f(u[i]), str(k + 1), f(mc.region_frequencies[k, i]), f(curve.p[k, i])]
                     for i in range(len(grid))
                     for k in range(k_regions)
                 ),
@@ -680,22 +678,24 @@ class TestComputeOnce:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        """First arguments of each call to a stage, by stage, through any module's binding."""
+        """(first argument, result) of each call to a stage, by stage, through any module's
+        binding."""
         import sys
 
         from arraytol import geometry, iams, montecarlo, pia
 
         calls = {}
         for module, name in (
-            (iams, "interval_af_curve"), (pia, "probability_map"), (montecarlo, "run_mc"),
+            (iams, "interval_af_curve"), (pia, "feature_report"), (montecarlo, "run_mc"),
             (geometry, "polygonize_interval_phasors"), (geometry, "rotated_minkowski_sums"),
         ):
             original = getattr(module, name)
             seen = calls[name] = []
 
             def counted(*args, _original=original, _seen=seen, **kwargs):
-                _seen.append(args[0])
-                return _original(*args, **kwargs)
+                result = _original(*args, **kwargs)
+                _seen.append((args[0], result))
+                return result
 
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("arraytol") and getattr(mod, name, None) is original:
@@ -707,16 +707,18 @@ class TestComputeOnce:
 
         scen = scenario_from_tolerances([(1.0, 0.0)] * 6, 0.02, math.radians(4.0), 0.5)
         run_validation(scen, uniform_grid(41), 5, 500, arc_points=6)
-        # the run's curve, whose sink keeps the oracle rows, its map and its
-        # MC; then the mirrored oracle rows summed again from the curve's
-        # sectors, and the zero-tolerance collapse's curve, the second
-        # polygonization, and its map
-        curves, maps = calls["interval_af_curve"], calls["probability_map"]
-        assert (len(curves), len(maps), len(calls["run_mc"])) == (3, 2, 1)
+        # the run's curve, whose sink keeps the oracle rows, and its MC and
+        # feature report; then the mirrored oracle rows summed again from the
+        # curve's sectors, and the zero-tolerance collapse's curve, the second
+        # polygonization
+        curves, reports = calls["interval_af_curve"], calls["feature_report"]
+        assert (len(curves), len(reports), len(calls["run_mc"])) == (3, 1, 1)
         assert len(calls["rotated_minkowski_sums"]) == 3
         assert len(calls["polygonize_interval_phasors"]) == 2
-        assert curves[0] is scen and curves[1] is scen and curves[2] is not scen
-        assert calls["run_mc"][0].bounds is maps[0] and maps[1] is not maps[0]
+        (first, curve), (second, _), (third, collapsed) = curves
+        assert first is scen and second is scen and third is not scen
+        assert calls["run_mc"][0][0] is curve and reports[0][0] is curve
+        assert collapsed is not curve
 
         for seen in calls.values():
             seen.clear()
@@ -1193,10 +1195,10 @@ class TestSizeBudget:
             "gamma_deg": 4.0,
         })
         # the Blocks of the run's pass, the first _region_sink's, and its
-        # curve, the one run_mc's map was built from
+        # curve, the one run_mc was handed
         # two CPUs, so two Monte Carlo workers at most, whatever the machine
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        sinks, maps = [], []
+        sinks, curves = [], []
         region_sink, sample = validate._region_sink, validate.run_mc
 
         def counted(rows):
@@ -1206,15 +1208,15 @@ class TestSizeBudget:
             return regions, lambda block: blocks.append(block.rows) or keep(block)
 
         monkeypatch.setattr(validate, "_region_sink", counted)
-        monkeypatch.setattr(validate, "run_mc", lambda pmap, *a, **kw: maps.append(pmap)
-                            or sample(pmap, *a, **kw))
+        monkeypatch.setattr(validate, "run_mc", lambda curve, *a, **kw: curves.append(curve)
+                            or sample(curve, *a, **kw))
         tracemalloc.start()
         try:  # a validate command's run and checks
             run_validation(scen, uniform_grid(n_u), k_regions, mc_samples, arc_points=arc_points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        curve, blocks = maps[0].bounds, sinks[0]
+        curve, blocks = curves[0], sinks[0]
         assert curve.mirrored == (n_u // 2 if steer == 0.0 else 0)
         assert int(curve.sectors[1].sum()) == (len(amplitudes) - exact) * (arc_points + 4) + exact
         assert len(blocks) >= least_blocks

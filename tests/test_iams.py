@@ -14,7 +14,6 @@ from arraytol import (
     ValidationError,
     power_bounds,
     power_db,
-    probability_map,
     run_mc,
     scenario_from_config,
     scenario_from_tolerances,
@@ -420,7 +419,6 @@ class TestMirror:
     @staticmethod
     def _assert_mirrored_rows_match_direct(scen, grid, rows, k_regions=5):
         bounds = power_bounds(scen, grid, k_regions=k_regions)
-        pmap = probability_map(bounds)
         assert bounds.mirrored == len(grid) // 2
         assert all(i < bounds.mirrored for i in rows)
         regions, _ = pass_regions(scen, grid)
@@ -433,7 +431,7 @@ class TestMirror:
             assert boundary_distance(regions[i], ref) <= 1e-12 * scale
         assert np.abs(bounds.modulus_lo[rows] - direct.modulus_lo).max() <= 1e-12 * scale
         assert np.abs(bounds.modulus_hi[rows] - direct.modulus_hi).max() <= 1e-12 * scale
-        assert np.abs(pmap.p[:, rows] - direct.rings[0]).max() <= 1e-12
+        assert np.abs(bounds.p[:, rows] - direct.p).max() <= 1e-12
         # the mirrored rows are counter-clockwise convex polygons as they stand
         m = bounds.mirrored
         _, n_vertices = normalized_rows(padded(regions[:m])[0])
@@ -498,11 +496,10 @@ class TestMirror:
 
     def test_mirrored_rows_copy_their_images(self, small_scenario):
         bounds = power_bounds(small_scenario, uniform_grid(41), k_regions=4)
-        pmap = probability_map(bounds)
-        for values in (bounds.modulus_lo, bounds.modulus_hi, bounds.n_vertices, pmap.degenerate):
+        for values in (bounds.modulus_lo, bounds.modulus_hi, bounds.n_vertices, bounds.degenerate):
             assert np.array_equal(values, values[::-1])
-        assert np.array_equal(pmap.p, pmap.p[:, ::-1])
-        assert pmap.p.flags.c_contiguous
+        assert np.array_equal(bounds.p, bounds.p[:, ::-1])
+        assert bounds.p.flags.c_contiguous
 
     def test_nudged_phase_switches_the_mirror_off(self, small_scenario):
         grid = uniform_grid(41)
@@ -617,7 +614,7 @@ class TestRegionPass:
         assert np.all(curve.p_lo <= curve.nominal_power)
         assert np.all(curve.nominal_power <= curve.p_hi)
         assert not np.allclose(curve.nominal_power, np.abs(nominal_af_curve(scen, grid)) ** 2)
-        mc = run_mc(probability_map(curve), 2000, seed=1)
+        mc = run_mc(curve, 2000, seed=1)
         assert np.all(curve.p_lo <= mc.per_u_min) and np.all(mc.per_u_max <= curve.p_hi)
 
     @pytest.mark.parametrize("pass_bytes", [iams._PASS_BYTES, 1], ids=["one-block", "one-row"])
@@ -647,13 +644,15 @@ class TestRegionPass:
             assert regions[i][1] == n and regions[i][0][:n].tobytes() == image[:n].tobytes()
 
     def test_a_ring_count_not_asked_for_raises(self, small_scenario):
-        # the ring count is given once, to the pass; a curve without rings has none to map
+        # the ring count is given once, to the pass; a curve without rings has none to read
         curve = power_bounds(small_scenario, uniform_grid(11))
         assert curve.rings is None
-        with pytest.raises(ValidationError, match="k_regions="):
-            probability_map(curve)
+        for name in ("k_regions", "p", "degenerate", "ring_radii", "region_power_db"):
+            with pytest.raises(ValidationError, match="k_regions="):
+                getattr(curve, name)
         curve = power_bounds(small_scenario, uniform_grid(11), k_regions=5)
-        assert probability_map(curve).p.shape == (5, 11)
+        assert curve.k_regions == 5 and curve.p.shape == (5, 11)
+        assert curve.ring_radii.shape == curve.region_power_db.shape == (11, 6)
         with pytest.raises(ValidationError, match="integer"):
             power_bounds(small_scenario, uniform_grid(11), k_regions=0)
 

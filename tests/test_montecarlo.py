@@ -15,7 +15,6 @@ from arraytol import (
     ExcitationInterval,
     feature_report,
     power_bounds,
-    probability_map,
     run_mc,
     sample_realization,
     sample_stream,
@@ -44,8 +43,8 @@ def _scenario(xi=0.02, gamma=math.radians(4.0)):
     return scenario_from_tolerances([(a, 0.0) for a in amps], xi, gamma, 0.5)
 
 
-def _pmap(scenario, grid, k_regions):
-    return probability_map(power_bounds(scenario, grid, k_regions=k_regions))
+def _curve(scenario, grid, k_regions):
+    return power_bounds(scenario, grid, k_regions=k_regions)
 
 
 def _bits(w):
@@ -195,7 +194,7 @@ class TestReferenceDraw:
 
         monkeypatch.setattr(montecarlo, "_draw", spy)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 216)
-        run_mc(_pmap(scen, grid, 3), 23, seed=seed)
+        run_mc(_curve(scen, grid, 3), 23, seed=seed)
         assert sorted(chunks) == [0, 30, 60, 90, 120]  # 2N = 6 words a sample
         assert [len(chunks[p]) for p in sorted(chunks)] == [5, 5, 5, 5, 3]
         expected = reference_draw(scen, reference_uniforms(seed, (23, 2 * scen.n_elements)))
@@ -207,9 +206,9 @@ class TestReferenceDraw:
 PROBES = (-0.336, 0.0)
 
 
-def _probe_count(pmap, directions=PROBES):
+def _probe_count(curve, directions=PROBES):
     """The histograms run_mc gives for directions: one per grid sample nearest one."""
-    return len({int(np.argmin(np.abs(pmap.bounds.grid.samples - u))) for u in directions})
+    return len({int(np.argmin(np.abs(curve.grid.samples - u))) for u in directions})
 
 
 def _fixed(amplitude, phase_deg):
@@ -261,11 +260,11 @@ class TestExactLaw:
     def _chi2(name, n_samples=20_000):
         """The chi-square of each grid row's ring counts against the exact law."""
         config, law = LAWS[name]
-        pmap = _pmap(scenario_from_config(config), uniform_grid(11), 5)
-        counts = run_mc(pmap, n_samples, seed=0).region_frequencies * n_samples
+        curve = _curve(scenario_from_config(config), uniform_grid(11), 5)
+        counts = run_mc(curve, n_samples, seed=0).region_frequencies * n_samples
         stats = []
-        for i, u in enumerate(pmap.bounds.grid.samples):
-            expected = n_samples * law(config, u, pmap.ring_radii[i])
+        for i, u in enumerate(curve.grid.samples):
+            expected = n_samples * law(config, u, curve.ring_radii[i])
             assert expected.min() >= 5.0  # Pearson's approximation holds
             stats.append(float(((counts[:, i] - expected) ** 2 / expected).sum()))
         return np.array(stats)
@@ -286,21 +285,47 @@ class TestExactLaw:
         assert self._chi2(name).min() > CHI2_4_TAIL_1E_6
 
 
+class TestSpans:
+    """_spans cuts range(n) into steps of step, a lone last row joining the span before it."""
+
+    @staticmethod
+    def _reference(n, step):
+        spans, start = [], 0
+        while True:
+            stop = min(start + step, n)
+            if n - stop == 1:  # one row left over: it joins this span
+                stop = n
+            spans.append((start, stop))
+            if stop == n:
+                return spans
+            start = stop
+
+    @pytest.mark.parametrize("step", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_against_a_brute_force_reference(self, n, step):
+        spans = list(montecarlo._spans(n, step))
+        assert spans == self._reference(n, step)
+        assert all(stop - start >= 2 for start, stop in spans) or n == 1
+
+    def test_spans_are_made_as_they_are_taken(self):
+        assert next(montecarlo._spans(2**62, 3)) == (0, 3)
+
+
 class TestRunMcMemory:
     """run_mc's traced peak is its preallocated chunk buffers, whatever n_samples, N and N_u."""
 
     @staticmethod
-    def _taylor_pmap(n, n_u):
+    def _taylor_curve(n, n_u):
         scen = scenario_from_tolerances(
             [(a, 0.0) for a in taylor_taper(n)], 0.01, math.radians(3.0), 0.5
         )
-        return _pmap(scen, uniform_grid(n_u), 5)
+        return _curve(scen, uniform_grid(n_u), 5)
 
     @staticmethod
-    def _peak(pmap, n_samples):
+    def _peak(curve, n_samples):
         tracemalloc.start()
         try:
-            run_mc(pmap, n_samples, seed=0, probe_directions=PROBES)
+            run_mc(curve, n_samples, seed=0, probe_directions=PROBES)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -309,17 +334,17 @@ class TestRunMcMemory:
         # two workers whatever the machine: how the workers' short-lived
         # temporaries happen to overlap varies the peak by up to those of all but one
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-        pmap = self._taylor_pmap(16, 101)
-        assert abs(self._peak(pmap, 50_000) - self._peak(pmap, 5_000)) <= 64 << 10
+        curve = self._taylor_curve(16, 101)
+        assert abs(self._peak(curve, 50_000) - self._peak(curve, 5_000)) <= 64 << 10
 
     # the second: 64 elements on 2 directions, where the draws decide the chunk
     @pytest.mark.parametrize("n, n_u", [(16, 101), (64, 2)])
     def test_peak_is_the_chunk_buffers(self, n, n_u, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
         workers = 2 if montecarlo._openblas_threads() else 1
-        pmap = self._taylor_pmap(n, n_u)
+        curve = self._taylor_curve(n, n_u)
         width = max(n_u, 2 * n)  # a power row, or a sample's uniforms
-        probes = _probe_count(pmap)  # a power column each
+        probes = _probe_count(curve)  # a power column each
         rows = max(2, montecarlo._CHUNK_BYTES // (8 * width + 16 * n + 8 * probes)) + 1
         assert 5_000 // rows >= workers  # a chunk for each worker
         block_rows = min(max(2, n, montecarlo._BLOCK_BYTES // (16 * n_u)) + 1, rows)
@@ -329,14 +354,14 @@ class TestRunMcMemory:
         per_worker = (rows * (8 * width + 16 * n) + max(16 * block_rows, rows) * n_u
                       + probes * 8 * batch)
         buffers = workers * per_worker + n * n_u * 16
-        assert self._peak(pmap, 5_000) <= 1.1 * buffers
+        assert self._peak(curve, 5_000) <= 1.1 * buffers
 
 
 class TestWorkers:
     """run_mc's chunks on one worker thread per CPU, with OpenBLAS held to one thread meanwhile."""
 
     @staticmethod
-    def _run(pmap, n_samples, monkeypatch, cpus):
+    def _run(curve, n_samples, monkeypatch, cpus):
         """run_mc with cpus CPUs to run on, and the threads that drew its chunks.
 
         Each worker waits at its first draw until every worker has taken a
@@ -354,7 +379,7 @@ class TestWorkers:
             draw(*args)
 
         monkeypatch.setattr(montecarlo, "_draw", spy)
-        report = run_mc(pmap, n_samples, seed=3, probe_directions=PROBES)
+        report = run_mc(curve, n_samples, seed=3, probe_directions=PROBES)
         return report, len(threads)
 
     # 16 elements on 101 directions, 2 probed: 8 * 101 + 16 * 16 + 8 * 2 =
@@ -363,17 +388,17 @@ class TestWorkers:
     # lone sample joined to it
     @pytest.mark.parametrize("n, n_u, rows, n_samples", [(16, 101, 5, 36), (64, 2, 4, 25)])
     def test_bits_do_not_depend_on_the_workers(self, n, n_u, rows, n_samples, monkeypatch):
-        pmap = TestRunMcMemory._taylor_pmap(n, n_u)
-        sample_bytes = 8 * max(n_u, 2 * n) + 16 * n + 8 * _probe_count(pmap)
+        curve = TestRunMcMemory._taylor_curve(n, n_u)
+        sample_bytes = 8 * max(n_u, 2 * n) + 16 * n + 8 * _probe_count(curve)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", rows * sample_bytes)
-        reference, drawn_by = self._run(pmap, n_samples, monkeypatch, 1)
+        reference, drawn_by = self._run(curve, n_samples, monkeypatch, 1)
         assert drawn_by == 1
         pinned = montecarlo._openblas_threads() is not None
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers swap often, so a lost update would show
         try:
             for cpus in (2, 3):  # 3 workers on this machine's CPUs, however few
-                report, drawn_by = self._run(pmap, n_samples, monkeypatch, cpus)
+                report, drawn_by = self._run(curve, n_samples, monkeypatch, cpus)
                 assert drawn_by == (cpus if pinned else 1)
                 _assert_same_report(report, reference)
                 assert report.region_frequencies.sum(axis=0) == pytest.approx(1.0, abs=1e-12)
@@ -381,11 +406,11 @@ class TestWorkers:
             sys.setswitchinterval(switch)
 
     def test_without_openblas_one_worker_gives_the_same_bits(self, monkeypatch):
-        pmap = TestRunMcMemory._taylor_pmap(16, 101)
+        curve = TestRunMcMemory._taylor_curve(16, 101)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * 1080)  # 2 probes
-        reference, _ = self._run(pmap, 36, monkeypatch, 3)
+        reference, _ = self._run(curve, 36, monkeypatch, 3)
         monkeypatch.setattr(montecarlo, "_openblas_threads", lambda: None)
-        report, drawn_by = self._run(pmap, 36, monkeypatch, 3)
+        report, drawn_by = self._run(curve, 36, monkeypatch, 3)
         assert drawn_by == 1
         _assert_same_report(report, reference)
 
@@ -410,10 +435,10 @@ class TestProbeBatches:
     @pytest.mark.parametrize("directions", [PROBES, tuple(np.linspace(-1.0, 1.0, 30))],
                              ids=["2-probes", "30-probes"])
     def test_counts_do_not_depend_on_the_batches(self, directions, monkeypatch):
-        pmap = TestRunMcMemory._taylor_pmap(16, 101)
-        probes = _probe_count(pmap, directions)
+        curve = TestRunMcMemory._taylor_curve(16, 101)
+        probes = _probe_count(curve, directions)
         assert probes == len(directions)
-        reference = run_mc(pmap, 36, seed=3, probe_directions=directions)
+        reference = run_mc(curve, 36, seed=3, probe_directions=directions)
         assert sum(h.counts.sum() for h in reference.histograms) > 0.9 * 36 * probes
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 5 * (8 * 101 + 16 * 16 + 8 * probes))
         calls = self._histogram_calls(monkeypatch)
@@ -424,7 +449,7 @@ class TestProbeBatches:
             for cpus in ({0}, {0, 1}):
                 monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid, c=cpus: c)
                 calls.clear()
-                report = run_mc(pmap, 36, seed=3, probe_directions=directions)
+                report = run_mc(curve, 36, seed=3, probe_directions=directions)
                 _assert_same_report(report, reference)
                 assert sum(calls) == 36 * probes  # each sample binned once per probe
                 if len(cpus) == 1:
@@ -440,7 +465,7 @@ class TestProbeBatches:
         assert all(r.passed for r in results)
         assert binned == [] and to_db == []
         # the spies see a run with a probe
-        run_mc(_pmap(scen, uniform_grid(21), 3), 2000, seed=0, probe_directions=(0.0,))
+        run_mc(_curve(scen, uniform_grid(21), 3), 2000, seed=0, probe_directions=(0.0,))
         assert sum(binned) == sum(to_db) == 2000
 
 
@@ -477,19 +502,19 @@ class TestOpenBlasPin:
 
     def test_count_is_one_during_the_run_and_restored_after(self, threads, monkeypatch):
         counts = self._counts_at_draws(threads, monkeypatch)
-        run_mc(TestRunMcMemory._taylor_pmap(16, 101), 36, seed=0)
+        run_mc(TestRunMcMemory._taylor_curve(16, 101), 36, seed=0)
         assert counts == [1] * 7 and threads() == 2
 
     def test_count_is_restored_when_a_chunk_raises(self, threads, monkeypatch):
         self._counts_at_draws(threads, monkeypatch, fail_at=3)
         with pytest.raises(RuntimeError, match="chunk 3"):
-            run_mc(TestRunMcMemory._taylor_pmap(16, 101), 36, seed=0)
+            run_mc(TestRunMcMemory._taylor_curve(16, 101), 36, seed=0)
         assert threads() == 2
 
     def test_one_worker_leaves_the_count(self, threads, monkeypatch):
         # one sample: one chunk, one worker, whose product may use OpenBLAS's threads
         counts = self._counts_at_draws(threads, monkeypatch)
-        run_mc(TestRunMcMemory._taylor_pmap(16, 101), 1, seed=0)
+        run_mc(TestRunMcMemory._taylor_curve(16, 101), 1, seed=0)
         assert counts == [2] and threads() == 2
 
 
@@ -497,7 +522,7 @@ class TestRunMc:
     def test_single_zero_tolerance_sample_is_nominal(self):
         scen = _scenario(0.0, 0.0)
         grid = uniform_grid(41)
-        report = run_mc(_pmap(scen, grid, 3), 1, seed=0)
+        report = run_mc(_curve(scen, grid, 3), 1, seed=0)
         nominal_power = np.abs(nominal_af_curve(scen, grid)) ** 2
         assert np.allclose(report.per_u_min, nominal_power, atol=1e-12)
         assert np.allclose(report.per_u_max, nominal_power, atol=1e-12)
@@ -505,8 +530,8 @@ class TestRunMc:
     def test_seeded_determinism(self):
         scen = _scenario()
         grid = uniform_grid(31)
-        a = run_mc(_pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
-        b = run_mc(_pmap(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
+        a = run_mc(_curve(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
+        b = run_mc(_curve(scen, grid, 4), 3000, seed=42, probe_directions=(0.3,))
         assert np.array_equal(a.per_u_min, b.per_u_min)
         assert np.array_equal(a.per_u_max, b.per_u_max)
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
@@ -518,7 +543,7 @@ class TestRunMc:
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
         scen = scenario_from_tolerances([(0.6, 0.3), (1.0, -0.2), (0.8, 1.1)], 0.05, 0.2, 0.5)
         grid = uniform_grid(21)
-        report = run_mc(_pmap(scen, grid, 3), 37, seed=seed)
+        report = run_mc(_curve(scen, grid, 3), 37, seed=seed)
         stream = sample_stream(seed)
         stack = np.array([sample_realization(scen, stream) for _ in range(37)])
         steering = np.exp(
@@ -530,16 +555,16 @@ class TestRunMc:
 
     def test_seed_uses_both_key_words(self):
         scen = _scenario()
-        pmap = _pmap(scen, uniform_grid(21), 3)
-        low = run_mc(pmap, 50, seed=9)
-        high = run_mc(pmap, 50, seed=9 + 2**64)
+        curve = _curve(scen, uniform_grid(21), 3)
+        low = run_mc(curve, 50, seed=9)
+        high = run_mc(curve, 50, seed=9 + 2**64)
         assert not np.array_equal(low.per_u_max, high.per_u_max)
 
     def test_numpy_integer_seed_matches_int(self):
         scen = _scenario()
-        pmap = _pmap(scen, uniform_grid(21), 3)
-        a = run_mc(pmap, 50, seed=np.int64(12), probe_directions=(0.3,))
-        b = run_mc(pmap, 50, seed=12, probe_directions=(0.3,))
+        curve = _curve(scen, uniform_grid(21), 3)
+        a = run_mc(curve, 50, seed=np.int64(12), probe_directions=(0.3,))
+        b = run_mc(curve, 50, seed=12, probe_directions=(0.3,))
         assert np.array_equal(a.per_u_min, b.per_u_min)
         assert np.array_equal(a.per_u_max, b.per_u_max)
         assert np.array_equal(a.region_frequencies, b.region_frequencies)
@@ -550,11 +575,11 @@ class TestRunMc:
         # 16 * 21 = 336 block bytes per row; 8 * 21 + 16 * 6 + 8 * 2 = 280 chunk
         # bytes per sample, with its two probe columns
         grid = uniform_grid(21)
-        pmap = _pmap(scen, grid, 3)
+        curve = _curve(scen, grid, 3)
         # the reference: one chunk, one block, one gemm
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", 1 << 30)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
-        reference = run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6))
+        reference = run_mc(curve, 501, seed=1, probe_directions=(0.3, -0.6))
         # blocks: one per chunk; 6 rows, the N floor; 7 rows, leaving one
         # row over in a 64-sample chunk (64 = 9 * 7 + 1); 100 rows, leaving
         # one row over in the 501-sample chunk
@@ -564,7 +589,7 @@ class TestRunMc:
             # over (501 = 100 * 5 + 1); 64-sample chunks with a longer tail
             for budget in (1 << 30, 1, 5 * 280, 64 * 280):
                 monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
-                other = run_mc(pmap, 501, seed=1, probe_directions=(0.3, -0.6))
+                other = run_mc(curve, 501, seed=1, probe_directions=(0.3, -0.6))
                 _assert_same_report(other, reference)
 
     def test_chunk_size_invariance_where_the_draws_decide(self, monkeypatch):
@@ -574,9 +599,9 @@ class TestRunMc:
         scen = scenario_from_tolerances(
             [(a, 0.0) for a in taylor_taper(40)], 0.02, math.radians(4.0), 0.5
         )
-        pmap = _pmap(scen, uniform_grid(5), 3)
+        curve = _curve(scen, uniform_grid(5), 3)
         monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 1 << 30)
-        reference = run_mc(pmap, 501, seed=1, probe_directions=(0.0,))
+        reference = run_mc(curve, 501, seed=1, probe_directions=(0.0,))
         chunks = {}  # sizes by the stream position each chunk starts at
         draw = montecarlo._draw
 
@@ -592,7 +617,7 @@ class TestRunMc:
             for block_budget in (1 << 30, 1):
                 monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
                 chunks.clear()
-                _assert_same_report(run_mc(pmap, 501, seed=1, probe_directions=(0.0,)), reference)
+                _assert_same_report(run_mc(curve, 501, seed=1, probe_directions=(0.0,)), reference)
                 assert [chunks[p] for p in sorted(chunks)] == sizes
                 assert sorted(chunks) == [80 * start for start in range(0, 500, sizes[0])]
 
@@ -611,14 +636,14 @@ class TestRunMc:
         # over in the 2049-sample chunk (2049 = 256 * 8 + 1)
         for block_budget in (montecarlo._BLOCK_BYTES, 1, 8 * 336):
             monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block_budget)
-            report = run_mc(_pmap(scen, grid, 3), n_samples, seed=1)
+            report = run_mc(_curve(scen, grid, 3), n_samples, seed=1)
             assert np.array_equal(report.per_u_min, report.per_u_max)
 
     def test_envelope_inside_bounds(self):
         scen = _scenario()
         grid = uniform_grid(51)
         curve = power_bounds(scen, grid)
-        report = run_mc(_pmap(scen, grid, 5), 20_000, seed=5)
+        report = run_mc(_curve(scen, grid, 5), 20_000, seed=5)
         slack = 1e-9 * np.maximum(curve.p_hi, 1e-300)
         assert np.all(report.per_u_min >= curve.p_lo - slack)
         assert np.all(report.per_u_max <= curve.p_hi + slack)
@@ -626,7 +651,7 @@ class TestRunMc:
     def test_frequency_columns_sum_to_one(self):
         scen = _scenario()
         grid = uniform_grid(21)
-        report = run_mc(_pmap(scen, grid, 4), 3000, seed=2)
+        report = run_mc(_curve(scen, grid, 4), 3000, seed=2)
         sums = report.region_frequencies.sum(axis=0)
         assert np.abs(sums - 1.0).max() <= 1.0 / 3000
 
@@ -637,8 +662,8 @@ class TestRunMc:
         # the most probable ring or a neighbor
         scen = _scenario()
         grid = uniform_grid(41)
-        pmap = _pmap(scen, grid, 5)
-        report = run_mc(pmap, 30_000, seed=8)
+        curve = _curve(scen, grid, 5)
+        report = run_mc(curve, 30_000, seed=8)
         power = np.abs(nominal_af_curve(scen, grid)) ** 2
         from arraytol.pia import mainlobe_indices
 
@@ -651,7 +676,7 @@ class TestRunMc:
             if side[i] and power[i] >= power[i - 1] and power[i] >= power[i + 1]
         ]
         assert peaks
-        pia_mode = np.argmax(pmap.p, axis=0) + 1
+        pia_mode = np.argmax(curve.p, axis=0) + 1
         mc_mode = np.argmax(report.region_frequencies, axis=0) + 1
         for i in peaks:
             assert abs(int(mc_mode[i]) - int(pia_mode[i])) <= 1
@@ -659,38 +684,38 @@ class TestRunMc:
     def test_histogram_bins_span_bounds(self):
         scen = _scenario()
         grid = uniform_grid(41)
-        pmap = _pmap(scen, grid, 5)
-        report = run_mc(pmap, 2000, seed=3, probe_directions=(0.28,))
+        curve = _curve(scen, grid, 5)
+        report = run_mc(curve, 2000, seed=3, probe_directions=(0.28,))
         hist = report.histograms[0]
         idx = int(np.argmin(np.abs(grid.samples - 0.28)))
         assert hist.u == pytest.approx(float(grid.samples[idx]))
         assert hist.counts.size == 200
         assert hist.bin_edges_db.size == 201
         assert hist.counts.sum() == 2000
-        lo_db, hi_db = pmap.region_power_db[idx, 0], pmap.region_power_db[idx, -1]
+        lo_db, hi_db = curve.region_power_db[idx, 0], curve.region_power_db[idx, -1]
         assert hist.bin_edges_db[0] == pytest.approx(lo_db - 1.0)
         assert hist.bin_edges_db[-1] == pytest.approx(hi_db + 1.0)
 
     def test_probes_sharing_a_sample_give_one_histogram(self):
         scen = _scenario()
         grid = uniform_grid(41)  # samples 0.05 apart
-        pmap = _pmap(scen, grid, 5)
-        report = run_mc(pmap, 500, seed=3, probe_directions=(0.28, -0.5, 0.3, 0.29, -0.51))
+        curve = _curve(scen, grid, 5)
+        report = run_mc(curve, 500, seed=3, probe_directions=(0.28, -0.5, 0.3, 0.29, -0.51))
         assert [h.index for h in report.histograms] == [26, 10]
         for hist in report.histograms:
             assert hist.u == float(grid.samples[hist.index])
-            single = run_mc(pmap, 500, seed=3, probe_directions=(hist.u,))
+            single = run_mc(curve, 500, seed=3, probe_directions=(hist.u,))
             assert np.array_equal(hist.counts, single.histograms[0].counts)
 
     @pytest.mark.parametrize("u", [1.5, -1.0000001, float("nan")])
     def test_rejects_a_probe_outside_the_direction_range(self, u):
         # the CLI rejects such probes before any run; a library caller reaches run_mc's own check
         with pytest.raises(ValidationError, match=rf"probe direction {u} must lie in \[-1, 1\]"):
-            run_mc(_pmap(_scenario(), uniform_grid(11), 3), 10, probe_directions=(u,))
+            run_mc(_curve(_scenario(), uniform_grid(11), 3), 10, probe_directions=(u,))
 
     def test_rejects_bad_sample_count(self):
         with pytest.raises(Exception):
-            run_mc(_pmap(_scenario(), uniform_grid(11), 3), 0, seed=0)
+            run_mc(_curve(_scenario(), uniform_grid(11), 3), 0, seed=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -705,7 +730,7 @@ class TestRunMc:
     def test_rejects_bad_seed_or_count(self, kwargs):
         args = dict(seed=0, n_samples=10) | kwargs
         with pytest.raises(ValidationError):
-            run_mc(_pmap(_scenario(), uniform_grid(11), 3), **args)
+            run_mc(_curve(_scenario(), uniform_grid(11), 3), **args)
 
 
 @st.composite
@@ -756,13 +781,12 @@ def _random_scenarios(draw):
 def test_random_scenarios_stay_inside_bounds(scen, n_u, k, seed):
     grid = uniform_grid(n_u)
     bounds = power_bounds(scen, grid, arc_points=4, k_regions=k)
-    pmap = probability_map(bounds)
-    assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
-    report = run_mc(pmap, 300, seed=seed)
+    assert np.abs(bounds.p.sum(axis=0) - 1.0).max() <= 1e-9
+    report = run_mc(bounds, 300, seed=seed)
     slack = 1e-9 * np.maximum(bounds.p_hi, 1e-300)
     assert np.all(report.per_u_min >= bounds.p_lo - slack)
     assert np.all(report.per_u_max <= bounds.p_hi + slack)
-    features = feature_report(pmap)
+    features = feature_report(bounds)
     gamma = features.gamma_intervals
     assert np.array_equal(gamma[1:, 0], gamma[:-1, 1])  # the peak intervals tile
     assert (gamma[0, 0], gamma[-1, 1]) == features.iams_gamma

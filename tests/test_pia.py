@@ -10,12 +10,11 @@ from arraytol import (
     AngularGrid,
     ArrayScenario,
     ExcitationInterval,
-    ProbabilityMap,
     ValidationError,
     feature_report,
     mean_probabilities,
     power_bounds,
-    probability_map,
+    run_mc,
     scenario_from_config,
     scenario_from_tolerances,
     uniform_grid,
@@ -133,23 +132,31 @@ class TestRegionProbabilities:
             assert probs == pytest.approx(oracle, rel=0.0, abs=1e-13)
 
 
-def _pmap(scenario, grid, k_regions):
-    return probability_map(power_bounds(scenario, grid, k_regions=k_regions))
+def _curve(scenario, grid, k_regions):
+    return power_bounds(scenario, grid, k_regions=k_regions)
 
 
 def _report(scenario, grid, k_regions):
-    bounds = power_bounds(scenario, grid, k_regions=k_regions)
-    return feature_report(probability_map(bounds))
+    return feature_report(_curve(scenario, grid, k_regions))
 
 
 class TestProbabilityMap:
+    """The ring probabilities and boundaries that a curve's rings give."""
+
     def test_zero_tolerance_degenerate_convention(self):
         scen = scenario_from_tolerances([(1.0, 0.0)] * 4, 0.0, 0.0, 0.5)
         grid = uniform_grid(21)
-        pmap = _pmap(scen, grid, 5)
-        assert pmap.degenerate.all()
-        assert np.all(pmap.p[0] == 1.0)
-        assert np.all(pmap.p[1:] == 0.0)
+        curve = _curve(scen, grid, 5)
+        assert curve.degenerate.all()
+        assert np.all(curve.p[0] == 1.0)
+        assert np.all(curve.p[1:] == 0.0)
+
+    @pytest.mark.parametrize("stage", [lambda c: run_mc(c, 10), feature_report, mean_probabilities],
+                             ids=["run_mc", "feature_report", "mean_probabilities"])
+    def test_a_curve_without_rings_raises(self, small_scenario, stage):
+        curve = power_bounds(small_scenario, uniform_grid(11))
+        with pytest.raises(ValidationError, match="pass k_regions= to power_bounds"):
+            stage(curve)
 
     def test_rejects_non_integer_ring_count(self, small_scenario):
         # the region pass itself, which validate's direct rows take without power_bounds
@@ -158,33 +165,32 @@ class TestProbabilityMap:
                 pass_regions(small_scenario, uniform_grid(11), k_regions=k)
 
     def test_columns_sum_to_one(self, small_scenario):
-        pmap = _pmap(small_scenario, uniform_grid(51), 5)
-        assert np.abs(pmap.p.sum(axis=0) - 1.0).max() <= 1e-9
-        assert not pmap.degenerate.any()
+        curve = _curve(small_scenario, uniform_grid(51), 5)
+        assert np.abs(curve.p.sum(axis=0) - 1.0).max() <= 1e-9
+        assert not curve.degenerate.any()
 
     def test_refinement_aggregation(self, small_scenario):
         grid = uniform_grid(51)
-        p5 = _pmap(small_scenario, grid, 5)
-        p10 = _pmap(small_scenario, grid, 10)
+        p5 = _curve(small_scenario, grid, 5)
+        p10 = _curve(small_scenario, grid, 10)
         agg = p10.p[0::2] + p10.p[1::2]
         assert np.abs(agg - p5.p).max() <= 1e-9
         assert np.array_equal(p5.ring_radii, p10.ring_radii[:, 0::2])
 
     def test_region_power_db_matches_radii(self, small_scenario):
         grid = uniform_grid(31)
-        pmap = _pmap(small_scenario, grid, 4)
+        curve = _curve(small_scenario, grid, 4)
         i = 20
-        expected = 20.0 * np.log10(pmap.ring_radii[i]) - 10.0 * math.log10(pmap.bounds.peak_power)
-        assert pmap.region_power_db[i] == pytest.approx(expected, abs=1e-12)
+        expected = 20.0 * np.log10(curve.ring_radii[i]) - 10.0 * math.log10(curve.peak_power)
+        assert curve.region_power_db[i] == pytest.approx(expected, abs=1e-12)
 
     def test_outer_ring_boundaries_are_the_bounds(self, small_scenario):
         # a zero lower bound at the nulls of a zero-tolerance array, -inf on both sides
         zero_tol = scenario_from_tolerances([(1.0, 0.0)] * 4, 0.0, 0.0, 0.5)
         for scenario in (small_scenario, zero_tol):
-            pmap = _pmap(scenario, uniform_grid(101), 5)
-            bounds = pmap.bounds
-            assert np.array_equal(pmap.region_power_db[:, 0], bounds.p_lo_db)
-            assert np.array_equal(pmap.region_power_db[:, -1], bounds.p_hi_db)
+            curve = _curve(scenario, uniform_grid(101), 5)
+            assert np.array_equal(curve.region_power_db[:, 0], curve.p_lo_db)
+            assert np.array_equal(curve.region_power_db[:, -1], curve.p_hi_db)
 
 
 class TestOuterRings:
@@ -221,7 +227,6 @@ class TestPaddedRegions:
         scen = scenario_from_tolerances([(1.0, 0.0)] * 4, xi, gamma, 0.5)
         grid = uniform_grid(2 * (_BLOCK_EDGES // most) + 1)
         bounds = power_bounds(scen, grid, k_regions=5)
-        pmap = probability_map(bounds)
         vertices, _ = padded(pass_regions(scen, grid)[0])
         assert vertices.shape[1] == bounds.n_vertices.max() == most
         assert bounds.n_vertices[len(grid) // 2] == at_zero
@@ -237,12 +242,12 @@ class TestPaddedRegions:
             if i >= bounds.mirrored:
                 assert vertices[i, :n].tobytes() == region.tobytes()
                 assert (bounds.modulus_lo[i], bounds.modulus_hi[i]) == (modulus_lo, modulus_hi)
-                assert pmap.p[:, i].tobytes() == expected.tobytes()
+                assert bounds.p[:, i].tobytes() == expected.tobytes()
             else:
                 assert boundary_distance(vertices[i, :n], region) <= 1e-12 * scale
                 assert abs(bounds.modulus_lo[i] - modulus_lo) <= 1e-12 * scale
                 assert abs(bounds.modulus_hi[i] - modulus_hi) <= 1e-12 * scale
-                assert np.abs(pmap.p[:, i] - expected).max() <= 1e-12
+                assert np.abs(bounds.p[:, i] - expected).max() <= 1e-12
 
 
     def test_steered_rows_match_single_directions(self):
@@ -263,7 +268,6 @@ class TestPaddedRegions:
         rows = _BLOCK_EDGES // edges
         grid = uniform_grid(2 * rows + 1)
         bounds = power_bounds(scen, grid, k_regions=5)
-        pmap = probability_map(bounds)
         assert bounds.mirrored == 0
         vertices, _ = padded(pass_regions(scen, grid)[0])
         assert vertices.shape[1] == edges
@@ -280,7 +284,7 @@ class TestPaddedRegions:
                 np.array([modulus_lo, modulus_hi]).tobytes()
             )
             expected = region_probabilities(region, _ring_radii(modulus_lo, modulus_hi, 5))
-            assert pmap.p[:, i].tobytes() == expected.tobytes()
+            assert bounds.p[:, i].tobytes() == expected.tobytes()
 
 
 class TestMeanProbabilities:
@@ -288,17 +292,12 @@ class TestMeanProbabilities:
         grid = uniform_grid(11)
         k = 4
         p = np.full((k, len(grid)), 1.0 / k)
-        pmap = ProbabilityMap(
-            bounds=SimpleNamespace(grid=grid), k_regions=k, p=p,
-            ring_radii=np.tile(np.linspace(0, 1, k + 1), (len(grid), 1)),
-            region_power_db=np.zeros((len(grid), k + 1)),
-            degenerate=np.zeros(len(grid), dtype=bool),
-        )
-        assert mean_probabilities(pmap) == pytest.approx([0.25] * 4, abs=1e-15)
+        curve = SimpleNamespace(grid=grid, p=p)
+        assert mean_probabilities(curve) == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_sums_to_one(self, small_scenario):
-        pmap = _pmap(small_scenario, uniform_grid(51), 5)
-        assert mean_probabilities(pmap).sum() == pytest.approx(1.0, abs=1e-12)
+        curve = _curve(small_scenario, uniform_grid(51), 5)
+        assert mean_probabilities(curve).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_halved_grid_weighting(self):
         # p_1 is an indicator of u >= 0 on a symmetric grid: its mean is 1/2
@@ -306,13 +305,7 @@ class TestMeanProbabilities:
         p = np.zeros((2, 9))
         p[0] = (grid.samples >= 0).astype(float)
         p[1] = 1.0 - p[0]
-        pmap = ProbabilityMap(
-            bounds=SimpleNamespace(grid=grid), k_regions=2, p=p,
-            ring_radii=np.tile(np.linspace(0, 1, 3), (9, 1)),
-            region_power_db=np.zeros((9, 3)),
-            degenerate=np.zeros(9, dtype=bool),
-        )
-        means = mean_probabilities(pmap)
+        means = mean_probabilities(SimpleNamespace(grid=grid, p=p))
         # trapezoid adds half of the transition cell to the step side
         assert means.sum() == pytest.approx(1.0, abs=1e-15)
         assert means[0] == pytest.approx(0.5 + 0.125 / 2.0, abs=1e-12)
@@ -321,21 +314,21 @@ class TestMeanProbabilities:
     @pytest.mark.parametrize("samples", [np.linspace(-0.5, 0.5, 101), np.linspace(0.0, 1.0, 101)],
                              ids=["centred", "one-sided"])
     def test_sub_grid_mean_is_over_its_span(self, small_scenario, samples):
-        pmap = _pmap(small_scenario, AngularGrid(samples), 5)
-        means = mean_probabilities(pmap)
-        span_mean = np.trapezoid(pmap.p, x=samples, axis=1) / (samples[-1] - samples[0])
+        curve = _curve(small_scenario, AngularGrid(samples), 5)
+        means = mean_probabilities(curve)
+        span_mean = np.trapezoid(curve.p, x=samples, axis=1) / (samples[-1] - samples[0])
         assert means == pytest.approx(span_mean, rel=1e-15, abs=0.0)
         assert means.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_one_sample_grid_mean_is_its_column(self, small_scenario):
-        pmap = _pmap(small_scenario, AngularGrid([0.0]), 5)
-        assert np.array_equal(mean_probabilities(pmap), pmap.p[:, 0])
+        curve = _curve(small_scenario, AngularGrid([0.0]), 5)
+        assert np.array_equal(mean_probabilities(curve), curve.p[:, 0])
 
     def test_uniform_grid_mean_is_half_the_integral_bit_for_bit(self, small_scenario):
         # the span of uniform_grid is exactly 2, so features.json keeps its bytes
-        pmap = _pmap(small_scenario, uniform_grid(51), 5)
-        half = 0.5 * np.trapezoid(pmap.p, x=pmap.bounds.grid.samples, axis=1)
-        assert mean_probabilities(pmap).tobytes() == half.tobytes()
+        curve = _curve(small_scenario, uniform_grid(51), 5)
+        half = 0.5 * np.trapezoid(curve.p, x=curve.grid.samples, axis=1)
+        assert mean_probabilities(curve).tobytes() == half.tobytes()
 
 
 class TestMainlobe:
@@ -381,7 +374,7 @@ class TestFeatureReport:
         bounds = power_bounds(small_scenario, grid, k_regions=5)
         i = len(grid) // 2 - 1
         assert bounds.nominal_db[i] == bounds.nominal_db[i + 1] == bounds.nominal_db.max()
-        rep = feature_report(probability_map(bounds))
+        rep = feature_report(bounds)
         assert rep.u_max == grid.samples[i] == -grid.samples[i + 1]
 
     def test_sll_coverage_endpoints(self, small_scenario):

@@ -12,12 +12,11 @@ from arraytol import (
     AngularGrid,
     ExcitationInterval,
     power_bounds,
-    probability_map,
     scenario_from_config,
     scenario_from_tolerances,
     uniform_grid,
 )
-from arraytol import iams, pia, validate
+from arraytol import iams, validate
 from arraytol.cli import main
 from arraytol.geometry import disc_polygon_areas
 from arraytol.validate import (
@@ -37,14 +36,13 @@ from helpers import (
 
 
 def _chain(scen):
-    """The 4-ring map of scen on 41 samples and the regions run_validation keeps from its pass.
+    """The 4-ring curve of scen on 41 samples and the regions run_validation keeps from its pass.
 
     Rows 6, 13, 20, 27 and 34: the area oracle's rows of a 41-sample grid
     and their mirror partners, kept through the curve's own pass.
     """
     regions, sink = _region_sink((6, 13, 20, 27, 34))
-    bounds = power_bounds(scen, uniform_grid(41), k_regions=4, sink=sink)
-    return probability_map(bounds), regions
+    return power_bounds(scen, uniform_grid(41), k_regions=4, sink=sink), regions
 
 
 def _validate(tmp_path, capsys, config, *args):
@@ -174,15 +172,15 @@ class TestFeatureIntervalChecks:
     def test_fail_on_a_map_whose_outer_radius_is_one_ulp_out(self, tmp_path, capsys, monkeypatch):
         code, checks = _validate(tmp_path, capsys, SMOKE)
         assert code == 0
-        radii = pia._ring_radii
+        radii = iams.PowerBoundsCurve.ring_radii.fget
 
-        def moved(*args):
-            out = radii(*args)
+        def moved(curve):
+            out = radii(curve)
             out[..., -1] = np.nextafter(out[..., -1], np.inf)
             return out
 
-        # the map's boundaries move, the pass's modulus bounds do not
-        monkeypatch.setattr(pia, "_ring_radii", moved)
+        # the curve's ring boundaries move, the pass's modulus bounds do not
+        monkeypatch.setattr(iams.PowerBoundsCurve, "ring_radii", property(moved))
         code, checks = _validate(tmp_path, capsys, SMOKE)
         failed = [name for name, line in checks.items() if line.startswith("FAIL")]
         assert code == 1 and failed == ["gamma-interval-tiling", "sll-endpoint-coverage"]
@@ -198,10 +196,9 @@ class TestFeatureIntervalChecks:
             radii[..., :1], radii[..., -1:] = lo, hi
             return radii
 
-        # the pass's ring areas and the map's boundaries move together, so
-        # only the spacing check sees it
+        # the pass's ring areas and the curve's ring boundaries move together,
+        # so only the spacing check sees it
         monkeypatch.setattr(iams, "_ring_radii", squared)
-        monkeypatch.setattr(pia, "_ring_radii", squared)
         code, checks = _validate(tmp_path, capsys, config)
         failed = [name for name, line in checks.items() if line.startswith("FAIL")]
         assert code == 1 and failed == ["gamma-interval-tiling"]
@@ -217,9 +214,8 @@ class TestAmplitudeScale:
         # the geometry tolerances are relative: scaling every amplitude
         # scales the regions and leaves their vertices and rings alone
         grid = uniform_grid(41)
-        ref, scaled = (probability_map(power_bounds(self._scenario(s), grid, k_regions=3))
-                       for s in (1.0, scale))
-        assert np.array_equal(scaled.bounds.n_vertices, ref.bounds.n_vertices)
+        ref, scaled = (power_bounds(self._scenario(s), grid, k_regions=3) for s in (1.0, scale))
+        assert np.array_equal(scaled.n_vertices, ref.n_vertices)
         assert np.array_equal(scaled.degenerate, ref.degenerate)
         results = run_validation(self._scenario(scale), grid, 3, 5000)
         assert [r.name for r in results if not r.passed] == []
@@ -282,14 +278,14 @@ class TestPatternSymmetry:
     @pytest.mark.parametrize("row", [6, 13])
     def test_fails_on_a_wrong_mirrored_row(self, row):
         # rows 6 and 13 are the mirrored oracle directions of a 41-sample grid
-        pmap, regions = _chain(self._symmetric())
-        p = pmap.p.copy()
+        bounds, regions = _chain(self._symmetric())
+        p = bounds.p.copy()
         p[:, row] = p[::-1, row]
-        assert not _symmetry_check(dataclasses.replace(pmap, p=p), regions).passed
-        hi = pmap.bounds.modulus_hi.copy()
+        rings = (p, bounds.degenerate)
+        assert not _symmetry_check(dataclasses.replace(bounds, rings=rings), regions).passed
+        hi = bounds.modulus_hi.copy()
         hi[row] *= 1.0 + 1e-6
-        bounds = dataclasses.replace(pmap.bounds, modulus_hi=hi)
-        assert not _symmetry_check(dataclasses.replace(pmap, bounds=bounds), regions).passed
+        assert not _symmetry_check(dataclasses.replace(bounds, modulus_hi=hi), regions).passed
 
     def test_fails_on_images_that_are_not_conjugates(self, monkeypatch):
         # the curve pass's images as the region at u in the image order, without
