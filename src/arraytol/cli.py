@@ -1,7 +1,7 @@
 """Command-line front end: config ingestion, pipeline orchestration, CSV/JSON/NPY output.
 
-All numeric CSV and JSON output uses round-trip decimal formatting; `-inf`
-is the only non-numeric token.  The polygon dump is a binary .npy array,
+All numeric CSV and JSON output uses round-trip decimal formatting, infinities as `-inf`
+and `inf` (in JSON, which has none, as strings).  The polygon dump is a binary .npy array,
 exact to the bit.  Identical config and seed produce byte-identical files.
 """
 
@@ -87,7 +87,8 @@ def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int,
     _check_size bisects."""
     width, radii = n_elements * (arc_points + 4), k_regions + 1
     curve = curve_bytes(n_u, k_regions)
-    # five float64 dB columns, or the grid's Python floats with two; 7 columns' CSV text
+    # five float64 dB columns, or the grid's Python floats with two; 7 columns' CSV text, or
+    # a ring table's 5 with its block's numpy columns
     output = 72 * n_u + min(max(n_u, k_regions), _CSV_ROWS) * (82 * 7 + 57)
     rest = 8 * n_u * (k_regions + 2) + max(  # the report's envelope and K frequencies
         pass_bytes(min(n_u, 4), width, radii) + curve_bytes(min(n_u, 4), k_regions),
@@ -126,18 +127,6 @@ def _check_size(n_elements: int, fields: dict, n_probes: int = 0) -> None:
     )
 
 
-def _json_safe(obj):
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "-inf" if obj < 0 else "inf"
-        return obj
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    return obj
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config)
     scenario = scenario_from_config(cfg)
@@ -173,29 +162,29 @@ def _out_path(run: RunConfig, name: str) -> str:
 def _write_csv(run: RunConfig, name: str, header: str, blocks) -> None:
     """Write a CSV file as its header and then one write per block of rows.
 
-    A block is a tuple of equally long columns.  A numpy column is written
-    as repr of its Python values: integers as digits, floats as round-trip
-    decimals or `inf`, `-inf`, `nan`.  Any other column holds ready-made
-    strings, such as one direction's u repeated on each of its rows.  Only
-    _CSV_ROWS rows of a block are held as text at a time: per cell, a
-    Python float in a list (32 bytes) and up to 25 characters in its line
-    and again in the rows' joined text; per line, its str header and slot.
+    A block is a tuple of equally long numpy columns, each written as repr
+    of its Python values: integers as digits, floats as round-trip decimals
+    or `inf`, `-inf`, `nan`.  Only _CSV_ROWS rows of a block are held as
+    text at a time: per cell, a Python float in a list (32 bytes) and up to
+    25 characters in its line and again in the rows' joined text; per line,
+    its str header and slot.
     """
     with open(_out_path(run, name), "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for block in blocks:
             for rows in _row_blocks(len(block[0]), 1, _CSV_ROWS):
-                cells = [map(repr, c[rows].tolist()) if isinstance(c, np.ndarray) else c[rows]
-                         for c in block]
+                cells = [map(repr, c[rows].tolist()) for c in block]
                 fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def _ring_blocks(grid, *columns):
-    """Blocks of K rows per direction: u, k = 1..K, then each (K, N_u) column's slice."""
+    """Blocks of K rows per direction, whole directions of at most _CSV_ROWS rows (or one):
+    u repeated, k = 1..K, then each (K, N_u) column's entries direction by direction."""
     k_regions = len(columns[0])
-    ks = [str(k) for k in range(1, k_regions + 1)]
-    for i, u in enumerate(grid.samples.tolist()):
-        yield ([repr(u)] * k_regions, ks, *(c[:, i] for c in columns))
+    for block in _row_blocks(len(grid), k_regions, _CSV_ROWS):
+        yield (np.repeat(grid.samples[block], k_regions),
+               np.tile(np.arange(1, k_regions + 1), block.stop - block.start),
+               *(c[:, block].T.ravel() for c in columns))
 
 
 def _curve(run: RunConfig, k_regions=None, sink=None) -> PowerBoundsCurve:
@@ -285,6 +274,10 @@ def cmd_pia(run: RunConfig) -> int:
 def cmd_features(run: RunConfig) -> int:
     """Write the feature-report JSON."""
     report = feature_report(_curve(run, run.k_regions))
+
+    def db(interval):  # a dB interval, its infinities spelled "-inf" and "inf"
+        return [repr(v) if math.isinf(v) else v for v in map(float, interval)]
+
     sll = report.sll_intervals  # None: no sidelobe, written as null
     payload = {
         "k_regions": report.k_regions,
@@ -294,24 +287,21 @@ def cmd_features(run: RunConfig) -> int:
         "regions": [
             {
                 "k": k + 1,
-                "sll_db": None if sll is None else [float(sll[k, 0]), float(sll[k, 1])],
+                "sll_db": None if sll is None else db(sll[k]),
                 "sll_prob": float(report.mean_probs[k]),  # the angular mean, as mean_prob
-                "gamma_db": [
-                    float(report.gamma_intervals[k, 0]),
-                    float(report.gamma_intervals[k, 1]),
-                ],
+                "gamma_db": db(report.gamma_intervals[k]),
                 "gamma_prob": float(report.gamma_probs[k]),
                 "mean_prob": float(report.mean_probs[k]),
             }
             for k in range(report.k_regions)
         ],
         "iams": {
-            "sll_db": None if report.iams_sll is None else list(report.iams_sll),
-            "gamma_db": list(report.iams_gamma),
+            "sll_db": None if report.iams_sll is None else db(report.iams_sll),
+            "gamma_db": db(report.iams_gamma),
         },
     }
     with open(_out_path(run, "features.json"), "w", encoding="utf-8") as fh:
-        json.dump(_json_safe(payload), fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
     return 0
 

@@ -47,9 +47,9 @@ _EDGE_BYTES = 5 * 16 + 8 * 8
 # and stay in cache.
 _BLOCK_TRIPLES = 80_000
 # _vertex_pass' bytes per triple: a float64 radius and 8 bool masks; per vertex, counted as
-# _VERTEX_RADII radii: prefix sums, edge ends, a* b, a candidate edge's start and direction
-# (complex128); |a|**2, min(|a|**2, |b|**2), a candidate's 3 indices, squared length, foot
-# parameter and distance and 2 more (8 bytes each), as if every edge were a candidate
+# _VERTEX_RADII radii: the block's gathered vertices, prefix sums, edge ends, a* b, a candidate
+# edge's start and direction (complex128); |a|**2, min(|a|**2, |b|**2), a candidate's 3 indices,
+# squared length, foot parameter and distance (8 bytes each), as if every edge were a candidate
 _TRIPLE_BYTES, _VERTEX_RADII = 16, 10
 
 
@@ -340,17 +340,14 @@ def _region_blocks(vertices: np.ndarray, n_vertices: np.ndarray, per_vertex: int
     Regions come in groups of equal vertex count, each cut to its own
     width, so padding never enters a sum and a region's results do not
     depend on the array it comes in; each group in blocks of rows holding
-    about size elements, per_vertex of them per vertex.  A block of
-    consecutive rows is a view.
+    about size elements, per_vertex of them per vertex.  Each block's
+    vertices are a gathered copy, 16 bytes a vertex.
     """
     for n in sorted(set(n_vertices[n_vertices >= 3].tolist())):  # np.unique imports numpy.ma
         group = np.flatnonzero(n_vertices == n)
         for block in _row_blocks(group.size, per_vertex * n, size):
             rows = group[block]
-            if rows[-1] - rows[0] == rows.size - 1:
-                yield rows, vertices[rows[0] : rows[-1] + 1, :n]
-            else:
-                yield rows, vertices[rows, :n]
+            yield rows, vertices[rows, :n]
 
 
 def _fan_cross(a: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -260,7 +260,8 @@ def mc_bytes(n: int, k_regions: int, n_u: int, n_samples: int, n_probes: int) ->
     first, and what it holds after: per _layout worker, its buffers, envelope, K + 1 int64
     counts, histograms, a min over the chunk, a histogram's sorted copy and dB row, 2N uint64
     word slots and an offset a row; K - 1 ring boundaries; the report's envelope, a stack of
-    the workers', K frequencies, and K + 1 summed and K differenced int64 counts."""
+    the workers', K differenced int64 counts, their K frequencies and, as K + 1 rows, the
+    buffer numpy casts the counts through (8192 elements at most, numpy's default)."""
     *_, workers, rows, batch, buffers = _layout(n, n_u, n_samples, n_probes)
     worker = sum(np.dtype(dtype).itemsize * math.prod(shape) for shape, dtype in buffers) + 8 * (
         (k_regions + 4) * n_u + _HIST_BINS * n_probes + 2 * batch * min(n_probes, 1) + 2 * n + rows)
@@ -432,7 +433,9 @@ def run_mc(curve: PowerBoundsCurve, n_samples: int, seed: int = 0,
         raise failures[0]
 
     lows, highs, at_least, hist_counts = zip(*results)
-    at_least = sum(at_least)
+    at_least, *others = at_least  # summed in place, as Python's sum would copy
+    for other in others:
+        at_least += other
     at_least[0] = n_samples  # every sample is at or above the inner disc, none above the outer
     counts = at_least[:-1] - at_least[1:]
     histograms = tuple(

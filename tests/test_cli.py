@@ -16,6 +16,7 @@ import pytest
 from arraytol import (
     AngularGrid,
     ValidationError,
+    feature_report,
     power_bounds,
     power_db,
     run_mc,
@@ -279,6 +280,48 @@ class TestFeaturesCommand:
         assert payload["mainlobe_span"][1] == 1.0 and payload["mainlobe_span"][0] > -1.0
         assert payload["iams"]["sll_db"][0] == payload["regions"][0]["sll_db"][0]
         assert payload["iams"]["sll_db"][1] == payload["regions"][-1]["sll_db"][1]
+
+    def test_infinities_are_spelled_as_strings(self, tmp_path):
+        # every amplitude interval reaches 0, so every region holds the
+        # origin: the first ring's power starts at -inf dB, and so does the
+        # peak's, whose lower bound 0 puts each sidelobe interval's upper end at +inf dB
+        elements = [{"amplitude": a, "phase_deg": 0.0, "amplitude_lo": 0.0,
+                     "amplitude_hi": 1.02 * a} for a in (0.5, 0.8, 1.0, 1.0, 0.8, 0.5)]
+        cfg = _write_config(tmp_path / "cfg.json", elements=elements, k_regions=2, n_u=21)
+        out = tmp_path / "out"
+        assert main(["features", "--config", str(cfg), "--out", str(out)]) == 0
+        text = (out / "features.json").read_text()
+        payload = json.loads(text)
+        (first, second), iams_db = payload["regions"], payload["iams"]
+        assert first["sll_db"] == ["-inf", "inf"] and first["gamma_db"][0] == "-inf"
+        assert second["sll_db"][1] == "inf" and first["gamma_db"][1] == second["gamma_db"][0]
+        assert iams_db == {"sll_db": ["-inf", "inf"], "gamma_db": ["-inf", second["gamma_db"][1]]}
+        for value in (first["gamma_db"][1], second["sll_db"][0], *second["gamma_db"]):
+            assert math.isfinite(value)
+
+        # the library's report in JSON's indent-2 layout, each dB infinity a string
+        report = feature_report(power_bounds(scenario_from_config(json.loads(cfg.read_text())),
+                                             uniform_grid(21), 6, k_regions=2))
+
+        def db(interval):
+            return [("-inf" if v < 0 else "inf") if math.isinf(v) else float(v) for v in interval]
+
+        expected = {
+            "k_regions": 2,
+            "u_max": report.u_max,
+            "mainlobe_span": list(report.mainlobe_span),
+            "degenerate": False,
+            "regions": [
+                {"k": k + 1, "sll_db": db(report.sll_intervals[k]),
+                 "sll_prob": float(report.mean_probs[k]),
+                 "gamma_db": db(report.gamma_intervals[k]),
+                 "gamma_prob": float(report.gamma_probs[k]),
+                 "mean_prob": float(report.mean_probs[k])}
+                for k in range(2)
+            ],
+            "iams": {"sll_db": db(report.iams_sll), "gamma_db": db(report.iams_gamma)},
+        }
+        assert text == json.dumps(expected, indent=2) + "\n"
 
 
 class TestOverflow:

@@ -322,10 +322,10 @@ class TestRunMcMemory:
         return _curve(scen, uniform_grid(n_u), 5)
 
     @staticmethod
-    def _peak(curve, n_samples):
+    def _peak(curve, n_samples, probes=PROBES):
         tracemalloc.start()
         try:
-            run_mc(curve, n_samples, seed=0, probe_directions=PROBES)
+            run_mc(curve, n_samples, seed=0, probe_directions=probes)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,6 +355,14 @@ class TestRunMcMemory:
                       + probes * 8 * batch)
         buffers = workers * per_worker + n * n_u * 16
         assert self._peak(curve, 5_000) <= 1.1 * buffers
+
+    def test_peak_is_at_most_mc_bytes(self, monkeypatch):
+        # two workers, whose K + 1 rows of ring counts run_mc merges: 2
+        # elements on 501 directions at K = 20
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+        scen = scenario_from_tolerances([(1.0, 0.0), (0.7, 0.0)], 0.02, math.radians(4.0), 0.5)
+        curve = power_bounds(scen, uniform_grid(501), 2, 20)
+        assert self._peak(curve, 3000, ()) <= montecarlo.mc_bytes(2, 20, 501, 3000, 0)
 
 
 class TestWorkers:
