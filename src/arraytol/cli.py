@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .geometry import _row_blocks, pad_rows
-from .iams import (_PASS_BYTES, PowerBoundsCurve, curve_bytes, pass_bytes, power_bounds,
-                   power_db, ring_bytes)
+from .iams import (_PASS_BYTES, PowerBoundsCurve, curve_bytes, mirrors, pass_bytes,
+                   pass_processes, power_bounds, power_db, ring_bytes)
 from .model import (
     ArrayScenario,
     check_integer,
@@ -76,40 +76,55 @@ _CSV_ROWS = 1024  # the rows of a block _write_csv holds as text at a time
 
 
 def run_bytes(n_elements: int, k_regions: int, n_u: int, arc_points: int,
-              mc_samples: int = SAMPLE_LIMIT - 1, n_probes: int = 0) -> int:
+              mc_samples: int = SAMPLE_LIMIT - 1, n_probes: int = 0, *, fixed_phases: int = 0,
+              mirrored: bool = False) -> int:
     """An upper estimate of the bytes a run allocates at its peak, validate's included.
 
     Each module counts the arrays it allocates.  Held from the pass on: the grid, the run's
-    curve, validate's kept regions.  On top, the largest of the stages, which run in turn:
-    the pass; run_mc; beside the Monte Carlo report, validate's direct pass over four rows,
-    or its zero-tolerance pass of N point sectors with their curve, or a read of the curve's
-    ring radii and dB with a command's output.  Not affine in the size fields, which
+    curve, validate's kept regions (no more than the grid's rows).  On top, the largest of
+    the stages, which run in turn: the pass; run_mc; beside the Monte Carlo report,
+    validate's direct pass over four rows, or its zero-tolerance pass of N point sectors
+    with their curve, or a read of the curve's ring radii and dB with a command's output.
+    Each pass takes one pass_bytes in each of its pass_processes processes, which its work
+    decides: fixed_phases of the elements have a phase interval of no width, a sector of
+    two vertices at most, where any other has arc_points + 4; a mirrored scenario
+    (iams.mirrors) sums its rows from u = 0 on.  Not affine in the size fields, which
     _check_size bisects."""
     width, radii = n_elements * (arc_points + 4), k_regions + 1
+    edges = width - fixed_phases * (arc_points + 2)  # the most sector vertices the pass sums
+
+    def dealt(rows: int, summed: int, n_edges: int, padded: int) -> int:
+        """pass_bytes over rows padded vertices wide, in each process of a pass that sums
+        summed rows of n_edges vertices."""
+        return pass_processes(summed, n_edges, radii) * pass_bytes(rows, padded, radii)
+
     curve = curve_bytes(n_u, k_regions)
     # five float64 dB columns, or the grid's Python floats with two; 7 columns' CSV text, or
     # a ring table's 5 with its block's numpy columns
     output = 72 * n_u + min(max(n_u, k_regions), _CSV_ROWS) * (82 * 7 + 57)
     rest = 8 * n_u * (k_regions + 2) + max(  # the report's envelope and K frequencies
-        pass_bytes(min(n_u, 4), width, radii) + curve_bytes(min(n_u, 4), k_regions),
-        curve + pass_bytes(n_u, n_elements, radii), ring_bytes(n_u, k_regions) + output)
-    stages = (pass_bytes(n_u, width, radii), mc_bytes(n_elements, k_regions, n_u, mc_samples,
-                                                      min(n_probes, n_u)), rest)
-    return _OBJECT_BYTES + 8 * n_u + curve + 16 * width * KEPT_REGIONS + max(stages)
+        dealt(min(n_u, 4), min(n_u, 4), edges, width) + curve_bytes(min(n_u, 4), k_regions),
+        curve + dealt(n_u, n_u, n_elements, n_elements), ring_bytes(n_u, k_regions) + output)
+    stages = (dealt(n_u, n_u - n_u // 2 * mirrored, edges, width),
+              mc_bytes(n_elements, k_regions, n_u, mc_samples, min(n_probes, n_u)), rest)
+    kept = 16 * width * min(n_u, KEPT_REGIONS)
+    return _OBJECT_BYTES + 8 * n_u + curve + kept + max(stages)
 
 
-def _check_size(n_elements: int, fields: dict, n_probes: int = 0) -> None:
-    """Raise ValidationError when the run_bytes of fields exceed _BYTE_BUDGET.
+def _check_size(scenario: ArrayScenario, fields: dict, n_probes: int = 0) -> None:
+    """Raise ValidationError when the run_bytes of scenario's fields exceed _BYTE_BUDGET.
 
     The message names each size field that alone could bring the run
     within the budget, and the limit it must then stay below, which it
     bisects for: the largest value within the budget, plus one.
     """
     size = {key: fields[key] for key, *_ in _SIZE_FIELDS}
+    shape = dict(fixed_phases=sum(e.phase_lo == e.phase_hi for e in scenario.elements),
+                 mirrored=mirrors(scenario))
 
     def fits(**change):
-        return run_bytes(n_elements, **size | change, mc_samples=fields["mc_samples"],
-                         n_probes=n_probes) <= _BYTE_BUDGET
+        return run_bytes(scenario.n_elements, **size | change, mc_samples=fields["mc_samples"],
+                         n_probes=n_probes, **shape) <= _BYTE_BUDGET
 
     if fits():
         return
@@ -139,7 +154,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             check_integer(key, fields[key], least, limit)
         check_integer("threads", args.threads, 1)
         probes = tuple(getattr(args, "probe", None) or ())  # mc's own flag
-        _check_size(scenario.n_elements, fields, len(probes))
+        _check_size(scenario, fields, len(probes))
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
     for u in probes:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,11 @@ _MODULUS_RANGE = (1e-72, 1e72)
 # their ring areas' temporaries, take about this many bytes; one block's
 # regions are all the pass holds.
 _PASS_BYTES = 1 << 20
+
+# The region pass deals its blocks to one process per CPU where its summed rows times sector
+# vertices reach this many; below it a forked worker costs more than it saves (crossover
+# sweep in CHANGES.md: Taylor-N at n_u 501, N 16 to 64, steered and unsteered).
+_FORK_WORK = 100_000
 
 # Bytes disc_polygon_areas takes per region and ring radius for the edges its circles cut,
 # gathered over a whole block: an assumption, not a bound.  Two cut edges, as measured
@@ -140,13 +148,15 @@ class Block:
     padded-row format.  Grid row r's image is row n_u - 1 - r: the block's
     rows from first on, reversed, are the partners of its image rows
     images, which the pass does not sum.  On an unmirrored pass first is
-    the block's row count and images is empty.
+    the block's row count and images is empty.  A pass without a sink
+    drops each block's regions as soon as it has reduced them: its Blocks'
+    vertices are None, and no process sends them to another.
     """
 
     rows: slice
     images: slice
     first: int
-    vertices: np.ndarray = field(repr=False)
+    vertices: np.ndarray | None = field(repr=False)
     n_vertices: np.ndarray = field(repr=False)
 
     @classmethod
@@ -196,14 +206,29 @@ def interval_af_curve(
     Block maps its rows at u to their image rows at -u: the pass writes
     the block's vertex counts, bounds and ring probabilities through
     Block.scatter, and the sink reads the images' regions from
-    Block.regions, after the block's own.  After the regions are dropped,
-    so that its (N, rows) temporaries never join them, each block sums the
-    nominal array factor at its rows from the phases psi its regions are
-    rotated by, and at their image rows from the steering phases at -u,
-    bitwise -psi: a nominal phase inside a symmetric interval need not be
-    0.  The curve holds the nominal power and its peak, which is 0 where
-    the nominal pattern vanishes at every sample, as it may on a sub-grid:
-    power_bounds, not the pass, rejects a zero peak.
+    Block.regions, after the block's own.  After the regions are reduced,
+    and dropped unless a sink takes them, so that its (N, rows) temporaries
+    join no regions a sink does not keep, each block sums the nominal array
+    factor at its rows from the phases psi its regions are rotated by, and
+    at their image rows from the steering phases at -u, bitwise -psi: a
+    nominal phase inside a symmetric interval need not be 0.  The curve
+    holds the nominal power and its peak, which is 0 where the nominal
+    pattern vanishes at every sample, as it may on a sub-grid: power_bounds,
+    not the pass, rejects a zero peak.
+
+    The pass is one map over its blocks, dealt to pass_processes
+    processes: block i is summed by process i mod P, process 0 being the
+    caller and each other an os.fork'ed worker (_dealt).  P is 1, and no
+    process is forked, below _FORK_WORK summed rows times sector vertices.
+    The caller places every block's results and calls sink itself, in
+    block order, so neither the bits of the curve nor what the sink gets
+    depend on P.  Each worker holds one block at a time, as the caller
+    does (pass_bytes), and sends its regions only to a sink.  A worker's
+    exception is raised here as itself; a worker that exits without its
+    results raises ChildProcessError; no worker outlives the call.  Python
+    3.12 and later warn (DeprecationWarning) on os.fork in a process with
+    more than one thread, and numpy's OpenBLAS starts one; the workers call
+    no BLAS.
     """
     u, n_u, rings, radii_per_row = grid.samples, len(grid), None, 0
     if k_regions is not None:
@@ -217,32 +242,121 @@ def interval_af_curve(
     lo, hi, nominal = np.empty(n_u), np.empty(n_u), np.empty(n_u, dtype=complex)
     amplitudes = np.array([[e.nominal_amplitude] for e in scenario.elements])
     phases = np.array([[e.nominal_phase] for e in scenario.elements])
-    per_row = row_bytes(int(sectors[1].sum()), radii_per_row)
-    for summed in _row_blocks(n_u - mirrored, per_row, _PASS_BYTES):
-        rows = slice(mirrored + summed.start, mirrored + summed.stop)
+    n_edges = int(sectors[1].sum())
+
+    def summed(rows: slice):
+        """The Block of rows, their (vertex counts, bounds[, ring probabilities, degenerate
+        flags]) and the nominal AF at its rows and image rows; the Block keeps its regions
+        only for a sink."""
         psi = steering_phases(scenario, u[rows])
         vertices, n, welded = rotated_minkowski_sums(*sectors, psi)
-        block = Block.of(rows, n_u, mirrored, vertices=vertices, n_vertices=n)
         block_lo, block_hi = modulus_bounds(vertices, n)
         reach = slack + welded
-        block_lo, block_hi = np.maximum(block_lo - reach, 0.0), block_hi + reach
-        values = [(n_vertices, n), (lo, block_lo), (hi, block_hi)]
+        values = (n, np.maximum(block_lo - reach, 0.0), block_hi + reach)
         if rings is not None:
-            radii = _ring_radii(block_lo, block_hi, k_regions)
-            values += zip(rings, _ring_probabilities(radii, vertices, n))
-        for target, value in values:
-            block.scatter(target, value)
-        if sink is not None:
-            sink(block)
-        images = block.images
-        del vertices, block  # so neither the nominal nor the next block's sum holds them too
-        nominal[rows] = _nominal_af(amplitudes, phases, psi)
-        nominal[images] = _nominal_af(amplitudes, phases, steering_phases(scenario, u[images]))
+            radii = _ring_radii(*values[1:], k_regions)
+            values += _ring_probabilities(radii, vertices, n)
+        kept = vertices if sink is not None else None
+        block = Block.of(rows, n_u, mirrored, vertices=kept, n_vertices=n)
+        del vertices, kept
+        image_psi = steering_phases(scenario, u[block.images])
+        return block, values, (_nominal_af(amplitudes, phases, psi),
+                               _nominal_af(amplitudes, phases, image_psi))
+
+    blocks = [slice(mirrored + b.start, mirrored + b.stop) for b in
+              _row_blocks(n_u - mirrored, row_bytes(n_edges, radii_per_row), _PASS_BYTES)]
+    processes = pass_processes(n_u - mirrored, n_edges, radii_per_row)
+    with contextlib.closing(_dealt(summed, blocks, processes)) as results:
+        for block, values, (at_rows, at_images) in results:
+            for target, value in zip((n_vertices, lo, hi, *(rings or ())), values):
+                block.scatter(target, value)
+            nominal[block.rows], nominal[block.images] = at_rows, at_images
+            if sink is not None:
+                sink(block)
+            del block  # so the next block's sum does not hold this one's regions too
     nominal_power = np.abs(nominal) ** 2
     return PowerBoundsCurve(
         scenario, grid, sectors, n_vertices, lo, hi, nominal_power,
         float(nominal_power.max()), slack, mirrored, rings,
     )
+
+
+def pass_processes(n_rows: int, n_edges: int, radii: int) -> int:
+    """The processes a pass that sums n_rows rows of n_edges sector vertices and radii ring radii
+    runs on: one per CPU this process may run on (os.sched_getaffinity), at most one per block,
+    where n_rows * n_edges reach _FORK_WORK; else 1."""
+    if n_rows * n_edges < _FORK_WORK or not hasattr(os, "sched_getaffinity"):
+        return 1
+    step = max(1, _PASS_BYTES // row_bytes(n_edges, radii))  # _row_blocks' rows a block
+    return min(len(os.sched_getaffinity(0)), -(-n_rows // step))
+
+
+def _dealt(work, items, processes: int):
+    """work(item) for each of items, in order, item i computed by process i mod processes.
+
+    Process 0 is the caller.  Each other is an os.fork'ed worker that
+    computes its items in order, sends each result through its own pipe
+    (_work) and leaves by os._exit; the caller reads a worker's result when
+    its turn comes.  A worker's exception is raised as itself where its
+    item's result would be, and a worker that exits without its result
+    raises ChildProcessError.  Every worker is reaped however the caller
+    leaves, when the generator is closed; a worker whose pipe is closed
+    stops at its next result.
+    """
+    workers = {}  # process number: (pid, read end of its pipe)
+    try:
+        for p in range(1, processes):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _work(work, items[p::processes], write)  # never returns
+            os.close(write)
+            workers[p] = pid, os.fdopen(read, "rb")
+        for i, item in enumerate(items):
+            yield work(item) if i % processes == 0 else _received(workers, i % processes)
+    finally:
+        for pid, pipe in workers.values():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _work(work, items, fd: int) -> None:
+    """A worker: pickle (True, work(item)) for each item to fd, or (False, the exception) and
+    stop; then os._exit, so none of the caller's exit handlers or buffered output runs here."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as out:
+            for item in items:
+                try:
+                    result = True, work(item)
+                except Exception as exc:
+                    result = False, exc
+                pickle.dump(result, out, pickle.HIGHEST_PROTOCOL)
+                out.flush()
+                if not result[0]:
+                    break
+                del result  # so the next block's sum does not hold this one's results too
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(workers: dict, p: int):
+    """Worker p's next result, read from its pipe; its exception raised as itself."""
+    pid, pipe = workers[p]
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        del workers[p]
+        pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        raise ChildProcessError(
+            f"region-pass worker {pid} exited with status {status} before sending its results"
+        ) from None
+    if not ok:
+        raise value
+    return value
 
 
 def row_bytes(n_edges: int, radii: int) -> int:
@@ -265,7 +379,8 @@ def ring_bytes(n_u: int, k_regions: int) -> int:
 def pass_bytes(n_u: int, n_edges: int, radii: int) -> int:
     """The most bytes a pass over n_u rows of n_edges sector vertices takes besides its curve:
     a block (row_bytes a row) and the kernels' temporaries or, larger, its image rows'
-    mirror images with their int64 gather index, padded again by a dump (40 bytes a vertex)."""
+    mirror images with their int64 gather index, padded again by a dump (40 bytes a vertex).
+    Each of the pass's pass_processes processes takes them."""
     rows = min(n_u, max(1, _PASS_BYTES // row_bytes(n_edges, radii)))
     return rows * row_bytes(n_edges, radii) + max(kernel_bytes(n_edges, radii), 40 * rows * n_edges)
 
@@ -320,8 +435,12 @@ def mirrored_rows(scenario: ArrayScenario, grid: AngularGrid) -> int:
     Anything else mirrors none.
     """
     u = grid.samples
-    symmetric = all(e.phase_lo == -e.phase_hi for e in scenario.elements)
-    return len(u) // 2 if symmetric and np.array_equal(u, -u[::-1]) else 0
+    return len(u) // 2 if mirrors(scenario) and np.array_equal(u, -u[::-1]) else 0
+
+
+def mirrors(scenario: ArrayScenario) -> bool:
+    """Whether every element's phase interval is symmetric about 0, exactly."""
+    return all(e.phase_lo == -e.phase_hi for e in scenario.elements)
 
 
 def mirror_image(vertices: np.ndarray, n_vertices: np.ndarray) -> np.ndarray:
@@ -408,7 +527,11 @@ def power_bounds(
     feature_report and run_mc take.  A sector_reach outside _MODULUS_RANGE
     raises ValidationError before any region is built; inside it the power
     bounds, and the nominal peak they contain, are finite.  A nominal pattern that is zero at every grid sample raises
-    ValidationError, so the curve's dB values are defined.
+    ValidationError, so the curve's dB values are defined.  A pass whose summed
+    rows times sector vertices reach _FORK_WORK runs on one process per CPU,
+    each os.fork'ed worker holding one block at a time (pass_bytes), and
+    below it on the caller alone; the curve's bits, and the Blocks sink gets
+    and their order, are the same either way (interval_af_curve).
     """
     sectors = element_sectors(scenario, arc_points)
     curve = interval_af_curve(scenario, grid, sectors, k_regions, sink)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from helpers import (
     pass_regions,
     polygonize_interval_phasor,
     taylor_taper,
+    workload_config,
 )
 
 
@@ -655,6 +657,120 @@ class TestRegionPass:
         assert curve.ring_radii.shape == curve.region_power_db.shape == (11, 6)
         with pytest.raises(ValidationError, match="integer"):
             power_bounds(small_scenario, uniform_grid(11), k_regions=0)
+
+
+def _pass_work(config) -> int:
+    """A config's region-pass work, which pass_processes weighs: rows times sector vertices."""
+    scen, grid = scenario_from_config(config), uniform_grid(config["n_u"])
+    return (len(grid) - iams.mirrored_rows(scen, grid)) * int(
+        element_sectors(scen, config["arc_points"])[1].sum())
+
+
+def _dealt_pass(config, cpus, monkeypatch, sink=True):
+    """(curve arrays as bytes, the Blocks the sink got, forks) of a pass on cpus CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    fork, forks, blocks = os.fork, [], []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def keep(block):
+        regions = [(first, v.tobytes(), n.tobytes()) for first, v, n in block.regions()]
+        blocks.append((block.rows, block.images, block.first, regions))
+
+    curve = power_bounds(scenario_from_config(config), uniform_grid(config["n_u"]),
+                         config["arc_points"], config["k_regions"], keep if sink else None)
+    arrays = (curve.n_vertices, curve.modulus_lo, curve.modulus_hi, curve.nominal_power,
+              *curve.rings)
+    return [a.tobytes() for a in arrays] + [curve.peak_power], blocks, len(forks)
+
+
+class TestWorkers:
+    """Above _FORK_WORK the pass deals its blocks to worker processes; no bit depends on them."""
+
+    @pytest.mark.parametrize(
+        "workload, n_u, pass_bytes",
+        [("taylor16", 501, iams._PASS_BYTES), ("taylor16", 501, iams._PASS_BYTES // 37),
+         ("taylor16", 500, iams._PASS_BYTES // 37), ("steered64", 501, iams._PASS_BYTES)],
+        ids=["taylor16", "taylor16-blocks", "taylor16-even-blocks", "steered64"],
+    )
+    def test_processes_change_no_bit(self, workload, n_u, pass_bytes, monkeypatch):
+        monkeypatch.setattr(iams, "_FORK_WORK", 0)
+        monkeypatch.setattr(iams, "_PASS_BYTES", pass_bytes)
+        config = workload_config(workload) | {"n_u": n_u}
+        one, one_blocks, forks = _dealt_pass(config, 1, monkeypatch)
+        assert forks == 0 and len(one_blocks) >= 2
+        for cpus in (2, 3):
+            arrays, blocks, forks = _dealt_pass(config, cpus, monkeypatch)
+            assert forks == min(cpus, len(one_blocks)) - 1
+            assert arrays == one
+            assert blocks == one_blocks  # rows, image rows, order and vertices
+        # a pass without a sink sends no regions, and the same curve
+        assert _dealt_pass(config, 2, monkeypatch, sink=False)[0] == one
+
+    def test_workloads_fork_only_above_the_threshold(self, monkeypatch):
+        work = {name: _pass_work(workload_config(name))
+                for name in ("taylor16", "mc-coarse16", "steered64")}
+        assert work == {"taylor16": 251 * 192, "mc-coarse16": 51 * 192, "steered64": 501 * 768}
+        assert work["taylor16"] < iams._FORK_WORK <= work["steered64"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert iams.pass_processes(501, 768, 6) == 8  # one per block: at most 8 blocks
+
+    @pytest.mark.parametrize("workload", ["taylor16", "mc-coarse16"])
+    def test_small_workloads_never_fork(self, workload, monkeypatch):
+        def fork():
+            raise AssertionError("the pass forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        config = workload_config(workload)
+        power_bounds(scenario_from_config(config), uniform_grid(config["n_u"]),
+                     config["arc_points"], config["k_regions"], sink=lambda block: None)
+
+    @staticmethod
+    def _in_workers(monkeypatch, name, action):
+        """Make iams.name run action in every worker process, before its own call."""
+        parent, original = os.getpid(), getattr(iams, name)
+
+        def wrapped(*args):
+            if os.getpid() != parent:
+                action()
+            return original(*args)
+
+        monkeypatch.setattr(iams, name, wrapped)
+        monkeypatch.setattr(iams, "_FORK_WORK", 0)
+        monkeypatch.setattr(iams, "_PASS_BYTES", 1)  # one-row blocks, every other a worker's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @staticmethod
+    def _assert_no_child_left(failed):
+        # the failure's traceback still holds the pass's frame, and the frame its workers
+        assert failed.traceback
+        with pytest.raises(ChildProcessError):  # no worker is left, running or a zombie
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_exception_is_raised_as_itself(self, monkeypatch):
+        def fail():
+            raise ValidationError("a worker's block failed")
+
+        self._in_workers(monkeypatch, "modulus_bounds", fail)
+        with pytest.raises(ValidationError, match="^a worker's block failed$") as failed:
+            power_bounds(scenario_from_config(SMOKE), uniform_grid(41), k_regions=3)
+        self._assert_no_child_left(failed)
+
+    def test_a_worker_that_dies_raises_child_process_error(self, monkeypatch):
+        self._in_workers(monkeypatch, "modulus_bounds", lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="exited with status 3") as failed:
+            power_bounds(scenario_from_config(SMOKE), uniform_grid(41), sink=lambda block: None)
+        self._assert_no_child_left(failed)
+
+    def test_a_failing_sink_reaps_every_worker(self, monkeypatch):
+        self._in_workers(monkeypatch, "modulus_bounds", lambda: None)
+
+        def sink(block):
+            raise ValidationError("the sink failed")
+
+        with pytest.raises(ValidationError, match="the sink failed") as failed:
+            power_bounds(scenario_from_config(SMOKE), uniform_grid(41), sink=sink)
+        self._assert_no_child_left(failed)
 
 
 class TestPowerDb:
