@@ -367,9 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
         common.add_argument(flag, type=int, default=None, dest=key, help=text)
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored: the geometry "
-                        "runs as one array program on one thread, and the Monte Carlo "
-                        "one worker per CPU this process may run on")
+                        help="accepted for compatibility and ignored: a large region "
+                        "pass runs on one process, and the Monte Carlo on one worker thread, "
+                        "per CPU this process may run on")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=command.__doc__)

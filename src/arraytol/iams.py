@@ -216,19 +216,15 @@ def interval_af_curve(
     pattern vanishes at every sample, as it may on a sub-grid: power_bounds,
     not the pass, rejects a zero peak.
 
-    The pass is one map over its blocks, dealt to pass_processes
-    processes: block i is summed by process i mod P, process 0 being the
-    caller and each other an os.fork'ed worker (_dealt).  P is 1, and no
-    process is forked, below _FORK_WORK summed rows times sector vertices.
-    The caller places every block's results and calls sink itself, in
-    block order, so neither the bits of the curve nor what the sink gets
-    depend on P.  Each worker holds one block at a time, as the caller
-    does (pass_bytes), and sends its regions only to a sink.  A worker's
-    exception is raised here as itself; a worker that exits without its
-    results raises ChildProcessError; no worker outlives the call.  Python
-    3.12 and later warn (DeprecationWarning) on os.fork in a process with
-    more than one thread, and numpy's OpenBLAS starts one; the workers call
-    no BLAS.
+    The pass is one map over its blocks (summed), which _dealt deals to
+    pass_processes processes: the caller and, where the pass's summed rows
+    times sector vertices reach _FORK_WORK, one os.fork'ed worker per
+    further CPU, each holding one block at a time (pass_bytes).  The caller
+    places every block's results and calls sink itself, in block order, so
+    neither the curve's bits nor what the sink gets depend on the processes.
+    Python 3.12 and later warn (DeprecationWarning) on os.fork in a process
+    with more than one thread, as numpy's OpenBLAS makes it; the workers
+    call no BLAS.
     """
     u, n_u, rings, radii_per_row = grid.samples, len(grid), None, 0
     if k_regions is not None:
@@ -307,7 +303,12 @@ def _dealt(work, items, processes: int):
     try:
         for p in range(1, processes):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 os.close(read)
                 _work(work, items[p::processes], write)  # never returns

@@ -762,6 +762,17 @@ class TestWorkers:
             power_bounds(scenario_from_config(SMOKE), uniform_grid(41), sink=lambda block: None)
         self._assert_no_child_left(failed)
 
+    def test_a_failed_fork_leaves_no_pipe_open(self, monkeypatch):
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        self._in_workers(monkeypatch, "modulus_bounds", lambda: None)
+        monkeypatch.setattr(os, "fork", fork)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="no process to spare"):
+            power_bounds(scenario_from_config(SMOKE), uniform_grid(41))
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+
     def test_a_failing_sink_reaps_every_worker(self, monkeypatch):
         self._in_workers(monkeypatch, "modulus_bounds", lambda: None)
 
