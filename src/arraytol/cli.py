@@ -368,8 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=".", help="output directory")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and ignored: a large region "
-                        "pass runs on one process, and the Monte Carlo on one worker thread, "
-                        "per CPU this process may run on")
+                        "pass runs on one process (at most two), and the Monte Carlo on one "
+                        "worker thread, per CPU this process may run on")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=command.__doc__)
@@ -396,6 +396,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](run)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 1
+    except ChildProcessError as exc:  # an OSError, but no i/o failed
+        print(f"worker error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -192,9 +192,14 @@ def _edges(vs: np.ndarray) -> np.ndarray:
     return edges
 
 
+def _block_rows(row_size: int, size: int = _BLOCK_EDGES) -> int:
+    """The rows of _row_blocks' blocks: about size elements, at least one row."""
+    return max(1, size // max(1, row_size))
+
+
 def _row_blocks(n_rows: int, row_size: int, size: int = _BLOCK_EDGES) -> list[slice]:
     """Slices of consecutive rows, up to n_rows, holding about size elements each."""
-    step = max(1, size // max(1, row_size))
+    step = _block_rows(row_size, size)
     return [slice(first, min(first + step, n_rows)) for first in range(0, n_rows, step)]
 
 

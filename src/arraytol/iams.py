@@ -13,6 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import (
     EPS_GEOM,
+    _block_rows,
     _row_blocks,
     disc_polygon_areas,
     kernel_bytes,
@@ -39,6 +40,10 @@ _PASS_BYTES = 1 << 20
 # vertices reach this many; below it a forked worker costs more than it saves (crossover
 # sweep in CHANGES.md: Taylor-N at n_u 501, N 16 to 64, steered and unsteered).
 _FORK_WORK = 100_000
+
+# The most processes a pass runs on, the caller included: the crossover sweep measured one
+# process against two; the forks, faults and exits of more, and where they pay, are unmeasured.
+_MAX_PROCESSES = 2
 
 # Bytes disc_polygon_areas takes per region and ring radius for the edges its circles cut,
 # gathered over a whole block: an assumption, not a bound.  Two cut edges, as measured
@@ -219,9 +224,10 @@ def interval_af_curve(
     The pass is one map over its blocks (summed), which _dealt deals to
     pass_processes processes: the caller and, where the pass's summed rows
     times sector vertices reach _FORK_WORK, one os.fork'ed worker per
-    further CPU, each holding one block at a time (pass_bytes).  The caller
-    places every block's results and calls sink itself, in block order, so
-    neither the curve's bits nor what the sink gets depend on the processes.
+    further CPU, up to _MAX_PROCESSES in all, each holding one block at a
+    time (pass_bytes).  The caller places every block's results and calls
+    sink itself, in block order, so neither the curve's bits nor what the
+    sink gets depend on the processes.
     Python 3.12 and later warn (DeprecationWarning) on os.fork in a process
     with more than one thread, as numpy's OpenBLAS makes it; the workers
     call no BLAS.
@@ -279,12 +285,12 @@ def interval_af_curve(
 
 def pass_processes(n_rows: int, n_edges: int, radii: int) -> int:
     """The processes a pass that sums n_rows rows of n_edges sector vertices and radii ring radii
-    runs on: one per CPU this process may run on (os.sched_getaffinity), at most one per block,
-    where n_rows * n_edges reach _FORK_WORK; else 1."""
+    runs on: one per CPU this process may run on (os.sched_getaffinity), at most one per block
+    and _MAX_PROCESSES, where n_rows * n_edges reach _FORK_WORK; else 1."""
     if n_rows * n_edges < _FORK_WORK or not hasattr(os, "sched_getaffinity"):
         return 1
-    step = max(1, _PASS_BYTES // row_bytes(n_edges, radii))  # _row_blocks' rows a block
-    return min(len(os.sched_getaffinity(0)), -(-n_rows // step))
+    blocks = -(-n_rows // _block_rows(row_bytes(n_edges, radii), _PASS_BYTES))
+    return min(len(os.sched_getaffinity(0)), blocks, _MAX_PROCESSES)
 
 
 def _dealt(work, items, processes: int):
@@ -311,14 +317,17 @@ def _dealt(work, items, processes: int):
                 raise
             if pid == 0:
                 os.close(read)
+                for _, pipe in workers.values():  # the earlier workers' read ends: only the
+                    pipe.close()                  # caller's may keep their writes waiting
                 _work(work, items[p::processes], write)  # never returns
             os.close(write)
             workers[p] = pid, os.fdopen(read, "rb")
         for i, item in enumerate(items):
             yield work(item) if i % processes == 0 else _received(workers, i % processes)
     finally:
-        for pid, pipe in workers.values():
-            pipe.close()
+        for _, pipe in workers.values():  # every pipe first, so no worker waits on a write
+            pipe.close()                  # while the caller waits on another's exit
+        for pid, _ in workers.values():
             os.waitpid(pid, 0)
 
 
@@ -382,7 +391,7 @@ def pass_bytes(n_u: int, n_edges: int, radii: int) -> int:
     a block (row_bytes a row) and the kernels' temporaries or, larger, its image rows'
     mirror images with their int64 gather index, padded again by a dump (40 bytes a vertex).
     Each of the pass's pass_processes processes takes them."""
-    rows = min(n_u, max(1, _PASS_BYTES // row_bytes(n_edges, radii)))
+    rows = min(n_u, _block_rows(row_bytes(n_edges, radii), _PASS_BYTES))
     return rows * row_bytes(n_edges, radii) + max(kernel_bytes(n_edges, radii), 40 * rows * n_edges)
 
 
@@ -530,9 +539,10 @@ def power_bounds(
     bounds, and the nominal peak they contain, are finite.  A nominal pattern that is zero at every grid sample raises
     ValidationError, so the curve's dB values are defined.  A pass whose summed
     rows times sector vertices reach _FORK_WORK runs on one process per CPU,
-    each os.fork'ed worker holding one block at a time (pass_bytes), and
-    below it on the caller alone; the curve's bits, and the Blocks sink gets
-    and their order, are the same either way (interval_af_curve).
+    at most _MAX_PROCESSES, each os.fork'ed worker holding one block at a
+    time (pass_bytes), and below it on the caller alone; the curve's bits,
+    and the Blocks sink gets and their order, are the same either way
+    (interval_af_curve).
     """
     sectors = element_sectors(scenario, arc_points)
     curve = interval_af_curve(scenario, grid, sectors, k_regions, sink)

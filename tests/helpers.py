@@ -18,8 +18,10 @@ takes one direction's region from the package's region pass.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import runpy
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,21 @@ AWKWARD = {name: SMOKE | changes for name, changes in {
     # amplitudes 1e-9 times smaller: the geometry tolerances are relative
     "smoke-1e-9": {"elements": [dict(e, amplitude=1e-9 * e["amplitude"]) for e in _SMOKE_ELEMENTS]},
 }.items()}
+
+
+@contextlib.contextmanager
+def within(seconds: int):
+    """Raise TimeoutError in the with block once it has run seconds (SIGALRM), so a hang fails."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pass_regions(scenario, grid, arc_points: int = 8, k_regions=None):

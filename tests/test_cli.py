@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -29,7 +30,8 @@ from arraytol.cli import _BYTE_BUDGET, _build_parser, build_run_config, main, ru
 from arraytol.errors import ConfigError
 from arraytol.iams import _PASS_BYTES
 from arraytol.validate import format_results, run_validation
-from helpers import AWKWARD, SMOKE, padded, pass_regions, taylor_taper, workload_config
+from helpers import (AWKWARD, SMOKE, padded, pass_regions, taylor_taper, within,
+                     workload_config)
 
 
 def _write_config(path, **overrides):
@@ -228,7 +230,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("failure, message", [
         ("raise", "validation error: a worker's block failed"),
-        ("exit", "i/o error: region-pass worker .* exited with status 3"),
+        ("exit", "worker error: region-pass worker .* exited with status 3"),
     ])
     def test_a_failing_worker_exits_1(self, tmp_path, monkeypatch, capsys, failure, message):
         parent, modulus_bounds = os.getpid(), iams.modulus_bounds
@@ -250,6 +252,27 @@ class TestWorkers:
             with pytest.raises(ChildProcessError):  # no worker is left, running or a zombie
                 os.waitpid(-1, os.WNOHANG)
         assert not out.exists()  # the failed dump removed its file and directory
+
+    def test_a_full_disk_on_three_processes_exits_1(self, tmp_path, monkeypatch, capsys):
+        # steered64's dump fails at its first block, while two workers each write about 1 MiB
+        # of vertices, more than a pipe holds, that the caller will not read
+        def full(*args):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_rows", full)
+        monkeypatch.setattr(iams, "_MAX_PROCESSES", 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(workload_config("steered64")))
+        with within(60):
+            code = main(["bounds", "--config", str(cfg), "--out", str(out), "--dump-polygons"])
+        assert (code, len(forks)) == (1, 2)
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+        with pytest.raises(ChildProcessError):  # no worker is left, running or a zombie
+            os.waitpid(-1, os.WNOHANG)
+        assert not out.exists()
 
 
 def _vertex_counts(bounds_csv) -> list[int]:

@@ -38,6 +38,7 @@ from helpers import (
     pass_regions,
     polygonize_interval_phasor,
     taylor_taper,
+    within,
     workload_config,
 )
 
@@ -694,6 +695,7 @@ class TestWorkers:
     )
     def test_processes_change_no_bit(self, workload, n_u, pass_bytes, monkeypatch):
         monkeypatch.setattr(iams, "_FORK_WORK", 0)
+        monkeypatch.setattr(iams, "_MAX_PROCESSES", 3)
         monkeypatch.setattr(iams, "_PASS_BYTES", pass_bytes)
         config = workload_config(workload) | {"n_u": n_u}
         one, one_blocks, forks = _dealt_pass(config, 1, monkeypatch)
@@ -712,7 +714,9 @@ class TestWorkers:
         assert work == {"taylor16": 251 * 192, "mc-coarse16": 51 * 192, "steered64": 501 * 768}
         assert work["taylor16"] < iams._FORK_WORK <= work["steered64"]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert iams.pass_processes(501, 768, 6) == 8  # one per block: at most 8 blocks
+        assert iams.pass_processes(501, 768, 6) == iams._MAX_PROCESSES == 2
+        monkeypatch.setattr(iams, "_MAX_PROCESSES", 64)
+        assert iams.pass_processes(501, 768, 6) == 8  # one per block: 8 blocks
 
     @pytest.mark.parametrize("workload", ["taylor16", "mc-coarse16"])
     def test_small_workloads_never_fork(self, workload, monkeypatch):
@@ -781,6 +785,22 @@ class TestWorkers:
 
         with pytest.raises(ValidationError, match="the sink failed") as failed:
             power_bounds(scenario_from_config(SMOKE), uniform_grid(41), sink=sink)
+        self._assert_no_child_left(failed)
+
+    def test_a_failing_sink_reaps_three_processes_writing_whole_blocks(self, monkeypatch):
+        # steered64's blocks send about 1 MiB of vertices each, more than a pipe holds, so a
+        # worker whose result the caller never reads waits on its write until its pipe closes
+        monkeypatch.setattr(iams, "_MAX_PROCESSES", 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        config = workload_config("steered64")
+        scen, grid = scenario_from_config(config), uniform_grid(config["n_u"])
+        assert iams.pass_processes(501, 768, 0) == 3  # its 501 rows of 768 vertices: 6 blocks
+
+        def sink(block):
+            raise ValidationError("the sink failed")
+
+        with within(60), pytest.raises(ValidationError, match="the sink failed") as failed:
+            power_bounds(scen, grid, config["arc_points"], sink=sink)
         self._assert_no_child_left(failed)
 
 
